@@ -53,14 +53,13 @@ def _lattice_shifts_allowed(m: SymbolicMeasure) -> bool:
     return m.space == TORUS or m.periodized
 
 
-def _on_affine_wall(m: SymbolicMeasure, sub_l: Subspace, point: FieldVector,
+def _on_affine_wall(shifts: bool, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
-    """Is ``point`` on L^perp + ell (modulo lattice shifts when applicable)?"""
+    """Is ``point`` on L^perp + ell (modulo Z^d when ``shifts``)?"""
     diff = vec_sub(point, ell)
-    if _lattice_shifts_allowed(m):
+    if shifts:
         return solve_integer_affine([list(r) for r in sub_l.basis], list(diff)).feasible
-    perp = sub_l.orthocomplement()
-    return perp.contains(diff)
+    return sub_l.orthocomplement().contains(diff)
 
 
 def _group_meets_wall(m: SymbolicMeasure, comp: AtomGroup, sub_l: Subspace,
@@ -120,13 +119,14 @@ def _group_meets_wall(m: SymbolicMeasure, comp: AtomGroup, sub_l: Subspace,
 def _component_wall_positive(m: SymbolicMeasure, index: int, comp: Component,
                              sub_l: Subspace, ell: FieldVector
                              ) -> tuple[bool, FieldVector | None]:
+    shifts = _lattice_shifts_allowed(m)
     if isinstance(comp, Atom):
-        return _on_affine_wall(m, sub_l, comp.point, ell), comp.point
+        return _on_affine_wall(shifts, sub_l, comp.point, ell), comp.point
     if isinstance(comp, BoxLebesgue):
         perp = sub_l.orthocomplement()
         if not comp.carrier.subspace.leq(perp):
             return False, None
-        return _on_affine_wall(m, sub_l, comp.carrier.offset, ell), None
+        return _on_affine_wall(shifts, sub_l, comp.carrier.offset, ell), None
     witness = _group_meets_wall(m, comp, sub_l, ell)
     return witness is not None, witness
 
@@ -282,8 +282,8 @@ class ConciseSet:
             perp = direction.orthocomplement()
             if not fam.subspace.leq(perp):
                 continue
-            if _on_affine_wall_for(self.space, direction, fam.offset,
-                                   zero_vector(self.fieldspec, self.dim)):
+            if _on_affine_wall(self.space == TORUS, direction, fam.offset,
+                               zero_vector(self.fieldspec, self.dim)):
                 return True
         for fam in self.group_families:
             comp = AtomGroup(fam.generators, fam.ring, fam.offset)
@@ -328,14 +328,6 @@ class ConciseSet:
                 "group_families": [f.encode() for f in self.group_families],
                 "enumerated_members": [s.encode()
                                        for s in self.enumerate_members(bound)]}
-
-
-def _on_affine_wall_for(space: str, sub_l: Subspace, point: FieldVector,
-                        ell: FieldVector) -> bool:
-    diff = vec_sub(point, ell)
-    if space == TORUS:
-        return solve_integer_affine([list(r) for r in sub_l.basis], list(diff)).feasible
-    return sub_l.orthocomplement().contains(diff)
 
 
 def _int_vectors(dim: int, bound: int) -> list[tuple[int, ...]]:

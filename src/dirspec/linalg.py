@@ -6,6 +6,15 @@ carriers, integer lattice subgroups in Hermite normal form, Smith normal
 form with unimodular transforms, annihilators of lattice subgroups inside
 the torus, saturation, rationality classification of directions, and exact
 feasibility solvers for systems mixing rational and integer unknowns.
+
+``rref_field`` is the one Gauss-Jordan elimination over a field (entries
+FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
+bases), ``span_coordinates`` (the Gram system behind ``Subspace.project``
+and the torus box-offset reduction), ``saturate`` (V^-1 from [V | I]),
+``rationality``, ``solve_mixed_affine`` (the rational unknowns) and
+``measure.canonical_module`` (ring-Q modules).  ``nullspace`` reads kernels
+off its output.  The integer eliminations are ``hermite_normal_form`` and
+``smith_normal_form``.
 """
 from __future__ import annotations
 
@@ -84,63 +93,30 @@ def vec_floats(u: FieldVector) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination over a field and over Q
+# exact elimination: the one Gauss-Jordan kernel
 # ---------------------------------------------------------------------------
 
 
-def rref_field(rows: list[list[FieldScalar]]) -> tuple[list[list[FieldScalar]], list[int]]:
-    """Reduced row echelon form over the field; returns (rows, pivot columns)."""
-    if not rows:
-        return [], []
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if not mat[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].invert()
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def rref_field(rows: list[list], ncols: int | None = None) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination over an exact field; returns (rows, pivot columns).
 
-
-def solve_field_square(a: list[list[FieldScalar]], b: list[FieldScalar]) -> list[FieldScalar]:
-    """Solve a nonsingular square system over the field."""
-    n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            raise ValidationError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].invert()
-        aug[col] = [inv * x for x in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def rref_fractions(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """RREF over Q; returns (rows, pivot columns)."""
+    Entries may be FieldScalars or Fractions.  Pivots are searched only in
+    the first ``ncols`` columns (all columns by default); later columns are
+    carried along, so an augmented system [A | b] is reduced by passing
+    ncols = width of A.  Each pivot is the first nonzero entry at or below
+    the current row; its row is normalized and the column cleared from every
+    other row.  All rows are returned, the len(pivots) pivot rows first.
+    """
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
+    if ncols is None:
+        ncols = len(mat[0])
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
+        if r == len(mat):
+            break
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
@@ -153,23 +129,33 @@ def rref_fractions(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], li
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    return mat, pivots
 
 
-def nullspace_fractions(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the rational kernel {x : rows @ x = 0}."""
-    rr, pivots = rref_fractions(rows)
-    free = [j for j in range(ncols) if j not in pivots]
+def nullspace(rr: list[list], pivots: list[int], ncols: int, zero, one) -> list[list]:
+    """Kernel basis in the first ``ncols`` unknowns, read off a reduced
+    echelon form: one vector per free column."""
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
         for i, p in enumerate(pivots):
             v[p] = -rr[i][f]
         basis.append(v)
     return basis
+
+
+def span_coordinates(basis, v: FieldVector) -> list[FieldScalar]:
+    """Coefficients x of the orthogonal projection of v onto span(basis),
+    sum_i x_i basis[i], from the Gram system (basis must be independent)."""
+    n = len(basis)
+    gram = [[vec_dot(bi, bj) for bj in basis] + [vec_dot(bi, v)] for bi in basis]
+    rr, pivots = rref_field(gram, n)
+    if len(pivots) < n:
+        raise ValidationError("singular system")
+    return [row[n] for row in rr]
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +179,8 @@ class Subspace:
             if len(vv) != ambient:
                 raise DimensionMismatchError("basis vector has wrong length")
             rows.append(list(vv))
-        rref, _ = rref_field(rows)
-        return Subspace(field, ambient, tuple(tuple(r) for r in rref))
+        rr, pivots = rref_field(rows)
+        return Subspace(field, ambient, tuple(tuple(r) for r in rr[:len(pivots)]))
 
     @staticmethod
     def zero(field: FieldSpec, ambient: int) -> "Subspace":
@@ -240,15 +226,11 @@ class Subspace:
                                      list(self.basis) + list(other.basis))
 
     def orthocomplement(self) -> "Subspace":
-        rr, pivots = rref_field([list(r) for r in self.basis])
-        free = [j for j in range(self.ambient) if j not in pivots]
-        vecs = []
-        for f in free:
-            v = [self.field.zero()] * self.ambient
-            v[f] = self.field.one()
-            for i, p in enumerate(pivots):
-                v[p] = -rr[i][f]
-            vecs.append(v)
+        # the basis is already in RREF: its pivots are the leading entries
+        pivots = [next(j for j, x in enumerate(row) if not x.is_zero())
+                  for row in self.basis]
+        vecs = nullspace(self.basis, pivots, self.ambient,
+                         self.field.zero(), self.field.one())
         return Subspace.from_vectors(self.field, self.ambient, vecs)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -259,9 +241,7 @@ class Subspace:
         """Orthogonal projection of v onto this subspace (exact)."""
         if self.dim == 0:
             return zero_vector(self.field, self.ambient)
-        gram = [[vec_dot(bi, bj) for bj in self.basis] for bi in self.basis]
-        rhs = [vec_dot(bi, v) for bi in self.basis]
-        x = solve_field_square(gram, rhs)
+        x = span_coordinates(self.basis, v)
         out = zero_vector(self.field, self.ambient)
         for c, b in zip(x, self.basis):
             out = vec_add(out, vec_scale(c, b))
@@ -355,7 +335,7 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
                 break
             i0 = min(live, key=lambda i: abs(mat[i][col]))
             mat[r], mat[i0] = mat[i0], mat[r]
-            if all(i == r for i in live) or len(live) == 1 and live[0] == r:
+            if live == [r]:
                 break
             done = True
             for i in range(r + 1, len(mat)):
@@ -376,8 +356,7 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
             r += 1
             if r == len(mat):
                 break
-    mat = [row for row in mat[:r]]
-    return tuple(tuple(row) for row in mat)
+    return tuple(tuple(row) for row in mat[:r])
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -469,29 +448,6 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return u, d, v
 
 
-def _int_matrix_inverse(mat: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValidationError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lattice subgroups of Z^d
 # ---------------------------------------------------------------------------
@@ -543,7 +499,13 @@ def saturate(h: LatticeSubgroup) -> LatticeSubgroup:
         return h
     _, d, v = smith_normal_form([list(r) for r in h.basis])
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    vinv = _int_matrix_inverse(v)
+    # RREF of [V | I] is [I | V^-1]
+    n = h.ambient
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rr, _ = rref_field([[Fraction(x) for x in row] + eye[i] for i, row in enumerate(v)], n)
+    vinv = [row[n:] for row in rr]
+    if any(x.denominator != 1 for row in vinv for x in row):
+        raise ValidationError("matrix is not unimodular")
     return LatticeSubgroup.from_generators(h.ambient, vinv[:rank])
 
 
@@ -656,7 +618,8 @@ def rationality(sub: Subspace) -> RationalityReport:
     for j in range(d):
         for beta in range(1, nbasis):
             rows.append([sub.basis[i][j].coeffs[beta] for i in range(e)])
-    kernel = nullspace_fractions(rows, e)
+    rr, pivots = rref_field(rows)
+    kernel = nullspace(rr, pivots, e, Fraction(0), Fraction(1))
     vecs = []
     for x in kernel:
         v = zero_vector(field, d)
@@ -722,26 +685,10 @@ def solve_mixed_affine(rat_cols: list[list[Fraction]],
     if m == 0:
         return MixedSolution((), (), (), (), ())
 
-    aug = [list(rat_cols[i]) + list(int_cols[i]) + [rhs[i]] for i in range(m)]
-    width = a + b + 1
     # eliminate rational unknowns (columns 0..a-1)
-    pivots: list[int] = []
-    r = 0
-    for col in range(a):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    aug, pivots = rref_field(
+        [list(rat_cols[i]) + list(int_cols[i]) + [rhs[i]] for i in range(m)], a)
+    r = len(pivots)
     # residual integral system from rows without rational pivots
     res_rows = []
     res_rhs = []
@@ -782,8 +729,6 @@ def solve_mixed_affine(rat_cols: list[list[Fraction]],
         n0 = [0] * b
         lattice = [tuple(int(i == j) for i in range(b)) for j in range(b)]
 
-    free_rat = [j for j in range(a) if j not in pivots]
-
     def back_substitute(nvec: list, hom: bool) -> list[Fraction]:
         c = [Fraction(0)] * a
         for i, p in enumerate(pivots):
@@ -794,13 +739,7 @@ def solve_mixed_affine(rat_cols: list[list[Fraction]],
 
     c0 = back_substitute(n0, hom=False)
     shifts = [tuple(back_substitute(list(lam), hom=True)) for lam in lattice]
-    kernel = []
-    for f in free_rat:
-        vvec = [Fraction(0)] * a
-        vvec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vvec[p] = -aug[i][f]
-        kernel.append(tuple(vvec))
+    kernel = [tuple(v) for v in nullspace(aug, pivots, a, Fraction(0), Fraction(1))]
     return MixedSolution(tuple(c0), tuple(n0), tuple(lattice),
                          tuple(shifts), tuple(kernel))
 

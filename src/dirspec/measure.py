@@ -28,9 +28,9 @@ from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchErr
                      UnsupportedConvolutionError, ValidationError)
 from .linalg import (AffineCarrier, FieldVector, LatticeSubgroup, Subspace,
                      as_vector, hermite_normal_form, rationalize_system,
-                     rref_fractions, solve_integer_affine, solve_mixed_affine,
-                     unit_vector, vec_add, vec_is_zero, vec_mod1, vec_scale,
-                     vec_sub, zero_vector)
+                     rref_field, solve_integer_affine, solve_mixed_affine,
+                     span_coordinates, unit_vector, vec_add, vec_is_zero, vec_mod1,
+                     vec_scale, vec_sub, zero_vector)
 from .scalar import FieldScalar, FieldSpec, decode_scalar
 
 EUCLID = "euclidean"
@@ -161,7 +161,8 @@ def canonical_module(field: FieldSpec, dim: int, generators, ring: str,
         return ()
     flat = [_flatten(g) for g in gens]
     if ring == "Q":
-        rows, _ = rref_fractions(flat)
+        rr, pivots = rref_field(flat)
+        rows = rr[:len(pivots)]
     elif ring == "Z":
         den = lcm(*[f.denominator for row in flat for f in row] or [1])
         int_rows = [[int(f * den) for f in row] for row in flat]
@@ -345,18 +346,16 @@ class SymbolicMeasure:
             dim = int(doc["dim"])
             field = FieldSpec(tuple(doc.get("field_roots", ())))
             periodized = bool(doc.get("periodized", False))
-            comps = [decode_component(field, dim, c) for c in doc["components"]]
-        except (KeyError, TypeError) as exc:
+            comp_docs = doc["components"]
+            if dim < 1:
+                raise ValidationError(f"dim must be >= 1, got {dim}")
+            if not isinstance(comp_docs, list) or not all(isinstance(c, dict)
+                                                          for c in comp_docs):
+                raise ValidationError("components must be a list of objects")
+            comps = [decode_component(field, dim, c) for c in comp_docs]
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad measure document: {exc}") from exc
         return SymbolicMeasure.make(space, dim, field, comps, periodized)
-
-
-def _class_signature(comp: Component):
-    if isinstance(comp, Atom):
-        return ("atom", comp.point)
-    if isinstance(comp, BoxLebesgue):
-        return ("box", comp.carrier.subspace, comp.carrier.offset)
-    return ("atom_group", comp.generators, comp.ring, comp.offset)
 
 
 def _offsets_equivalent(space: str, dim: int, field: FieldSpec, sub: Subspace,
@@ -499,21 +498,12 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
     basis = [as_vector(field, [Fraction(x, den) for x in row]) for row in hnf]
     # coordinates of the offset over the projected-lattice basis, floor-reduced
     work = offset
-    coords = _solve_in_span(field, basis, work)
+    coords = span_coordinates(basis, work)
     for c, b in zip(coords, basis):
         k = c.floor()
         if k:
             work = vec_sub(work, vec_scale(field.from_rational(k), b))
     return work
-
-
-def _solve_in_span(field: FieldSpec, basis: list[FieldVector],
-                   v: FieldVector) -> list[FieldScalar]:
-    """Coordinates of v over an independent spanning set (least-squares exact)."""
-    from .linalg import solve_field_square, vec_dot
-    gram = [[vec_dot(bi, bj) for bj in basis] for bi in basis]
-    rhs = [vec_dot(bi, v) for bi in basis]
-    return solve_field_square(gram, rhs)
 
 
 def decode_component(field: FieldSpec, dim: int, doc: dict) -> Component:

@@ -232,33 +232,23 @@ class FieldScalar:
     __rmul__ = __mul__
 
     def invert(self) -> "FieldScalar":
-        """Multiplicative inverse via the regular-representation linear system."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        divided by the rational norm (the product of all conjugates).
+
+        The conjugate sigma_s (s a nonzero bitmask of roots) negates every
+        root in s, so it flips the sign of coefficient i when i & s has an
+        odd number of bits.
+        """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert zero field element")
-        n = self.field.dimension
         if self.is_rational():
             return self.field.from_rational(1 / self.coeffs[0])
-        # columns: self * basis_j expressed over the basis
-        cols = []
-        for j in range(n):
-            unit = [Fraction(0)] * n
-            unit[j] = Fraction(1)
-            cols.append((self * FieldScalar(self.field, tuple(unit))).coeffs)
-        # solve sum_j x_j * cols[j] = e_0 by Gaussian elimination
-        aug = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("regular representation is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return FieldScalar(self.field, tuple(aug[i][n] for i in range(n)))
+        others = self.field.one()
+        for s in range(1, self.field.dimension):
+            others = others * FieldScalar(self.field, tuple(
+                -c if (i & s).bit_count() & 1 else c for i, c in enumerate(self.coeffs)))
+        norm = (self * others).coeffs[0]
+        return FieldScalar(self.field, tuple(c / norm for c in others.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -297,8 +287,10 @@ class FieldScalar:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # rational elements equal their Fraction, so they must hash like it
         if self._hash is None:
-            self._hash = hash((self.field.roots, self.coeffs))
+            self._hash = hash(self.coeffs[0]) if self.is_rational() \
+                else hash((self.field.roots, self.coeffs))
         return self._hash
 
     # -- numeric embedding -----------------------------------------------------
@@ -364,15 +356,18 @@ def promote_scalar(s: FieldScalar, field: FieldSpec) -> FieldScalar:
 
 def decode_scalar(field: FieldSpec, value) -> FieldScalar:
     """Parse the canonical encoding (fraction string or label->fraction map)."""
-    if isinstance(value, str):
-        return field.from_rational(Fraction(value))
-    if isinstance(value, int):
-        return field.from_rational(value)
-    if isinstance(value, dict):
-        coeffs = [Fraction(0)] * field.dimension
-        for label, frac in value.items():
-            coeffs[field.label_index(label)] = Fraction(frac)
-        return field.from_coeffs(coeffs)
+    try:
+        if isinstance(value, str):
+            return field.from_rational(Fraction(value))
+        if isinstance(value, int):
+            return field.from_rational(value)
+        if isinstance(value, dict):
+            coeffs = [Fraction(0)] * field.dimension
+            for label, frac in value.items():
+                coeffs[field.label_index(label)] = Fraction(frac)
+            return field.from_coeffs(coeffs)
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"zero denominator in scalar {value!r}") from exc
     raise ValidationError(f"cannot decode scalar from {value!r}")
 
 

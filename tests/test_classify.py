@@ -224,7 +224,7 @@ class TestGroupWallOracle:
                 # the witness must be a genuine atom lying on the wall
                 assert not all(x.is_integer() for x in witness)
                 perp = sub.orthocomplement()
-                diff_ok = C._on_affine_wall(m, sub, witness,
+                diff_ok = C._on_affine_wall(C._lattice_shifts_allowed(m), sub, witness,
                                             zero_vector(field, 2))
                 assert diff_ok
                 assert M.module_member(field, 2, comp, witness, TORUS)

@@ -178,6 +178,22 @@ class TestExitCodes:
         proc = run_cli("realize", "--directions", str(path))
         assert proc.returncode == 2  # rejected as invalid input
 
+    @pytest.mark.parametrize("doc", [
+        {"space": "torus", "dim": 1,
+         "components": [{"kind": "atom", "point": ["1/0"]}]},
+        {"space": "torus", "dim": 2, "components": "abc"},
+        {"space": "torus", "dim": 2, "components": [5]},
+        {"space": "torus", "dim": 0, "components": []},
+        {"space": "torus", "dim": 1,
+         "components": [{"kind": "atom", "point": ["1/3"], "weight": "1/0"}]},
+    ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
+            "weight-zero-denominator"])
+    def test_malformed_measure_is_2(self, doc, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lint", "--measure", str(path)]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_in_process_main(self, fixtures_dir, capsys):
         code = main(["lint", "--measure", str(fixtures_dir / "chair.json")])
         assert code == 0

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import gen
 from dirspec.errors import DimensionMismatchError
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, annihilator,
-                            as_vector, rationality, saturate, saturation_index,
-                            smith_normal_form, solve_integer_affine,
+                            as_vector, nullspace, rationality, rref_field, saturate,
+                            saturation_index, smith_normal_form, solve_integer_affine,
                             solve_mixed_affine, vec_dot, vec_is_zero)
 from dirspec.scalar import QQ, FieldSpec
 
@@ -83,6 +83,44 @@ class TestSubspace:
 
 
 int_entry = st.integers(min_value=-6, max_value=6)
+
+
+class TestRrefField:
+    def test_partial_elimination(self):
+        # pivots are taken only in the first two columns; the third is carried
+        rows = [[Fraction(x) for x in r]
+                for r in ([0, 2, 1, 4], [1, 1, 0, 1], [1, 2, 1, 3])]
+        rr, pivots = rref_field(rows, 2)
+        assert pivots == [0, 1]
+        assert rr == [[1, 0, Fraction(-1, 2), -1], [0, 1, Fraction(1, 2), 2],
+                      [0, 0, Fraction(1, 2), 0]]
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for _ in range(80):
+            m, n = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+                    for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:
+                rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]
+            rr, pivots = rref_field(rows)
+            want, want_pivots = sympy.Matrix(rows).rref()
+            assert pivots == list(want_pivots)
+            assert sympy.Matrix(rr) == want
+            kernel = nullspace(rr, pivots, n, Fraction(0), Fraction(1))
+            assert len(kernel) == n - len(pivots)
+            for v in kernel:
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+            # partial elimination: the left block is fully reduced and the
+            # row space of the whole matrix is unchanged
+            k = rng.randint(0, n)
+            part, part_pivots = rref_field(rows, k)
+            left, left_pivots = sympy.Matrix([r[:k] for r in rows]).rref()
+            assert part_pivots == list(left_pivots)
+            assert sympy.Matrix([r[:k] for r in part]) == left
+            assert sympy.Matrix(part).rref()[0] == want
 
 
 class TestCanonicalForm:

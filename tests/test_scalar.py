@@ -10,6 +10,7 @@ from dirspec.scalar import QQ, FieldSpec, decode_scalar, promote_scalar
 
 F2 = FieldSpec((2,))
 F23 = FieldSpec((2, 3))
+F235 = FieldSpec((2, 3, 5))
 
 
 def scal(field, *coeffs):
@@ -88,6 +89,13 @@ class TestArithmetic:
         with pytest.raises(FieldMismatchError):
             F2.one() + F23.one()
 
+    def test_rational_scalars_hash_like_fractions(self):
+        assert len({QQ.from_rational(1), 1}) == 1
+        assert len({F23.from_rational(Fraction(-3, 4)), Fraction(-3, 4)}) == 1
+        table = {Fraction(1, 2): "half", 1: "one"}
+        assert table[QQ.from_rational(Fraction(1, 2))] == "half"
+        assert table[F2.from_rational(1)] == "one"
+
 
 coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -95,6 +103,11 @@ coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 @st.composite
 def f23_scalars(draw):
     return F23.from_coeffs([draw(coeff) for _ in range(4)])
+
+
+@st.composite
+def f235_scalars(draw):
+    return F235.from_coeffs([draw(coeff) for _ in range(8)])
 
 
 class TestFieldAxioms:
@@ -106,7 +119,7 @@ class TestFieldAxioms:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
 
-    @given(f23_scalars())
+    @given(st.one_of(f23_scalars(), f235_scalars()))
     def test_inverse(self, a):
         if not a.is_zero():
             assert a * a.invert() == 1
