@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError)
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
                      rationalize_system, solve_integer_affine, solve_mixed_affine,
-                     unit_vector, vec_add, vec_is_zero, vec_sub, zero_vector)
+                     unit_vector, vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, exp as measure_exp,
                       group_value_coset_nontrivial)
@@ -59,7 +59,7 @@ def _on_affine_wall(shifts: bool, sub_l: Subspace, point: FieldVector,
     diff = vec_sub(point, ell)
     if shifts:
         return solve_integer_affine([list(r) for r in sub_l.basis], list(diff)).feasible
-    return sub_l.orthocomplement().contains(diff)
+    return all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
 
 
 def _group_meets_wall(m: SymbolicMeasure, comp: AtomGroup, sub_l: Subspace,
@@ -123,8 +123,7 @@ def _component_wall_positive(m: SymbolicMeasure, index: int, comp: Component,
     if isinstance(comp, Atom):
         return _on_affine_wall(shifts, sub_l, comp.point, ell), comp.point
     if isinstance(comp, BoxLebesgue):
-        perp = sub_l.orthocomplement()
-        if not comp.carrier.subspace.leq(perp):
+        if not comp.carrier.subspace.orthogonal_to(sub_l):
             return False, None
         return _on_affine_wall(shifts, sub_l, comp.carrier.offset, ell), None
     witness = _group_meets_wall(m, comp, sub_l, ell)
@@ -197,7 +196,6 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
 
     weak = True
     strong = True
-    perp = direction.orthocomplement()
     for i, comp in enumerate(m.components):
         if isinstance(comp, Atom):
             ell = direction.project(comp.point)
@@ -215,7 +213,7 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
             weak = strong = False
         else:
             k = comp.carrier.subspace
-            if k.leq(perp):
+            if k.orthogonal_to(direction):
                 ell = direction.project(comp.carrier.offset)
                 witnesses.append(("weak_mixing",
                                   WallWitness(i, _wall_descriptor(m, comp), ell)))
@@ -279,8 +277,7 @@ class ConciseSet:
             if direction.leq(s):
                 return True
         for fam in self.parametric_families:
-            perp = direction.orthocomplement()
-            if not fam.subspace.leq(perp):
+            if not fam.subspace.orthogonal_to(direction):
                 continue
             if _on_affine_wall(self.space == TORUS, direction, fam.offset,
                                zero_vector(self.fieldspec, self.dim)):
@@ -295,32 +292,28 @@ class ConciseSet:
 
     def enumerate_members(self, bound: int = 3) -> tuple[Subspace, ...]:
         """Explicit members: the listed subspaces plus family members for
-        shift/coefficient norms up to ``bound`` (deduplicated, pruned)."""
-        members = list(self.subspaces)
-        shifts = _int_vectors(self.dim, bound) if self.space == TORUS else [(0,) * self.dim]
+        shift/coefficient norms up to ``bound`` (deduplicated, pruned).  Many
+        (atom, shift) pairs span the same subspace: each perp is built once."""
+        if bound < 0:
+            raise ValidationError("the enumeration bound must be >= 0")
+        shifts = [as_vector(self.fieldspec, n)
+                  for n in (_int_vectors(self.dim, bound) if self.space == TORUS
+                            else [(0,) * self.dim])]
+        spans: dict[Subspace, None] = {}
         for fam in self.parametric_families:
             for n in shifts:
-                shifted = vec_sub(fam.offset,
-                                  as_vector(self.fieldspec, [Fraction(x) for x in n]))
-                span = Subspace.from_vectors(
+                spans[Subspace.from_vectors(
                     self.fieldspec, self.dim,
-                    list(fam.subspace.basis) + [shifted])
-                member = span.orthocomplement()
-                if member.dim > 0:
-                    members.append(member)
+                    list(fam.subspace.basis) + [vec_sub(fam.offset, n)])] = None
         for fam in self.group_families:
             for atom in _enumerate_group_atoms(self.fieldspec, self.dim, fam, bound):
                 for n in shifts:
-                    shifted = vec_sub(atom,
-                                      as_vector(self.fieldspec,
-                                                [Fraction(x) for x in n]))
-                    if vec_is_zero(shifted):
-                        continue
-                    member = Subspace.from_vectors(
-                        self.fieldspec, self.dim, [shifted]).orthocomplement()
-                    if member.dim > 0:
-                        members.append(member)
-        return _concise_hull(members)
+                    shifted = vec_sub(atom, n)
+                    if not vec_is_zero(shifted):
+                        spans[Subspace.from_vectors(
+                            self.fieldspec, self.dim, [shifted])] = None
+        return _concise_hull(list(self.subspaces)
+                             + [span.orthocomplement() for span in spans])
 
     def encode(self, bound: int = 3) -> dict:
         return {"subspaces": [s.encode() for s in self.subspaces],
@@ -366,19 +359,16 @@ def _enumerate_group_atoms(fieldspec: FieldSpec, dim: int, fam: GroupFamily,
 
 
 def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
-    """Keep maximal elements only (and deduplicate)."""
-    uniq: list[Subspace] = []
-    for s in members:
-        if s.dim == 0:
-            continue
-        if any(s == t for t in uniq):
-            continue
-        uniq.append(s)
-    out = []
-    for s in uniq:
-        if any(s != t and s.leq(t) for t in uniq):
-            continue
-        out.append(s)
+    """The maximal nonzero members, each once, sorted by (dim, encoding).
+
+    Bases are canonical RREFs and rational scalars hash like their Fraction,
+    so equal subspaces are equal dict keys and ``dict.fromkeys`` deduplicates
+    without pairwise tests.  s < t forces dim s < dim t, so by transitivity a
+    member needs testing only against the higher-dimensional maximal ones."""
+    out: list[Subspace] = []
+    for s in sorted(dict.fromkeys(members), key=lambda s: -s.dim):
+        if s.dim > 0 and not any(t.dim > s.dim and s.leq(t) for t in out):
+            out.append(s)
     out.sort(key=lambda s: (s.dim, str(s.encode())))
     return tuple(out)
 
@@ -486,7 +476,6 @@ def directional_eigenvalues(m: SymbolicMeasure,
                             direction: Subspace) -> tuple[EigenvalueFamily, ...]:
     """All directional eigenvalue families for L: one per component whose
     carrier subspace sits inside L^perp."""
-    perp = direction.orthocomplement()
     shifts = _lattice_shifts_allowed(m)
     lattice_images: tuple[FieldVector, ...] = ()
     if shifts:
@@ -506,7 +495,7 @@ def directional_eigenvalues(m: SymbolicMeasure,
                 i, direction.project(comp.offset), lattice_images,
                 tuple(direction.project(g) for g in comp.generators), comp.ring))
         else:
-            if comp.carrier.subspace.leq(perp):
+            if comp.carrier.subspace.orthogonal_to(direction):
                 out.append(EigenvalueFamily(
                     i, direction.project(comp.carrier.offset), lattice_images))
     return tuple(out)

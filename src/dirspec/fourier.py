@@ -4,7 +4,8 @@ Closed-form transforms (atoms: characters; boxes: products of sinc factors
 for the centered-zonotope representative), a quasi-Monte-Carlo directional
 Wiener estimator for wall masses, Rajchman decay probes along directions,
 and coset-constancy checks.  Everything is seeded and deterministic; this
-module is the independent numerical check on the exact classifier.
+module is the independent numerical check on the exact classifier.  scipy
+(about a second to import) is imported only where Sobol points are drawn.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ValidationError
 from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
@@ -191,6 +191,7 @@ def _orthonormal_basis(direction: Subspace) -> np.ndarray:
 
 
 def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc
     sampler = qmc.Sobol(d=e, scramble=True, seed=seed)
     raw = sampler.random(max(8, 4 * samples))
     cube = (2.0 * raw - 1.0) * radius
@@ -273,6 +274,7 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
                    cfg: EstimatorConfig = DEFAULT_CONFIG,
                    directions_per_radius: int = 64) -> DecayProfile:
     """sup |ft| over sampled points of norm r in L, for each radius r."""
+    from scipy.stats import qmc
     onb = _orthonormal_basis(direction)
     e = direction.dim
     sampler = qmc.Sobol(d=e, scramble=True, seed=cfg.seed)

@@ -220,6 +220,11 @@ class Subspace:
         self._check_compatible(other)
         return all(other.contains(row) for row in self.basis)
 
+    def orthogonal_to(self, other: "Subspace") -> bool:
+        """self <= other^perp, from dot products of the two bases."""
+        self._check_compatible(other)
+        return all(vec_dot(u, v).is_zero() for u in self.basis for v in other.basis)
+
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace.from_vectors(self.field, self.ambient,

@@ -260,7 +260,7 @@ class FieldScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o * self.invert()
+        return self.invert() if o == 1 else o * self.invert()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

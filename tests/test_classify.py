@@ -174,6 +174,67 @@ class TestConciseSets:
         assert ne.contains_direction(Subspace.from_vectors(QQ, 3, [[0, 0, 1]]))
 
 
+def pairwise_hull(members):
+    """Reference: the pairwise definition of the concise hull."""
+    uniq = []
+    for s in members:
+        if s.dim == 0:
+            continue
+        if any(s == t for t in uniq):
+            continue
+        uniq.append(s)
+    out = [s for s in uniq if not any(s != t and s.leq(t) for t in uniq)]
+    out.sort(key=lambda s: (s.dim, str(s.encode())))
+    return tuple(out)
+
+
+def raw_members(cs, bound):
+    """Every member of a concise set before deduplication: one perp per
+    listed subspace, (family, shift) and (group atom, shift)."""
+    members = list(cs.subspaces)
+    shifts = C._int_vectors(cs.dim, bound) if cs.space == TORUS else [(0,) * cs.dim]
+    for fam in cs.parametric_families:
+        for n in shifts:
+            shifted = vec_sub(fam.offset, as_vector(cs.fieldspec, n))
+            members.append(Subspace.from_vectors(
+                cs.fieldspec, cs.dim,
+                list(fam.subspace.basis) + [shifted]).orthocomplement())
+    for fam in cs.group_families:
+        for a in C._enumerate_group_atoms(cs.fieldspec, cs.dim, fam, bound):
+            for n in shifts:
+                shifted = vec_sub(a, as_vector(cs.fieldspec, n))
+                if all(x.is_zero() for x in shifted):
+                    continue
+                members.append(Subspace.from_vectors(
+                    cs.fieldspec, cs.dim, [shifted]).orthocomplement())
+    return members
+
+
+class TestConciseHull:
+    @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "Q(sqrt2)"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_reference(self, field, seed):
+        rng = random.Random(seed)
+        members = [Subspace.zero(field, 3), Subspace.zero(field, 3)]
+        for _ in range(5):
+            vecs = [gen.rand_vector(rng, field, 3) for _ in range(3)]
+            # nested spans of mixed dimension, each also rebuilt from
+            # rescaled vectors so that equal subspaces arrive as new objects
+            for k in range(1, 4):
+                members.append(Subspace.from_vectors(field, 3, vecs[:k]))
+                members.append(Subspace.from_vectors(
+                    field, 3, [vec_scale(Fraction(-2, 3), v) for v in vecs[:k]]))
+        rng.shuffle(members)
+        assert C._concise_hull(members) == pairwise_hull(members)
+
+    @pytest.mark.parametrize("name", ["chair", "bw8"])
+    def test_enumerated_members_match_reference(self, fixtures_dir, name):
+        import json
+        m = SymbolicMeasure.decode(json.loads((fixtures_dir / f"{name}.json").read_text()))
+        for cs in (C.nonergodic_concise(m), C.nonwm_concise(m)):
+            assert cs.enumerate_members(3) == pairwise_hull(raw_members(cs, 3))
+
+
 class TestGroupWallOracle:
     """Brute-force cross-validation of the atom-group wall decision.
 

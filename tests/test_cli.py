@@ -194,6 +194,13 @@ class TestExitCodes:
         assert main(["lint", "--measure", str(path)]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
+    def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
+        code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),
+                     "--enumeration-bound", "-1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ValidationError"
+
     def test_in_process_main(self, fixtures_dir, capsys):
         code = main(["lint", "--measure", str(fixtures_dir / "chair.json")])
         assert code == 0

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -243,3 +247,26 @@ class TestPeriodized:
         per = M.suspend(t)
         v = FT.ft(per, [0.5, 0.5])
         assert abs(v) <= 1.0 + 1e-9
+
+
+class TestLazyScipy:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.stats takes about a second to import; only drawing Sobol
+        # points may load it
+        code = "\n".join([
+            "import sys, dirspec, dirspec.cli",
+            "assert 'scipy' not in sys.modules, 'scipy loaded at import'",
+            "from dirspec.fourier import EstimatorConfig, wiener_mass",
+            "from dirspec.linalg import Subspace, as_vector",
+            "from dirspec.measure import EUCLID, Atom, SymbolicMeasure",
+            "from dirspec.scalar import QQ",
+            "m = SymbolicMeasure.make(EUCLID, 2, QQ, [Atom(as_vector(QQ, [0, 0]))])",
+            "est = wiener_mass(m, Subspace.from_vectors(QQ, 2, [[1, 0]]), None,",
+            "                  EstimatorConfig(samples=64))",
+            "assert abs(est.estimate - 1) < 1e-12, est",
+            "assert 'scipy' in sys.modules",
+        ])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
