@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError)
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
-                     rationalize_system, solve_integer_affine, solve_mixed_affine,
-                     unit_vector, vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
+                     integer_shift_coset, mat_vec, solve_lattice_coset, unit_vector,
+                     vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, exp as measure_exp,
                       group_value_coset_nontrivial)
@@ -58,62 +58,27 @@ def _on_affine_wall(shifts: bool, sub_l: Subspace, point: FieldVector,
     """Is ``point`` on L^perp + ell (modulo Z^d when ``shifts``)?"""
     diff = vec_sub(point, ell)
     if shifts:
-        return solve_integer_affine([list(r) for r in sub_l.basis], list(diff)).feasible
+        return integer_shift_coset(sub_l.basis, diff) is not None
     return all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
 
 
-def _group_meets_wall(m: SymbolicMeasure, comp: AtomGroup, sub_l: Subspace,
+def _group_meets_wall(shifts: bool, comp: "AtomGroup | GroupFamily", sub_l: Subspace,
                       ell: FieldVector) -> FieldVector | None:
-    """A genuine atom of ``comp`` on L^perp + ell (mod Z^d as applicable),
+    """A genuine atom of ``comp`` on L^perp + ell (mod Z^d when ``shifts``),
     or None when the wall carries no atom of the group.
 
     Solve  B_L (offset + sum_i c_i g_i - ell - n) = 0  for coefficients c in
-    the coefficient ring and lattice shifts n, then pick a solution whose
-    group element  offset + sum c_i g_i  is a genuine (nonzero) atom.  The
-    achievable elements form a coset of (Z-module + Q-space); nontriviality
-    is decided generator by generator.
+    the coefficient ring and lattice shifts n: the coset primitive with
+    u_i = B_L g_i, l_j = -B_L e_j and t = B_L (ell - offset).  Then pick a
+    solution whose group element  offset + sum c_i g_i  is a genuine atom.
     """
-    k = len(comp.generators)
-    fieldspec = m.field
-    shifts = _lattice_shifts_allowed(m)
-    target = vec_sub(ell, comp.offset)
-    rows_field = []
-    rhs_field = []
-    for b in sub_l.basis:
-        row = []
-        for g in comp.generators:
-            acc = b[0] * g[0]
-            for x, y in zip(b[1:], g[1:]):
-                acc = acc + x * y
-            row.append(acc)
-        if shifts:
-            row.extend(-x for x in b)
-        acc = b[0] * target[0]
-        for x, y in zip(b[1:], target[1:]):
-            acc = acc + x * y
-        rows_field.append(row)
-        rhs_field.append(acc)
-    rows, rhs = rationalize_system(rows_field, rhs_field)
-    if comp.ring == "Q":
-        rat_cols = [r[:k] for r in rows]
-        int_cols = [r[k:] for r in rows] if shifts else [[] for _ in rows]
-        sol = solve_mixed_affine(rat_cols, int_cols, rhs)
-        if sol is None:
-            return None
-        coeff_part = list(sol.rat_part)
-        lattice_coeffs = [list(s) for s in sol.rat_shifts]
-        kernel_coeffs = [list(v) for v in sol.rat_kernel]
-    else:
-        sol = solve_mixed_affine([], [list(r) for r in rows], rhs)
-        if sol is None:
-            return None
-        coeff_part = list(sol.int_part[:k])
-        lattice_coeffs = [list(lam[:k]) for lam in sol.int_lattice]
-        kernel_coeffs = []
-
-    return group_value_coset_nontrivial(fieldspec, comp, coeff_part,
-                                        lattice_coeffs, kernel_coeffs,
-                                        lattice_trivial=shifts)
+    rows = sub_l.basis
+    ls = [tuple(-b[j] for b in rows) for j in range(sub_l.ambient)] if shifts else ()
+    sol = solve_lattice_coset(comp.ring, [mat_vec(rows, g) for g in comp.generators], ls,
+                              mat_vec(rows, vec_sub(ell, comp.offset)))
+    if sol is None:
+        return None
+    return group_value_coset_nontrivial(sub_l.field, comp, sol, lattice_trivial=shifts)
 
 
 def _component_wall_positive(m: SymbolicMeasure, index: int, comp: Component,
@@ -126,7 +91,7 @@ def _component_wall_positive(m: SymbolicMeasure, index: int, comp: Component,
         if not comp.carrier.subspace.orthogonal_to(sub_l):
             return False, None
         return _on_affine_wall(shifts, sub_l, comp.carrier.offset, ell), None
-    witness = _group_meets_wall(m, comp, sub_l, ell)
+    witness = _group_meets_wall(shifts, comp, sub_l, ell)
     return witness is not None, witness
 
 
@@ -218,7 +183,7 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
                 witnesses.append(("weak_mixing",
                                   WallWitness(i, _wall_descriptor(m, comp), ell)))
                 weak = False
-            if direction.intersect(k.orthocomplement()).dim > 0:
+            if direction.meets_orthocomplement(k):
                 witnesses.append(("strong_mixing",
                                   WallWitness(i, _wall_descriptor(m, comp), None)))
                 strong = False
@@ -283,9 +248,7 @@ class ConciseSet:
                                zero_vector(self.fieldspec, self.dim)):
                 return True
         for fam in self.group_families:
-            comp = AtomGroup(fam.generators, fam.ring, fam.offset)
-            m = SymbolicMeasure(self.space, self.dim, self.fieldspec, (comp,), False)
-            if _group_meets_wall(m, comp, direction,
+            if _group_meets_wall(self.space == TORUS, fam, direction,
                                  zero_vector(self.fieldspec, self.dim)):
                 return True
         return False
@@ -345,17 +308,13 @@ def _enumerate_group_atoms(fieldspec: FieldSpec, dim: int, fam: GroupFamily,
     for _ in fam.generators:
         combos = [c + [x] for c in combos for x in pool]
     out = []
-    seen = set()
     for combo in combos:
         v = fam.offset
         for c, g in zip(combo, fam.generators):
             if c:
                 v = vec_add(v, tuple(fieldspec.from_rational(c) * x for x in g))
-        key = tuple((x.field.roots, x.coeffs) for x in v)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+        out.append(v)
+    return list(dict.fromkeys(out))
 
 
 def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:

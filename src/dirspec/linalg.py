@@ -15,6 +15,15 @@ and the torus box-offset reduction), ``saturate`` (V^-1 from [V | I]),
 ``measure.canonical_module`` (ring-Q modules).  ``nullspace`` reads kernels
 off its output.  The integer eliminations are ``hermite_normal_form`` and
 ``smith_normal_form``.
+
+``solve_lattice_coset`` is the one lattice coset primitive: is t in
+ring.span{u_i} + Z.span{l_j}?  It alone splits field equations into
+rational ones and calls ``solve_mixed_affine``.  Its callers, each mapping
+its data through its wall rows: ``classify._group_meets_wall`` (group
+atoms on a wall), ``measure._group_image_charges_zero`` (subgroup images),
+``measure.module_member`` and ``integer_shift_coset`` (v in ker A + Z^d),
+which backs ``solve_integer_affine``, ``classify._on_affine_wall`` and the
+torus box-offset tests in ``measure``.
 """
 from __future__ import annotations
 
@@ -74,6 +83,11 @@ def vec_dot(u: FieldVector, v: FieldVector) -> FieldScalar:
     for p in parts[1:]:
         out = out + p
     return out
+
+
+def mat_vec(rows, v: FieldVector) -> FieldVector:
+    """(row . v for each row): rows of field scalars or of ints."""
+    return tuple(vec_dot(r, v) for r in rows)
 
 
 def vec_is_zero(u: FieldVector) -> bool:
@@ -238,9 +252,12 @@ class Subspace:
                          self.field.zero(), self.field.one())
         return Subspace.from_vectors(self.field, self.ambient, vecs)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
+    def meets_orthocomplement(self, other: "Subspace") -> bool:
+        """self cap other^perp != 0: the matrix of dot products of the two
+        bases has rank below dim self (an empty other has rank 0)."""
         self._check_compatible(other)
-        return self.orthocomplement().sum_with(other.orthocomplement()).orthocomplement()
+        _, pivots = rref_field([[vec_dot(u, v) for v in other.basis] for u in self.basis])
+        return len(pivots) < self.dim
 
     def project(self, v: FieldVector) -> FieldVector:
         """Orthogonal projection of v onto this subspace (exact)."""
@@ -750,24 +767,68 @@ def solve_mixed_affine(rat_cols: list[list[Fraction]],
 
 
 # ---------------------------------------------------------------------------
-# integer-affine feasibility over field data
+# the lattice coset primitive
 # ---------------------------------------------------------------------------
 
 
-def rationalize_system(coeffs: list[list[FieldScalar]],
-                       rhs: list[FieldScalar]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Expand field-valued equations sum_j coeffs[i][j] u_j = rhs[i] (u rational)
-    into one rational equation per field-basis component."""
-    rows: list[list[Fraction]] = []
-    vals: list[Fraction] = []
-    if not coeffs:
-        return rows, vals
-    field = rhs[0].field if rhs else coeffs[0][0].field
-    for i, eq in enumerate(coeffs):
-        for beta in range(field.dimension):
-            rows.append([s.coeffs[beta] for s in eq])
-            vals.append(rhs[i].coeffs[beta])
-    return rows, vals
+@dataclass(frozen=True)
+class CosetSolution:
+    """Solutions of  t = sum_i c_i u_i + sum_j n_j l_j  in generator
+    coordinates, c in the ring and n integral:
+        c = coeffs + sum_a z_a * coeff_lattice[a] + (rational combos of coeff_kernel)
+        n = shift  + sum_a z_a * shift_lattice[a],        z_a in Z.
+    ``coeff_kernel`` is empty for ring Z."""
+
+    coeffs: tuple
+    shift: tuple[int, ...]
+    coeff_lattice: tuple[tuple, ...]
+    shift_lattice: tuple[tuple[int, ...], ...]
+    coeff_kernel: tuple[tuple[Fraction, ...], ...]
+
+
+def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:
+    """Is t in  ring.span{u_1..u_k} + Z.span{l_1..l_p}  (ring "Z" or "Q")?
+
+    u_i, l_j and t are field vectors in R^e.  Every field-basis component of
+    every coordinate gives one rational equation, in the columns u_1..u_k,
+    l_1..l_p; ring Q makes the c rational unknowns, ring Z makes them
+    integral like n.  Returns None when t is not in the set.  The order and
+    signs of the columns fix the SNF particular solution, and with it any
+    wall witness read off it.
+    """
+    k, p = len(us), len(ls)
+    cols = [*us, *ls]
+    rows, rhs = [], []
+    for r, tr in enumerate(t):
+        for beta in range(tr.field.dimension):
+            rows.append([col[r].coeffs[beta] for col in cols])
+            rhs.append(tr.coeffs[beta])
+    a = k if ring == "Q" else 0  # the rational unknowns
+    if rows:
+        sol = solve_mixed_affine([row[:a] for row in rows] if ring == "Q" else [],
+                                 [row[a:] for row in rows], rhs)
+    else:  # no equations: every (c, n) solves
+        b = k + p - a
+        units = [tuple(int(i == j) for j in range(a + b)) for i in range(a + b)]
+        sol = MixedSolution((Fraction(0),) * a, (0,) * b,
+                            tuple(u[a:] for u in units[a:]),
+                            tuple(u[:a] for u in units[a:]),
+                            tuple(u[:a] for u in units[:a]))
+    if sol is None:
+        return None
+    if ring == "Q":
+        return CosetSolution(sol.rat_part, sol.int_part, sol.rat_shifts,
+                             sol.int_lattice, sol.rat_kernel)
+    return CosetSolution(sol.int_part[:k], sol.int_part[k:],
+                         tuple(lam[:k] for lam in sol.int_lattice),
+                         tuple(lam[k:] for lam in sol.int_lattice), ())
+
+
+def integer_shift_coset(a_matrix, v: FieldVector) -> CosetSolution | None:
+    """The n in Z^d with A (v - n) = 0 (v in ker A + Z^d): the coset
+    primitive with no u, l_j = A e_j and t = A v."""
+    return solve_lattice_coset("Z", (), [tuple(row[j] for row in a_matrix)
+                                         for j in range(len(v))], mat_vec(a_matrix, v))
 
 
 @dataclass(frozen=True)
@@ -779,30 +840,11 @@ class IntegerAffineSolution:
 
 def solve_integer_affine(a_matrix: list[list[FieldScalar]],
                          c_vector: list[FieldScalar]) -> IntegerAffineSolution:
-    """Find n in Z^d with A (c - n) = 0, plus the lattice of all solutions.
-
-    Every field-basis component of each equation contributes one rational
-    constraint; integral feasibility of the stacked system is decided by
-    Smith normal form.
-    """
-    if not a_matrix:
-        d = len(c_vector)
-        return IntegerAffineSolution(True, tuple([0] * d),
-                                     LatticeSubgroup.from_generators(
-                                         d, [[int(i == j) for i in range(d)]
-                                             for j in range(d)]))
-    d = len(a_matrix[0])
-    # A c = A n
-    target = []
-    for row in a_matrix:
-        acc = row[0] * c_vector[0]
-        for x, y in zip(row[1:], c_vector[1:]):
-            acc = acc + x * y
-        target.append(acc)
-    rows, vals = rationalize_system(a_matrix, target)
-    sol = solve_mixed_affine([], [list(r) for r in rows], vals)
+    """Find n in Z^d with A (c - n) = 0, plus the lattice of all solutions."""
+    sol = integer_shift_coset(a_matrix, c_vector)
     if sol is None:
         return IntegerAffineSolution(False, None, None)
-    lattice = LatticeSubgroup.from_generators(d, [list(l) for l in sol.int_lattice]) \
-        if sol.int_lattice else LatticeSubgroup(d, ())
-    return IntegerAffineSolution(True, sol.int_part, lattice)
+    d = len(c_vector)
+    lattice = LatticeSubgroup.from_generators(d, sol.shift_lattice) \
+        if sol.shift_lattice else LatticeSubgroup(d, ())
+    return IntegerAffineSolution(True, sol.shift, lattice)

@@ -26,12 +26,12 @@ from math import lcm
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError)
-from .linalg import (AffineCarrier, FieldVector, LatticeSubgroup, Subspace,
-                     as_vector, hermite_normal_form, rationalize_system,
-                     rref_field, solve_integer_affine, solve_mixed_affine,
-                     span_coordinates, unit_vector, vec_add, vec_is_zero, vec_mod1,
-                     vec_scale, vec_sub, zero_vector)
-from .scalar import FieldScalar, FieldSpec, decode_scalar
+from .linalg import (AffineCarrier, CosetSolution, FieldVector, LatticeSubgroup,
+                     Subspace, as_vector, hermite_normal_form, integer_shift_coset,
+                     mat_vec, rref_field, solve_lattice_coset, span_coordinates,
+                     unit_vector, vec_add, vec_is_zero, vec_mod1, vec_neg, vec_scale,
+                     vec_sub, zero_vector)
+from .scalar import FieldSpec, decode_scalar
 
 EUCLID = "euclidean"
 TORUS = "torus"
@@ -186,29 +186,27 @@ def group_element_from_coeffs(field: FieldSpec, group: "AtomGroup", coeffs,
 
 
 def group_value_coset_nontrivial(field: FieldSpec, group: "AtomGroup",
-                                 coeff_part, lattice_coeffs, kernel_coeffs,
+                                 sol: CosetSolution,
                                  lattice_trivial: bool) -> FieldVector | None:
-    """Given the solution family of a group wall system (particular
-    coefficients, integer-lattice coefficient shifts, rational kernel
-    coefficients), find a solution whose group element is a genuine atom:
-    outside Z^d when ``lattice_trivial`` (torus semantics), nonzero
-    otherwise.  Returns that witness element, or None if every solution is
-    trivial."""
+    """Given the solution family of a group coset system, find a solution
+    whose group element is a genuine atom: outside Z^d when
+    ``lattice_trivial`` (torus semantics), nonzero otherwise.  Returns that
+    witness element, or None if every solution is trivial."""
     def nontrivial(v: FieldVector) -> bool:
         if lattice_trivial:
             return not all(x.is_integer() for x in v)
         return not vec_is_zero(v)
 
-    base = group_element_from_coeffs(field, group, coeff_part, True)
+    base = group_element_from_coeffs(field, group, sol.coeffs, True)
     if nontrivial(base):
         return base
     # base is trivial (integral resp. zero); adding any nontrivial direction
     # of the solution module escapes the trivial set
-    for lam in lattice_coeffs:
+    for lam in sol.coeff_lattice:
         u = group_element_from_coeffs(field, group, lam, False)
         if nontrivial(u):
             return vec_add(base, u)
-    for vk in kernel_coeffs:
+    for vk in sol.coeff_kernel:
         v = group_element_from_coeffs(field, group, vk, False)
         if vec_is_zero(v):
             continue
@@ -222,26 +220,14 @@ def group_value_coset_nontrivial(field: FieldSpec, group: "AtomGroup",
     return None
 
 
-def module_member(field: FieldSpec, dim: int, group: AtomGroup, v: FieldVector,
+def module_member(field: FieldSpec, group: AtomGroup, v: FieldVector,
                   space: str) -> bool:
-    """Is v in offset + module (+ Z^d on the torus)?"""
-    target = vec_sub(v, group.offset)
-    k = len(group.generators)
-    eqs: list[list[FieldScalar]] = [[group.generators[i][j] for i in range(k)]
-                                    for j in range(dim)]
-    rows, rhs = rationalize_system(eqs, list(target))
-    # lattice-shift columns: coefficient of n_j in the (coord j, basis beta) row
-    shift_cols = [[Fraction(1) if (beta == 0 and jj == j) else Fraction(0)
-                   for jj in range(dim)]
-                  for j in range(dim) for beta in range(field.dimension)]
-    if group.ring == "Q":
-        int_cols = shift_cols if space == TORUS else [[] for _ in rows]
-        sol = solve_mixed_affine([list(r) for r in rows], int_cols, rhs)
-    else:
-        combined = [list(r) + shift_cols[i] for i, r in enumerate(rows)] \
-            if space == TORUS else [list(r) for r in rows]
-        sol = solve_mixed_affine([], combined, rhs)
-    return sol is not None
+    """Is v in offset + module (+ Z^d on the torus)?  The coset primitive
+    with u_i = g_i, l_j = e_j on the torus and t = v - offset."""
+    shifts = [unit_vector(field, len(v), j) for j in range(len(v))] \
+        if space == TORUS else ()
+    return solve_lattice_coset(group.ring, group.generators, shifts,
+                               vec_sub(v, group.offset)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +350,7 @@ def _offsets_equivalent(space: str, dim: int, field: FieldSpec, sub: Subspace,
     diff = vec_sub(o1, o2)
     if space == EUCLID:
         return sub.contains(diff)
-    perp = sub.orthocomplement()
-    a = [list(row) for row in perp.basis]
-    return solve_integer_affine(a, list(diff)).feasible
+    return integer_shift_coset(sub.orthocomplement().basis, diff) is not None
 
 
 def _class_equivalent(space: str, dim: int, field: FieldSpec,
@@ -381,8 +365,7 @@ def _class_equivalent(space: str, dim: int, field: FieldSpec,
                                         a.carrier.offset, b.carrier.offset))
     if a.generators != b.generators or a.ring != b.ring:
         return False
-    probe = AtomGroup(a.generators, a.ring, a.offset, a.weight)
-    return module_member(field, dim, probe, b.offset, space)
+    return module_member(field, a, b.offset, space)
 
 
 def _mergeable(space: str, dim: int, field: FieldSpec,
@@ -446,7 +429,7 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
         if len(offset) != dim:
             raise DimensionMismatchError("atom group offset has wrong length")
         probe = AtomGroup(gens, comp.ring, zero_vector(field, dim), comp.weight)
-        if module_member(field, dim, probe, offset, space):
+        if module_member(field, probe, offset, space):
             offset = zero_vector(field, dim)
         elif space == TORUS:
             offset = vec_mod1(offset)
@@ -484,10 +467,7 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
     """
     if vec_is_zero(offset):
         return offset
-    perp = sub.orthocomplement()
-    a = [list(row) for row in perp.basis]
-    sol = solve_integer_affine(a, list(offset))
-    if sol.feasible:
+    if integer_shift_coset(sub.orthocomplement().basis, offset) is not None:
         return zero_vector(field, dim)
     proj = [sub.project_perp(unit_vector(field, dim, j)) for j in range(dim)]
     if not all(all(x.is_rational() for x in p) for p in proj):
@@ -682,86 +662,47 @@ def pushforward_subgroup(m: SymbolicMeasure, h: LatticeSubgroup
     e = len(rows)
     field = m.field
 
-    def apply(v: FieldVector) -> FieldVector:
-        out = []
-        for r in rows:
-            acc = field.zero()
-            for coef, x in zip(r, v):
-                acc = acc + coef * x
-            out.append(acc)
-        return tuple(out)
-
     comps: list[Component] = []
     for c in m.components:
         if isinstance(c, Atom):
-            comps.append(Atom(apply(c.point), c.weight))
-        elif isinstance(c, AtomGroup) and _group_image_charges_zero(m, c, rows):
-            # some genuine source atom lands on 0 in the quotient: the pushed
-            # class has an explicit point mass there on top of the image group
-            comps.append(Atom(zero_vector(field, e), c.weight))
-            comps.append(AtomGroup(tuple(apply(g) for g in c.generators), c.ring,
-                                   apply(c.offset), c.weight))
-        elif isinstance(c, BoxLebesgue):
-            image_gens = [apply(g) for g in c.generators]
+            comps.append(Atom(mat_vec(rows, c.point), c.weight))
+        elif isinstance(c, AtomGroup):
+            if _group_image_charges_zero(field, c, rows):
+                # some genuine source atom lands on 0 in the quotient: the pushed
+                # class has an explicit point mass there on top of the image group
+                comps.append(Atom(zero_vector(field, e), c.weight))
+            comps.append(AtomGroup(tuple(mat_vec(rows, g) for g in c.generators), c.ring,
+                                   mat_vec(rows, c.offset), c.weight))
+        else:
+            image_gens = [mat_vec(rows, g) for g in c.generators]
             image_gens = [g for g in image_gens if not vec_is_zero(g)]
             image_sub = Subspace.from_vectors(field, e, image_gens)
             if image_sub.dim == 0:
-                comps.append(Atom(apply(c.rep_center()), c.weight))
+                comps.append(Atom(mat_vec(rows, c.rep_center()), c.weight))
             else:
-                center = apply(c.rep_center())
+                center = mat_vec(rows, c.rep_center())
                 comps.append(BoxLebesgue(
                     AffineCarrier.make(image_sub, center),
                     tuple(image_gens), center, c.weight))
-        else:
-            comps.append(AtomGroup(tuple(apply(g) for g in c.generators), c.ring,
-                                   apply(c.offset), c.weight))
     return SymbolicMeasure.make(TORUS, e, field, comps, False), rows
 
 
-def _group_image_charges_zero(m: SymbolicMeasure, comp: AtomGroup,
+def _group_image_charges_zero(field: FieldSpec, comp: AtomGroup,
                               rows: tuple[tuple[int, ...], ...]) -> bool:
     """Does some genuine atom of the group map to 0 under the dual
-    identification a -> (a.h_1, ..., a.h_e) mod 1?
+    identification a -> M a mod 1 (M has the rows h_1, ..., h_e)?
 
     Solve  M (offset + sum_i c_i g_i) = k  over k in Z^e and coefficients in
-    the ring, then check that some solution's source element lies outside Z^d.
+    the ring -- the coset primitive with u_i = M g_i, l_j = -e_j in Z^e and
+    t = -M offset -- then check that some solution's source element lies
+    outside Z^d.
     """
-    field = m.field
     e = len(rows)
-    k = len(comp.generators)
-
-    def pair(r, v: FieldVector) -> FieldScalar:
-        acc = field.zero()
-        for coef, x in zip(r, v):
-            acc = acc + coef * x
-        return acc
-
-    eqs = [[pair(r, g) for g in comp.generators] for r in rows]
-    rhs = [-pair(r, comp.offset) for r in rows]
-    rat_rows, rat_rhs = rationalize_system(eqs, rhs)
-    # columns for the integer unknowns k_i: -1 on the rational component row
-    kcols = [[Fraction(-1) if (beta == 0 and i == j) else Fraction(0)
-              for j in range(e)]
-             for i in range(e) for beta in range(field.dimension)]
-    if comp.ring == "Q":
-        sol = solve_mixed_affine([list(r) for r in rat_rows], kcols, rat_rhs)
-        if sol is None:
-            return False
-        coeff_part = list(sol.rat_part)
-        lattice_coeffs = [list(s) for s in sol.rat_shifts]
-        kernel_coeffs = [list(v) for v in sol.rat_kernel]
-    else:
-        combined = [list(r) + kcols[i] for i, r in enumerate(rat_rows)]
-        sol = solve_mixed_affine([], combined, rat_rhs)
-        if sol is None:
-            return False
-        coeff_part = list(sol.int_part[:k])
-        lattice_coeffs = [list(lam[:k]) for lam in sol.int_lattice]
-        kernel_coeffs = []
-    witness = group_value_coset_nontrivial(field, comp, coeff_part,
-                                           lattice_coeffs, kernel_coeffs,
-                                           lattice_trivial=True)
-    return witness is not None
+    sol = solve_lattice_coset(comp.ring, [mat_vec(rows, g) for g in comp.generators],
+                              [vec_neg(unit_vector(field, e, j)) for j in range(e)],
+                              vec_neg(mat_vec(rows, comp.offset)))
+    return sol is not None and group_value_coset_nontrivial(
+        field, comp, sol, lattice_trivial=True) is not None
 
 
 def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:
@@ -826,6 +767,6 @@ def has_atom_at(m: SymbolicMeasure, point) -> bool:
                 else vec_is_zero(p)
             if trivial:
                 continue  # the zero point is never an atom of an atom group
-            if module_member(m.field, m.dim, c, p, m.space):
+            if module_member(m.field, c, p, m.space):
                 return True
     return False

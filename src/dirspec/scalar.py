@@ -243,10 +243,12 @@ class FieldScalar:
             raise ZeroDivisionError("cannot invert zero field element")
         if self.is_rational():
             return self.field.from_rational(1 / self.coeffs[0])
-        others = self.field.one()
-        for s in range(1, self.field.dimension):
-            others = others * FieldScalar(self.field, tuple(
-                -c if (i & s).bit_count() & 1 else c for i, c in enumerate(self.coeffs)))
+        conjugates = [FieldScalar(self.field, tuple(
+            -c if (i & s).bit_count() & 1 else c for i, c in enumerate(self.coeffs)))
+            for s in range(1, self.field.dimension)]
+        others = conjugates[0]
+        for conj in conjugates[1:]:
+            others = others * conj
         norm = (self * others).coeffs[0]
         return FieldScalar(self.field, tuple(c / norm for c in others.coeffs))
 

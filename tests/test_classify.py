@@ -60,6 +60,14 @@ class TestWallTest:
         m = torus(atom([Fraction(2, 3), 0]))
         assert C.wall_test(m, E1, [Fraction(-1, 3), 0]).positive
 
+    def test_zero_direction_wall_carries_group_atoms(self):
+        # L = 0: the wall L^perp is the whole torus, so every genuine atom
+        # of the group lies on it, also when the group's offset is trivial
+        group = AtomGroup((as_vector(QQ, [Fraction(1, 2), 0]),), "Z", zero_vector(QQ, 2))
+        res = C.wall_test(torus(group), Subspace.zero(QQ, 2), None)
+        assert res.positive
+        assert not all(x.is_integer() for x in res.witnesses[0].atom)
+
 
 class TestClassifyDirection:
     def test_product_fixture(self):
@@ -278,7 +286,7 @@ class TestGroupWallOracle:
             if not isinstance(comp, AtomGroup):
                 continue
             sub = gen.rand_subspace(rng, field, 2, target_dim=1)
-            witness = C._group_meets_wall(m, comp, sub,
+            witness = C._group_meets_wall(C._lattice_shifts_allowed(m), comp, sub,
                                           zero_vector(field, 2))
             if witness is not None:
                 tested_pos += 1
@@ -288,7 +296,7 @@ class TestGroupWallOracle:
                 diff_ok = C._on_affine_wall(C._lattice_shifts_allowed(m), sub, witness,
                                             zero_vector(field, 2))
                 assert diff_ok
-                assert M.module_member(field, 2, comp, witness, TORUS)
+                assert M.module_member(field, comp, witness, TORUS)
             else:
                 tested_neg += 1
                 assert self._enumerate_hits(m, comp, sub) is None

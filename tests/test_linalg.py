@@ -6,10 +6,13 @@ from hypothesis import given, strategies as st
 
 import gen
 from dirspec.errors import DimensionMismatchError
-from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, annihilator,
-                            as_vector, nullspace, rationality, rref_field, saturate,
+from dirspec.linalg import (AffineCarrier, CosetSolution, LatticeSubgroup, Subspace,
+                            annihilator, as_vector, integer_shift_coset, mat_vec,
+                            nullspace, rationality, rref_field, saturate,
                             saturation_index, smith_normal_form, solve_integer_affine,
-                            solve_mixed_affine, vec_dot, vec_is_zero)
+                            solve_lattice_coset, solve_mixed_affine, unit_vector,
+                            vec_add, vec_dot, vec_is_zero, vec_neg, vec_scale,
+                            zero_vector)
 from dirspec.scalar import QQ, FieldSpec
 
 F2 = FieldSpec((2,))
@@ -51,7 +54,23 @@ class TestSubspace:
         e2 = Subspace.from_vectors(QQ, 2, [[0, 1]])
         assert e1.sum_with(e2) == Subspace.full(QQ, 2)
         sub = Subspace.from_vectors(QQ, 3, [[1, 1, 0]])
-        assert sub.intersect(sub.orthocomplement()).dim == 0
+        # sub cap sub^perp = 0
+        assert not sub.meets_orthocomplement(sub)
+
+    def test_meets_orthocomplement_matches_intersection(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(80):
+            field = rng.choice([QQ, F2])
+            d = rng.randint(1, 4)
+            sub_l, sub_k = (Subspace.zero(field, d) if rng.random() < 0.1
+                            else gen.rand_subspace(rng, field, d) for _ in range(2))
+            # the intersection L cap K^perp as (L^perp + (K^perp)^perp)^perp
+            meet = sub_l.orthocomplement().sum_with(
+                sub_k.orthocomplement().orthocomplement()).orthocomplement()
+            assert sub_l.meets_orthocomplement(sub_k) == (meet.dim > 0)
+            seen.add(meet.dim > 0)
+        assert seen == {True, False}
 
     def test_leq(self):
         small = Subspace.from_vectors(QQ, 3, [[1, 1, 0]])
@@ -351,6 +370,120 @@ class TestSolveIntegerAffine:
         sol = solve_integer_affine(a, [QQ.from_rational(3), QQ.zero()])
         assert sol.lattice.contains([0, 1])
         assert not sol.lattice.contains([1, 0])
+
+
+def _combination(field, e, coeffs, us, shift, ls):
+    out = zero_vector(field, e)
+    for c, v in [*zip(coeffs, us), *zip(shift, ls)]:
+        out = vec_add(out, vec_scale(field.from_rational(Fraction(c)), v))
+    return out
+
+
+def _assert_family(field, ring, us, ls, t, sol):
+    """Every member of the returned family solves the coset system exactly."""
+    e = len(t)
+    assert _combination(field, e, sol.coeffs, us, sol.shift, ls) == tuple(t)
+    assert len(sol.coeff_lattice) == len(sol.shift_lattice)
+    for cl, nl in zip(sol.coeff_lattice, sol.shift_lattice):
+        assert vec_is_zero(_combination(field, e, cl, us, nl, ls))
+        assert all(isinstance(x, int) for x in nl)
+    for ker in sol.coeff_kernel:
+        assert vec_is_zero(_combination(field, e, ker, us, (), ls))
+    if ring == "Z":
+        assert sol.coeff_kernel == ()
+        assert all(Fraction(x).denominator == 1
+                   for c in (sol.coeffs, *sol.coeff_lattice) for x in c)
+
+
+def q(*xs):
+    return as_vector(QQ, xs)
+
+
+class TestLatticeCoset:
+    """Worked examples of the coset primitive, one per caller shape."""
+
+    def test_group_wall_shape(self):
+        # L = span{(1,1)}, wall L^perp + (1/4,1/4) + Z^2, group Z(1/2, 0):
+        # u = B_L g, l_j = -B_L e_j, t = B_L ell;  c/2 - n1 - n2 = 1/2
+        rows = Subspace.from_vectors(QQ, 2, [[1, 1]]).basis
+        ls = [tuple(-b[j] for b in rows) for j in range(2)]
+        t = mat_vec(rows, q(Fraction(1, 4), Fraction(1, 4)))
+        us = [mat_vec(rows, q(Fraction(1, 2), 0))]
+        sol = solve_lattice_coset("Z", us, ls, t)
+        assert sol == CosetSolution((1,), (0, 0), ((2,), (2,)), ((1, 0), (0, 1)), ())
+        _assert_family(QQ, "Z", us, ls, t, sol)
+        # the group Z(1, 0) has no atom there: c - n1 - n2 = 1/2 ...
+        us = [mat_vec(rows, q(1, 0))]
+        assert solve_lattice_coset("Z", us, ls, t) is None
+        # ... but Q(1, 0) has, at c = 1/2 (+ Z)
+        sol = solve_lattice_coset("Q", us, ls, t)
+        assert sol.coeffs == (Fraction(1, 2),) and sol.coeff_kernel == ()
+        _assert_family(QQ, "Q", us, ls, t, sol)
+
+    def test_subgroup_image_shape(self):
+        # M = [[2, 0]] (not saturated): u = M g, l_1 = -e_1 in Z^1, t = -M offset
+        rows = ((2, 0),)
+        ls = [vec_neg(unit_vector(QQ, 1, 0))]
+        us = [mat_vec(rows, q(Fraction(1, 2), 0))]
+        t = vec_neg(mat_vec(rows, q(0, 0)))
+        sol = solve_lattice_coset("Z", us, ls, t)
+        # 2 (c/2) = k: every c, with k = c; c = 1 is the atom (1/2, 0)
+        assert sol == CosetSolution((0,), (0,), ((1,),), ((1,),), ())
+        _assert_family(QQ, "Z", us, ls, t, sol)
+        # offset (1/4, 0), group Z(1/3, 0): 2c/3 + 1/2 is never an integer
+        us = [mat_vec(rows, q(Fraction(1, 3), 0))]
+        assert solve_lattice_coset(
+            "Z", us, ls, vec_neg(mat_vec(rows, q(Fraction(1, 4), 0)))) is None
+
+    def test_module_member_shape(self):
+        # torus: u = g, l_j = e_j, t = v - offset
+        ls = [unit_vector(QQ, 2, j) for j in range(2)]
+        us = [q(1, 2)]
+        t = q(Fraction(1, 3), Fraction(5, 3))
+        sol = solve_lattice_coset("Q", us, ls, t)
+        assert sol == CosetSolution((Fraction(1, 3),), (0, 1), ((Fraction(-1),),),
+                                    ((1, 2),), ())
+        _assert_family(QQ, "Q", us, ls, t, sol)
+        assert solve_lattice_coset("Q", us, ls, q(Fraction(1, 3), Fraction(1, 2))) is None
+        # euclidean, over Q(sqrt2): no l; the rows split by field basis
+        s2 = F2.sqrt_root(2)
+        us = [(s2, F2.one())]
+        t = (2 * s2, F2.from_rational(2))
+        sol = solve_lattice_coset("Z", us, (), t)
+        assert sol == CosetSolution((2,), (), (), (), ())
+        assert solve_lattice_coset("Z", us, (), (s2, F2.from_rational(Fraction(1, 2)))) \
+            is None
+
+    def test_integer_affine_shape(self):
+        # no u, l_j = A e_j, t = A c:  n1 = 3, n2 free
+        a = [[QQ.one(), QQ.zero()]]
+        sol = integer_shift_coset(a, q(3, Fraction(1, 7)))
+        assert sol == CosetSolution((), (3, 0), ((),), ((0, 1),), ())
+        assert integer_shift_coset(a, q(Fraction(1, 2), 0)) is None
+
+    def test_no_equations(self):
+        # A with no rows (the full subspace's perp): every shift solves
+        assert integer_shift_coset([], q(Fraction(1, 2), 0)) == \
+            CosetSolution((), (0, 0), ((), ()), ((1, 0), (0, 1)), ())
+        # t in R^0: every c is free, every n is a lattice direction
+        sol = solve_lattice_coset("Q", [()], [()], ())
+        assert sol == CosetSolution((0,), (0,), ((0,),), ((1,),), ((1,),))
+
+    @pytest.mark.parametrize("ring", ["Z", "Q"])
+    def test_solution_family_random(self, ring):
+        rng = random.Random(43)
+        feasible = 0
+        for _ in range(60):
+            field = rng.choice([QQ, F2])
+            e = rng.randint(1, 2)
+            us = [gen.rand_vector(rng, field, e) for _ in range(rng.randint(0, 2))]
+            ls = [gen.rand_vector(rng, field, e, 0) for _ in range(rng.randint(0, 2))]
+            t = gen.rand_vector(rng, field, e)
+            sol = solve_lattice_coset(ring, us, ls, t)
+            if sol is not None:
+                feasible += 1
+                _assert_family(field, ring, us, ls, t, sol)
+        assert feasible > 5
 
 
 def _int_grid(d, bound):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,84 @@ class TestPushforwardSubgroup:
         comp = out.components[0]
         assert isinstance(comp, Atom)
         assert comp.point == as_vector(QQ, [Fraction(1, 3)])
+
+
+class TestGroupImageOracle:
+    """Brute-force cross-validation of the subgroup-image test: does some
+    genuine atom of a group on T^2 map to 0 under a -> M a mod 1?
+
+    A positive verdict must come with an enumerated source atom outside Z^2
+    that M maps into Z^e; a negative verdict must leave none in the window
+    (the enumeration can only refute, never certify)."""
+
+    SUBGROUPS = ([[1, 0]], [[1, 1]], [[1, 2]], [[1, 0], [0, 1]],  # saturated
+                 [[2, 0]], [[2, 2]], [[2, 0], [0, 3]])             # not saturated
+    BUDGET = 1000  # coefficient combinations enumerated per group
+
+    @classmethod
+    def _enumerate_hit(cls, field, comp, rows):
+        """offset + sum c_i g_i over a window of coefficients: integers (or
+        fractions p/q) with |p|, q <= b, b <= 30 as large as the budget
+        allows.  Integral ring-Z generators move neither the source atom nor
+        its image off their classes mod Z, so they are left out."""
+        gens = [g for g in comp.generators
+                if comp.ring == "Q" or not all(x.is_integer() for x in g)]
+
+        def window(b):
+            return sorted({Fraction(p, q) for p in range(-b, b + 1)
+                           for q in range(1, (b if comp.ring == "Q" else 1) + 1)})
+
+        b = 1
+        while b < 30 and len(window(b + 1)) ** len(gens) <= cls.BUDGET:
+            b += 1
+
+        def flat(v):
+            return [c for x in v for c in x.coeffs]
+
+        def integral(coeffs):
+            n = field.dimension
+            return all(c.denominator == 1 if i % n == 0 else c == 0
+                       for i, c in enumerate(coeffs))
+
+        def combine(base, combo, vecs):
+            out = base
+            for c, v in zip(combo, vecs):
+                out = [x + c * y for x, y in zip(out, v)]
+            return out
+
+        sources = [flat(g) for g in gens]
+        images = [flat(M.mat_vec(rows, g)) for g in gens]
+        offset, offset_image = flat(comp.offset), flat(M.mat_vec(rows, comp.offset))
+        for combo in itertools.product(window(b), repeat=len(gens)):
+            if integral(combine(offset_image, combo, images)) \
+                    and not integral(combine(offset, combo, sources)):
+                return M.group_element_from_coeffs(
+                    field, replace(comp, generators=tuple(gens)), combo, True)
+        return None
+
+    def test_against_enumeration(self):
+        rng = random.Random(31)
+        tested = {True: 0, False: 0}
+        while sum(tested.values()) < 120:
+            field = rng.choice([QQ, F2])
+            m = gen.rand_measure(rng, field, 2, TORUS, max_components=1,
+                                 with_groups=True)
+            comp = m.components[0]
+            if not isinstance(comp, AtomGroup):
+                continue
+            h = LatticeSubgroup.from_generators(2, rng.choice(self.SUBGROUPS))
+            verdict = M._group_image_charges_zero(field, comp, h.basis)
+            tested[verdict] += 1
+            hit = self._enumerate_hit(field, comp, h.basis)
+            if verdict:
+                assert hit is not None
+                assert all(x.is_integer() for x in M.mat_vec(h.basis, hit))
+            else:
+                assert hit is None
+            # the pushed class has an atom at 0 exactly when the test says so
+            pushed, _ = M.pushforward_subgroup(m, h)
+            assert M.has_atom_at(pushed, zero_vector(field, h.rank)) == verdict
+        assert tested[True] > 10 and tested[False] > 10
 
 
 class TestDecompose:
