@@ -12,18 +12,22 @@ FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), ``span_coordinates`` (the Gram system behind ``Subspace.project``
 and the torus box-offset reduction), ``saturate`` (V^-1 from [V | I]),
 ``rationality``, ``solve_mixed_affine`` (the rational unknowns) and
-``measure.canonical_module`` (ring-Q modules).  ``nullspace`` reads kernels
-off its output.  The integer eliminations are ``hermite_normal_form`` and
+``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
+output.  The integer eliminations are ``hermite_normal_form`` and
 ``smith_normal_form``.
 
-``solve_lattice_coset`` is the one lattice coset primitive: is t in
-ring.span{u_i} + Z.span{l_j}?  It alone splits field equations into
-rational ones and calls ``solve_mixed_affine``.  Its callers, each mapping
-its data through its wall rows: ``classify._group_meets_wall`` (group
-atoms on a wall), ``measure._group_image_charges_zero`` (subgroup images),
-``measure.module_member`` and ``integer_shift_coset`` (v in ker A + Z^d),
-which backs ``solve_integer_affine``, ``classify._on_affine_wall`` and the
-torus box-offset tests in ``measure``.
+``solve_lattice_coset`` is the one lattice coset solver: is t in
+ring.span{u_i} + Z.span{l_j}, and with which coefficients?  It alone splits
+field equations into rational ones and calls ``solve_mixed_affine``.  Its
+callers, each mapping its data through its wall rows and reading a witness
+or the solution family: ``classify._group_meets_wall`` (group atoms on a
+wall), ``measure._group_image_charges_zero`` (subgroup images) and
+``integer_shift_coset`` (v in ker A + Z^d), which backs
+``solve_integer_affine`` and ``classify._on_affine_wall``.
+
+``CosetLattice`` puts Q.span + Z.span in Q^n in a canonical echelon form;
+``measure`` reads module bases, class keys, module membership and the torus
+box-offset lattice-shift test off it.
 """
 from __future__ import annotations
 
@@ -693,19 +697,20 @@ def solve_mixed_affine(rat_cols: list[list[Fraction]],
                        rhs: list[Fraction]) -> MixedSolution | None:
     """Exact feasibility for a rational affine system in mixed unknowns.
 
-    ``rat_cols`` and ``int_cols`` are m x a and m x b coefficient blocks.
-    Returns None when infeasible.  Rational unknowns are eliminated first;
-    the residual integral system is solved via Smith normal form.
+    ``rat_cols`` and ``int_cols`` are m x a and m x b coefficient blocks,
+    m >= 1 (ValueError otherwise).  Returns None when infeasible.  Rational
+    unknowns are eliminated first; the residual integral system is solved via
+    Smith normal form.
     """
     m = len(rhs)
+    if m == 0:  # the unknown counts, and so the family, are not visible
+        raise ValueError("solve_mixed_affine needs at least one equation")
     if not rat_cols:
         rat_cols = [[] for _ in range(m)]
     if not int_cols:
         int_cols = [[] for _ in range(m)]
-    a = len(rat_cols[0]) if m else 0
-    b = len(int_cols[0]) if m else 0
-    if m == 0:
-        return MixedSolution((), (), (), (), ())
+    a = len(rat_cols[0])
+    b = len(int_cols[0])
 
     # eliminate rational unknowns (columns 0..a-1)
     aug, pivots = rref_field(
@@ -848,3 +853,49 @@ def solve_integer_affine(a_matrix: list[list[FieldScalar]],
     lattice = LatticeSubgroup.from_generators(d, sol.shift_lattice) \
         if sol.shift_lattice else LatticeSubgroup(d, ())
     return IntegerAffineSolution(True, sol.shift, lattice)
+
+
+# ---------------------------------------------------------------------------
+# canonical coset keys
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CosetLattice:
+    """The module  Q.span(q_rows) + Z.span(z_rows)  of Q^n in echelon form:
+    ``q_basis`` is the RREF of the q-rows, ``z_basis`` the HNF (scaled by the
+    common denominator and back) of the z-rows reduced by ``q_basis``.  A
+    finitely generated Z-module of Q^n has bounded denominators, so it is a
+    lattice and this basis is canonical (Cohen 1993, A Course in
+    Computational Algebraic Number Theory, section 2.4)."""
+
+    q_basis: tuple[tuple[Fraction, ...], ...]
+    q_pivots: tuple[int, ...]
+    z_basis: tuple[tuple[Fraction, ...], ...]
+
+    @staticmethod
+    def make(q_rows, z_rows) -> "CosetLattice":
+        rr, pivots = rref_field([[Fraction(x) for x in r] for r in q_rows])
+        rational = CosetLattice(tuple(tuple(r) for r in rr[:len(pivots)]),
+                                tuple(pivots), ())
+        reduced = [rational.key(r) for r in z_rows]
+        den = lcm(*[f.denominator for row in reduced for f in row] or [1])
+        hnf = hermite_normal_form([[int(f * den) for f in row] for row in reduced])
+        return CosetLattice(rational.q_basis, rational.q_pivots,
+                            tuple(tuple(Fraction(x, den) for x in row) for row in hnf))
+
+    def key(self, v) -> tuple[Fraction, ...]:
+        """The canonical representative of v modulo the module (zero exactly
+        when v is in it): zero in the q-pivot columns, in [0, h) in the
+        column of each HNF pivot h.  Only rationals are floored."""
+        w = list(v)
+        for row, p in zip(self.q_basis, self.q_pivots):
+            f = w[p]
+            if f:
+                w = [x - f * y for x, y in zip(w, row)]
+        for row in self.z_basis:
+            p = next(j for j, x in enumerate(row) if x)
+            k = w[p] // row[p]
+            if k:
+                w = [x - k * y for x, y in zip(w, row)]
+        return tuple(w)

@@ -20,17 +20,16 @@ positive weights.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError)
-from .linalg import (AffineCarrier, CosetSolution, FieldVector, LatticeSubgroup,
-                     Subspace, as_vector, hermite_normal_form, integer_shift_coset,
-                     mat_vec, rref_field, solve_lattice_coset, span_coordinates,
-                     unit_vector, vec_add, vec_is_zero, vec_mod1, vec_neg, vec_scale,
-                     vec_sub, zero_vector)
+from .linalg import (AffineCarrier, CosetLattice, CosetSolution, FieldVector,
+                     LatticeSubgroup, Subspace, as_vector, mat_vec, solve_lattice_coset,
+                     span_coordinates, unit_vector, vec_add, vec_is_zero, vec_mod1,
+                     vec_neg, vec_scale, vec_sub, zero_vector)
 from .scalar import FieldSpec, decode_scalar
 
 EUCLID = "euclidean"
@@ -144,32 +143,25 @@ def _unflatten(field: FieldSpec, dim: int, flat) -> FieldVector:
     return tuple(field.from_coeffs(flat[j * n:(j + 1) * n]) for j in range(dim))
 
 
-def canonical_module(field: FieldSpec, dim: int, generators, ring: str,
-                     space: str) -> tuple[FieldVector, ...]:
-    """Canonical basis for the Z- or Q-module spanned by the generators.
-
-    Vectors are flattened over the field basis; ring Q uses RREF over Q,
-    ring Z a scaled Hermite normal form.  On the torus, ring-Z modules are
-    augmented by Z^d (atom sets mod 1 are unchanged), which makes equal
-    subgroups of T^d canonically equal.
-    """
-    gens = [as_vector(field, g) for g in generators]
-    gens = [g for g in gens if not vec_is_zero(g)]
-    if space == TORUS and ring == "Z":
-        gens = gens + [unit_vector(field, dim, j) for j in range(dim)]
-    if not gens:
-        return ()
-    flat = [_flatten(g) for g in gens]
+def module_lattice(field: FieldSpec, dim: int, generators, ring: str,
+                   space: str) -> CosetLattice:
+    """The ring-span of the generators plus Z^d on the torus (atom sets mod 1
+    are unchanged), in coordinates flattened over the field basis."""
+    gens = [_flatten(as_vector(field, g)) for g in generators]
+    units = [_flatten(unit_vector(field, dim, j)) for j in range(dim)] \
+        if space == TORUS else []
     if ring == "Q":
-        rr, pivots = rref_field(flat)
-        rows = rr[:len(pivots)]
-    elif ring == "Z":
-        den = lcm(*[f.denominator for row in flat for f in row] or [1])
-        int_rows = [[int(f * den) for f in row] for row in flat]
-        hnf = hermite_normal_form(int_rows)
-        rows = [[Fraction(x, den) for x in row] for row in hnf]
-    else:
-        raise ValidationError(f"unknown ring {ring!r}")
+        return CosetLattice.make(gens, units)
+    if ring == "Z":
+        return CosetLattice.make([], gens + units)
+    raise ValidationError(f"unknown ring {ring!r}")
+
+
+def canonical_module(field: FieldSpec, dim: int, lattice: CosetLattice,
+                     ring: str) -> tuple[FieldVector, ...]:
+    """Canonical module basis, read off a ``module_lattice``: its RREF rows
+    for ring Q, its HNF rows (with Z^d on the torus) for ring Z."""
+    rows = lattice.q_basis if ring == "Q" else lattice.z_basis
     return tuple(_unflatten(field, dim, row) for row in rows)
 
 
@@ -222,12 +214,37 @@ def group_value_coset_nontrivial(field: FieldSpec, group: "AtomGroup",
 
 def module_member(field: FieldSpec, group: AtomGroup, v: FieldVector,
                   space: str) -> bool:
-    """Is v in offset + module (+ Z^d on the torus)?  The coset primitive
-    with u_i = g_i, l_j = e_j on the torus and t = v - offset."""
-    shifts = [unit_vector(field, len(v), j) for j in range(len(v))] \
-        if space == TORUS else ()
-    return solve_lattice_coset(group.ring, group.generators, shifts,
-                               vec_sub(v, group.offset)) is not None
+    """Is v in offset + module (+ Z^d on the torus)?  Exactly when the
+    coset key of v - offset is zero."""
+    lattice = module_lattice(field, len(v), group.generators, group.ring, space)
+    return not any(lattice.key(_flatten(vec_sub(v, group.offset))))
+
+
+def _box_key(space: str, field: FieldSpec, dim: int, sub: Subspace,
+             offset: FieldVector) -> tuple:
+    """Class key of the carrier sub + offset, offset perpendicular to sub: on
+    R^d that offset, already canonical; on T^d its coset key modulo sub, as
+    the Q-span of its basis times each field-basis element, plus Z^d."""
+    if space == EUCLID:
+        return ("box", sub, offset)
+    n = field.dimension
+    units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
+    lattice = module_lattice(field, dim, [vec_scale(u, b) for b in sub.basis for u in units],
+                             "Q", space)
+    return ("box", sub, lattice.key(_flatten(offset)))
+
+
+def class_key(space: str, field: FieldSpec, dim: int, comp: Component) -> tuple:
+    """Key of a canonical component's class: two components of a measure
+    have the same class exactly when their keys are equal.  Atom: the point;
+    box: see ``_box_key``; atom group: the ring, the canonical generators and
+    the coset key of the offset modulo the module (+ Z^d on the torus)."""
+    if isinstance(comp, Atom):
+        return ("atom", comp.point)
+    if isinstance(comp, BoxLebesgue):
+        return _box_key(space, field, dim, comp.carrier.subspace, comp.carrier.offset)
+    lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
+    return ("group", comp.ring, comp.generators, lattice.key(_flatten(comp.offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +269,16 @@ class SymbolicMeasure:
             raise ValidationError(f"unknown space {space!r}")
         if space == TORUS and periodized:
             raise ValidationError("periodized flag is only valid on euclidean space")
-        canon: list[Component] = []
+        canon: dict[tuple, Component] = {}  # first-seen component per key
         for comp in components:
-            c = _canonicalize_component(space, dim, field, comp)
-            if c is None:
+            keyed = _canonicalize_component(space, dim, field, comp)
+            if keyed is None:
                 continue
-            merged = False
-            for i, existing in enumerate(canon):
-                if _mergeable(space, dim, field, existing, c):
-                    canon[i] = replace(existing, weight=existing.weight + c.weight)
-                    merged = True
-                    break
-            if not merged:
-                canon.append(c)
-        canon.sort(key=_encode_sort_key)
-        return SymbolicMeasure(space, dim, field, tuple(canon), periodized)
+            c, key = keyed
+            prev = canon.get(key)
+            canon[key] = c if prev is None else replace(prev, weight=prev.weight + c.weight)
+        comps = sorted(canon.values(), key=_encode_sort_key)
+        return SymbolicMeasure(space, dim, field, tuple(comps), periodized)
 
     def is_zero(self) -> bool:
         return not self.components
@@ -290,15 +302,9 @@ class SymbolicMeasure:
             return False
         if self.periodized != other.periodized:
             return False
-        mine = list(self.components)
-        unmatched = list(other.components)
-        for c in mine:
-            hit = next((i for i, o in enumerate(unmatched)
-                        if _class_equivalent(self.space, self.dim, self.field, c, o)), None)
-            if hit is None:
-                return False
-            unmatched.pop(hit)
-        return not unmatched
+        mine, theirs = (Counter(class_key(m.space, m.field, m.dim, c) for c in m.components)
+                        for m in (self, other))
+        return mine == theirs
 
     def total_weight(self) -> Fraction:
         return sum((c.weight for c in self.components), Fraction(0))
@@ -344,60 +350,22 @@ class SymbolicMeasure:
         return SymbolicMeasure.make(space, dim, field, comps, periodized)
 
 
-def _offsets_equivalent(space: str, dim: int, field: FieldSpec, sub: Subspace,
-                        o1: FieldVector, o2: FieldVector) -> bool:
-    """Do offsets o1, o2 describe the same carrier of ``sub`` (mod Z^d on torus)?"""
-    diff = vec_sub(o1, o2)
-    if space == EUCLID:
-        return sub.contains(diff)
-    return integer_shift_coset(sub.orthocomplement().basis, diff) is not None
-
-
-def _class_equivalent(space: str, dim: int, field: FieldSpec,
-                      a: Component, b: Component) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Atom):
-        return a.point == b.point
-    if isinstance(a, BoxLebesgue):
-        return (a.carrier.subspace == b.carrier.subspace
-                and _offsets_equivalent(space, dim, field, a.carrier.subspace,
-                                        a.carrier.offset, b.carrier.offset))
-    if a.generators != b.generators or a.ring != b.ring:
-        return False
-    return module_member(field, a, b.offset, space)
-
-
-def _mergeable(space: str, dim: int, field: FieldSpec,
-               a: Component, b: Component) -> bool:
-    """Strict dedup: class-equivalent and (for boxes) same generator multiset."""
-    if not _class_equivalent(space, dim, field, a, b):
-        return False
-    if isinstance(a, BoxLebesgue):
-        return (a.rep_center() == b.rep_center()
-                and sorted(map(_gen_key, a.generators))
-                == sorted(map(_gen_key, b.generators)))
-    return True
-
-
-def _gen_key(g: FieldVector):
-    return tuple((x.field.roots, x.coeffs) for x in g)
-
-
 # ---------------------------------------------------------------------------
 # component canonicalization
 # ---------------------------------------------------------------------------
 
 
 def _canonicalize_component(space: str, dim: int, field: FieldSpec,
-                            comp: Component) -> Component | None:
+                            comp: Component) -> tuple[Component, tuple] | None:
+    """Canonical form of a component (None for the zero measure) and the key
+    ``make`` merges it by: its ``class_key``; a box's subspace, centre, generators."""
     if isinstance(comp, Atom):
         point = as_vector(field, comp.point)
         if len(point) != dim:
             raise DimensionMismatchError("atom point has wrong length")
         if space == TORUS:
             point = vec_mod1(point)
-        return Atom(point, _check_weight(comp.weight))
+        return Atom(point, _check_weight(comp.weight)), ("atom", point)
 
     if isinstance(comp, BoxLebesgue):
         sub = comp.carrier.subspace
@@ -420,62 +388,47 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
         offset = sub.project_perp(center)
         if space == TORUS:
             offset = _reduce_box_offset(field, dim, sub, offset)
-        return BoxLebesgue(AffineCarrier(sub, offset), gens, center,
-                           _check_weight(comp.weight))
+        return (BoxLebesgue(AffineCarrier(sub, offset), gens, center, _check_weight(comp.weight)),
+                ("box", sub, center, frozenset(Counter(gens).items())))
 
     if isinstance(comp, AtomGroup):
-        gens = canonical_module(field, dim, comp.generators, comp.ring, space)
+        lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
+        gens = canonical_module(field, dim, lattice, comp.ring)
         offset = as_vector(field, comp.offset)
         if len(offset) != dim:
             raise DimensionMismatchError("atom group offset has wrong length")
-        probe = AtomGroup(gens, comp.ring, zero_vector(field, dim), comp.weight)
-        if module_member(field, probe, offset, space):
+        offset_key = lattice.key(_flatten(offset))
+        if not any(offset_key):
             offset = zero_vector(field, dim)
         elif space == TORUS:
             offset = vec_mod1(offset)
-        if not gens:
-            # trivial module: the component degenerates to a single atom (or nothing)
-            triv_zero = all(x.is_integer() for x in offset) if space == TORUS \
-                else vec_is_zero(offset)
-            if triv_zero:
+        if not gens or (space == TORUS and comp.ring == "Z"
+                        and all(x.is_integer() for g in gens for x in g)):
+            # the module is trivial (mod Z^d on the torus): at most one atom
+            # survives, none when the offset lies in the module
+            if not any(offset_key):
                 return None
             return _canonicalize_component(space, dim, field, Atom(offset, comp.weight))
-        if space == TORUS and comp.ring == "Z" and _module_is_lattice_only(gens):
-            # module inside Z^d: at most one atom survives mod 1
-            triv_zero = all(x.is_integer() for x in offset)
-            if triv_zero:
-                return None
-            return _canonicalize_component(space, dim, field, Atom(offset, comp.weight))
-        return AtomGroup(gens, comp.ring, offset, _check_weight(comp.weight))
+        return (AtomGroup(gens, comp.ring, offset, _check_weight(comp.weight)),
+                ("group", comp.ring, gens, offset_key))
 
     raise ValidationError(f"unknown component {comp!r}")
 
 
-def _module_is_lattice_only(gens: tuple[FieldVector, ...]) -> bool:
-    return all(all(x.is_integer() for x in g) for g in gens)
-
-
 def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
                        offset: FieldVector) -> FieldVector:
-    """Reduce a (perp-reduced) torus box offset modulo proj_perp(Z^d).
-
-    If the offset is a lattice shift of the subspace the result is zero.
-    When the projected lattice is rational (completely rational carrier) the
-    offset is reduced into its fundamental domain, which is a canonical form;
-    otherwise the projected lattice is dense and the offset is kept (dedup
-    then relies on pairwise equivalence tests).
-    """
-    if vec_is_zero(offset):
-        return offset
-    if integer_shift_coset(sub.orthocomplement().basis, offset) is not None:
+    """Reduce a perp-reduced torus box offset modulo proj_perp(Z^d): to zero
+    for a lattice shift of the subspace (a zero box key), into the
+    fundamental domain when the projected lattice is rational (completely
+    rational carrier), and not at all when it is dense.  ``class_key``
+    compares carriers either way."""
+    if vec_is_zero(offset) or not any(_box_key(TORUS, field, dim, sub, offset)[2]):
         return zero_vector(field, dim)
     proj = [sub.project_perp(unit_vector(field, dim, j)) for j in range(dim)]
     if not all(all(x.is_rational() for x in p) for p in proj):
         return offset
-    flat = [[x.as_rational() for x in p] for p in proj]
-    den = lcm(*[f.denominator for row in flat for f in row] or [1])
-    hnf = hermite_normal_form([[int(f * den) for f in row] for row in flat])
-    basis = [as_vector(field, [Fraction(x, den) for x in row]) for row in hnf]
+    hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
+    basis = [as_vector(field, row) for row in hnf]
     # coordinates of the offset over the projected-lattice basis, floor-reduced
     work = offset
     coords = span_coordinates(basis, work)
@@ -599,23 +552,21 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
                                 [norm(c) for c in m.components] + [delta0],
                                 m.periodized)
     pool: list[Component] = list(base.components)
-
-    def seen(comp: Component) -> bool:
-        return any(_class_equivalent(m.space, m.dim, m.field, comp, c) for c in pool)
-
+    seen = {class_key(m.space, m.field, m.dim, c) for c in pool}
     frontier = list(pool)
     while frontier:
         new: list[Component] = []
         for a in pool:
             for b in frontier:
-                c = _canonicalize_component(
+                keyed = _canonicalize_component(
                     m.space, m.dim, m.field,
                     norm(_convolve_pair(m.space, m.dim, m.field, a, b)))
-                if c is None:
+                if keyed is None:
                     continue
-                c = norm(c)
-                if not seen(c) and not any(
-                        _class_equivalent(m.space, m.dim, m.field, c, n) for n in new):
+                c = norm(keyed[0])
+                key = class_key(m.space, m.field, m.dim, c)
+                if key not in seen:
+                    seen.add(key)
                     new.append(c)
         if len(pool) + len(new) > cap:
             raise ClosureBoundError(
@@ -711,17 +662,14 @@ def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:
     Components of equal dimension are merged per identical carrier; the sum
     of the parts is the input class.
     """
-    buckets: list[list[Component]] = [[] for _ in range(m.dim + 1)]
+    buckets: list[dict[tuple, Component]] = [{} for _ in range(m.dim + 1)]
     for c in m.components:
-        merged = False
-        for i, prev in enumerate(buckets[c.dim]):
-            if _class_equivalent(m.space, m.dim, m.field, prev, c):
-                buckets[c.dim][i] = replace(prev, weight=prev.weight + c.weight)
-                merged = True
-                break
-        if not merged:
-            buckets[c.dim].append(c)
-    return [SymbolicMeasure.make(m.space, m.dim, m.field, bucket, m.periodized)
+        bucket = buckets[c.dim]
+        key = class_key(m.space, m.field, m.dim, c)
+        prev = bucket.get(key)
+        bucket[key] = c if prev is None else replace(prev, weight=prev.weight + c.weight)
+    return [SymbolicMeasure.make(m.space, m.dim, m.field, list(bucket.values()),
+                                 m.periodized)
             for bucket in buckets]
 
 

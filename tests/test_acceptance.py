@@ -213,7 +213,8 @@ def test_criterion_8_decomposition():
             ok = ok and all(c.dim == e for c in p.components)
             for i, a in enumerate(p.components):
                 for b in p.components[i + 1:]:
-                    ok = ok and not M._class_equivalent(m.space, m.dim, m.field, a, b)
+                    ok = ok and M.class_key(m.space, m.field, m.dim, a) \
+                        != M.class_key(m.space, m.field, m.dim, b)
         resum = parts[0]
         for p in parts[1:]:
             resum = M.add(resum, p)

@@ -1,16 +1,24 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import dirspec
 from dirspec.cli import main
 from dirspec.measure import SymbolicMeasure
 
+# the child process imports the dirspec under test, installed or not
+SRC = str(pathlib.Path(dirspec.__file__).resolve().parents[1])
 
-def run_cli(*args):
+
+def run_cli(*args, **env):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "dirspec.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path})
     return proc
 
 
@@ -124,15 +132,10 @@ class TestReports:
         assert code == 0
 
     def test_config_env_var_echoed(self, fixtures_dir, tmp_path):
-        import os
-        import subprocess
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"samples": 512, "seed": 99}))
-        env = dict(os.environ, DIRSPEC_CONFIG=str(cfg))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dirspec.cli", "lint",
-             "--measure", str(fixtures_dir / "chair.json")],
-            capture_output=True, text=True, env=env)
+        proc = run_cli("lint", "--measure", str(fixtures_dir / "chair.json"),
+                       DIRSPEC_CONFIG=str(cfg))
         rep = json.loads(proc.stdout)
         assert rep["config"]["samples"] == 512
         assert rep["config"]["seed"] == 99

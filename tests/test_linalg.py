@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 
 import gen
 from dirspec.errors import DimensionMismatchError
-from dirspec.linalg import (AffineCarrier, CosetSolution, LatticeSubgroup, Subspace,
-                            annihilator, as_vector, integer_shift_coset, mat_vec,
-                            nullspace, rationality, rref_field, saturate,
+from dirspec.linalg import (AffineCarrier, CosetLattice, CosetSolution, LatticeSubgroup,
+                            Subspace, annihilator, as_vector, integer_shift_coset,
+                            mat_vec, nullspace, rationality, rref_field, saturate,
                             saturation_index, smith_normal_form, solve_integer_affine,
                             solve_lattice_coset, solve_mixed_affine, unit_vector,
                             vec_add, vec_dot, vec_is_zero, vec_neg, vec_scale,
-                            zero_vector)
+                            vec_sub, zero_vector)
 from dirspec.scalar import QQ, FieldSpec
 
 F2 = FieldSpec((2,))
@@ -493,7 +493,80 @@ def _int_grid(d, bound):
     return out
 
 
+class TestCosetLattice:
+    """Worked coset keys: canonical representatives modulo Q.span + Z.span."""
+
+    def test_rational_rows(self):
+        # modulo Q(1, 1): the representative vanishes in the pivot column
+        lat = CosetLattice.make([[1, 1]], [])
+        assert lat.q_basis == ((1, 1),) and lat.z_basis == ()
+        assert lat.key([2, 3]) == (0, 1)
+        assert lat.key([Fraction(-1, 2), Fraction(-1, 2)]) == (0, 0)
+
+    def test_integer_rows(self):
+        # modulo 2Z x 3Z: each coordinate lands in [0, pivot)
+        lat = CosetLattice.make([], [[2, 0], [0, 3]])
+        assert lat.key([5, -1]) == (1, 2)
+        assert lat.key([4, 3]) == (0, 0)
+        # rational rows are scaled to integers and back: a canonical basis
+        lat = CosetLattice.make([], [[Fraction(1, 2), 0], [0, Fraction(1, 3)],
+                                     [Fraction(1, 2), Fraction(1, 3)]])
+        assert lat.z_basis == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+        lat = CosetLattice.make([], [[Fraction(2, 3), Fraction(1, 3)]])
+        assert lat.key([1, Fraction(1, 2)]) == (Fraction(1, 3), Fraction(1, 6))
+
+    def test_mixed_rows(self):
+        # a ring-Q group Q(1, 2) on T^2: Z^2 reduced by (1, 2) leaves Z(0, 1)
+        lat = CosetLattice.make([[1, 2]], [[1, 0], [0, 1]])
+        assert lat.z_basis == ((0, 1),)
+        assert lat.key([Fraction(1, 3), Fraction(5, 3)]) == (0, 0)
+        assert lat.key([Fraction(1, 3), Fraction(1, 2)]) == (0, Fraction(5, 6))
+
+    def test_dense_projection(self):
+        # K = span{(1, sqrt2)} in T^2 over Q(sqrt2), flattened to (a0, b0, a1, b1)
+        # for x_j = a_j + b_j sqrt2: the Q-basis (1, sqrt2), (sqrt2, 2) of K plus
+        # Z^2.  Z^2 projects densely onto K^perp, yet modulo the Q-part it is
+        # the lattice Z^2 in the last two columns.
+        lat = CosetLattice.make([[1, 0, 0, 1], [0, 1, 2, 0]],
+                                [[1, 0, 0, 0], [0, 0, 1, 0]])
+        assert lat.z_basis == ((0, 0, 1, 0), (0, 0, 0, 1))
+        assert lat.key([Fraction(1, 5), 0, 0, 0]) == (0, 0, 0, Fraction(4, 5))
+        # (1/5, 0) + (2, -1): a lattice shift of the same carrier
+        assert lat.key([Fraction(11, 5), 0, -1, 0]) == (0, 0, 0, Fraction(4, 5))
+
+    def test_membership_matches_coset_solve(self):
+        rng = random.Random(47)
+        members = 0
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            q_rows = [[gen.rand_fraction(rng) for _ in range(n)]
+                      for _ in range(rng.randint(0, 2))]
+            z_rows = [[gen.rand_fraction(rng) for _ in range(n)]
+                      for _ in range(rng.randint(0, 3))]
+            lat = CosetLattice.make(q_rows, z_rows)
+            v = [gen.rand_fraction(rng) for _ in range(n)]
+            if rng.random() < 0.5:  # a module element
+                coeffs = [gen.rand_fraction(rng) for _ in q_rows] \
+                    + [rng.randint(-3, 3) for _ in z_rows]
+                v = [sum(c * r[j] for c, r in zip(coeffs, q_rows + z_rows))
+                     for j in range(n)]
+            member = solve_lattice_coset("Q", [q(*r) for r in q_rows],
+                                         [q(*r) for r in z_rows], q(*v)) is not None
+            assert (not any(lat.key(v))) == member
+            members += member
+            # the key is a representative of v's class, and a fixed point
+            assert solve_lattice_coset("Q", [q(*r) for r in q_rows], [q(*r) for r in z_rows],
+                                       vec_sub(q(*v), q(*lat.key(v)))) is not None
+            assert lat.key(lat.key(v)) == lat.key(v)
+        assert 20 < members < 70
+
+
 class TestMixedSolver:
+    def test_no_rows_rejected(self):
+        # without rows the unknown counts, and so the family, are unknown
+        with pytest.raises(ValueError):
+            solve_mixed_affine([], [], [])
+
     def test_rational_only(self):
         # c1 + 2 c2 = 1 has rational solutions
         sol = solve_mixed_affine([[Fraction(1), Fraction(2)]], [], [Fraction(1)])

@@ -10,10 +10,11 @@ from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, UnsupportedConvolutionError,
                             ValidationError)
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, as_vector,
-                            vec_add, zero_vector)
+                            integer_shift_coset, solve_lattice_coset, unit_vector,
+                            vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
-from dirspec.scalar import QQ, FieldSpec
+from dirspec.scalar import QQ, FieldScalar, FieldSpec
 
 F2 = FieldSpec((2,))
 E1 = Subspace.from_vectors(QQ, 2, [[1, 0]])
@@ -81,12 +82,37 @@ class TestCanonicalization:
         m2 = SymbolicMeasure.make(TORUS, 2, F2,
                                   [M.BoxLebesgue(AffineCarrier.make(slant, off2),
                                                  slant.basis)])
-        # no canonical offset exists for the dense projected lattice, but the
-        # carriers are recognized as equal at class level
+        # the projected lattice is dense, so no fundamental domain reduces the
+        # stored offsets; the class key reduces the offset in the flattened
+        # coordinates, where the module is a lattice, and sees equal carriers
+        assert m1.components[0].carrier != m2.components[0].carrier
+        assert M.class_key(TORUS, F2, 2, m1.components[0]) \
+            == M.class_key(TORUS, F2, 2, m2.components[0])
         assert m1.same_class(m2)
         both = M.add(m1, m2)
         merged = M.decompose(both)[1]
         assert len(merged.components) == 1
+
+    def test_irrational_torus_box_key_floors_no_field_scalar(self, monkeypatch):
+        r2 = F2.sqrt_root(2)
+        slant = Subspace.from_vectors(F2, 2, [[F2.one(), r2]])
+        center = as_vector(F2, [Fraction(1, 5), 0])
+        # a lattice shift off the carrier, a carrier vector past an integer
+        # (the centre's reduction mod 1 then moves the offset), a non-shift
+        shifts = (slant.project_perp(as_vector(F2, [2, -1])), as_vector(F2, [r2, 2]),
+                  as_vector(F2, [Fraction(1, 2), 0]))
+        boxes = [SymbolicMeasure.make(TORUS, 2, F2, [BoxLebesgue(
+            AffineCarrier.make(slant), slant.basis, x)]).components[0]
+            for x in [center] + [vec_add(center, s) for s in shifts]]
+        assert len({b.carrier.offset for b in boxes}) == 4
+
+        def no_floor(self):
+            raise AssertionError("class keys must not floor a FieldScalar")
+
+        monkeypatch.setattr(FieldScalar, "floor", no_floor)
+        keys = [M.class_key(TORUS, F2, 2, b) for b in boxes]
+        # a lattice shift and a carrier vector keep the class; (1/2, 0) leaves it
+        assert keys[0] == keys[1] == keys[2] != keys[3]
 
     def test_box_generator_span_enforced(self):
         with pytest.raises(ValidationError):
@@ -378,7 +404,8 @@ class TestDecompose:
                 # carriers distinct within a dimension bucket
                 for i, a in enumerate(p.components):
                     for b in p.components[i + 1:]:
-                        assert not M._class_equivalent(m.space, m.dim, m.field, a, b)
+                        assert M.class_key(m.space, m.field, m.dim, a) \
+                            != M.class_key(m.space, m.field, m.dim, b)
             resum = parts[0]
             for p in parts[1:]:
                 resum = M.add(resum, p)
@@ -418,3 +445,339 @@ class TestHasAtomAt:
         assert M.has_atom_at(rot, two)
         assert not M.has_atom_at(rot, [Fraction(1, 2), 0])
         assert not M.has_atom_at(rot, [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the pairwise class rule that class keys replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+def reference_module_member(field, group, v, space):
+    """v in offset + module (+ Z^d on the torus), by one coset solve."""
+    shifts = [unit_vector(field, len(v), j) for j in range(len(v))] \
+        if space == TORUS else ()
+    return solve_lattice_coset(group.ring, group.generators, shifts,
+                               vec_sub(v, group.offset)) is not None
+
+
+def reference_class_equivalent(space, dim, field, a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Atom):
+        return a.point == b.point
+    if isinstance(a, BoxLebesgue):
+        sub = a.carrier.subspace
+        if sub != b.carrier.subspace:
+            return False
+        diff = vec_sub(a.carrier.offset, b.carrier.offset)
+        if space == EUCLID:
+            return sub.contains(diff)
+        return integer_shift_coset(sub.orthocomplement().basis, diff) is not None
+    if a.generators != b.generators or a.ring != b.ring:
+        return False
+    return reference_module_member(field, a, b.offset, space)
+
+
+def reference_mergeable(space, dim, field, a, b):
+    """Class-equivalent and, for boxes, the same centre and generator multiset."""
+    if not reference_class_equivalent(space, dim, field, a, b):
+        return False
+    if isinstance(a, BoxLebesgue):
+        def gen_key(g):
+            return tuple((x.field.roots, x.coeffs) for x in g)
+        return (a.rep_center() == b.rep_center()
+                and sorted(map(gen_key, a.generators)) == sorted(map(gen_key, b.generators)))
+    return True
+
+
+def _merge_into(out, c, same):
+    """Add c's weight to the first component of out that ``same`` matches,
+    or append c."""
+    for i, prev in enumerate(out):
+        if same(prev, c):
+            out[i] = replace(prev, weight=prev.weight + c.weight)
+            return
+    out.append(c)
+
+
+def reference_make(space, dim, field, components, periodized=False):
+    canon = []
+    for comp in components:
+        keyed = M._canonicalize_component(space, dim, field, comp)
+        if keyed is not None:
+            _merge_into(canon, keyed[0],
+                        lambda a, b: reference_mergeable(space, dim, field, a, b))
+    canon.sort(key=M._encode_sort_key)
+    return SymbolicMeasure(space, dim, field, tuple(canon), periodized)
+
+
+def reference_same_class(m1, m2):
+    if (m1.space, m1.dim, m1.field, m1.periodized) \
+            != (m2.space, m2.dim, m2.field, m2.periodized):
+        return False
+    unmatched = list(m2.components)
+    for c in m1.components:
+        hit = next((i for i, o in enumerate(unmatched)
+                    if reference_class_equivalent(m1.space, m1.dim, m1.field, c, o)),
+                   None)
+        if hit is None:
+            return False
+        unmatched.pop(hit)
+    return not unmatched
+
+
+def reference_decompose(m):
+    buckets = [[] for _ in range(m.dim + 1)]
+    for c in m.components:
+        _merge_into(buckets[c.dim], c,
+                    lambda a, b: reference_class_equivalent(m.space, m.dim, m.field, a, b))
+    return [reference_make(m.space, m.dim, m.field, b, m.periodized) for b in buckets]
+
+
+def reference_exp(m, cap):
+    space, dim, field = m.space, m.dim, m.field
+
+    def norm(comp):
+        if isinstance(comp, BoxLebesgue):
+            return BoxLebesgue(comp.carrier, comp.carrier.subspace.basis,
+                               comp.carrier.offset, Fraction(1))
+        return replace(comp, weight=Fraction(1))
+
+    def seen(c, among):
+        return any(reference_class_equivalent(space, dim, field, c, p) for p in among)
+
+    pool = list(reference_make(space, dim, field,
+                               [norm(c) for c in m.components]
+                               + [Atom(zero_vector(field, dim))], m.periodized).components)
+    frontier = list(pool)
+    while frontier:
+        new = []
+        for a in pool:
+            for b in frontier:
+                keyed = M._canonicalize_component(
+                    space, dim, field, norm(M._convolve_pair(space, dim, field, a, b)))
+                if keyed is not None and not seen(norm(keyed[0]), pool) \
+                        and not seen(norm(keyed[0]), new):
+                    new.append(norm(keyed[0]))
+        if len(pool) + len(new) > cap:
+            raise ClosureBoundError("cap")
+        pool.extend(new)
+        frontier = new
+    return reference_make(space, dim, field, pool, m.periodized)
+
+
+def _small_shift(rng, field, dim):
+    """A vector with one small nonzero entry, irrational when the field allows."""
+    v = [field.zero()] * dim
+    x = field.from_rational(Fraction(1, rng.randint(2, 5)))
+    if field.roots and rng.random() < 0.4:
+        x = x * field.sqrt_root(field.roots[0])
+    v[rng.randrange(dim)] = x
+    return tuple(v)
+
+
+def _int_shift(rng, field, dim):
+    return as_vector(field, [rng.randint(-2, 2) for _ in range(dim)])
+
+
+def _combo(field, coeffs, vectors, dim):
+    out = zero_vector(field, dim)
+    for c, g in zip(coeffs, vectors):
+        out = vec_add(out, vec_scale(c, g))
+    return out
+
+
+def _variants(rng, space, dim, field, c):
+    """Raw components built from a canonical one: class-equivalent presentations
+    (lattice shifts, module elements, carrier vectors, other generators) and
+    perturbations that usually leave the class."""
+    if isinstance(c, Atom):
+        return [Atom(vec_add(c.point, _int_shift(rng, field, dim))),
+                Atom(vec_add(c.point, _small_shift(rng, field, dim)))]
+    if isinstance(c, BoxLebesgue):
+        sub = c.carrier.subspace
+        inside = _combo(field, [gen.rand_scalar(rng, field) for _ in sub.basis],
+                        sub.basis, dim)
+        centers = [vec_add(c.rep_center(), _int_shift(rng, field, dim)),
+                   vec_add(c.rep_center(), inside),
+                   vec_add(vec_add(c.rep_center(), inside), _int_shift(rng, field, dim)),
+                   vec_add(c.rep_center(), _small_shift(rng, field, dim))]
+        out = [BoxLebesgue(AffineCarrier.make(sub, x), c.generators, x) for x in centers]
+        doubled = tuple(vec_scale(field.from_rational(2), g) for g in c.generators)
+        out.append(BoxLebesgue(c.carrier, doubled, c.rep_center()))
+        return out
+    gens = c.generators
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3) if c.ring == "Q" else 1)
+              for _ in gens]
+    element = _combo(field, [field.from_rational(x) for x in coeffs], gens, dim)
+    half = vec_scale(field.from_rational(Fraction(1, 2)), gens[0])
+    offsets = [vec_add(c.offset, element),
+               vec_add(vec_add(c.offset, element), _int_shift(rng, field, dim)),
+               vec_add(c.offset, _small_shift(rng, field, dim)),
+               vec_add(c.offset, half)]
+    out = [AtomGroup(gens, c.ring, x) for x in offsets]
+    # another presentation of the same module
+    out.append(AtomGroup(tuple(reversed(gens)) + (vec_add(gens[0], gens[-1]),),
+                         c.ring, c.offset))
+    return out
+
+
+def _irrational_line(rng, field, dim):
+    r2 = field.sqrt_root(2)
+    v = [field.one()] + [field.from_rational(rng.randint(-2, 2)) + rng.choice([1, -1]) * r2
+                         for _ in range(dim - 1)]
+    return Subspace.from_vectors(field, dim, [v])
+
+
+# (space, field, dimensions, raw base components) per family of cases
+def _general(rng, space, field, dim):
+    return list(gen.rand_measure(rng, field, dim, space, max_components=3,
+                                 with_groups=True, reduced=False).components)
+
+
+def _irrational_torus_boxes(rng, space, field, dim):
+    out = []
+    for _ in range(2):
+        sub = _irrational_line(rng, field, dim)
+        center = gen.rand_vector(rng, field, dim)
+        out.append(BoxLebesgue(AffineCarrier.make(sub, center), sub.basis, center))
+    return out
+
+
+def _groups(ring):
+    def draw(rng, space, field, dim):
+        return [replace(gen.rand_atom_group(rng, field, dim), ring=ring,
+                        offset=gen.rand_vector(rng, field, dim)) for _ in range(2)]
+    return draw
+
+
+F23 = FieldSpec((2, 3))
+CASES = {
+    "general": ((EUCLID, TORUS), (QQ, F2), (1, 2, 3), _general),
+    "irrational_torus_box": ((TORUS,), (F2, F23), (2, 3), _irrational_torus_boxes),
+    "ring_q_torus": ((TORUS,), (QQ, F2), (1, 2, 3), _groups("Q")),
+    "ring_z_sqrt2_euclid": ((EUCLID,), (F2,), (1, 2, 3), _groups("Z")),
+}
+
+
+def _canonical(space, dim, field, raw):
+    keyed = M._canonicalize_component(space, dim, field, raw)
+    return None if keyed is None else keyed[0]
+
+
+class TestClassKeyDifferential:
+    """class_key equality against the pairwise rule it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_keys_match_pairwise_rule(self, case):
+        spaces, fields, dims, draw = CASES[case]
+        rng = random.Random(sum(map(ord, case)))
+        counts = {True: 0, False: 0, "hard": 0}
+        for _ in range(20):
+            space, field, dim = rng.choice(spaces), rng.choice(fields), rng.choice(dims)
+            comps = []
+            for raw in draw(rng, space, field, dim):
+                base = _canonical(space, dim, field, raw)
+                if base is None:
+                    continue
+                comps.append(base)
+                comps.extend(c for c in (_canonical(space, dim, field, v) for v in
+                                         _variants(rng, space, dim, field, base))
+                             if c is not None)
+            keys = [M.class_key(space, field, dim, c) for c in comps]
+            for (a, ka), (b, kb) in itertools.combinations(zip(comps, keys), 2):
+                same = reference_class_equivalent(space, dim, field, a, b)
+                assert (ka == kb) == same, (a, b)
+                counts[same] += 1
+                # a negative with the same carrier or module: only the offset decides
+                if not same and type(a) is type(b) and not isinstance(a, Atom) \
+                        and ka[:-1] == kb[:-1]:
+                    counts["hard"] += 1
+        assert counts[True] > 40 and counts[False] > 40 and counts["hard"] > 10, counts
+
+    def test_canonical_offsets_match_pairwise_rule(self):
+        # canonicalization zeroes a group offset exactly when it lies in the
+        # module, and a torus box offset exactly when it is a lattice shift
+        rng = random.Random(7)
+        zeroed = 0
+        for _ in range(40):
+            space, field, dim = rng.choice((EUCLID, TORUS)), rng.choice((QQ, F2)), \
+                rng.randint(1, 3)
+            for raw in _general(rng, space, field, dim):
+                base = _canonical(space, dim, field, raw)
+                if base is None or isinstance(base, Atom):
+                    continue
+                for v in _variants(rng, space, dim, field, base):
+                    c = _canonical(space, dim, field, v)
+                    if isinstance(c, AtomGroup):
+                        probe = AtomGroup(c.generators, c.ring, zero_vector(field, dim))
+                        expect = reference_module_member(field, probe, v.offset, space)
+                        assert vec_is_zero(c.offset) == expect
+                    elif isinstance(c, BoxLebesgue) and space == TORUS:
+                        sub = c.carrier.subspace
+                        perp = sub.project_perp(M.vec_mod1(v.rep_center()))
+                        expect = integer_shift_coset(sub.orthocomplement().basis,
+                                                     perp) is not None
+                        assert c.carrier.is_linear() == expect
+                    else:
+                        continue
+                    zeroed += expect
+        assert zeroed > 10
+
+    def test_module_member_matches_coset_solve(self):
+        rng = random.Random(11)
+        hits = {True: 0, False: 0}
+        for _ in range(60):
+            space, field, dim = rng.choice((EUCLID, TORUS)), rng.choice((QQ, F2)), \
+                rng.randint(1, 3)
+            base = _canonical(space, dim, field, _groups(rng.choice("ZQ"))(
+                rng, space, field, dim)[0])
+            if not isinstance(base, AtomGroup):
+                continue
+            for v in _variants(rng, space, dim, field, base)[:4]:
+                got = M.module_member(field, base, v.offset, space)
+                assert got == reference_module_member(field, base, v.offset, space)
+                hits[got] += 1
+        assert hits[True] > 20 and hits[False] > 20, hits
+
+    @staticmethod
+    def _random_measures(rng, count):
+        for _ in range(count):
+            space, field, dim = rng.choice((EUCLID, TORUS)), rng.choice((QQ, F2)), \
+                rng.randint(1, 3)
+            raws = _general(rng, space, field, dim)
+            canon = [c for c in (_canonical(space, dim, field, r) for r in raws) if c]
+            variants = [v for c in canon for v in _variants(rng, space, dim, field, c)]
+            yield space, field, dim, raws + rng.sample(variants, min(4, len(variants)))
+
+    def test_measure_algebra_matches_pairwise_rule(self):
+        rng = random.Random(19)
+        merged = same = 0
+        for space, field, dim, raws in self._random_measures(rng, 40):
+            m = SymbolicMeasure.make(space, dim, field, raws)
+            assert m == reference_make(space, dim, field, raws)
+            merged += len(m.components) < len(raws)
+            parts = M.decompose(m)
+            assert parts == reference_decompose(m)
+            # a measure against a shuffled re-presentation and against a part
+            shuffled = SymbolicMeasure.make(space, dim, field, rng.sample(raws, len(raws)))
+            for other in (shuffled, M.add(m, parts[0]), parts[-1]):
+                assert m.same_class(other) == reference_same_class(m, other)
+                same += m.same_class(other)
+        assert merged > 10 and same > 10
+
+    def test_exp_matches_pairwise_rule(self):
+        rng = random.Random(23)
+        sizes = []
+        for space, field, dim, raws in self._random_measures(rng, 25):
+            m = SymbolicMeasure.make(space, dim, field, raws[:2])
+            try:
+                expected = reference_exp(m, cap=24)
+            except (ClosureBoundError, UnsupportedConvolutionError) as exc:
+                with pytest.raises(type(exc)):
+                    M.exp(m, cap=24)
+                continue
+            got = M.exp(m, cap=24)
+            assert got == expected
+            sizes.append(len(got.components))
+        assert len(sizes) > 8 and max(sizes) > 3, sizes
