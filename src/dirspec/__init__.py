@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .scalar import FieldScalar, FieldSpec, QQ
 from .linalg import (AffineCarrier, LatticeSubgroup, Subspace, TorusSubgroup,
-                     annihilator, rationality, saturate, smith_normal_form,
-                     solve_integer_affine)
+                     annihilator, rationality, saturate, smith_normal_form)
 from .measure import (Atom, AtomGroup, BoxLebesgue, SymbolicMeasure, add,
                       convolve, decompose, exp, pushforward_quotient,
                       pushforward_subgroup, suspend, translate)

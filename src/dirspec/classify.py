@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError)
-from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
-                     integer_shift_coset, mat_vec, solve_lattice_coset, unit_vector,
-                     vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
+from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
+                     flatten, mat_vec, solve_lattice_coset, unit_vector, vec_add,
+                     vec_dot, vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, exp as measure_exp,
                       group_value_coset_nontrivial)
@@ -55,11 +55,15 @@ def _lattice_shifts_allowed(m: SymbolicMeasure) -> bool:
 
 def _on_affine_wall(shifts: bool, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
-    """Is ``point`` on L^perp + ell (modulo Z^d when ``shifts``)?"""
+    """Is ``point`` on L^perp + ell (modulo Z^d when ``shifts``)?  On the
+    torus: is B_L (point - ell) in Z.span{B_L e_j}, i.e. is its coset key zero?"""
     diff = vec_sub(point, ell)
+    rows = sub_l.basis
     if shifts:
-        return integer_shift_coset(sub_l.basis, diff) is not None
-    return all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
+        lattice = CosetLattice.make(
+            [], [flatten(tuple(b[j] for b in rows)) for j in range(sub_l.ambient)])
+        return not any(lattice.key(flatten(mat_vec(rows, diff))))
+    return all(vec_dot(b, diff).is_zero() for b in rows)
 
 
 def _group_meets_wall(shifts: bool, comp: "AtomGroup | GroupFamily", sub_l: Subspace,

@@ -4,30 +4,31 @@ Provides canonical-form subspaces of R^d over a FieldSpec (reduced row
 echelon bases, so structural equality is definitional equality), affine
 carriers, integer lattice subgroups in Hermite normal form, Smith normal
 form with unimodular transforms, annihilators of lattice subgroups inside
-the torus, saturation, rationality classification of directions, and exact
-feasibility solvers for systems mixing rational and integer unknowns.
+the torus, saturation, rationality classification of directions, one exact
+solver for lattice cosets and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), ``span_coordinates`` (the Gram system behind ``Subspace.project``
 and the torus box-offset reduction), ``saturate`` (V^-1 from [V | I]),
-``rationality``, ``solve_mixed_affine`` (the rational unknowns) and
+``rationality``, ``solve_lattice_coset`` (the rational unknowns) and
 ``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
 output.  The integer eliminations are ``hermite_normal_form`` and
-``smith_normal_form``.
+``smith_normal_form``.  ``flatten`` is the one map from field vectors to
+rational coordinates over the field basis; the solver rows, the class keys
+and the torus wall keys all use it.
 
 ``solve_lattice_coset`` is the one lattice coset solver: is t in
-ring.span{u_i} + Z.span{l_j}, and with which coefficients?  It alone splits
-field equations into rational ones and calls ``solve_mixed_affine``.  Its
-callers, each mapping its data through its wall rows and reading a witness
-or the solution family: ``classify._group_meets_wall`` (group atoms on a
-wall), ``measure._group_image_charges_zero`` (subgroup images) and
-``integer_shift_coset`` (v in ker A + Z^d), which backs
-``solve_integer_affine`` and ``classify._on_affine_wall``.
+ring.span{u_i} + Z.span{l_j}, and with which coefficients?  It is called
+only where a witness or the solution family is read:
+``classify._group_meets_wall`` (a group atom on a wall) and
+``measure._group_image_charges_zero`` (a group atom in a subgroup image).
 
-``CosetLattice`` puts Q.span + Z.span in Q^n in a canonical echelon form;
-``measure`` reads module bases, class keys, module membership and the torus
-box-offset lattice-shift test off it.
+Yes/no questions read a ``CosetLattice`` key instead: it puts
+Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
+exactly when its key is zero.  ``measure`` reads module bases, class keys,
+module membership and the torus box-offset lattice-shift test off it;
+``classify._on_affine_wall`` decides atom and box torus walls with it.
 """
 from __future__ import annotations
 
@@ -108,6 +109,20 @@ def vec_mod1(u: FieldVector) -> FieldVector:
 
 def vec_floats(u: FieldVector) -> list[float]:
     return [float(a) for a in u]
+
+
+def flatten(v: FieldVector) -> list[Fraction]:
+    """The rational coordinates of v over the field basis: coordinate j,
+    basis element beta at index j * field.dimension + beta."""
+    out: list[Fraction] = []
+    for x in v:
+        out.extend(x.coeffs)
+    return out
+
+
+def unflatten(field: FieldSpec, dim: int, flat) -> FieldVector:
+    n = field.dimension
+    return tuple(field.from_coeffs(flat[j * n:(j + 1) * n]) for j in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +280,7 @@ class Subspace:
 
     def project(self, v: FieldVector) -> FieldVector:
         """Orthogonal projection of v onto this subspace (exact)."""
-        if self.dim == 0:
+        if self.dim == 0 or vec_is_zero(v):
             return zero_vector(self.field, self.ambient)
         x = span_coordinates(self.basis, v)
         out = zero_vector(self.field, self.ambient)
@@ -672,106 +687,6 @@ def rationality(sub: Subspace) -> RationalityReport:
 
 
 # ---------------------------------------------------------------------------
-# mixed rational/integer affine solver
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MixedSolution:
-    """Solution family of  R c + Z n = b  with c rational and n integral.
-
-    The full solution set is
-        c = rat_part + sum_i a_i * rat_shifts[i] + (rational combos of rat_kernel)
-        n = int_part + sum_i a_i * int_lattice[i],        a_i in Z.
-    """
-
-    rat_part: tuple[Fraction, ...]
-    int_part: tuple[int, ...]
-    int_lattice: tuple[tuple[int, ...], ...]
-    rat_shifts: tuple[tuple[Fraction, ...], ...]
-    rat_kernel: tuple[tuple[Fraction, ...], ...]
-
-
-def solve_mixed_affine(rat_cols: list[list[Fraction]],
-                       int_cols: list[list[Fraction]],
-                       rhs: list[Fraction]) -> MixedSolution | None:
-    """Exact feasibility for a rational affine system in mixed unknowns.
-
-    ``rat_cols`` and ``int_cols`` are m x a and m x b coefficient blocks,
-    m >= 1 (ValueError otherwise).  Returns None when infeasible.  Rational
-    unknowns are eliminated first; the residual integral system is solved via
-    Smith normal form.
-    """
-    m = len(rhs)
-    if m == 0:  # the unknown counts, and so the family, are not visible
-        raise ValueError("solve_mixed_affine needs at least one equation")
-    if not rat_cols:
-        rat_cols = [[] for _ in range(m)]
-    if not int_cols:
-        int_cols = [[] for _ in range(m)]
-    a = len(rat_cols[0])
-    b = len(int_cols[0])
-
-    # eliminate rational unknowns (columns 0..a-1)
-    aug, pivots = rref_field(
-        [list(rat_cols[i]) + list(int_cols[i]) + [rhs[i]] for i in range(m)], a)
-    r = len(pivots)
-    # residual integral system from rows without rational pivots
-    res_rows = []
-    res_rhs = []
-    for i in range(r, m):
-        if any(aug[i][j] != 0 for j in range(a)):
-            raise AssertionError("elimination left a rational coefficient")
-        row = aug[i][a:a + b]
-        val = aug[i][a + b]
-        if any(x != 0 for x in row):
-            res_rows.append(row)
-            res_rhs.append(val)
-        elif val != 0:
-            return None
-    # clear denominators to get an integer system
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
-    for row, val in zip(res_rows, res_rhs):
-        den = lcm(*[f.denominator for f in row + [val]])
-        int_rows.append([int(f * den) for f in row])
-        int_rhs.append(int(val * den))
-    if int_rows:
-        u, dmat, v = smith_normal_form(int_rows)
-        mm = len(int_rows)
-        w = [sum(u[i][j] * int_rhs[j] for j in range(mm)) for i in range(mm)]
-        y = [0] * b
-        for i in range(mm):
-            di = dmat[i][i] if i < b else 0
-            if di != 0:
-                if w[i] % di != 0:
-                    return None
-                y[i] = w[i] // di
-            elif w[i] != 0:
-                return None
-        n0 = [sum(v[i][j] * y[j] for j in range(b)) for i in range(b)]
-        free_cols = [j for j in range(b) if j >= mm or dmat[j][j] == 0] if b else []
-        lattice = [tuple(v[i][j] for i in range(b)) for j in free_cols]
-    else:
-        n0 = [0] * b
-        lattice = [tuple(int(i == j) for i in range(b)) for j in range(b)]
-
-    def back_substitute(nvec: list, hom: bool) -> list[Fraction]:
-        c = [Fraction(0)] * a
-        for i, p in enumerate(pivots):
-            val = Fraction(0) if hom else aug[i][a + b]
-            val -= sum(aug[i][a + k] * nvec[k] for k in range(b))
-            c[p] = val
-        return c
-
-    c0 = back_substitute(n0, hom=False)
-    shifts = [tuple(back_substitute(list(lam), hom=True)) for lam in lattice]
-    kernel = [tuple(v) for v in nullspace(aug, pivots, a, Fraction(0), Fraction(1))]
-    return MixedSolution(tuple(c0), tuple(n0), tuple(lattice),
-                         tuple(shifts), tuple(kernel))
-
-
-# ---------------------------------------------------------------------------
 # the lattice coset primitive
 # ---------------------------------------------------------------------------
 
@@ -794,65 +709,66 @@ class CosetSolution:
 def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:
     """Is t in  ring.span{u_1..u_k} + Z.span{l_1..l_p}  (ring "Z" or "Q")?
 
-    u_i, l_j and t are field vectors in R^e.  Every field-basis component of
-    every coordinate gives one rational equation, in the columns u_1..u_k,
-    l_1..l_p; ring Q makes the c rational unknowns, ring Z makes them
-    integral like n.  Returns None when t is not in the set.  The order and
-    signs of the columns fix the SNF particular solution, and with it any
-    wall witness read off it.
+    u_i, l_j and t are field vectors in R^e.  Each coordinate of the
+    ``flatten``ed vectors gives one rational equation in the columns u_1..u_k,
+    l_1..l_p; ring Q makes the c rational unknowns, ring Z makes them integral
+    like n.  Returns None when t is not in the set.  ``rref_field``
+    eliminates the rational unknowns, Smith normal form solves the residual
+    integral system, and back-substitution recovers the rational part.  The
+    order and signs of the columns fix the SNF particular solution, and with
+    it any wall witness read off it.
     """
     k, p = len(us), len(ls)
-    cols = [*us, *ls]
-    rows, rhs = [], []
-    for r, tr in enumerate(t):
-        for beta in range(tr.field.dimension):
-            rows.append([col[r].coeffs[beta] for col in cols])
-            rhs.append(tr.coeffs[beta])
-    a = k if ring == "Q" else 0  # the rational unknowns
-    if rows:
-        sol = solve_mixed_affine([row[:a] for row in rows] if ring == "Q" else [],
-                                 [row[a:] for row in rows], rhs)
-    else:  # no equations: every (c, n) solves
-        b = k + p - a
-        units = [tuple(int(i == j) for j in range(a + b)) for i in range(a + b)]
-        sol = MixedSolution((Fraction(0),) * a, (0,) * b,
-                            tuple(u[a:] for u in units[a:]),
-                            tuple(u[:a] for u in units[a:]),
-                            tuple(u[:a] for u in units[:a]))
-    if sol is None:
-        return None
-    if ring == "Q":
-        return CosetSolution(sol.rat_part, sol.int_part, sol.rat_shifts,
-                             sol.int_lattice, sol.rat_kernel)
-    return CosetSolution(sol.int_part[:k], sol.int_part[k:],
-                         tuple(lam[:k] for lam in sol.int_lattice),
-                         tuple(lam[k:] for lam in sol.int_lattice), ())
+    a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
+    b = k + p - a                # the integral unknowns
+    cols = [flatten(col) for col in (*us, *ls)]
+    rhs = flatten(t)
+    aug, pivots = rref_field([[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))], a)
+    # the residual integral system: rows without a rational pivot, scaled to Z
+    int_rows: list[list[int]] = []
+    int_rhs: list[int] = []
+    for row in aug[len(pivots):]:
+        if not any(row[a:a + b]):
+            if row[a + b]:
+                return None
+            continue
+        den = lcm(*[f.denominator for f in row[a:]])
+        int_rows.append([int(f * den) for f in row[a:a + b]])
+        int_rhs.append(int(row[a + b] * den))
+    if int_rows:
+        u, dmat, v = smith_normal_form(int_rows)
+        mm = len(int_rows)
+        w = [sum(u[i][j] * int_rhs[j] for j in range(mm)) for i in range(mm)]
+        y = [0] * b
+        for i in range(mm):
+            di = dmat[i][i] if i < b else 0
+            if di != 0:
+                if w[i] % di != 0:
+                    return None
+                y[i] = w[i] // di
+            elif w[i] != 0:
+                return None
+        n0 = tuple(sum(v[i][j] * y[j] for j in range(b)) for i in range(b))
+        lattice = [tuple(v[i][j] for i in range(b)) for j in range(b)
+                   if j >= mm or dmat[j][j] == 0]
+    else:  # no integral equation: every integral unknown is free
+        n0 = (0,) * b
+        lattice = [tuple(int(i == j) for i in range(b)) for j in range(b)]
 
+    def back_substitute(nvec, hom: bool) -> tuple[Fraction, ...]:
+        c = [Fraction(0)] * a
+        for i, piv in enumerate(pivots):
+            val = Fraction(0) if hom else aug[i][a + b]
+            c[piv] = val - sum(aug[i][a + j] * nvec[j] for j in range(b))
+        return tuple(c)
 
-def integer_shift_coset(a_matrix, v: FieldVector) -> CosetSolution | None:
-    """The n in Z^d with A (v - n) = 0 (v in ker A + Z^d): the coset
-    primitive with no u, l_j = A e_j and t = A v."""
-    return solve_lattice_coset("Z", (), [tuple(row[j] for row in a_matrix)
-                                         for j in range(len(v))], mat_vec(a_matrix, v))
-
-
-@dataclass(frozen=True)
-class IntegerAffineSolution:
-    feasible: bool
-    witness: tuple[int, ...] | None
-    lattice: LatticeSubgroup | None
-
-
-def solve_integer_affine(a_matrix: list[list[FieldScalar]],
-                         c_vector: list[FieldScalar]) -> IntegerAffineSolution:
-    """Find n in Z^d with A (c - n) = 0, plus the lattice of all solutions."""
-    sol = integer_shift_coset(a_matrix, c_vector)
-    if sol is None:
-        return IntegerAffineSolution(False, None, None)
-    d = len(c_vector)
-    lattice = LatticeSubgroup.from_generators(d, sol.shift_lattice) \
-        if sol.shift_lattice else LatticeSubgroup(d, ())
-    return IntegerAffineSolution(True, sol.shift, lattice)
+    # for ring Z the coefficients c are the first k integral unknowns
+    split = k - a
+    return CosetSolution(
+        back_substitute(n0, False) + n0[:split], n0[split:],
+        tuple(back_substitute(lam, True) + lam[:split] for lam in lattice),
+        tuple(lam[split:] for lam in lattice),
+        tuple(tuple(x) for x in nullspace(aug, pivots, a, Fraction(0), Fraction(1))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from fractions import Fraction
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError)
 from .linalg import (AffineCarrier, CosetLattice, CosetSolution, FieldVector,
-                     LatticeSubgroup, Subspace, as_vector, mat_vec, solve_lattice_coset,
-                     span_coordinates, unit_vector, vec_add, vec_is_zero, vec_mod1,
-                     vec_neg, vec_scale, vec_sub, zero_vector)
+                     LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
+                     solve_lattice_coset, span_coordinates, unflatten, unit_vector,
+                     vec_add, vec_is_zero, vec_mod1, vec_neg, vec_scale, vec_sub,
+                     zero_vector)
 from .scalar import FieldSpec, decode_scalar
 
 EUCLID = "euclidean"
@@ -131,24 +132,12 @@ def _encode_sort_key(comp: Component):
 # ---------------------------------------------------------------------------
 
 
-def _flatten(v: FieldVector) -> list[Fraction]:
-    out: list[Fraction] = []
-    for x in v:
-        out.extend(x.coeffs)
-    return out
-
-
-def _unflatten(field: FieldSpec, dim: int, flat) -> FieldVector:
-    n = field.dimension
-    return tuple(field.from_coeffs(flat[j * n:(j + 1) * n]) for j in range(dim))
-
-
 def module_lattice(field: FieldSpec, dim: int, generators, ring: str,
                    space: str) -> CosetLattice:
     """The ring-span of the generators plus Z^d on the torus (atom sets mod 1
     are unchanged), in coordinates flattened over the field basis."""
-    gens = [_flatten(as_vector(field, g)) for g in generators]
-    units = [_flatten(unit_vector(field, dim, j)) for j in range(dim)] \
+    gens = [flatten(as_vector(field, g)) for g in generators]
+    units = [flatten(unit_vector(field, dim, j)) for j in range(dim)] \
         if space == TORUS else []
     if ring == "Q":
         return CosetLattice.make(gens, units)
@@ -162,7 +151,7 @@ def canonical_module(field: FieldSpec, dim: int, lattice: CosetLattice,
     """Canonical module basis, read off a ``module_lattice``: its RREF rows
     for ring Q, its HNF rows (with Z^d on the torus) for ring Z."""
     rows = lattice.q_basis if ring == "Q" else lattice.z_basis
-    return tuple(_unflatten(field, dim, row) for row in rows)
+    return tuple(unflatten(field, dim, row) for row in rows)
 
 
 def group_element_from_coeffs(field: FieldSpec, group: "AtomGroup", coeffs,
@@ -217,7 +206,7 @@ def module_member(field: FieldSpec, group: AtomGroup, v: FieldVector,
     """Is v in offset + module (+ Z^d on the torus)?  Exactly when the
     coset key of v - offset is zero."""
     lattice = module_lattice(field, len(v), group.generators, group.ring, space)
-    return not any(lattice.key(_flatten(vec_sub(v, group.offset))))
+    return not any(lattice.key(flatten(vec_sub(v, group.offset))))
 
 
 def _box_key(space: str, field: FieldSpec, dim: int, sub: Subspace,
@@ -231,7 +220,7 @@ def _box_key(space: str, field: FieldSpec, dim: int, sub: Subspace,
     units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
     lattice = module_lattice(field, dim, [vec_scale(u, b) for b in sub.basis for u in units],
                              "Q", space)
-    return ("box", sub, lattice.key(_flatten(offset)))
+    return ("box", sub, lattice.key(flatten(offset)))
 
 
 def class_key(space: str, field: FieldSpec, dim: int, comp: Component) -> tuple:
@@ -244,7 +233,7 @@ def class_key(space: str, field: FieldSpec, dim: int, comp: Component) -> tuple:
     if isinstance(comp, BoxLebesgue):
         return _box_key(space, field, dim, comp.carrier.subspace, comp.carrier.offset)
     lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
-    return ("group", comp.ring, comp.generators, lattice.key(_flatten(comp.offset)))
+    return ("group", comp.ring, comp.generators, lattice.key(flatten(comp.offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +381,14 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
                 ("box", sub, center, frozenset(Counter(gens).items())))
 
     if isinstance(comp, AtomGroup):
+        if any(len(g) != dim for g in comp.generators):
+            raise DimensionMismatchError("atom group generator has wrong length")
         lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
         gens = canonical_module(field, dim, lattice, comp.ring)
         offset = as_vector(field, comp.offset)
         if len(offset) != dim:
             raise DimensionMismatchError("atom group offset has wrong length")
-        offset_key = lattice.key(_flatten(offset))
+        offset_key = lattice.key(flatten(offset))
         if not any(offset_key):
             offset = zero_vector(field, dim)
         elif space == TORUS:

@@ -9,7 +9,8 @@ from dirspec import measure as M
 from dirspec.errors import (InvalidDirectionSetError, NotReducedError,
                             ValidationError)
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, annihilator,
-                            as_vector, vec_add, vec_scale, vec_sub, zero_vector)
+                            as_vector, mat_vec, rationality, solve_lattice_coset,
+                            vec_add, vec_dot, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldSpec
@@ -301,6 +302,74 @@ class TestGroupWallOracle:
                 tested_neg += 1
                 assert self._enumerate_hits(m, comp, sub) is None
         assert tested_pos > 10 and tested_neg > 10
+
+
+def _int_grid(d, bound):
+    out = [()]
+    for _ in range(d):
+        out = [v + (k,) for v in out for k in range(-bound, bound + 1)]
+    return out
+
+
+class TestAffineWallKey:
+    """The torus wall test ``_on_affine_wall(True, ...)`` reads a coset key;
+    it must agree with the coset solve for a shift n with B_L (diff - n) = 0
+    and with a bounded search of shifts (which can only certify)."""
+
+    @staticmethod
+    def _irrational_vector(rng, d):
+        s2 = F2.sqrt_root(2) * F2.from_rational(gen.rand_fraction(rng, nonzero=True))
+        return [F2.one(), s2 + gen.rand_scalar(rng, F2), *gen.rand_vector(rng, F2, d - 2)]
+
+    def _direction(self, rng, kind):
+        """(field, d, direction) of the given kind."""
+        if kind == "zero":
+            d = rng.randint(1, 3)
+            return QQ, d, Subspace.zero(QQ, d)
+        if kind == "rational":
+            field, d = rng.choice([QQ, F2]), rng.randint(1, 3)
+            return field, d, gen.rand_rational_subspace(rng, field, d, rng.randint(1, d))
+        if kind == "intermediate":  # a rational and an irrational vector in R^3
+            return F2, 3, Subspace.from_vectors(F2, 3, [
+                [Fraction(rng.randint(-2, 2)) for _ in range(3)],
+                self._irrational_vector(rng, 3)])
+        d = rng.randint(2, 3)
+        return F2, d, Subspace.from_vectors(F2, d, [self._irrational_vector(rng, d)])
+
+    def test_against_solver_and_brute_force(self):
+        rng = random.Random(17)
+        kinds = {"zero": 0, "completely_rational": 0, "intermediate": 0, "irrational": 0}
+        outcomes = {True: 0, False: 0}
+        found_by_search = 0
+        for _ in range(160):
+            field, d, sub = self._direction(
+                rng, rng.choice(["zero", "rational", "intermediate", "irrational"]))
+            kinds["zero" if sub.is_zero() else rationality(sub).kind] += 1
+            ell = sub.project(gen.rand_vector(rng, field, d)) if rng.random() < 0.5 \
+                else zero_vector(field, d)
+            if rng.random() < 0.5:  # on the wall: a shift plus a vector of L^perp
+                diff = as_vector(field, [rng.randint(-2, 2) for _ in range(d)])
+                for b in sub.orthocomplement().basis:
+                    diff = vec_add(diff, vec_scale(gen.rand_scalar(rng, field), b))
+            else:
+                diff = gen.rand_vector(rng, field, d)
+            on_wall = C._on_affine_wall(True, sub, vec_add(ell, diff), ell)
+            rows = sub.basis
+            sol = solve_lattice_coset("Z", (), [tuple(b[j] for b in rows) for j in range(d)],
+                                      mat_vec(rows, diff))
+            assert on_wall == (sol is not None)
+            outcomes[on_wall] += 1
+            if on_wall:  # the solver's shift puts diff on L^perp exactly
+                n = as_vector(field, sol.shift)
+                assert all(vec_dot(b, vec_sub(diff, n)).is_zero() for b in rows)
+            search = next((n for n in _int_grid(d, 3 if d < 3 else 2)
+                           if all(vec_dot(b, vec_sub(diff, as_vector(field, n))).is_zero()
+                                  for b in rows)), None)
+            if search is not None:
+                found_by_search += 1
+                assert on_wall
+        assert min(kinds.values()) > 5
+        assert outcomes[True] > 30 and outcomes[False] > 30 and found_by_search > 30
 
 
 class TestSubordinationSoundness:

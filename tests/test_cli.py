@@ -181,21 +181,29 @@ class TestExitCodes:
         proc = run_cli("realize", "--directions", str(path))
         assert proc.returncode == 2  # rejected as invalid input
 
-    @pytest.mark.parametrize("doc", [
-        {"space": "torus", "dim": 1,
-         "components": [{"kind": "atom", "point": ["1/0"]}]},
-        {"space": "torus", "dim": 2, "components": "abc"},
-        {"space": "torus", "dim": 2, "components": [5]},
-        {"space": "torus", "dim": 0, "components": []},
-        {"space": "torus", "dim": 1,
-         "components": [{"kind": "atom", "point": ["1/3"], "weight": "1/0"}]},
+    @pytest.mark.parametrize("doc,kind", [
+        ({"space": "torus", "dim": 1,
+          "components": [{"kind": "atom", "point": ["1/0"]}]}, "ValidationError"),
+        ({"space": "torus", "dim": 2, "components": "abc"}, "ValidationError"),
+        ({"space": "torus", "dim": 2, "components": [5]}, "ValidationError"),
+        ({"space": "torus", "dim": 0, "components": []}, "ValidationError"),
+        ({"space": "torus", "dim": 1,
+          "components": [{"kind": "atom", "point": ["1/3"], "weight": "1/0"}]},
+         "ValidationError"),
+        ({"space": "euclidean", "dim": 2,
+          "components": [{"kind": "atom_group", "generators": [["1/2", "1", "1"]],
+                          "ring": "Z"}]}, "DimensionMismatchError"),
+        ({"space": "torus", "dim": 2,
+          "components": [{"kind": "atom_group", "generators": [["1/2"]], "ring": "Z"}]},
+         "DimensionMismatchError"),
     ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
-            "weight-zero-denominator"])
-    def test_malformed_measure_is_2(self, doc, tmp_path, capsys):
+            "weight-zero-denominator", "group-generator-too-long",
+            "group-generator-too-short"])
+    def test_malformed_measure_is_2(self, doc, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         assert main(["lint", "--measure", str(path)]) == 2
-        assert "error" in json.loads(capsys.readouterr().err)
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
 
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),

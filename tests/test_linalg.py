@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 import gen
 from dirspec.errors import DimensionMismatchError
 from dirspec.linalg import (AffineCarrier, CosetLattice, CosetSolution, LatticeSubgroup,
-                            Subspace, annihilator, as_vector, integer_shift_coset,
-                            mat_vec, nullspace, rationality, rref_field, saturate,
-                            saturation_index, smith_normal_form, solve_integer_affine,
-                            solve_lattice_coset, solve_mixed_affine, unit_vector,
+                            Subspace, annihilator, as_vector, mat_vec, nullspace,
+                            rationality, rref_field, saturate, saturation_index,
+                            smith_normal_form, solve_lattice_coset, unit_vector,
                             vec_add, vec_dot, vec_is_zero, vec_neg, vec_scale,
                             vec_sub, zero_vector)
 from dirspec.scalar import QQ, FieldSpec
@@ -319,57 +318,31 @@ class TestRationality:
                 assert sub.contains(as_vector(field, row))
 
 
+def integer_shift(a_matrix, c):
+    """The n in Z^d with A (c - n) = 0: the coset primitive with no u,
+    l_j = A e_j and t = A c."""
+    return solve_lattice_coset("Z", (), [tuple(row[j] for row in a_matrix)
+                                         for j in range(len(c))], mat_vec(a_matrix, c))
+
+
 class TestSolveIntegerAffine:
+    """Integer-shift systems n in Z^d with A (c - n) = 0, as coset solves."""
+
     def test_examples(self):
         a = [[QQ.one(), QQ.zero()]]
-        sol = solve_integer_affine(a, [QQ.from_rational(Fraction(1, 2)), QQ.zero()])
-        assert not sol.feasible
-        sol = solve_integer_affine(a, [QQ.from_rational(3), QQ.zero()])
-        assert sol.feasible and sol.witness[0] == 3
+        assert integer_shift(a, q(Fraction(1, 2), 0)) is None
+        sol = integer_shift(a, q(3, 0))
+        assert sol is not None and sol.shift[0] == 3
         # condition c - n in span{(0,1)}: first coordinate pinned
         perp = Subspace.from_vectors(QQ, 2, [[0, 1]]).orthocomplement()
-        rows = [list(r) for r in perp.basis]
-        sol = solve_integer_affine(rows, [QQ.from_rational(2), QQ.from_rational(Fraction(1, 3))])
-        assert sol.feasible and sol.witness[0] == 2
-
-    def test_against_brute_force(self):
-        rng = random.Random(17)
-        for _ in range(60):
-            field = rng.choice([QQ, F2])
-            d = rng.randint(1, 2)
-            rows = [[gen.rand_scalar(rng, field, 0.3) for _ in range(d)]
-                    for _ in range(rng.randint(1, 2))]
-            c = [gen.rand_scalar(rng, field, 0.3) for _ in range(d)]
-            sol = solve_integer_affine(rows, c)
-            found = None
-            for cand in _int_grid(d, 10):
-                diff = [ci - ni for ci, ni in zip(c, cand)]
-                vals = [sum((row[j] * diff[j] for j in range(d)), field.zero())
-                        for row in rows]
-                if all(v.is_zero() for v in vals):
-                    found = cand
-                    break
-            if found is not None:
-                assert sol.feasible
-                # the witness must satisfy the system exactly
-                diff = [ci - field.from_rational(ni)
-                        for ci, ni in zip(c, sol.witness)]
-                for row in rows:
-                    assert sum((row[j] * diff[j] for j in range(d)),
-                               field.zero()).is_zero()
-            elif sol.feasible:
-                # witness may be outside the search window; verify it directly
-                diff = [ci - field.from_rational(ni)
-                        for ci, ni in zip(c, sol.witness)]
-                for row in rows:
-                    assert sum((row[j] * diff[j] for j in range(d)),
-                               field.zero()).is_zero()
+        sol = integer_shift(perp.basis, q(2, Fraction(1, 3)))
+        assert sol is not None and sol.shift[0] == 2
 
     def test_lattice_describes_all_solutions(self):
-        a = [[QQ.one(), QQ.zero()]]
-        sol = solve_integer_affine(a, [QQ.from_rational(3), QQ.zero()])
-        assert sol.lattice.contains([0, 1])
-        assert not sol.lattice.contains([1, 0])
+        sol = integer_shift([[QQ.one(), QQ.zero()]], q(3, 0))
+        lattice = LatticeSubgroup.from_generators(2, sol.shift_lattice)
+        assert lattice.contains([0, 1])
+        assert not lattice.contains([1, 0])
 
 
 def _combination(field, e, coeffs, us, shift, ls):
@@ -455,15 +428,15 @@ class TestLatticeCoset:
             is None
 
     def test_integer_affine_shape(self):
-        # no u, l_j = A e_j, t = A c:  n1 = 3, n2 free
-        a = [[QQ.one(), QQ.zero()]]
-        sol = integer_shift_coset(a, q(3, Fraction(1, 7)))
+        # no u, l_j = A e_j, t = A c with A = [[1, 0]]:  n1 = 3, n2 free
+        ls = [q(1), q(0)]
+        sol = solve_lattice_coset("Z", (), ls, q(3))
         assert sol == CosetSolution((), (3, 0), ((),), ((0, 1),), ())
-        assert integer_shift_coset(a, q(Fraction(1, 2), 0)) is None
+        assert solve_lattice_coset("Z", (), ls, q(Fraction(1, 2))) is None
 
     def test_no_equations(self):
         # A with no rows (the full subspace's perp): every shift solves
-        assert integer_shift_coset([], q(Fraction(1, 2), 0)) == \
+        assert solve_lattice_coset("Z", (), [(), ()], ()) == \
             CosetSolution((), (0, 0), ((), ()), ((1, 0), (0, 1)), ())
         # t in R^0: every c is free, every n is a lattice direction
         sol = solve_lattice_coset("Q", [()], [()], ())
@@ -484,13 +457,6 @@ class TestLatticeCoset:
                 feasible += 1
                 _assert_family(field, ring, us, ls, t, sol)
         assert feasible > 5
-
-
-def _int_grid(d, bound):
-    out = [()]
-    for _ in range(d):
-        out = [v + (k,) for v in out for k in range(-bound, bound + 1)]
-    return out
 
 
 class TestCosetLattice:
@@ -562,30 +528,26 @@ class TestCosetLattice:
 
 
 class TestMixedSolver:
-    def test_no_rows_rejected(self):
-        # without rows the unknown counts, and so the family, are unknown
-        with pytest.raises(ValueError):
-            solve_mixed_affine([], [], [])
+    """Systems in rational unknowns c (ring Q) and integral unknowns n."""
 
     def test_rational_only(self):
         # c1 + 2 c2 = 1 has rational solutions
-        sol = solve_mixed_affine([[Fraction(1), Fraction(2)]], [], [Fraction(1)])
+        sol = solve_lattice_coset("Q", [q(1), q(2)], (), q(1))
         assert sol is not None
-        assert sol.rat_part[0] + 2 * sol.rat_part[1] == 1
-        assert len(sol.rat_kernel) == 1
+        assert sol.coeffs[0] + 2 * sol.coeffs[1] == 1
+        assert len(sol.coeff_kernel) == 1
 
     def test_integer_only_infeasible(self):
         # 2n = 1 has no integer solution
-        sol = solve_mixed_affine([], [[Fraction(2)]], [Fraction(1)])
-        assert sol is None
+        assert solve_lattice_coset("Z", (), [q(2)], q(1)) is None
 
     def test_mixed(self):
         # c + n = 1/2 with c rational, n integer: c = 1/2 - n
-        sol = solve_mixed_affine([[Fraction(1)]], [[Fraction(1)]], [Fraction(1, 2)])
+        sol = solve_lattice_coset("Q", [q(1)], [q(1)], q(Fraction(1, 2)))
         assert sol is not None
-        assert sol.rat_part[0] + sol.int_part[0] == Fraction(1, 2)
-        assert len(sol.int_lattice) == 1
-        lam, shift = sol.int_lattice[0], sol.rat_shifts[0]
+        assert sol.coeffs[0] + sol.shift[0] == Fraction(1, 2)
+        assert len(sol.shift_lattice) == 1
+        lam, shift = sol.shift_lattice[0], sol.coeff_lattice[0]
         assert shift[0] + lam[0] == 0
 
     def test_solution_family_random(self):
@@ -601,20 +563,22 @@ class TestMixedSolver:
                      for _ in range(b)] for _ in range(m)]
             rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in range(m)]
-            sol = solve_mixed_affine(rat, intc, rhs)
+            sol = solve_lattice_coset("Q", [q(*(row[p] for row in rat)) for p in range(a)],
+                                      [q(*(row[j] for row in intc)) for j in range(b)],
+                                      q(*rhs))
             if sol is None:
                 continue
 
             def residual(c, n):
                 return [sum(rat[i][p] * c[p] for p in range(a))
-                        + sum(intc[i][q] * n[q] for q in range(b)) - rhs[i]
+                        + sum(intc[i][j] * n[j] for j in range(b)) - rhs[i]
                         for i in range(m)]
 
-            assert all(x == 0 for x in residual(sol.rat_part, sol.int_part))
-            for lam, shift in zip(sol.int_lattice, sol.rat_shifts):
-                c = [x + y for x, y in zip(sol.rat_part, shift)]
-                n = [x + y for x, y in zip(sol.int_part, lam)]
+            assert all(x == 0 for x in residual(sol.coeffs, sol.shift))
+            for lam, shift in zip(sol.shift_lattice, sol.coeff_lattice):
+                c = [x + y for x, y in zip(sol.coeffs, shift)]
+                n = [x + y for x, y in zip(sol.shift, lam)]
                 assert all(x == 0 for x in residual(c, n))
-            for ker in sol.rat_kernel:
-                c = [x + 7 * y for x, y in zip(sol.rat_part, ker)]
-                assert all(x == 0 for x in residual(c, sol.int_part))
+            for ker in sol.coeff_kernel:
+                c = [x + 7 * y for x, y in zip(sol.coeffs, ker)]
+                assert all(x == 0 for x in residual(c, sol.shift))
