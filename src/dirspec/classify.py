@@ -53,15 +53,21 @@ def _lattice_shifts_allowed(m: SymbolicMeasure) -> bool:
     return m.space == TORUS or m.periodized
 
 
-def _on_affine_wall(shifts: bool, sub_l: Subspace, point: FieldVector,
+def _wall_lattice(sub_l: Subspace) -> CosetLattice:
+    """Z.span{B_L e_j}: the lattice shifts seen through direction L.  It
+    depends only on L, so callers build it once per direction."""
+    rows = sub_l.basis
+    return CosetLattice.make(
+        [], [flatten(tuple(b[j] for b in rows)) for j in range(sub_l.ambient)])
+
+
+def _on_affine_wall(lattice: CosetLattice | None, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
-    """Is ``point`` on L^perp + ell (modulo Z^d when ``shifts``)?  On the
-    torus: is B_L (point - ell) in Z.span{B_L e_j}, i.e. is its coset key zero?"""
+    """Is ``point`` on L^perp + ell, modulo Z^d when ``lattice`` is the
+    ``_wall_lattice`` of L, i.e. when the coset key of B_L (point - ell) is zero?"""
     diff = vec_sub(point, ell)
     rows = sub_l.basis
-    if shifts:
-        lattice = CosetLattice.make(
-            [], [flatten(tuple(b[j] for b in rows)) for j in range(sub_l.ambient)])
+    if lattice is not None:
         return not any(lattice.key(flatten(mat_vec(rows, diff))))
     return all(vec_dot(b, diff).is_zero() for b in rows)
 
@@ -85,20 +91,6 @@ def _group_meets_wall(shifts: bool, comp: "AtomGroup | GroupFamily", sub_l: Subs
     return group_value_coset_nontrivial(sub_l.field, comp, sol, lattice_trivial=shifts)
 
 
-def _component_wall_positive(m: SymbolicMeasure, index: int, comp: Component,
-                             sub_l: Subspace, ell: FieldVector
-                             ) -> tuple[bool, FieldVector | None]:
-    shifts = _lattice_shifts_allowed(m)
-    if isinstance(comp, Atom):
-        return _on_affine_wall(shifts, sub_l, comp.point, ell), comp.point
-    if isinstance(comp, BoxLebesgue):
-        if not comp.carrier.subspace.orthogonal_to(sub_l):
-            return False, None
-        return _on_affine_wall(shifts, sub_l, comp.carrier.offset, ell), None
-    witness = _group_meets_wall(shifts, comp, sub_l, ell)
-    return witness is not None, witness
-
-
 def _wall_descriptor(m: SymbolicMeasure, comp: Component) -> dict:
     doc = comp.encode()
     doc.pop("weight", None)
@@ -113,13 +105,26 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
         else zero_vector(m.field, m.dim)
     if not direction.contains(ell_vec):
         raise ValidationError("the eigenvalue candidate must lie in the direction")
+    shifts = _lattice_shifts_allowed(m)
+    lattice = None  # the wall lattice of the direction, built at its first use
     witnesses = []
     for i, comp in enumerate(m.components):
-        positive, atom = _component_wall_positive(m, i, comp, direction, ell_vec)
-        if positive:
-            witnesses.append(WallWitness(i, _wall_descriptor(m, comp), ell_vec,
-                                         atom if not isinstance(comp, BoxLebesgue)
-                                         else None))
+        if isinstance(comp, AtomGroup):
+            atom = _group_meets_wall(shifts, comp, direction, ell_vec)
+            if atom is None:
+                continue
+        else:
+            if isinstance(comp, Atom):
+                atom = point = comp.point
+            elif comp.carrier.subspace.orthogonal_to(direction):
+                atom, point = None, comp.carrier.offset
+            else:
+                continue
+            if shifts and lattice is None:
+                lattice = _wall_lattice(direction)
+            if not _on_affine_wall(lattice, direction, point, ell_vec):
+                continue
+        witnesses.append(WallWitness(i, _wall_descriptor(m, comp), ell_vec, atom))
     return WallTestResult(bool(witnesses), tuple(witnesses))
 
 
@@ -245,10 +250,13 @@ class ConciseSet:
         for s in self.subspaces:
             if direction.leq(s):
                 return True
+        lattice = None  # the wall lattice of the direction, built at its first use
         for fam in self.parametric_families:
             if not fam.subspace.orthogonal_to(direction):
                 continue
-            if _on_affine_wall(self.space == TORUS, direction, fam.offset,
+            if self.space == TORUS and lattice is None:
+                lattice = _wall_lattice(direction)
+            if _on_affine_wall(lattice, direction, fam.offset,
                                zero_vector(self.fieldspec, self.dim)):
                 return True
         for fam in self.group_families:
@@ -442,12 +450,9 @@ def directional_eigenvalues(m: SymbolicMeasure,
     shifts = _lattice_shifts_allowed(m)
     lattice_images: tuple[FieldVector, ...] = ()
     if shifts:
-        images = []
-        for j in range(m.dim):
-            img = direction.project(unit_vector(m.field, m.dim, j))
-            if not vec_is_zero(img):
-                images.append(img)
-        lattice_images = tuple(images)
+        images = direction.project_all([unit_vector(m.field, m.dim, j)
+                                        for j in range(m.dim)])
+        lattice_images = tuple(img for img in images if not vec_is_zero(img))
     out = []
     for i, comp in enumerate(m.components):
         if isinstance(comp, Atom):

@@ -9,12 +9,12 @@ solver for lattice cosets and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
-bases), ``span_coordinates`` (the Gram system behind ``Subspace.project``
-and the torus box-offset reduction), ``saturate`` (V^-1 from [V | I]),
-``rationality``, ``solve_lattice_coset`` (the rational unknowns) and
-``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
-output.  The integer eliminations are ``hermite_normal_form`` and
-``smith_normal_form``.  ``flatten`` is the one map from field vectors to
+bases), ``span_coordinates`` (one Gram system for many vectors, behind
+``Subspace.project_all`` and the torus box-offset reduction), ``saturate``
+(V^-1 from [V | I]), ``rationality``, ``solve_lattice_coset`` (the rational
+unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
+kernels off its output.  The integer eliminations are ``hermite_normal_form``
+and ``smith_normal_form``.  ``flatten`` is the one map from field vectors to
 rational coordinates over the field basis; the solver rows, the class keys
 and the torus wall keys all use it.
 
@@ -99,16 +99,8 @@ def vec_is_zero(u: FieldVector) -> bool:
     return all(a.is_zero() for a in u)
 
 
-def vec_is_rational(u: FieldVector) -> bool:
-    return all(a.is_rational() for a in u)
-
-
 def vec_mod1(u: FieldVector) -> FieldVector:
     return tuple(a.frac() for a in u)
-
-
-def vec_floats(u: FieldVector) -> list[float]:
-    return [float(a) for a in u]
 
 
 def flatten(v: FieldVector) -> list[Fraction]:
@@ -180,15 +172,18 @@ def nullspace(rr: list[list], pivots: list[int], ncols: int, zero, one) -> list[
     return basis
 
 
-def span_coordinates(basis, v: FieldVector) -> list[FieldScalar]:
-    """Coefficients x of the orthogonal projection of v onto span(basis),
-    sum_i x_i basis[i], from the Gram system (basis must be independent)."""
+def span_coordinates(basis, vectors) -> list[list[FieldScalar]]:
+    """For each v in ``vectors``, the coefficients x of the orthogonal
+    projection of v onto span(basis), sum_i x_i basis[i].  One elimination of
+    the Gram system [G | B v_1 ... B v_m] serves every right-hand side (basis
+    must be independent)."""
     n = len(basis)
-    gram = [[vec_dot(bi, bj) for bj in basis] + [vec_dot(bi, v)] for bi in basis]
+    gram = [[vec_dot(bi, bj) for bj in basis] + [vec_dot(bi, v) for v in vectors]
+            for bi in basis]
     rr, pivots = rref_field(gram, n)
     if len(pivots) < n:
         raise ValidationError("singular system")
-    return [row[n] for row in rr]
+    return [[row[n + k] for row in rr] for k in range(len(vectors))]
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +275,20 @@ class Subspace:
 
     def project(self, v: FieldVector) -> FieldVector:
         """Orthogonal projection of v onto this subspace (exact)."""
-        if self.dim == 0 or vec_is_zero(v):
+        if vec_is_zero(v):
             return zero_vector(self.field, self.ambient)
-        x = span_coordinates(self.basis, v)
-        out = zero_vector(self.field, self.ambient)
-        for c, b in zip(x, self.basis):
-            out = vec_add(out, vec_scale(c, b))
+        return self.project_all([v])[0]
+
+    def project_all(self, vectors) -> list[FieldVector]:
+        """Orthogonal projections of several vectors, from one Gram elimination."""
+        if self.dim == 0:
+            return [zero_vector(self.field, self.ambient) for _ in vectors]
+        out = []
+        for x in span_coordinates(self.basis, vectors):
+            p = zero_vector(self.field, self.ambient)
+            for c, b in zip(x, self.basis):
+                p = vec_add(p, vec_scale(c, b))
+            out.append(p)
         return out
 
     def project_perp(self, v: FieldVector) -> FieldVector:
@@ -579,9 +582,6 @@ class TorusSubgroup:
     @property
     def ambient(self) -> int:
         return self.continuous_part.ambient
-
-    def n_components(self) -> int:
-        return len(self.torsion)
 
     def encode(self) -> dict:
         return {"continuous_basis": [[str(x.as_rational()) for x in row]

@@ -295,9 +295,6 @@ class SymbolicMeasure:
                         for m in (self, other))
         return mine == theirs
 
-    def total_weight(self) -> Fraction:
-        return sum((c.weight for c in self.components), Fraction(0))
-
     def has_delta_zero(self) -> bool:
         """True if the class contains a point mass at the group identity
         (on periodized Euclidean measures: at any lattice point)."""
@@ -415,19 +412,19 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
     compares carriers either way."""
     if vec_is_zero(offset) or not any(_box_key(TORUS, field, dim, sub, offset)[2]):
         return zero_vector(field, dim)
-    proj = [sub.project_perp(unit_vector(field, dim, j)) for j in range(dim)]
+    units = [unit_vector(field, dim, j) for j in range(dim)]
+    proj = [vec_sub(e, p) for e, p in zip(units, sub.project_all(units))]
     if not all(all(x.is_rational() for x in p) for p in proj):
         return offset
     hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
     basis = [as_vector(field, row) for row in hnf]
     # coordinates of the offset over the projected-lattice basis, floor-reduced
-    work = offset
-    coords = span_coordinates(basis, work)
+    coords = span_coordinates(basis, [offset])[0]
     for c, b in zip(coords, basis):
         k = c.floor()
         if k:
-            work = vec_sub(work, vec_scale(field.from_rational(k), b))
-    return work
+            offset = vec_sub(offset, vec_scale(field.from_rational(k), b))
+    return offset
 
 
 def decode_component(field: FieldSpec, dim: int, doc: dict) -> Component:

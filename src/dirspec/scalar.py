@@ -5,7 +5,10 @@ A field is described by a tuple of square-free, pairwise coprime integers
 rationals over the multiplicative basis ``{prod_{i in S} sqrt(m_i) : S subset}``,
 indexed by bitmask (index 0 is the rational unit 1).  The only predicates the
 rest of the toolkit needs are exact equality with zero and field arithmetic;
-no total ordering is exposed.
+no total ordering is exposed.  The one order-dependent operation, ``floor``
+(reduction mod 1 on the torus), is exact as well: integer square roots bound
+it and exact sign tests down the tower of quadratic extensions settle it.
+``float`` is only the embedding the numerical oracle evaluates.
 """
 from __future__ import annotations
 
@@ -14,14 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .errors import FieldMismatchError, ValidationError
 
 RationalLike = int | Fraction
-
-# mpmath working precision (decimal digits) for floor/embedding fallbacks.
-_MP_DPS = 60
 
 
 def _is_square_free(m: int) -> bool:
@@ -121,18 +119,39 @@ def _basis_floats(roots: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _basis_mpf(roots: tuple[int, ...]):
-    with mpmath.workdps(_MP_DPS):
-        dim = 1 << len(roots)
-        out = []
-        for j in range(dim):
-            v = mpmath.mpf(1)
-            for i, m in enumerate(roots):
-                if j >> i & 1:
-                    v *= mpmath.sqrt(m)
-            out.append(v)
-    return tuple(out)
+def _mul(a, b, roots: tuple[int, ...], zero) -> list:
+    """Product of two coefficient vectors over the basis of Q(sqrt roots);
+    ``zero`` (0 or Fraction(0)) fills the entries no product reaches."""
+    out = [zero] * len(a)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y == 0:
+                continue
+            # sqrt-basis product: shared radicals square to their radicand
+            c = x * y
+            shared = i & j
+            for bit, m in enumerate(roots):
+                if shared >> bit & 1:
+                    c *= m
+            out[i ^ j] += c
+    return out
+
+
+def _sign(coeffs, roots: tuple[int, ...]) -> int:
+    """Exact sign (-1, 0, 1) of the real embedding of a coefficient vector.
+    With x = a + b*sqrt(m), m the last root and a, b in the subfield, sign(x) is
+    the common sign of a and b, or sign(a) * sign(a^2 - m*b^2) when they differ."""
+    if not roots:
+        return (coeffs[0] > 0) - (coeffs[0] < 0)
+    half = len(coeffs) // 2
+    a, b, sub = coeffs[:half], coeffs[half:], roots[:-1]
+    sa, sb = _sign(a, sub), _sign(b, sub)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * _sign([p - roots[-1] * q
+                       for p, q in zip(_mul(a, a, sub, 0), _mul(b, b, sub, 0))], sub)
 
 
 class FieldScalar:
@@ -210,24 +229,8 @@ class FieldScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = self.field.dimension
-        out = [Fraction(0)] * n
-        roots = self.field.roots
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b == 0:
-                    continue
-                # sqrt-basis product: shared radicals square to their radicand
-                k = i ^ j
-                c = a * b
-                shared = i & j
-                for bit, m in enumerate(roots):
-                    if shared >> bit & 1:
-                        c *= m
-                out[k] += c
-        return FieldScalar(self.field, tuple(out))
+        return FieldScalar(self.field,
+                           tuple(_mul(self.coeffs, o.coeffs, self.field.roots, Fraction(0))))
 
     __rmul__ = __mul__
 
@@ -264,21 +267,6 @@ class FieldScalar:
             return NotImplemented
         return self.invert() if o == 1 else o * self.invert()
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.invert() ** (-exponent)
-        out = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     # -- equality / hashing ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -301,23 +289,32 @@ class FieldScalar:
         basis = self.field.basis_floats()
         return float(sum(float(c) * b for c, b in zip(self.coeffs, basis)))
 
-    def mpf(self):
-        basis = _basis_mpf(self.field.roots)
-        with mpmath.workdps(_MP_DPS):
-            return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * b
-                               for c, b in zip(self.coeffs, basis) if c != 0)
-
     def floor(self) -> int:
-        """Integer floor of the real embedding.
-
-        Exact for rational elements.  For irrational elements the floor is
-        determined from a 60-digit evaluation; inputs within 1e-40 of an
-        integer without being one are outside the supported regime.
-        """
-        if self.is_rational():
-            return self.coeffs[0].numerator // self.coeffs[0].denominator
-        with mpmath.workdps(_MP_DPS):
-            return int(mpmath.floor(self.mpf()))
+        """Integer floor of the real embedding, decided exactly: the floors of
+        the t nonzero terms c*sqrt(r), by integer square roots, sum to n with
+        n <= floor <= n + t - 1, and at most t - 1 exact sign tests settle it."""
+        n = t = 0
+        for j, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            t += 1
+            p, q = c.numerator, c.denominator
+            if j == 0:
+                n += p // q
+            else:
+                # c*sqrt(r) is irrational, so floor(-y) = -floor(y) - 1
+                s = math.isqrt(p * p * self.field.basis_radicand(j)) // q
+                n += s if p > 0 else -s - 1
+        if t < 2:
+            return n
+        # sign tests on integer coefficients over a common denominator
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        for _ in range(t - 1):
+            if _sign([nums[0] - (n + 1) * den] + nums[1:], self.field.roots) < 0:
+                break
+            n += 1
+        return n
 
     def frac(self) -> "FieldScalar":
         """Fractional part, in [0, 1): self - floor(self)."""

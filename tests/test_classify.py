@@ -9,14 +9,17 @@ from dirspec import measure as M
 from dirspec.errors import (InvalidDirectionSetError, NotReducedError,
                             ValidationError)
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, annihilator,
-                            as_vector, mat_vec, rationality, solve_lattice_coset,
-                            vec_add, vec_dot, vec_scale, vec_sub, zero_vector)
+                            as_vector, mat_vec, promote_subspace, rationality,
+                            solve_lattice_coset, vec_add, vec_dot, vec_scale, vec_sub,
+                            zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldSpec
 
 F2 = FieldSpec((2,))
 F5 = FieldSpec((5,))
+F23 = FieldSpec((2, 3))
+F25 = FieldSpec((2, 5))
 E1 = Subspace.from_vectors(QQ, 2, [[1, 0]])
 E2 = Subspace.from_vectors(QQ, 2, [[0, 1]])
 DIAG = Subspace.from_vectors(QQ, 2, [[1, 1]])
@@ -294,8 +297,8 @@ class TestGroupWallOracle:
                 # the witness must be a genuine atom lying on the wall
                 assert not all(x.is_integer() for x in witness)
                 perp = sub.orthocomplement()
-                diff_ok = C._on_affine_wall(C._lattice_shifts_allowed(m), sub, witness,
-                                            zero_vector(field, 2))
+                lattice = C._wall_lattice(sub) if C._lattice_shifts_allowed(m) else None
+                diff_ok = C._on_affine_wall(lattice, sub, witness, zero_vector(field, 2))
                 assert diff_ok
                 assert M.module_member(field, comp, witness, TORUS)
             else:
@@ -312,7 +315,7 @@ def _int_grid(d, bound):
 
 
 class TestAffineWallKey:
-    """The torus wall test ``_on_affine_wall(True, ...)`` reads a coset key;
+    """The torus wall test ``_on_affine_wall(_wall_lattice(L), ...)`` reads a coset key;
     it must agree with the coset solve for a shift n with B_L (diff - n) = 0
     and with a bounded search of shifts (which can only certify)."""
 
@@ -353,7 +356,7 @@ class TestAffineWallKey:
                     diff = vec_add(diff, vec_scale(gen.rand_scalar(rng, field), b))
             else:
                 diff = gen.rand_vector(rng, field, d)
-            on_wall = C._on_affine_wall(True, sub, vec_add(ell, diff), ell)
+            on_wall = C._on_affine_wall(C._wall_lattice(sub), sub, vec_add(ell, diff), ell)
             rows = sub.basis
             sol = solve_lattice_coset("Z", (), [tuple(b[j] for b in rows) for j in range(d)],
                                       mat_vec(rows, diff))
@@ -570,6 +573,45 @@ class TestEmbeddingConsistency:
                 v2 = C.classify_direction(m_torus, sub)
                 assert v1.ergodic == v2.ergodic
                 assert v1.weak_mixing == v2.weak_mixing
+
+
+class TestFieldPromotion:
+    """Verdicts and concise sets describe the measure, not the field it is
+    written in: promoting the measure and the directions into a larger field
+    changes no encoded output (and reduces every atom mod 1 in the deeper
+    tower again)."""
+
+    @staticmethod
+    def _outputs(m, directions):
+        return ([C.classify_direction(m, sub).encode() for sub in directions]
+                + [C.nonergodic_concise(m).encode(2), C.nonwm_concise(m).encode(2)])
+
+    def _check(self, m, directions, field):
+        promoted = M.promote_field(m, field)
+        assert promoted.field == field
+        assert self._outputs(promoted, [promote_subspace(sub, field) for sub in directions]) \
+            == self._outputs(m, directions)
+
+    @pytest.mark.parametrize("name", ["product_bernoulli", "bw8", "chair", "lonely_atom",
+                                      "ergodic_not_wm", "broken_symmetry"])
+    def test_torus_fixtures(self, fixtures_dir, name):
+        import json
+        m = SymbolicMeasure.decode(json.loads((fixtures_dir / f"{name}.json").read_text()))
+        assert m.space == TORUS and m.field == QQ
+        self._check(m, [E1, E2, DIAG, Subspace.from_vectors(QQ, 2, [[1, 2]]),
+                        Subspace.from_vectors(QQ, 2, [[3, -1]])], F23)
+        slope = Subspace.from_vectors(F2, 2, [[F2.one(), F2.sqrt_root(2) - 1]])
+        self._check(M.promote_field(m, F2), [slope], F23)
+
+    def test_random_sqrt2_measures(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            # concise sets of atom groups in T^3 enumerate for seconds: groups in T^2
+            d = rng.randint(2, 3)
+            m = gen.rand_measure(rng, F2, d, TORUS, with_groups=d == 2)
+            directions = [gen.rand_subspace(rng, F2, d, rng.randint(1, d - 1))
+                          for _ in range(2)]
+            self._check(m, directions, F25)
 
 
 class TestPughShub:

@@ -1,5 +1,11 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -157,6 +163,86 @@ class TestFloorAndFrac:
                                  for _ in range(4)])
             f = float(x.frac())
             assert -1e-12 <= f < 1 + 1e-12
+
+
+def _sqrt2_convergent(n):
+    """The n-th convergent p/q of sqrt2 (p^2 - 2q^2 = +-1)."""
+    p, q = 1, 1
+    for _ in range(n):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def _near_integer_cases():
+    """(x, floor x): two within 1e-38 of an integer, one beyond float range."""
+    p, q = _sqrt2_convergent(100)
+    assert p * p - 2 * q * q == -1
+    r2 = F2.sqrt_root(2)
+    return [(7 - (r2 - Fraction(p, q)), 6),   # sqrt2 - p/q is about +4e-77
+            (p - q * r2, -1),                 # p - q*sqrt2 = -1/(p + q*sqrt2)
+            (10 ** 400 + r2, 10 ** 400 + 1)]
+
+
+def _decimal_floor(x):
+    with localcontext() as ctx:
+        ctx.prec = 120
+        total = sum(Decimal(c.numerator) / Decimal(c.denominator)
+                    * Decimal(x.field.basis_radicand(j)).sqrt()
+                    for j, c in enumerate(x.coeffs) if c != 0)
+        return int(Decimal(total).to_integral_value(rounding=ROUND_FLOOR))
+
+
+class TestExactFloor:
+    @pytest.mark.parametrize("index", range(3))
+    def test_near_integer(self, index):
+        x, expected = _near_integer_cases()[index]
+        start = time.perf_counter()
+        assert x.floor() == expected
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_frac_of_near_integer(self, index):
+        x, expected = _near_integer_cases()[index]
+        assert x.frac() == x - expected
+        assert x.frac().floor() == 0
+
+    def test_against_decimal(self):
+        rng = random.Random(41)
+        for field in (F2, FieldSpec((3,)), F23, F235):
+            for _ in range(150):
+                x = field.from_coeffs([
+                    Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                             rng.randint(1, 10 ** rng.randint(0, 30)))
+                    if rng.random() < 0.8 else 0 for _ in range(field.dimension)])
+                assert x.floor() == _decimal_floor(x), x
+
+    def test_runs_without_mpmath(self):
+        # no step of the exact core may need a numerical library: decode and
+        # classify an irrational torus measure, whose atoms are reduced mod 1
+        code = "\n".join([
+            "import sys",
+            "sys.modules['mpmath'] = None",
+            "from dirspec.classify import classify_direction, nonwm_concise",
+            "from dirspec.linalg import Subspace",
+            "from dirspec.measure import SymbolicMeasure",
+            "from dirspec.scalar import FieldSpec",
+            "F2 = FieldSpec((2,))",
+            "m = SymbolicMeasure.decode({'space': 'torus', 'dim': 2, 'field_roots': [2],",
+            "    'components': [{'kind': 'atom', 'point': [{'sqrt2': '3'}, '-5/2']},",
+            "                   {'kind': 'box', 'basis': [['0', '1']],",
+            "                    'offset': [{'1': '1', 'sqrt2': '1'}, '0']}]})",
+            "assert [c.encode() for c in m.components] == [",
+            "    {'kind': 'atom', 'point': [{'1': '-4', 'sqrt2': '3'}, '1/2'], 'weight': '1'},",
+            "    {'kind': 'box', 'basis': [['0', '1']],",
+            "     'offset': [{'1': '-1', 'sqrt2': '1'}, '0'], 'weight': '1'}]",
+            "v = classify_direction(m, Subspace.from_vectors(F2, 2, [[1, 0]]))",
+            "assert v.ergodic and not v.weak_mixing",
+            "assert not nonwm_concise(m).is_empty()",
+        ])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEncoding:
