@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError)
+from .errors import (DimensionMismatchError, InvalidDirectionSetError, NotReducedError,
+                     ValidationError)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
                      flatten, mat_vec, solve_lattice_coset, unit_vector, vec_add,
                      vec_dot, vec_is_zero, vec_sub, zero_vector)
@@ -55,10 +56,14 @@ def _lattice_shifts_allowed(m: SymbolicMeasure) -> bool:
 
 def _wall_lattice(sub_l: Subspace) -> CosetLattice:
     """Z.span{B_L e_j}: the lattice shifts seen through direction L.  It
-    depends only on L, so callers build it once per direction."""
-    rows = sub_l.basis
-    return CosetLattice.make(
-        [], [flatten(tuple(b[j] for b in rows)) for j in range(sub_l.ambient)])
+    depends only on L, so it is built once per direction and kept in the
+    subspace's memo."""
+    lattice = sub_l.memo.get("wall_lattice")
+    if lattice is None:
+        rows = sub_l.basis
+        lattice = sub_l.memo["wall_lattice"] = CosetLattice.make(
+            [], [flatten(tuple(b[j] for b in rows)) for j in range(sub_l.ambient)])
+    return lattice
 
 
 def _on_affine_wall(lattice: CosetLattice | None, sub_l: Subspace, point: FieldVector,
@@ -81,14 +86,21 @@ def _group_meets_wall(shifts: bool, comp: "AtomGroup | GroupFamily", sub_l: Subs
     the coefficient ring and lattice shifts n: the coset primitive with
     u_i = B_L g_i, l_j = -B_L e_j and t = B_L (ell - offset).  Then pick a
     solution whose group element  offset + sum c_i g_i  is a genuine atom.
+    The answer depends only on L and the key below, so it is kept in the
+    subspace's memo: the central wall test of ``classify_direction`` and
+    ``contains_direction`` on the nonergodic concise set pose the same system.
     """
+    key = (shifts, comp.ring, comp.generators, comp.offset, ell)
+    if key in sub_l.memo:
+        return sub_l.memo[key]
     rows = sub_l.basis
     ls = [tuple(-b[j] for b in rows) for j in range(sub_l.ambient)] if shifts else ()
     sol = solve_lattice_coset(comp.ring, [mat_vec(rows, g) for g in comp.generators], ls,
                               mat_vec(rows, vec_sub(ell, comp.offset)))
-    if sol is None:
-        return None
-    return group_value_coset_nontrivial(sub_l.field, comp, sol, lattice_trivial=shifts)
+    atom = None if sol is None else group_value_coset_nontrivial(
+        sub_l.field, comp, sol, lattice_trivial=shifts)
+    sub_l.memo[key] = atom
+    return atom
 
 
 def _wall_descriptor(m: SymbolicMeasure, comp: Component) -> dict:
@@ -103,10 +115,11 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
         raise ValidationError("direction incompatible with the measure")
     ell_vec = as_vector(m.field, ell) if ell is not None \
         else zero_vector(m.field, m.dim)
+    if len(ell_vec) != m.dim:
+        raise DimensionMismatchError("the eigenvalue candidate has wrong length")
     if not direction.contains(ell_vec):
         raise ValidationError("the eigenvalue candidate must lie in the direction")
     shifts = _lattice_shifts_allowed(m)
-    lattice = None  # the wall lattice of the direction, built at its first use
     witnesses = []
     for i, comp in enumerate(m.components):
         if isinstance(comp, AtomGroup):
@@ -120,8 +133,7 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
                 atom, point = None, comp.carrier.offset
             else:
                 continue
-            if shifts and lattice is None:
-                lattice = _wall_lattice(direction)
+            lattice = _wall_lattice(direction) if shifts else None
             if not _on_affine_wall(lattice, direction, point, ell_vec):
                 continue
         witnesses.append(WallWitness(i, _wall_descriptor(m, comp), ell_vec, atom))
@@ -250,12 +262,10 @@ class ConciseSet:
         for s in self.subspaces:
             if direction.leq(s):
                 return True
-        lattice = None  # the wall lattice of the direction, built at its first use
         for fam in self.parametric_families:
             if not fam.subspace.orthogonal_to(direction):
                 continue
-            if self.space == TORUS and lattice is None:
-                lattice = _wall_lattice(direction)
+            lattice = _wall_lattice(direction) if self.space == TORUS else None
             if _on_affine_wall(lattice, direction, fam.offset,
                                zero_vector(self.fieldspec, self.dim)):
                 return True
@@ -335,10 +345,15 @@ def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
     Bases are canonical RREFs and rational scalars hash like their Fraction,
     so equal subspaces are equal dict keys and ``dict.fromkeys`` deduplicates
     without pairwise tests.  s < t forces dim s < dim t, so by transitivity a
-    member needs testing only against the higher-dimensional maximal ones."""
+    member needs testing only against the higher-dimensional maximal ones:
+    members come in non-increasing dimension, so those are the prefix
+    ``out[:higher]`` of the kept ones."""
     out: list[Subspace] = []
+    higher = 0
     for s in sorted(dict.fromkeys(members), key=lambda s: -s.dim):
-        if s.dim > 0 and not any(t.dim > s.dim and s.leq(t) for t in out):
+        while higher < len(out) and out[higher].dim > s.dim:
+            higher += 1
+        if s.dim > 0 and not any(s.leq(out[i]) for i in range(higher)):
             out.append(s)
     out.sort(key=lambda s: (s.dim, str(s.encode())))
     return tuple(out)

@@ -3,9 +3,9 @@
 Provides canonical-form subspaces of R^d over a FieldSpec (reduced row
 echelon bases, so structural equality is definitional equality), affine
 carriers, integer lattice subgroups in Hermite normal form, Smith normal
-form with unimodular transforms, annihilators of lattice subgroups inside
-the torus, saturation, rationality classification of directions, one exact
-solver for lattice cosets and canonical coset keys.
+form, annihilators of lattice subgroups inside the torus, saturation,
+rationality classification of directions, one exact solver for lattice
+cosets and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
@@ -14,9 +14,12 @@ bases), ``span_coordinates`` (one Gram system for many vectors, behind
 (V^-1 from [V | I]), ``rationality``, ``solve_lattice_coset`` (the rational
 unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
 kernels off its output.  The integer eliminations are ``hermite_normal_form``
-and ``smith_normal_form``.  ``flatten`` is the one map from field vectors to
-rational coordinates over the field basis; the solver rows, the class keys
-and the torus wall keys all use it.
+and ``smith_normal_form``.  ``smith_normal_form(M, B)`` returns U·B, D and V
+without forming the row transform U: its row operations act on the rows of B
+(the identity by default, which gives U).  The solver passes its right-hand
+side as B; ``saturate`` and ``annihilator`` read only D and V.  ``flatten`` is
+the one map from field vectors to rational coordinates over the field basis;
+the solver rows, the class keys and the torus wall keys all use it.
 
 ``solve_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  It is called
@@ -29,10 +32,15 @@ Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
 exactly when its key is zero.  ``measure`` reads module bases, class keys,
 module membership and the torus box-offset lattice-shift test off it;
 ``classify._on_affine_wall`` decides atom and box torus walls with it.
+
+A ``Subspace`` is frozen and canonical, so values that depend only on it are
+stored in its ``memo`` dict: ``classify`` keeps the torus wall lattice of a
+direction and its atom-group wall answers there.  The memo takes no part in
+equality, hashing, ``encode`` or ``repr``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import lcm
 
@@ -193,11 +201,16 @@ def span_coordinates(basis, vectors) -> list[list[FieldScalar]]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of R^d with a canonical RREF basis over the field."""
+    """Linear subspace of R^d with a canonical RREF basis over the field.
+
+    ``memo`` holds values computed from the subspace alone, filled by their
+    callers; it is not part of the value."""
 
     field: FieldSpec
     ambient: int
     basis: tuple[FieldVector, ...]
+    memo: dict = dataclass_field(default_factory=dict, init=False, compare=False,
+                                 hash=False, repr=False)
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -403,20 +416,26 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:r])
 
 
-def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (U, D, V) with U @ M @ V = D.
+def smith_normal_form(matrix, rhs=None) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: returns (U @ B, D, V) with U @ M @ V = D.
 
     D is diagonal with d_i | d_{i+1} and nonnegative; U, V are unimodular.
+    U is not formed: every row operation on M is applied to the rows of the
+    right-hand sides B = ``rhs`` (m rows, any number of columns) instead.
+    ``rhs`` defaults to the m x m identity, so ``smith_normal_form(M)``
+    returns U itself.  The pivot sequence does not depend on ``rhs``: D and V
+    are the same for every B.
     """
     d = [list(map(int, row)) for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    ub = [[int(i == j) for j in range(m)] for i in range(m)] if rhs is None \
+        else [list(map(int, row)) for row in rhs]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        ub[i], ub[j] = ub[j], ub[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -426,7 +445,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def add_row(dst, src, q):  # row_dst += q * row_src
         d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+        ub[dst] = [a + q * b for a, b in zip(ub[dst], ub[src])]
 
     def add_col(dst, src, q):  # col_dst += q * col_src
         for row in d:
@@ -436,7 +455,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def negate_row(i):
         d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
+        ub[i] = [-a for a in ub[i]]
 
     k = 0
     while k < min(m, n):
@@ -489,7 +508,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[k][k] < 0:
             negate_row(k)
         k += 1
-    return u, d, v
+    return ub, d, v
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +733,10 @@ def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | No
     l_1..l_p; ring Q makes the c rational unknowns, ring Z makes them integral
     like n.  Returns None when t is not in the set.  ``rref_field``
     eliminates the rational unknowns, Smith normal form solves the residual
-    integral system, and back-substitution recovers the rational part.  The
-    order and signs of the columns fix the SNF particular solution, and with
-    it any wall witness read off it.
+    integral system (it carries the right-hand side through its row
+    operations, so U is never formed), and back-substitution recovers the
+    rational part.  The order and signs of the columns fix the SNF particular
+    solution, and with it any wall witness read off it.
     """
     k, p = len(us), len(ls)
     a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
@@ -736,9 +756,9 @@ def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | No
         int_rows.append([int(f * den) for f in row[a:a + b]])
         int_rhs.append(int(row[a + b] * den))
     if int_rows:
-        u, dmat, v = smith_normal_form(int_rows)
+        uw, dmat, v = smith_normal_form(int_rows, [[x] for x in int_rhs])
         mm = len(int_rows)
-        w = [sum(u[i][j] * int_rhs[j] for j in range(mm)) for i in range(mm)]
+        w = [row[0] for row in uw]
         y = [0] * b
         for i in range(mm):
             di = dmat[i][i] if i < b else 0

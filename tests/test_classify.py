@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 import gen
 from dirspec import classify as C
 from dirspec import measure as M
-from dirspec.errors import (InvalidDirectionSetError, NotReducedError,
-                            ValidationError)
+from dirspec.errors import (DimensionMismatchError, InvalidDirectionSetError,
+                            NotReducedError, ValidationError)
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, annihilator,
                             as_vector, mat_vec, promote_subspace, rationality,
                             solve_lattice_coset, vec_add, vec_dot, vec_scale, vec_sub,
@@ -71,6 +72,82 @@ class TestWallTest:
         res = C.wall_test(torus(group), Subspace.zero(QQ, 2), None)
         assert res.positive
         assert not all(x.is_integer() for x in res.witnesses[0].atom)
+
+    @pytest.mark.parametrize("ell", [["0"], ["0", "0", "7"]])
+    def test_eigenvalue_of_wrong_length(self, fixtures_dir, ell):
+        m = SymbolicMeasure.decode(json.loads((fixtures_dir / "lonely_atom.json").read_text()))
+        with pytest.raises(DimensionMismatchError):
+            C.wall_test(m, Subspace.from_vectors(QQ, 2, [[1, 0]]), ell)
+
+
+class TestDirectionMemo:
+    """The wall lattice and the atom-group wall answers are kept in the
+    direction's memo: the memo must give the answers a fresh subspace gives,
+    and one classification plus subordination must solve each group once."""
+
+    def test_memo_answers_match_a_fresh_subspace(self):
+        rng = random.Random(41)
+        groups_seen = 0
+        for _ in range(40):
+            field = rng.choice([QQ, F2])
+            space = rng.choice([TORUS, EUCLID])
+            m = gen.rand_measure(rng, field, 2, space, with_groups=True)
+            if m.has_delta_zero():
+                continue
+            sub = gen.rand_subspace(rng, field, 2, target_dim=rng.randint(1, 2))
+            verdict = C.classify_direction(m, sub)
+            in_ne = C.nonergodic_concise(m).contains_direction(sub)
+            for comp in m.components:
+                if isinstance(comp, AtomGroup):
+                    ell = sub.project(vec_add(comp.offset, comp.generators[0]))
+                    C.wall_test(m, sub, ell)
+            fresh = Subspace(sub.field, sub.ambient, sub.basis)
+            for key, answer in sub.memo.items():
+                if key == "wall_lattice":
+                    assert answer == C._wall_lattice(fresh)
+                    continue
+                shifts, ring, gens, offset, ell = key
+                groups_seen += 1
+                assert C._group_meets_wall(shifts, C.GroupFamily(gens, ring, offset),
+                                           fresh, ell) == answer
+            # and the verdicts read from the memo are those of a fresh subspace
+            assert C.classify_direction(m, fresh).encode() == verdict.encode()
+            assert C.nonergodic_concise(m).contains_direction(
+                Subspace(sub.field, sub.ambient, sub.basis)) == in_ne
+        assert groups_seen > 10
+
+    def test_each_group_system_is_solved_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_lattice_coset(*args)
+
+        monkeypatch.setattr(C, "solve_lattice_coset", counting)
+        half = Fraction(1, 2)
+        groups = [AtomGroup((as_vector(QQ, [half, Fraction(1, 3)]),), "Z",
+                            zero_vector(QQ, 2)),
+                  AtomGroup((as_vector(QQ, [Fraction(1, 5), half]),), "Q",
+                            zero_vector(QQ, 2)),
+                  AtomGroup((as_vector(F2, [F2.sqrt_root(2), half]),), "Z",
+                            zero_vector(F2, 2))]
+        for direction in ([1, 0], [0, 1], [1, 1]):
+            for group in groups:
+                field = group.generators[0][0].field
+                m = torus(group, box(Subspace.from_vectors(field, 2, [[1, 1]])),
+                          field=field)
+                sub = Subspace.from_vectors(field, 2, [direction])
+                calls.clear()
+                C.classify_direction(m, sub)
+                C.nonergodic_concise(m).contains_direction(sub)
+                assert len(calls) == 1
+            # two groups in one measure: one solve each
+            m = torus(groups[0], groups[1])
+            sub = Subspace.from_vectors(QQ, 2, [direction])
+            calls.clear()
+            C.classify_direction(m, sub)
+            C.nonergodic_concise(m).contains_direction(sub)
+            assert len(calls) == 2
 
 
 class TestClassifyDirection:

@@ -103,6 +103,22 @@ class TestSubspace:
 int_entry = st.integers(min_value=-6, max_value=6)
 
 
+class TestSubspaceMemo:
+    def test_memo_is_not_part_of_the_value(self):
+        rng = random.Random(37)
+        for _ in range(20):
+            field = rng.choice(gen.FIELDS)
+            sub = gen.rand_subspace(rng, field, 3)
+            fresh = Subspace(sub.field, sub.ambient, sub.basis)
+            before = (hash(sub), sub.encode(), repr(sub))
+            sub.memo["wall_lattice"] = CosetLattice.make([[1]], [])
+            sub.memo[("key", sub.basis)] = None
+            assert sub == fresh and hash(sub) == hash(fresh)
+            assert (hash(sub), sub.encode(), repr(sub)) == before
+            assert fresh.memo == {} and "memo" not in repr(sub)
+            assert {sub: 1}[fresh] == 1
+
+
 class TestRrefField:
     def test_partial_elimination(self):
         # pivots are taken only in the first two columns; the third is carried
@@ -176,12 +192,16 @@ class TestSmithNormalForm:
         _, d, _ = smith_normal_form([[1, 1]])
         assert d == [[1, 0]]
 
-    def test_transforms_random(self):
+    @staticmethod
+    def _random_matrices():
         rng = random.Random(3)
         for _ in range(100):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
-            mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            yield m, n, [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+
+    def test_transforms_random(self):
+        for m, n, mat in self._random_matrices():
             u, d, v = smith_normal_form([row[:] for row in mat])
             assert matmul(matmul(u, mat), v) == d
             assert _det(u) in (1, -1) and _det(v) in (1, -1)
@@ -193,6 +213,18 @@ class TestSmithNormalForm:
                 for j in range(n):
                     if i != j:
                         assert d[i][j] == 0
+
+    def test_rhs_is_carried_through_the_row_operations(self):
+        """smith_normal_form(M, B) returns U @ B, and the same D and V, for
+        the U that smith_normal_form(M) returns."""
+        rng = random.Random(31)
+        for m, _, mat in self._random_matrices():
+            r = rng.randint(1, 3)
+            b = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(m)]
+            u, d, v = smith_normal_form(mat)
+            ub, d_b, v_b = smith_normal_form(mat, b)
+            assert ub == matmul(u, b)
+            assert (d_b, v_b) == (d, v)
 
     def test_zero_matrix(self):
         u, d, v = smith_normal_form([[0, 0], [0, 0]])
