@@ -15,11 +15,12 @@ from fractions import Fraction
 from .errors import (DimensionMismatchError, InvalidDirectionSetError, NotReducedError,
                      ValidationError)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
-                     flatten, mat_vec, solve_lattice_coset, unit_vector, vec_add,
-                     vec_dot, vec_is_zero, vec_sub, zero_vector)
+                     flatten, mat_vec, rationality, solve_lattice_coset, unit_vector,
+                     vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
-                      SymbolicMeasure, exp as measure_exp,
-                      group_value_coset_nontrivial)
+                      SymbolicMeasure, atom_points, exp as measure_exp,
+                      group_value_coset_nontrivial, has_atom_at, pushforward_quotient,
+                      pushforward_subgroup, translate)
 from .scalar import FieldSpec
 
 
@@ -580,9 +581,12 @@ def admissibility_lint(m: SymbolicMeasure) -> list[LintWarning]:
     (c) for atom-free measures, no carrier-perpendicular direction may be
         ergodic yet non weak mixing (ergodicity and weak mixing coincide for
         weak mixing actions).
-    """
-    from .measure import atom_points, has_atom_at, translate
 
+    A periodized class is linted as its push-forward to the torus, where its
+    atoms and carriers live mod Z^d.
+    """
+    if m.periodized:
+        m = pushforward_quotient(m)
     warnings: list[LintWarning] = []
     atoms = atom_points(m)
     closure_ok = True
@@ -643,9 +647,6 @@ def restriction_consistent(m: SymbolicMeasure, direction: Subspace) -> bool | No
     subgroup push-forward: ergodic iff the restricted class has no atom at 0,
     weak mixing iff it has no atoms at all.  Returns None when L is not
     completely rational (no subgroup to restrict to)."""
-    from .linalg import rationality
-    from .measure import has_atom_at, pushforward_subgroup
-
     if m.space != TORUS:
         raise ValidationError("restriction consistency applies to torus measures")
     rep = rationality(direction)

@@ -20,12 +20,11 @@ from .errors import (ClosureBoundError, DirspecError, UnsupportedConvolutionErro
                      ValidationError)
 from .fourier import (EstimatorConfig, rajchman_probe, representative_wall_mass,
                       wiener_mass)
-from .linalg import Subspace
+from .linalg import LatticeSubgroup, Subspace
 from .measure import (SymbolicMeasure, convolve, decompose, exp,
                       pushforward_quotient, pushforward_subgroup, suspend)
-from .linalg import LatticeSubgroup
 from .oracle import crosscheck, decode_model, expected_measure
-from .scalar import FieldSpec
+from .scalar import FieldSpec, decode_scalar
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,8 +48,6 @@ def _load_measure(path: str) -> SymbolicMeasure:
 
 def _load_directions(doc, field: FieldSpec | None = None,
                      dim: int | None = None) -> list[Subspace]:
-    from .scalar import decode_scalar
-
     if isinstance(doc, dict):
         field = FieldSpec(tuple(doc.get("field_roots", field.roots if field else ())))
         dim = int(doc.get("dim", dim or 0))

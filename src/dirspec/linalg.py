@@ -2,24 +2,31 @@
 
 Provides canonical-form subspaces of R^d over a FieldSpec (reduced row
 echelon bases, so structural equality is definitional equality), affine
-carriers, integer lattice subgroups in Hermite normal form, Smith normal
-form, annihilators of lattice subgroups inside the torus, saturation,
-rationality classification of directions, one exact solver for lattice
-cosets and canonical coset keys.
+carriers, integer lattice subgroups in Hermite normal form, their
+saturations and annihilators inside the torus, rationality classification
+of directions, one exact solver for lattice cosets (the one user of Smith
+normal form) and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), ``span_coordinates`` (one Gram system for many vectors, behind
-``Subspace.project_all`` and the torus box-offset reduction), ``saturate``
-(V^-1 from [V | I]), ``rationality``, ``solve_lattice_coset`` (the rational
-unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
-kernels off its output.  The integer eliminations are ``hermite_normal_form``
-and ``smith_normal_form``.  ``smith_normal_form(M, B)`` returns U·B, D and V
-without forming the row transform U: its row operations act on the rows of B
-(the identity by default, which gives U).  The solver passes its right-hand
-side as B; ``saturate`` and ``annihilator`` read only D and V.  ``flatten`` is
-the one map from field vectors to rational coordinates over the field basis;
-the solver rows, the class keys and the torus wall keys all use it.
+``Subspace.project_all``, the torus box-offset reduction and the torsion of
+``annihilator``), ``saturate`` (one triangular solve), ``rationality``,
+``solve_lattice_coset`` (the rational unknowns) and ``CosetLattice`` (the
+rational rows).  ``nullspace`` reads kernels off its output.  The integer
+eliminations are ``hermite_normal_form`` and ``smith_normal_form``.
+``smith_normal_form(M, B)`` returns U·B, D and V without forming the row
+transform U: its row operations act on the rows of B.  Its one caller is
+``solve_lattice_coset``, which passes its right-hand side as B.  ``flatten``
+is the one map from field vectors to rational coordinates over the field
+basis; the solver rows, the class keys and the torus wall keys all use it.
+
+The dual-group layer reads one Hermite form.  Let B be the HNF basis of a
+lattice H of rank r and T the HNF of B's columns.  In the coordinates
+x -> (x.b_1, ..., x.b_r) of span(H) the dual lattice H* is Z^r and the
+projection of Z^d is the lattice of T's rows, so ``saturation_index`` is the
+product of T's pivots, ``saturate`` is the dual of that projection and the
+torsion of ``annihilator`` is Z^r modulo T's rows.
 
 ``solve_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  It is called
@@ -29,7 +36,8 @@ only where a witness or the solution family is read:
 
 Yes/no questions read a ``CosetLattice`` key instead: it puts
 Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
-exactly when its key is zero.  ``measure`` reads module bases, class keys,
+exactly when its key is zero (``LatticeSubgroup.contains`` too: an HNF
+basis is its own key lattice).  ``measure`` reads module bases, class keys,
 module membership and the torus box-offset lattice-shift test off it;
 ``classify._on_affine_wall`` decides atom and box torus walls with it.
 
@@ -42,10 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
-from .scalar import QQ, FieldScalar, FieldSpec
+from .scalar import QQ, FieldScalar, FieldSpec, promote_scalar
 
 FieldVector = tuple[FieldScalar, ...]
 
@@ -267,7 +276,8 @@ class Subspace:
         return all(vec_dot(u, v).is_zero() for u in self.basis for v in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
+        if other.leq(self):  # one reduction per row instead of an elimination
+            return self
         return Subspace.from_vectors(self.field, self.ambient,
                                      list(self.basis) + list(other.basis))
 
@@ -356,7 +366,6 @@ class AffineCarrier:
 
 
 def promote_vector(v: FieldVector, field: FieldSpec) -> FieldVector:
-    from .scalar import promote_scalar
     return tuple(promote_scalar(x, field) for x in v)
 
 
@@ -416,21 +425,20 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat[:r])
 
 
-def smith_normal_form(matrix, rhs=None) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(matrix, rhs) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (U @ B, D, V) with U @ M @ V = D.
 
     D is diagonal with d_i | d_{i+1} and nonnegative; U, V are unimodular.
     U is not formed: every row operation on M is applied to the rows of the
-    right-hand sides B = ``rhs`` (m rows, any number of columns) instead.
-    ``rhs`` defaults to the m x m identity, so ``smith_normal_form(M)``
-    returns U itself.  The pivot sequence does not depend on ``rhs``: D and V
-    are the same for every B.
+    right-hand sides B = ``rhs`` (m rows, any number of columns) instead; the
+    m x m identity as B gives U itself.  The pivot sequence does not depend
+    on B: D and V are the same for every B.  Its one caller is
+    ``solve_lattice_coset``, which passes its right-hand side.
     """
     d = [list(map(int, row)) for row in matrix]
     m = len(d)
     n = len(d[0]) if m else 0
-    ub = [[int(i == j) for j in range(m)] for i in range(m)] if rhs is None \
-        else [list(map(int, row)) for row in rhs]
+    ub = [list(map(int, row)) for row in rhs]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
@@ -539,15 +547,9 @@ class LatticeSubgroup:
         return self.rank == 0
 
     def contains(self, vector) -> bool:
-        w = list(map(int, vector))
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if w[p] != 0:
-                if w[p] % row[p] != 0:
-                    return False
-                q = w[p] // row[p]
-                w = [a - q * b for a, b in zip(w, row)]
-        return all(x == 0 for x in w)
+        """The HNF basis is the z-part of its own ``CosetLattice``: the
+        vector is in H exactly when its key is zero."""
+        return not any(CosetLattice((), (), self.basis).key(map(int, vector)))
 
     def span(self, field: FieldSpec = QQ) -> Subspace:
         return Subspace.from_vectors(field, self.ambient, self.basis)
@@ -556,32 +558,31 @@ class LatticeSubgroup:
         return {"generators": [list(row) for row in self.basis]}
 
 
+def _projection_hnf(h: LatticeSubgroup) -> tuple[tuple[int, ...], ...]:
+    """T, the HNF of the d columns of H's basis B (vectors in Z^r).
+
+    In the coordinates x -> (x.b_1, ..., x.b_r) of span(H) the dual lattice
+    H* is Z^r and the orthogonal projection pi(Z^d) is the lattice of T's
+    rows, since b_i . pi(z) = b_i . z.  B has rank r, so T is r x r, upper
+    triangular with positive diagonal."""
+    return hermite_normal_form(zip(*h.basis))
+
+
 def saturate(h: LatticeSubgroup) -> LatticeSubgroup:
-    """The maximal subgroup span(H) cap Z^d containing H with finite index."""
+    """span(H) cap Z^d, the dual of pi(Z^d) inside span(H): x = y B is
+    integral exactly when T y is, so it is spanned by the rows of T^-T B."""
     if h.is_trivial():
         return h
-    _, d, v = smith_normal_form([list(r) for r in h.basis])
-    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    # RREF of [V | I] is [I | V^-1]
-    n = h.ambient
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    rr, _ = rref_field([[Fraction(x) for x in row] + eye[i] for i, row in enumerate(v)], n)
-    vinv = [row[n:] for row in rr]
-    if any(x.denominator != 1 for row in vinv for x in row):
-        raise ValidationError("matrix is not unimodular")
-    return LatticeSubgroup.from_generators(h.ambient, vinv[:rank])
+    t = _projection_hnf(h)
+    r = h.rank
+    rr, _ = rref_field([[Fraction(row[i]) for row in t] + [Fraction(x) for x in b]
+                        for i, b in enumerate(h.basis)], r)
+    return LatticeSubgroup.from_generators(h.ambient, [[int(x) for x in row[r:]] for row in rr])
 
 
 def saturation_index(h: LatticeSubgroup) -> int:
-    """Index [saturate(H) : H] = product of the nontrivial SNF divisors."""
-    if h.is_trivial():
-        return 1
-    _, d, _ = smith_normal_form([list(r) for r in h.basis])
-    out = 1
-    for i in range(min(len(d), len(d[0]))):
-        if d[i][i] != 0:
-            out *= d[i][i]
-    return out
+    """Index [saturate(H) : H] = [H* : pi(Z^d)], the product of T's pivots."""
+    return prod(row[i] for i, row in enumerate(_projection_hnf(h)))
 
 
 @dataclass(frozen=True)
@@ -590,9 +591,9 @@ class TorusSubgroup:
 
     ``continuous_part`` is the rational subspace whose projection is the
     identity-component subtorus; ``torsion`` lists rational coset
-    representatives (the zero coset included).  Representatives are reduced
-    into [0,1)^d and deduplicated modulo the continuous part, but are not a
-    canonical form across different presentations of the same subgroup.
+    representatives (the zero coset included), one per component, reduced
+    into [0,1)^d and sorted.  ``annihilator`` reads them off the Hermite form
+    of H alone, so they are canonical: equal lattices give equal tuples.
     """
 
     continuous_part: Subspace
@@ -609,42 +610,24 @@ class TorusSubgroup:
 
 
 def annihilator(h: LatticeSubgroup, field: FieldSpec = QQ) -> TorusSubgroup:
-    """H^perp = {a in T^d : a.h in Z for all h in H}.
+    """H^perp = {a in T^d : a.h in Z for all h in H} = span(H)^perp + H*, mod Z^d.
 
-    Computed from the Smith form of the generator matrix: the identity
-    component is pi(span(H)^perp); torsion cosets come from the elementary
-    divisors, and are trivial exactly when H is saturated.
+    The identity component is the image of span(H)^perp.  The components are
+    H*/pi(Z^d), which is Z^r modulo the rows of the triangular T in the
+    coordinates of ``_projection_hnf``: one per c in the box 0 <= c_i < T_ii.
+    The point of span(H) with coordinates c is c G^-1 B (G = B B^T the Gram
+    matrix), and one ``span_coordinates`` call gives the columns of G^-1 B.
+    There are ``saturation_index(H)`` components, one when H is saturated.
     """
-    d_amb = h.ambient
+    d = h.ambient
     if h.is_trivial():
-        return TorusSubgroup(Subspace.full(field, d_amb),
-                             (tuple(Fraction(0) for _ in range(d_amb)),))
-    m = [list(r) for r in h.basis]
-    _, d, v = smith_normal_form(m)
-    e = len(m)
-    divisors = [d[i][i] for i in range(min(e, d_amb))]
-    rank = sum(1 for x in divisors if x != 0)
-    # identity component: columns of V beyond the rank span ker(M) = span(H)^perp
-    cont_vecs = [[Fraction(v[i][j]) for i in range(d_amb)] for j in range(rank, d_amb)]
-    continuous = Subspace.from_vectors(field, d_amb, cont_vecs)
-    span_h = h.span(field)
-    # torsion: b_i in {k/d_i}, point = V b reduced onto span(H) mod 1
-    reps: list[tuple[Fraction, ...]] = []
-    combos = [[]]
-    for i in range(rank):
-        combos = [c + [k] for c in combos for k in range(divisors[i])]
-    seen = set()
-    for combo in combos:
-        b = [Fraction(combo[i], divisors[i]) for i in range(rank)]
-        point = [sum(Fraction(v[i][j]) * b[j] for j in range(rank)) for i in range(d_amb)]
-        vec = as_vector(field, point)
-        reduced = span_h.project(vec)
-        frac_pt = tuple(x.as_rational() % 1 for x in reduced)
-        if frac_pt not in seen:
-            seen.add(frac_pt)
-            reps.append(frac_pt)
-    reps.sort()
-    return TorusSubgroup(continuous, tuple(reps))
+        return TorusSubgroup(Subspace.full(field, d), (tuple(Fraction(0) for _ in range(d)),))
+    t = _projection_hnf(h)
+    units = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
+    cols = span_coordinates([[Fraction(x) for x in b] for b in h.basis], units)
+    reps = sorted(tuple(sum(ci * x for ci, x in zip(c, col)) % 1 for col in cols)
+                  for c in product(*(range(row[i]) for i, row in enumerate(t))))
+    return TorusSubgroup(h.span(field).orthocomplement(), tuple(reps))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchErr
                      UnsupportedConvolutionError, ValidationError)
 from .linalg import (AffineCarrier, CosetLattice, CosetSolution, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
-                     solve_lattice_coset, span_coordinates, unflatten, unit_vector,
-                     vec_add, vec_is_zero, vec_mod1, vec_neg, vec_scale, vec_sub,
-                     zero_vector)
+                     promote_subspace, promote_vector, solve_lattice_coset,
+                     span_coordinates, unflatten, unit_vector, vec_add, vec_is_zero,
+                     vec_mod1, vec_neg, vec_scale, vec_sub, zero_vector)
 from .scalar import FieldSpec, decode_scalar
 
 EUCLID = "euclidean"
@@ -521,9 +521,12 @@ def convolve(m1: SymbolicMeasure, m2: SymbolicMeasure) -> SymbolicMeasure:
 def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
     """Class of the convolution exponential delta_0 + sum_n sigma^(n)/n!.
 
-    Computed as the closure of the component set under pairwise convolution
-    (carriers only; box representatives are re-based on their carrier), with
-    the unit point mass added.  Raises ClosureBoundError past ``cap``.
+    Computed as the closure of the component set under convolution (carriers
+    only; box representatives are re-based on their carrier), with the unit
+    point mass added.  The closure is the set of finite sums of base
+    components, and the class of a*b depends only on the classes of a and b,
+    so each round convolves the new members with the base components only.
+    Raises ClosureBoundError past ``cap``.
     """
     delta0 = Atom(zero_vector(m.field, m.dim))
 
@@ -544,7 +547,7 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
     frontier = list(pool)
     while frontier:
         new: list[Component] = []
-        for a in pool:
+        for a in base.components:
             for b in frontier:
                 keyed = _canonicalize_component(
                     m.space, m.dim, m.field,
@@ -663,8 +666,6 @@ def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:
 
 def promote_field(m: SymbolicMeasure, field: FieldSpec) -> SymbolicMeasure:
     """Re-express a measure in a larger field containing the current one."""
-    from .linalg import promote_subspace, promote_vector
-
     if m.field == field:
         return m
     comps: list[Component] = []
@@ -690,19 +691,20 @@ def atom_points(m: SymbolicMeasure) -> list[FieldVector]:
 
 
 def has_atom_at(m: SymbolicMeasure, point) -> bool:
-    """Does the class give positive mass to the single point?"""
+    """Does the class give positive mass to the single point?  On the torus
+    and for periodized classes points are compared mod Z^d."""
+    mod1 = m.space == TORUS or m.periodized
     p = as_vector(m.field, point)
-    if m.space == TORUS:
+    if mod1:
         p = vec_mod1(p)
     for c in m.components:
         if isinstance(c, Atom):
-            if c.point == p:
+            if (vec_mod1(c.point) if mod1 else c.point) == p:
                 return True
         elif isinstance(c, AtomGroup):
-            trivial = all(x.is_integer() for x in p) if m.space == TORUS \
-                else vec_is_zero(p)
+            trivial = all(x.is_integer() for x in p) if mod1 else vec_is_zero(p)
             if trivial:
                 continue  # the zero point is never an atom of an atom group
-            if module_member(m.field, c, p, m.space):
+            if module_member(m.field, c, p, TORUS if mod1 else EUCLID):
                 return True
     return False

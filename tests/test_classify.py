@@ -595,6 +595,17 @@ class TestLints:
         closed = torus(atom([Fraction(1, 3), 0]), atom([Fraction(2, 3), 0]))
         assert C.admissibility_lint(closed) == []
 
+    @pytest.mark.parametrize("name", ["product_bernoulli", "bw8", "chair", "lonely_atom",
+                                      "ergodic_not_wm", "broken_symmetry"])
+    def test_suspension_lints_like_the_torus_measure(self, fixtures_dir, name):
+        m = SymbolicMeasure.decode(json.loads((fixtures_dir / f"{name}.json").read_text()))
+        assert [w.encode() for w in C.admissibility_lint(M.suspend(m))] \
+            == [w.encode() for w in C.admissibility_lint(m)]
+
+    def test_suspended_closed_atoms_on_the_circle(self):
+        closed = torus(atom([Fraction(1, 3)]), atom([Fraction(2, 3)]), dim=1)
+        assert C.admissibility_lint(M.suspend(closed)) == []
+
 
 class TestCompletelyRationalConsistency:
     def test_random_rational_directions(self):

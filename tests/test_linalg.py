@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,10 @@ F2 = FieldSpec((2,))
 def matmul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _det(mat):
@@ -185,11 +190,11 @@ class TestAffineCarrier:
 
 class TestSmithNormalForm:
     def test_examples(self):
-        _, d, _ = smith_normal_form([[2, 0], [0, 3]])
+        _, d, _ = smith_normal_form([[2, 0], [0, 3]], _eye(2))
         assert [d[0][0], d[1][1]] == [1, 6]
-        _, d, _ = smith_normal_form([[1, 0], [0, 1]])
+        _, d, _ = smith_normal_form([[1, 0], [0, 1]], _eye(2))
         assert [d[0][0], d[1][1]] == [1, 1]
-        _, d, _ = smith_normal_form([[1, 1]])
+        _, d, _ = smith_normal_form([[1, 1]], _eye(1))
         assert d == [[1, 0]]
 
     @staticmethod
@@ -202,7 +207,7 @@ class TestSmithNormalForm:
 
     def test_transforms_random(self):
         for m, n, mat in self._random_matrices():
-            u, d, v = smith_normal_form([row[:] for row in mat])
+            u, d, v = smith_normal_form([row[:] for row in mat], _eye(m))
             assert matmul(matmul(u, mat), v) == d
             assert _det(u) in (1, -1) and _det(v) in (1, -1)
             diag = [d[i][i] for i in range(min(m, n))]
@@ -216,18 +221,18 @@ class TestSmithNormalForm:
 
     def test_rhs_is_carried_through_the_row_operations(self):
         """smith_normal_form(M, B) returns U @ B, and the same D and V, for
-        the U that smith_normal_form(M) returns."""
+        the U that smith_normal_form(M, I) returns."""
         rng = random.Random(31)
         for m, _, mat in self._random_matrices():
             r = rng.randint(1, 3)
             b = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(m)]
-            u, d, v = smith_normal_form(mat)
+            u, d, v = smith_normal_form(mat, _eye(m))
             ub, d_b, v_b = smith_normal_form(mat, b)
             assert ub == matmul(u, b)
             assert (d_b, v_b) == (d, v)
 
     def test_zero_matrix(self):
-        u, d, v = smith_normal_form([[0, 0], [0, 0]])
+        u, d, v = smith_normal_form([[0, 0], [0, 0]], _eye(2))
         assert d == [[0, 0], [0, 0]]
         assert _det(u) in (1, -1) and _det(v) in (1, -1)
 
@@ -283,6 +288,32 @@ class TestLattices:
         assert h.contains([4, 3])
         assert not h.contains([1, 0])
 
+    def test_saturation_index_matches_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+        rng = random.Random(41)
+        for _ in range(150):
+            d = rng.randint(1, 5)
+            gens = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
+            snf = sympy_snf(sympy.Matrix(gens), domain=sympy.ZZ)
+            expected = 1
+            for i in range(min(snf.shape)):
+                if snf[i, i] != 0:
+                    expected *= abs(int(snf[i, i]))
+            assert saturation_index(LatticeSubgroup.from_generators(d, gens)) == expected
+
+    def test_saturate_is_span_cap_integer_points(self):
+        """An integer point with |x_i| <= 4 is in saturate(H) exactly when it
+        lies in span(H)."""
+        rng = random.Random(43)
+        for _ in range(40):
+            d = rng.randint(1, 3)
+            h = LatticeSubgroup.from_generators(
+                d, [[rng.randint(-6, 6) for _ in range(d)] for _ in range(rng.randint(1, d))])
+            sat, span = saturate(h), h.span()
+            for x in itertools.product(range(-4, 5), repeat=d):
+                assert sat.contains(x) == span.contains(as_vector(QQ, x))
+
 
 class TestAnnihilator:
     def test_examples(self):
@@ -317,6 +348,21 @@ class TestAnnihilator:
                     assert pairing.denominator == 1
             # component count equals the saturation index
             assert len(ann.torsion) == saturation_index(h)
+
+    def test_torsion_names_distinct_components(self):
+        """Each torsion representative lies in its own component: the coset
+        keys modulo the continuous part + Z^d are pairwise distinct."""
+        rng = random.Random(47)
+        for _ in range(60):
+            d = rng.randint(1, 4)
+            h = LatticeSubgroup.from_generators(
+                d, [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(1, d))])
+            ann = annihilator(h)
+            units = [[int(i == j) for i in range(d)] for j in range(d)]
+            components = CosetLattice.make(
+                [[x.as_rational() for x in row] for row in ann.continuous_part.basis], units)
+            keys = {components.key(t) for t in ann.torsion}
+            assert len(keys) == len(ann.torsion) == saturation_index(h)
 
 
 class TestRationality:

@@ -446,6 +446,18 @@ class TestHasAtomAt:
         assert not M.has_atom_at(rot, [Fraction(1, 2), 0])
         assert not M.has_atom_at(rot, [0, 0])
 
+    def test_periodized_points_compare_mod_one(self):
+        thirds = torus(atom([Fraction(1, 3)]), atom([Fraction(2, 3)]), dim=1)
+        per = M.suspend(thirds)
+        for point in ([Fraction(4, 3)], [Fraction(-1, 3)], [Fraction(2, 3)]):
+            assert M.has_atom_at(per, point) and M.has_atom_at(thirds, point)
+        assert not M.has_atom_at(per, [Fraction(1, 2)])
+        alpha = as_vector(F2, [F2.sqrt_root(2) - 1, Fraction(1, 3)])
+        rot = M.suspend(SymbolicMeasure.make(TORUS, 2, F2,
+                                             [AtomGroup((alpha,), "Z", zero_vector(F2, 2))]))
+        assert M.has_atom_at(rot, [F2.sqrt_root(2), Fraction(4, 3)])
+        assert not M.has_atom_at(rot, [1, 0])
+
 
 # ---------------------------------------------------------------------------
 # the pairwise class rule that class keys replaced, kept as the reference
@@ -788,3 +800,17 @@ class TestClassKeyDifferential:
             assert got == expected
             sizes.append(len(got.components))
         assert len(sizes) > 8 and max(sizes) > 3, sizes
+
+    def test_exp_matches_pairwise_rule_on_hyperplane_family(self):
+        """The Lebesgue classes on the normal lines of 5 seeded hyperplanes in
+        R^4, as ``realize`` builds them: a closure beyond the cap-24 cases."""
+        rng = random.Random(1)
+        lines = []
+        while len(lines) < 5:
+            sub = Subspace.from_vectors(QQ, 4, [[rng.randint(-3, 3) for _ in range(4)]])
+            if sub.dim == 1 and sub not in lines:
+                lines.append(sub)
+        m = SymbolicMeasure.make(EUCLID, 4, QQ, [box(s) for s in lines])
+        got = M.exp(m)
+        assert got == reference_exp(m, cap=4096)
+        assert len(got.components) == 24
