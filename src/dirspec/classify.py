@@ -279,7 +279,10 @@ class ConciseSet:
     def enumerate_members(self, bound: int = 3) -> tuple[Subspace, ...]:
         """Explicit members: the listed subspaces plus family members for
         shift/coefficient norms up to ``bound`` (deduplicated, pruned).  Many
-        (atom, shift) pairs span the same subspace: each perp is built once."""
+        (atom, shift) pairs span the same subspace: each perp is built once.
+        The span of one vector has the vector scaled by the inverse of its
+        first nonzero entry as its canonical basis, so group-family lines are
+        deduplicated by that tuple before any ``Subspace`` is built."""
         if bound < 0:
             raise ValidationError("the enumeration bound must be >= 0")
         shifts = [as_vector(self.fieldspec, n)
@@ -291,13 +294,18 @@ class ConciseSet:
                 spans[Subspace.from_vectors(
                     self.fieldspec, self.dim,
                     list(fam.subspace.basis) + [vec_sub(fam.offset, n)])] = None
+        lines: dict[tuple, FieldVector] = {}
         for fam in self.group_families:
             for atom in _enumerate_group_atoms(self.fieldspec, self.dim, fam, bound):
                 for n in shifts:
                     shifted = vec_sub(atom, n)
-                    if not vec_is_zero(shifted):
-                        spans[Subspace.from_vectors(
-                            self.fieldspec, self.dim, [shifted])] = None
+                    lead = next((x for x in shifted if not x.is_zero()), None)
+                    if lead is not None:
+                        inv = 1 / lead
+                        line = tuple(inv * x for x in shifted)
+                        lines.setdefault(tuple((x.nums, x.den) for x in line), line)
+        for line in lines.values():
+            spans[Subspace(self.fieldspec, self.dim, (line,))] = None
         return _concise_hull(list(self.subspaces)
                              + [span.orthocomplement() for span in spans])
 

@@ -43,8 +43,9 @@ module membership and the torus box-offset lattice-shift test off it;
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
 stored in its ``memo`` dict: ``classify`` keeps the torus wall lattice of a
-direction and its atom-group wall answers there.  The memo takes no part in
-equality, hashing, ``encode`` or ``repr``.
+direction and its atom-group wall answers there, ``measure`` the projected
+lattice that reduces torus box offsets on a carrier.  The memo takes no part
+in equality, hashing, ``encode`` or ``repr``.
 """
 from __future__ import annotations
 
@@ -125,7 +126,9 @@ def flatten(v: FieldVector) -> list[Fraction]:
     basis element beta at index j * field.dimension + beta."""
     out: list[Fraction] = []
     for x in v:
-        out.extend(x.coeffs)
+        den = x.den
+        out.extend(map(Fraction, x.nums) if den == 1
+                   else (Fraction(n, den) for n in x.nums))
     return out
 
 
@@ -657,10 +660,9 @@ def rationality(sub: Subspace) -> RationalityReport:
         return RationalityReport("completely_rational", 0, sub,
                                  LatticeSubgroup(d, ()))
     nbasis = field.dimension
-    rows = []
-    for j in range(d):
-        for beta in range(1, nbasis):
-            rows.append([sub.basis[i][j].coeffs[beta] for i in range(e)])
+    flat = [flatten(b) for b in sub.basis]
+    rows = [[f[j * nbasis + beta] for f in flat]
+            for j in range(d) for beta in range(1, nbasis)]
     rr, pivots = rref_field(rows)
     kernel = nullspace(rr, pivots, e, Fraction(0), Fraction(1))
     vecs = []

@@ -403,6 +403,22 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
     raise ValidationError(f"unknown component {comp!r}")
 
 
+def _perp_lattice_basis(sub: Subspace) -> list[FieldVector] | None:
+    """The HNF basis of proj_perp(Z^d) for the carrier ``sub``, or None when
+    that lattice is not rational (dense).  It depends only on ``sub``, so it
+    is built once per subspace and kept in the subspace's memo."""
+    if "perp_lattice" not in sub.memo:
+        field, dim = sub.field, sub.ambient
+        units = [unit_vector(field, dim, j) for j in range(dim)]
+        proj = [vec_sub(e, p) for e, p in zip(units, sub.project_all(units))]
+        basis = None
+        if all(all(x.is_rational() for x in p) for p in proj):
+            hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
+            basis = [as_vector(field, row) for row in hnf]
+        sub.memo["perp_lattice"] = basis
+    return sub.memo["perp_lattice"]
+
+
 def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
                        offset: FieldVector) -> FieldVector:
     """Reduce a perp-reduced torus box offset modulo proj_perp(Z^d): to zero
@@ -412,12 +428,9 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
     compares carriers either way."""
     if vec_is_zero(offset) or not any(_box_key(TORUS, field, dim, sub, offset)[2]):
         return zero_vector(field, dim)
-    units = [unit_vector(field, dim, j) for j in range(dim)]
-    proj = [vec_sub(e, p) for e, p in zip(units, sub.project_all(units))]
-    if not all(all(x.is_rational() for x in p) for p in proj):
+    basis = _perp_lattice_basis(sub)
+    if basis is None:
         return offset
-    hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
-    basis = [as_vector(field, row) for row in hnf]
     # coordinates of the offset over the projected-lattice basis, floor-reduced
     coords = span_coordinates(basis, [offset])[0]
     for c, b in zip(coords, basis):
@@ -525,7 +538,8 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
     only; box representatives are re-based on their carrier), with the unit
     point mass added.  The closure is the set of finite sums of base
     components, and the class of a*b depends only on the classes of a and b,
-    so each round convolves the new members with the base components only.
+    so each round convolves the new members with the base components other
+    than delta_0 only.
     Raises ClosureBoundError past ``cap``.
     """
     delta0 = Atom(zero_vector(m.field, m.dim))
@@ -544,10 +558,12 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
                                 m.periodized)
     pool: list[Component] = list(base.components)
     seen = {class_key(m.space, m.field, m.dim, c) for c in pool}
-    frontier = list(pool)
+    # delta_0 * b is b, so the unit point mass is no factor
+    factors = [c for c in pool if not (isinstance(c, Atom) and vec_is_zero(c.point))]
+    frontier = factors
     while frontier:
         new: list[Component] = []
-        for a in base.components:
+        for a in factors:
             for b in frontier:
                 keyed = _canonicalize_component(
                     m.space, m.dim, m.field,

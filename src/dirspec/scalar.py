@@ -1,21 +1,31 @@
 """Exact arithmetic in real quadratic-radical fields Q(sqrt(m1), ..., sqrt(mk)).
 
 A field is described by a tuple of square-free, pairwise coprime integers
-``m1 < m2 < ... < mk`` (all >= 2).  Elements are stored as vectors of 2^k
-rationals over the multiplicative basis ``{prod_{i in S} sqrt(m_i) : S subset}``,
-indexed by bitmask (index 0 is the rational unit 1).  The only predicates the
-rest of the toolkit needs are exact equality with zero and field arithmetic;
-no total ordering is exposed.  The one order-dependent operation, ``floor``
-(reduction mod 1 on the torus), is exact as well: integer square roots bound
-it and exact sign tests down the tower of quadratic extensions settle it.
-``float`` is only the embedding the numerical oracle evaluates.
+``m1 < m2 < ... < mk`` (all >= 2).  Its multiplicative basis is
+``{prod_{i in S} sqrt(m_i) : S subset}``, indexed by bitmask (index 0 is the
+rational unit 1).  An element is stored as 2^k integer numerators over one
+shared positive denominator, ``(nums, den)``, in lowest terms:
+``gcd(den, *nums) == 1``, so zero is ``((0, ..., 0), 1)`` and equal elements
+have equal tuples.  The product of basis elements i and j is basis element
+``i ^ j`` times the radicand of ``i & j`` (shared radicals square to their
+radicand); each field precomputes that table once, and every product, norm
+and sign test runs on integers over it.  Plain Q (one coefficient) takes a
+short path through addition and multiplication.
+
+The only predicates the rest of the toolkit needs are exact equality with
+zero and field arithmetic; no total ordering is exposed.  The one
+order-dependent operation, ``floor`` (reduction mod 1 on the torus), is
+exact as well: integer square roots bound it and exact sign tests down the
+tower of quadratic extensions settle it.  ``float`` is only the embedding the
+numerical oracle evaluates.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import FieldMismatchError, ValidationError
 
@@ -35,11 +45,25 @@ def _is_square_free(m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _product_table(roots: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """table[i][j] = (i ^ j, radicand of i & j): basis element i times basis
+    element j is that radicand times basis element i ^ j."""
+    dim = 1 << len(roots)
+    rad = [math.prod(m for bit, m in enumerate(roots) if s >> bit & 1)
+           for s in range(dim)]
+    return tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The real field Q(sqrt(m) for m in roots); roots = () is plain Q."""
 
     roots: tuple[int, ...] = ()
+    dimension: int = dataclass_field(init=False, repr=False, compare=False)
+    # the basis product table of _product_table(roots), and (0,) * (dimension - 1)
+    _table: tuple = dataclass_field(init=False, repr=False, compare=False)
+    _tail: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         roots = tuple(self.roots)
@@ -53,18 +77,13 @@ class FieldSpec:
                 if math.gcd(a, b) != 1:
                     raise ValidationError(f"roots {a}, {b} are not coprime")
         object.__setattr__(self, "roots", roots)
-
-    @property
-    def dimension(self) -> int:
-        return 1 << len(self.roots)
+        object.__setattr__(self, "dimension", 1 << len(roots))
+        object.__setattr__(self, "_table", _product_table(roots))
+        object.__setattr__(self, "_tail", (0,) * (self.dimension - 1))
 
     def basis_radicand(self, index: int) -> int:
         """Product of the roots selected by the bitmask ``index``."""
-        out = 1
-        for i, m in enumerate(self.roots):
-            if index >> i & 1:
-                out *= m
-        return out
+        return self._table[index][index][1]
 
     def basis_label(self, index: int) -> str:
         rad = self.basis_radicand(index)
@@ -80,30 +99,33 @@ class FieldSpec:
         return _basis_floats(self.roots)
 
     def zero(self) -> FieldScalar:
-        return self.from_rational(0)
+        return FieldScalar(self, (0,) + self._tail, 1)
 
     def one(self) -> FieldScalar:
-        return self.from_rational(1)
+        return FieldScalar(self, (1,) + self._tail, 1)
 
     def from_rational(self, value: RationalLike) -> FieldScalar:
-        coeffs = [Fraction(0)] * self.dimension
-        coeffs[0] = Fraction(value)
-        return FieldScalar(self, tuple(coeffs))
+        if type(value) is int:
+            return FieldScalar(self, (value,) + self._tail, 1)
+        q = Fraction(value)
+        return FieldScalar(self, (q.numerator,) + self._tail, q.denominator)
 
     def sqrt_root(self, m: int) -> FieldScalar:
         """The element sqrt(m) for one of the declared roots."""
         if m not in self.roots:
             raise ValidationError(f"{m} is not a root of field {self.roots}")
-        coeffs = [Fraction(0)] * self.dimension
-        coeffs[1 << self.roots.index(m)] = Fraction(1)
-        return FieldScalar(self, tuple(coeffs))
+        index = 1 << self.roots.index(m)
+        return FieldScalar(self, tuple(int(j == index) for j in range(self.dimension)), 1)
 
     def from_coeffs(self, coeffs) -> FieldScalar:
-        vals = tuple(Fraction(c) for c in coeffs)
+        vals = [Fraction(c) for c in coeffs]
         if len(vals) != self.dimension:
             raise ValidationError(
                 f"expected {self.dimension} coefficients, got {len(vals)}")
-        return FieldScalar(self, vals)
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        den = math.lcm(*(v.denominator for v in vals))
+        return FieldScalar(self, tuple(v.numerator * (den // v.denominator)
+                                       for v in vals), den)
 
 
 @lru_cache(maxsize=None)
@@ -119,39 +141,44 @@ def _basis_floats(roots: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _mul(a, b, roots: tuple[int, ...], zero) -> list:
-    """Product of two coefficient vectors over the basis of Q(sqrt roots);
-    ``zero`` (0 or Fraction(0)) fills the entries no product reaches."""
-    out = [zero] * len(a)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            # sqrt-basis product: shared radicals square to their radicand
-            c = x * y
-            shared = i & j
-            for bit, m in enumerate(roots):
-                if shared >> bit & 1:
-                    c *= m
-            out[i ^ j] += c
+def _mul_nums(a, b, table) -> list[int]:
+    """Product of two integer coefficient vectors over a basis product table."""
+    out = [0] * len(a)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for x, row in zip(a, table):
+        if x:
+            for j, y in nonzero_b:
+                k, f = row[j]
+                out[k] += x * y * f
     return out
 
 
-def _sign(coeffs, roots: tuple[int, ...]) -> int:
-    """Exact sign (-1, 0, 1) of the real embedding of a coefficient vector.
-    With x = a + b*sqrt(m), m the last root and a, b in the subfield, sign(x) is
-    the common sign of a and b, or sign(a) * sign(a^2 - m*b^2) when they differ."""
+def _sign(nums, roots: tuple[int, ...]) -> int:
+    """Exact sign (-1, 0, 1) of the real embedding of an integer coefficient
+    vector.  With x = a + b*sqrt(m), m the last root and a, b in the subfield,
+    sign(x) is the common sign of a and b, or sign(a) * sign(a^2 - m*b^2) when
+    they differ."""
     if not roots:
-        return (coeffs[0] > 0) - (coeffs[0] < 0)
-    half = len(coeffs) // 2
-    a, b, sub = coeffs[:half], coeffs[half:], roots[:-1]
+        return (nums[0] > 0) - (nums[0] < 0)
+    half = len(nums) // 2
+    a, b, sub = nums[:half], nums[half:], roots[:-1]
     sa, sb = _sign(a, sub), _sign(b, sub)
     if sa * sb >= 0:
         return sa or sb
-    return sa * _sign([p - roots[-1] * q
-                       for p, q in zip(_mul(a, a, sub, 0), _mul(b, b, sub, 0))], sub)
+    table = _product_table(sub)
+    return sa * _sign([p - roots[-1] * q for p, q in
+                       zip(_mul_nums(a, a, table), _mul_nums(b, b, table))], sub)
+
+
+def _reduced(field: FieldSpec, nums, den: int) -> FieldScalar:
+    """The element nums / den (den nonzero) in lowest terms."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = tuple(n // g for n in nums)
+        den //= g
+    return FieldScalar(field, tuple(nums), den)
 
 
 class FieldScalar:
@@ -160,22 +187,31 @@ class FieldScalar:
     Supports +, -, *, / with other scalars of the same field and with plain
     ints/Fractions (coerced).  Equality and hashing are exact.  There is
     deliberately no __lt__: downstream algorithms only use is_zero.
+
+    ``nums`` / ``den`` is the value in lowest terms (see the module
+    docstring); the constructor trusts its arguments, so elements are made
+    through ``FieldSpec`` (``from_rational``, ``from_coeffs``, ...).
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "nums", "den", "_hash")
 
-    def __init__(self, field: FieldSpec, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != field.dimension:
-            raise ValidationError("coefficient vector has wrong length")
+    def __init__(self, field: FieldSpec, nums: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients over the basis."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- construction helpers ------------------------------------------------
 
     def _coerce(self, other) -> "FieldScalar":
         if isinstance(other, FieldScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot mix fields {self.field.roots} and {other.field.roots}")
             return other
@@ -186,38 +222,53 @@ class FieldScalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValidationError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign * other, sign = 1 or -1."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldScalar(self.field,
-                           tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, da, b, db = self.nums, self.den, o.nums, o.den
+        if len(a) == 1:  # plain Q
+            n, d = a[0] * db + sign * b[0] * da, da * db
+            g = gcd(n, d)
+            return FieldScalar(self.field, (n // g,), d // g)
+        # as Fraction does: only a prime of gcd(da, db) can divide the result
+        g = gcd(da, db)
+        s, t = da // g, db // g
+        nums = tuple(x * t + sign * y * s for x, y in zip(a, b))
+        den = s * db
+        if g != 1:
+            g2 = gcd(g, *nums)
+            if g2 != 1:
+                nums = tuple(n // g2 for n in nums)
+                den //= g2
+        return FieldScalar(self.field, nums, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldScalar(self.field, tuple(-a for a in self.coeffs))
+        return FieldScalar(self.field, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -229,8 +280,12 @@ class FieldScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldScalar(self.field,
-                           tuple(_mul(self.coeffs, o.coeffs, self.field.roots, Fraction(0))))
+        a, b, den = self.nums, o.nums, self.den * o.den
+        if len(a) == 1:  # plain Q
+            n = a[0] * b[0]
+            g = gcd(n, den)
+            return FieldScalar(self.field, (n // g,), den // g)
+        return _reduced(self.field, _mul_nums(a, b, self.field._table), den)
 
     __rmul__ = __mul__
 
@@ -240,20 +295,26 @@ class FieldScalar:
 
         The conjugate sigma_s (s a nonzero bitmask of roots) negates every
         root in s, so it flips the sign of coefficient i when i & s has an
-        odd number of bits.
+        odd number of bits.  Both products run on the integer numerators:
+        1/(nums/den) = den * others(nums) / norm(nums).
         """
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert zero field element")
+        nums, den, field = self.nums, self.den, self.field
         if self.is_rational():
-            return self.field.from_rational(1 / self.coeffs[0])
-        conjugates = [FieldScalar(self.field, tuple(
-            -c if (i & s).bit_count() & 1 else c for i, c in enumerate(self.coeffs)))
-            for s in range(1, self.field.dimension)]
-        others = conjugates[0]
-        for conj in conjugates[1:]:
-            others = others * conj
-        norm = (self * others).coeffs[0]
-        return FieldScalar(self.field, tuple(c / norm for c in others.coeffs))
+            n = nums[0]
+            if n == 0:
+                raise ZeroDivisionError("cannot invert zero field element")
+            if n < 0:
+                n, den = -n, -den
+            return FieldScalar(field, (den,) + field._tail, n)
+        table = field._table
+        others = None
+        for s in range(1, field.dimension):
+            conj = [-c if (i & s).bit_count() & 1 else c for i, c in enumerate(nums)]
+            others = conj if others is None else _mul_nums(others, conj, table)
+        # coefficient 0 of nums * others: only i ^ j == 0, i.e. j == i, reaches it
+        norm = sum(x * y * row[i][1] for i, (x, y, row)
+                   in enumerate(zip(nums, others, table)))
+        return _reduced(field, [den * c for c in others], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -270,48 +331,50 @@ class FieldScalar:
     # -- equality / hashing ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, FieldScalar):
+            return (self.nums == other.nums and self.den == other.den
+                    and (self.field is other.field or self.field == other.field))
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, FieldScalar):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+            return (self.den == other.denominator and self.nums[0] == other.numerator
+                    and self.is_rational())
+        return NotImplemented
 
     def __hash__(self):
         # rational elements equal their Fraction, so they must hash like it
         if self._hash is None:
-            self._hash = hash(self.coeffs[0]) if self.is_rational() \
-                else hash((self.field.roots, self.coeffs))
+            if not self.is_rational():
+                self._hash = hash((self.field.roots, self.coeffs))
+            elif self.den == 1:
+                self._hash = hash(self.nums[0])
+            else:
+                self._hash = hash(Fraction(self.nums[0], self.den))
         return self._hash
 
     # -- numeric embedding -----------------------------------------------------
 
     def __float__(self) -> float:
-        basis = self.field.basis_floats()
-        return float(sum(float(c) * b for c, b in zip(self.coeffs, basis)))
+        basis, den = self.field.basis_floats(), self.den
+        return float(sum(n / den * b for n, b in zip(self.nums, basis)))
 
     def floor(self) -> int:
         """Integer floor of the real embedding, decided exactly: the floors of
         the t nonzero terms c*sqrt(r), by integer square roots, sum to n with
         n <= floor <= n + t - 1, and at most t - 1 exact sign tests settle it."""
-        n = t = 0
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
+        nums, den, table = self.nums, self.den, self.field._table
+        n = nums[0] // den
+        t = int(nums[0] != 0)
+        for j in range(1, len(nums)):
+            p = nums[j]
+            if p == 0:
                 continue
             t += 1
-            p, q = c.numerator, c.denominator
-            if j == 0:
-                n += p // q
-            else:
-                # c*sqrt(r) is irrational, so floor(-y) = -floor(y) - 1
-                s = math.isqrt(p * p * self.field.basis_radicand(j)) // q
-                n += s if p > 0 else -s - 1
+            # p*sqrt(r)/den is irrational, so floor(-y) = -floor(y) - 1
+            s = math.isqrt(p * p * table[j][j][1]) // den
+            n += s if p > 0 else -s - 1
         if t < 2:
             return n
-        # sign tests on integer coefficients over a common denominator
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
         for _ in range(t - 1):
-            if _sign([nums[0] - (n + 1) * den] + nums[1:], self.field.roots) < 0:
+            if _sign((nums[0] - (n + 1) * den,) + nums[1:], self.field.roots) < 0:
                 break
             n += 1
         return n
@@ -325,10 +388,11 @@ class FieldScalar:
     def encode(self):
         """Canonical JSON value: plain fraction string if rational, else a
         label->fraction object with zero entries omitted."""
+        nums, den = self.nums, self.den
         if self.is_rational():
-            return str(self.coeffs[0])
-        return {self.field.basis_label(j): str(c)
-                for j, c in enumerate(self.coeffs) if c != 0}
+            return str(Fraction(nums[0], den))
+        return {self.field.basis_label(j): str(Fraction(n, den))
+                for j, n in enumerate(nums) if n}
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -346,11 +410,11 @@ def promote_scalar(s: FieldScalar, field: FieldSpec) -> FieldScalar:
     """Re-express a scalar in a larger field (matched by basis labels)."""
     if s.field == field:
         return s
-    coeffs = [Fraction(0)] * field.dimension
-    for j, c in enumerate(s.coeffs):
-        if c != 0:
-            coeffs[field.label_index(s.field.basis_label(j))] = c
-    return field.from_coeffs(coeffs)
+    nums = [0] * field.dimension
+    for j, n in enumerate(s.nums):
+        if n:
+            nums[field.label_index(s.field.basis_label(j))] = n
+    return FieldScalar(field, tuple(nums), s.den)
 
 
 def decode_scalar(field: FieldSpec, value) -> FieldScalar:

@@ -55,6 +55,21 @@ class TestCanonicalization:
         m = torus(box(E1, [0, Fraction(5, 4)]))
         assert m.components[0].carrier.offset == as_vector(QQ, [0, Fraction(1, 4)])
 
+    def test_box_offset_lattice_kept_in_carrier_memo(self):
+        # the projected lattice depends only on the carrier: kept in its memo
+        # (None when it is dense); boxes on one carrier object, which read the
+        # memo, canonicalize as boxes on a new subspace object each
+        for sub in (Subspace.from_vectors(QQ, 2, [[1, 2]]),
+                    Subspace.from_vectors(F2, 2, [[1, F2.sqrt_root(2)]])):
+            offsets = [[Fraction(k, 3), Fraction(5, 7)] for k in range(-4, 5)]
+            want = [SymbolicMeasure.make(
+                        TORUS, 2, sub.field, [box(Subspace(sub.field, 2, sub.basis), off)])
+                    for off in offsets]
+            got = [SymbolicMeasure.make(TORUS, 2, sub.field, [box(sub, off)])
+                   for off in offsets]
+            assert [m.encode() for m in got] == [m.encode() for m in want]
+            assert (sub.memo["perp_lattice"] is None) == (sub.field != QQ)
+
     def test_torus_box_offset_canonical_across_presentations(self):
         # equivalent offsets (differing by K + Z^d) canonicalize identically
         # for completely rational carriers

@@ -145,6 +145,106 @@ class TestFieldAxioms:
         assert a.is_zero() == all(c == 0 for c in a.coeffs)
 
 
+def ref_mul(a, b, roots):
+    """Product of Fraction coefficient vectors by the basis product rule:
+    basis i times basis j is basis i ^ j times the roots shared by i and j."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c = x * y
+            for bit, m in enumerate(roots):
+                if (i & j) >> bit & 1:
+                    c *= m
+            out[i ^ j] += c
+    return out
+
+
+def ref_encode(field, coeffs):
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
+    return {field.basis_label(j): str(c) for j, c in enumerate(coeffs) if c != 0}
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == x.field.dimension
+    if x.is_zero():
+        assert (x.nums, x.den) == ((0,) * x.field.dimension, 1)
+
+
+FIELDS = [QQ, F2, F23, F235]
+entry = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-20, max_value=20, max_denominator=12))
+rational = st.one_of(st.integers(-9, 9),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+@st.composite
+def coeff_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    vec = st.lists(entry, min_size=field.dimension, max_size=field.dimension)
+    return field, draw(vec), draw(vec)
+
+
+class TestAgainstFractionReference:
+    """The integer-numerator scalars against Fraction coefficient vectors."""
+
+    @given(coeff_pairs())
+    def test_arithmetic(self, case):
+        field, ca, cb = case
+        a, b = field.from_coeffs(ca), field.from_coeffs(cb)
+        assert a.coeffs == tuple(ca) and b.coeffs == tuple(cb)
+        results = [(a + b, [x + y for x, y in zip(ca, cb)]),
+                   (a - b, [x - y for x, y in zip(ca, cb)]),
+                   (-a, [-x for x in ca]),
+                   (a * b, ref_mul(ca, cb, field.roots))]
+        for got, want in results:
+            assert got.coeffs == tuple(want)
+            assert got == field.from_coeffs(want)
+            assert_canonical(got)
+        assert (a == b) == (ca == cb)
+        assert (a == field.from_coeffs(ca)) and a.is_zero() == (not any(ca))
+        if any(cb):
+            inv = b.invert()
+            assert_canonical(inv)
+            assert ref_mul(cb, inv.coeffs, field.roots) == [1] + [0] * (field.dimension - 1)
+            quotient = a / b
+            assert_canonical(quotient)
+            assert ref_mul(quotient.coeffs, cb, field.roots) == ca
+        else:
+            with pytest.raises(ZeroDivisionError):
+                b.invert()
+
+    @given(coeff_pairs(), rational)
+    def test_mixed_with_rationals(self, case, q):
+        field, ca, _ = case
+        a, qc = field.from_coeffs(ca), [Fraction(q)] + [Fraction(0)] * (field.dimension - 1)
+        for got, want in [(a + q, [x + y for x, y in zip(ca, qc)]),
+                          (q - a, [y - x for x, y in zip(ca, qc)]),
+                          (q * a, ref_mul(ca, qc, field.roots)),
+                          (field.from_rational(q), qc)]:
+            assert got.coeffs == tuple(want)
+            assert_canonical(got)
+        assert (field.from_rational(q) == q) and (a == q) == (ca == qc)
+        if q != 0:
+            assert ref_mul((a / q).coeffs, qc, field.roots) == ca
+        if any(ca):
+            assert ref_mul((q / a).coeffs, ca, field.roots) == qc
+
+    @given(coeff_pairs())
+    def test_floor_encode_hash(self, case):
+        field, ca, _ = case
+        a = field.from_coeffs(ca)
+        assert a.floor() == _decimal_floor(a)
+        assert a.encode() == ref_encode(field, ca)
+        assert decode_scalar(field, a.encode()) == a
+        if any(ca[1:]):
+            assert hash(a) == hash((field.roots, tuple(ca)))
+        else:
+            assert hash(a) == hash(ca[0]) and a == ca[0]
+
+
 class TestFloorAndFrac:
     def test_rational_floor_exact(self):
         assert QQ.from_rational(Fraction(7, 2)).floor() == 3
