@@ -360,7 +360,7 @@ class FieldScalar:
         """Integer floor of the real embedding, decided exactly: the floors of
         the t nonzero terms c*sqrt(r), by integer square roots, sum to n with
         n <= floor <= n + t - 1, and at most t - 1 exact sign tests settle it."""
-        nums, den, table = self.nums, self.den, self.field._table
+        nums, den = self.nums, self.den
         n = nums[0] // den
         t = int(nums[0] != 0)
         for j in range(1, len(nums)):
@@ -369,7 +369,7 @@ class FieldScalar:
                 continue
             t += 1
             # p*sqrt(r)/den is irrational, so floor(-y) = -floor(y) - 1
-            s = math.isqrt(p * p * table[j][j][1]) // den
+            s = math.isqrt(p * p * self.field.basis_radicand(j)) // den
             n += s if p > 0 else -s - 1
         if t < 2:
             return n
