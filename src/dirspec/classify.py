@@ -372,15 +372,17 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
     """The concise set generating all non-ergodic directions by subordination."""
     if m.has_delta_zero():
         raise NotReducedError("measure contains delta_0")
+    if "nonergodic_concise" in m.memo:
+        return m.memo["nonergodic_concise"]
     explicit: list[Subspace] = []
     parametric: list[ParametricFamily] = []
     groups: list[GroupFamily] = []
     shifts = _lattice_shifts_allowed(m)
+    zero = Subspace.zero(m.field, m.dim)
     for comp in m.components:
         if isinstance(comp, Atom):
             if shifts:
-                parametric.append(ParametricFamily(
-                    Subspace.zero(m.field, m.dim), comp.point))
+                parametric.append(ParametricFamily(zero, comp.point))
             else:
                 explicit.append(Subspace.from_vectors(
                     m.field, m.dim, [comp.point]).orthocomplement())
@@ -403,7 +405,8 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
             continue
         kept_param.append(fam)
     space = TORUS if shifts else EUCLID
-    return ConciseSet(space, m.dim, m.field, hull, tuple(kept_param), tuple(groups))
+    return m.memo.setdefault("nonergodic_concise", ConciseSet(
+        space, m.dim, m.field, hull, tuple(kept_param), tuple(groups)))
 
 
 def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
@@ -411,6 +414,8 @@ def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
     subspace parts; any atomic component contributes the full space."""
     if m.has_delta_zero():
         raise NotReducedError("measure contains delta_0")
+    if "nonwm_concise" in m.memo:
+        return m.memo["nonwm_concise"]
     explicit: list[Subspace] = []
     for comp in m.components:
         if isinstance(comp, (Atom, AtomGroup)):
@@ -418,7 +423,8 @@ def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
         else:
             explicit.append(comp.carrier.subspace.orthocomplement())
     space = TORUS if _lattice_shifts_allowed(m) else EUCLID
-    return ConciseSet(space, m.dim, m.field, _concise_hull(explicit))
+    return m.memo.setdefault("nonwm_concise", ConciseSet(space, m.dim, m.field,
+                                                          _concise_hull(explicit)))
 
 
 # ---------------------------------------------------------------------------

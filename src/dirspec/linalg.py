@@ -9,11 +9,13 @@ normal form) and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
-bases), ``span_coordinates`` (one Gram system for many vectors, behind
-``Subspace.project_all``, the torus box-offset reduction and the torsion of
-``annihilator``), ``saturate`` (one triangular solve), ``rationality``,
-``solve_lattice_coset`` (the rational unknowns) and ``CosetLattice`` (the
-rational rows).  ``nullspace`` reads kernels off its output.  The integer
+bases), ``span_coordinates`` (one Gram system for many vectors: the dual
+basis of ``Subspace.project_all``, the torus box-offset reduction and the
+torsion of ``annihilator``), ``meets_orthocomplement`` (a rank), ``saturate``
+(one triangular solve), ``rationality``, ``solve_lattice_coset`` (the
+rational unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace``
+reads kernels off its output, and every dot product is the fused
+``scalar.vec_dot``.  The integer
 eliminations are ``hermite_normal_form`` and ``smith_normal_form``.
 ``smith_normal_form(M, B)`` returns U·B, D and V without forming the row
 transform U: its row operations act on the rows of B.  Its one caller is
@@ -42,10 +44,12 @@ module membership and the torus box-offset lattice-shift test off it;
 ``classify._on_affine_wall`` decides atom and box torus walls with it.
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
-stored in its ``memo`` dict: ``classify`` keeps the torus wall lattice of a
-direction and its atom-group wall answers there, ``measure`` the projected
-lattice that reduces torus box offsets on a carrier.  The memo takes no part
-in equality, hashing, ``encode`` or ``repr``.
+stored in its ``memo`` dict: ``project_all`` the dual basis G^-1 B (G = B B^T
+for the basis B), so a projection is the dim coordinates x = G^-1 B v and
+one combination x B; ``classify`` the torus wall lattice of a direction and
+its atom-group wall answers; ``measure`` the projected lattice that reduces
+torus box offsets on a carrier and the lattice of its torus class key.  The
+memo takes no part in equality, hashing, ``encode`` or ``repr``.
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ from itertools import product
 from math import lcm, prod
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
-from .scalar import QQ, FieldScalar, FieldSpec, promote_scalar
+from .scalar import QQ, FieldScalar, FieldSpec, promote_scalar, vec_dot
 
 FieldVector = tuple[FieldScalar, ...]
 
@@ -98,14 +102,6 @@ def vec_neg(u: FieldVector) -> FieldVector:
 
 def vec_scale(s, u: FieldVector) -> FieldVector:
     return tuple(s * a for a in u)
-
-
-def vec_dot(u: FieldVector, v: FieldVector) -> FieldScalar:
-    parts = [a * b for a, b in zip(u, v, strict=True)]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
 
 
 def mat_vec(rows, v: FieldVector) -> FieldVector:
@@ -241,8 +237,10 @@ class Subspace:
 
     @staticmethod
     def full(field: FieldSpec, ambient: int) -> "Subspace":
-        return Subspace.from_vectors(
-            field, ambient, [unit_vector(field, ambient, j) for j in range(ambient)])
+        # the identity basis is its own RREF; its rows share one zero and one one
+        zero, one = field.zero(), field.one()
+        return Subspace(field, ambient, tuple(tuple(one if i == j else zero for i in range(ambient))
+                                              for j in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -306,16 +304,19 @@ class Subspace:
         return self.project_all([v])[0]
 
     def project_all(self, vectors) -> list[FieldVector]:
-        """Orthogonal projections of several vectors, from one Gram elimination."""
+        """Orthogonal projections of several vectors: the identity on the full
+        space, else x B for the coordinates x = (G^-1 B) v (see the module
+        docstring)."""
         if self.dim == 0:
             return [zero_vector(self.field, self.ambient) for _ in vectors]
-        out = []
-        for x in span_coordinates(self.basis, vectors):
-            p = zero_vector(self.field, self.ambient)
-            for c, b in zip(x, self.basis):
-                p = vec_add(p, vec_scale(c, b))
-            out.append(p)
-        return out
+        if self.is_full():
+            return [tuple(v) for v in vectors]
+        if "dual_basis" not in self.memo:
+            units = Subspace.full(self.field, self.ambient).basis
+            self.memo["dual_basis"] = tuple(zip(*span_coordinates(self.basis, units)))
+        dual, columns = self.memo["dual_basis"], tuple(zip(*self.basis))
+        return [tuple(vec_dot(x, col) for col in columns)
+                for x in ([vec_dot(r, v) for r in dual] for v in vectors)]
 
     def project_perp(self, v: FieldVector) -> FieldVector:
         return vec_sub(v, self.project(v))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
@@ -216,10 +216,12 @@ def _box_key(space: str, field: FieldSpec, dim: int, sub: Subspace,
     the Q-span of its basis times each field-basis element, plus Z^d."""
     if space == EUCLID:
         return ("box", sub, offset)
-    n = field.dimension
-    units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
-    lattice = module_lattice(field, dim, [vec_scale(u, b) for b in sub.basis for u in units],
-                             "Q", space)
+    lattice = sub.memo.get("box_lattice")
+    if lattice is None:  # it depends only on sub: built once per carrier
+        n = field.dimension
+        units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
+        lattice = sub.memo["box_lattice"] = module_lattice(
+            field, dim, [vec_scale(u, b) for b in sub.basis for u in units], "Q", space)
     return ("box", sub, lattice.key(flatten(offset)))
 
 
@@ -248,6 +250,9 @@ class SymbolicMeasure:
     field: FieldSpec
     components: tuple[Component, ...]
     periodized: bool = False
+    # values computed from the measure alone (its concise sets); not part of the value
+    memo: dict = dataclass_field(default_factory=dict, init=False, compare=False,
+                                 hash=False, repr=False)
 
     # -- construction --------------------------------------------------------
 

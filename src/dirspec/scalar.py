@@ -8,9 +8,9 @@ shared positive denominator, ``(nums, den)``, in lowest terms:
 ``gcd(den, *nums) == 1``, so zero is ``((0, ..., 0), 1)`` and equal elements
 have equal tuples.  The product of basis elements i and j is basis element
 ``i ^ j`` times the radicand of ``i & j`` (shared radicals square to their
-radicand); each field precomputes that table once, and every product, norm
-and sign test runs on integers over it.  Plain Q (one coefficient) takes a
-short path through addition and multiplication.
+radicand); each field precomputes that table once, and every product, norm,
+sign test and dot product (``vec_dot``) runs on integers over it.  Plain Q
+(one coefficient) takes a short path through addition and multiplication.
 
 The only predicates the rest of the toolkit needs are exact equality with
 zero and field arithmetic; no total ordering is exposed.  The one
@@ -404,6 +404,40 @@ class FieldScalar:
             label = self.field.basis_label(j)
             parts.append(str(c) if label == "1" else f"{c}*{label}")
         return " + ".join(parts)
+
+
+def _nums_den(x, field: FieldSpec | None) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of a ``vec_dot`` entry: a FieldScalar of ``field`` or a rational."""
+    if type(x) is FieldScalar:
+        if x.field is not field and x.field != field:
+            raise FieldMismatchError(f"cannot mix fields {x.field.roots} in a dot product")
+        return x.nums, x.den
+    q = x if type(x) is int else Fraction(x)
+    return (q.numerator,) + (() if field is None else field._tail), q.denominator
+
+
+def vec_dot(u, v):
+    """sum_i u_i * v_i, fused: the integer products of the nonzero terms
+    accumulate over one running denominator and the sum is reduced once.
+    Entries are FieldScalars of the field of the first entries (else
+    FieldMismatchError), or ints and Fractions on either side, such as an
+    integer lattice basis; with no FieldScalar the result is a Fraction."""
+    field = u[0].field if type(u[0]) is FieldScalar else \
+        v[0].field if type(v[0]) is FieldScalar else None
+    table = _product_table(()) if field is None else field._table
+    acc, den = [0] * len(table), 1
+    for a, b in zip(u, v, strict=True):
+        an, ad = (a.nums, a.den) if type(a) is FieldScalar and a.field is field \
+            else _nums_den(a, field)
+        bn, bd = (b.nums, b.den) if type(b) is FieldScalar and b.field is field \
+            else _nums_den(b, field)
+        if any(an) and any(bn):
+            # acc / den + term / td over lcm(den, td) = scale * td
+            td = ad * bd
+            g = gcd(den, td)
+            scale, den = den // g, den // g * td
+            acc = [c * (td // g) + t * scale for c, t in zip(acc, _mul_nums(an, bn, table))]
+    return Fraction(acc[0], den) if field is None else _reduced(field, acc, den)
 
 
 def promote_scalar(s: FieldScalar, field: FieldSpec) -> FieldScalar:

@@ -81,13 +81,14 @@ class TestWallTest:
 
 
 class TestDirectionMemo:
-    """The wall lattice and the atom-group wall answers are kept in the
-    direction's memo: the memo must give the answers a fresh subspace gives,
-    and one classification plus subordination must solve each group once."""
+    """The wall lattice, the dual basis and the atom-group wall answers are
+    kept in the direction's memo: the memo must give the answers a fresh
+    subspace gives, and one classification plus subordination must solve
+    each group once."""
 
     def test_memo_answers_match_a_fresh_subspace(self):
         rng = random.Random(41)
-        groups_seen = 0
+        groups_seen = duals_seen = 0
         for _ in range(40):
             field = rng.choice([QQ, F2])
             space = rng.choice([TORUS, EUCLID])
@@ -106,6 +107,11 @@ class TestDirectionMemo:
                 if key == "wall_lattice":
                     assert answer == C._wall_lattice(fresh)
                     continue
+                if key == "dual_basis":
+                    duals_seen += 1
+                    fresh.project_all([])  # builds the fresh subspace's entry
+                    assert answer == fresh.memo["dual_basis"]
+                    continue
                 shifts, ring, gens, offset, ell = key
                 groups_seen += 1
                 assert C._group_meets_wall(shifts, C.GroupFamily(gens, ring, offset),
@@ -114,7 +120,41 @@ class TestDirectionMemo:
             assert C.classify_direction(m, fresh).encode() == verdict.encode()
             assert C.nonergodic_concise(m).contains_direction(
                 Subspace(sub.field, sub.ambient, sub.basis)) == in_ne
-        assert groups_seen > 10
+        assert groups_seen > 10 and duals_seen > 10
+
+    def test_concise_sets_are_kept_on_the_measure(self):
+        rng = random.Random(43)
+        kept = 0
+        for _ in range(30):
+            field = rng.choice([QQ, F2])
+            space = rng.choice([TORUS, EUCLID])
+            m = gen.rand_measure(rng, field, 2, space, with_groups=True)
+            if m.has_delta_zero():
+                with pytest.raises(NotReducedError):
+                    C.nonergodic_concise(m)
+                assert m.memo == {}
+                continue
+            kept += 1
+            fresh = SymbolicMeasure.decode(json.loads(json.dumps(m.encode())))
+            for concise in (C.nonergodic_concise, C.nonwm_concise):
+                first = concise(m)
+                assert concise(m) is first
+                assert concise(fresh) == first
+            assert set(m.memo) == {"nonergodic_concise", "nonwm_concise"}
+        assert kept > 10
+
+    def test_concise_memo_keeps_the_delta_zero_check(self):
+        m = torus(atom([Fraction(1, 3), 0]))
+        C.nonergodic_concise(m)
+        C.nonwm_concise(m)
+        # a measure is frozen, but a memo filled for a reduced class must not
+        # answer for an unreduced one: the check runs before the memo is read
+        with_zero = SymbolicMeasure(m.space, m.dim, m.field,
+                                    m.components + (atom([0, 0]),), m.periodized)
+        with_zero.memo.update(m.memo)
+        for concise in (C.nonergodic_concise, C.nonwm_concise):
+            with pytest.raises(NotReducedError):
+                concise(with_zero)
 
     def test_each_group_system_is_solved_once(self, monkeypatch):
         calls = []

@@ -105,6 +105,68 @@ class TestSubspace:
         assert vec_is_zero(sub.project(sub.project_perp(v)))
 
 
+def gram_projection(sub, v):
+    """P v = B^T G^-1 B v (G = B B^T), by one elimination of [G | B v]: the
+    orthogonal projection written out from its definition."""
+    basis = [list(b) for b in sub.basis]
+    dot = lambda a, b: sum((x * y for x, y in zip(a, b)), sub.field.zero())  # noqa: E731
+    rr, pivots = rref_field([[dot(bi, bj) for bj in basis] + [dot(bi, v)] for bi in basis],
+                            len(basis))
+    assert len(pivots) == len(basis)
+    coords = [row[-1] for row in rr]
+    return tuple(sum((c * b[j] for c, b in zip(coords, basis)), sub.field.zero())
+                 for j in range(sub.ambient))
+
+
+class TestProjection:
+    """Projections read the memoized dual basis; they must equal the Gram
+    formula, land in L with the remainder perpendicular to L, and be the
+    identity and zero on the full and zero subspaces."""
+
+    def test_full_is_built_in_rref(self):
+        for field in (QQ, F2):
+            for d in range(1, 5):
+                units = [unit_vector(field, d, j) for j in range(d)]
+                full = Subspace.full(field, d)
+                assert full == Subspace.from_vectors(field, d, units)
+                assert full.is_full() and full.basis == tuple(units)
+
+    def test_matches_gram_formula(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            field = rng.choice(gen.FIELDS)
+            d = rng.randint(1, 4)
+            sub = gen.rand_subspace(rng, field, d)
+            vs = [gen.rand_vector(rng, field, d) for _ in range(3)] + [zero_vector(field, d)]
+            fresh = Subspace(sub.field, sub.ambient, sub.basis)
+            for v, p in zip(vs, sub.project_all(vs)):
+                assert p == gram_projection(sub, v) == sub.project(v) == fresh.project(v)
+                assert sub.contains(p)
+                assert all(vec_dot(b, vec_sub(v, p)).is_zero() for b in sub.basis)
+                assert sub.project_perp(v) == vec_sub(v, p)
+
+    def test_full_and_zero_subspaces(self):
+        rng = random.Random(59)
+        for field in gen.FIELDS:
+            for d in range(1, 5):
+                vs = [gen.rand_vector(rng, field, d) for _ in range(3)]
+                assert Subspace.full(field, d).project_all(vs) == vs
+                assert Subspace.zero(field, d).project_all(vs) == [zero_vector(field, d)] * 3
+                assert all(vec_is_zero(Subspace.full(field, d).project_perp(v)) for v in vs)
+
+    def test_dual_basis_is_kept_in_the_memo(self):
+        sub = Subspace.from_vectors(F2, 3, [[1, F2.sqrt_root(2), 0]])
+        v = as_vector(F2, [1, 2, 3])
+        assert "dual_basis" not in sub.memo
+        first = sub.project(v)
+        dual = sub.memo["dual_basis"]
+        assert len(dual) == sub.dim and all(len(r) == sub.ambient for r in dual)
+        assert sub.project(v) == first and sub.memo["dual_basis"] is dual
+        # the dual rows r_i satisfy r_i . b_j = [i == j]
+        assert [[vec_dot(r, b) for b in sub.basis] for r in dual] == [[1]]
+        assert "dual_basis" not in Subspace.full(F2, 3).memo
+
+
 int_entry = st.integers(min_value=-6, max_value=6)
 
 

@@ -70,6 +70,35 @@ class TestCanonicalization:
             assert [m.encode() for m in got] == [m.encode() for m in want]
             assert (sub.memo["perp_lattice"] is None) == (sub.field != QQ)
 
+    def test_box_key_lattice_kept_in_carrier_memo(self):
+        # the torus class key of a box reads a lattice that depends only on
+        # its carrier: built once, kept in the carrier's memo, and equal to
+        # the one a new subspace object builds
+        for sub in (Subspace.from_vectors(QQ, 2, [[1, 2]]),
+                    Subspace.from_vectors(F2, 2, [[1, F2.sqrt_root(2)]])):
+            m = SymbolicMeasure.make(TORUS, 2, sub.field,
+                                     [box(sub, [Fraction(1, 3), Fraction(5, 7)])])
+            carrier = m.components[0].carrier.subspace
+            lattice = carrier.memo["box_lattice"]
+            key = M.class_key(TORUS, sub.field, 2, m.components[0])
+            assert carrier.memo["box_lattice"] is lattice
+            fresh = Subspace(carrier.field, 2, carrier.basis)
+            assert M._box_key(TORUS, sub.field, 2, fresh, m.components[0].carrier.offset) == key
+            assert fresh.memo["box_lattice"] == lattice
+
+    def test_memo_is_not_part_of_the_measure(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            m = gen.rand_measure(rng, rng.choice([QQ, F2]), 2,
+                                 rng.choice([TORUS, EUCLID]), with_groups=True)
+            fresh = SymbolicMeasure(m.space, m.dim, m.field, m.components, m.periodized)
+            before = (hash(m), m.encode(), repr(m))
+            m.memo["nonwm_concise"] = object()
+            assert m == fresh and hash(m) == hash(fresh)
+            assert (hash(m), m.encode(), repr(m)) == before
+            assert fresh.memo == {} and "memo" not in repr(m)
+            assert {m: 1}[fresh] == 1
+
     def test_torus_box_offset_canonical_across_presentations(self):
         # equivalent offsets (differing by K + Z^d) canonicalize identically
         # for completely rational carriers

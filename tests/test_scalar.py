@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dirspec.errors import FieldMismatchError, ValidationError
-from dirspec.scalar import QQ, FieldSpec, decode_scalar, promote_scalar
+from dirspec.scalar import QQ, FieldSpec, decode_scalar, promote_scalar, vec_dot
 
 F2 = FieldSpec((2,))
 F23 = FieldSpec((2, 3))
@@ -243,6 +243,70 @@ class TestAgainstFractionReference:
             assert hash(a) == hash((field.roots, tuple(ca)))
         else:
             assert hash(a) == hash(ca[0]) and a == ca[0]
+
+
+@st.composite
+def dot_cases(draw):
+    """A field of FIELDS[:3] and two vectors of one length, with zero entries."""
+    field = draw(st.sampled_from(FIELDS[:3]))
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.lists(entry, min_size=field.dimension, max_size=field.dimension),
+                   min_size=n, max_size=n)
+    return (field, [field.from_coeffs(c) for c in draw(vec)],
+            [field.from_coeffs(c) for c in draw(vec)])
+
+
+class TestFusedDot:
+    """``vec_dot`` accumulates over one denominator and reduces once; it must
+    equal the sum of the products taken one by one with ``*`` and ``+``."""
+
+    @staticmethod
+    def termwise(u, v):
+        out = u[0] * v[0]
+        for a, b in zip(u[1:], v[1:]):
+            out = out + a * b
+        return out
+
+    @given(dot_cases())
+    def test_matches_termwise_sum(self, case):
+        field, u, v = case
+        got = vec_dot(u, v)
+        assert got == self.termwise(u, v) and got.field == field
+        assert_canonical(got)
+        assert vec_dot(v, u) == got
+
+    @given(dot_cases(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    def test_integer_rows(self, case, ints):
+        field, _, v = case
+        row = ints[:len(v)]
+        got = vec_dot(row, v)
+        assert got == self.termwise([field.from_rational(n) for n in row], v)
+        assert got == vec_dot(v, row) and got.field == field
+        assert_canonical(got)
+
+    @given(st.lists(rational, min_size=1, max_size=4), st.data())
+    def test_rationals_give_a_fraction(self, u, data):
+        v = data.draw(st.lists(rational, min_size=len(u), max_size=len(u)))
+        got = vec_dot(u, v)
+        assert type(got) is Fraction and got == sum(Fraction(a) * b for a, b in zip(u, v))
+
+    def test_zero_terms_and_canonical_zero(self):
+        half = F2.from_rational(Fraction(1, 2))
+        got = vec_dot([F2.zero(), half, F2.sqrt_root(2)], [F2.sqrt_root(2), F2.zero(), F2.zero()])
+        assert got.is_zero() and (got.nums, got.den) == ((0, 0), 1)
+        # terms over different denominators cancel to lowest terms
+        got = vec_dot([half, F2.from_rational(Fraction(1, 3))], [F2.one(), F2.from_rational(3)])
+        assert (got.nums, got.den) == ((3, 0), 2)
+
+    def test_mixed_fields_raise(self):
+        with pytest.raises(FieldMismatchError):
+            vec_dot([F2.one(), F2.one()], [F2.one(), F23.one()])
+        with pytest.raises(FieldMismatchError):
+            vec_dot([QQ.one()], [F2.one()])
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            vec_dot([QQ.one(), QQ.one()], [QQ.one()])
 
 
 class TestFloorAndFrac:
