@@ -38,7 +38,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
@@ -179,7 +179,10 @@ def _cmd_convolve(args) -> int:
 def _cmd_restrict(args) -> int:
     cfg = _base_config(args)
     m = _load_measure(args.measure)
-    gens = json.loads(args.subgroup)
+    try:
+        gens = json.loads(args.subgroup)
+    except RecursionError as exc:
+        raise ValidationError(f"cannot parse --subgroup: {exc}") from exc
     h = LatticeSubgroup.from_generators(m.dim, gens)
     out, ident = pushforward_subgroup(m, h)
     return _emit(args, "restrict", cfg,

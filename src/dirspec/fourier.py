@@ -4,15 +4,15 @@ Closed-form transforms (atoms: characters; boxes: products of sinc factors
 for the centered-zonotope representative), a quasi-Monte-Carlo directional
 Wiener estimator for wall masses, Rajchman decay probes along directions,
 and coset-constancy checks.  Everything is seeded and deterministic; this
-module is the independent numerical check on the exact classifier.  scipy
-(about a second to import) is imported only where Sobol points are drawn.
+module is the independent numerical check on the exact classifier.  numpy
+is imported only inside the functions that compute floats, so importing this
+module (and with it the exact commands) loads only the standard library;
+scipy (about a second to import) is imported only where Sobol points are drawn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ValidationError
 from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
@@ -43,6 +43,7 @@ DEFAULT_CONFIG = EstimatorConfig()
 
 
 def _floats(v) -> np.ndarray:
+    import numpy as np
     return np.array([float(x) for x in v], dtype=float)
 
 
@@ -54,6 +55,7 @@ def group_representative(comp: AtomGroup, space: str, dim: int, truncation: int
     |p|, q <= truncation (ring Q); weights decay geometrically in the
     coefficient size and are normalized to the component weight.
     """
+    import numpy as np
     if truncation < 1:
         raise ValidationError(
             "ft of an atom group needs a positive truncation count")
@@ -107,6 +109,7 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
 
     Convention: ft(sigma, t) = integral of exp(-2 pi i a.t) d sigma(a).
     """
+    import numpy as np
     t = np.atleast_2d(np.asarray(points, dtype=float))
     if t.shape[1] != m.dim:
         raise ValidationError("evaluation points have wrong dimension")
@@ -132,6 +135,7 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
 
 
 def ft(m: SymbolicMeasure, point, cfg: EstimatorConfig = DEFAULT_CONFIG) -> complex:
+    import numpy as np
     return complex(ft_batch(m, np.asarray(point, dtype=float)[None, :], cfg)[0])
 
 
@@ -145,6 +149,7 @@ def _periodization_factor(dim: int, t: np.ndarray, trunc: int) -> np.ndarray:
     total -- adequate for the qualitative class-level probes this factor
     feeds, where the weight sequence is arbitrary anyway.
     """
+    import numpy as np
     grids = np.meshgrid(*([np.arange(-trunc, trunc + 1)] * dim), indexing="ij")
     lattice = np.stack([g.ravel() for g in grids], axis=1)
     weights = 2.0 ** (-np.max(np.abs(lattice), axis=1))
@@ -185,12 +190,14 @@ class WienerEstimate:
 
 
 def _orthonormal_basis(direction: Subspace) -> np.ndarray:
+    import numpy as np
     b = np.array([[float(x) for x in row] for row in direction.basis], dtype=float)
     q, _ = np.linalg.qr(b.T)
     return q[:, :direction.dim].T  # rows: ON basis of L
 
 
 def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
+    import numpy as np
     from scipy.stats import qmc
     sampler = qmc.Sobol(d=e, scramble=True, seed=seed)
     raw = sampler.random(max(8, 4 * samples))
@@ -211,6 +218,7 @@ def wiener_mass(m: SymbolicMeasure, direction: Subspace, ell,
     radius ball of L; characters off the wall average out as the radius grows.
     The spread is the standard deviation across 8 consecutive sub-batches.
     """
+    import numpy as np
     ell_vec = as_vector(m.field, ell) if ell is not None else None
     if ell_vec is not None and not direction.contains(ell_vec):
         raise ValidationError("the eigenvalue candidate must lie in the direction")
@@ -230,6 +238,7 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
     """Exact mass the concrete representative puts on the affine wall
     L^perp + ell in R^d (no lattice shifts: this is what the Wiener
     estimator converges to)."""
+    import numpy as np
     if m.periodized:
         raise ValidationError("representative masses are defined for plain measures")
     ell_vec = as_vector(m.field, ell) if ell is not None \
@@ -274,6 +283,7 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
                    cfg: EstimatorConfig = DEFAULT_CONFIG,
                    directions_per_radius: int = 64) -> DecayProfile:
     """sup |ft| over sampled points of norm r in L, for each radius r."""
+    import numpy as np
     from scipy.stats import qmc
     onb = _orthonormal_basis(direction)
     e = direction.dim
@@ -296,6 +306,7 @@ def coset_constancy_check(m: SymbolicMeasure, tol: float = 1e-9,
                           cfg: EstimatorConfig = DEFAULT_CONFIG) -> bool:
     """For a single zero-offset box component, verify the transform is
     constant along cosets of K^perp (exact for the factorized formula)."""
+    import numpy as np
     if len(m.components) != 1 or not isinstance(m.components[0], BoxLebesgue):
         raise ValidationError("coset constancy applies to a single box component")
     comp = m.components[0]

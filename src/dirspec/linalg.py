@@ -162,12 +162,17 @@ def rref_field(rows: list[list], ncols: int | None = None) -> tuple[list[list], 
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [inv * x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        row = mat[r]
+        if row[col] != 1:
+            inv = 1 / row[col]
+            row = mat[r] = [inv * x for x in row]
+        # the pivot row is zero left of col; only its nonzero columns change a row
+        support = [j for j in range(col, len(row)) if row[j] != 0]
+        for i, other in enumerate(mat):
+            if i != r and other[col] != 0:
+                f = other[col]
+                for j in support:
+                    other[j] = other[j] - f * row[j]
         pivots.append(col)
         r += 1
     return mat, pivots
@@ -537,7 +542,13 @@ class LatticeSubgroup:
 
     @staticmethod
     def from_generators(ambient: int, generators) -> "LatticeSubgroup":
-        gens = [list(map(int, g)) for g in generators]
+        try:
+            rows = [list(g) for g in generators]
+            gens = [[int(x) for x in g] for g in rows]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"generator entries must be integers: {exc}") from exc
+        if gens != rows:  # int() would truncate 0.5 or 1.9
+            raise ValidationError(f"generator entries must be integers, got {rows}")
         for g in gens:
             if len(g) != ambient:
                 raise DimensionMismatchError("generator has wrong length")

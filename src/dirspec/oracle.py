@@ -11,6 +11,10 @@ ft(sigma, t) = integral e^{-2 pi i a.t} d sigma, the single-observable
 measure of an eigenfunction with eigenvalue gamma is the point mass at
 -gamma.  Expected (maximal-type) measures are symmetric under negation, so
 they carry atoms at the eigenvalues themselves.
+
+The models, their correlations and exact measures use only the standard
+library; numpy is imported inside ``crosscheck`` and ``gram_min_eigenvalue``,
+the two functions that compute float arrays.
 """
 from __future__ import annotations
 
@@ -18,8 +22,6 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
-
-import numpy as np
 
 from .errors import UnsupportedConvolutionError, ValidationError
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
@@ -150,6 +152,8 @@ ActionModel = Rotation | ProductType | BergelsonWard | OdometerEigen
 
 
 def decode_model(doc: dict) -> ActionModel:
+    if not isinstance(doc, dict):
+        raise ValidationError("a model document must be a JSON object")
     kind = doc.get("kind")
     field = FieldSpec(tuple(doc.get("field_roots", ())))
     if kind == "rotation":
@@ -383,6 +387,8 @@ class CrosscheckReport:
 def crosscheck(model: ActionModel, bound: int = 10,
                tol: float = 1e-12) -> CrosscheckReport:
     """Assert ft(observable measure, n) == correlation(n) on |n|_inf <= bound."""
+    import numpy as np
+
     from .fourier import ft_batch
 
     d = model.dim
@@ -407,6 +413,7 @@ def gram_min_eigenvalue(model: ActionModel, observable: str,
                         points: list[tuple[int, ...]]) -> float:
     """Minimum eigenvalue of the correlation Gram matrix at the given lattice
     points (positive definiteness check)."""
+    import numpy as np
     g = np.array([[correlation(model,
                                tuple(p - q for p, q in zip(np_, nq)), observable)
                    for nq in points] for np_ in points])

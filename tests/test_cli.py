@@ -205,6 +205,44 @@ class TestExitCodes:
         assert main(["lint", "--measure", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
 
+    @pytest.mark.parametrize("subgroup", ["[[0.5, 1]]", "[[1.9, 1]]", "[[1, \"1\"]]",
+                                          "[" * 100000 + "]" * 100000],
+                             ids=["half", "one-point-nine", "string", "deeply-nested"])
+    def test_bad_subgroup_is_2(self, fixtures_dir, subgroup, capsys):
+        # int() used to truncate the first two to [[0, 1]] and [[1, 1]] with exit 0
+        code = main(["restrict", "--measure", str(fixtures_dir / "product_bernoulli.json"),
+                     "--subgroup", subgroup])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ValidationError"
+
+    def test_integral_float_subgroup_is_accepted(self, fixtures_dir, capsys):
+        code = main(["restrict", "--measure", str(fixtures_dir / "product_bernoulli.json"),
+                     "--subgroup", "[[1.0, 1]]"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["inputs"]["subgroup"] == {"generators": [[1, 1]]}
+
+    @pytest.mark.parametrize("doc", [[], "rotation", 5])
+    def test_non_object_model_is_2(self, doc, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--model", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("argv", [["lint", "--measure", "{doc}"],
+                                      ["oracle", "--model", "{doc}"],
+                                      ["realize", "--directions", "{doc}"]])
+    def test_deeply_nested_document_is_2(self, argv, tmp_path):
+        # deeper than the recursion limit: the JSON decoder gives up
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        proc = run_cli(*[a.format(doc=path) for a in argv])
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"]["kind"] == "ValidationError"
+
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),
                      "--enumeration-bound", "-1"])

@@ -270,3 +270,46 @@ class TestLazyScipy:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
+
+    # every CLI subcommand that decides exactly, on the bundled fixtures
+    EXACT_COMMANDS = [
+        ["classify", "--measure", "product_bernoulli.json",
+         "--directions", "axes_and_diagonal.json"],
+        ["directions", "--measure", "bw8.json", "--enumeration-bound", "1"],
+        ["realize", "--directions", "two_subspaces_r3.json"],
+        ["decompose", "--measure", "bw8.json"],
+        ["suspend", "--measure", "chair.json"],
+        ["restrict", "--measure", "product_bernoulli.json", "--subgroup", "[[1, 1]]"],
+        ["lint", "--measure", "broken_symmetry.json"],
+        ["exp", "--measure", "product_bernoulli.json"],
+        ["convolve", "--measure", "product_bernoulli.json",
+         "--other", "lonely_atom.json"],
+    ]
+
+    def test_exact_commands_leave_numpy_unloaded(self, fixtures_dir):
+        # numpy is imported only where a float is computed
+        argvs = [[str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+                 for argv in self.EXACT_COMMANDS]
+        code = "\n".join([
+            "import contextlib, io, json, sys, dirspec, dirspec.cli",
+            "from dirspec.oracle import decode_model",
+            f"for argv in {argvs!r}:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert dirspec.cli.main(argv) == 0, argv",
+            f"model = decode_model(json.load(open({str(fixtures_dir / 'product_model.json')!r})))",
+            "for name in ('numpy', 'scipy'):",
+            "    assert name not in sys.modules, name + ' loaded by an exact command'",
+            "from dirspec.fourier import ft_batch",
+            "from dirspec.linalg import as_vector",
+            "from dirspec.measure import EUCLID, Atom, SymbolicMeasure",
+            "from dirspec.oracle import crosscheck",
+            "from dirspec.scalar import QQ",
+            "m = SymbolicMeasure.make(EUCLID, 1, QQ, [Atom(as_vector(QQ, [0]))])",
+            "assert abs(ft_batch(m, [[0.25]])[0] - 1) < 1e-12",
+            "assert crosscheck(model, bound=2).passed",
+            "assert 'numpy' in sys.modules",
+        ])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gen
-from dirspec.errors import DimensionMismatchError
+from dirspec.errors import DimensionMismatchError, ValidationError
 from dirspec.linalg import (AffineCarrier, CosetLattice, CosetSolution, LatticeSubgroup,
                             Subspace, annihilator, as_vector, mat_vec, nullspace,
                             rationality, rref_field, saturate, saturation_index,
@@ -186,7 +186,67 @@ class TestSubspaceMemo:
             assert {sub: 1}[fresh] == 1
 
 
+def _textbook_rref(rows, ncols=None):
+    """Gauss-Jordan with rref_field's pivot rule that normalizes every pivot
+    row and rebuilds every entry of every other row."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if ncols is None else ncols
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [inv * x for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat, pivots
+
+
+rref_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def rref_cases(draw):
+    """A matrix over Q (Fraction entries), Q(sqrt2) or Q(sqrt2, sqrt3), rich in
+    zero and unit entries, sometimes with a dependent row, and a pivot width."""
+    field = draw(st.sampled_from([None, F2, FieldSpec((2, 3))]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "one", "rational", "any")))
+        if kind == "zero" or kind == "one":
+            x = Fraction(kind == "one")
+            return x if field is None else field.from_rational(x)
+        if field is None or kind == "rational":
+            x = draw(rref_coeff)
+            return x if field is None else field.from_rational(x)
+        return field.from_coeffs([draw(rref_coeff) for _ in range(field.dimension)])
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 2 and draw(st.booleans()):
+        rows[-1] = [x - y for x, y in zip(rows[0], rows[1])]
+    return rows, draw(st.integers(0, n))
+
+
 class TestRrefField:
+    @given(rref_cases())
+    def test_against_textbook_elimination(self, case):
+        rows, k = case
+        before = [list(r) for r in rows]
+        for ncols in (None, k):
+            rr, pivots = rref_field(rows, ncols)
+            want, want_pivots = _textbook_rref(rows, ncols)
+            assert pivots == want_pivots and rr == want
+            assert [[type(x) for x in r] for r in rr] == \
+                [[type(x) for x in r] for r in want]
+        assert rows == before  # the input is not modified
+
     def test_partial_elimination(self):
         # pivots are taken only in the first two columns; the third is carried
         rows = [[Fraction(x) for x in r]
@@ -344,6 +404,20 @@ class TestLattices:
             assert idx >= 1
             for row in h.basis:
                 assert sat.contains(row)
+
+    @pytest.mark.parametrize("gens", [[[0.5, 1]], [[1.9, 1]], [[1, -0.1]],
+                                      [["1", 0]], [[None, 1]], [[float("inf"), 1]],
+                                      [[Fraction(1, 2), 1]]])
+    def test_non_integer_generator_rejected(self, gens):
+        # int() would truncate these silently: 0.5 -> 0, 1.9 -> 1
+        with pytest.raises(ValidationError):
+            LatticeSubgroup.from_generators(2, gens)
+
+    def test_integral_values_accepted(self):
+        want = LatticeSubgroup.from_generators(2, [[2, 1]])
+        for gens in ([[2.0, 1.0]], [[Fraction(2), 1]], [(2, 1)]):
+            h = LatticeSubgroup.from_generators(2, gens)
+            assert h == want and all(type(x) is int for row in h.basis for x in row)
 
     def test_membership(self):
         h = LatticeSubgroup.from_generators(2, [[2, 0], [0, 3]])
