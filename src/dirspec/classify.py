@@ -4,8 +4,9 @@ The decision rules implement the wall characterizations: a direction L fails
 ergodicity iff the measure charges the wall perpendicular to L through the
 origin, fails weak mixing iff it charges some perpendicular affine wall, and
 fails strong mixing iff some component's transform does not decay along L.
-On the torus (and for periodized Euclidean classes) walls are tested against
-all lattice shifts via exact integer feasibility.
+Where the classes live mod Z^d (``class_space`` TORUS: torus measures and
+periodized classes) walls are tested against all lattice shifts via exact
+integer feasibility, and the concise sets are torus sets.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vect
                      vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, exp as measure_exp,
-                      group_value_coset_nontrivial, has_atom_at, pushforward_quotient,
+                      group_value_coset_nontrivial, has_atom_at, is_identity,
                       pushforward_subgroup, translate)
 from .scalar import FieldSpec
 
@@ -51,10 +52,6 @@ class WallTestResult:
     witnesses: tuple[WallWitness, ...]
 
 
-def _lattice_shifts_allowed(m: SymbolicMeasure) -> bool:
-    return m.space == TORUS or m.periodized
-
-
 def _wall_lattice(sub_l: Subspace) -> CosetLattice:
     """Z.span{B_L e_j}: the lattice shifts seen through direction L.  It
     depends only on L, so it is built once per direction and kept in the
@@ -78,9 +75,9 @@ def _on_affine_wall(lattice: CosetLattice | None, sub_l: Subspace, point: FieldV
     return all(vec_dot(b, diff).is_zero() for b in rows)
 
 
-def _group_meets_wall(shifts: bool, comp: "AtomGroup | GroupFamily", sub_l: Subspace,
+def _group_meets_wall(space: str, comp: "AtomGroup | GroupFamily", sub_l: Subspace,
                       ell: FieldVector) -> FieldVector | None:
-    """A genuine atom of ``comp`` on L^perp + ell (mod Z^d when ``shifts``),
+    """A genuine atom of ``comp`` on L^perp + ell (mod Z^d on the torus),
     or None when the wall carries no atom of the group.
 
     Solve  B_L (offset + sum_i c_i g_i - ell - n) = 0  for coefficients c in
@@ -91,15 +88,15 @@ def _group_meets_wall(shifts: bool, comp: "AtomGroup | GroupFamily", sub_l: Subs
     subspace's memo: the central wall test of ``classify_direction`` and
     ``contains_direction`` on the nonergodic concise set pose the same system.
     """
-    key = (shifts, comp.ring, comp.generators, comp.offset, ell)
+    key = (space, comp.ring, comp.generators, comp.offset, ell)
     if key in sub_l.memo:
         return sub_l.memo[key]
     rows = sub_l.basis
-    ls = [tuple(-b[j] for b in rows) for j in range(sub_l.ambient)] if shifts else ()
+    ls = [tuple(-b[j] for b in rows) for j in range(sub_l.ambient)] if space == TORUS else ()
     sol = solve_lattice_coset(comp.ring, [mat_vec(rows, g) for g in comp.generators], ls,
                               mat_vec(rows, vec_sub(ell, comp.offset)))
     atom = None if sol is None else group_value_coset_nontrivial(
-        sub_l.field, comp, sol, lattice_trivial=shifts)
+        sub_l.field, comp, sol, space)
     sub_l.memo[key] = atom
     return atom
 
@@ -120,11 +117,11 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
         raise DimensionMismatchError("the eigenvalue candidate has wrong length")
     if not direction.contains(ell_vec):
         raise ValidationError("the eigenvalue candidate must lie in the direction")
-    shifts = _lattice_shifts_allowed(m)
+    space = m.class_space
     witnesses = []
     for i, comp in enumerate(m.components):
         if isinstance(comp, AtomGroup):
-            atom = _group_meets_wall(shifts, comp, direction, ell_vec)
+            atom = _group_meets_wall(space, comp, direction, ell_vec)
             if atom is None:
                 continue
         else:
@@ -134,7 +131,7 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
                 atom, point = None, comp.carrier.offset
             else:
                 continue
-            lattice = _wall_lattice(direction) if shifts else None
+            lattice = _wall_lattice(direction) if space == TORUS else None
             if not _on_affine_wall(lattice, direction, point, ell_vec):
                 continue
         witnesses.append(WallWitness(i, _wall_descriptor(m, comp), ell_vec, atom))
@@ -271,7 +268,7 @@ class ConciseSet:
                                zero_vector(self.fieldspec, self.dim)):
                 return True
         for fam in self.group_families:
-            if _group_meets_wall(self.space == TORUS, fam, direction,
+            if _group_meets_wall(self.space, fam, direction,
                                  zero_vector(self.fieldspec, self.dim)):
                 return True
         return False
@@ -377,7 +374,7 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
     explicit: list[Subspace] = []
     parametric: list[ParametricFamily] = []
     groups: list[GroupFamily] = []
-    shifts = _lattice_shifts_allowed(m)
+    shifts = m.class_space == TORUS
     zero = Subspace.zero(m.field, m.dim)
     for comp in m.components:
         if isinstance(comp, Atom):
@@ -404,9 +401,8 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
         if any(s.orthocomplement().leq(fam.subspace) for s in hull):
             continue
         kept_param.append(fam)
-    space = TORUS if shifts else EUCLID
     return m.memo.setdefault("nonergodic_concise", ConciseSet(
-        space, m.dim, m.field, hull, tuple(kept_param), tuple(groups)))
+        m.class_space, m.dim, m.field, hull, tuple(kept_param), tuple(groups)))
 
 
 def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
@@ -422,8 +418,7 @@ def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
             explicit.append(Subspace.full(m.field, m.dim))
         else:
             explicit.append(comp.carrier.subspace.orthocomplement())
-    space = TORUS if _lattice_shifts_allowed(m) else EUCLID
-    return m.memo.setdefault("nonwm_concise", ConciseSet(space, m.dim, m.field,
+    return m.memo.setdefault("nonwm_concise", ConciseSet(m.class_space, m.dim, m.field,
                                                           _concise_hull(explicit)))
 
 
@@ -477,9 +472,8 @@ def directional_eigenvalues(m: SymbolicMeasure,
                             direction: Subspace) -> tuple[EigenvalueFamily, ...]:
     """All directional eigenvalue families for L: one per component whose
     carrier subspace sits inside L^perp."""
-    shifts = _lattice_shifts_allowed(m)
     lattice_images: tuple[FieldVector, ...] = ()
-    if shifts:
+    if m.class_space == TORUS:
         images = direction.project_all([unit_vector(m.field, m.dim, j)
                                         for j in range(m.dim)])
         lattice_images = tuple(img for img in images if not vec_is_zero(img))
@@ -596,24 +590,16 @@ def admissibility_lint(m: SymbolicMeasure) -> list[LintWarning]:
         ergodic yet non weak mixing (ergodicity and weak mixing coincide for
         weak mixing actions).
 
-    A periodized class is linted as its push-forward to the torus, where its
-    atoms and carriers live mod Z^d.
+    A periodized class is linted mod Z^d, like a torus class.
     """
-    if m.periodized:
-        m = pushforward_quotient(m)
     warnings: list[LintWarning] = []
     atoms = atom_points(m)
     closure_ok = True
     if atoms:
         candidates = [vec_add(a, b) for a in atoms for b in atoms]
         candidates += [vec_sub(zero_vector(m.field, m.dim), a) for a in atoms]
-        for cand in candidates:
-            point = cand
-            trivial = all(x.is_integer() for x in point) if _lattice_shifts_allowed(m) \
-                else vec_is_zero(point)
-            if trivial:
-                continue
-            if not has_atom_at(m, point):
+        for point in candidates:
+            if not is_identity(m.class_space, point) and not has_atom_at(m, point):
                 closure_ok = False
                 warnings.append(LintWarning(
                     "atom_closure",

@@ -47,7 +47,7 @@ def _floats(v) -> np.ndarray:
     return np.array([float(x) for x in v], dtype=float)
 
 
-def group_representative(comp: AtomGroup, space: str, dim: int, truncation: int
+def group_representative(comp: AtomGroup, space: str, truncation: int
                          ) -> tuple[list[np.ndarray], list[float]]:
     """Deterministic truncated atom list for an atom-group component.
 
@@ -125,8 +125,7 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
                 val = val * np.sinc(t @ _floats(g))
             out += val
         else:
-            pts, ws = group_representative(comp, m.space, m.dim,
-                                           cfg.group_truncation)
+            pts, ws = group_representative(comp, m.space, cfg.group_truncation)
             for p, w in zip(pts, ws):
                 out += w * np.exp(-2j * np.pi * (t @ p))
     if m.periodized:
@@ -168,7 +167,7 @@ def total_representative_mass(m: SymbolicMeasure,
     mass = 0.0
     for comp in m.components:
         if isinstance(comp, AtomGroup):
-            _, ws = group_representative(comp, m.space, m.dim, cfg.group_truncation)
+            _, ws = group_representative(comp, m.space, cfg.group_truncation)
             mass += sum(ws)
         else:
             mass += float(comp.weight)
@@ -254,7 +253,7 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
                     perp.contains(vec_sub(comp.rep_center(), ell_vec)):
                 mass += float(comp.weight)
         else:
-            pts, ws = group_representative(comp, m.space, m.dim, cfg.group_truncation)
+            pts, ws = group_representative(comp, m.space, cfg.group_truncation)
             perp_b = np.array([[float(x) for x in row] for row in direction.basis])
             ell_f = _floats(ell_vec)
             for p, w in zip(pts, ws):

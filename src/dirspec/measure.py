@@ -12,10 +12,11 @@ A measure is a finite list of components over one field:
                      excluded from the atom set).
 
 Classification consumes only the equivalence class; weights exist so the
-numerical Fourier oracle has a concrete representative.  On the torus all
-data is reduced mod Z^d; a Euclidean measure can carry a ``periodized``
-flag meaning the class of all its lattice translates with summable
-positive weights.
+numerical Fourier oracle has a concrete representative.  A Euclidean measure
+can carry a ``periodized`` flag meaning the class of all its lattice
+translates with summable positive weights.  Such a class lives mod Z^d like
+a torus class (``SymbolicMeasure.class_space``), and all its data is stored
+reduced mod Z^d.
 """
 from __future__ import annotations
 
@@ -166,26 +167,27 @@ def group_element_from_coeffs(field: FieldSpec, group: "AtomGroup", coeffs,
     return out
 
 
+def is_identity(space: str, v: FieldVector) -> bool:
+    """Is v the group identity of the space: integral on T^d, zero on R^d?"""
+    if space == TORUS:
+        return all(x.is_integer() for x in v)
+    return vec_is_zero(v)
+
+
 def group_value_coset_nontrivial(field: FieldSpec, group: "AtomGroup",
                                  sol: CosetSolution,
-                                 lattice_trivial: bool) -> FieldVector | None:
+                                 space: str) -> FieldVector | None:
     """Given the solution family of a group coset system, find a solution
-    whose group element is a genuine atom: outside Z^d when
-    ``lattice_trivial`` (torus semantics), nonzero otherwise.  Returns that
-    witness element, or None if every solution is trivial."""
-    def nontrivial(v: FieldVector) -> bool:
-        if lattice_trivial:
-            return not all(x.is_integer() for x in v)
-        return not vec_is_zero(v)
-
+    whose group element is a genuine atom, not the identity of ``space``.
+    Returns that witness element, or None if every solution is trivial."""
     base = group_element_from_coeffs(field, group, sol.coeffs, True)
-    if nontrivial(base):
+    if not is_identity(space, base):
         return base
-    # base is trivial (integral resp. zero); adding any nontrivial direction
-    # of the solution module escapes the trivial set
+    # base is the identity; adding any non-identity element of the solution
+    # module escapes it
     for lam in sol.coeff_lattice:
         u = group_element_from_coeffs(field, group, lam, False)
-        if nontrivial(u):
+        if not is_identity(space, u):
             return vec_add(base, u)
     for vk in sol.coeff_kernel:
         v = group_element_from_coeffs(field, group, vk, False)
@@ -263,16 +265,22 @@ class SymbolicMeasure:
             raise ValidationError(f"unknown space {space!r}")
         if space == TORUS and periodized:
             raise ValidationError("periodized flag is only valid on euclidean space")
+        shell = SymbolicMeasure(space, dim, field, (), periodized)
         canon: dict[tuple, Component] = {}  # first-seen component per key
         for comp in components:
-            keyed = _canonicalize_component(space, dim, field, comp)
+            keyed = _canonicalize_component(shell.class_space, dim, field, comp)
             if keyed is None:
                 continue
             c, key = keyed
             prev = canon.get(key)
             canon[key] = c if prev is None else replace(prev, weight=prev.weight + c.weight)
-        comps = sorted(canon.values(), key=_encode_sort_key)
-        return SymbolicMeasure(space, dim, field, tuple(comps), periodized)
+        return replace(shell, components=tuple(sorted(canon.values(), key=_encode_sort_key)))
+
+    @property
+    def class_space(self) -> str:
+        """The space the classes live in: TORUS for torus measures and for
+        periodized ones (classes mod Z^d), EUCLID otherwise."""
+        return TORUS if self.periodized else self.space
 
     def is_zero(self) -> bool:
         return not self.components
@@ -296,21 +304,16 @@ class SymbolicMeasure:
             return False
         if self.periodized != other.periodized:
             return False
-        mine, theirs = (Counter(class_key(m.space, m.field, m.dim, c) for c in m.components)
+        mine, theirs = (Counter(class_key(m.class_space, m.field, m.dim, c)
+                                for c in m.components)
                         for m in (self, other))
         return mine == theirs
 
     def has_delta_zero(self) -> bool:
         """True if the class contains a point mass at the group identity
         (on periodized Euclidean measures: at any lattice point)."""
-        for c in self.components:
-            if isinstance(c, Atom):
-                if self.space == TORUS or self.periodized:
-                    if all(x.is_integer() for x in c.point):
-                        return True
-                elif vec_is_zero(c.point):
-                    return True
-        return False
+        return any(isinstance(c, Atom) and is_identity(self.class_space, c.point)
+                   for c in self.components)
 
     # -- encoding ---------------------------------------------------------------
 
@@ -395,8 +398,7 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
             offset = zero_vector(field, dim)
         elif space == TORUS:
             offset = vec_mod1(offset)
-        if not gens or (space == TORUS and comp.ring == "Z"
-                        and all(x.is_integer() for g in gens for x in g)):
+        if not gens or comp.ring == "Z" and all(is_identity(space, g) for g in gens):
             # the module is trivial (mod Z^d on the torus): at most one atom
             # survives, none when the offset lies in the module
             if not any(offset_key):
@@ -498,20 +500,19 @@ def translate(m: SymbolicMeasure, v) -> SymbolicMeasure:
     return m.replace_components(out)
 
 
-def _convolve_pair(space: str, dim: int, field: FieldSpec,
-                   a: Component, b: Component) -> Component:
+def _convolve_pair(a: Component, b: Component) -> Component:
     if isinstance(a, Atom) and isinstance(b, Atom):
         return Atom(vec_add(a.point, b.point), a.weight * b.weight)
     if isinstance(a, Atom) and isinstance(b, BoxLebesgue):
         return BoxLebesgue(b.carrier.translate(a.point), b.generators,
                            vec_add(b.rep_center(), a.point), a.weight * b.weight)
     if isinstance(a, BoxLebesgue) and isinstance(b, Atom):
-        return _convolve_pair(space, dim, field, b, a)
+        return _convolve_pair(b, a)
     if isinstance(a, Atom) and isinstance(b, AtomGroup):
         return AtomGroup(b.generators, b.ring, vec_add(b.offset, a.point),
                          a.weight * b.weight)
     if isinstance(a, AtomGroup) and isinstance(b, Atom):
-        return _convolve_pair(space, dim, field, b, a)
+        return _convolve_pair(b, a)
     if isinstance(a, BoxLebesgue) and isinstance(b, BoxLebesgue):
         sub = a.carrier.subspace.sum_with(b.carrier.subspace)
         center = vec_add(a.rep_center(), b.rep_center())
@@ -530,8 +531,7 @@ def _convolve_pair(space: str, dim: int, field: FieldSpec,
 
 def convolve(m1: SymbolicMeasure, m2: SymbolicMeasure) -> SymbolicMeasure:
     m1._check_compatible(m2)
-    out = [_convolve_pair(m1.space, m1.dim, m1.field, a, b)
-           for a in m1.components for b in m2.components]
+    out = [_convolve_pair(a, b) for a in m1.components for b in m2.components]
     return SymbolicMeasure.make(m1.space, m1.dim, m1.field, out,
                                 m1.periodized or m2.periodized)
 
@@ -562,7 +562,7 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
                                 [norm(c) for c in m.components] + [delta0],
                                 m.periodized)
     pool: list[Component] = list(base.components)
-    seen = {class_key(m.space, m.field, m.dim, c) for c in pool}
+    seen = {class_key(m.class_space, m.field, m.dim, c) for c in pool}
     # delta_0 * b is b, so the unit point mass is no factor
     factors = [c for c in pool if not (isinstance(c, Atom) and vec_is_zero(c.point))]
     frontier = factors
@@ -570,13 +570,12 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
         new: list[Component] = []
         for a in factors:
             for b in frontier:
-                keyed = _canonicalize_component(
-                    m.space, m.dim, m.field,
-                    norm(_convolve_pair(m.space, m.dim, m.field, a, b)))
+                keyed = _canonicalize_component(m.class_space, m.dim, m.field,
+                                                norm(_convolve_pair(a, b)))
                 if keyed is None:
                     continue
                 c = norm(keyed[0])
-                key = class_key(m.space, m.field, m.dim, c)
+                key = class_key(m.class_space, m.field, m.dim, c)
                 if key not in seen:
                     seen.add(key)
                     new.append(c)
@@ -665,7 +664,7 @@ def _group_image_charges_zero(field: FieldSpec, comp: AtomGroup,
                               [vec_neg(unit_vector(field, e, j)) for j in range(e)],
                               vec_neg(mat_vec(rows, comp.offset)))
     return sol is not None and group_value_coset_nontrivial(
-        field, comp, sol, lattice_trivial=True) is not None
+        field, comp, sol, TORUS) is not None
 
 
 def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:
@@ -677,7 +676,7 @@ def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:
     buckets: list[dict[tuple, Component]] = [{} for _ in range(m.dim + 1)]
     for c in m.components:
         bucket = buckets[c.dim]
-        key = class_key(m.space, m.field, m.dim, c)
+        key = class_key(m.class_space, m.field, m.dim, c)
         prev = bucket.get(key)
         bucket[key] = c if prev is None else replace(prev, weight=prev.weight + c.weight)
     return [SymbolicMeasure.make(m.space, m.dim, m.field, list(bucket.values()),
@@ -712,20 +711,18 @@ def atom_points(m: SymbolicMeasure) -> list[FieldVector]:
 
 
 def has_atom_at(m: SymbolicMeasure, point) -> bool:
-    """Does the class give positive mass to the single point?  On the torus
-    and for periodized classes points are compared mod Z^d."""
-    mod1 = m.space == TORUS or m.periodized
+    """Does the class give positive mass to the single point?  Points are
+    compared in ``m.class_space``: mod Z^d on the torus and for periodized
+    classes, whose atom points are stored reduced."""
+    space = m.class_space
     p = as_vector(m.field, point)
-    if mod1:
+    if space == TORUS:
         p = vec_mod1(p)
     for c in m.components:
-        if isinstance(c, Atom):
-            if (vec_mod1(c.point) if mod1 else c.point) == p:
-                return True
-        elif isinstance(c, AtomGroup):
-            trivial = all(x.is_integer() for x in p) if mod1 else vec_is_zero(p)
-            if trivial:
-                continue  # the zero point is never an atom of an atom group
-            if module_member(m.field, c, p, TORUS if mod1 else EUCLID):
-                return True
+        if isinstance(c, Atom) and c.point == p:
+            return True
+        # the identity is never an atom of an atom group
+        if isinstance(c, AtomGroup) and not is_identity(space, p) \
+                and module_member(m.field, c, p, space):
+            return True
     return False

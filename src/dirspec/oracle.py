@@ -23,11 +23,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .errors import UnsupportedConvolutionError, ValidationError
+from .errors import ClosureBoundError, UnsupportedConvolutionError, ValidationError
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
                      unit_vector, vec_mod1, vec_scale, zero_vector)
 from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure)
 from .scalar import FieldScalar, FieldSpec, QQ, decode_scalar
+
+# the most items an odometer atom set or a crosscheck grid may enumerate
+ENUMERATION_BUDGET = 100_000
+
+
+def _check_enumeration(base: int, exponent: int, what: str) -> None:
+    """Raise ClosureBoundError, before any allocation, when an enumeration of
+    base**exponent items exceeds ``ENUMERATION_BUDGET``.  Past the budget's
+    bit length the power is not formed: a base >= 2 is over it already."""
+    if base >= 2 and (exponent > ENUMERATION_BUDGET.bit_length()
+                      or base ** exponent > ENUMERATION_BUDGET):
+        raise ClosureBoundError(f"{what} of {base}^{exponent} items exceeds the "
+                                f"enumeration budget {ENUMERATION_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +368,7 @@ def expected_measure(model: ActionModel) -> SymbolicMeasure:
             sub = Subspace.from_vectors(field, d, [vi, vj])
             comps.append(BoxLebesgue(AffineCarrier.make(sub), sub.basis))
         return SymbolicMeasure.make(TORUS, d, field, comps)
+    _check_enumeration(model.q, model.level * model.dim, "odometer atom set")
     atoms = []
     denom = model.q ** model.level
     for combo in iproduct(range(denom), repeat=model.dim):
@@ -387,11 +401,12 @@ class CrosscheckReport:
 def crosscheck(model: ActionModel, bound: int = 10,
                tol: float = 1e-12) -> CrosscheckReport:
     """Assert ft(observable measure, n) == correlation(n) on |n|_inf <= bound."""
+    d = model.dim
+    _check_enumeration(2 * bound + 1, d, "crosscheck grid")
     import numpy as np
 
     from .fourier import ft_batch
 
-    d = model.dim
     grid = np.array(list(iproduct(range(-bound, bound + 1), repeat=d)), dtype=float)
     max_err = 0.0
     failures = []

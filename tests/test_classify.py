@@ -112,9 +112,9 @@ class TestDirectionMemo:
                     fresh.project_all([])  # builds the fresh subspace's entry
                     assert answer == fresh.memo["dual_basis"]
                     continue
-                shifts, ring, gens, offset, ell = key
+                space, ring, gens, offset, ell = key
                 groups_seen += 1
-                assert C._group_meets_wall(shifts, C.GroupFamily(gens, ring, offset),
+                assert C._group_meets_wall(space, C.GroupFamily(gens, ring, offset),
                                            fresh, ell) == answer
             # and the verdicts read from the memo are those of a fresh subspace
             assert C.classify_direction(m, fresh).encode() == verdict.encode()
@@ -407,14 +407,14 @@ class TestGroupWallOracle:
             if not isinstance(comp, AtomGroup):
                 continue
             sub = gen.rand_subspace(rng, field, 2, target_dim=1)
-            witness = C._group_meets_wall(C._lattice_shifts_allowed(m), comp, sub,
+            witness = C._group_meets_wall(m.class_space, comp, sub,
                                           zero_vector(field, 2))
             if witness is not None:
                 tested_pos += 1
                 # the witness must be a genuine atom lying on the wall
                 assert not all(x.is_integer() for x in witness)
                 perp = sub.orthocomplement()
-                lattice = C._wall_lattice(sub) if C._lattice_shifts_allowed(m) else None
+                lattice = C._wall_lattice(sub) if m.class_space == TORUS else None
                 diff_ok = C._on_affine_wall(lattice, sub, witness, zero_vector(field, 2))
                 assert diff_ok
                 assert M.module_member(field, comp, witness, TORUS)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -243,6 +244,23 @@ class TestExitCodes:
         err = json.loads(proc.stderr)
         assert err["error"]["kind"] == "ValidationError"
 
+    @pytest.mark.parametrize("model,bound", [
+        ("bw8_model.json", "100000"),
+        ({"kind": "odometer", "q": 10, "level": 4, "dim": 3}, "10"),
+    ], ids=["crosscheck-grid", "odometer-atoms"])
+    def test_oracle_enumeration_budget_is_4(self, fixtures_dir, model, bound, tmp_path,
+                                            capsys):
+        # 200001^2 grid points resp. 10^12 atoms: refused before allocating
+        path = fixtures_dir / model if isinstance(model, str) else tmp_path / "model.json"
+        if not isinstance(model, str):
+            path.write_text(json.dumps(model))
+        start = time.perf_counter()
+        code = main(["oracle", "--model", str(path), "--bound", bound])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ClosureBoundError"
+
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),
                      "--enumeration-bound", "-1"])
@@ -272,6 +290,15 @@ class TestGoldenReports:
          ["directions", "--measure", "{fx}/bw8.json", "--enumeration-bound", "1"]),
         ("lint_broken_symmetry.json",
          ["lint", "--measure", "{fx}/broken_symmetry.json"]),
+        # the periodized path: suspend's output and a periodized measure
+        # classified and linted as a class mod Z^d
+        ("suspend_chair.json",
+         ["suspend", "--measure", "{fx}/chair.json"]),
+        ("lint_broken_symmetry_periodized.json",
+         ["lint", "--measure", "{fx}/broken_symmetry_periodized.json"]),
+        ("classify_broken_symmetry_periodized.json",
+         ["classify", "--measure", "{fx}/broken_symmetry_periodized.json",
+          "--directions", "{fx}/axes_and_diagonal.json"]),
     ]
 
     @pytest.mark.parametrize("golden,argv", CASES,

@@ -309,6 +309,28 @@ class TestQuotientSuspend:
             field = rng.choice([QQ, F2])
             t = gen.rand_measure(rng, field, 2, TORUS, with_groups=True)
             assert M.pushforward_quotient(M.suspend(t)).same_class(t)
+            # a periodized class is stored as its torus class, so both maps
+            # keep the canonical components exactly
+            assert M.suspend(t).components == t.components
+            assert M.pushforward_quotient(M.suspend(t)) == t
+
+    def test_periodized_lattice_translates_merge(self):
+        per = SymbolicMeasure.make(EUCLID, 1, QQ, [atom([Fraction(1, 3)]),
+                                                   atom([Fraction(4, 3)])], periodized=True)
+        single = SymbolicMeasure.make(EUCLID, 1, QQ, [atom([Fraction(1, 3)])],
+                                      periodized=True)
+        assert len(per.components) == 1 and per.components[0].weight == 2
+        assert per.same_class(single)
+        assert not per.same_class(SymbolicMeasure.make(EUCLID, 1, QQ,
+                                                       [atom([Fraction(1, 3)])]))
+
+    def test_integral_translate_fixes_periodized_class(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            field = rng.choice([QQ, F2])
+            per = M.suspend(gen.rand_measure(rng, field, 2, TORUS, with_groups=True))
+            n = [rng.randint(-3, 3) for _ in range(2)]
+            assert M.translate(per, n) == per
 
 
 class TestPushforwardSubgroup:
@@ -431,6 +453,21 @@ class TestDecompose:
         parts = M.decompose(torus(c1, c2))
         assert len(parts[1].components) == 1
         assert parts[1].components[0].weight == 2
+
+    def test_periodized_merges_lattice_translates(self):
+        # two boxes on the diagonal whose offsets differ by a projected lattice
+        # vector, and two atoms one lattice vector apart
+        diag = Subspace.from_vectors(QQ, 2, [[1, 1]])
+        boxes = [BoxLebesgue(AffineCarrier.make(diag, c), diag.basis, as_vector(QQ, c))
+                 for c in ([Fraction(1, 2), 0], [0, Fraction(1, 2)])]
+        per = SymbolicMeasure.make(EUCLID, 2, QQ, boxes + [atom([Fraction(1, 3), 0]),
+                                                          atom([Fraction(4, 3), 0])],
+                                   periodized=True)
+        parts = M.decompose(per)
+        assert [len(p.components) for p in parts] == [1, 1, 0]
+        assert parts[1].components[0].weight == 2
+        assert [p.components for p in parts] \
+            == [p.components for p in M.decompose(M.pushforward_quotient(per))]
 
     def test_properties_random(self):
         rng = random.Random(53)
@@ -619,7 +656,7 @@ def reference_exp(m, cap):
         for a in pool:
             for b in frontier:
                 keyed = M._canonicalize_component(
-                    space, dim, field, norm(M._convolve_pair(space, dim, field, a, b)))
+                    space, dim, field, norm(M._convolve_pair(a, b)))
                 if keyed is not None and not seen(norm(keyed[0]), pool) \
                         and not seen(norm(keyed[0]), new):
                     new.append(norm(keyed[0]))
