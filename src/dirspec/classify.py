@@ -4,6 +4,9 @@ The decision rules implement the wall characterizations: a direction L fails
 ergodicity iff the measure charges the wall perpendicular to L through the
 origin, fails weak mixing iff it charges some perpendicular affine wall, and
 fails strong mixing iff some component's transform does not decay along L.
+A component charges an affine wall perpendicular to L exactly when it carries
+directional eigenvalues along L, so weak mixing is read off the directional
+eigenvalues (``_eigenvalue_carriers``), the one place that decides them.
 Where the classes live mod Z^d (``class_space`` TORUS: torus measures and
 periodized classes) walls are tested against all lattice shifts via exact
 integer feasibility, and the concise sets are torus sets.
@@ -12,17 +15,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import (DimensionMismatchError, InvalidDirectionSetError, NotReducedError,
-                     ValidationError)
+                     ValidationError, bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
                      flatten, mat_vec, rationality, solve_lattice_coset, unit_vector,
                      vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
-                      SymbolicMeasure, atom_points, exp as measure_exp,
-                      group_value_coset_nontrivial, has_atom_at, is_identity,
-                      pushforward_subgroup, translate)
+                      SymbolicMeasure, atom_points, coefficient_pool,
+                      coefficient_pool_size, exp as measure_exp,
+                      group_element_from_coeffs, group_value_coset_nontrivial,
+                      has_atom_at, is_identity, pushforward_subgroup, translate)
 from .scalar import FieldSpec
+
+# the most (shifted family or group atom, shift) pairs ``enumerate_members`` may
+# list; chair.json at --enumeration-bound 5 lists 39^2 x 11^2 = 184,041
+MEMBER_BUDGET = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +73,14 @@ def _wall_lattice(sub_l: Subspace) -> CosetLattice:
     return lattice
 
 
-def _on_affine_wall(lattice: CosetLattice | None, sub_l: Subspace, point: FieldVector,
+def _on_affine_wall(space: str, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
-    """Is ``point`` on L^perp + ell, modulo Z^d when ``lattice`` is the
-    ``_wall_lattice`` of L, i.e. when the coset key of B_L (point - ell) is zero?"""
+    """Is ``point`` on L^perp + ell, modulo Z^d when ``space`` is TORUS, i.e.
+    when the coset key of B_L (point - ell) in the ``_wall_lattice`` of L is zero?"""
     diff = vec_sub(point, ell)
     rows = sub_l.basis
-    if lattice is not None:
-        return not any(lattice.key(flatten(mat_vec(rows, diff))))
+    if space == TORUS:
+        return not any(_wall_lattice(sub_l).key(flatten(mat_vec(rows, diff))))
     return all(vec_dot(b, diff).is_zero() for b in rows)
 
 
@@ -101,14 +110,16 @@ def _group_meets_wall(space: str, comp: "AtomGroup | GroupFamily", sub_l: Subspa
     return atom
 
 
-def _wall_descriptor(m: SymbolicMeasure, comp: Component) -> dict:
+def _wall_descriptor(comp: Component) -> dict:
     doc = comp.encode()
     doc.pop("weight", None)
     return doc
 
 
 def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
-    """Decide whether L^perp + ell (resp. its torus projection) is a wall."""
+    """Decide whether L^perp + ell (resp. its torus projection) is a wall.
+    Only the eigenvalue carriers of L can charge it: ell is a directional
+    eigenvalue exactly when it is."""
     if direction.field != m.field or direction.ambient != m.dim:
         raise ValidationError("direction incompatible with the measure")
     ell_vec = as_vector(m.field, ell) if ell is not None \
@@ -119,22 +130,17 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
         raise ValidationError("the eigenvalue candidate must lie in the direction")
     space = m.class_space
     witnesses = []
-    for i, comp in enumerate(m.components):
-        if isinstance(comp, AtomGroup):
+    for i, point, gens in _eigenvalue_carriers(m, direction):
+        comp = m.components[i]
+        if gens:
             atom = _group_meets_wall(space, comp, direction, ell_vec)
             if atom is None:
                 continue
+        elif _on_affine_wall(space, direction, point, ell_vec):
+            atom = point if isinstance(comp, Atom) else None
         else:
-            if isinstance(comp, Atom):
-                atom = point = comp.point
-            elif comp.carrier.subspace.orthogonal_to(direction):
-                atom, point = None, comp.carrier.offset
-            else:
-                continue
-            lattice = _wall_lattice(direction) if space == TORUS else None
-            if not _on_affine_wall(lattice, direction, point, ell_vec):
-                continue
-        witnesses.append(WallWitness(i, _wall_descriptor(m, comp), ell_vec, atom))
+            continue
+        witnesses.append(WallWitness(i, _wall_descriptor(comp), ell_vec, atom))
     return WallTestResult(bool(witnesses), tuple(witnesses))
 
 
@@ -163,50 +169,37 @@ class DirectionVerdict:
 def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerdict:
     """Ergodicity, weak mixing and strong mixing of the class in direction L.
 
-    Ergodic iff the central wall test is negative.  Weak mixing fails exactly
-    when some atom/atom-group exists (its projection onto L is a directional
-    eigenvalue) or some box carrier is contained in L^perp (the offset is
-    absorbable into the eigenvalue).  Strong mixing additionally requires
-    every box transform to decay along L, i.e. L cap K^perp = 0.
+    Ergodic iff the central wall test is negative.  Weak mixing is read off
+    the directional eigenvalues: it holds iff no component carries one
+    (``_eigenvalue_carriers``), and each carrier's witness is the projection
+    onto L of one of its eigenvalue points.  Strong mixing additionally
+    requires every box transform to decay along L, i.e. L cap K^perp = 0;
+    atoms and atom groups never decay.
     """
     if direction.dim < 1:
         raise ValidationError("directions must have dimension >= 1")
     if m.has_delta_zero():
         raise NotReducedError("measure contains delta_0; classify the reduced class")
     ergodic_result = wall_test(m, direction, None)
-    witnesses: list[tuple[str, WallWitness]] = []
-    for w in ergodic_result.witnesses:
-        witnesses.append(("ergodic", w))
-
-    weak = True
+    witnesses: list[tuple[str, WallWitness]] = [("ergodic", w)
+                                                for w in ergodic_result.witnesses]
+    carriers = {i: (point, gens) for i, point, gens in _eigenvalue_carriers(m, direction)}
     strong = True
     for i, comp in enumerate(m.components):
-        if isinstance(comp, Atom):
-            ell = direction.project(comp.point)
-            witnesses.append(("weak_mixing",
-                              WallWitness(i, _wall_descriptor(m, comp), ell)))
-            witnesses.append(("strong_mixing",
-                              WallWitness(i, _wall_descriptor(m, comp), None)))
-            weak = strong = False
-        elif isinstance(comp, AtomGroup):
-            ell = direction.project(vec_add(comp.offset, comp.generators[0]))
-            witnesses.append(("weak_mixing",
-                              WallWitness(i, _wall_descriptor(m, comp), ell)))
-            witnesses.append(("strong_mixing",
-                              WallWitness(i, _wall_descriptor(m, comp), None)))
-            weak = strong = False
-        else:
-            k = comp.carrier.subspace
-            if k.orthogonal_to(direction):
-                ell = direction.project(comp.carrier.offset)
-                witnesses.append(("weak_mixing",
-                                  WallWitness(i, _wall_descriptor(m, comp), ell)))
-                weak = False
-            if direction.meets_orthocomplement(k):
-                witnesses.append(("strong_mixing",
-                                  WallWitness(i, _wall_descriptor(m, comp), None)))
-                strong = False
-    return DirectionVerdict(direction, not ergodic_result.positive, weak, strong,
+        carrier = carriers.get(i)
+        decays = isinstance(comp, BoxLebesgue) \
+            and not direction.meets_orthocomplement(comp.carrier.subspace)
+        if carrier is None and decays:
+            continue
+        wall = _wall_descriptor(comp)
+        if carrier is not None:
+            point, gens = carrier
+            ell = direction.project(vec_add(point, gens[0]) if gens else point)
+            witnesses.append(("weak_mixing", WallWitness(i, wall, ell)))
+        if not decays:
+            witnesses.append(("strong_mixing", WallWitness(i, wall, None)))
+            strong = False
+    return DirectionVerdict(direction, not ergodic_result.positive, not carriers, strong,
                             tuple(witnesses))
 
 
@@ -263,8 +256,7 @@ class ConciseSet:
         for fam in self.parametric_families:
             if not fam.subspace.orthogonal_to(direction):
                 continue
-            lattice = _wall_lattice(direction) if self.space == TORUS else None
-            if _on_affine_wall(lattice, direction, fam.offset,
+            if _on_affine_wall(self.space, direction, fam.offset,
                                zero_vector(self.fieldspec, self.dim)):
                 return True
         for fam in self.group_families:
@@ -279,12 +271,23 @@ class ConciseSet:
         (atom, shift) pairs span the same subspace: each perp is built once.
         The span of one vector has the vector scaled by the inverse of its
         first nonzero entry as its canonical basis, so group-family lines are
-        deduplicated by that tuple before any ``Subspace`` is built."""
+        deduplicated by that tuple before any ``Subspace`` is built.  The
+        (family or group atom, shift) pairs are counted first: past
+        ``MEMBER_BUDGET`` nothing is listed and ClosureBoundError is raised."""
         if bound < 0:
             raise ValidationError("the enumeration bound must be >= 0")
-        shifts = [as_vector(self.fieldspec, n)
-                  for n in (_int_vectors(self.dim, bound) if self.space == TORUS
-                            else [(0,) * self.dim])]
+        torus = self.space == TORUS
+        to_shift = len(self.parametric_families) + sum(
+            bounded_power(coefficient_pool_size(fam.ring, bound, MEMBER_BUDGET),
+                          len(fam.generators), MEMBER_BUDGET)
+            for fam in self.group_families)
+        n_shifts = bounded_power(2 * bound + 1, self.dim, MEMBER_BUDGET) if torus else 1
+        check_enumeration(to_shift * n_shifts, "the member enumeration "
+                          "((families + group atoms) x shifts)", MEMBER_BUDGET)
+        shifts = [] if not to_shift else [
+            as_vector(self.fieldspec, n)
+            for n in (product(range(-bound, bound + 1), repeat=self.dim) if torus
+                      else [(0,) * self.dim])]
         spans: dict[Subspace, None] = {}
         for fam in self.parametric_families:
             for n in shifts:
@@ -293,7 +296,7 @@ class ConciseSet:
                     list(fam.subspace.basis) + [vec_sub(fam.offset, n)])] = None
         lines: dict[tuple, FieldVector] = {}
         for fam in self.group_families:
-            for atom in _enumerate_group_atoms(self.fieldspec, self.dim, fam, bound):
+            for atom in _enumerate_group_atoms(self.fieldspec, fam, bound):
                 for n in shifts:
                     shifted = vec_sub(atom, n)
                     lead = next((x for x in shifted if not x.is_zero()), None)
@@ -314,35 +317,11 @@ class ConciseSet:
                                        for s in self.enumerate_members(bound)]}
 
 
-def _int_vectors(dim: int, bound: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(dim):
-        out = [v + (k,) for v in out for k in range(-bound, bound + 1)]
-    return out
-
-
-def _enumerate_group_atoms(fieldspec: FieldSpec, dim: int, fam: GroupFamily,
+def _enumerate_group_atoms(fieldspec: FieldSpec, fam: GroupFamily,
                            bound: int) -> list[FieldVector]:
-    coeffs: list[list[Fraction]]
-    if fam.ring == "Z":
-        pool = [Fraction(k) for k in range(-bound, bound + 1)]
-    else:
-        vals = set()
-        for p in range(-bound, bound + 1):
-            for q in range(1, bound + 1):
-                vals.add(Fraction(p, q))
-        pool = sorted(vals)
-    combos = [[]]
-    for _ in fam.generators:
-        combos = [c + [x] for c in combos for x in pool]
-    out = []
-    for combo in combos:
-        v = fam.offset
-        for c, g in zip(combo, fam.generators):
-            if c:
-                v = vec_add(v, tuple(fieldspec.from_rational(c) * x for x in g))
-        out.append(v)
-    return list(dict.fromkeys(out))
+    pool = coefficient_pool(fam.ring, bound)
+    return list(dict.fromkeys(group_element_from_coeffs(fieldspec, fam, combo, True)
+                              for combo in product(pool, repeat=len(fam.generators))))
 
 
 def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
@@ -361,8 +340,12 @@ def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
             higher += 1
         if s.dim > 0 and not any(s.leq(out[i]) for i in range(higher)):
             out.append(s)
-    out.sort(key=lambda s: (s.dim, str(s.encode())))
-    return tuple(out)
+    return canonical_order(out)
+
+
+def canonical_order(subspaces) -> tuple[Subspace, ...]:
+    """Subspaces in the canonical report order: by dimension, then encoding."""
+    return tuple(sorted(subspaces, key=lambda s: (s.dim, str(s.encode()))))
 
 
 def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
@@ -468,29 +451,37 @@ class EigenvalueFamily:
         return out
 
 
+def _eigenvalue_carriers(m: SymbolicMeasure, direction: Subspace
+                         ) -> list[tuple[int, FieldVector, tuple[FieldVector, ...]]]:
+    """The components that carry directional eigenvalues along L, as
+    (index, point, generators): each atom at its point, each atom group at
+    its offset with its generators, and each box whose carrier subspace lies
+    in L^perp at its carrier offset.  The eigenvalues of a carrier are the
+    projections onto L of point + (module of the generators) (+ Z^d on the
+    torus).  This is the one place that decides which components carry them."""
+    out = []
+    for i, comp in enumerate(m.components):
+        if isinstance(comp, Atom):
+            out.append((i, comp.point, ()))
+        elif isinstance(comp, AtomGroup):
+            out.append((i, comp.offset, comp.generators))
+        elif comp.carrier.subspace.orthogonal_to(direction):
+            out.append((i, comp.carrier.offset, ()))
+    return out
+
+
 def directional_eigenvalues(m: SymbolicMeasure,
                             direction: Subspace) -> tuple[EigenvalueFamily, ...]:
-    """All directional eigenvalue families for L: one per component whose
-    carrier subspace sits inside L^perp."""
+    """All directional eigenvalue families for L: one per eigenvalue carrier."""
     lattice_images: tuple[FieldVector, ...] = ()
     if m.class_space == TORUS:
         images = direction.project_all([unit_vector(m.field, m.dim, j)
                                         for j in range(m.dim)])
         lattice_images = tuple(img for img in images if not vec_is_zero(img))
-    out = []
-    for i, comp in enumerate(m.components):
-        if isinstance(comp, Atom):
-            out.append(EigenvalueFamily(i, direction.project(comp.point),
-                                        lattice_images))
-        elif isinstance(comp, AtomGroup):
-            out.append(EigenvalueFamily(
-                i, direction.project(comp.offset), lattice_images,
-                tuple(direction.project(g) for g in comp.generators), comp.ring))
-        else:
-            if comp.carrier.subspace.orthogonal_to(direction):
-                out.append(EigenvalueFamily(
-                    i, direction.project(comp.carrier.offset), lattice_images))
-    return tuple(out)
+    return tuple(EigenvalueFamily(i, direction.project(point), lattice_images,
+                                  tuple(direction.project(g) for g in gens),
+                                  m.components[i].ring if gens else None)
+                 for i, point, gens in _eigenvalue_carriers(m, direction))
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +544,11 @@ def realize(directions: list[Subspace], cap: int = 4096) -> RealizationReport:
     reduced = SymbolicMeasure.make(EUCLID, dim, fieldspec, reduced_comps)
     ne = nonergodic_concise(reduced)
     nw = nonwm_concise(reduced)
-    requested = tuple(sorted(pruned, key=lambda s: (s.dim, str(s.encode()))))
+    requested = canonical_order(pruned)
     verified = (ne.subspaces == requested == nw.subspaces
                 and not ne.parametric_families and not ne.group_families)
-    carriers = tuple(sorted(
-        (c.carrier.subspace for c in reduced.components if isinstance(c, BoxLebesgue)),
-        key=lambda s: (s.dim, str(s.encode()))))
+    carriers = canonical_order(c.carrier.subspace for c in reduced.components
+                               if isinstance(c, BoxLebesgue))
     return RealizationReport(reduced, requested, ne, nw, carriers, verified,
                              tuple(warnings))
 
@@ -620,16 +610,11 @@ def admissibility_lint(m: SymbolicMeasure) -> list[LintWarning]:
                     "translation_symmetry",
                     f"translation by eigenvalue {gamma} does not preserve the class"))
                 break
-    if not atoms and not any(isinstance(c, AtomGroup) for c in m.components):
-        for comp in m.components:
-            if not isinstance(comp, BoxLebesgue):
-                continue
-            k = comp.carrier.subspace
-            if k.dim == 0 or k.is_full():
-                continue
-            direction = k.orthocomplement()
-            verdict = classify_direction(m, direction)
-            if verdict.ergodic and not verdict.weak_mixing:
+    if all(isinstance(c, BoxLebesgue) for c in m.components):
+        # along L = K^perp the carrier K lies in L^perp, so weak mixing fails there
+        for direction in (c.carrier.subspace.orthocomplement() for c in m.components
+                          if 0 < c.carrier.subspace.dim < m.dim):
+            if not wall_test(m, direction, None).positive:
                 warnings.append(LintWarning(
                     "ergodic_not_weak_mixing",
                     f"direction {direction} is ergodic but not weak mixing; "
@@ -655,9 +640,5 @@ def restriction_consistent(m: SymbolicMeasure, direction: Subspace) -> bool | No
     pushed, _ = pushforward_subgroup(m, rep.lattice)
     verdict = classify_direction(m, direction)
     erg_expected = not has_atom_at(pushed, zero_vector(m.field, pushed.dim))
-    wm_expected = not _has_any_atom(pushed)
+    wm_expected = not any(isinstance(c, (Atom, AtomGroup)) for c in pushed.components)
     return verdict.ergodic == erg_expected and verdict.weak_mixing == wm_expected
-
-
-def _has_any_atom(m: SymbolicMeasure) -> bool:
-    return any(isinstance(c, (Atom, AtomGroup)) for c in m.components)

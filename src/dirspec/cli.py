@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .classify import (admissibility_lint, classify_direction,
+from .classify import (admissibility_lint, canonical_order, classify_direction,
                        directional_eigenvalues, nonergodic_concise,
                        nonwm_concise, realize)
 from .errors import (ClosureBoundError, DirspecError, UnsupportedConvolutionError,
@@ -121,7 +121,7 @@ def _cmd_classify(args) -> int:
     cfg = _base_config(args)
     m = _load_measure(args.measure)
     directions = _load_directions(_load_json(args.directions), m.field, m.dim)
-    directions = sorted(directions, key=lambda s: (s.dim, str(s.encode())))
+    directions = canonical_order(directions)
     verdicts = []
     for sub in directions:
         v = classify_direction(m, sub)

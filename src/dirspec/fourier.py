@@ -12,11 +12,12 @@ scipy (about a second to import) is imported only where Sobol points are drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 
 from .errors import ValidationError
 from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
-from .measure import TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure
+from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure,
+                      coefficient_pool)
 
 
 @dataclass(frozen=True)
@@ -59,28 +60,18 @@ def group_representative(comp: AtomGroup, space: str, truncation: int
     if truncation < 1:
         raise ValidationError(
             "ft of an atom group needs a positive truncation count")
-    if comp.ring == "Z":
-        pool = [(Fraction(k), abs(k)) for k in range(-truncation, truncation + 1)]
-    else:
-        vals = {}
-        for p in range(-truncation, truncation + 1):
-            for q in range(1, truncation + 1):
-                f = Fraction(p, q)
-                size = abs(p) + q - 1
-                if f not in vals or size < vals[f]:
-                    vals[f] = size
-        pool = sorted(vals.items())
-    combos: list[tuple[list[Fraction], int]] = [([], 0)]
-    for _ in comp.generators:
-        combos = [(c + [val], size + s) for c, size in combos for val, s in pool]
+    # p/q in lowest terms has the least size |p| + q - 1 of its representations
+    pool = [(c, abs(c.numerator) + c.denominator - 1)
+            for c in coefficient_pool(comp.ring, truncation)]
     gens = [_floats(g) for g in comp.generators]
     offset = _floats(comp.offset)
     points: list[np.ndarray] = []
     weights: list[float] = []
     seen: set[tuple] = set()
-    for coeffs, size in combos:
+    for combo in product(pool, repeat=len(gens)):
+        size = sum(s for _, s in combo)
         pt = offset.copy()
-        for c, g in zip(coeffs, gens):
+        for (c, _), g in zip(combo, gens):
             if c:
                 pt = pt + float(c) * g
         if space == TORUS:

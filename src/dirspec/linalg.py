@@ -677,13 +677,8 @@ def rationality(sub: Subspace) -> RationalityReport:
             for j in range(d) for beta in range(1, nbasis)]
     rr, pivots = rref_field(rows)
     kernel = nullspace(rr, pivots, e, Fraction(0), Fraction(1))
-    vecs = []
-    for x in kernel:
-        v = zero_vector(field, d)
-        for c, b in zip(x, sub.basis):
-            v = vec_add(v, vec_scale(field.from_rational(c), b))
-        vecs.append(v)
-    rational_part = Subspace.from_vectors(field, d, vecs)
+    columns = tuple(zip(*sub.basis))  # the combinations sum_i x_i b_i
+    rational_part = Subspace.from_vectors(field, d, [mat_vec(columns, x) for x in kernel])
     r = rational_part.dim
     if r == e:
         kind = "completely_rational"

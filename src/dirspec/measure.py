@@ -155,16 +155,35 @@ def canonical_module(field: FieldSpec, dim: int, lattice: CosetLattice,
     return tuple(unflatten(field, dim, row) for row in rows)
 
 
+def coefficient_pool(ring: str, bound: int) -> list[Fraction]:
+    """The ring's coefficients of norm at most ``bound``, sorted: the integers
+    in [-bound, bound], or for ring Q every p/q with |p|, q <= bound."""
+    if ring == "Z":
+        return [Fraction(k) for k in range(-bound, bound + 1)]
+    return sorted({Fraction(p, q) for p in range(-bound, bound + 1)
+                   for q in range(1, bound + 1)})
+
+
+def coefficient_pool_size(ring: str, bound: int, cap: int) -> int:
+    """len(coefficient_pool(ring, bound)) without building it, or just its
+    2 * bound + 1 integers when they alone pass ``cap``.  Over Q the pool is
+    0 and +-p/q for each reduced p/q with p, q in 1..bound: 4 (phi(1) + ... +
+    phi(bound)) - 1 values, with Euler's totient phi sieved."""
+    if ring == "Z" or 2 * bound + 1 > cap:
+        return 2 * bound + 1
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for j in range(p, bound + 1, p):
+                phi[j] -= phi[j] // p
+    return 4 * sum(phi[1:]) - 1 if bound else 0
+
+
 def group_element_from_coeffs(field: FieldSpec, group: "AtomGroup", coeffs,
                               with_offset: bool) -> FieldVector:
     """offset + sum_i coeffs[i] * generators[i] (offset optional)."""
-    dim = len(group.offset)
-    out = group.offset if with_offset else zero_vector(field, dim)
-    for c, g in zip(coeffs, group.generators):
-        if c:
-            out = vec_add(out, tuple(field.from_rational(Fraction(c)) * x
-                                     for x in g))
-    return out
+    combination = mat_vec(tuple(zip(*group.generators)), tuple(coeffs))
+    return vec_add(group.offset, combination) if with_offset else combination
 
 
 def is_identity(space: str, v: FieldVector) -> bool:
@@ -450,27 +469,25 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
 def decode_component(field: FieldSpec, dim: int, doc: dict) -> Component:
     kind = doc.get("kind")
     weight = Fraction(doc.get("weight", 1))
+
+    def vector(entries) -> FieldVector:
+        return tuple(decode_scalar(field, x) for x in entries)
+
+    def optional(key: str, default):
+        return vector(doc[key]) if doc.get(key) else default
+
     if kind == "atom":
-        return Atom(tuple(decode_scalar(field, x) for x in doc["point"]), weight)
+        return Atom(vector(doc["point"]), weight)
     if kind == "box":
-        sub = Subspace.from_vectors(
-            field, dim, [[decode_scalar(field, x) for x in row] for row in doc["basis"]])
-        off_doc = doc.get("offset")
-        offset = tuple(decode_scalar(field, x) for x in off_doc) if off_doc \
-            else zero_vector(field, dim)
-        gens = tuple(tuple(decode_scalar(field, x) for x in g)
-                     for g in doc.get("generators", [])) or sub.basis
-        center_doc = doc.get("center")
-        center = tuple(decode_scalar(field, x) for x in center_doc) if center_doc \
-            else None
-        return BoxLebesgue(AffineCarrier.make(sub, offset), gens, center, weight)
+        sub = Subspace.from_vectors(field, dim, [vector(row) for row in doc["basis"]])
+        offset = optional("offset", zero_vector(field, dim))
+        gens = tuple(vector(g) for g in doc.get("generators", [])) or sub.basis
+        return BoxLebesgue(AffineCarrier.make(sub, offset), gens, optional("center", None),
+                           weight)
     if kind == "atom_group":
-        gens = tuple(tuple(decode_scalar(field, x) for x in g)
-                     for g in doc["generators"])
-        off_doc = doc.get("offset")
-        offset = tuple(decode_scalar(field, x) for x in off_doc) if off_doc \
-            else zero_vector(field, dim)
-        return AtomGroup(gens, doc["ring"], offset, weight)
+        gens = tuple(vector(g) for g in doc["generators"])
+        return AtomGroup(gens, doc["ring"], optional("offset", zero_vector(field, dim)),
+                         weight)
     raise ValidationError(f"unknown component kind {kind!r}")
 
 
@@ -487,17 +504,9 @@ def add(m1: SymbolicMeasure, m2: SymbolicMeasure) -> SymbolicMeasure:
 
 
 def translate(m: SymbolicMeasure, v) -> SymbolicMeasure:
-    vv = as_vector(m.field, v)
-    out: list[Component] = []
-    for c in m.components:
-        if isinstance(c, Atom):
-            out.append(Atom(vec_add(c.point, vv), c.weight))
-        elif isinstance(c, BoxLebesgue):
-            out.append(BoxLebesgue(c.carrier.translate(vv), c.generators,
-                                   vec_add(c.rep_center(), vv), c.weight))
-        else:
-            out.append(AtomGroup(c.generators, c.ring, vec_add(c.offset, vv), c.weight))
-    return m.replace_components(out)
+    """m convolved with the unit point mass at v."""
+    shift = Atom(as_vector(m.field, v))
+    return m.replace_components([_convolve_pair(shift, c) for c in m.components])
 
 
 def _convolve_pair(a: Component, b: Component) -> Component:
@@ -636,16 +645,13 @@ def pushforward_subgroup(m: SymbolicMeasure, h: LatticeSubgroup
             comps.append(AtomGroup(tuple(mat_vec(rows, g) for g in c.generators), c.ring,
                                    mat_vec(rows, c.offset), c.weight))
         else:
+            # a box collapsing to a point becomes an atom in ``make``
             image_gens = [mat_vec(rows, g) for g in c.generators]
             image_gens = [g for g in image_gens if not vec_is_zero(g)]
-            image_sub = Subspace.from_vectors(field, e, image_gens)
-            if image_sub.dim == 0:
-                comps.append(Atom(mat_vec(rows, c.rep_center()), c.weight))
-            else:
-                center = mat_vec(rows, c.rep_center())
-                comps.append(BoxLebesgue(
-                    AffineCarrier.make(image_sub, center),
-                    tuple(image_gens), center, c.weight))
+            center = mat_vec(rows, c.rep_center())
+            comps.append(BoxLebesgue(
+                AffineCarrier.make(Subspace.from_vectors(field, e, image_gens), center),
+                tuple(image_gens), center, c.weight))
     return SymbolicMeasure.make(TORUS, e, field, comps, False), rows
 
 

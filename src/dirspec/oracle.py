@@ -23,25 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
-from .errors import ClosureBoundError, UnsupportedConvolutionError, ValidationError
+from .errors import (ENUMERATION_BUDGET, UnsupportedConvolutionError, ValidationError,
+                     bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
                      unit_vector, vec_mod1, vec_scale, zero_vector)
 from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure)
 from .scalar import FieldScalar, FieldSpec, QQ, decode_scalar
-
-# the most items an odometer atom set or a crosscheck grid may enumerate
-ENUMERATION_BUDGET = 100_000
-
-
-def _check_enumeration(base: int, exponent: int, what: str) -> None:
-    """Raise ClosureBoundError, before any allocation, when an enumeration of
-    base**exponent items exceeds ``ENUMERATION_BUDGET``.  Past the budget's
-    bit length the power is not formed: a base >= 2 is over it already."""
-    if base >= 2 and (exponent > ENUMERATION_BUDGET.bit_length()
-                      or base ** exponent > ENUMERATION_BUDGET):
-        raise ClosureBoundError(f"{what} of {base}^{exponent} items exceeds the "
-                                f"enumeration budget {ENUMERATION_BUDGET}")
-
 
 # ---------------------------------------------------------------------------
 # model types
@@ -342,6 +329,7 @@ def expected_measure(model: ActionModel) -> SymbolicMeasure:
     if isinstance(model, ProductType):
         kinds = {type(f) for f in model.factors}
         if kinds == {Bernoulli}:
+            check_enumeration(_observable_count(model), "the product's box set")
             comps = []
             for r in range(1, d + 1):
                 for subset in combinations(range(d), r):
@@ -368,7 +356,8 @@ def expected_measure(model: ActionModel) -> SymbolicMeasure:
             sub = Subspace.from_vectors(field, d, [vi, vj])
             comps.append(BoxLebesgue(AffineCarrier.make(sub), sub.basis))
         return SymbolicMeasure.make(TORUS, d, field, comps)
-    _check_enumeration(model.q, model.level * model.dim, "odometer atom set")
+    check_enumeration(bounded_power(model.q, model.level * model.dim),
+                      "the odometer atom set")
     atoms = []
     denom = model.q ** model.level
     for combo in iproduct(range(denom), repeat=model.dim):
@@ -402,7 +391,8 @@ def crosscheck(model: ActionModel, bound: int = 10,
                tol: float = 1e-12) -> CrosscheckReport:
     """Assert ft(observable measure, n) == correlation(n) on |n|_inf <= bound."""
     d = model.dim
-    _check_enumeration(2 * bound + 1, d, "crosscheck grid")
+    check_enumeration(_observable_count(model) * bounded_power(max(0, 2 * bound + 1), d),
+                      "the crosscheck (observables x grid points)")
     import numpy as np
 
     from .fourier import ft_batch
@@ -410,6 +400,7 @@ def crosscheck(model: ActionModel, bound: int = 10,
     grid = np.array(list(iproduct(range(-bound, bound + 1), repeat=d)), dtype=float)
     max_err = 0.0
     failures = []
+    failed = 0
     for obs in observables(model):
         sigma = observable_measure(model, obs)
         vals = ft_batch(sigma, grid)
@@ -419,9 +410,21 @@ def crosscheck(model: ActionModel, bound: int = 10,
             if err > max_err:
                 max_err = err
             if err >= tol:
-                failures.append((obs, tuple(int(x) for x in row), float(err)))
-    return CrosscheckReport(not failures, bound, tol, float(max_err),
-                            tuple(failures[:32]))
+                failed += 1
+                if len(failures) < 32:  # the report lists the first 32
+                    failures.append((obs, tuple(int(x) for x in row), float(err)))
+    return CrosscheckReport(not failed, bound, tol, float(max_err), tuple(failures))
+
+
+def _observable_count(model: ActionModel) -> int:
+    """len(observables(model)), saturated like ``bounded_power``; the 2^d - 1
+    resp. (level+1)^d - 1 observables of products and odometers are counted
+    without listing them, the power capped at budget + 1 so that the count
+    stays saturated at budget + 1."""
+    if isinstance(model, (ProductType, OdometerEigen)):
+        base = 2 if isinstance(model, ProductType) else model.level + 1
+        return bounded_power(base, model.dim, ENUMERATION_BUDGET + 1) - 1
+    return len(observables(model))
 
 
 def gram_min_eigenvalue(model: ActionModel, observable: str,

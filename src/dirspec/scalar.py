@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import FieldMismatchError, ValidationError
+from .errors import FieldMismatchError, ValidationError, check_enumeration
 
 RationalLike = int | Fraction
 
@@ -35,6 +35,7 @@ RationalLike = int | Fraction
 def _is_square_free(m: int) -> bool:
     if m < 2:
         return False
+    check_enumeration(math.isqrt(m), f"trial division of root {m}")
     d = 2
     while d * d <= m:
         if m % (d * d) == 0:

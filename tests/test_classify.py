@@ -1,14 +1,15 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import gen
 from dirspec import classify as C
 from dirspec import measure as M
-from dirspec.errors import (DimensionMismatchError, InvalidDirectionSetError,
-                            NotReducedError, ValidationError)
+from dirspec.errors import (ClosureBoundError, DimensionMismatchError,
+                            InvalidDirectionSetError, NotReducedError, ValidationError)
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, annihilator,
                             as_vector, mat_vec, promote_subspace, rationality,
                             solve_lattice_coset, vec_add, vec_dot, vec_scale, vec_sub,
@@ -321,7 +322,8 @@ def raw_members(cs, bound):
     """Every member of a concise set before deduplication: one perp per
     listed subspace, (family, shift) and (group atom, shift)."""
     members = list(cs.subspaces)
-    shifts = C._int_vectors(cs.dim, bound) if cs.space == TORUS else [(0,) * cs.dim]
+    shifts = list(product(range(-bound, bound + 1), repeat=cs.dim)) if cs.space == TORUS \
+        else [(0,) * cs.dim]
     for fam in cs.parametric_families:
         for n in shifts:
             shifted = vec_sub(fam.offset, as_vector(cs.fieldspec, n))
@@ -329,7 +331,7 @@ def raw_members(cs, bound):
                 cs.fieldspec, cs.dim,
                 list(fam.subspace.basis) + [shifted]).orthocomplement())
     for fam in cs.group_families:
-        for a in C._enumerate_group_atoms(cs.fieldspec, cs.dim, fam, bound):
+        for a in C._enumerate_group_atoms(cs.fieldspec, fam, bound):
             for n in shifts:
                 shifted = vec_sub(a, as_vector(cs.fieldspec, n))
                 if all(x.is_zero() for x in shifted):
@@ -362,6 +364,45 @@ class TestConciseHull:
         m = SymbolicMeasure.decode(json.loads((fixtures_dir / f"{name}.json").read_text()))
         for cs in (C.nonergodic_concise(m), C.nonwm_concise(m)):
             assert cs.enumerate_members(3) == pairwise_hull(raw_members(cs, 3))
+
+
+class TestMemberBudget:
+    CHAIR = torus(AtomGroup((as_vector(QQ, [1, 0]), as_vector(QQ, [0, 1])), "Q",
+                            zero_vector(QQ, 2)))
+
+    def test_pool_size_matches_the_pool(self):
+        for bound in range(13):
+            pools = {"Z": set(range(-bound, bound + 1)),
+                     "Q": {Fraction(p, q) for p in range(-bound, bound + 1)
+                           for q in range(1, bound + 1)}}
+            for ring, pool in pools.items():
+                assert M.coefficient_pool_size(ring, bound, C.MEMBER_BUDGET) == len(pool)
+            assert M.coefficient_pool(ring, bound) == sorted(pool)
+
+    def test_chair_at_bound_5_fits(self):
+        # chair.json is one Q group with two generators in T^2: 39^2 atoms x 11^2 shifts
+        assert M.coefficient_pool_size("Q", 5, C.MEMBER_BUDGET) ** 2 * 11 ** 2 \
+            == 184_041 <= C.MEMBER_BUDGET
+
+    @pytest.mark.parametrize("space,bound", [(TORUS, 6), (TORUS, 10 ** 9),
+                                             (EUCLID, 10 ** 9)])
+    def test_over_budget_is_refused_before_listing(self, monkeypatch, space, bound):
+        concise = C.nonergodic_concise(
+            SymbolicMeasure.make(space, 2, QQ, self.CHAIR.components))
+        assert concise.group_families
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed before the budget check")
+        monkeypatch.setattr(C, "product", refuse)
+        monkeypatch.setattr(C, "_enumerate_group_atoms", refuse)
+        with pytest.raises(ClosureBoundError):
+            concise.enumerate_members(bound)
+
+    def test_unshifted_sets_build_no_shift_list(self, monkeypatch):
+        bw8 = torus(box(E1), box(E2), box(DIAG))
+        monkeypatch.setattr(C, "product", None)
+        assert C.nonwm_concise(bw8).enumerate_members(10 ** 9) \
+            == C.nonwm_concise(bw8).subspaces
 
 
 class TestGroupWallOracle:
@@ -414,8 +455,8 @@ class TestGroupWallOracle:
                 # the witness must be a genuine atom lying on the wall
                 assert not all(x.is_integer() for x in witness)
                 perp = sub.orthocomplement()
-                lattice = C._wall_lattice(sub) if m.class_space == TORUS else None
-                diff_ok = C._on_affine_wall(lattice, sub, witness, zero_vector(field, 2))
+                diff_ok = C._on_affine_wall(m.class_space, sub, witness,
+                                            zero_vector(field, 2))
                 assert diff_ok
                 assert M.module_member(field, comp, witness, TORUS)
             else:
@@ -432,7 +473,7 @@ def _int_grid(d, bound):
 
 
 class TestAffineWallKey:
-    """The torus wall test ``_on_affine_wall(_wall_lattice(L), ...)`` reads a coset key;
+    """The torus wall test ``_on_affine_wall(TORUS, L, ...)`` reads a coset key;
     it must agree with the coset solve for a shift n with B_L (diff - n) = 0
     and with a bounded search of shifts (which can only certify)."""
 
@@ -473,7 +514,7 @@ class TestAffineWallKey:
                     diff = vec_add(diff, vec_scale(gen.rand_scalar(rng, field), b))
             else:
                 diff = gen.rand_vector(rng, field, d)
-            on_wall = C._on_affine_wall(C._wall_lattice(sub), sub, vec_add(ell, diff), ell)
+            on_wall = C._on_affine_wall(TORUS, sub, vec_add(ell, diff), ell)
             rows = sub.basis
             sol = solve_lattice_coset("Z", (), [tuple(b[j] for b in rows) for j in range(d)],
                                       mat_vec(rows, diff))
@@ -567,6 +608,21 @@ class TestDirectionalEigenvalues:
                 assert C.wall_test(m, sub, list(ell)).positive
 
 
+    def test_weak_mixing_is_read_off_the_families(self):
+        rng = random.Random(19)
+        for _ in range(120):
+            field = rng.choice([QQ, F2])
+            d = rng.randint(2, 3)
+            m = gen.rand_measure(rng, field, d, rng.choice([EUCLID, TORUS]),
+                                 with_groups=True)
+            sub = gen.rand_subspace(rng, field, d)
+            v = C.classify_direction(m, sub)
+            fams = C.directional_eigenvalues(m, sub)
+            assert v.weak_mixing == (not fams)
+            assert [w.component_index for prop, w in v.witnesses if prop == "weak_mixing"] \
+                == [f.component_index for f in fams]
+
+
 class TestRealize:
     def test_axes(self):
         rep = C.realize([E1, E2])
@@ -626,6 +682,31 @@ class TestLints:
         warns = C.admissibility_lint(m)
         assert [w.code for w in warns] == ["ergodic_not_wm"] or \
             [w.code for w in warns] == ["ergodic_not_weak_mixing"]
+
+    def test_ergodic_not_wm_agrees_with_classify_direction(self):
+        # check (c) reads the central wall test alone: along K^perp the box
+        # carrier K lies in the perp, so weak mixing fails there
+        rng = random.Random(23)
+        tested = warned = 0
+        for _ in range(200):
+            field = rng.choice([QQ, F2])
+            d = rng.randint(2, 3)
+            m = gen.rand_measure(rng, field, d, rng.choice([EUCLID, TORUS]))
+            carriers = [c.carrier.subspace for c in m.components
+                        if isinstance(c, BoxLebesgue)]
+            if M.atom_points(m) or len(carriers) < len(m.components):
+                continue
+            flagged = 0
+            for k in carriers:
+                if 0 < k.dim < d:
+                    v = C.classify_direction(m, k.orthocomplement())
+                    assert not v.weak_mixing
+                    flagged += v.ergodic
+            codes = [w.code for w in C.admissibility_lint(m)]
+            assert codes == ["ergodic_not_weak_mixing"] * flagged
+            tested += 1
+            warned += bool(flagged)
+        assert tested > 30 and 0 < warned < tested
 
     def test_clean_fixtures(self):
         assert C.admissibility_lint(product_bernoulli()) == []

@@ -261,6 +261,43 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ClosureBoundError"
 
+    def test_member_enumeration_budget_is_4(self, fixtures_dir, capsys):
+        # chair.json at bound 50: 3,095^2 group atoms x 101^2 shifts, refused
+        start = time.perf_counter()
+        code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),
+                     "--enumeration-bound", "50"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ClosureBoundError"
+
+    def test_unshifted_members_ignore_the_bound(self, fixtures_dir, capsys):
+        # bw8.json has no family to shift: no shift list is built at any bound
+        argv = ["directions", "--measure", str(fixtures_dir / "bw8.json"),
+                "--enumeration-bound"]
+        assert main(argv + ["2"]) == 0
+        small = capsys.readouterr().out
+        start = time.perf_counter()
+        assert main(argv + ["100000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == small
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["lint", "--measure"],
+         {"space": "torus", "dim": 1, "components": [{"kind": "atom", "point": ["1/3"]}]}),
+        (["realize", "--directions"], {"dim": 2, "directions": [{"basis": [["1", "0"]]}]}),
+        (["oracle", "--model"], {"kind": "rotation", "alphas": ["1/3"]}),
+    ], ids=["measure", "directions", "model"])
+    def test_square_free_budget_is_4(self, argv, doc, tmp_path, capsys):
+        # trial division up to sqrt(10^18) is refused before the loop
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, "field_roots": [1000000000000000009]}))
+        start = time.perf_counter()
+        assert main(argv + [str(path)]) == 4
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ClosureBoundError"
+
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),
                      "--enumeration-bound", "-1"])

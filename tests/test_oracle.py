@@ -7,7 +7,8 @@ import pytest
 from dirspec import classify as C
 from dirspec import measure as M
 from dirspec import oracle as O
-from dirspec.errors import UnsupportedConvolutionError, ValidationError
+from dirspec.errors import (ENUMERATION_BUDGET, ClosureBoundError,
+                            UnsupportedConvolutionError, ValidationError, bounded_power)
 from dirspec.linalg import Subspace, as_vector
 from dirspec.measure import AtomGroup
 from dirspec.scalar import QQ, FieldSpec
@@ -68,6 +69,11 @@ class TestExpectedMeasure:
         assert len(em.components) == 2 ** (2 * 2) - 1
         assert not em.has_delta_zero()
 
+    def test_product_box_set_budget(self):
+        # 2^60 - 1 boxes: refused before the subsets are listed
+        with pytest.raises(ClosureBoundError):
+            O.expected_measure(O.ProductType((O.Bernoulli(),) * 60))
+
     def test_mixed_product_unsupported(self):
         mixed = O.ProductType((O.Bernoulli(), O.Rotation1(F2.sqrt_root(2) - 1)))
         with pytest.raises(UnsupportedConvolutionError):
@@ -94,6 +100,45 @@ class TestCrosscheck:
         mixed = O.ProductType((O.Bernoulli(), O.Rotation1(F2.sqrt_root(2) - 1)))
         rep = O.crosscheck(mixed, bound=5)
         assert rep.passed
+
+    def test_failures_are_counted_and_the_first_32_reported(self):
+        # a zero tolerance fails all 3 x 81 points; the report keeps the first 32
+        rep = O.crosscheck(ROT, bound=4, tol=0.0)
+        grid = [(i, j) for i in range(-4, 5) for j in range(-4, 5)]
+        assert not rep.passed
+        assert [(obs, n) for obs, n, _ in rep.failures] == [("exp1", n) for n in grid[:32]]
+
+    @pytest.mark.parametrize("model", [
+        PRODUCT, BW, ROT, ODO, O.OdometerEigen(3, 2, 3), O.BergelsonWard(((1, 2),)),
+        O.ProductType((O.Bernoulli(),) * 5)])
+    def test_observable_count_without_listing(self, model):
+        assert O._observable_count(model) == len(O.observables(model))
+
+    @pytest.mark.parametrize("model,bound", [
+        (O.OdometerEigen(2, 10 ** 9, 2), 0),         # (10^9 + 1)^2 - 1 observables
+        (O.ProductType((O.Bernoulli(),) * 60), 0),   # 2^60 - 1 observables
+        (BW, 50),                                    # 10 x 101^2 points
+        (O.OdometerEigen(2, 3, 2), 10 ** 9),         # a grid of (2 * 10^9 + 1)^2
+    ], ids=["odometer-levels", "product-factors", "bw-grid", "odometer-grid"])
+    def test_budget_is_checked_before_listing(self, model, bound):
+        with pytest.raises(ClosureBoundError):
+            O.crosscheck(model, bound=bound)
+
+    def test_odometer_count_saturates_at_the_budget(self):
+        # (level+1)^dim - 1 just past the budget must not be cut back under it
+        over = O.OdometerEigen(2, ENUMERATION_BUDGET + 1, 1)
+        assert O._observable_count(over) == ENUMERATION_BUDGET + 1
+        at = O.OdometerEigen(2, ENUMERATION_BUDGET, 1)
+        assert O._observable_count(at) == ENUMERATION_BUDGET
+
+
+class TestBoundedPower:
+    @pytest.mark.parametrize("base,exponent", [
+        (0, 0), (0, 5), (1, 10 ** 12), (2, 16), (2, 17), (3, 10), (3, 11), (10, 5),
+        (10, 6), (316, 2), (317, 2), (7, 10 ** 12)])
+    def test_matches_the_saturated_power(self, base, exponent):
+        exact = base ** exponent if exponent < 100 or base < 2 else ENUMERATION_BUDGET + 2
+        assert bounded_power(base, exponent) == min(exact, ENUMERATION_BUDGET + 1)
 
 
 class TestDirectionalBehavior:
