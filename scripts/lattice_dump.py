@@ -8,7 +8,8 @@ It builds the `classify-mix` and `torus-walls` pools with `perfbench/gen.py`
 (imported, never changed), decodes them and runs each benchmark operation
 once: both concise sets, `classify_direction`, `directional_eigenvalues` and
 `contains_direction`.  Meanwhile it records every distinct
-`solve_lattice_coset` system with its answer, and every distinct
+`solve_lattice_coset` system with its answer (its one caller is
+`measure.group_atom_on_coset`), and every distinct
 `smith_normal_form` matrix with its D and V (not U, whose use is up to the
 caller).  It prints the number of distinct systems per workload and one
 sha256 over all of them.  The hash does not depend on how often or in which
@@ -88,7 +89,7 @@ class Recorder:
             return out
 
         linalg.smith_normal_form = smith_normal_form
-        for module in (linalg, classify, measure):
+        for module in (linalg, measure):
             module.solve_lattice_coset = solve_lattice_coset
 
 

@@ -20,13 +20,13 @@ from itertools import product
 from .errors import (DimensionMismatchError, InvalidDirectionSetError, NotReducedError,
                      ValidationError, bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
-                     flatten, mat_vec, rationality, solve_lattice_coset, unit_vector,
-                     vec_add, vec_dot, vec_is_zero, vec_sub, zero_vector)
+                     flatten, mat_vec, rationality, unit_vector, vec_add, vec_dot,
+                     vec_is_zero, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, coefficient_pool,
-                      coefficient_pool_size, exp as measure_exp,
-                      group_element_from_coeffs, group_value_coset_nontrivial,
-                      has_atom_at, is_identity, pushforward_subgroup, translate)
+                      coefficient_pool_size, exp as measure_exp, group_atom_on_coset,
+                      group_element_from_coeffs, has_atom_at, is_identity,
+                      pushforward_subgroup, translate)
 from .scalar import FieldSpec
 
 # the most (shifted family or group atom, shift) pairs ``enumerate_members`` may
@@ -84,30 +84,23 @@ def _on_affine_wall(space: str, sub_l: Subspace, point: FieldVector,
     return all(vec_dot(b, diff).is_zero() for b in rows)
 
 
-def _group_meets_wall(space: str, comp: "AtomGroup | GroupFamily", sub_l: Subspace,
+def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
                       ell: FieldVector) -> FieldVector | None:
-    """A genuine atom of ``comp`` on L^perp + ell (mod Z^d on the torus),
-    or None when the wall carries no atom of the group.
-
-    Solve  B_L (offset + sum_i c_i g_i - ell - n) = 0  for coefficients c in
-    the coefficient ring and lattice shifts n: the coset primitive with
-    u_i = B_L g_i, l_j = -B_L e_j and t = B_L (ell - offset).  Then pick a
-    solution whose group element  offset + sum c_i g_i  is a genuine atom.
-    The answer depends only on L and the key below, so it is kept in the
-    subspace's memo: the central wall test of ``classify_direction`` and
-    ``contains_direction`` on the nonergodic concise set pose the same system.
+    """A genuine atom of the group on L^perp + ell (mod Z^d on the torus), or
+    None: ``group_atom_on_coset`` with the rows B_L, the target B_L ell and,
+    on the torus, the shifts B_L e_j.  The answer depends only on L and the
+    key below, so it is kept in the subspace's memo: the central wall test of
+    ``classify_direction`` and ``contains_direction`` on the nonergodic
+    concise set pose the same system.
     """
-    key = (space, comp.ring, comp.generators, comp.offset, ell)
-    if key in sub_l.memo:
-        return sub_l.memo[key]
-    rows = sub_l.basis
-    ls = [tuple(-b[j] for b in rows) for j in range(sub_l.ambient)] if space == TORUS else ()
-    sol = solve_lattice_coset(comp.ring, [mat_vec(rows, g) for g in comp.generators], ls,
-                              mat_vec(rows, vec_sub(ell, comp.offset)))
-    atom = None if sol is None else group_value_coset_nontrivial(
-        sub_l.field, comp, sol, space)
-    sub_l.memo[key] = atom
-    return atom
+    key = (space, group.ring, group.generators, group.offset, ell)
+    if key not in sub_l.memo:
+        rows = sub_l.basis
+        shifts = [tuple(b[j] for b in rows) for j in range(sub_l.ambient)] \
+            if space == TORUS else ()
+        sub_l.memo[key] = group_atom_on_coset(space, group, rows, mat_vec(rows, ell),
+                                              shifts)
+    return sub_l.memo[key]
 
 
 def _wall_descriptor(comp: Component) -> dict:
@@ -221,29 +214,13 @@ class ParametricFamily:
 
 
 @dataclass(frozen=True)
-class GroupFamily:
-    """Directions perpendicular to some atom of an atom group (mod shifts)."""
-
-    generators: tuple[FieldVector, ...]
-    ring: str
-    offset: FieldVector
-
-    def encode(self) -> dict:
-        out = {"generators": [[x.encode() for x in g] for g in self.generators],
-               "ring": self.ring}
-        if not vec_is_zero(self.offset):
-            out["offset"] = [x.encode() for x in self.offset]
-        return out
-
-
-@dataclass(frozen=True)
 class ConciseSet:
     space: str
     dim: int
     fieldspec: FieldSpec
     subspaces: tuple[Subspace, ...]
     parametric_families: tuple[ParametricFamily, ...] = ()
-    group_families: tuple[GroupFamily, ...] = ()
+    group_families: tuple[AtomGroup, ...] = ()
 
     def is_empty(self) -> bool:
         return not (self.subspaces or self.parametric_families or self.group_families)
@@ -259,8 +236,8 @@ class ConciseSet:
             if _on_affine_wall(self.space, direction, fam.offset,
                                zero_vector(self.fieldspec, self.dim)):
                 return True
-        for fam in self.group_families:
-            if _group_meets_wall(self.space, fam, direction,
+        for group in self.group_families:
+            if _group_meets_wall(self.space, group, direction,
                                  zero_vector(self.fieldspec, self.dim)):
                 return True
         return False
@@ -278,9 +255,9 @@ class ConciseSet:
             raise ValidationError("the enumeration bound must be >= 0")
         torus = self.space == TORUS
         to_shift = len(self.parametric_families) + sum(
-            bounded_power(coefficient_pool_size(fam.ring, bound, MEMBER_BUDGET),
-                          len(fam.generators), MEMBER_BUDGET)
-            for fam in self.group_families)
+            bounded_power(coefficient_pool_size(group.ring, bound, MEMBER_BUDGET),
+                          len(group.generators), MEMBER_BUDGET)
+            for group in self.group_families)
         n_shifts = bounded_power(2 * bound + 1, self.dim, MEMBER_BUDGET) if torus else 1
         check_enumeration(to_shift * n_shifts, "the member enumeration "
                           "((families + group atoms) x shifts)", MEMBER_BUDGET)
@@ -295,8 +272,8 @@ class ConciseSet:
                     self.fieldspec, self.dim,
                     list(fam.subspace.basis) + [vec_sub(fam.offset, n)])] = None
         lines: dict[tuple, FieldVector] = {}
-        for fam in self.group_families:
-            for atom in _enumerate_group_atoms(self.fieldspec, fam, bound):
+        for group in self.group_families:
+            for atom in _enumerate_group_atoms(group, bound):
                 for n in shifts:
                     shifted = vec_sub(atom, n)
                     lead = next((x for x in shifted if not x.is_zero()), None)
@@ -312,16 +289,17 @@ class ConciseSet:
     def encode(self, bound: int = 3) -> dict:
         return {"subspaces": [s.encode() for s in self.subspaces],
                 "parametric_families": [f.encode() for f in self.parametric_families],
-                "group_families": [f.encode() for f in self.group_families],
+                "group_families": [{k: v for k, v in g.encode().items()
+                                    if k not in ("kind", "weight")}
+                                   for g in self.group_families],
                 "enumerated_members": [s.encode()
                                        for s in self.enumerate_members(bound)]}
 
 
-def _enumerate_group_atoms(fieldspec: FieldSpec, fam: GroupFamily,
-                           bound: int) -> list[FieldVector]:
-    pool = coefficient_pool(fam.ring, bound)
-    return list(dict.fromkeys(group_element_from_coeffs(fieldspec, fam, combo, True)
-                              for combo in product(pool, repeat=len(fam.generators))))
+def _enumerate_group_atoms(group: AtomGroup, bound: int) -> list[FieldVector]:
+    pool = coefficient_pool(group.ring, bound)
+    return list(dict.fromkeys(group_element_from_coeffs(group, combo, True)
+                              for combo in product(pool, repeat=len(group.generators))))
 
 
 def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
@@ -356,7 +334,7 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
         return m.memo["nonergodic_concise"]
     explicit: list[Subspace] = []
     parametric: list[ParametricFamily] = []
-    groups: list[GroupFamily] = []
+    groups: list[AtomGroup] = []
     shifts = m.class_space == TORUS
     zero = Subspace.zero(m.field, m.dim)
     for comp in m.components:
@@ -376,7 +354,7 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
                 explicit.append(
                     comp.carrier.affine_hull_through_origin().orthocomplement())
         else:
-            groups.append(GroupFamily(comp.generators, comp.ring, comp.offset))
+            groups.append(comp)
     hull = _concise_hull(explicit)
     # drop families all of whose members are subordinate to an explicit member
     kept_param = []

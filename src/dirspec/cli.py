@@ -347,20 +347,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact coordinates may pass Python's int/str digit limit (3.11+, 4,300
+    # digits by default): lift it while the command runs, then restore it
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (UnsupportedConvolutionError, ClosureBoundError) as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__,
-                                    "message": str(exc)}}), file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except DirspecError as exc:
-        print(json.dumps({"error": {"kind": type(exc).__name__,
-                                    "message": str(exc)}}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError) as exc:
-        print(json.dumps({"error": {"kind": "ValidationError",
-                                    "message": str(exc)}}), file=sys.stderr)
-        return EXIT_VALIDATION
+    except (DirspecError, KeyError, TypeError, ValueError) as exc:
+        kind = type(exc).__name__ if isinstance(exc, DirspecError) else "ValidationError"
+        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
+        return EXIT_UNSUPPORTED if isinstance(
+            exc, (UnsupportedConvolutionError, ClosureBoundError)) else EXIT_VALIDATION
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

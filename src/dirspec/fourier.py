@@ -14,10 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ValidationError
+from .errors import ENUMERATION_BUDGET, ValidationError, bounded_power, check_enumeration
 from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
 from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure,
-                      coefficient_pool)
+                      coefficient_pool, coefficient_pool_size)
+
+DIRECTIONS_PER_RADIUS = 64  # sampled points per radius in ``rajchman_probe``
+CONSTANCY_TRIALS = 32  # random points of ``coset_constancy_check``
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,20 @@ DEFAULT_CONFIG = EstimatorConfig()
 def _floats(v) -> np.ndarray:
     import numpy as np
     return np.array([float(x) for x in v], dtype=float)
+
+
+def check_truncations(m: SymbolicMeasure, cfg: EstimatorConfig) -> None:
+    """Refuse a representative past ENUMERATION_BUDGET before a point is drawn
+    or listed: pool^k atoms per k-generator atom group, (2N+1)^d lattice points
+    if periodized.  Callers: those of ``group_representative``, ``wiener_mass``."""
+    for comp in m.components:
+        if isinstance(comp, AtomGroup):
+            pool = coefficient_pool_size(comp.ring, cfg.group_truncation, ENUMERATION_BUDGET)
+            check_enumeration(bounded_power(pool, len(comp.generators)),
+                              "the truncated atom list of an atom group")
+    if m.periodized:
+        check_enumeration(bounded_power(2 * cfg.periodization_truncation + 1, m.dim),
+                          "the periodization lattice")
 
 
 def group_representative(comp: AtomGroup, space: str, truncation: int
@@ -104,6 +121,7 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
     t = np.atleast_2d(np.asarray(points, dtype=float))
     if t.shape[1] != m.dim:
         raise ValidationError("evaluation points have wrong dimension")
+    check_truncations(m, cfg)
     out = np.zeros(t.shape[0], dtype=complex)
     for comp in m.components:
         if isinstance(comp, Atom):
@@ -155,6 +173,7 @@ def _periodization_factor(dim: int, t: np.ndarray, trunc: int) -> np.ndarray:
 
 def total_representative_mass(m: SymbolicMeasure,
                               cfg: EstimatorConfig = DEFAULT_CONFIG) -> float:
+    check_truncations(m, cfg)
     mass = 0.0
     for comp in m.components:
         if isinstance(comp, AtomGroup):
@@ -212,6 +231,7 @@ def wiener_mass(m: SymbolicMeasure, direction: Subspace, ell,
     ell_vec = as_vector(m.field, ell) if ell is not None else None
     if ell_vec is not None and not direction.contains(ell_vec):
         raise ValidationError("the eigenvalue candidate must lie in the direction")
+    check_truncations(m, cfg)
     onb = _orthonormal_basis(direction)
     coords = _ball_points(direction.dim, cfg.radius, cfg.samples, cfg.seed)
     t = coords @ onb
@@ -231,6 +251,7 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
     import numpy as np
     if m.periodized:
         raise ValidationError("representative masses are defined for plain measures")
+    check_truncations(m, cfg)
     ell_vec = as_vector(m.field, ell) if ell is not None \
         else tuple(m.field.zero() for _ in range(m.dim))
     perp = direction.orthocomplement()
@@ -270,15 +291,14 @@ class DecayProfile:
 
 
 def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
-                   cfg: EstimatorConfig = DEFAULT_CONFIG,
-                   directions_per_radius: int = 64) -> DecayProfile:
+                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> DecayProfile:
     """sup |ft| over sampled points of norm r in L, for each radius r."""
     import numpy as np
     from scipy.stats import qmc
     onb = _orthonormal_basis(direction)
     e = direction.dim
     sampler = qmc.Sobol(d=e, scramble=True, seed=cfg.seed)
-    raw = 2.0 * sampler.random(max(8, directions_per_radius)) - 1.0
+    raw = 2.0 * sampler.random(max(8, DIRECTIONS_PER_RADIUS)) - 1.0
     norms = np.linalg.norm(raw, axis=1)
     unit = raw[norms > 1e-9] / norms[norms > 1e-9, None]
     sups = []
@@ -292,7 +312,6 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
 
 
 def coset_constancy_check(m: SymbolicMeasure, tol: float = 1e-9,
-                          trials: int = 32,
                           cfg: EstimatorConfig = DEFAULT_CONFIG) -> bool:
     """For a single zero-offset box component, verify the transform is
     constant along cosets of K^perp (exact for the factorized formula)."""
@@ -304,11 +323,11 @@ def coset_constancy_check(m: SymbolicMeasure, tol: float = 1e-9,
         raise ValidationError("coset constancy applies to a zero-offset box")
     perp = comp.carrier.subspace.orthocomplement()
     rng = np.random.default_rng(cfg.seed)
-    t = rng.normal(scale=10.0, size=(trials, m.dim))
+    t = rng.normal(scale=10.0, size=(CONSTANCY_TRIALS, m.dim))
     base = ft_batch(m, t, cfg)
     if perp.dim == 0:
         return True  # only u = 0 is admissible
     pb = np.array([[float(x) for x in row] for row in perp.basis])
-    u = rng.normal(scale=5.0, size=(trials, perp.dim)) @ pb
+    u = rng.normal(scale=5.0, size=(CONSTANCY_TRIALS, perp.dim)) @ pb
     shifted = ft_batch(m, t + u, cfg)
     return bool(np.max(np.abs(shifted - base)) < tol)

@@ -31,10 +31,9 @@ product of T's pivots, ``saturate`` is the dual of that projection and the
 torsion of ``annihilator`` is Z^r modulo T's rows.
 
 ``solve_lattice_coset`` is the one lattice coset solver: is t in
-ring.span{u_i} + Z.span{l_j}, and with which coefficients?  It is called
-only where a witness or the solution family is read:
-``classify._group_meets_wall`` (a group atom on a wall) and
-``measure._group_image_charges_zero`` (a group atom in a subgroup image).
+ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its one caller is
+``measure.group_atom_on_coset``, which reads a witness off the solution
+family: a group atom on a wall or in a subgroup image.
 
 Yes/no questions read a ``CosetLattice`` key instead: it puts
 Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module

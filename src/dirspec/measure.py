@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError)
-from .linalg import (AffineCarrier, CosetLattice, CosetSolution, FieldVector,
+from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
                      promote_subspace, promote_vector, solve_lattice_coset,
                      span_coordinates, unflatten, unit_vector, vec_add, vec_is_zero,
@@ -179,8 +179,7 @@ def coefficient_pool_size(ring: str, bound: int, cap: int) -> int:
     return 4 * sum(phi[1:]) - 1 if bound else 0
 
 
-def group_element_from_coeffs(field: FieldSpec, group: "AtomGroup", coeffs,
-                              with_offset: bool) -> FieldVector:
+def group_element_from_coeffs(group: AtomGroup, coeffs, with_offset: bool) -> FieldVector:
     """offset + sum_i coeffs[i] * generators[i] (offset optional)."""
     combination = mat_vec(tuple(zip(*group.generators)), tuple(coeffs))
     return vec_add(group.offset, combination) if with_offset else combination
@@ -193,32 +192,37 @@ def is_identity(space: str, v: FieldVector) -> bool:
     return vec_is_zero(v)
 
 
-def group_value_coset_nontrivial(field: FieldSpec, group: "AtomGroup",
-                                 sol: CosetSolution,
-                                 space: str) -> FieldVector | None:
-    """Given the solution family of a group coset system, find a solution
-    whose group element is a genuine atom, not the identity of ``space``.
-    Returns that witness element, or None if every solution is trivial."""
-    base = group_element_from_coeffs(field, group, sol.coeffs, True)
+def group_atom_on_coset(space: str, group: AtomGroup, rows, target: FieldVector,
+                        shifts) -> FieldVector | None:
+    """A genuine atom a of the group (not ``is_identity(space, a)``) with
+    rows·a in target + Z.span(shifts), or None: what wall tests and subgroup
+    images ask.  One coset solve, u_i = rows g_i, l_j = -s_j and
+    t = target - rows offset, decides it.  The witness is the particular
+    solution's atom, else that plus the first lattice direction escaping the
+    identity, else plus a rational-kernel direction scaled to land at 1/2."""
+    sol = solve_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators],
+                              [vec_neg(s) for s in shifts],
+                              vec_sub(target, mat_vec(rows, group.offset)))
+    if sol is None:
+        return None
+    base = group_element_from_coeffs(group, sol.coeffs, True)
     if not is_identity(space, base):
         return base
-    # base is the identity; adding any non-identity element of the solution
-    # module escapes it
     for lam in sol.coeff_lattice:
-        u = group_element_from_coeffs(field, group, lam, False)
+        u = group_element_from_coeffs(group, lam, False)
         if not is_identity(space, u):
             return vec_add(base, u)
     for vk in sol.coeff_kernel:
-        v = group_element_from_coeffs(field, group, vk, False)
-        if vec_is_zero(v):
+        v = group_element_from_coeffs(group, vk, False)
+        x = next((x for x in v if not x.is_zero()), None)
+        if x is None:
             continue
-        # rational kernel direction: scale so one coordinate lands at 1/2
-        # past an integer (always possible since v != 0)
-        j, x = next((j, x) for j, x in enumerate(v) if not x.is_zero())
+        # scale so that coordinate lands at 1/2 past an integer; an
+        # irrational coordinate escapes at scale 1 already
         if x.is_rational():
-            q = Fraction(1, 2) / x.as_rational()
-            return vec_add(base, tuple(field.from_rational(q) * y for y in v))
-        return vec_add(base, v)  # irrational coordinate: q = 1 already escapes
+            return vec_add(base, vec_scale(x.field.from_rational(
+                Fraction(1, 2) / x.as_rational()), v))
+        return vec_add(base, v)
     return None
 
 
@@ -317,14 +321,14 @@ class SymbolicMeasure:
     # -- class-level equality -------------------------------------------------
 
     def same_class(self, other: "SymbolicMeasure") -> bool:
-        """Equivalence of measure classes: same spaces and matching component
-        carriers (weights and box generators are class-irrelevant)."""
+        """Equivalence of measure classes: same spaces and the same set of
+        component classes (weights, box generators and the number of
+        components representing one class are class-irrelevant)."""
         if (self.space, self.dim, self.field) != (other.space, other.dim, other.field):
             return False
         if self.periodized != other.periodized:
             return False
-        mine, theirs = (Counter(class_key(m.class_space, m.field, m.dim, c)
-                                for c in m.components)
+        mine, theirs = ({class_key(m.class_space, m.field, m.dim, c) for c in m.components}
                         for m in (self, other))
         return mine == theirs
 
@@ -632,15 +636,16 @@ def pushforward_subgroup(m: SymbolicMeasure, h: LatticeSubgroup
     rows = h.basis
     e = len(rows)
     field = m.field
+    units = [unit_vector(field, e, j) for j in range(e)]
 
     comps: list[Component] = []
     for c in m.components:
         if isinstance(c, Atom):
             comps.append(Atom(mat_vec(rows, c.point), c.weight))
         elif isinstance(c, AtomGroup):
-            if _group_image_charges_zero(field, c, rows):
-                # some genuine source atom lands on 0 in the quotient: the pushed
-                # class has an explicit point mass there on top of the image group
+            # a genuine source atom landing on 0 in the quotient: the pushed class
+            # has an explicit point mass there on top of the image group
+            if group_atom_on_coset(TORUS, c, rows, zero_vector(field, e), units):
                 comps.append(Atom(zero_vector(field, e), c.weight))
             comps.append(AtomGroup(tuple(mat_vec(rows, g) for g in c.generators), c.ring,
                                    mat_vec(rows, c.offset), c.weight))
@@ -653,24 +658,6 @@ def pushforward_subgroup(m: SymbolicMeasure, h: LatticeSubgroup
                 AffineCarrier.make(Subspace.from_vectors(field, e, image_gens), center),
                 tuple(image_gens), center, c.weight))
     return SymbolicMeasure.make(TORUS, e, field, comps, False), rows
-
-
-def _group_image_charges_zero(field: FieldSpec, comp: AtomGroup,
-                              rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Does some genuine atom of the group map to 0 under the dual
-    identification a -> M a mod 1 (M has the rows h_1, ..., h_e)?
-
-    Solve  M (offset + sum_i c_i g_i) = k  over k in Z^e and coefficients in
-    the ring -- the coset primitive with u_i = M g_i, l_j = -e_j in Z^e and
-    t = -M offset -- then check that some solution's source element lies
-    outside Z^d.
-    """
-    e = len(rows)
-    sol = solve_lattice_coset(comp.ring, [mat_vec(rows, g) for g in comp.generators],
-                              [vec_neg(unit_vector(field, e, j)) for j in range(e)],
-                              vec_neg(mat_vec(rows, comp.offset)))
-    return sol is not None and group_value_coset_nontrivial(
-        field, comp, sol, TORUS) is not None
 
 
 def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:

@@ -457,7 +457,7 @@ def decode_scalar(field: FieldSpec, value) -> FieldScalar:
     try:
         if isinstance(value, str):
             return field.from_rational(Fraction(value))
-        if isinstance(value, int):
+        if type(value) is int:  # not a bool: JSON true is no scalar
             return field.from_rational(value)
         if isinstance(value, dict):
             coeffs = [Fraction(0)] * field.dimension

@@ -115,7 +115,7 @@ class TestDirectionMemo:
                     continue
                 space, ring, gens, offset, ell = key
                 groups_seen += 1
-                assert C._group_meets_wall(space, C.GroupFamily(gens, ring, offset),
+                assert C._group_meets_wall(space, AtomGroup(gens, ring, offset),
                                            fresh, ell) == answer
             # and the verdicts read from the memo are those of a fresh subspace
             assert C.classify_direction(m, fresh).encode() == verdict.encode()
@@ -164,7 +164,7 @@ class TestDirectionMemo:
             calls.append(args)
             return solve_lattice_coset(*args)
 
-        monkeypatch.setattr(C, "solve_lattice_coset", counting)
+        monkeypatch.setattr(M, "solve_lattice_coset", counting)
         half = Fraction(1, 2)
         groups = [AtomGroup((as_vector(QQ, [half, Fraction(1, 3)]),), "Z",
                             zero_vector(QQ, 2)),
@@ -331,7 +331,7 @@ def raw_members(cs, bound):
                 cs.fieldspec, cs.dim,
                 list(fam.subspace.basis) + [shifted]).orthocomplement())
     for fam in cs.group_families:
-        for a in C._enumerate_group_atoms(cs.fieldspec, fam, bound):
+        for a in C._enumerate_group_atoms(fam, bound):
             for n in shifts:
                 shifted = vec_sub(a, as_vector(cs.fieldspec, n))
                 if all(x.is_zero() for x in shifted):
@@ -722,6 +722,16 @@ class TestLints:
         m = SymbolicMeasure.decode(json.loads((fixtures_dir / f"{name}.json").read_text()))
         assert [w.encode() for w in C.admissibility_lint(M.suspend(m))] \
             == [w.encode() for w in C.admissibility_lint(m)]
+
+    def test_symmetry_counts_each_class_once(self):
+        # the box class on span(e2) has two representatives (centres (0, 0)
+        # and (0, 1/3)); translating by (1/2, 0) swaps it with the box class
+        # at offset (1/2, 0), which has one, and preserves the class
+        reps = [BoxLebesgue(AffineCarrier.make(E2), E2.basis, as_vector(QQ, c))
+                for c in ([0, 0], [0, Fraction(1, 3)])]
+        m = torus(atom([Fraction(1, 2), 0]), *reps, box(E2, [Fraction(1, 2), 0]))
+        assert len(m.components) == 4
+        assert C.admissibility_lint(m) == []
 
     def test_suspended_closed_atoms_on_the_circle(self):
         closed = torus(atom([Fraction(1, 3)]), atom([Fraction(2, 3)]), dim=1)

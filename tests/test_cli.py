@@ -8,6 +8,7 @@ import time
 import pytest
 
 import dirspec
+from dirspec import measure as M
 from dirspec.cli import main
 from dirspec.measure import SymbolicMeasure
 
@@ -197,9 +198,12 @@ class TestExitCodes:
         ({"space": "torus", "dim": 2,
           "components": [{"kind": "atom_group", "generators": [["1/2"]], "ring": "Z"}]},
          "DimensionMismatchError"),
+        # JSON true used to be read as the integer 1
+        ({"space": "torus", "dim": 1, "components": [{"kind": "atom", "point": [True]}]},
+         "ValidationError"),
     ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
             "weight-zero-denominator", "group-generator-too-long",
-            "group-generator-too-short"])
+            "group-generator-too-short", "boolean-scalar"])
     def test_malformed_measure_is_2(self, doc, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -271,6 +275,30 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ClosureBoundError"
 
+    @pytest.mark.parametrize("name,flag,value", [
+        ("chair.json", "--group-truncation", "100"),
+        ("suspended", "--periodization-truncation", "100000"),
+    ], ids=["group-atoms", "periodization-lattice"])
+    def test_fourier_truncation_budget_is_4(self, fixtures_dir, tmp_path, capsys,
+                                            name, flag, value):
+        # chair at 100: about 12,000^2 coefficient combinations; the suspended
+        # product measure at 100000: 200,001^2 lattice points; both refused
+        # before any point is drawn
+        path = fixtures_dir / name
+        if name == "suspended":
+            path = tmp_path / "suspended.json"
+            bernoulli = fixtures_dir / "product_bernoulli.json"
+            path.write_text(json.dumps(M.suspend(SymbolicMeasure.decode(
+                json.loads(bernoulli.read_text()))).encode()))
+        start = time.perf_counter()
+        code = main(["fourier-check", "--measure", str(path), "--directions",
+                     str(fixtures_dir / "axes_and_diagonal.json"),
+                     flag, value])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ClosureBoundError"
+
     def test_unshifted_members_ignore_the_bound(self, fixtures_dir, capsys):
         # bw8.json has no family to shift: no shift list is built at any bound
         argv = ["directions", "--measure", str(fixtures_dir / "bw8.json"),
@@ -297,6 +325,19 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ClosureBoundError"
+
+    def test_huge_integers_are_valid(self, tmp_path, capsys):
+        # a 5,000-digit denominator passes Python's int/str digit limit, which
+        # used to turn this valid document into exit 2; the limit is restored
+        big = "7" * 5000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"space": "torus", "dim": 2, "components": [
+            {"kind": "atom", "point": [f"1/{big}", "0"]}]}))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert main(["decompose", "--measure", str(path)]) == 0, capsys.readouterr().err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        parts = json.loads(capsys.readouterr().out)["result"]["parts"]
+        assert parts[0]["components"][0]["point"] == [f"1/{big}", "0"]
 
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),

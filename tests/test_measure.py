@@ -412,7 +412,7 @@ class TestGroupImageOracle:
             if integral(combine(offset_image, combo, images)) \
                     and not integral(combine(offset, combo, sources)):
                 return M.group_element_from_coeffs(
-                    field, replace(comp, generators=tuple(gens)), combo, True)
+                    replace(comp, generators=tuple(gens)), combo, True)
         return None
 
     def test_against_enumeration(self):
@@ -426,7 +426,9 @@ class TestGroupImageOracle:
             if not isinstance(comp, AtomGroup):
                 continue
             h = LatticeSubgroup.from_generators(2, rng.choice(self.SUBGROUPS))
-            verdict = M._group_image_charges_zero(field, comp, h.basis)
+            units = [unit_vector(field, h.rank, j) for j in range(h.rank)]
+            verdict = M.group_atom_on_coset(TORUS, comp, h.basis,
+                                            zero_vector(field, h.rank), units) is not None
             tested[verdict] += 1
             hit = self._enumerate_hit(field, comp, h.basis)
             if verdict:
@@ -468,6 +470,15 @@ class TestDecompose:
         assert parts[1].components[0].weight == 2
         assert [p.components for p in parts] \
             == [p.components for p in M.decompose(M.pushforward_quotient(per))]
+
+    def test_parts_sum_to_the_class_of_several_representatives(self):
+        # two representatives of one box class merge into one part component
+        reps = [BoxLebesgue(AffineCarrier.make(E2), E2.basis, as_vector(QQ, c))
+                for c in ([0, 0], [0, Fraction(1, 3)])]
+        m = torus(atom([Fraction(1, 2), 0]), *reps, box(E2, [Fraction(1, 2), 0]))
+        parts = M.decompose(m)
+        assert [len(p.components) for p in parts] == [1, 2, 0]
+        assert M.add(M.add(parts[0], parts[1]), parts[2]).same_class(m)
 
     def test_properties_random(self):
         rng = random.Random(53)
@@ -616,15 +627,11 @@ def reference_same_class(m1, m2):
     if (m1.space, m1.dim, m1.field, m1.periodized) \
             != (m2.space, m2.dim, m2.field, m2.periodized):
         return False
-    unmatched = list(m2.components)
-    for c in m1.components:
-        hit = next((i for i, o in enumerate(unmatched)
-                    if reference_class_equivalent(m1.space, m1.dim, m1.field, c, o)),
-                   None)
-        if hit is None:
-            return False
-        unmatched.pop(hit)
-    return not unmatched
+    # a class counts once, however many components represent it: each
+    # component of either measure has an equivalent one in the other
+    return all(any(reference_class_equivalent(m1.space, m1.dim, m1.field, c, o)
+                   for o in theirs.components)
+               for mine, theirs in ((m1, m2), (m2, m1)) for c in mine.components)
 
 
 def reference_decompose(m):
