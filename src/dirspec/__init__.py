@@ -5,13 +5,12 @@ seeded numerical Fourier oracle."""
 __version__ = "0.1.0"
 
 from .scalar import FieldScalar, FieldSpec, QQ
-from .linalg import (AffineCarrier, LatticeSubgroup, Subspace, TorusSubgroup,
-                     annihilator, rationality, saturate, smith_normal_form)
+from .linalg import AffineCarrier, LatticeSubgroup, Subspace, rationality, saturate
 from .measure import (Atom, AtomGroup, BoxLebesgue, SymbolicMeasure, add,
                       convolve, decompose, exp, pushforward_quotient,
                       pushforward_subgroup, suspend, translate)
 from .classify import (ConciseSet, DirectionVerdict, admissibility_lint,
-                       classify_direction, directional_eigenvalues, eigenvalues,
+                       classify_direction, directional_eigenvalues,
                        nonergodic_concise, nonwm_concise, realize, wall_test)
 from .fourier import (EstimatorConfig, coset_constancy_check, ft, ft_batch,
                       rajchman_probe, wiener_mass)

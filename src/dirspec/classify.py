@@ -222,9 +222,6 @@ class ConciseSet:
     parametric_families: tuple[ParametricFamily, ...] = ()
     group_families: tuple[AtomGroup, ...] = ()
 
-    def is_empty(self) -> bool:
-        return not (self.subspaces or self.parametric_families or self.group_families)
-
     def contains_direction(self, direction: Subspace) -> bool:
         """Subordination: is L contained in some member of the set?"""
         for s in self.subspaces:
@@ -386,23 +383,6 @@ def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
 # ---------------------------------------------------------------------------
 # eigenvalues
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    atoms: tuple[FieldVector, ...]
-    groups: tuple[AtomGroup, ...]
-
-    def encode(self) -> dict:
-        return {"atoms": [[x.encode() for x in a] for a in self.atoms],
-                "groups": [{k: v for k, v in g.encode().items() if k != "weight"}
-                           for g in self.groups]}
-
-
-def eigenvalues(m: SymbolicMeasure) -> SpectrumReport:
-    atoms = tuple(c.point for c in m.components if isinstance(c, Atom))
-    groups = tuple(c for c in m.components if isinstance(c, AtomGroup))
-    return SpectrumReport(atoms, groups)
 
 
 @dataclass(frozen=True)

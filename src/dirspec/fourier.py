@@ -171,19 +171,6 @@ def _periodization_factor(dim: int, t: np.ndarray, trunc: int) -> np.ndarray:
     return out
 
 
-def total_representative_mass(m: SymbolicMeasure,
-                              cfg: EstimatorConfig = DEFAULT_CONFIG) -> float:
-    check_truncations(m, cfg)
-    mass = 0.0
-    for comp in m.components:
-        if isinstance(comp, AtomGroup):
-            _, ws = group_representative(comp, m.space, cfg.group_truncation)
-            mass += sum(ws)
-        else:
-            mass += float(comp.weight)
-    return mass
-
-
 # ---------------------------------------------------------------------------
 # Wiener wall-mass estimation
 # ---------------------------------------------------------------------------
@@ -249,9 +236,9 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
     L^perp + ell in R^d (no lattice shifts: this is what the Wiener
     estimator converges to)."""
     import numpy as np
+    check_truncations(m, cfg)  # an oversized truncation is refused first (exit 4)
     if m.periodized:
         raise ValidationError("representative masses are defined for plain measures")
-    check_truncations(m, cfg)
     ell_vec = as_vector(m.field, ell) if ell is not None \
         else tuple(m.field.zero() for _ in range(m.dim))
     perp = direction.orthocomplement()

@@ -2,17 +2,16 @@
 
 Provides canonical-form subspaces of R^d over a FieldSpec (reduced row
 echelon bases, so structural equality is definitional equality), affine
-carriers, integer lattice subgroups in Hermite normal form, their
-saturations and annihilators inside the torus, rationality classification
-of directions, one exact solver for lattice cosets (the one user of Smith
-normal form) and canonical coset keys.
+carriers, integer lattice subgroups in Hermite normal form and their
+saturations, rationality classification of directions, one exact solver for
+lattice cosets (the one user of Smith normal form) and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), ``span_coordinates`` (one Gram system for many vectors: the dual
-basis of ``Subspace.project_all``, the torus box-offset reduction and the
-torsion of ``annihilator``), ``meets_orthocomplement`` (a rank), ``saturate``
-(one triangular solve), ``rationality``, ``solve_lattice_coset`` (the
+basis of ``Subspace.project_all`` and the torus box-offset reduction),
+``meets_orthocomplement`` (a rank), ``saturate`` (one triangular solve),
+``rationality``, ``solve_lattice_coset`` (the
 rational unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace``
 reads kernels off its output, and every dot product is the fused
 ``scalar.vec_dot``.  The integer
@@ -22,13 +21,6 @@ transform U: its row operations act on the rows of B.  Its one caller is
 ``solve_lattice_coset``, which passes its right-hand side as B.  ``flatten``
 is the one map from field vectors to rational coordinates over the field
 basis; the solver rows, the class keys and the torus wall keys all use it.
-
-The dual-group layer reads one Hermite form.  Let B be the HNF basis of a
-lattice H of rank r and T the HNF of B's columns.  In the coordinates
-x -> (x.b_1, ..., x.b_r) of span(H) the dual lattice H* is Z^r and the
-projection of Z^d is the lattice of T's rows, so ``saturation_index`` is the
-product of T's pivots, ``saturate`` is the dual of that projection and the
-torsion of ``annihilator`` is Z^r modulo T's rows.
 
 ``solve_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its one caller is
@@ -54,8 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import product
-from math import lcm, prod
+from math import lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
 from .scalar import QQ, FieldScalar, FieldSpec, promote_scalar, vec_dot
@@ -572,76 +563,21 @@ class LatticeSubgroup:
         return {"generators": [list(row) for row in self.basis]}
 
 
-def _projection_hnf(h: LatticeSubgroup) -> tuple[tuple[int, ...], ...]:
-    """T, the HNF of the d columns of H's basis B (vectors in Z^r).
-
-    In the coordinates x -> (x.b_1, ..., x.b_r) of span(H) the dual lattice
-    H* is Z^r and the orthogonal projection pi(Z^d) is the lattice of T's
-    rows, since b_i . pi(z) = b_i . z.  B has rank r, so T is r x r, upper
-    triangular with positive diagonal."""
-    return hermite_normal_form(zip(*h.basis))
-
-
 def saturate(h: LatticeSubgroup) -> LatticeSubgroup:
-    """span(H) cap Z^d, the dual of pi(Z^d) inside span(H): x = y B is
-    integral exactly when T y is, so it is spanned by the rows of T^-T B."""
+    """span(H) cap Z^d.  Let B be H's HNF basis, of rank r, and T the HNF of
+    B's d columns (vectors in Z^r).  In the coordinates x -> (x.b_1, ...,
+    x.b_r) of span(H) the dual lattice H* is Z^r and the orthogonal
+    projection pi(Z^d) is the lattice of T's rows, since b_i . pi(z) = b_i . z;
+    T is r x r, upper triangular with positive diagonal.  span(H) cap Z^d is
+    the dual of pi(Z^d) inside span(H): x = y B is integral exactly when T y
+    is, so it is spanned by the rows of T^-T B."""
     if h.is_trivial():
         return h
-    t = _projection_hnf(h)
+    t = hermite_normal_form(zip(*h.basis))
     r = h.rank
     rr, _ = rref_field([[Fraction(row[i]) for row in t] + [Fraction(x) for x in b]
                         for i, b in enumerate(h.basis)], r)
     return LatticeSubgroup.from_generators(h.ambient, [[int(x) for x in row[r:]] for row in rr])
-
-
-def saturation_index(h: LatticeSubgroup) -> int:
-    """Index [saturate(H) : H] = [H* : pi(Z^d)], the product of T's pivots."""
-    return prod(row[i] for i, row in enumerate(_projection_hnf(h)))
-
-
-@dataclass(frozen=True)
-class TorusSubgroup:
-    """Closed subgroup of T^d: a rational subtorus plus finitely many torsion cosets.
-
-    ``continuous_part`` is the rational subspace whose projection is the
-    identity-component subtorus; ``torsion`` lists rational coset
-    representatives (the zero coset included), one per component, reduced
-    into [0,1)^d and sorted.  ``annihilator`` reads them off the Hermite form
-    of H alone, so they are canonical: equal lattices give equal tuples.
-    """
-
-    continuous_part: Subspace
-    torsion: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def ambient(self) -> int:
-        return self.continuous_part.ambient
-
-    def encode(self) -> dict:
-        return {"continuous_basis": [[str(x.as_rational()) for x in row]
-                                     for row in self.continuous_part.basis],
-                "torsion": [[str(c) for c in t] for t in self.torsion]}
-
-
-def annihilator(h: LatticeSubgroup, field: FieldSpec = QQ) -> TorusSubgroup:
-    """H^perp = {a in T^d : a.h in Z for all h in H} = span(H)^perp + H*, mod Z^d.
-
-    The identity component is the image of span(H)^perp.  The components are
-    H*/pi(Z^d), which is Z^r modulo the rows of the triangular T in the
-    coordinates of ``_projection_hnf``: one per c in the box 0 <= c_i < T_ii.
-    The point of span(H) with coordinates c is c G^-1 B (G = B B^T the Gram
-    matrix), and one ``span_coordinates`` call gives the columns of G^-1 B.
-    There are ``saturation_index(H)`` components, one when H is saturated.
-    """
-    d = h.ambient
-    if h.is_trivial():
-        return TorusSubgroup(Subspace.full(field, d), (tuple(Fraction(0) for _ in range(d)),))
-    t = _projection_hnf(h)
-    units = [[Fraction(int(i == j)) for i in range(d)] for j in range(d)]
-    cols = span_coordinates([[Fraction(x) for x in b] for b in h.basis], units)
-    reps = sorted(tuple(sum(ci * x for ci, x in zip(c, col)) % 1 for col in cols)
-                  for c in product(*(range(row[i]) for i, row in enumerate(t))))
-    return TorusSubgroup(h.span(field).orthocomplement(), tuple(reps))
 
 
 # ---------------------------------------------------------------------------

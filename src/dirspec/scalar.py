@@ -462,6 +462,8 @@ def decode_scalar(field: FieldSpec, value) -> FieldScalar:
         if isinstance(value, dict):
             coeffs = [Fraction(0)] * field.dimension
             for label, frac in value.items():
+                if not isinstance(frac, str) and type(frac) is not int:
+                    raise ValidationError(f"cannot decode scalar from {value!r}")
                 coeffs[field.label_index(label)] = Fraction(frac)
             return field.from_coeffs(coeffs)
     except ZeroDivisionError as exc:

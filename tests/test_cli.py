@@ -8,6 +8,7 @@ import time
 import pytest
 
 import dirspec
+from dirspec import cli
 from dirspec import measure as M
 from dirspec.cli import main
 from dirspec.measure import SymbolicMeasure
@@ -201,9 +202,15 @@ class TestExitCodes:
         # JSON true used to be read as the integer 1
         ({"space": "torus", "dim": 1, "components": [{"kind": "atom", "point": [True]}]},
          "ValidationError"),
+        # a labelled coefficient used to be read by a bare Fraction(...)
+        ({"space": "torus", "dim": 1,
+          "components": [{"kind": "atom", "point": [{"1": True}]}]}, "ValidationError"),
+        ({"space": "torus", "dim": 1,
+          "components": [{"kind": "atom", "point": [{"1": 0.1}]}]}, "ValidationError"),
     ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
             "weight-zero-denominator", "group-generator-too-long",
-            "group-generator-too-short", "boolean-scalar"])
+            "group-generator-too-short", "boolean-scalar", "labelled-boolean",
+            "labelled-float"])
     def test_malformed_measure_is_2(self, doc, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -298,6 +305,22 @@ class TestExitCodes:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ClosureBoundError"
+
+    def test_fourier_check_refuses_periodized_before_sampling(self, fixtures_dir, tmp_path,
+                                                              capsys, monkeypatch):
+        # representative masses are defined for plain measures only: the
+        # suspended measure exits 2 before the Wiener estimate is drawn
+        path = tmp_path / "suspended.json"
+        bernoulli = fixtures_dir / "product_bernoulli.json"
+        path.write_text(json.dumps(M.suspend(SymbolicMeasure.decode(
+            json.loads(bernoulli.read_text()))).encode()))
+        calls = []
+        monkeypatch.setattr(cli, "wiener_mass", lambda *args: calls.append(args))
+        code = main(["fourier-check", "--measure", str(path), "--directions",
+                     str(fixtures_dir / "axes_and_diagonal.json")])
+        assert code == 2 and calls == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ValidationError"
 
     def test_unshifted_members_ignore_the_bound(self, fixtures_dir, capsys):
         # bw8.json has no family to shift: no shift list is built at any bound

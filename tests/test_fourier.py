@@ -73,7 +73,7 @@ class TestFt:
             m = gen.rand_measure(rng, QQ, 2, rng.choice([EUCLID, TORUS]),
                                  reduced=False)
             assert FT.ft(m, [0.0, 0.0]) == pytest.approx(
-                FT.total_representative_mass(m), abs=1e-12)
+                sum(float(c.weight) for c in m.components), abs=1e-12)
 
     def test_atom_group_requires_truncation(self):
         g = SymbolicMeasure.make(
@@ -84,14 +84,14 @@ class TestFt:
             FT.ft(g, [1.0, 0.0])
         cfg = EstimatorConfig(group_truncation=4)
         assert abs(FT.ft(g, [0.0, 0.0], cfg)
-                   - FT.total_representative_mass(g, cfg)) < 1e-12
+                   - sum(float(c.weight) for c in g.components)) < 1e-12
 
     def test_bound_by_mass(self):
         rng = random.Random(3)
         for _ in range(20):
             m = gen.rand_measure(rng, QQ, 2, EUCLID, reduced=False)
             t = np.array([rng.uniform(-20, 20) for _ in range(2)])
-            assert abs(FT.ft(m, t)) <= FT.total_representative_mass(m) + 1e-12
+            assert abs(FT.ft(m, t)) <= sum(float(c.weight) for c in m.components) + 1e-12
 
 
 class TestConvolutionTheorem:

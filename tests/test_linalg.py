@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 import gen
 from dirspec.errors import DimensionMismatchError, ValidationError
 from dirspec.linalg import (AffineCarrier, CosetLattice, CosetSolution, LatticeSubgroup,
-                            Subspace, annihilator, as_vector, mat_vec, nullspace,
-                            rationality, rref_field, saturate, saturation_index,
+                            Subspace, as_vector, mat_vec, nullspace,
+                            rationality, rref_field, saturate,
                             smith_normal_form, solve_lattice_coset, unit_vector,
                             vec_add, vec_dot, vec_is_zero, vec_neg, vec_scale,
                             vec_sub, zero_vector)
@@ -400,8 +400,6 @@ class TestLattices:
             sat = saturate(h)
             assert saturate(sat) == sat
             assert sat.rank == h.rank
-            idx = saturation_index(h)
-            assert idx >= 1
             for row in h.basis:
                 assert sat.contains(row)
 
@@ -424,20 +422,6 @@ class TestLattices:
         assert h.contains([4, 3])
         assert not h.contains([1, 0])
 
-    def test_saturation_index_matches_sympy_invariant_factors(self):
-        sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-        rng = random.Random(41)
-        for _ in range(150):
-            d = rng.randint(1, 5)
-            gens = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
-            snf = sympy_snf(sympy.Matrix(gens), domain=sympy.ZZ)
-            expected = 1
-            for i in range(min(snf.shape)):
-                if snf[i, i] != 0:
-                    expected *= abs(int(snf[i, i]))
-            assert saturation_index(LatticeSubgroup.from_generators(d, gens)) == expected
-
     def test_saturate_is_span_cap_integer_points(self):
         """An integer point with |x_i| <= 4 is in saturate(H) exactly when it
         lies in span(H)."""
@@ -449,56 +433,6 @@ class TestLattices:
             sat, span = saturate(h), h.span()
             for x in itertools.product(range(-4, 5), repeat=d):
                 assert sat.contains(x) == span.contains(as_vector(QQ, x))
-
-
-class TestAnnihilator:
-    def test_examples(self):
-        ann = annihilator(LatticeSubgroup.from_generators(2, [[1, 1]]))
-        assert ann.continuous_part.contains(as_vector(QQ, [1, -1]))
-        assert ann.torsion == ((Fraction(0), Fraction(0)),)
-
-        ann = annihilator(LatticeSubgroup.from_generators(2, [[2, 0]]))
-        assert ann.continuous_part.contains(as_vector(QQ, [0, 1]))
-        assert set(ann.torsion) == {(Fraction(0), Fraction(0)),
-                                    (Fraction(1, 2), Fraction(0))}
-
-        ann = annihilator(LatticeSubgroup.from_generators(2, [[1, 0], [0, 1]]))
-        assert ann.continuous_part.dim == 0
-        assert ann.torsion == ((Fraction(0), Fraction(0)),)
-
-    def test_pairing_exact_random(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            d = rng.randint(1, 3)
-            k = rng.randint(1, d)
-            h = LatticeSubgroup.from_generators(
-                d, [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)])
-            if h.is_trivial():
-                continue
-            ann = annihilator(h)
-            for row in h.basis:
-                for cont in ann.continuous_part.basis:
-                    assert vec_dot(cont, as_vector(QQ, row)).is_zero()
-                for t in ann.torsion:
-                    pairing = sum(f * x for f, x in zip(t, row))
-                    assert pairing.denominator == 1
-            # component count equals the saturation index
-            assert len(ann.torsion) == saturation_index(h)
-
-    def test_torsion_names_distinct_components(self):
-        """Each torsion representative lies in its own component: the coset
-        keys modulo the continuous part + Z^d are pairwise distinct."""
-        rng = random.Random(47)
-        for _ in range(60):
-            d = rng.randint(1, 4)
-            h = LatticeSubgroup.from_generators(
-                d, [[rng.randint(-4, 4) for _ in range(d)] for _ in range(rng.randint(1, d))])
-            ann = annihilator(h)
-            units = [[int(i == j) for i in range(d)] for j in range(d)]
-            components = CosetLattice.make(
-                [[x.as_rational() for x in row] for row in ann.continuous_part.basis], units)
-            keys = {components.key(t) for t in ann.torsion}
-            assert len(keys) == len(ann.torsion) == saturation_index(h)
 
 
 class TestRationality:

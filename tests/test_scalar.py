@@ -401,7 +401,7 @@ class TestExactFloor:
             "     'offset': [{'1': '-1', 'sqrt2': '1'}, '0'], 'weight': '1'}]",
             "v = classify_direction(m, Subspace.from_vectors(F2, 2, [[1, 0]]))",
             "assert v.ergodic and not v.weak_mixing",
-            "assert not nonwm_concise(m).is_empty()",
+            "assert nonwm_concise(m).subspaces",
         ])
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -428,6 +428,15 @@ class TestEncoding:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):
             decode_scalar(F2, {"sqrt3": "1"})
+
+    @pytest.mark.parametrize("coeff", [True, 0.1], ids=["boolean", "float"])
+    def test_labelled_coefficient_is_a_string_or_an_int(self, coeff):
+        # as at the top level: JSON true is no scalar, and a float is inexact
+        with pytest.raises(ValidationError):
+            decode_scalar(QQ, {"1": coeff})
+        with pytest.raises(ValidationError):
+            decode_scalar(F2, {"1": "1", "sqrt2": coeff})
+        assert decode_scalar(F2, {"1": 3, "sqrt2": "-1/2"}) == 3 - F2.sqrt_root(2) / 2
 
     def test_promotion(self):
         x = (1 + F2.sqrt_root(2)) / 3
