@@ -4,28 +4,24 @@ Provides canonical-form subspaces of R^d over a FieldSpec (reduced row
 echelon bases, so structural equality is definitional equality), affine
 carriers, integer lattice subgroups in Hermite normal form and their
 saturations, rationality classification of directions, one exact solver for
-lattice cosets (the one user of Smith normal form) and canonical coset keys.
+lattice cosets and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), ``span_coordinates`` (one Gram system for many vectors: the dual
 basis of ``Subspace.project_all`` and the torus box-offset reduction),
 ``meets_orthocomplement`` (a rank), ``saturate`` (one triangular solve),
-``rationality``, ``solve_lattice_coset`` (the
-rational unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace``
-reads kernels off its output, and every dot product is the fused
-``scalar.vec_dot``.  The integer
-eliminations are ``hermite_normal_form`` and ``smith_normal_form``.
-``smith_normal_form(M, B)`` returns U·B, D and V without forming the row
-transform U: its row operations act on the rows of B.  Its one caller is
-``solve_lattice_coset``, which passes its right-hand side as B.  ``flatten``
+``rationality``, ``pose_lattice_coset`` (the rational unknowns) and
+``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
+output, and every dot product is the fused ``scalar.vec_dot``.  ``flatten``
 is the one map from field vectors to rational coordinates over the field
 basis; the solver rows, the class keys and the torus wall keys all use it.
 
-``solve_lattice_coset`` is the one lattice coset solver: is t in
-ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its one caller is
-``measure.group_atom_on_coset``, which reads a witness off the solution
-family: a group atom on a wall or in a subgroup image.
+``pose_lattice_coset`` is the one lattice coset solver: is t in
+ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its one caller,
+``measure.group_atom_on_coset``, asks for a group atom on a wall or in a
+subgroup image: a ``hermite_normal_form`` solve decides, and only a yes runs
+``smith_normal_form`` (U·B, D and V, U never formed) to name the witness.
 
 Yes/no questions read a ``CosetLattice`` key instead: it puts
 Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
@@ -431,8 +427,8 @@ def smith_normal_form(matrix, rhs) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U is not formed: every row operation on M is applied to the rows of the
     right-hand sides B = ``rhs`` (m rows, any number of columns) instead; the
     m x m identity as B gives U itself.  The pivot sequence does not depend
-    on B: D and V are the same for every B.  Its one caller is
-    ``solve_lattice_coset``, which passes its right-hand side.
+    on B: D and V are the same for every B.  Its one caller is the
+    ``pose_lattice_coset`` solve, which passes its right-hand side.
     """
     d = [list(map(int, row)) for row in matrix]
     m = len(d)
@@ -626,7 +622,7 @@ def rationality(sub: Subspace) -> RationalityReport:
     for row in rational_part.basis:
         fracs = [x.as_rational() for x in row]
         den = lcm(*[f.denominator for f in fracs]) if fracs else 1
-        int_gens.append([int(f * den) for f in fracs])
+        int_gens.append([f.numerator * (den // f.denominator) for f in fracs])
     lattice = saturate(LatticeSubgroup.from_generators(d, int_gens)) if int_gens \
         else LatticeSubgroup(d, ())
     return RationalityReport(kind, r, rational_part, lattice)
@@ -652,19 +648,18 @@ class CosetSolution:
     coeff_kernel: tuple[tuple[Fraction, ...], ...]
 
 
-def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:
+def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     """Is t in  ring.span{u_1..u_k} + Z.span{l_1..l_p}  (ring "Z" or "Q")?
 
-    u_i, l_j and t are field vectors in R^e.  Each coordinate of the
-    ``flatten``ed vectors gives one rational equation in the columns u_1..u_k,
-    l_1..l_p; ring Q makes the c rational unknowns, ring Z makes them integral
-    like n.  Returns None when t is not in the set.  ``rref_field``
-    eliminates the rational unknowns, Smith normal form solves the residual
-    integral system (it carries the right-hand side through its row
-    operations, so U is never formed), and back-substitution recovers the
-    rational part.  The order and signs of the columns fix the SNF particular
-    solution, and with it any wall witness read off it.
-    """
+    Each coordinate of the ``flatten``ed field vectors is one rational
+    equation; ring Q makes the c rational unknowns, ring Z integral like n.
+    ``rref_field`` eliminates the rational unknowns once: None if that shows
+    t is not in the set, else ``solve(smith)``, the solution family or None.
+    It solves the residual A n = r by the row HNF of [A^T | I] (Cohen 1993,
+    section 2.4): (r, 0) reduced by it has a zero A-part exactly when A n = r
+    is feasible, minus its I-part is a particular solution, and its rows with
+    a zero A-part are a kernel lattice basis.  ``smith`` uses Smith normal
+    form instead, whose particular solution names the printed witnesses."""
     k, p = len(us), len(ls)
     a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
     b = k + p - a                # the integral unknowns
@@ -672,35 +667,16 @@ def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | No
     rhs = flatten(t)
     aug, pivots = rref_field([[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))], a)
     # the residual integral system: rows without a rational pivot, scaled to Z
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
+    int_rows, int_rhs = [], []
     for row in aug[len(pivots):]:
         if not any(row[a:a + b]):
             if row[a + b]:
                 return None
             continue
         den = lcm(*[f.denominator for f in row[a:]])
-        int_rows.append([int(f * den) for f in row[a:a + b]])
-        int_rhs.append(int(row[a + b] * den))
-    if int_rows:
-        uw, dmat, v = smith_normal_form(int_rows, [[x] for x in int_rhs])
-        mm = len(int_rows)
-        w = [row[0] for row in uw]
-        y = [0] * b
-        for i in range(mm):
-            di = dmat[i][i] if i < b else 0
-            if di != 0:
-                if w[i] % di != 0:
-                    return None
-                y[i] = w[i] // di
-            elif w[i] != 0:
-                return None
-        n0 = tuple(sum(v[i][j] * y[j] for j in range(b)) for i in range(b))
-        lattice = [tuple(v[i][j] for i in range(b)) for j in range(b)
-                   if j >= mm or dmat[j][j] == 0]
-    else:  # no integral equation: every integral unknown is free
-        n0 = (0,) * b
-        lattice = [tuple(int(i == j) for i in range(b)) for j in range(b)]
+        int_rows.append([f.numerator * (den // f.denominator) for f in row[a:a + b]])
+        int_rhs.append(row[a + b].numerator * (den // row[a + b].denominator))
+    mm = len(int_rows)
 
     def back_substitute(nvec, hom: bool) -> tuple[Fraction, ...]:
         c = [Fraction(0)] * a
@@ -709,13 +685,38 @@ def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | No
             c[piv] = val - sum(aug[i][a + j] * nvec[j] for j in range(b))
         return tuple(c)
 
-    # for ring Z the coefficients c are the first k integral unknowns
-    split = k - a
-    return CosetSolution(
-        back_substitute(n0, False) + n0[:split], n0[split:],
-        tuple(back_substitute(lam, True) + lam[:split] for lam in lattice),
-        tuple(lam[split:] for lam in lattice),
-        tuple(tuple(x) for x in nullspace(aug, pivots, a, Fraction(0), Fraction(1))))
+    def solve(smith: bool) -> CosetSolution | None:
+        if smith and mm:
+            uw, dmat, v = smith_normal_form(int_rows, [[x] for x in int_rhs])
+            w = [row[0] for row in uw]
+            d = [dmat[i][i] if i < b else 0 for i in range(mm)]
+            if any(wi % di if di else wi for wi, di in zip(w, d)):
+                return None
+            y = [wi // di if di else 0 for wi, di in zip(w, d)] + [0] * (b - mm)
+            n0 = tuple(sum(v[i][j] * y[j] for j in range(b)) for i in range(b))
+            lattice = [tuple(v[i][j] for i in range(b)) for j in range(b)
+                       if j >= mm or dmat[j][j] == 0]
+        else:  # with no integral equation, HNF = I: every integral unknown is free
+            hnf = hermite_normal_form([[r[j] for r in int_rows] + [int(i == j) for i in range(b)]
+                                       for j in range(b)])
+            w = CosetLattice((), (), hnf).key(int_rhs + [0] * b)
+            if any(w[:mm]):
+                return None
+            n0 = tuple(-x for x in w[mm:])
+            lattice = [row[mm:] for row in hnf if not any(row[:mm])]
+        split = k - a  # for ring Z the coefficients c are the first k integral unknowns
+        return CosetSolution(
+            back_substitute(n0, False) + n0[:split], n0[split:],
+            tuple(back_substitute(lam, True) + lam[:split] for lam in lattice),
+            tuple(lam[split:] for lam in lattice),
+            tuple(tuple(x) for x in nullspace(aug, pivots, a, Fraction(0), Fraction(1))))
+    return solve
+
+
+def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:
+    """``pose_lattice_coset``'s system solved by Smith normal form."""
+    solve = pose_lattice_coset(ring, us, ls, t)
+    return solve and solve(smith=True)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +744,8 @@ class CosetLattice:
                                 tuple(pivots), ())
         reduced = [rational.key(r) for r in z_rows]
         den = lcm(*[f.denominator for row in reduced for f in row] or [1])
-        hnf = hermite_normal_form([[int(f * den) for f in row] for row in reduced])
+        hnf = hermite_normal_form([[f.numerator * (den // f.denominator) for f in row]
+                                   for row in reduced])
         return CosetLattice(rational.q_basis, rational.q_pivots,
                             tuple(tuple(Fraction(x, den) for x in row) for row in hnf))
 

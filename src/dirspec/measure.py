@@ -29,7 +29,7 @@ from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchErr
                      UnsupportedConvolutionError, ValidationError)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
-                     promote_subspace, promote_vector, solve_lattice_coset,
+                     pose_lattice_coset, promote_subspace, promote_vector,
                      span_coordinates, unflatten, unit_vector, vec_add, vec_is_zero,
                      vec_mod1, vec_neg, vec_scale, vec_sub, zero_vector)
 from .scalar import FieldSpec, decode_scalar
@@ -196,19 +196,27 @@ def group_atom_on_coset(space: str, group: AtomGroup, rows, target: FieldVector,
                         shifts) -> FieldVector | None:
     """A genuine atom a of the group (not ``is_identity(space, a)``) with
     rows·a in target + Z.span(shifts), or None: what wall tests and subgroup
-    images ask.  One coset solve, u_i = rows g_i, l_j = -s_j and
-    t = target - rows offset, decides it.  The witness is the particular
-    solution's atom, else that plus the first lattice direction escaping the
-    identity, else plus a rational-kernel direction scaled to land at 1/2."""
-    sol = solve_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators],
-                              [vec_neg(s) for s in shifts],
-                              vec_sub(target, mat_vec(rows, group.offset)))
+    images ask, posed as one coset system (u_i = rows g_i, l_j = -s_j,
+    t = target - rows offset).  Its HNF solution decides (no basis of the
+    solution coset changes whether it holds a genuine atom); only a yes runs
+    SNF, whose solution names the witness."""
+    solve = pose_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators],
+                               [vec_neg(s) for s in shifts],
+                               vec_sub(target, mat_vec(rows, group.offset)))
+    if solve is None or _coset_atom(space, group, solve(smith=False)) is None:
+        return None
+    return _coset_atom(space, group, solve(smith=True))
+
+
+def _coset_atom(space: str, group: AtomGroup, sol) -> FieldVector | None:
+    """The genuine atom in a coset solution, or None: its particular atom, else that
+    plus the first lattice direction off the identity, else plus a scaled kernel one."""
     if sol is None:
         return None
-    base = group_element_from_coeffs(group, sol.coeffs, True)
+    base = group_element_from_coeffs(group, sol.coeffs, True) if any(sol.coeffs) else group.offset
     if not is_identity(space, base):
         return base
-    for lam in sol.coeff_lattice:
+    for lam in filter(any, sol.coeff_lattice):
         u = group_element_from_coeffs(group, lam, False)
         if not is_identity(space, u):
             return vec_add(base, u)

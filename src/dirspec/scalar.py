@@ -22,7 +22,9 @@ numerical oracle evaluates.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -391,8 +393,8 @@ class FieldScalar:
         label->fraction object with zero entries omitted."""
         nums, den = self.nums, self.den
         if self.is_rational():
-            return str(Fraction(nums[0], den))
-        return {self.field.basis_label(j): str(Fraction(n, den))
+            return _fraction_text(Fraction(nums[0], den))
+        return {self.field.basis_label(j): _fraction_text(Fraction(n, den))
                 for j, n in enumerate(nums) if n}
 
     def __repr__(self) -> str:
@@ -452,11 +454,34 @@ def promote_scalar(s: FieldScalar, field: FieldSpec) -> FieldScalar:
     return FieldScalar(field, tuple(nums), s.den)
 
 
+_RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _fraction_text(q: Fraction) -> str:
+    """str(q), also past sys.int_max_str_digits (3.11+): decimal writes long numbers."""
+    try:
+        return str(q)
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def _parse_fraction(text) -> Fraction:
+    """Fraction(text), also past sys.int_max_str_digits: decimal reads a long integer or ratio."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = isinstance(text, str) and _RATIO.fullmatch(text)
+        if not match:
+            raise
+        return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
+
+
 def decode_scalar(field: FieldSpec, value) -> FieldScalar:
     """Parse the canonical encoding (fraction string or label->fraction map)."""
     try:
         if isinstance(value, str):
-            return field.from_rational(Fraction(value))
+            return field.from_rational(_parse_fraction(value))
         if type(value) is int:  # not a bool: JSON true is no scalar
             return field.from_rational(value)
         if isinstance(value, dict):
@@ -464,7 +489,7 @@ def decode_scalar(field: FieldSpec, value) -> FieldScalar:
             for label, frac in value.items():
                 if not isinstance(frac, str) and type(frac) is not int:
                     raise ValidationError(f"cannot decode scalar from {value!r}")
-                coeffs[field.label_index(label)] = Fraction(frac)
+                coeffs[field.label_index(label)] = _parse_fraction(frac)
             return field.from_coeffs(coeffs)
     except ZeroDivisionError as exc:
         raise ValidationError(f"zero denominator in scalar {value!r}") from exc

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,9 @@ from dirspec import cli
 from dirspec import measure as M
 from dirspec.cli import main
 from dirspec.measure import SymbolicMeasure
+from dirspec.scalar import QQ, FieldSpec, decode_scalar
 
+F2 = FieldSpec((2,))
 # the child process imports the dirspec under test, installed or not
 SRC = str(pathlib.Path(dirspec.__file__).resolve().parents[1])
 
@@ -361,6 +364,25 @@ class TestExitCodes:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
         parts = json.loads(capsys.readouterr().out)["result"]["parts"]
         assert parts[0]["components"][0]["point"] == [f"1/{big}", "0"]
+
+    def test_huge_scalar_encodes_as_the_cli_prints(self, tmp_path, capsys):
+        # encode and decode do not depend on Python's int/str digit limit:
+        # under the default limit a library caller gets the text the CLI
+        # prints, and reads it back
+        text = "1" + "0" * 4999 + "1/3"
+        value = QQ.from_rational(Fraction(10 ** 5000 + 1, 3))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"space": "euclidean", "dim": 1, "components": [
+            {"kind": "atom", "point": [text]}]}))
+        assert main(["decompose", "--measure", str(path)]) == 0, capsys.readouterr().err
+        printed = json.loads(capsys.readouterr().out)["result"]["parts"][0]
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+        assert value.encode() == printed["components"][0]["point"][0] == text
+        assert decode_scalar(QQ, text) == value
+        mixed = F2.from_coeffs([-value.as_rational(), 1])
+        assert mixed.encode() == {"1": "-" + text, "sqrt2": "1"}
+        assert decode_scalar(F2, mixed.encode()) == mixed
 
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),

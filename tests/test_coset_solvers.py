@@ -1,0 +1,152 @@
+"""Differential test of the two residual solvers of ``pose_lattice_coset``.
+
+``measure.group_atom_on_coset`` decides every atom-group wall and subgroup
+image by the Hermite normal form solve of the posed system, and runs the
+Smith normal form solve only to name the witness the report prints.  Both
+must describe one solution coset, so they agree on feasibility and on
+whether the coset holds a genuine atom.
+"""
+import importlib.util
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from dirspec import classify as C
+from dirspec import measure as M
+from dirspec.linalg import (CosetLattice, Subspace, mat_vec, pose_lattice_coset,
+                            solve_lattice_coset, unit_vector)
+from dirspec.measure import EUCLID, TORUS, AtomGroup, SymbolicMeasure
+from dirspec.scalar import QQ, FieldSpec, decode_scalar
+from gen import rand_fraction, rand_vector
+
+# perfbench/gen.py makes the benchmark pools; tests/gen.py holds the name gen
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_gen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+perfbench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_gen)
+
+F2 = FieldSpec((2,))
+GROUP_ATOM_ON_COSET = M.group_atom_on_coset
+
+
+def coset_key(sol):
+    """A solution family as a lattice: the canonical ``CosetLattice`` of its
+    solution module (the rational kernel and the integer lattice, each row
+    in (c, n) coordinates) and the key of its particular solution."""
+    pad = (0,) * len(sol.shift)
+    module = CosetLattice.make([c + pad for c in sol.coeff_kernel],
+                               [c + n for c, n in zip(sol.coeff_lattice, sol.shift_lattice)])
+    return module, module.key(sol.coeffs + sol.shift)
+
+
+def check(monkeypatch, space, group, rows, target, shifts, seen: list):
+    """``group_atom_on_coset`` once, with the system it poses solved both
+    ways: feasible together, one coset, one genuine-atom decision, and the
+    witness the SNF solution names.  Appends (feasible, has atom) to seen."""
+    posed = []
+
+    def recording(*args):
+        posed.append(args)
+        return pose_lattice_coset(*args)
+
+    monkeypatch.setattr(M, "pose_lattice_coset", recording)
+    witness = GROUP_ATOM_ON_COSET(space, group, rows, target, shifts)
+    monkeypatch.setattr(M, "pose_lattice_coset", pose_lattice_coset)
+    (args,) = posed
+    solve = pose_lattice_coset(*args)
+    hnf = solve and solve(smith=False)
+    snf = solve_lattice_coset(*args)
+    assert (hnf is None) == (snf is None)
+    if hnf is not None:
+        assert coset_key(hnf) == coset_key(snf)
+    assert witness == M._coset_atom(space, group, snf)
+    assert (M._coset_atom(space, group, hnf) is None) == (witness is None)
+    seen.append((hnf is not None, witness is not None))
+    return witness
+
+
+def rand_system(rng: random.Random, field, ring: str, with_shifts: bool):
+    """A group, rows, a target and shifts as a wall test poses them: rows
+    B (e x d), shifts the columns of B.  Half the targets are B times a
+    group point (moved by a shift), so that many systems are feasible."""
+    d = rng.randint(2, 3)
+    e = rng.randint(1, d)
+    rows = [rand_vector(rng, field, d, irrational_p=0.3) for _ in range(e)]
+    if rng.random() < 0.5:  # integer rows, as in a subgroup image
+        rows = [tuple(field.from_rational(Fraction(rng.randint(-3, 3))) for _ in range(d))
+                for _ in range(e)]
+    gens = tuple(rand_vector(rng, field, d, irrational_p=0.3)
+                 for _ in range(rng.randint(1, 3)))
+    offset = rand_vector(rng, field, d, irrational_p=0.2) if rng.random() < 0.5 \
+        else tuple(field.zero() for _ in range(d))
+    group = AtomGroup(gens, ring, offset)
+    shifts = [tuple(r[j] for r in rows) for j in range(d)] if with_shifts else []
+    if rng.random() < 0.5:
+        point = M.group_element_from_coeffs(
+            group, [field.from_rational(rand_fraction(rng, 3, 1 if ring == "Z" else 3))
+                    for _ in gens], True)
+        target = mat_vec(rows, point)
+        for s in shifts:
+            target = tuple(x + rng.randint(-2, 2) * y for x, y in zip(target, s))
+    else:
+        target = tuple(field.from_rational(rand_fraction(rng, 3, 4)) for _ in range(e))
+    return group, rows, target, shifts
+
+
+@pytest.mark.parametrize("space", [TORUS, EUCLID])
+@pytest.mark.parametrize("with_shifts", [True, False], ids=["shifts", "no-shifts"])
+@pytest.mark.parametrize("field", [QQ, F2], ids=["QQ", "Q(sqrt2)"])
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_random_systems(monkeypatch, ring, field, with_shifts, space):
+    rng = random.Random(f"{ring}:{field.roots}:{with_shifts}:{space}")
+    seen: list = []
+    for _ in range(40):
+        check(monkeypatch, space, *rand_system(rng, field, ring, with_shifts), seen)
+    # the draws reach both answers of both questions
+    assert {f for f, _ in seen} == {True, False}
+    assert {a for _, a in seen} == {True, False}
+
+
+def test_subgroup_images(monkeypatch):
+    # pushforward_subgroup poses rows = an HNF basis and shifts = unit vectors
+    rng = random.Random(7)
+    seen: list = []
+    for _ in range(30):
+        field = rng.choice([QQ, F2])
+        group, rows, _, _ = rand_system(rng, field, rng.choice("ZQ"), False)
+        e = len(rows)
+        check(monkeypatch, TORUS, group, rows, tuple(field.zero() for _ in range(e)),
+              [unit_vector(field, e, j) for j in range(e)], seen)
+    assert {a for _, a in seen} == {True, False}
+
+
+# all of classify-mix and torus-walls up to case 31, which holds a system
+# whose SNF transform reaches 126,000 bits: its canonical lattice alone takes
+# about 8 s (the rest of both pools about 2.5 s)
+POOL_SLICE = {"classify-mix": 300, "torus-walls": 31}
+
+
+@pytest.mark.parametrize("workload", sorted(POOL_SLICE))
+def test_pool_systems(monkeypatch, workload):
+    """Every system posed by one benchmark operation per (measure,
+    direction) pair of a fixed slice of the pool."""
+    seen: list = []
+
+    def checked(space, group, rows, target, shifts):
+        return check(monkeypatch, space, group, rows, target, shifts, seen)
+
+    monkeypatch.setattr(C, "group_atom_on_coset", checked)
+    for case in perfbench_gen.generate(workload, 0)[:POOL_SLICE[workload]]:
+        m = SymbolicMeasure.decode(case["measure"])
+        doc = case["directions"]
+        field = FieldSpec(tuple(doc["field_roots"]))
+        for d in doc["directions"]:
+            sub = Subspace.from_vectors(field, doc["dim"], [
+                [decode_scalar(field, x) for x in row] for row in d["basis"]])
+            C.classify_direction(m, sub)
+            C.directional_eigenvalues(m, sub)
+            C.nonergodic_concise(m).contains_direction(sub)
+            C.nonwm_concise(m).contains_direction(sub)
+    assert len(seen) >= 50 and any(a for _, a in seen)
