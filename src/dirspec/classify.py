@@ -20,13 +20,12 @@ from itertools import product
 from .errors import (DimensionMismatchError, InvalidDirectionSetError, NotReducedError,
                      ValidationError, bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
-                     flatten, mat_vec, rationality, unit_vector, vec_add, vec_dot,
-                     vec_is_zero, vec_sub, zero_vector)
+                     flatten, mat_vec, unit_vector, vec_add, vec_dot, vec_is_zero,
+                     vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, coefficient_pool,
                       coefficient_pool_size, exp as measure_exp, group_atom_on_coset,
-                      group_element_from_coeffs, has_atom_at, is_identity,
-                      pushforward_subgroup, translate)
+                      group_element_from_coeffs, has_atom_at, is_identity, translate)
 from .scalar import FieldSpec
 
 # the most (shifted family or group atom, shift) pairs ``enumerate_members`` may
@@ -578,25 +577,3 @@ def admissibility_lint(m: SymbolicMeasure) -> list[LintWarning]:
                     f"direction {direction} is ergodic but not weak mixing; "
                     "no weak mixing action has such a reduced spectral measure"))
     return warnings
-
-
-# ---------------------------------------------------------------------------
-# subgroup-restriction consistency helpers
-# ---------------------------------------------------------------------------
-
-
-def restriction_consistent(m: SymbolicMeasure, direction: Subspace) -> bool | None:
-    """For a completely rational L, compare the direction verdict against the
-    subgroup push-forward: ergodic iff the restricted class has no atom at 0,
-    weak mixing iff it has no atoms at all.  Returns None when L is not
-    completely rational (no subgroup to restrict to)."""
-    if m.space != TORUS:
-        raise ValidationError("restriction consistency applies to torus measures")
-    rep = rationality(direction)
-    if rep.kind != "completely_rational" or rep.lattice.is_trivial():
-        return None
-    pushed, _ = pushforward_subgroup(m, rep.lattice)
-    verdict = classify_direction(m, direction)
-    erg_expected = not has_atom_at(pushed, zero_vector(m.field, pushed.dim))
-    wm_expected = not any(isinstance(c, (Atom, AtomGroup)) for c in pushed.components)
-    return verdict.ergodic == erg_expected and verdict.weak_mixing == wm_expected

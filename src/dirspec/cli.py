@@ -1,6 +1,10 @@
 """Command-line front end: reads measure/direction/model JSON documents,
 dispatches the toolkit operations, and emits deterministic reports.
 
+Each subcommand is one row of ``COMMANDS``.  ``main`` builds the estimator
+config, decodes ``--measure`` when the command takes one, runs the handler
+and writes its one report.
+
 Exit codes: 0 success, 2 validation error, 3 numerical/verification check
 failure, 4 unsupported operation.
 """
@@ -10,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
+from functools import cache
 
 from . import __version__
 from .classify import (admissibility_lint, canonical_order, classify_direction,
@@ -24,7 +29,7 @@ from .linalg import LatticeSubgroup, Subspace
 from .measure import (SymbolicMeasure, convolve, decompose, exp,
                       pushforward_quotient, pushforward_subgroup, suspend)
 from .oracle import crosscheck, decode_model, expected_measure
-from .scalar import FieldSpec, decode_scalar
+from .scalar import QQ, FieldSpec, _decode_int, decode_scalar
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,57 +47,36 @@ def _load_json(path: str):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_measure(path: str) -> SymbolicMeasure:
-    return SymbolicMeasure.decode(_load_json(path))
-
-
-def _load_directions(doc, field: FieldSpec | None = None,
-                     dim: int | None = None) -> list[Subspace]:
+def _load_directions(doc, field: FieldSpec = QQ, dim: int = 0) -> list[Subspace]:
+    """A direction document, or a bare list of its entries; the document's
+    ``field_roots`` and ``dim`` replace ``field`` and ``dim``."""
     if isinstance(doc, dict):
-        field = FieldSpec(tuple(doc.get("field_roots", field.roots if field else ())))
-        dim = int(doc.get("dim", dim or 0))
-        entries = doc["directions"]
-    else:
-        entries = doc
-    if field is None:
-        field = FieldSpec(())
+        field = FieldSpec(tuple(doc.get("field_roots", field.roots)))
+        dim = _decode_int(doc.get("dim", dim), "direction dim")
+        doc = doc["directions"]
     out = []
-    for entry in entries:
+    for entry in doc:
         basis = entry["basis"]
-        d = dim or (len(basis[0]) if basis else 0)
         rows = [[decode_scalar(field, x) for x in row] for row in basis]
-        out.append(Subspace.from_vectors(field, d, rows))
+        out.append(Subspace.from_vectors(field, dim or (len(basis[0]) if basis else 0), rows))
     return out
 
 
 def _base_config(args) -> EstimatorConfig:
-    cfg = EstimatorConfig()
+    """The defaults, overridden by the keys of the ``DIRSPEC_CONFIG`` file,
+    overridden by the flags: one value per ``EstimatorConfig`` field."""
     path = os.environ.get(CONFIG_ENV)
-    if path:
-        doc = _load_json(path)
-        cfg = replace(cfg, **{k: doc[k] for k in doc
-                              if k in EstimatorConfig.__dataclass_fields__})
-    overrides = {}
-    for name in ("samples", "radius", "seed", "tolerance",
-                 "periodization_truncation", "group_truncation"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def _emit(args, command: str, cfg: EstimatorConfig, inputs: dict, result: dict,
-          exit_code: int = EXIT_OK) -> int:
-    report = {"tool": "dirspec", "version": __version__, "command": command,
-              "config": cfg.encode(), "inputs": inputs, "result": result}
-    text = json.dumps(report, sort_keys=True, indent=2) if args.json \
-        else _render_text(command, result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return exit_code
+    doc = _load_json(path) if path else {}
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{CONFIG_ENV} must name a JSON object")
+    values = {}
+    for f in fields(EstimatorConfig):
+        flag = getattr(args, f.name)
+        if flag is not None:
+            values[f.name] = flag
+        elif f.name in doc:
+            values[f.name] = doc[f.name]
+    return EstimatorConfig(**values)
 
 
 def _render_text(command: str, result: dict) -> str:
@@ -113,128 +97,89 @@ def _render_text(command: str, result: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (args, config, measure or None) -> (inputs, result,
+# exit code); ``main`` adds the measure to the inputs
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
-    directions = _load_directions(_load_json(args.directions), m.field, m.dim)
-    directions = canonical_order(directions)
+def _cmd_classify(args, cfg, m):
+    directions = canonical_order(
+        _load_directions(_load_json(args.directions), m.field, m.dim))
     verdicts = []
     for sub in directions:
-        v = classify_direction(m, sub)
-        entry = v.encode()
+        entry = classify_direction(m, sub).encode()
         entry["eigenvalue_families"] = [f.encode()
                                         for f in directional_eigenvalues(m, sub)]
         verdicts.append(entry)
-    return _emit(args, "classify", cfg,
-                 {"measure": m.encode(),
-                  "directions": [s.encode() for s in directions]},
-                 {"verdicts": verdicts})
+    return ({"directions": [s.encode() for s in directions]},
+            {"verdicts": verdicts}, EXIT_OK)
 
 
-def _cmd_directions(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
+def _cmd_directions(args, cfg, m):
+    ne, nw = nonergodic_concise(m), nonwm_concise(m)
     bound = args.enumeration_bound
-    ne = nonergodic_concise(m)
-    nw = nonwm_concise(m)
-    return _emit(args, "directions", cfg, {"measure": m.encode()},
-                 {"nonergodic": ne.encode(bound), "nonwm": nw.encode(bound)})
+    return {}, {"nonergodic": ne.encode(bound), "nonwm": nw.encode(bound)}, EXIT_OK
 
 
-def _cmd_realize(args) -> int:
-    cfg = _base_config(args)
-    directions = _load_directions(_load_json(args.directions))
-    report = realize(directions, cap=args.closure_cap)
+def _cmd_realize(args, cfg, m):
+    report = realize(_load_directions(_load_json(args.directions)), cap=args.closure_cap)
     if args.measure_out:
         with open(args.measure_out, "w", encoding="utf-8") as fh:
             json.dump(report.measure.encode(), fh, sort_keys=True, indent=2)
-    code = EXIT_OK if report.verified else EXIT_CHECK_FAILED
-    return _emit(args, "realize", cfg,
-                 {"directions": [s.encode() for s in report.requested]},
-                 report.encode(), code)
+    return ({"directions": [s.encode() for s in report.requested]}, report.encode(),
+            EXIT_OK if report.verified else EXIT_CHECK_FAILED)
 
 
-def _cmd_exp(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
-    out = exp(m, cap=args.closure_cap)
-    return _emit(args, "exp", cfg, {"measure": m.encode()},
-                 {"measure": out.encode()})
+def _cmd_exp(args, cfg, m):
+    return {}, {"measure": exp(m, cap=args.closure_cap).encode()}, EXIT_OK
 
 
-def _cmd_convolve(args) -> int:
-    cfg = _base_config(args)
-    m1 = _load_measure(args.measure)
-    m2 = _load_measure(args.other)
-    out = convolve(m1, m2)
-    return _emit(args, "convolve", cfg,
-                 {"measure": m1.encode(), "other": m2.encode()},
-                 {"measure": out.encode()})
+def _cmd_convolve(args, cfg, m):
+    other = SymbolicMeasure.decode(_load_json(args.other))
+    return {"other": other.encode()}, {"measure": convolve(m, other).encode()}, EXIT_OK
 
 
-def _cmd_restrict(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
+def _cmd_restrict(args, cfg, m):
     try:
         gens = json.loads(args.subgroup)
     except RecursionError as exc:
         raise ValidationError(f"cannot parse --subgroup: {exc}") from exc
     h = LatticeSubgroup.from_generators(m.dim, gens)
     out, ident = pushforward_subgroup(m, h)
-    return _emit(args, "restrict", cfg,
-                 {"measure": m.encode(), "subgroup": h.encode()},
-                 {"measure": out.encode(),
-                  "identification": [list(r) for r in ident]})
+    return ({"subgroup": h.encode()},
+            {"measure": out.encode(), "identification": [list(r) for r in ident]},
+            EXIT_OK)
 
 
-def _cmd_suspend(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
+def _cmd_suspend(args, cfg, m):
     op = suspend if m.space == "torus" else pushforward_quotient
-    out = op(m)
-    return _emit(args, "suspend", cfg, {"measure": m.encode()},
-                 {"measure": out.encode()})
+    return {}, {"measure": op(m).encode()}, EXIT_OK
 
 
-def _cmd_decompose(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
-    parts = decompose(m)
-    return _emit(args, "decompose", cfg, {"measure": m.encode()},
-                 {"parts": [p.encode() for p in parts]})
+def _cmd_decompose(args, cfg, m):
+    return {}, {"parts": [p.encode() for p in decompose(m)]}, EXIT_OK
 
 
-def _cmd_fourier_check(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
-    result: dict = {}
-    failed = False
+def _cmd_fourier_check(args, cfg, m):
+    directions = _load_directions(_load_json(args.directions), m.field, m.dim) \
+        if args.directions else []
+    checks = []
+    for sub in directions:
+        # the exact mass first: it refuses a periodized measure before any
+        # Sobol point is drawn
+        true_mass = representative_wall_mass(m, sub, None, cfg)
+        est = wiener_mass(m, sub, None, cfg)
+        checks.append({"direction": sub.encode(), "wiener": est.encode(),
+                       "representative_mass": true_mass,
+                       "ok": abs(est.estimate - true_mass) <= cfg.tolerance,
+                       "decay": rajchman_probe(m, sub, args.radii, cfg).encode()})
+    result = {"passed": all(c["ok"] for c in checks)}
     if args.directions:
-        directions = _load_directions(_load_json(args.directions), m.field, m.dim)
-        checks = []
-        for sub in directions:
-            # the exact mass first: it refuses a periodized measure before
-            # any Sobol point is drawn
-            true_mass = representative_wall_mass(m, sub, None, cfg)
-            est = wiener_mass(m, sub, None, cfg)
-            ok = abs(est.estimate - true_mass) <= cfg.tolerance
-            failed = failed or not ok
-            checks.append({"direction": sub.encode(), "wiener": est.encode(),
-                           "representative_mass": true_mass, "ok": ok})
-            profile = rajchman_probe(m, sub, args.radii, cfg)
-            checks[-1]["decay"] = profile.encode()
         result["wall_checks"] = checks
-    result["passed"] = not failed
-    return _emit(args, "fourier-check", cfg, {"measure": m.encode()}, result,
-                 EXIT_OK if not failed else EXIT_CHECK_FAILED)
+    return {}, result, EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
-def _cmd_oracle(args) -> int:
-    cfg = _base_config(args)
+def _cmd_oracle(args, cfg, m):
     model = decode_model(_load_json(args.model))
     result = {"model": model.encode()}
     # the expected measure first: its budget check is cheaper than a crosscheck
@@ -244,23 +189,51 @@ def _cmd_oracle(args) -> int:
         result["expected_measure_error"] = str(exc)
     report = crosscheck(model, bound=args.bound, tol=args.crosscheck_tolerance)
     result["crosscheck"] = report.encode()
-    return _emit(args, "oracle", cfg, {"model": model.encode()}, result,
-                 EXIT_OK if report.passed else EXIT_CHECK_FAILED)
+    return ({"model": model.encode()}, result,
+            EXIT_OK if report.passed else EXIT_CHECK_FAILED)
 
 
-def _cmd_lint(args) -> int:
-    cfg = _base_config(args)
-    m = _load_measure(args.measure)
-    warnings = admissibility_lint(m)
-    return _emit(args, "lint", cfg, {"measure": m.encode()},
-                 {"warnings": [w.encode() for w in warnings]})
+def _cmd_lint(args, cfg, m):
+    return {}, {"warnings": [w.encode() for w in admissibility_lint(m)]}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table: name -> (help, handler, [(flag, argparse keywords)])
 # ---------------------------------------------------------------------------
 
+_MEASURE = ("--measure", {"required": True})
+_DIRECTIONS = ("--directions", {"required": True})
+_CLOSURE_CAP = ("--closure-cap", {"type": int, "default": 4096})
 
+COMMANDS = {
+    "classify": ("classify directions against a measure", _cmd_classify,
+                 [_MEASURE, _DIRECTIONS]),
+    "directions": ("concise non-ergodic/non-wm sets", _cmd_directions,
+                   [_MEASURE, ("--enumeration-bound", {"type": int, "default": 3})]),
+    "realize": ("realize a concise direction family", _cmd_realize,
+                [_DIRECTIONS, ("--measure-out", {}), _CLOSURE_CAP]),
+    "exp": ("convolution exponential of a measure", _cmd_exp,
+            [_MEASURE, _CLOSURE_CAP]),
+    "convolve": ("convolve two measures", _cmd_convolve,
+                 [_MEASURE, ("--other", {"required": True})]),
+    "restrict": ("push forward to a lattice subgroup dual", _cmd_restrict,
+                 [_MEASURE, ("--subgroup", {"required": True,
+                                            "help": "JSON list of integer generator rows"})]),
+    "suspend": ("torus -> periodized euclidean lift "
+                "(euclidean input: quotient to the torus)", _cmd_suspend, [_MEASURE]),
+    "decompose": ("wall decomposition by dimension", _cmd_decompose, [_MEASURE]),
+    "fourier-check": ("numerical wall-mass and decay verification", _cmd_fourier_check,
+                      [_MEASURE, ("--directions", {}),
+                       ("--radii", {"type": float, "nargs": "+",
+                                    "default": [10.0, 50.0, 200.0, 1000.0]})]),
+    "oracle": ("model correlations vs expected measure", _cmd_oracle,
+               [("--model", {"required": True}), ("--bound", {"type": int, "default": 10}),
+                ("--crosscheck-tolerance", {"type": float, "default": 1e-12})]),
+    "lint": ("admissibility warnings for a measure", _cmd_lint, [_MEASURE]),
+}
+
+
+@cache  # one parser per process: in-process callers run main many times
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=True,
@@ -268,94 +241,44 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--text", dest="json", action="store_false",
                         help="emit a plain-text report")
     common.add_argument("--output", help="write the report to a file")
-    for name, typ in (("samples", int), ("radius", float), ("seed", int),
-                      ("tolerance", float), ("periodization-truncation", int),
-                      ("group-truncation", int)):
-        common.add_argument(f"--{name}", type=typ, default=None,
-                            dest=name.replace("-", "_"))
+    for f in fields(EstimatorConfig):
+        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
     parser = argparse.ArgumentParser(
         prog="dirspec",
         description="directional ergodicity / weak mixing / mixing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("classify", help="classify directions against a measure")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--directions", required=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = add_parser("directions", help="concise non-ergodic/non-wm sets")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--enumeration-bound", type=int, default=3,
-                   dest="enumeration_bound")
-    p.set_defaults(func=_cmd_directions)
-
-    p = add_parser("realize", help="realize a concise direction family")
-    p.add_argument("--directions", required=True)
-    p.add_argument("--measure-out", dest="measure_out")
-    p.add_argument("--closure-cap", type=int, default=4096, dest="closure_cap")
-    p.set_defaults(func=_cmd_realize)
-
-    p = add_parser("exp", help="convolution exponential of a measure")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--closure-cap", type=int, default=4096, dest="closure_cap")
-    p.set_defaults(func=_cmd_exp)
-
-    p = add_parser("convolve", help="convolve two measures")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--other", required=True)
-    p.set_defaults(func=_cmd_convolve)
-
-    p = add_parser("restrict", help="push forward to a lattice subgroup dual")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--subgroup", required=True,
-                   help="JSON list of integer generator rows")
-    p.set_defaults(func=_cmd_restrict)
-
-    p = add_parser("suspend",
-                       help="torus -> periodized euclidean lift "
-                            "(euclidean input: quotient to the torus)")
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_suspend)
-
-    p = add_parser("decompose", help="wall decomposition by dimension")
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = add_parser("fourier-check",
-                       help="numerical wall-mass and decay verification")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--directions")
-    p.add_argument("--radii", type=float, nargs="+",
-                   default=[10.0, 50.0, 200.0, 1000.0])
-    p.set_defaults(func=_cmd_fourier_check)
-
-    p = add_parser("oracle", help="model correlations vs expected measure")
-    p.add_argument("--model", required=True)
-    p.add_argument("--bound", type=int, default=10)
-    p.add_argument("--crosscheck-tolerance", type=float, default=1e-12,
-                   dest="crosscheck_tolerance")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = add_parser("lint", help="admissibility warnings for a measure")
-    p.add_argument("--measure", required=True)
-    p.set_defaults(func=_cmd_lint)
+    for name, (help_text, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # exact coordinates may pass Python's int/str digit limit (3.11+, 4,300
     # digits by default): lift it while the command runs, then restore it
     saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if saved is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        cfg = _base_config(args)
+        path = getattr(args, "measure", None)
+        m = SymbolicMeasure.decode(_load_json(path)) if path else None
+        inputs, result, code = COMMANDS[args.command][1](args, cfg, m)
+        if m is not None:
+            inputs["measure"] = m.encode()
+        report = {"tool": "dirspec", "version": __version__, "command": args.command,
+                  "config": cfg.encode(), "inputs": inputs, "result": result}
+        text = json.dumps(report, sort_keys=True, indent=2) if args.json \
+            else _render_text(args.command, result)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code
     except (DirspecError, KeyError, TypeError, ValueError) as exc:
         kind = type(exc).__name__ if isinstance(exc, DirspecError) else "ValidationError"
         print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)

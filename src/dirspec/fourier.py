@@ -11,7 +11,7 @@ scipy (about a second to import) is imported only where Sobol points are drawn.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .errors import ENUMERATION_BUDGET, ValidationError, bounded_power, check_enumeration
@@ -25,6 +25,9 @@ CONSTANCY_TRIALS = 32  # random points of ``coset_constancy_check``
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """The estimator settings: each field is also a ``DIRSPEC_CONFIG`` key
+    and a CLI flag (``--group-truncation`` for ``group_truncation``)."""
+
     samples: int = 4096
     radius: float = 200.0
     seed: int = 20221112
@@ -37,10 +40,7 @@ class EstimatorConfig:
             raise ValidationError("need samples >= 1 and radius > 0")
 
     def encode(self) -> dict:
-        return {"samples": self.samples, "radius": self.radius, "seed": self.seed,
-                "tolerance": self.tolerance,
-                "periodization_truncation": self.periodization_truncation,
-                "group_truncation": self.group_truncation}
+        return asdict(self)
 
 
 DEFAULT_CONFIG = EstimatorConfig()

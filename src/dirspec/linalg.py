@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
@@ -659,7 +660,9 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     section 2.4): (r, 0) reduced by it has a zero A-part exactly when A n = r
     is feasible, minus its I-part is a particular solution, and its rows with
     a zero A-part are a kernel lattice basis.  ``smith`` uses Smith normal
-    form instead, whose particular solution names the printed witnesses."""
+    form instead, whose particular solution names the printed witnesses;
+    with no residual integral equation it returns the HNF family itself.
+    Each answer is computed once."""
     k, p = len(us), len(ls)
     a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
     b = k + p - a                # the integral unknowns
@@ -685,8 +688,9 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
             c[piv] = val - sum(aug[i][a + j] * nvec[j] for j in range(b))
         return tuple(c)
 
+    @cache
     def solve(smith: bool) -> CosetSolution | None:
-        if smith and mm:
+        if smith:
             uw, dmat, v = smith_normal_form(int_rows, [[x] for x in int_rhs])
             w = [row[0] for row in uw]
             d = [dmat[i][i] if i < b else 0 for i in range(mm)]
@@ -710,7 +714,7 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
             tuple(back_substitute(lam, True) + lam[:split] for lam in lattice),
             tuple(lam[split:] for lam in lattice),
             tuple(tuple(x) for x in nullspace(aug, pivots, a, Fraction(0), Fraction(1))))
-    return solve
+    return lambda smith: solve(smith and mm > 0)
 
 
 def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
-                     UnsupportedConvolutionError, ValidationError)
+                     UnsupportedConvolutionError, ValidationError, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
                      pose_lattice_coset, promote_subspace, promote_vector,
                      span_coordinates, unflatten, unit_vector, vec_add, vec_is_zero,
                      vec_mod1, vec_neg, vec_scale, vec_sub, zero_vector)
-from .scalar import FieldSpec, decode_scalar
+from .scalar import (FieldSpec, _decode_fraction, _decode_int, _fraction_text,
+                     decode_scalar)
 
 EUCLID = "euclidean"
 TORUS = "torus"
@@ -62,7 +63,7 @@ class Atom:
     def encode(self) -> dict:
         return {"kind": "atom",
                 "point": [x.encode() for x in self.point],
-                "weight": str(self.weight)}
+                "weight": _fraction_text(self.weight)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class BoxLebesgue:
         d = {"kind": "box",
              "basis": [[x.encode() for x in row] for row in self.carrier.subspace.basis],
              "offset": [x.encode() for x in self.carrier.offset],
-             "weight": str(self.weight)}
+             "weight": _fraction_text(self.weight)}
         if self.generators != self.carrier.subspace.basis:
             d["generators"] = [[x.encode() for x in g] for g in self.generators]
         if self.center is not None and self.center != self.carrier.offset:
@@ -115,7 +116,7 @@ class AtomGroup:
         d = {"kind": "atom_group",
              "generators": [[x.encode() for x in g] for g in self.generators],
              "ring": self.ring,
-             "weight": str(self.weight)}
+             "weight": _fraction_text(self.weight)}
         if not vec_is_zero(self.offset):
             d["offset"] = [x.encode() for x in self.offset]
         return d
@@ -203,8 +204,12 @@ def group_atom_on_coset(space: str, group: AtomGroup, rows, target: FieldVector,
     solve = pose_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators],
                                [vec_neg(s) for s in shifts],
                                vec_sub(target, mat_vec(rows, group.offset)))
-    if solve is None or _coset_atom(space, group, solve(smith=False)) is None:
+    if solve is None:
         return None
+    family = solve(smith=False)
+    atom = _coset_atom(space, group, family)
+    if atom is None or solve(smith=True) is family:  # no integral equation, no SNF
+        return atom
     return _coset_atom(space, group, solve(smith=True))
 
 
@@ -360,12 +365,13 @@ class SymbolicMeasure:
     def decode(doc: dict) -> "SymbolicMeasure":
         try:
             space = doc["space"]
-            dim = int(doc["dim"])
+            dim = _decode_int(doc["dim"], "dim")
             field = FieldSpec(tuple(doc.get("field_roots", ())))
             periodized = bool(doc.get("periodized", False))
             comp_docs = doc["components"]
             if dim < 1:
                 raise ValidationError(f"dim must be >= 1, got {dim}")
+            check_enumeration(dim, "the dimension of a measure")
             if not isinstance(comp_docs, list) or not all(isinstance(c, dict)
                                                           for c in comp_docs):
                 raise ValidationError("components must be a list of objects")
@@ -480,25 +486,24 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
 
 def decode_component(field: FieldSpec, dim: int, doc: dict) -> Component:
     kind = doc.get("kind")
-    weight = Fraction(doc.get("weight", 1))
+    weight = _decode_fraction(doc.get("weight", 1))
 
     def vector(entries) -> FieldVector:
         return tuple(decode_scalar(field, x) for x in entries)
 
-    def optional(key: str, default):
-        return vector(doc[key]) if doc.get(key) else default
+    def optional(key: str) -> FieldVector | None:
+        return vector(doc[key]) if doc.get(key) else None
 
     if kind == "atom":
         return Atom(vector(doc["point"]), weight)
     if kind == "box":
         sub = Subspace.from_vectors(field, dim, [vector(row) for row in doc["basis"]])
-        offset = optional("offset", zero_vector(field, dim))
+        offset = optional("offset") or zero_vector(field, dim)
         gens = tuple(vector(g) for g in doc.get("generators", [])) or sub.basis
-        return BoxLebesgue(AffineCarrier.make(sub, offset), gens, optional("center", None),
-                           weight)
+        return BoxLebesgue(AffineCarrier.make(sub, offset), gens, optional("center"), weight)
     if kind == "atom_group":
         gens = tuple(vector(g) for g in doc["generators"])
-        return AtomGroup(gens, doc["ring"], optional("offset", zero_vector(field, dim)),
+        return AtomGroup(gens, doc["ring"], optional("offset") or zero_vector(field, dim),
                          weight)
     raise ValidationError(f"unknown component kind {kind!r}")
 

@@ -28,7 +28,7 @@ from .errors import (ENUMERATION_BUDGET, UnsupportedConvolutionError, Validation
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
                      unit_vector, vec_mod1, vec_scale, zero_vector)
 from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure)
-from .scalar import FieldScalar, FieldSpec, QQ, decode_scalar
+from .scalar import FieldScalar, FieldSpec, QQ, _decode_int, decode_scalar
 
 # ---------------------------------------------------------------------------
 # model types
@@ -59,6 +59,10 @@ class Rotation:
     """Z^d-action generated by d commuting rotations of one circle."""
 
     alphas: FieldVector
+
+    def __post_init__(self):
+        if not self.alphas:
+            raise ValidationError("a rotation needs at least one angle")
 
     @property
     def dim(self) -> int:
@@ -105,6 +109,8 @@ class BergelsonWard:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if len({len(v) for v in self.vectors}) != 1 or not self.vectors[0]:
+            raise ValidationError("frequency vectors must be nonempty and of one length")
         for v in self.vectors:
             if all(x == 0 for x in v):
                 raise ValidationError("frequency vectors must be nonzero")
@@ -134,6 +140,10 @@ class OdometerEigen:
     q: int
     level: int
     dim_ambient: int
+
+    def __post_init__(self):
+        if self.q < 2 or self.level < 0 or self.dim_ambient < 1:
+            raise ValidationError("an odometer needs q >= 2, level >= 0 and dim >= 1")
 
     @property
     def dim(self) -> int:
@@ -169,9 +179,10 @@ def decode_model(doc: dict) -> ActionModel:
                 raise ValidationError(f"unknown base model {f['kind']!r}")
         return ProductType(tuple(factors))
     if kind == "bergelson_ward":
-        return BergelsonWard(tuple(tuple(int(x) for x in v) for v in doc["vectors"]))
+        return BergelsonWard(tuple(tuple(_decode_int(x, "a vector entry") for x in v)
+                                   for v in doc["vectors"]))
     if kind == "odometer":
-        return OdometerEigen(int(doc["q"]), int(doc["level"]), int(doc["dim"]))
+        return OdometerEigen(*(_decode_int(doc[key], key) for key in ("q", "level", "dim")))
     raise ValidationError(f"unknown model kind {kind!r}")
 
 

@@ -477,23 +477,36 @@ def _parse_fraction(text) -> Fraction:
         return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
 
 
+def _decode_fraction(value) -> Fraction:
+    """A rational of a document: a fraction string or an int, not a boolean or a float."""
+    if isinstance(value, str):
+        return _parse_fraction(value)
+    if type(value) is int:
+        return Fraction(value)
+    raise ValidationError(f"cannot decode a fraction from {value!r}")
+
+
+def _decode_int(value, what: str) -> int:
+    """An integer field of a document: an int or an integral float, not a
+    boolean, a non-integral or a non-finite number."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def decode_scalar(field: FieldSpec, value) -> FieldScalar:
     """Parse the canonical encoding (fraction string or label->fraction map)."""
     try:
-        if isinstance(value, str):
-            return field.from_rational(_parse_fraction(value))
-        if type(value) is int:  # not a bool: JSON true is no scalar
-            return field.from_rational(value)
         if isinstance(value, dict):
             coeffs = [Fraction(0)] * field.dimension
             for label, frac in value.items():
-                if not isinstance(frac, str) and type(frac) is not int:
-                    raise ValidationError(f"cannot decode scalar from {value!r}")
-                coeffs[field.label_index(label)] = _parse_fraction(frac)
+                coeffs[field.label_index(label)] = _decode_fraction(frac)
             return field.from_coeffs(coeffs)
+        return field.from_rational(_decode_fraction(value))
     except ZeroDivisionError as exc:
         raise ValidationError(f"zero denominator in scalar {value!r}") from exc
-    raise ValidationError(f"cannot decode scalar from {value!r}")
 
 
 QQ = FieldSpec()

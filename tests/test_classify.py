@@ -716,6 +716,22 @@ class TestLints:
         assert C.admissibility_lint(M.suspend(closed)) == []
 
 
+def restriction_consistent(m: SymbolicMeasure, direction: Subspace) -> bool | None:
+    """For a completely rational L, compare the direction verdict of a torus
+    measure against the subgroup push-forward: ergodic iff the restricted
+    class has no atom at 0, weak mixing iff it has no atoms at all.  None when
+    L is not completely rational (no subgroup to restrict to)."""
+    assert m.space == TORUS
+    rep = rationality(direction)
+    if rep.kind != "completely_rational" or rep.lattice.is_trivial():
+        return None
+    pushed, _ = M.pushforward_subgroup(m, rep.lattice)
+    verdict = C.classify_direction(m, direction)
+    erg_expected = not M.has_atom_at(pushed, zero_vector(m.field, pushed.dim))
+    wm_expected = not any(isinstance(c, (Atom, AtomGroup)) for c in pushed.components)
+    return verdict.ergodic == erg_expected and verdict.weak_mixing == wm_expected
+
+
 class TestCompletelyRationalConsistency:
     def test_random_rational_directions(self):
         rng = random.Random(13)
@@ -723,13 +739,13 @@ class TestCompletelyRationalConsistency:
             d = rng.randint(2, 3)
             m = gen.rand_measure(rng, QQ, d, TORUS, with_groups=True)
             sub = gen.rand_rational_subspace(rng, QQ, d, rng.randint(1, d - 1))
-            assert C.restriction_consistent(m, sub) is True
+            assert restriction_consistent(m, sub) is True
 
     def test_none_for_irrational(self):
         m = product_bernoulli()
         line = Subspace.from_vectors(F2, 2, [[1, F2.sqrt_root(2)]])
         m2 = M.promote_field(m, F2)
-        assert C.restriction_consistent(m2, line) is None
+        assert restriction_consistent(m2, line) is None
 
 
 class TestSuspensionConsistency:

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ import dirspec
 from dirspec import cli
 from dirspec import measure as M
 from dirspec.cli import main
+from dirspec.fourier import EstimatorConfig
 from dirspec.measure import SymbolicMeasure
 from dirspec.scalar import QQ, FieldSpec, decode_scalar
 
@@ -210,10 +212,22 @@ class TestExitCodes:
           "components": [{"kind": "atom", "point": [{"1": True}]}]}, "ValidationError"),
         ({"space": "torus", "dim": 1,
           "components": [{"kind": "atom", "point": [{"1": 0.1}]}]}, "ValidationError"),
+        # dim used to be read by int(): 2.5 as 2, infinity an OverflowError
+        ({"space": "torus", "dim": 2.5, "components": []}, "ValidationError"),
+        ({"space": "torus", "dim": float("inf"), "components": []}, "ValidationError"),
+        ({"space": "torus", "dim": True, "components": []}, "ValidationError"),
+        # and the weight by Fraction(): true as 1, infinity an OverflowError
+        ({"space": "torus", "dim": 1, "components": [
+            {"kind": "atom", "point": ["1/3"], "weight": float("inf")}]}, "ValidationError"),
+        ({"space": "torus", "dim": 1, "components": [
+            {"kind": "atom", "point": ["1/3"], "weight": True}]}, "ValidationError"),
+        ({"space": "torus", "dim": 1, "components": [
+            {"kind": "atom", "point": ["1/3"], "weight": 0.1}]}, "ValidationError"),
     ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
             "weight-zero-denominator", "group-generator-too-long",
             "group-generator-too-short", "boolean-scalar", "labelled-boolean",
-            "labelled-float"])
+            "labelled-float", "dim-fraction", "dim-infinite", "dim-boolean",
+            "weight-infinite", "weight-boolean", "weight-float"])
     def test_malformed_measure_is_2(self, doc, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -384,6 +398,65 @@ class TestExitCodes:
         assert mixed.encode() == {"1": "-" + text, "sqrt2": "1"}
         assert decode_scalar(F2, mixed.encode()) == mixed
 
+    @pytest.mark.parametrize("argv,doc", [
+        # a fraction used to be truncated, a non-finite number raised
+        # OverflowError, q = 0 ZeroDivisionError and the rest IndexError
+        (["realize", "--directions"], {"dim": 2.5, "directions": [{"basis": [["1", "0"]]}]}),
+        (["realize", "--directions"],
+         {"dim": float("inf"), "directions": [{"basis": [["1", "0"]]}]}),
+        (["oracle", "--model"], {"kind": "odometer", "q": float("inf"), "level": 1, "dim": 1}),
+        (["oracle", "--model"], {"kind": "odometer", "q": False, "level": 1, "dim": 1}),
+        (["oracle", "--model"], {"kind": "odometer", "q": 2, "level": -1, "dim": 1}),
+        (["oracle", "--model"], {"kind": "odometer", "q": 2, "level": 1, "dim": 0}),
+        (["oracle", "--model"], {"kind": "bergelson_ward", "vectors": [[1, float("inf")]]}),
+        (["oracle", "--model"], {"kind": "bergelson_ward", "vectors": [[1, 0], {"1": True}]}),
+        (["oracle", "--model"], {"kind": "bergelson_ward", "vectors": [[1, 0], [1, 1, 1]]}),
+        (["oracle", "--model"], {"kind": "bergelson_ward", "vectors": []}),
+        (["oracle", "--model"], {"kind": "rotation", "alphas": ""}),
+        (["oracle", "--model"], {"kind": "rotation", "alphas": {}}),
+    ], ids=["direction-dim-fraction", "direction-dim-infinite", "odometer-q-infinite",
+            "odometer-q-false", "odometer-negative-level", "odometer-dim-zero",
+            "vector-entry-infinite", "vector-labelled-boolean", "vectors-unequal-length",
+            "no-vectors", "alphas-empty-string", "alphas-empty-object"])
+    def test_integer_fields_and_model_invariants_are_2(self, argv, doc, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ValidationError"
+
+    @pytest.mark.parametrize("command", ["classify", "exp", "suspend"])
+    def test_huge_dim_is_4_before_allocating(self, command, fixtures_dir, tmp_path,
+                                             capsys):
+        # the offset default used to be built for every component: past 5 s
+        doc = json.loads((fixtures_dir / "chair.json").read_text())
+        path = tmp_path / "chair.json"
+        path.write_text(json.dumps({**doc, "dim": 10 ** 30}))
+        argv = [command, "--measure", str(path)]
+        if command == "classify":
+            argv += ["--directions", str(fixtures_dir / "axes_and_diagonal.json")]
+        start = time.perf_counter()
+        assert main(argv) == 4
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "ClosureBoundError"
+
+    def test_estimator_flags_are_the_config_fields(self, fixtures_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        # one flag and one DIRSPEC_CONFIG key per EstimatorConfig field; the
+        # flag wins over the key
+        values = {f.name: f.default + 1 for f in fields(EstimatorConfig)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: v + 1 for name, v in values.items()}))
+        monkeypatch.setenv("DIRSPEC_CONFIG", str(cfg))
+        flags = [x for name, v in values.items()
+                 for x in ("--" + name.replace("_", "-"), str(v))]
+        assert main(["lint", "--measure", str(fixtures_dir / "chair.json"), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == values
+        assert main(["lint", "--measure", str(fixtures_dir / "chair.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            name: v + 1 for name, v in values.items()}
+
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),
                      "--enumeration-bound", "-1"])
@@ -443,3 +516,18 @@ class TestRoundTrip:
             doc = json.loads((fixtures_dir / name).read_text())
             m = SymbolicMeasure.decode(doc)
             assert m.encode() == doc
+
+
+class TestReadme:
+    README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    SECTION = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+    def test_command_block_names_every_command(self):
+        block = self.SECTION.split("```sh", 1)[1].split("```", 1)[0]
+        named = {line.split()[1] for line in block.splitlines()
+                 if line.startswith("dirspec ")}
+        assert named == set(cli.COMMANDS)
+
+    def test_names_every_estimator_flag(self):
+        for f in fields(EstimatorConfig):
+            assert f"`--{f.name.replace('_', '-')}`" in self.SECTION, f.name

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dirspec import classify as C
+from dirspec import linalg as L
 from dirspec import measure as M
 from dirspec.linalg import (CosetLattice, Subspace, mat_vec, pose_lattice_coset,
                             solve_lattice_coset, unit_vector)
@@ -150,3 +151,26 @@ def test_pool_systems(monkeypatch, workload):
             C.nonergodic_concise(m).contains_direction(sub)
             C.nonwm_concise(m).contains_direction(sub)
     assert len(seen) >= 50 and any(a for _, a in seen)
+
+
+def test_system_without_integral_equation_is_solved_once(monkeypatch):
+    # c/3 - n = 0 for the rational coefficient c and the shift n leaves no
+    # integral equation once c is eliminated: the witness family is the HNF
+    # family itself, so one HNF runs and no SNF
+    calls = []
+
+    def counted(name):
+        original = getattr(L, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("hermite_normal_form", "smith_normal_form"):
+        monkeypatch.setattr(L, name, counted(name))
+    q = QQ.from_rational
+    group = AtomGroup(((q(Fraction(1, 3)), q(Fraction(1, 5))),), "Q", (q(0), q(0)))
+    atom = GROUP_ATOM_ON_COSET(TORUS, group, [[q(1), q(0)]], (q(0),), [(q(1),)])
+    assert atom == (q(1), q(Fraction(3, 5)))
+    assert calls == ["hermite_normal_form"]

@@ -522,6 +522,22 @@ class TestEncoding:
             assert back == m
             assert back.encode() == doc
 
+    def test_weights_decode_like_scalars(self):
+        # a fraction string or an int; a 5,000-digit weight is read and written
+        # under Python's default int/str digit limit
+        big = "7" * 5000
+        doc = {"space": "torus", "dim": 1, "components": [
+            {"kind": "atom", "point": ["1/3"], "weight": f"1/{big}"},
+            {"kind": "atom", "point": ["1/5"], "weight": 3}]}
+        m = SymbolicMeasure.decode(doc)
+        assert [c.weight for c in m.components] == [Fraction(9, 7 * (10 ** 5000 - 1)), 3]
+        assert [c["weight"] for c in m.encode()["components"]] == [f"1/{big}", "3"]
+        assert SymbolicMeasure.decode(m.encode()) == m
+        for weight in (True, 0.5, float("inf"), None, [1]):
+            doc["components"][1]["weight"] = weight
+            with pytest.raises(ValidationError):
+                SymbolicMeasure.decode(doc)
+
     def test_zero_flagged(self):
         m = SymbolicMeasure.make(TORUS, 2, QQ, [])
         assert m.encode()["zero"] is True

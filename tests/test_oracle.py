@@ -208,6 +208,18 @@ class TestModelCodec:
                                      O.Rotation1(QQ.from_rational(Fraction(1, 7)))))):
             assert O.decode_model(model.encode()) == model
 
+    @pytest.mark.parametrize("make", [
+        lambda: O.OdometerEigen(1, 2, 2), lambda: O.OdometerEigen(0, 2, 2),
+        lambda: O.OdometerEigen(2, -1, 2), lambda: O.OdometerEigen(2, 2, 0),
+        lambda: O.Rotation(()), lambda: O.BergelsonWard(()),
+        lambda: O.BergelsonWard(((),)), lambda: O.BergelsonWard(((1, 0), (1,))),
+    ], ids=["q-one", "q-zero", "negative-level", "dim-zero", "no-alphas", "no-vectors",
+            "empty-vector", "unequal-lengths"])
+    def test_invariants_rejected(self, make):
+        # these used to fail later, with ZeroDivisionError or IndexError
+        with pytest.raises(ValidationError):
+            make()
+
     def test_parallel_vectors_rejected(self):
         with pytest.raises(ValidationError):
             O.BergelsonWard(((1, 1), (2, 2)))
