@@ -71,11 +71,17 @@ def _base_config(args) -> EstimatorConfig:
         raise ValidationError(f"{CONFIG_ENV} must name a JSON object")
     values = {}
     for f in fields(EstimatorConfig):
-        flag = getattr(args, f.name)
-        if flag is not None:
-            values[f.name] = flag
-        elif f.name in doc:
-            values[f.name] = doc[f.name]
+        value = getattr(args, f.name)
+        if value is None and f.name not in doc:
+            continue
+        value = doc[f.name] if value is None else value
+        what = f"estimator setting {f.name}"
+        if type(f.default) is int:
+            values[f.name] = _decode_int(value, what)
+        elif type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            values[f.name] = float(value)  # not a boolean, an infinity or NaN
+        else:
+            raise ValidationError(f"{what} must be a finite number, got {value!r}")
     return EstimatorConfig(**values)
 
 

@@ -6,15 +6,16 @@ Wiener estimator for wall masses, Rajchman decay probes along directions,
 and coset-constancy checks.  Everything is seeded and deterministic; this
 module is the independent numerical check on the exact classifier.  numpy
 is imported only inside the functions that compute floats, so importing this
-module (and with it the exact commands) loads only the standard library;
-scipy (about a second to import) is imported only where Sobol points are drawn.
+module (and with it the exact commands) loads only the standard library.
+The Sobol points are drawn here with numpy alone (``_sobol``).
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import product
 
-from .errors import ENUMERATION_BUDGET, ValidationError, bounded_power, check_enumeration
+from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
+                     check_enumeration)
 from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
 from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure,
                       coefficient_pool, coefficient_pool_size)
@@ -192,15 +193,66 @@ def _orthonormal_basis(direction: Subspace) -> np.ndarray:
     return q[:, :direction.dim].T  # rows: ON basis of L
 
 
+# Joe & Kuo (2008) direction numbers of Sobol dimensions 2-32: the code of each primitive
+# polynomial, then its initial m_1, ..., m_s (dimension 1 has every m_k = 1)
+_JOE_KUO = [tuple(map(int, entry.split())) for entry in """
+3 1; 7 1 3; 11 1 3 1; 13 1 1 1; 19 1 1 3 3; 25 1 3 5 13; 37 1 1 5 5 17; 41 1 1 5 5 5;
+47 1 1 7 11 19; 55 1 1 5 1 1; 59 1 1 1 3 11; 61 1 3 5 5 31; 67 1 3 3 9 7 49;
+91 1 1 1 15 21 21; 97 1 3 1 13 27 49; 103 1 1 1 15 7 5; 109 1 3 1 15 13 25;
+115 1 1 5 5 19 61; 131 1 3 7 11 23 15 103; 137 1 3 7 13 13 15 69; 143 1 1 3 13 7 35 63;
+145 1 3 5 9 1 25 53; 157 1 3 1 13 9 35 107; 167 1 3 1 5 27 61 31; 171 1 1 5 11 19 41 61;
+185 1 3 5 3 3 13 69; 191 1 1 7 13 1 19 1; 193 1 3 7 5 13 19 59; 203 1 1 3 9 25 29 41;
+211 1 3 5 13 23 1 55; 213 1 3 7 3 13 59 17""".split(";")]
+SOBOL_DIMS = len(_JOE_KUO) + 1
+SOBOL_BITS = 30  # the sequence has 2**30 points, each a multiple of 2**-30
+
+
+def _sobol(d: int, seed: int, start: int, n: int) -> np.ndarray:
+    """Points start, ..., start + n - 1 of the d-dimensional Sobol sequence
+    with linear matrix scrambling and a digital shift (Matousek 1998), drawn
+    from ``default_rng(seed)``: bit for bit the points of the reference
+    engine that ``tests/test_fourier.py`` compares against."""
+    import numpy as np
+    if d > SOBOL_DIMS:
+        raise ClosureBoundError(f"the Sobol table has {SOBOL_DIMS} dimensions, not {d}")
+    if start + n > 1 << SOBOL_BITS:
+        raise ClosureBoundError(f"the Sobol sequence has 2**{SOBOL_BITS} points, not {start + n}")
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) \
+        @ (1 << np.arange(SOBOL_BITS, dtype=np.uint32))
+    lower = np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    lower[:, range(SOBOL_BITS), range(SOBOL_BITS)] = 1
+    m = np.ones((d, SOBOL_BITS), dtype=np.uint32)
+    for i, (poly, *row) in enumerate(_JOE_KUO[:d - 1], start=1):
+        s = len(row)  # Bratley & Fox's recurrence for m_j
+        for j in range(s, SOBOL_BITS):
+            new = row[j - s] ^ (row[j - s] << s)
+            for k in range(1, s):
+                if poly >> (s - k) & 1:
+                    new ^= row[j - k] << k
+            row.append(new)
+        m[i] = row
+    top = 1 << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # bit 29 - j
+    v = m * top  # direction number j is m_j 2^(29 - j)
+    # bit 29 - p of scrambled v_j: the parity of v_j and row p of L (column 0 on top)
+    parity = np.bitwise_count((lower @ top)[:, :, None] & v[:, None, :]) & 1
+    sv = (parity * top[:, None]).sum(axis=1, dtype=np.uint32)
+    # point k: the shift xor each sv_b, b a bit of k's Gray code; k + 1 adds sv_ctz(k + 1)
+    gray = (start ^ start >> 1) >> np.arange(SOBOL_BITS) & 1
+    first = shift ^ np.bitwise_xor.reduce(sv[:, gray == 1], axis=1)
+    k = np.arange(start + 1, start + n, dtype=np.int64)
+    steps = sv[:, np.bitwise_count((k & -k) - 1)].T
+    return np.bitwise_xor.accumulate(np.vstack([first, steps]), axis=0) * 2.0 ** -SOBOL_BITS
+
+
 def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
     import numpy as np
-    from scipy.stats import qmc
-    sampler = qmc.Sobol(d=e, scramble=True, seed=seed)
-    raw = sampler.random(max(8, 4 * samples))
+    first = max(8, 4 * samples)
+    raw = _sobol(e, seed, 0, first)
     cube = (2.0 * raw - 1.0) * radius
     inside = cube[np.linalg.norm(cube, axis=1) <= radius]
     if inside.shape[0] < samples:  # pathological; top up deterministically
-        extra = sampler.random(8 * samples)
+        extra = _sobol(e, seed, first, 8 * samples)
         cube = np.vstack([cube, (2.0 * extra - 1.0) * radius])
         inside = cube[np.linalg.norm(cube, axis=1) <= radius]
     return inside[:samples]
@@ -281,11 +333,8 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> DecayProfile:
     """sup |ft| over sampled points of norm r in L, for each radius r."""
     import numpy as np
-    from scipy.stats import qmc
     onb = _orthonormal_basis(direction)
-    e = direction.dim
-    sampler = qmc.Sobol(d=e, scramble=True, seed=cfg.seed)
-    raw = 2.0 * sampler.random(max(8, DIRECTIONS_PER_RADIUS)) - 1.0
+    raw = 2.0 * _sobol(direction.dim, cfg.seed, 0, DIRECTIONS_PER_RADIUS) - 1.0
     norms = np.linalg.norm(raw, axis=1)
     unit = raw[norms > 1e-9] / norms[norms > 1e-9, None]
     sups = []

@@ -534,7 +534,8 @@ class LatticeSubgroup:
             gens = [[int(x) for x in g] for g in rows]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"generator entries must be integers: {exc}") from exc
-        if gens != rows:  # int() would truncate 0.5 or 1.9
+        # int() would truncate 0.5 or 1.9 and read true as 1
+        if gens != rows or any(isinstance(x, bool) for g in rows for x in g):
             raise ValidationError(f"generator entries must be integers, got {rows}")
         for g in gens:
             if len(g) != ambient:

@@ -367,7 +367,9 @@ class SymbolicMeasure:
             space = doc["space"]
             dim = _decode_int(doc["dim"], "dim")
             field = FieldSpec(tuple(doc.get("field_roots", ())))
-            periodized = bool(doc.get("periodized", False))
+            periodized = doc.get("periodized", False)
+            if type(periodized) is not bool:
+                raise ValidationError(f"periodized must be true or false, got {periodized!r}")
             comp_docs = doc["components"]
             if dim < 1:
                 raise ValidationError(f"dim must be >= 1, got {dim}")

@@ -223,11 +223,17 @@ class TestExitCodes:
             {"kind": "atom", "point": ["1/3"], "weight": True}]}, "ValidationError"),
         ({"space": "torus", "dim": 1, "components": [
             {"kind": "atom", "point": ["1/3"], "weight": 0.1}]}, "ValidationError"),
+        # periodized used to be read by bool(): "false" as a periodized measure
+        ({"space": "euclidean", "dim": 1, "periodized": "false", "components": []},
+         "ValidationError"),
+        ({"space": "euclidean", "dim": 1, "periodized": 0, "components": []},
+         "ValidationError"),
     ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
             "weight-zero-denominator", "group-generator-too-long",
             "group-generator-too-short", "boolean-scalar", "labelled-boolean",
             "labelled-float", "dim-fraction", "dim-infinite", "dim-boolean",
-            "weight-infinite", "weight-boolean", "weight-float"])
+            "weight-infinite", "weight-boolean", "weight-float", "periodized-string",
+            "periodized-number"])
     def test_malformed_measure_is_2(self, doc, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -235,10 +241,12 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == kind
 
     @pytest.mark.parametrize("subgroup", ["[[0.5, 1]]", "[[1.9, 1]]", "[[1, \"1\"]]",
-                                          "[" * 100000 + "]" * 100000],
-                             ids=["half", "one-point-nine", "string", "deeply-nested"])
+                                          "[" * 100000 + "]" * 100000, "[[true, 1]]"],
+                             ids=["half", "one-point-nine", "string", "deeply-nested",
+                                  "boolean"])
     def test_bad_subgroup_is_2(self, fixtures_dir, subgroup, capsys):
-        # int() used to truncate the first two to [[0, 1]] and [[1, 1]] with exit 0
+        # int() used to truncate the first two to [[0, 1]] and [[1, 1]], and
+        # to read true as 1, with exit 0
         code = main(["restrict", "--measure", str(fixtures_dir / "product_bernoulli.json"),
                      "--subgroup", subgroup])
         assert code == 2
@@ -322,6 +330,28 @@ class TestExitCodes:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ClosureBoundError"
+
+    def test_sobol_budget_is_4(self, fixtures_dir, tmp_path, capsys):
+        # past the 2**30 points of the Sobol sequence (4 * samples of them)
+        # and past the 32 tabulated dimensions, refused before a point is drawn
+        bernoulli = str(fixtures_dir / "product_bernoulli.json")
+        axes = str(fixtures_dir / "axes_and_diagonal.json")
+        dim = 33
+        measure, directions = tmp_path / "m.json", tmp_path / "d.json"
+        measure.write_text(json.dumps({"space": "euclidean", "dim": dim, "components": [
+            {"kind": "atom", "point": ["0"] * dim}]}))
+        directions.write_text(json.dumps({"dim": dim, "directions": [{"basis": [
+            ["1" if i == j else "0" for i in range(dim)] for j in range(dim)]}]}))
+        for argv, message in [
+                (["--measure", bernoulli, "--directions", axes, "--samples", "268435457"],
+                 "2**30 points"),
+                (["--measure", str(measure), "--directions", str(directions)],
+                 "32 dimensions")]:
+            start = time.perf_counter()
+            assert main(["fourier-check", *argv]) == 4
+            assert time.perf_counter() - start < 1.0
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["kind"] == "ClosureBoundError" and message in err["message"]
 
     def test_fourier_check_refuses_periodized_before_sampling(self, fixtures_dir, tmp_path,
                                                               capsys, monkeypatch):
@@ -456,6 +486,43 @@ class TestExitCodes:
         assert main(["lint", "--measure", str(fixtures_dir / "chair.json")]) == 0
         assert json.loads(capsys.readouterr().out)["config"] == {
             name: v + 1 for name, v in values.items()}
+
+    @pytest.mark.parametrize("key,value", [
+        ("samples", True), ("samples", 2.5), ("samples", "512"), ("samples", None),
+        ("radius", False), ("radius", float("inf")), ("radius", 10 ** 400), ("radius", "200"),
+        ("seed", "x"), ("seed", 7.25), ("seed", []),
+        ("tolerance", []), ("tolerance", float("nan")), ("tolerance", {}),
+        ("periodization_truncation", True), ("periodization_truncation", "8"),
+        ("group_truncation", 1.5), ("group_truncation", None),
+    ])
+    def test_config_values_are_typed(self, key, value, fixtures_dir, tmp_path,
+                                     monkeypatch, capsys):
+        # {"samples": true} used to run with one sample, {"seed": "x"} and
+        # {"tolerance": []} to be echoed in a report with exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        monkeypatch.setenv("DIRSPEC_CONFIG", str(cfg))
+        assert main(["lint", "--measure", str(fixtures_dir / "chair.json")]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "ValidationError" and key in err["message"]
+
+    def test_config_numbers_take_the_field_type(self, fixtures_dir, tmp_path,
+                                                monkeypatch, capsys):
+        # an integral float is read as the integer, an integer radius as a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 512.0, "radius": 100, "tolerance": 1}))
+        monkeypatch.setenv("DIRSPEC_CONFIG", str(cfg))
+        assert main(["lint", "--measure", str(fixtures_dir / "chair.json")]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert [config[k] for k in ("samples", "radius", "tolerance")] == [512, 100.0, 1.0]
+        assert [type(config[k]) for k in ("samples", "radius", "tolerance")] == [
+            int, float, float]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag_is_2(self, value, fixtures_dir, capsys):
+        assert main(["lint", "--measure", str(fixtures_dir / "chair.json"),
+                     "--radius", value]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "ValidationError"
 
     def test_negative_enumeration_bound_is_2(self, fixtures_dir, capsys):
         code = main(["directions", "--measure", str(fixtures_dir / "chair.json"),

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import gen
 from dirspec import fourier as FT
 from dirspec import measure as M
-from dirspec.errors import ValidationError
+from dirspec.errors import ClosureBoundError, ValidationError
 from dirspec.fourier import EstimatorConfig
 from dirspec.linalg import AffineCarrier, Subspace, as_vector, zero_vector
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
@@ -249,22 +250,66 @@ class TestPeriodized:
         assert abs(v) <= 1.0 + 1e-9
 
 
+class TestSobol:
+    @pytest.mark.parametrize("d", range(1, FT.SOBOL_DIMS + 1))
+    def test_matches_the_reference_engine(self, d):
+        # the same bytes as scipy's LMS+shift Sobol engine: a power-of-2
+        # count, a non-power-of-2 count and a continuation draw
+        qmc = pytest.importorskip("scipy.stats").qmc
+        for seed in (0, 7, 20221112):
+            for n in (64, 400):
+                sampler = qmc.Sobol(d=d, scramble=True, seed=seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+                    head, tail = sampler.random(n), sampler.random(2 * n)
+                assert FT._sobol(d, seed, 0, n).tobytes() == head.tobytes(), (seed, n)
+                assert FT._sobol(d, seed, n, 2 * n).tobytes() == tail.tobytes(), (seed, n)
+
+    def test_too_many_dimensions_is_refused(self):
+        with pytest.raises(ClosureBoundError, match="32 dimensions"):
+            FT._sobol(FT.SOBOL_DIMS + 1, 0, 0, 8)
+
+    def test_past_the_period_is_refused_before_allocating(self):
+        period = 1 << FT.SOBOL_BITS
+        with pytest.raises(ClosureBoundError):
+            FT._sobol(1, 0, period - 4, 5)
+        with pytest.raises(ClosureBoundError):
+            FT.wiener_mass(SymbolicMeasure.make(EUCLID, 2, QQ, [atom([0, 0])]), E1, None,
+                           EstimatorConfig(samples=period // 4 + 1))
+        assert FT._sobol(1, 0, period - 4, 4).shape == (4, 1)
+
+
 class TestLazyScipy:
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.stats takes about a second to import; only drawing Sobol
-        # points may load it
+        # the Sobol points are drawn with numpy alone: nothing loads scipy
         code = "\n".join([
             "import sys, dirspec, dirspec.cli",
             "assert 'scipy' not in sys.modules, 'scipy loaded at import'",
-            "from dirspec.fourier import EstimatorConfig, wiener_mass",
+            "from dirspec.fourier import EstimatorConfig, rajchman_probe, wiener_mass",
             "from dirspec.linalg import Subspace, as_vector",
             "from dirspec.measure import EUCLID, Atom, SymbolicMeasure",
             "from dirspec.scalar import QQ",
             "m = SymbolicMeasure.make(EUCLID, 2, QQ, [Atom(as_vector(QQ, [0, 0]))])",
-            "est = wiener_mass(m, Subspace.from_vectors(QQ, 2, [[1, 0]]), None,",
-            "                  EstimatorConfig(samples=64))",
+            "line = Subspace.from_vectors(QQ, 2, [[1, 0]])",
+            "est = wiener_mass(m, line, None, EstimatorConfig(samples=64))",
             "assert abs(est.estimate - 1) < 1e-12, est",
-            "assert 'scipy' in sys.modules",
+            "assert rajchman_probe(m, line, [10.0]).sup_values == (1.0,)",
+            "assert 'scipy' not in sys.modules",
+        ])
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fourier_check_leaves_scipy_unloaded(self, fixtures_dir):
+        code = "\n".join([
+            "import contextlib, io, sys, dirspec.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert dirspec.cli.main(['fourier-check', '--measure', "
+            f"{str(fixtures_dir / 'product_bernoulli.json')!r}, '--directions', "
+            f"{str(fixtures_dir / 'axes_and_diagonal.json')!r}, '--samples', '256']) == 0",
+            "assert 'numpy' in sys.modules",
+            "assert 'scipy' not in sys.modules",
         ])
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

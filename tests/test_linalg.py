@@ -405,9 +405,9 @@ class TestLattices:
 
     @pytest.mark.parametrize("gens", [[[0.5, 1]], [[1.9, 1]], [[1, -0.1]],
                                       [["1", 0]], [[None, 1]], [[float("inf"), 1]],
-                                      [[Fraction(1, 2), 1]]])
+                                      [[Fraction(1, 2), 1]], [[True, 1]], [[2, False]]])
     def test_non_integer_generator_rejected(self, gens):
-        # int() would truncate these silently: 0.5 -> 0, 1.9 -> 1
+        # int() would truncate these silently: 0.5 -> 0, 1.9 -> 1, true -> 1
         with pytest.raises(ValidationError):
             LatticeSubgroup.from_generators(2, gens)
 
