@@ -201,24 +201,13 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
 
 
 @dataclass(frozen=True)
-class ParametricFamily:
-    """Torus family {span(K, offset - n)^perp : n in Z^d} from one component."""
-
-    subspace: Subspace
-    offset: FieldVector
-
-    def encode(self) -> dict:
-        return {"subspace": self.subspace.encode(),
-                "offset": [x.encode() for x in self.offset]}
-
-
-@dataclass(frozen=True)
 class ConciseSet:
     space: str
     dim: int
     fieldspec: FieldSpec
     subspaces: tuple[Subspace, ...]
-    parametric_families: tuple[ParametricFamily, ...] = ()
+    # each carrier K + offset names the torus family {span(K, offset - n)^perp : n in Z^d}
+    parametric_families: tuple[AffineCarrier, ...] = ()
     group_families: tuple[AtomGroup, ...] = ()
 
     def contains_direction(self, direction: Subspace) -> bool:
@@ -329,37 +318,23 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
     if "nonergodic_concise" in m.memo:
         return m.memo["nonergodic_concise"]
     explicit: list[Subspace] = []
-    parametric: list[ParametricFamily] = []
+    parametric: list[AffineCarrier] = []
     groups: list[AtomGroup] = []
-    shifts = m.class_space == TORUS
-    zero = Subspace.zero(m.field, m.dim)
     for comp in m.components:
-        if isinstance(comp, Atom):
-            if shifts:
-                parametric.append(ParametricFamily(zero, comp.point))
-            else:
-                explicit.append(Subspace.from_vectors(
-                    m.field, m.dim, [comp.point]).orthocomplement())
-        elif isinstance(comp, BoxLebesgue):
-            if comp.carrier.is_linear():
-                explicit.append(comp.carrier.subspace.orthocomplement())
-            elif shifts:
-                parametric.append(ParametricFamily(comp.carrier.subspace,
-                                                   comp.carrier.offset))
-            else:
-                explicit.append(
-                    comp.carrier.affine_hull_through_origin().orthocomplement())
-        else:
+        if isinstance(comp, AtomGroup):
             groups.append(comp)
+        elif comp.carrier.is_linear():
+            explicit.append(comp.carrier.subspace.orthocomplement())
+        elif m.class_space == TORUS:  # a torus atom's family is its own carrier
+            parametric.append(comp.carrier)
+        else:
+            explicit.append(comp.carrier.affine_hull_through_origin().orthocomplement())
     hull = _concise_hull(explicit)
     # drop families all of whose members are subordinate to an explicit member
-    kept_param = []
-    for fam in parametric:
-        if any(s.orthocomplement().leq(fam.subspace) for s in hull):
-            continue
-        kept_param.append(fam)
+    kept_param = tuple(fam for fam in parametric
+                       if not any(s.orthocomplement().leq(fam.subspace) for s in hull))
     return m.memo.setdefault("nonergodic_concise", ConciseSet(
-        m.class_space, m.dim, m.field, hull, tuple(kept_param), tuple(groups)))
+        m.class_space, m.dim, m.field, hull, kept_param, tuple(groups)))
 
 
 def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
@@ -369,12 +344,9 @@ def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
         raise NotReducedError("measure contains delta_0")
     if "nonwm_concise" in m.memo:
         return m.memo["nonwm_concise"]
-    explicit: list[Subspace] = []
-    for comp in m.components:
-        if isinstance(comp, (Atom, AtomGroup)):
-            explicit.append(Subspace.full(m.field, m.dim))
-        else:
-            explicit.append(comp.carrier.subspace.orthocomplement())
+    # an atom's zero carrier has the full space as its perp
+    explicit = [Subspace.full(m.field, m.dim) if isinstance(comp, AtomGroup)
+                else comp.carrier.subspace.orthocomplement() for comp in m.components]
     return m.memo.setdefault("nonwm_concise", ConciseSet(m.class_space, m.dim, m.field,
                                                           _concise_hull(explicit)))
 
@@ -418,11 +390,9 @@ def _eigenvalue_carriers(m: SymbolicMeasure, direction: Subspace
     torus).  This is the one place that decides which components carry them."""
     out = []
     for i, comp in enumerate(m.components):
-        if isinstance(comp, Atom):
-            out.append((i, comp.point, ()))
-        elif isinstance(comp, AtomGroup):
+        if isinstance(comp, AtomGroup):
             out.append((i, comp.offset, comp.generators))
-        elif comp.carrier.subspace.orthogonal_to(direction):
+        elif comp.carrier.subspace.orthogonal_to(direction):  # always for an atom
             out.append((i, comp.carrier.offset, ()))
     return out
 

@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
             inputs["measure"] = m.encode()
         report = {"tool": "dirspec", "version": __version__, "command": args.command,
                   "config": cfg.encode(), "inputs": inputs, "result": result}
-        text = json.dumps(report, sort_keys=True, indent=2) if args.json \
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) if args.json \
             else _render_text(args.command, result)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -1,23 +1,25 @@
 """Floating-point Fourier oracle for symbolic measure representatives.
 
-Closed-form transforms (atoms: characters; boxes: products of sinc factors
-for the centered-zonotope representative), a quasi-Monte-Carlo directional
-Wiener estimator for wall masses, Rajchman decay probes along directions,
-and coset-constancy checks.  Everything is seeded and deterministic; this
-module is the independent numerical check on the exact classifier.  numpy
-is imported only inside the functions that compute floats, so importing this
-module (and with it the exact commands) loads only the standard library.
-The Sobol points are drawn here with numpy alone (``_sobol``).
+Closed-form transforms (boxes: a character times sinc factors for the
+centered-zonotope representative; an atom is the box with none), a
+quasi-Monte-Carlo directional Wiener estimator for wall masses, Rajchman
+decay probes along directions, and coset-constancy checks.  Everything is
+seeded and deterministic; this module is the independent numerical check on
+the exact classifier.  numpy is imported only inside the functions that
+compute floats, so importing this module (and with it the exact commands)
+loads only the standard library.  The Sobol points are drawn here with numpy
+alone (``_sobol``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import product
 
 from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
                      check_enumeration)
 from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
-from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure,
+from .measure import (TORUS, AtomGroup, BoxLebesgue, SymbolicMeasure,
                       coefficient_pool, coefficient_pool_size)
 
 DIRECTIONS_PER_RADIUS = 64  # sampled points per radius in ``rajchman_probe``
@@ -125,19 +127,16 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
     check_truncations(m, cfg)
     out = np.zeros(t.shape[0], dtype=complex)
     for comp in m.components:
-        if isinstance(comp, Atom):
-            a = _floats(comp.point)
-            out += float(comp.weight) * np.exp(-2j * np.pi * (t @ a))
-        elif isinstance(comp, BoxLebesgue):
-            o = _floats(comp.rep_center())
-            val = float(comp.weight) * np.exp(-2j * np.pi * (t @ o))
-            for g in comp.generators:
-                val = val * np.sinc(t @ _floats(g))
-            out += val
-        else:
+        if isinstance(comp, AtomGroup):
             pts, ws = group_representative(comp, m.space, cfg.group_truncation)
             for p, w in zip(pts, ws):
                 out += w * np.exp(-2j * np.pi * (t @ p))
+            continue
+        # an atom is a box with no sinc factors
+        val = float(comp.weight) * np.exp(-2j * np.pi * (t @ _floats(comp.rep_center())))
+        for g in comp.generators:
+            val = val * np.sinc(t @ _floats(g))
+        out += val
     if m.periodized:
         out = out * _periodization_factor(m.dim, t, cfg.periodization_truncation)
     return out
@@ -246,15 +245,24 @@ def _sobol(d: int, seed: int, start: int, n: int) -> np.ndarray:
 
 
 def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
+    """The first ``samples`` Sobol points, scaled to the cube [-radius, radius]^e,
+    that lie in its inscribed ball.  The prefix is drawn in chunks (max(8,
+    4 samples) points, then 8 samples at a time) until enough fall inside.  A
+    draw whose expected length, samples over the ball's share
+    pi^(e/2) / (Gamma(e/2 + 1) 2^e) of the cube, passes the sequence is
+    refused before any point is drawn."""
     import numpy as np
-    first = max(8, 4 * samples)
-    raw = _sobol(e, seed, 0, first)
-    cube = (2.0 * raw - 1.0) * radius
-    inside = cube[np.linalg.norm(cube, axis=1) <= radius]
-    if inside.shape[0] < samples:  # pathological; top up deterministically
-        extra = _sobol(e, seed, first, 8 * samples)
-        cube = np.vstack([cube, (2.0 * extra - 1.0) * radius])
-        inside = cube[np.linalg.norm(cube, axis=1) <= radius]
+    log2_need = math.log2(samples) + e + (math.lgamma(e / 2 + 1) - e / 2 * math.log(math.pi)) \
+        / math.log(2)
+    if log2_need > SOBOL_BITS and e <= SOBOL_DIMS:  # past the table, ``_sobol`` refuses
+        raise ClosureBoundError(f"{samples} points in a {e}-dimensional ball need about "
+                                f"2**{log2_need:.1f} Sobol points; the sequence has "
+                                f"2**{SOBOL_BITS} points")
+    inside, start, n = np.empty((0, e)), 0, max(8, 4 * samples)
+    while inside.shape[0] < samples:
+        cube = (2.0 * _sobol(e, seed, start, n) - 1.0) * radius
+        inside = np.vstack([inside, cube[np.linalg.norm(cube, axis=1) <= radius]])
+        start, n = start + n, 8 * samples
     return inside[:samples]
 
 
@@ -296,20 +304,16 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
     perp = direction.orthocomplement()
     mass = 0.0
     for comp in m.components:
-        if isinstance(comp, Atom):
-            if perp.contains(vec_sub(comp.point, ell_vec)):
-                mass += float(comp.weight)
-        elif isinstance(comp, BoxLebesgue):
-            if comp.carrier.subspace.leq(perp) and \
-                    perp.contains(vec_sub(comp.rep_center(), ell_vec)):
-                mass += float(comp.weight)
-        else:
+        if isinstance(comp, AtomGroup):
             pts, ws = group_representative(comp, m.space, cfg.group_truncation)
             perp_b = np.array([[float(x) for x in row] for row in direction.basis])
             ell_f = _floats(ell_vec)
             for p, w in zip(pts, ws):
                 if np.max(np.abs(perp_b @ (p - ell_f))) < 1e-9:
                     mass += w
+        elif comp.carrier.subspace.leq(perp) and \
+                perp.contains(vec_sub(comp.rep_center(), ell_vec)):  # atoms and boxes
+            mass += float(comp.weight)
     return mass
 
 
@@ -333,6 +337,8 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> DecayProfile:
     """sup |ft| over sampled points of norm r in L, for each radius r."""
     import numpy as np
+    if not all(math.isfinite(r) for r in radii):
+        raise ValidationError(f"decay radii must be finite, got {list(radii)}")
     onb = _orthonormal_basis(direction)
     raw = 2.0 * _sobol(direction.dim, cfg.seed, 0, DIRECTIONS_PER_RADIUS) - 1.0
     norms = np.linalg.norm(raw, axis=1)

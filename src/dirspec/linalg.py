@@ -269,6 +269,8 @@ class Subspace:
         return all(vec_dot(u, v).is_zero() for u in self.basis for v in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
+        if self.is_zero():  # keeps other's object and its memo
+            return other
         if other.leq(self):  # one reduction per row instead of an elimination
             return self
         return Subspace.from_vectors(self.field, self.ambient,
@@ -323,7 +325,9 @@ class Subspace:
 
 @dataclass(frozen=True)
 class AffineCarrier:
-    """Affine subset K + offset with the offset reduced orthogonal to K."""
+    """Affine subset K + offset with the offset reduced orthogonal to K.  A
+    torus concise set reads it as the family {span(K, offset - n)^perp : n in
+    Z^d} (``classify.ConciseSet``)."""
 
     subspace: Subspace
     offset: FieldVector
@@ -346,9 +350,6 @@ class AffineCarrier:
     def is_linear(self) -> bool:
         return vec_is_zero(self.offset)
 
-    def translate(self, v: FieldVector) -> "AffineCarrier":
-        return AffineCarrier.make(self.subspace, vec_add(self.offset, v))
-
     def affine_hull_through_origin(self) -> Subspace:
         """span(K, offset): the smallest subspace containing the carrier."""
         return Subspace.from_vectors(
@@ -356,9 +357,8 @@ class AffineCarrier:
             list(self.subspace.basis) + ([self.offset] if not self.is_linear() else []))
 
     def encode(self) -> dict:
-        d = self.subspace.encode()
-        d["offset"] = [x.encode() for x in self.offset]
-        return d
+        return {"subspace": self.subspace.encode(),
+                "offset": [x.encode() for x in self.offset]}
 
 
 def promote_vector(v: FieldVector, field: FieldSpec) -> FieldVector:

@@ -2,7 +2,8 @@
 
 A measure is a finite list of components over one field:
 
-* ``Atom``        -- a point mass,
+* ``Atom``        -- a point mass: the zero-dimensional box, read through
+                     the same ``carrier``/``generators``/``rep_center``,
 * ``BoxLebesgue`` -- the Lebesgue class on an affine carrier K + offset,
                      with a centered-zonotope representative (its Fourier
                      transform is an exact product of sinc factors),
@@ -24,6 +25,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError, check_enumeration)
@@ -53,12 +55,24 @@ def _check_weight(w) -> Fraction:
 
 @dataclass(frozen=True)
 class Atom:
+    """The point mass at ``point``: a box on the zero subspace, no generators."""
+
     point: FieldVector
     weight: Fraction = Fraction(1)
+
+    generators = ()
 
     @property
     def dim(self) -> int:
         return 0
+
+    @cached_property
+    def carrier(self) -> AffineCarrier:
+        # cached in the instance dict: no part of ==, hash or repr
+        return AffineCarrier(Subspace.zero(self.point[0].field, len(self.point)), self.point)
+
+    def rep_center(self) -> FieldVector:
+        return self.point
 
     def encode(self) -> dict:
         return {"kind": "atom",
@@ -529,32 +543,25 @@ def translate(m: SymbolicMeasure, v) -> SymbolicMeasure:
 
 
 def _convolve_pair(a: Component, b: Component) -> Component:
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return Atom(vec_add(a.point, b.point), a.weight * b.weight)
-    if isinstance(a, Atom) and isinstance(b, BoxLebesgue):
-        return BoxLebesgue(b.carrier.translate(a.point), b.generators,
-                           vec_add(b.rep_center(), a.point), a.weight * b.weight)
-    if isinstance(a, BoxLebesgue) and isinstance(b, Atom):
-        return _convolve_pair(b, a)
-    if isinstance(a, Atom) and isinstance(b, AtomGroup):
-        return AtomGroup(b.generators, b.ring, vec_add(b.offset, a.point),
-                         a.weight * b.weight)
-    if isinstance(a, AtomGroup) and isinstance(b, Atom):
-        return _convolve_pair(b, a)
-    if isinstance(a, BoxLebesgue) and isinstance(b, BoxLebesgue):
+    """Atoms and boxes add their carriers; a group takes an atom as a shift,
+    or another group over the same ring."""
+    weight = a.weight * b.weight
+    if not isinstance(a, AtomGroup) and not isinstance(b, AtomGroup):
         sub = a.carrier.subspace.sum_with(b.carrier.subspace)
         center = vec_add(a.rep_center(), b.rep_center())
-        gens = a.generators + b.generators
-        return BoxLebesgue(AffineCarrier.make(sub, center), gens, center,
-                           a.weight * b.weight)
-    if isinstance(a, AtomGroup) and isinstance(b, AtomGroup):
-        if a.ring != b.ring:
-            raise UnsupportedConvolutionError(
-                "convolution of atom groups over different rings is not representable")
-        return AtomGroup(a.generators + b.generators, a.ring,
-                         vec_add(a.offset, b.offset), a.weight * b.weight)
-    raise UnsupportedConvolutionError(
-        "atom group * box has no finite carrier description")
+        return BoxLebesgue(AffineCarrier.make(sub, center), a.generators + b.generators,
+                           center, weight)
+    group, other = (a, b) if isinstance(a, AtomGroup) else (b, a)
+    if isinstance(other, Atom):
+        return AtomGroup(group.generators, group.ring, vec_add(group.offset, other.point),
+                         weight)
+    if isinstance(other, BoxLebesgue):
+        raise UnsupportedConvolutionError(
+            "atom group * box has no finite carrier description")
+    if a.ring != b.ring:
+        raise UnsupportedConvolutionError(
+            "convolution of atom groups over different rings is not representable")
+    return AtomGroup(a.generators + b.generators, a.ring, vec_add(a.offset, b.offset), weight)
 
 
 def convolve(m1: SymbolicMeasure, m2: SymbolicMeasure) -> SymbolicMeasure:
@@ -655,9 +662,7 @@ def pushforward_subgroup(m: SymbolicMeasure, h: LatticeSubgroup
 
     comps: list[Component] = []
     for c in m.components:
-        if isinstance(c, Atom):
-            comps.append(Atom(mat_vec(rows, c.point), c.weight))
-        elif isinstance(c, AtomGroup):
+        if isinstance(c, AtomGroup):
             # a genuine source atom landing on 0 in the quotient: the pushed class
             # has an explicit point mass there on top of the image group
             if group_atom_on_coset(TORUS, c, rows, zero_vector(field, e), units):
@@ -665,7 +670,7 @@ def pushforward_subgroup(m: SymbolicMeasure, h: LatticeSubgroup
             comps.append(AtomGroup(tuple(mat_vec(rows, g) for g in c.generators), c.ring,
                                    mat_vec(rows, c.offset), c.weight))
         else:
-            # a box collapsing to a point becomes an atom in ``make``
+            # an atom, or a box collapsing to a point, becomes an atom in ``make``
             image_gens = [mat_vec(rows, g) for g in c.generators]
             image_gens = [g for g in image_gens if not vec_is_zero(g)]
             center = mat_vec(rows, c.rep_center())
@@ -698,18 +703,14 @@ def promote_field(m: SymbolicMeasure, field: FieldSpec) -> SymbolicMeasure:
         return m
     comps: list[Component] = []
     for c in m.components:
-        if isinstance(c, Atom):
-            comps.append(Atom(promote_vector(c.point, field), c.weight))
-        elif isinstance(c, BoxLebesgue):
+        gens = tuple(promote_vector(g, field) for g in c.generators)
+        if isinstance(c, AtomGroup):
+            comps.append(AtomGroup(gens, c.ring, promote_vector(c.offset, field), c.weight))
+        else:  # an atom comes back from ``make`` as an atom
             sub = promote_subspace(c.carrier.subspace, field)
             comps.append(BoxLebesgue(
                 AffineCarrier.make(sub, promote_vector(c.carrier.offset, field)),
-                tuple(promote_vector(g, field) for g in c.generators),
-                promote_vector(c.rep_center(), field), c.weight))
-        else:
-            comps.append(AtomGroup(
-                tuple(promote_vector(g, field) for g in c.generators), c.ring,
-                promote_vector(c.offset, field), c.weight))
+                gens, promote_vector(c.rep_center(), field), c.weight))
     return SymbolicMeasure.make(m.space, m.dim, field, comps, m.periodized)
 
 

@@ -19,6 +19,7 @@ the two functions that compute float arrays.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
@@ -309,8 +310,7 @@ def observable_measure(model: ActionModel, observable: str) -> SymbolicMeasure:
         for i in rot_coords:
             alpha = model.factors[i].alpha
             shift = tuple(x - alpha if j == i else x for j, x in enumerate(shift))
-        if not box_coords:
-            return SymbolicMeasure.make(TORUS, d, field, [Atom(vec_mod1(shift))])
+        # no Bernoulli coordinate: the zero-dimensional box, an atom after ``make``
         sub = Subspace.from_vectors(field, d,
                                     [unit_vector(field, d, i) for i in box_coords])
         comp = BoxLebesgue(AffineCarrier.make(sub, shift), sub.basis,
@@ -401,8 +401,11 @@ class CrosscheckReport:
 def crosscheck(model: ActionModel, bound: int = 10,
                tol: float = 1e-12) -> CrosscheckReport:
     """Assert ft(observable measure, n) == correlation(n) on |n|_inf <= bound."""
+    if bound < 0 or not math.isfinite(tol):
+        raise ValidationError(f"the crosscheck needs a bound >= 0 and a finite tolerance, "
+                              f"got {bound} and {tol}")
     d = model.dim
-    check_enumeration(_observable_count(model) * bounded_power(max(0, 2 * bound + 1), d),
+    check_enumeration(_observable_count(model) * bounded_power(2 * bound + 1, d),
                       "the crosscheck (observables x grid points)")
     import numpy as np
 

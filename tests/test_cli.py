@@ -11,6 +11,7 @@ import pytest
 
 import dirspec
 from dirspec import cli
+from dirspec import fourier as FT
 from dirspec import measure as M
 from dirspec.cli import main
 from dirspec.fourier import EstimatorConfig
@@ -353,6 +354,44 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err)["error"]
             assert err["kind"] == "ClosureBoundError" and message in err["message"]
 
+    def test_high_dimensional_ball_is_4_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # 4096 points in the 20-ball need about 2**37 Sobol points: refused before
+        # any point is drawn, where the report used to hold a NaN estimate
+        dim = 20
+        measure, directions = tmp_path / "m.json", tmp_path / "d.json"
+        measure.write_text(json.dumps({"space": "torus", "dim": dim, "components": [
+            {"kind": "atom", "point": ["1/3"] + ["0"] * (dim - 1)}]}))
+        directions.write_text(json.dumps({"dim": dim, "directions": [{"basis": [
+            ["1" if i == j else "0" for i in range(dim)] for j in range(dim)]}]}))
+
+        def no_draw(*args):
+            raise AssertionError("no Sobol point may be drawn")
+
+        monkeypatch.setattr(FT, "_sobol", no_draw)
+        assert main(["fourier-check", "--measure", str(measure),
+                     "--directions", str(directions)]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "ClosureBoundError" and "20-dimensional ball" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--model", "{fx}/rotation_model.json", "--crosscheck-tolerance", "nan"],
+        ["oracle", "--model", "{fx}/rotation_model.json", "--crosscheck-tolerance", "inf"],
+        ["oracle", "--model", "{fx}/rotation_model.json", "--bound", "-1"],
+        ["fourier-check", "--measure", "{fx}/product_bernoulli.json",
+         "--directions", "{fx}/axes_and_diagonal.json", "--radii", "10", "nan"],
+        ["fourier-check", "--measure", "{fx}/product_bernoulli.json",
+         "--directions", "{fx}/axes_and_diagonal.json", "--radii", "inf"],
+    ], ids=["tolerance-nan", "tolerance-inf", "bound-negative", "radius-nan", "radius-inf"])
+    def test_non_finite_or_negative_command_flag_is_2(self, argv, fixtures_dir, capsys):
+        # each used to exit 0 or 3 with NaN in the report ("passed": true for
+        # a NaN tolerance), or to blame the evaluation points for a bound of -1
+        assert main([a.format(fx=fixtures_dir) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "ValidationError"
+        assert ("finite" if "nan" in argv or "inf" in argv else "bound >= 0") in err["message"]
+
     def test_fourier_check_refuses_periodized_before_sampling(self, fixtures_dir, tmp_path,
                                                               capsys, monkeypatch):
         # representative masses are defined for plain measures only: the
@@ -551,6 +590,11 @@ class TestGoldenReports:
           "--directions", "{fx}/axes_and_diagonal.json"]),
         ("directions_bw8.json",
          ["directions", "--measure", "{fx}/bw8.json", "--enumeration-bound", "1"]),
+        # non-empty parametric families: an atom's and a shifted box's
+        ("directions_broken_symmetry.json",
+         ["directions", "--measure", "{fx}/broken_symmetry.json"]),
+        ("directions_ergodic_not_wm.json",
+         ["directions", "--measure", "{fx}/ergodic_not_wm.json"]),
         ("lint_broken_symmetry.json",
          ["lint", "--measure", "{fx}/broken_symmetry.json"]),
         # the periodized path: suspend's output and a periodized measure

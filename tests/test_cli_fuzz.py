@@ -1,23 +1,30 @@
-"""Seeded fuzz of ``cli.main`` over mutated fixture documents.
+"""Seeded fuzz of ``cli.main`` over mutated fixture documents and numeric flags.
 
-Each case replaces one node of a fixture document (a leaf or a whole
-subtree) by a value from ``POOL`` and runs every command that reads that
-kind of document, with small caps.  Whatever the document holds, ``main``
-must end in a documented exit code (0, 2, 3 or 4) and raise nothing.
+Each document case replaces one node of a fixture document (a leaf or a
+whole subtree) by a value from ``POOL`` and runs every command that reads
+that kind of document, with small caps.  Whatever the document holds,
+``main`` must end in a documented exit code (0, 2, 3 or 4) and raise nothing.
 
 The cases are every node whose list indices are all 0 or 1 (so the first
 two entries of each list, with the top-level integer fields) crossed with
 the whole pool, plus a seeded sample of the deeper nodes.
+
+Each flag case gives one ``int`` or ``float`` flag of ``COMMANDS`` or of
+``EstimatorConfig`` a value from ``FLAG_VALUES``: it must end in a
+documented exit code too, and any report must be strict JSON (no NaN or
+infinity).
 """
 import contextlib
 import io
 import json
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
-from dirspec.cli import main
+from dirspec.cli import COMMANDS, main
+from dirspec.fourier import EstimatorConfig
 from dirspec.measure import SymbolicMeasure
 
 POOL = [None, True, 0, -1, 2.5, math.inf, math.nan, 10 ** 30, "", "x", "1/0", [], {},
@@ -137,3 +144,56 @@ def test_mutated_models(tmp_path, fixtures_dir, name):
         return [["oracle", "--model", path, "--bound", "1"]]
 
     _fuzz(tmp_path, fixtures_dir, name, commands)
+
+
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400"]
+# per command, the arguments a numeric flag of that command is added to
+FLAG_BASES = {
+    "directions": [["--measure", "{fx}/chair.json"]],
+    "realize": [["--directions", "{fx}/axes_and_diagonal.json"]],
+    "exp": [["--measure", "{fx}/broken_symmetry.json"]],
+    "fourier-check": [["--measure", "{fx}/product_bernoulli.json",
+                       "--directions", "{fx}/axes_and_diagonal.json", "--samples", "64"]],
+    "oracle": [["--model", "{fx}/rotation_model.json", "--bound", "2"]],
+}
+# the estimator flags, on boxes, on an atom group and on a periodized measure
+ESTIMATOR_BASES = FLAG_BASES["fourier-check"] + [
+    ["--measure", "{fx}/chair.json", "--directions", "{fx}/axes_and_diagonal.json",
+     "--samples", "64", "--group-truncation", "1"],
+    ["--measure", "{fx}/broken_symmetry_periodized.json",
+     "--directions", "{fx}/axes_and_diagonal.json", "--samples", "64"]]
+
+
+def _flag_cases():
+    cases = [(name, flag, base) for name, (_, _, arguments) in COMMANDS.items()
+             for flag, kwargs in arguments if kwargs.get("type") in (int, float)
+             for base in FLAG_BASES[name]]
+    cases += [("fourier-check", "--" + f.name.replace("_", "-"), base)
+              for f in fields(EstimatorConfig) for base in ESTIMATOR_BASES]
+    return cases
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_numeric_flags(fixtures_dir):
+    failures = []
+    for command, flag, base in _flag_cases():
+        for value in FLAG_VALUES:
+            argv = [command, *(a.format(fx=fixtures_dir) for a in base), f"{flag}={value}"]
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value it cannot convert
+                code = exc.code
+            if code not in (0, 2, 3, 4):
+                failures.append(f"{argv}: exit code {code}")
+            elif out.getvalue():
+                try:
+                    json.loads(out.getvalue(), parse_constant=_no_constant)
+                except ValueError as exc:
+                    failures.append(f"{argv}: {exc}")
+    assert not failures, "\n".join(failures[:20])

@@ -212,6 +212,12 @@ class TestRajchman:
         prof = FT.rajchman_probe(m, E1, [10, 100, 1000], CFG)
         assert all(abs(s - 1.0) < 1e-12 for s in prof.sup_values)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_refused(self, radius):
+        m = SymbolicMeasure.make(TORUS, 2, QQ, [atom([Fraction(1, 3), 0])])
+        with pytest.raises(ValidationError, match="finite"):
+            FT.rajchman_probe(m, E1, [10.0, radius], CFG)
+
 
 class TestCosetConstancy:
     def test_subspace_box(self):
@@ -277,6 +283,41 @@ class TestSobol:
             FT.wiener_mass(SymbolicMeasure.make(EUCLID, 2, QQ, [atom([0, 0])]), E1, None,
                            EstimatorConfig(samples=period // 4 + 1))
         assert FT._sobol(1, 0, period - 4, 4).shape == (4, 1)
+
+
+def _ball_points_one_top_up(e, radius, samples, seed):
+    """The ball sampler as it was: 4 samples cube points, then 8 samples more
+    once, so it returned fewer than ``samples`` points in high dimension."""
+    first = max(8, 4 * samples)
+    cube = (2.0 * FT._sobol(e, seed, 0, first) - 1.0) * radius
+    inside = cube[np.linalg.norm(cube, axis=1) <= radius]
+    if inside.shape[0] < samples:
+        cube = np.vstack([cube, (2.0 * FT._sobol(e, seed, first, 8 * samples) - 1.0) * radius])
+        inside = cube[np.linalg.norm(cube, axis=1) <= radius]
+    return inside[:samples]
+
+
+class TestBallPoints:
+    @pytest.mark.parametrize("e,kept", [(1, 4096), (5, 4096), (6, 3970), (8, 777)])
+    def test_exactly_samples_points_extending_the_old_ones(self, e, kept):
+        old = _ball_points_one_top_up(e, 200.0, 4096, 20221112)
+        new = FT._ball_points(e, 200.0, 4096, 20221112)
+        assert old.shape[0] == kept and new.shape == (4096, e)
+        assert new[:kept].tobytes() == old.tobytes()
+        assert np.all(np.linalg.norm(new, axis=1) <= 200.0)
+
+    def test_past_the_sequence_is_refused_before_drawing(self, monkeypatch):
+        # 4096 points in the 20-ball need about 2**37 cube points; the
+        # 16-ball is the first past 2**30 at the default samples
+        def no_draw(*args):
+            raise AssertionError("no Sobol point may be drawn")
+
+        monkeypatch.setattr(FT, "_sobol", no_draw)
+        for e in (16, 20):
+            with pytest.raises(ClosureBoundError, match="2\\*\\*30 points"):
+                FT._ball_points(e, 200.0, 4096, 20221112)
+        with pytest.raises(AssertionError):
+            FT._ball_points(15, 200.0, 4096, 20221112)
 
 
 class TestLazyScipy:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -658,6 +659,35 @@ def reference_decompose(m):
     return [reference_make(m.space, m.dim, m.field, b, m.periodized) for b in buckets]
 
 
+def reference_convolve_pair(a, b):
+    """The product rule case by case, as it was before atoms and boxes shared
+    one carrier sum."""
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        return Atom(vec_add(a.point, b.point), a.weight * b.weight)
+    if isinstance(a, Atom) and isinstance(b, BoxLebesgue):
+        carrier = AffineCarrier.make(b.carrier.subspace, vec_add(b.carrier.offset, a.point))
+        return BoxLebesgue(carrier, b.generators, vec_add(b.rep_center(), a.point),
+                           a.weight * b.weight)
+    if isinstance(a, BoxLebesgue) and isinstance(b, Atom):
+        return reference_convolve_pair(b, a)
+    if isinstance(a, Atom) and isinstance(b, AtomGroup):
+        return AtomGroup(b.generators, b.ring, vec_add(b.offset, a.point),
+                         a.weight * b.weight)
+    if isinstance(a, AtomGroup) and isinstance(b, Atom):
+        return reference_convolve_pair(b, a)
+    if isinstance(a, BoxLebesgue) and isinstance(b, BoxLebesgue):
+        sub = a.carrier.subspace.sum_with(b.carrier.subspace)
+        center = vec_add(a.rep_center(), b.rep_center())
+        return BoxLebesgue(AffineCarrier.make(sub, center), a.generators + b.generators,
+                           center, a.weight * b.weight)
+    if isinstance(a, AtomGroup) and isinstance(b, AtomGroup):
+        if a.ring != b.ring:
+            raise UnsupportedConvolutionError("atom groups over different rings")
+        return AtomGroup(a.generators + b.generators, a.ring,
+                         vec_add(a.offset, b.offset), a.weight * b.weight)
+    raise UnsupportedConvolutionError("atom group * box")
+
+
 def reference_exp(m, cap):
     space, dim, field = m.space, m.dim, m.field
 
@@ -679,7 +709,7 @@ def reference_exp(m, cap):
         for a in pool:
             for b in frontier:
                 keyed = M._canonicalize_component(
-                    space, dim, field, norm(M._convolve_pair(a, b)))
+                    space, dim, field, norm(reference_convolve_pair(a, b)))
                 if keyed is not None and not seen(norm(keyed[0]), pool) \
                         and not seen(norm(keyed[0]), new):
                     new.append(norm(keyed[0]))
@@ -892,6 +922,7 @@ class TestClassKeyDifferential:
     def test_exp_matches_pairwise_rule(self):
         rng = random.Random(23)
         sizes = []
+        kinds = Counter()
         for space, field, dim, raws in self._random_measures(rng, 25):
             m = SymbolicMeasure.make(space, dim, field, raws[:2])
             try:
@@ -903,7 +934,54 @@ class TestClassKeyDifferential:
             got = M.exp(m, cap=24)
             assert got == expected
             sizes.append(len(got.components))
+            kinds.update({(space, type(c).__name__) for c in m.components})
         assert len(sizes) > 8 and max(sizes) > 3, sizes
+        # the closures that complete include torus boxes and atom groups
+        assert kinds[(TORUS, "BoxLebesgue")] > 2 \
+            and kinds[(TORUS, "AtomGroup")] + kinds[(EUCLID, "AtomGroup")] > 2, kinds
+
+    def test_convolve_pair_matches_case_rule(self):
+        """The carrier sum against the case-by-case rule on seeded pairs of
+        canonical components: the same class after ``make``, and, when both
+        factors have center == offset (as ``exp`` normalizes them), the same
+        raw carrier offset."""
+        rng = random.Random(37)
+        seen = Counter()
+        for _ in range(24):
+            space, field, dim = rng.choice((EUCLID, TORUS)), rng.choice((QQ, F2)), \
+                rng.randint(1, 3)
+            draws = [_general, _groups(rng.choice("ZQ")),
+                     lambda rng, space, field, dim: [gen.rand_atom(rng, field, dim)]]
+            if field != QQ and dim > 1:
+                draws.append(_irrational_torus_boxes)
+            pool = [c for draw in draws for c in (_canonical(space, dim, field, r)
+                                                 for r in draw(rng, space, field, dim)) if c]
+            for a, b in itertools.product(pool, repeat=2):
+                seen[(space, type(a).__name__, type(b).__name__)] += 1
+                seen["irrational torus box"] += space == TORUS and isinstance(a, BoxLebesgue) \
+                    and not all(x.is_rational() for row in a.carrier.subspace.basis for x in row)
+                try:
+                    expected = reference_convolve_pair(a, b)
+                except UnsupportedConvolutionError:
+                    with pytest.raises(UnsupportedConvolutionError):
+                        M._convolve_pair(a, b)
+                    continue
+                got = M._convolve_pair(a, b)
+                assert SymbolicMeasure.make(space, dim, field, [got]) \
+                    == SymbolicMeasure.make(space, dim, field, [expected]), (a, b)
+                if isinstance(got, AtomGroup):
+                    continue
+                a0, b0 = (BoxLebesgue(c.carrier, c.carrier.subspace.basis, c.carrier.offset,
+                                      c.weight) if isinstance(c, BoxLebesgue) else c
+                          for c in (a, b))
+                got, expected = M._convolve_pair(a0, b0), reference_convolve_pair(a0, b0)
+                want = expected.point if isinstance(expected, Atom) else expected.carrier.offset
+                assert got.carrier.offset == want, (a0, b0)
+        for kinds in [("Atom", "Atom"), ("Atom", "BoxLebesgue"), ("BoxLebesgue", "Atom"),
+                      ("BoxLebesgue", "BoxLebesgue"), ("AtomGroup", "Atom"),
+                      ("AtomGroup", "AtomGroup"), ("AtomGroup", "BoxLebesgue")]:
+            assert seen[(EUCLID, *kinds)] > 5 and seen[(TORUS, *kinds)] > 5, (kinds, seen)
+        assert seen["irrational torus box"] > 20, seen
 
     def test_exp_matches_pairwise_rule_on_hyperplane_family(self):
         """The Lebesgue classes on the normal lines of 5 seeded hyperplanes in
