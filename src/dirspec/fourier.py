@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import product
+from collections.abc import Iterable, Iterator
+from itertools import chain, product, repeat
 
 from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
                      check_enumeration)
@@ -41,6 +42,9 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.samples < 1 or self.radius <= 0:
             raise ValidationError("need samples >= 1 and radius > 0")
+        for name in ("seed", "periodization_truncation", "group_truncation"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def encode(self) -> dict:
         return asdict(self)
@@ -211,11 +215,16 @@ def _sobol(d: int, seed: int, start: int, n: int) -> np.ndarray:
     with linear matrix scrambling and a digital shift (Matousek 1998), drawn
     from ``default_rng(seed)``: bit for bit the points of the reference
     engine that ``tests/test_fourier.py`` compares against."""
+    return next(_sobol_chunks(d, seed, start, [n]))
+
+
+def _sobol_chunks(d: int, seed: int, start: int, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+    """The ``_sobol`` points from ``start`` on, in chunks of ``sizes`` points:
+    the shift and the scrambled direction numbers are built once, and each
+    chunk continues from the Gray code of its first point."""
     import numpy as np
     if d > SOBOL_DIMS:
         raise ClosureBoundError(f"the Sobol table has {SOBOL_DIMS} dimensions, not {d}")
-    if start + n > 1 << SOBOL_BITS:
-        raise ClosureBoundError(f"the Sobol sequence has 2**{SOBOL_BITS} points, not {start + n}")
     rng = np.random.default_rng(seed)
     shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) \
         @ (1 << np.arange(SOBOL_BITS, dtype=np.uint32))
@@ -236,12 +245,17 @@ def _sobol(d: int, seed: int, start: int, n: int) -> np.ndarray:
     # bit 29 - p of scrambled v_j: the parity of v_j and row p of L (column 0 on top)
     parity = np.bitwise_count((lower @ top)[:, :, None] & v[:, None, :]) & 1
     sv = (parity * top[:, None]).sum(axis=1, dtype=np.uint32)
-    # point k: the shift xor each sv_b, b a bit of k's Gray code; k + 1 adds sv_ctz(k + 1)
-    gray = (start ^ start >> 1) >> np.arange(SOBOL_BITS) & 1
-    first = shift ^ np.bitwise_xor.reduce(sv[:, gray == 1], axis=1)
-    k = np.arange(start + 1, start + n, dtype=np.int64)
-    steps = sv[:, np.bitwise_count((k & -k) - 1)].T
-    return np.bitwise_xor.accumulate(np.vstack([first, steps]), axis=0) * 2.0 ** -SOBOL_BITS
+    for n in sizes:
+        if start + n > 1 << SOBOL_BITS:
+            raise ClosureBoundError(
+                f"the Sobol sequence has 2**{SOBOL_BITS} points, not {start + n}")
+        # point k: the shift xor each sv_b, b a bit of k's Gray code; k + 1 adds sv_ctz(k + 1)
+        gray = (start ^ start >> 1) >> np.arange(SOBOL_BITS) & 1
+        first = shift ^ np.bitwise_xor.reduce(sv[:, gray == 1], axis=1)
+        k = np.arange(start + 1, start + n, dtype=np.int64)
+        steps = sv[:, np.bitwise_count((k & -k) - 1)].T
+        yield np.bitwise_xor.accumulate(np.vstack([first, steps]), axis=0) * 2.0 ** -SOBOL_BITS
+        start += n
 
 
 def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
@@ -254,15 +268,15 @@ def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
     import numpy as np
     log2_need = math.log2(samples) + e + (math.lgamma(e / 2 + 1) - e / 2 * math.log(math.pi)) \
         / math.log(2)
-    if log2_need > SOBOL_BITS and e <= SOBOL_DIMS:  # past the table, ``_sobol`` refuses
+    if log2_need > SOBOL_BITS and e <= SOBOL_DIMS:  # past the table, ``_sobol_chunks`` refuses
         raise ClosureBoundError(f"{samples} points in a {e}-dimensional ball need about "
                                 f"2**{log2_need:.1f} Sobol points; the sequence has "
                                 f"2**{SOBOL_BITS} points")
-    inside, start, n = np.empty((0, e)), 0, max(8, 4 * samples)
+    chunks = _sobol_chunks(e, seed, 0, chain([max(8, 4 * samples)], repeat(8 * samples)))
+    inside = np.empty((0, e))
     while inside.shape[0] < samples:
-        cube = (2.0 * _sobol(e, seed, start, n) - 1.0) * radius
+        cube = (2.0 * next(chunks) - 1.0) * radius
         inside = np.vstack([inside, cube[np.linalg.norm(cube, axis=1) <= radius]])
-        start, n = start + n, 8 * samples
     return inside[:samples]
 
 

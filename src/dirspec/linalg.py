@@ -13,7 +13,10 @@ basis of ``Subspace.project_all`` and the torus box-offset reduction),
 ``meets_orthocomplement`` (a rank), ``saturate`` (one triangular solve),
 ``rationality``, ``pose_lattice_coset`` (the rational unknowns) and
 ``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
-output, and every dot product is the fused ``scalar.vec_dot``.  ``flatten``
+output, and every dot product is the fused ``scalar.vec_dot``.  The trivial
+cases eliminate nothing: the orthocomplement of the zero or the full space,
+``leq`` under the full space or itself, and ``meets_orthocomplement`` with a
+smaller other.  ``flatten``
 is the one map from field vectors to rational coordinates over the field
 basis; the solver rows, the class keys and the torus wall keys all use it.
 
@@ -261,6 +264,8 @@ class Subspace:
 
     def leq(self, other: "Subspace") -> bool:
         self._check_compatible(other)
+        if self is other or other.is_full():
+            return True
         return all(other.contains(row) for row in self.basis)
 
     def orthogonal_to(self, other: "Subspace") -> bool:
@@ -277,6 +282,10 @@ class Subspace:
                                      list(self.basis) + list(other.basis))
 
     def orthocomplement(self) -> "Subspace":
+        if self.is_zero():
+            return Subspace.full(self.field, self.ambient)
+        if self.is_full():
+            return Subspace.zero(self.field, self.ambient)
         # the basis is already in RREF: its pivots are the leading entries
         pivots = [next(j for j, x in enumerate(row) if not x.is_zero())
                   for row in self.basis]
@@ -286,8 +295,10 @@ class Subspace:
 
     def meets_orthocomplement(self, other: "Subspace") -> bool:
         """self cap other^perp != 0: the matrix of dot products of the two
-        bases has rank below dim self (an empty other has rank 0)."""
+        bases has rank below dim self.  Its rank is at most dim other."""
         self._check_compatible(other)
+        if other.dim < self.dim:
+            return True
         _, pivots = rref_field([[vec_dot(u, v) for v in other.basis] for u in self.basis])
         return len(pivots) < self.dim
 

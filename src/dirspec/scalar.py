@@ -10,7 +10,9 @@ have equal tuples.  The product of basis elements i and j is basis element
 ``i ^ j`` times the radicand of ``i & j`` (shared radicals square to their
 radicand); each field precomputes that table once, and every product, norm,
 sign test and dot product (``vec_dot``) runs on integers over it.  Plain Q
-(one coefficient) takes a short path through addition and multiplication.
+(one coefficient) takes a short path through addition, multiplication and
+``vec_dot``.  Each roots tuple has one ``FieldSpec`` object, so scalars
+compare their fields by identity.
 
 The only predicates the rest of the toolkit needs are exact equality with
 zero and field arithmetic; no total ordering is exposed.  The one
@@ -58,18 +60,20 @@ def _product_table(roots: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...],
     return tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FieldSpec:
-    """The real field Q(sqrt(m) for m in roots); roots = () is plain Q."""
+    """The real field Q(sqrt(m) for m in roots); roots = () is plain Q.  One object per
+    roots tuple however it is built, so the ``field is field`` fast paths hit."""
 
-    roots: tuple[int, ...] = ()
-    dimension: int = dataclass_field(init=False, repr=False, compare=False)
+    roots: tuple[int, ...]
+    dimension: int = dataclass_field(repr=False, compare=False)
     # the basis product table of _product_table(roots), and (0,) * (dimension - 1)
-    _table: tuple = dataclass_field(init=False, repr=False, compare=False)
-    _tail: tuple = dataclass_field(init=False, repr=False, compare=False)
+    _table: tuple = dataclass_field(repr=False, compare=False)
+    _tail: tuple = dataclass_field(repr=False, compare=False)
+    _interned = {}  # roots tuple -> its one FieldSpec; not a field (no annotation)
 
-    def __post_init__(self) -> None:
-        roots = tuple(self.roots)
+    def __new__(cls, roots=()):
+        roots = tuple(roots)
         if list(roots) != sorted(set(roots)):
             raise ValidationError(f"roots must be sorted and distinct: {roots}")
         for m in roots:
@@ -79,10 +83,16 @@ class FieldSpec:
             for b in roots[i + 1:]:
                 if math.gcd(a, b) != 1:
                     raise ValidationError(f"roots {a}, {b} are not coprime")
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "dimension", 1 << len(roots))
-        object.__setattr__(self, "_table", _product_table(roots))
-        object.__setattr__(self, "_tail", (0,) * (self.dimension - 1))
+        spec = cls._interned.get(roots)  # after the checks: (2.0,) == (2,) as a key
+        if spec is None:
+            spec, dim = super().__new__(cls), 1 << len(roots)
+            spec.__dict__.update(roots=roots, dimension=dim, _table=_product_table(roots),
+                                 _tail=(0,) * (dim - 1))
+            cls._interned[roots] = spec
+        return spec
+
+    def __reduce__(self):  # copy, deepcopy and pickle build through __new__
+        return FieldSpec, (self.roots,)
 
     def basis_radicand(self, index: int) -> int:
         """Product of the roots selected by the bitmask ``index``."""
@@ -214,7 +224,7 @@ class FieldScalar:
 
     def _coerce(self, other) -> "FieldScalar":
         if isinstance(other, FieldScalar):
-            if other.field is not self.field and other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatchError(
                     f"cannot mix fields {self.field.roots} and {other.field.roots}")
             return other
@@ -335,8 +345,7 @@ class FieldScalar:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldScalar):
-            return (self.nums == other.nums and self.den == other.den
-                    and (self.field is other.field or self.field == other.field))
+            return self.field is other.field and self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return (self.den == other.denominator and self.nums[0] == other.numerator
                     and self.is_rational())
@@ -410,11 +419,10 @@ class FieldScalar:
 
 
 def _nums_den(x, field: FieldSpec | None) -> tuple[tuple[int, ...], int]:
-    """(nums, den) of a ``vec_dot`` entry: a FieldScalar of ``field`` or a rational."""
+    """(nums, den) of a rational ``vec_dot`` entry; the FieldScalars of ``field``
+    take ``vec_dot``'s inline path, so a FieldScalar here is of another field."""
     if type(x) is FieldScalar:
-        if x.field is not field and x.field != field:
-            raise FieldMismatchError(f"cannot mix fields {x.field.roots} in a dot product")
-        return x.nums, x.den
+        raise FieldMismatchError(f"cannot mix fields {x.field.roots} in a dot product")
     q = x if type(x) is int else Fraction(x)
     return (q.numerator,) + (() if field is None else field._tail), q.denominator
 
@@ -428,13 +436,19 @@ def vec_dot(u, v):
     field = u[0].field if type(u[0]) is FieldScalar else \
         v[0].field if type(v[0]) is FieldScalar else None
     table = _product_table(()) if field is None else field._table
+    plain = len(table) == 1
     acc, den = [0] * len(table), 1
     for a, b in zip(u, v, strict=True):
         an, ad = (a.nums, a.den) if type(a) is FieldScalar and a.field is field \
             else _nums_den(a, field)
         bn, bd = (b.nums, b.den) if type(b) is FieldScalar and b.field is field \
             else _nums_den(b, field)
-        if any(an) and any(bn):
+        if plain:  # one integer numerator, no product list
+            if an[0] and bn[0]:
+                td = ad * bd
+                g = gcd(den, td)
+                acc[0], den = acc[0] * (td // g) + an[0] * bn[0] * (den // g), den // g * td
+        elif any(an) and any(bn):
             # acc / den + term / td over lcm(den, td) = scale * td
             td = ad * bd
             g = gcd(den, td)

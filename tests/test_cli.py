@@ -367,7 +367,7 @@ class TestExitCodes:
         def no_draw(*args):
             raise AssertionError("no Sobol point may be drawn")
 
-        monkeypatch.setattr(FT, "_sobol", no_draw)
+        monkeypatch.setattr(FT, "_sobol_chunks", no_draw)
         assert main(["fourier-check", "--measure", str(measure),
                      "--directions", str(directions)]) == 4
         err = json.loads(capsys.readouterr().err)["error"]
@@ -533,6 +533,7 @@ class TestExitCodes:
         ("tolerance", []), ("tolerance", float("nan")), ("tolerance", {}),
         ("periodization_truncation", True), ("periodization_truncation", "8"),
         ("group_truncation", 1.5), ("group_truncation", None),
+        ("seed", -1), ("periodization_truncation", -1), ("group_truncation", -1),
     ])
     def test_config_values_are_typed(self, key, value, fixtures_dir, tmp_path,
                                      monkeypatch, capsys):

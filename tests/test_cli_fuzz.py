@@ -12,7 +12,7 @@ the whole pool, plus a seeded sample of the deeper nodes.
 Each flag case gives one ``int`` or ``float`` flag of ``COMMANDS`` or of
 ``EstimatorConfig`` a value from ``FLAG_VALUES``: it must end in a
 documented exit code too, and any report must be strict JSON (no NaN or
-infinity).
+infinity).  A negative seed or truncation must exit 2 naming the setting.
 """
 import contextlib
 import io
@@ -147,6 +147,10 @@ def test_mutated_models(tmp_path, fixtures_dir, name):
 
 
 FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400"]
+# (flag, value) cases that must exit 2 with an error naming the setting
+NAMED_REFUSALS = {("--seed", "-1"): "seed",
+                  ("--periodization-truncation", "-1"): "periodization_truncation",
+                  ("--group-truncation", "-1"): "group_truncation"}
 # per command, the arguments a numeric flag of that command is added to
 FLAG_BASES = {
     "directions": [["--measure", "{fx}/chair.json"]],
@@ -182,14 +186,16 @@ def test_numeric_flags(fixtures_dir):
     for command, flag, base in _flag_cases():
         for value in FLAG_VALUES:
             argv = [command, *(a.format(fx=fixtures_dir) for a in base), f"{flag}={value}"]
-            out = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             try:
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(io.StringIO()):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
             except SystemExit as exc:  # argparse refuses a value it cannot convert
                 code = exc.code
-            if code not in (0, 2, 3, 4):
+            name = NAMED_REFUSALS.get((flag, value))
+            if name and (code != 2 or name not in err.getvalue()):
+                failures.append(f"{argv}: exit code {code}, {err.getvalue()!r} names no {name}")
+            elif code not in (0, 2, 3, 4):
                 failures.append(f"{argv}: exit code {code}")
             elif out.getvalue():
                 try:

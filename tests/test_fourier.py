@@ -42,6 +42,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             EstimatorConfig(radius=-1.0)
 
+    @pytest.mark.parametrize("name", ["seed", "periodization_truncation", "group_truncation"])
+    def test_rejects_a_negative_setting_by_name(self, name):
+        # a negative seed used to reach numpy, and a negative periodization
+        # truncation made ft_batch return 0 at every point
+        with pytest.raises(ValidationError, match=name):
+            EstimatorConfig(**{name: -1})
+        assert getattr(EstimatorConfig(**{name: 0}), name) == 0
+
 
 class TestFt:
     def test_unit_atom(self):
@@ -306,13 +314,27 @@ class TestBallPoints:
         assert new[:kept].tobytes() == old.tobytes()
         assert np.all(np.linalg.norm(new, axis=1) <= 200.0)
 
+    @pytest.mark.parametrize("e", [3, 8])
+    def test_chunks_continue_one_sobol_draw(self, e):
+        # the chunks share one engine and continue from their Gray codes: the
+        # points are those of one ``_sobol`` call over the same prefix
+        sizes = [17, 1, 64, 1000]
+        for start in (0, 5):
+            whole = FT._sobol(e, 5, start, sum(sizes))
+            chunks = list(FT._sobol_chunks(e, 5, start, sizes))
+            assert [c.shape[0] for c in chunks] == sizes
+            assert np.vstack(chunks).tobytes() == whole.tobytes()
+        new = FT._ball_points(e, 200.0, 512, 5)  # several chunks at e = 8
+        cube = (2.0 * FT._sobol(e, 5, 0, 40 * 4096) - 1.0) * 200.0
+        assert new.tobytes() == cube[np.linalg.norm(cube, axis=1) <= 200.0][:512].tobytes()
+
     def test_past_the_sequence_is_refused_before_drawing(self, monkeypatch):
         # 4096 points in the 20-ball need about 2**37 cube points; the
         # 16-ball is the first past 2**30 at the default samples
         def no_draw(*args):
             raise AssertionError("no Sobol point may be drawn")
 
-        monkeypatch.setattr(FT, "_sobol", no_draw)
+        monkeypatch.setattr(FT, "_sobol_chunks", no_draw)
         for e in (16, 20):
             with pytest.raises(ClosureBoundError, match="2\\*\\*30 points"):
                 FT._ball_points(e, 200.0, 4096, 20221112)

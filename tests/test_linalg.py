@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gen
+from dirspec import linalg as L
 from dirspec.errors import DimensionMismatchError, ValidationError
 from dirspec.linalg import (AffineCarrier, CosetLattice, CosetSolution, LatticeSubgroup,
                             Subspace, as_vector, mat_vec, nullspace,
@@ -103,6 +104,87 @@ class TestSubspace:
         p = sub.project(v)
         assert p == as_vector(QQ, [Fraction(1, 2), Fraction(1, 2)])
         assert vec_is_zero(sub.project(sub.project_perp(v)))
+
+
+def reference_orthocomplement(sub):
+    """The kernel of the basis rows by elimination, a zero row standing in
+    for the empty basis of the zero subspace."""
+    zero = sub.field.zero()
+    rows = [list(r) for r in sub.basis] or [[zero] * sub.ambient]
+    rr, pivots = rref_field(rows)
+    return Subspace.from_vectors(sub.field, sub.ambient,
+                                 nullspace(rr, pivots, sub.ambient, zero, sub.field.one()))
+
+
+def reference_leq(a, b):
+    """a <= b: eliminating both bases together adds no dimension to b."""
+    return Subspace.from_vectors(a.field, a.ambient, list(a.basis) + list(b.basis)).dim == b.dim
+
+
+def reference_meets_orthocomplement(sub_l, sub_k):
+    """L cap K^perp != 0: the dot products of the bases have rank below dim L."""
+    if sub_l.dim == 0:
+        return False
+    gram = [[vec_dot(u, v) for v in sub_k.basis] for u in sub_l.basis]
+    return not sub_k.dim or len(rref_field(gram)[1]) < sub_l.dim
+
+
+class TestTrivialSubspaceCases:
+    """``orthocomplement``, ``leq`` and ``meets_orthocomplement`` decide the
+    zero and full subspaces, a subspace against itself and a smaller other
+    without elimination; they must agree with the elimination-only references."""
+
+    @staticmethod
+    def subspaces(rng, field, d):
+        out = [Subspace.zero(field, d), Subspace.full(field, d)]
+        out += [gen.rand_subspace(rng, field, d, target_dim=k) for k in range(1, d + 1)]
+        return out + [gen.rand_subspace(rng, field, d) for _ in range(3)]
+
+    def test_against_elimination_references(self):
+        rng = random.Random(2026)
+        for field in (QQ, F2):
+            for d in range(1, 5):
+                subs = self.subspaces(rng, field, d)
+                for a in subs:
+                    perp = a.orthocomplement()
+                    assert perp == reference_orthocomplement(a) and perp.dim == d - a.dim
+                    for b in subs + [a]:  # b is a: the same object
+                        assert a.leq(b) == reference_leq(a, b), (a, b)
+                        assert a.meets_orthocomplement(b) == \
+                            reference_meets_orthocomplement(a, b), (a, b)
+
+    def test_trivial_cases_run_no_elimination(self, monkeypatch):
+        # counted through a patched rref_field (and the row reduction of
+        # ``contains`` behind ``leq``): the cases below must not eliminate,
+        # so a later refactor cannot bring the work back silently
+        cases = []
+        for field in (QQ, F2):
+            one_plus = field.from_coeffs([1] * field.dimension)  # 1 + sqrt2 over F2
+            line = Subspace.from_vectors(field, 3, [[1, one_plus, 0]])
+            plane = Subspace.from_vectors(field, 3, [[1, 0, 0], [0, 1, 1]])
+            cases.append((Subspace.zero(field, 3), Subspace.full(field, 3), line, plane))
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(L, "rref_field", counting(L.rref_field))
+        monkeypatch.setattr(Subspace, "contains", counting(Subspace.contains))
+        for zero, full, line, plane in cases:
+            assert zero.orthocomplement() == full and full.orthocomplement() == zero
+            assert line.leq(full) and plane.leq(full) and zero.leq(full) and full.leq(full)
+            assert line.leq(line) and plane.leq(plane)
+            assert plane.meets_orthocomplement(line) and full.meets_orthocomplement(plane)
+            assert full.meets_orthocomplement(zero) and line.meets_orthocomplement(zero)
+        assert calls == []
+        # the cases that are not trivial still eliminate
+        _, full, line, plane = cases[0]
+        assert line.orthocomplement().dim == 2 and line.leq(plane) is False
+        assert not line.meets_orthocomplement(plane)
+        assert sorted(set(calls)) == ["contains", "rref_field"]
 
 
 def gram_projection(sub, v):

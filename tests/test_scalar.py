@@ -1,6 +1,9 @@
+import copy
+import json
 import math
 import os
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -12,6 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dirspec.errors import FieldMismatchError, ValidationError
+from dirspec.measure import SymbolicMeasure
+from dirspec.oracle import decode_model
 from dirspec.scalar import QQ, FieldSpec, decode_scalar, promote_scalar, vec_dot
 
 F2 = FieldSpec((2,))
@@ -38,6 +43,51 @@ class TestFieldSpec:
             FieldSpec((3, 2))        # not sorted
         with pytest.raises(ValidationError):
             FieldSpec((1,))
+
+
+class TestFieldSpecInterning:
+    """One FieldSpec object per roots tuple, however it is built."""
+
+    def test_constructor_returns_one_object(self):
+        assert FieldSpec((2,)) is FieldSpec([2]) is F2
+        assert FieldSpec() is FieldSpec(()) is FieldSpec([]) is QQ
+        assert FieldSpec(iter([2, 3])) is F23
+        assert type(FieldSpec([2]).roots) is tuple and F2.roots == (2,)
+        assert (F2.dimension, F2.basis_label(1)) == (2, "sqrt2")
+
+    def test_copy_deepcopy_and_pickle_return_the_interned_object(self):
+        for spec in (QQ, F2, F235):
+            assert copy.copy(spec) is spec
+            assert copy.deepcopy(spec) is spec
+            assert pickle.loads(pickle.dumps(spec)) is spec
+        x = F23.from_coeffs([1, Fraction(1, 2), 0, -3])
+        for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y.field is F23 and y == x
+        # QQ is left as it was: no rebuild wrote another field's state into it
+        assert (QQ.roots, QQ.dimension, QQ._tail, repr(QQ)) == ((), 1, (), "FieldSpec(roots=())")
+
+    def test_decoders_return_the_interned_object(self, fixtures_dir):
+        doc = json.loads((fixtures_dir / "lonely_atom.json").read_text())
+        assert SymbolicMeasure.decode(doc).field is QQ
+        doc.update(field_roots=[2], components=[
+            {"kind": "atom", "point": [{"sqrt2": "1/3"}, "0"], "weight": "1"}])
+        assert SymbolicMeasure.decode(doc).field is F2
+        model = decode_model(json.loads((fixtures_dir / "rotation_model.json").read_text()))
+        assert all(a.field is F2 for a in model.alphas)
+
+    @pytest.mark.parametrize("roots", [(4,), (2, 6), (3, 2), (1,), (2, 2), (0,), (-2,)])
+    def test_invalid_roots_raise_and_cache_nothing(self, roots):
+        before = dict(FieldSpec._interned)
+        with pytest.raises(ValidationError):
+            FieldSpec(roots)
+        assert FieldSpec._interned == before
+
+    def test_a_non_integer_root_is_not_read_as_the_integer(self):
+        # (2.0,) equals (2,) as a dictionary key; it is refused as before
+        before = dict(FieldSpec._interned)
+        with pytest.raises(TypeError):
+            FieldSpec((2.0,))
+        assert FieldSpec._interned == before
 
 
 class TestArithmetic:
@@ -307,6 +357,63 @@ class TestFusedDot:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             vec_dot([QQ.one(), QQ.one()], [QQ.one()])
+        with pytest.raises(ValueError):
+            vec_dot([1, Fraction(1, 2)], [QQ.one(), QQ.one(), QQ.one()])
+        with pytest.raises(ValueError):
+            vec_dot([F2.one()], [F2.one(), 1])
+
+    # the plain-Q branch keeps one integer numerator; the reference is the
+    # Fraction sum of the entries' values
+
+    @staticmethod
+    def fraction_dot(u, v):
+        value = lambda x: Fraction(x.nums[0], x.den) if hasattr(x, "nums") else Fraction(x)  # noqa: E731
+        return sum((value(a) * value(b) for a, b in zip(u, v)), Fraction(0))
+
+    @given(st.lists(rational, min_size=1, max_size=5), st.data())
+    def test_plain_q_scalars_match_fractions(self, u, data):
+        v = data.draw(st.lists(rational, min_size=len(u), max_size=len(u)))
+        su, sv = [QQ.from_rational(x) for x in u], [QQ.from_rational(x) for x in v]
+        got = vec_dot(su, sv)
+        assert got.field is QQ and got == self.fraction_dot(u, v)
+        assert_canonical(got)
+
+    @given(st.lists(rational, min_size=1, max_size=5), st.data())
+    def test_plain_q_with_rationals_on_either_side(self, u, data):
+        v = data.draw(st.lists(rational, min_size=len(u), max_size=len(u)))
+        # each position of the scalar side is a QQ scalar or a bare rational
+        mask = data.draw(st.lists(st.booleans(), min_size=len(u), max_size=len(u)))
+        mixed = [QQ.from_rational(x) if m else x for x, m in zip(v, mask)]
+        want = self.fraction_dot(u, v)
+        for args in ((u, mixed), (mixed, u)):
+            if mask[0]:  # the first entries name the field
+                got = vec_dot(*args)
+                assert type(got) is not Fraction and got.field is QQ and got == want
+                assert_canonical(got)
+            elif any(mask):  # no field named, then a scalar
+                with pytest.raises(FieldMismatchError):
+                    vec_dot(*args)
+            else:
+                got = vec_dot(*args)
+                assert type(got) is Fraction and got == want
+
+    def test_plain_q_all_rational_gives_a_fraction(self):
+        got = vec_dot([1, Fraction(1, 2), 3], [Fraction(2, 3), 4, 0])
+        assert type(got) is Fraction and got == Fraction(8, 3)
+        got = vec_dot([Fraction(1, 2), 1], [2, -1])
+        assert type(got) is Fraction and got == 0
+        # terms over different denominators cancel to lowest terms
+        got = vec_dot([QQ.from_rational(Fraction(1, 6)), QQ.from_rational(Fraction(1, 3))],
+                      [3, Fraction(3, 2)])
+        assert (got.nums, got.den) == ((1,), 1)
+
+    def test_plain_q_field_mismatch_raises(self):
+        with pytest.raises(FieldMismatchError):
+            vec_dot([QQ.one(), QQ.one()], [QQ.one(), F2.one()])
+        with pytest.raises(FieldMismatchError):
+            vec_dot([1, QQ.one()], [1, F2.sqrt_root(2)])
+        with pytest.raises(FieldMismatchError):
+            vec_dot([F2.one()], [QQ.one()])
 
 
 class TestFloorAndFrac:
