@@ -12,8 +12,7 @@ from .measure import (Atom, AtomGroup, BoxLebesgue, SymbolicMeasure, add,
 from .classify import (ConciseSet, DirectionVerdict, admissibility_lint,
                        classify_direction, directional_eigenvalues,
                        nonergodic_concise, nonwm_concise, realize, wall_test)
-from .fourier import (EstimatorConfig, coset_constancy_check, ft, ft_batch,
-                      rajchman_probe, wiener_mass)
+from .fourier import EstimatorConfig, ft_batch, rajchman_probe, wiener_mass
 from .oracle import (BergelsonWard, Bernoulli, OdometerEigen, ProductType,
                      Rotation, Rotation1, correlation, crosscheck,
                      expected_measure, observable_measure, observables)

@@ -2,13 +2,14 @@
 
 Closed-form transforms (boxes: a character times sinc factors for the
 centered-zonotope representative; an atom is the box with none), a
-quasi-Monte-Carlo directional Wiener estimator for wall masses, Rajchman
-decay probes along directions, and coset-constancy checks.  Everything is
-seeded and deterministic; this module is the independent numerical check on
-the exact classifier.  numpy is imported only inside the functions that
-compute floats, so importing this module (and with it the exact commands)
-loads only the standard library.  The Sobol points are drawn here with numpy
-alone (``_sobol``).
+quasi-Monte-Carlo directional Wiener estimator for wall masses, and Rajchman
+decay probes along directions.  Everything is seeded and deterministic; this
+module is the independent numerical check on the exact classifier, so it only
+estimates and asks the exact layer every yes/no question: atom groups are
+listed in the field, and wall masses use ``classify._on_affine_wall``.  numpy
+is imported only inside the functions that compute floats, so importing this
+module (and with it the exact commands) loads only the standard library.  The
+Sobol points are drawn here with numpy alone (``_sobol``).
 """
 from __future__ import annotations
 
@@ -17,14 +18,14 @@ from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator
 from itertools import chain, product, repeat
 
+from .classify import _on_affine_wall
 from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
                      check_enumeration)
-from .linalg import Subspace, as_vector, vec_is_zero, vec_sub
-from .measure import (TORUS, AtomGroup, BoxLebesgue, SymbolicMeasure,
-                      coefficient_pool, coefficient_pool_size)
+from .linalg import FieldVector, Subspace, as_vector, vec_is_zero, vec_mod1
+from .measure import (EUCLID, TORUS, AtomGroup, SymbolicMeasure, coefficient_pool,
+                      coefficient_pool_size, group_element_from_coeffs, is_identity)
 
 DIRECTIONS_PER_RADIUS = 64  # sampled points per radius in ``rajchman_probe``
-CONSTANCY_TRIALS = 32  # random points of ``coset_constancy_check``
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def _floats(v) -> np.ndarray:
 def check_truncations(m: SymbolicMeasure, cfg: EstimatorConfig) -> None:
     """Refuse a representative past ENUMERATION_BUDGET before a point is drawn
     or listed: pool^k atoms per k-generator atom group, (2N+1)^d lattice points
-    if periodized.  Callers: those of ``group_representative``, ``wiener_mass``."""
+    if periodized.  Callers: ``ft_batch``, ``wiener_mass``, ``representative_wall_mass``."""
     for comp in m.components:
         if isinstance(comp, AtomGroup):
             pool = coefficient_pool_size(comp.ring, cfg.group_truncation, ENUMERATION_BUDGET)
@@ -73,49 +74,39 @@ def check_truncations(m: SymbolicMeasure, cfg: EstimatorConfig) -> None:
 
 
 def group_representative(comp: AtomGroup, space: str, truncation: int
-                         ) -> tuple[list[np.ndarray], list[float]]:
-    """Deterministic truncated atom list for an atom-group component.
+                         ) -> tuple[tuple[FieldVector, ...], tuple[float, ...]]:
+    """Deterministic truncated atom list for an atom-group component: exact
+    atoms, reduced mod Z^d on the torus, each once, the identity left out.
 
     Coefficients range over |c| <= truncation (ring Z) or p/q with
-    |p|, q <= truncation (ring Q); weights decay geometrically in the
-    coefficient size and are normalized to the component weight.
+    |p|, q <= truncation (ring Q); weights decay geometrically in the size of
+    an atom's first combination and are normalized to the component weight.
     """
-    import numpy as np
     if truncation < 1:
-        raise ValidationError(
-            "ft of an atom group needs a positive truncation count")
+        raise ValidationError("ft of an atom group needs a positive truncation count")
     # p/q in lowest terms has the least size |p| + q - 1 of its representations
     pool = [(c, abs(c.numerator) + c.denominator - 1)
             for c in coefficient_pool(comp.ring, truncation)]
-    gens = [_floats(g) for g in comp.generators]
-    offset = _floats(comp.offset)
-    points: list[np.ndarray] = []
-    weights: list[float] = []
-    seen: set[tuple] = set()
-    for combo in product(pool, repeat=len(gens)):
-        size = sum(s for _, s in combo)
-        pt = offset.copy()
-        for (c, _), g in zip(combo, gens):
-            if c:
-                pt = pt + float(c) * g
+    atoms: dict[FieldVector, float] = {}
+    for combo in product(pool, repeat=len(comp.generators)):
+        atom = group_element_from_coeffs(comp, [c for c, _ in combo], True)
         if space == TORUS:
-            pt = np.mod(pt, 1.0)
-            trivial = bool(np.all(np.minimum(pt, 1.0 - pt) < 1e-12))
-        else:
-            trivial = bool(np.all(np.abs(pt) < 1e-15))
-        if trivial:
-            continue
-        key = tuple(np.round(pt, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(pt)
-        weights.append(2.0 ** (-size))
-    total = sum(weights)
-    if total == 0:
-        return [], []
-    scale = float(comp.weight) / total
-    return points, [w * scale for w in weights]
+            atom = vec_mod1(atom)
+        if not is_identity(space, atom):
+            atoms.setdefault(atom, 2.0 ** -sum(s for _, s in combo))
+    if not atoms:
+        return (), ()
+    scale = float(comp.weight) / sum(atoms.values())
+    return tuple(atoms), tuple(w * scale for w in atoms.values())
+
+
+def _group_atoms(m: SymbolicMeasure, comp: AtomGroup, truncation: int
+                 ) -> tuple[tuple[FieldVector, ...], tuple[float, ...]]:
+    """``group_representative`` of a component of m, built once in m's memo."""
+    key = ("group_representative", comp, truncation)
+    if key not in m.memo:
+        m.memo[key] = group_representative(comp, m.space, truncation)
+    return m.memo[key]
 
 
 def ft_batch(m: SymbolicMeasure, points: np.ndarray,
@@ -132,9 +123,9 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
     out = np.zeros(t.shape[0], dtype=complex)
     for comp in m.components:
         if isinstance(comp, AtomGroup):
-            pts, ws = group_representative(comp, m.space, cfg.group_truncation)
+            pts, ws = _group_atoms(m, comp, cfg.group_truncation)
             for p, w in zip(pts, ws):
-                out += w * np.exp(-2j * np.pi * (t @ p))
+                out += w * np.exp(-2j * np.pi * (t @ _floats(p)))
             continue
         # an atom is a box with no sinc factors
         val = float(comp.weight) * np.exp(-2j * np.pi * (t @ _floats(comp.rep_center())))
@@ -144,11 +135,6 @@ def ft_batch(m: SymbolicMeasure, points: np.ndarray,
     if m.periodized:
         out = out * _periodization_factor(m.dim, t, cfg.periodization_truncation)
     return out
-
-
-def ft(m: SymbolicMeasure, point, cfg: EstimatorConfig = DEFAULT_CONFIG) -> complex:
-    import numpy as np
-    return complex(ft_batch(m, np.asarray(point, dtype=float)[None, :], cfg)[0])
 
 
 def _periodization_factor(dim: int, t: np.ndarray, trunc: int) -> np.ndarray:
@@ -308,26 +294,23 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
                              cfg: EstimatorConfig = DEFAULT_CONFIG) -> float:
     """Exact mass the concrete representative puts on the affine wall
     L^perp + ell in R^d (no lattice shifts: this is what the Wiener
-    estimator converges to)."""
-    import numpy as np
+    estimator converges to; a box sits at ``rep_center``, from which its
+    torus carrier offset may differ by lattice vectors)."""
     check_truncations(m, cfg)  # an oversized truncation is refused first (exit 4)
     if m.periodized:
         raise ValidationError("representative masses are defined for plain measures")
     ell_vec = as_vector(m.field, ell) if ell is not None \
         else tuple(m.field.zero() for _ in range(m.dim))
-    perp = direction.orthocomplement()
     mass = 0.0
     for comp in m.components:
         if isinstance(comp, AtomGroup):
-            pts, ws = group_representative(comp, m.space, cfg.group_truncation)
-            perp_b = np.array([[float(x) for x in row] for row in direction.basis])
-            ell_f = _floats(ell_vec)
+            pts, ws = _group_atoms(m, comp, cfg.group_truncation)
             for p, w in zip(pts, ws):
-                if np.max(np.abs(perp_b @ (p - ell_f))) < 1e-9:
+                if _on_affine_wall(EUCLID, direction, p, ell_vec):
                     mass += w
-        elif comp.carrier.subspace.leq(perp) and \
-                perp.contains(vec_sub(comp.rep_center(), ell_vec)):  # atoms and boxes
-            mass += float(comp.weight)
+        elif comp.carrier.subspace.orthogonal_to(direction) and \
+                _on_affine_wall(EUCLID, direction, comp.rep_center(), ell_vec):
+            mass += float(comp.weight)  # atoms and boxes
     return mass
 
 
@@ -365,25 +348,3 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
     for i in range(len(env) - 2, -1, -1):
         env[i] = max(env[i], env[i + 1])
     return DecayProfile(tuple(float(r) for r in radii), tuple(sups), tuple(env))
-
-
-def coset_constancy_check(m: SymbolicMeasure, tol: float = 1e-9,
-                          cfg: EstimatorConfig = DEFAULT_CONFIG) -> bool:
-    """For a single zero-offset box component, verify the transform is
-    constant along cosets of K^perp (exact for the factorized formula)."""
-    import numpy as np
-    if len(m.components) != 1 or not isinstance(m.components[0], BoxLebesgue):
-        raise ValidationError("coset constancy applies to a single box component")
-    comp = m.components[0]
-    if not comp.carrier.is_linear():
-        raise ValidationError("coset constancy applies to a zero-offset box")
-    perp = comp.carrier.subspace.orthocomplement()
-    rng = np.random.default_rng(cfg.seed)
-    t = rng.normal(scale=10.0, size=(CONSTANCY_TRIALS, m.dim))
-    base = ft_batch(m, t, cfg)
-    if perp.dim == 0:
-        return True  # only u = 0 is admissible
-    pb = np.array([[float(x) for x in row] for row in perp.basis])
-    u = rng.normal(scale=5.0, size=(CONSTANCY_TRIALS, perp.dim)) @ pb
-    shifted = ft_batch(m, t + u, cfg)
-    return bool(np.max(np.abs(shifted - base)) < tol)

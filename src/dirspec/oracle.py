@@ -13,8 +13,8 @@ measure of an eigenfunction with eigenvalue gamma is the point mass at
 they carry atoms at the eigenvalues themselves.
 
 The models, their correlations and exact measures use only the standard
-library; numpy is imported inside ``crosscheck`` and ``gram_min_eigenvalue``,
-the two functions that compute float arrays.
+library; numpy is imported only inside ``crosscheck``, the one function that
+computes float arrays.
 """
 from __future__ import annotations
 
@@ -440,13 +440,3 @@ def _observable_count(model: ActionModel) -> int:
         return bounded_power(base, model.dim, ENUMERATION_BUDGET + 1) - 1
     return len(observables(model))
 
-
-def gram_min_eigenvalue(model: ActionModel, observable: str,
-                        points: list[tuple[int, ...]]) -> float:
-    """Minimum eigenvalue of the correlation Gram matrix at the given lattice
-    points (positive definiteness check)."""
-    import numpy as np
-    g = np.array([[correlation(model,
-                               tuple(p - q for p, q in zip(np_, nq)), observable)
-                   for nq in points] for np_ in points])
-    return float(np.linalg.eigvalsh((g + g.conj().T) / 2).min())

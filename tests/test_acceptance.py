@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 import gen
+import numeric
 from dirspec import classify as C
 from dirspec import fourier as FT
 from dirspec import measure as M
@@ -181,7 +182,7 @@ def test_criterion_7_rajchman_dichotomy():
     # wall measures: constant along K^perp cosets, no decay along K^perp
     for sub in (E2, DIAG):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [box(sub)])
-        ok = ok and FT.coset_constancy_check(m, tol=1e-9, cfg=cfg)
+        ok = ok and numeric.coset_constancy_check(m, tol=1e-9, cfg=cfg)
         perp = sub.orthocomplement()
         prof = FT.rajchman_probe(m, perp, [10, 100, 1000], cfg)
         ok = ok and all(abs(s - 1.0) < 1e-9 for s in prof.sup_values)
@@ -257,7 +258,7 @@ def test_criterion_10_oracle_closure():
         worst = max(worst, rep.max_error)
         pts = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
         for obs in O.observables(model)[:4]:
-            lam = O.gram_min_eigenvalue(model, obs, pts)
+            lam = numeric.gram_min_eigenvalue(model, obs, pts)
             ok = ok and lam > -1e-9
     report(10, ok, f"oracle crosschecks pass at 1e-12 on |n| <= 10 "
                    f"(max err {worst:.1e}); Gram matrices PSD to 1e-9")

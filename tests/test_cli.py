@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -21,6 +22,14 @@ from dirspec.scalar import QQ, FieldSpec, decode_scalar
 F2 = FieldSpec((2,))
 # the child process imports the dirspec under test, installed or not
 SRC = str(pathlib.Path(dirspec.__file__).resolve().parents[1])
+
+
+def _load_module(name, path):
+    # perfbench/gen.py would shadow tests/gen.py as ``gen``: load it by path
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(*args, **env):
@@ -119,6 +128,28 @@ class TestReports:
         for check in rep["result"]["wall_checks"]:
             assert check["ok"]
             assert check["decay"]["radii"]
+
+    def test_fourier_check_builds_each_group_representative_once(self, fixtures_dir,
+                                                                  monkeypatch, capsys):
+        # chair is one atom group; 3 directions with 4 radii ask for its
+        # representative in 18 transforms and wall masses
+        builds = []
+
+        def counted(comp, space, truncation):
+            builds.append((comp, space, truncation))
+            return group_representative(comp, space, truncation)
+
+        group_representative = FT.group_representative
+        monkeypatch.setattr(FT, "group_representative", counted)
+        chair = fixtures_dir / "chair.json"
+        assert main(["fourier-check", "--measure", str(chair),
+                     "--directions", str(fixtures_dir / "axes_and_diagonal.json"),
+                     "--group-truncation", "2", "--samples", "64",
+                     "--radii", "10", "100", "1000", "10000"]) == 0
+        checks = json.loads(capsys.readouterr().out)["result"]["wall_checks"]
+        assert len(checks) == 3 and all(len(c["decay"]["radii"]) == 4 for c in checks)
+        group, = SymbolicMeasure.decode(json.loads(chair.read_text())).components
+        assert builds == [(group, "torus", 2)]
 
     def test_text_mode(self, fixtures_dir):
         proc = run_cli("lint", "--text",
@@ -618,6 +649,58 @@ class TestGoldenReports:
         assert proc.returncode == 0
         expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
         assert proc.stdout == expected
+
+
+class TestHashIndependence:
+    """Reports must not depend on how irrational scalars hash: under a
+    cheaper hash of (roots, nums, den) the goldens and a slice of both
+    ``Directions`` benchmark pools (fields Q(sqrt2) and Q(sqrt2, sqrt3)) give
+    the same bytes.  Rational scalars still hash like their Fraction, as
+    equality with it requires."""
+
+    POOL_SLICE = {"classify-mix": 60, "torus-walls": 20}  # measures of each pool
+
+    @staticmethod
+    def _patch_hash(monkeypatch):
+        from dirspec.scalar import FieldScalar
+        exact = FieldScalar.__hash__
+
+        def cheap(self):
+            if self.is_rational():
+                return exact(self)
+            return hash((self.field.roots, self.nums, self.den))
+
+        root2 = F2.sqrt_root(2)
+        before = hash(root2)
+        monkeypatch.setattr(FieldScalar, "__hash__", cheap)
+        assert hash(root2) != before
+        assert hash(F2.from_rational(Fraction(1, 3))) == hash(Fraction(1, 3))
+
+    @staticmethod
+    def _pool_reports(workload, monkeypatch):
+        """The report bytes of every benchmark operation on the slice, made
+        by the benchmark's own generator and worker."""
+        perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))  # the worker imports speed
+        pool_gen, worker = (_load_module(f"perfbench_{name}", perfbench / f"{name}.py")
+                            for name in ("gen", "worker"))
+        measures = TestHashIndependence.POOL_SLICE[workload]
+        wl = worker.Directions(pool_gen.generate(workload, 0)[:measures])
+        objs = wl.decode()
+        return {op: wl.finish(wl.run(objs, op))[0] for op in wl.ops()}
+
+    @pytest.mark.parametrize("workload", sorted(POOL_SLICE))
+    def test_pool_slice(self, workload, monkeypatch):
+        exact = self._pool_reports(workload, monkeypatch)
+        self._patch_hash(monkeypatch)
+        assert self._pool_reports(workload, monkeypatch) == exact
+
+    def test_goldens(self, fixtures_dir, monkeypatch, capsys):
+        self._patch_hash(monkeypatch)
+        for golden, argv in TestGoldenReports.CASES:
+            assert main([a.format(fx=fixtures_dir) for a in argv]) == 0
+            expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
+            assert capsys.readouterr().out == expected, golden
 
 
 class TestRoundTrip:

@@ -6,16 +6,19 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 import gen
+import numeric
 from dirspec import fourier as FT
 from dirspec import measure as M
 from dirspec.errors import ClosureBoundError, ValidationError
 from dirspec.fourier import EstimatorConfig
-from dirspec.linalg import AffineCarrier, Subspace, as_vector, zero_vector
+from dirspec.linalg import (AffineCarrier, Subspace, as_vector, vec_add, vec_mod1, vec_scale,
+                            vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldSpec
@@ -54,12 +57,12 @@ class TestConfig:
 class TestFt:
     def test_unit_atom(self):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [atom([0, 0])])
-        assert FT.ft(m, [0.37, -1.2]) == pytest.approx(1.0)
+        assert numeric.ft(m, [0.37, -1.2]) == pytest.approx(1.0)
 
     def test_segment_analytic_value(self):
         # centered unit segment along e1 at t = (1/2, 0): sinc(1/2) = 2/pi
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [box(E1)])
-        val = FT.ft(m, [0.5, 0.0])
+        val = numeric.ft(m, [0.5, 0.0])
         assert val == pytest.approx(2 / math.pi, abs=1e-15)
         # against direct quadrature of the uniform segment measure
         import scipy.integrate as si
@@ -72,7 +75,7 @@ class TestFt:
         comp = BoxLebesgue(AffineCarrier.make(E1), E1.basis,
                            center=as_vector(QQ, [Fraction(1, 2), 0]))
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [comp])
-        val = FT.ft(m, [0.5, 0.0])
+        val = numeric.ft(m, [0.5, 0.0])
         expected = np.exp(-1j * np.pi * 0.5) * np.sinc(0.5)
         assert val == pytest.approx(expected, abs=1e-15)
 
@@ -81,7 +84,7 @@ class TestFt:
         for _ in range(20):
             m = gen.rand_measure(rng, QQ, 2, rng.choice([EUCLID, TORUS]),
                                  reduced=False)
-            assert FT.ft(m, [0.0, 0.0]) == pytest.approx(
+            assert numeric.ft(m, [0.0, 0.0]) == pytest.approx(
                 sum(float(c.weight) for c in m.components), abs=1e-12)
 
     def test_atom_group_requires_truncation(self):
@@ -90,9 +93,9 @@ class TestFt:
             [AtomGroup((as_vector(F2, [F2.sqrt_root(2) - 1, 0]),), "Z",
                        zero_vector(F2, 2))])
         with pytest.raises(ValidationError):
-            FT.ft(g, [1.0, 0.0])
+            numeric.ft(g, [1.0, 0.0])
         cfg = EstimatorConfig(group_truncation=4)
-        assert abs(FT.ft(g, [0.0, 0.0], cfg)
+        assert abs(numeric.ft(g, [0.0, 0.0], cfg)
                    - sum(float(c.weight) for c in g.components)) < 1e-12
 
     def test_bound_by_mass(self):
@@ -100,7 +103,7 @@ class TestFt:
         for _ in range(20):
             m = gen.rand_measure(rng, QQ, 2, EUCLID, reduced=False)
             t = np.array([rng.uniform(-20, 20) for _ in range(2)])
-            assert abs(FT.ft(m, t)) <= sum(float(c.weight) for c in m.components) + 1e-12
+            assert abs(numeric.ft(m, t)) <= sum(float(c.weight) for c in m.components) + 1e-12
 
 
 class TestConvolutionTheorem:
@@ -198,6 +201,143 @@ class TestWienerMass:
                 assert C.wall_test(m, sub, None).positive
 
 
+def reference_group_atoms(comp, space, truncation):
+    """The truncated atom list of an atom group, written out: offset +
+    sum c_i g_i for each coefficient combination in pool order, reduced mod
+    Z^d on the torus by subtracting floors, the identity dropped, each point
+    kept with 2^-size of its first combination, normalized to the weight."""
+    first: dict = {}
+    for combo in product(M.coefficient_pool(comp.ring, truncation),
+                         repeat=len(comp.generators)):
+        pt = list(comp.offset)
+        for c, g in zip(combo, comp.generators):
+            pt = [x + y * c for x, y in zip(pt, g)]
+        if space == TORUS:
+            pt = [x - x.floor() for x in pt]
+        if all(x.is_zero() for x in pt):
+            continue
+        size = sum(abs(c.numerator) + c.denominator - 1 for c in combo)
+        first.setdefault(tuple(pt), 2.0 ** -size)
+    scale = float(comp.weight) / sum(first.values()) if first else 0.0
+    return tuple(first), tuple(w * scale for w in first.values())
+
+
+def reference_representative_wall_mass(m, direction, ell, cfg):
+    """The wall mass by the orthocomplement rule: a component counts when
+    its carrier K <= L^perp and L^perp contains center - ell; a group counts
+    each reference atom p with p - ell in L^perp."""
+    ell_vec = as_vector(m.field, ell) if ell is not None else zero_vector(m.field, m.dim)
+    perp = direction.orthocomplement()
+    mass = 0.0
+    for comp in m.components:
+        if isinstance(comp, AtomGroup):
+            pts, ws = reference_group_atoms(comp, m.space, cfg.group_truncation)
+            for p, w in zip(pts, ws):
+                if perp.contains(vec_sub(p, ell_vec)):
+                    mass += w
+        elif comp.carrier.subspace.leq(perp) and \
+                perp.contains(vec_sub(comp.rep_center(), ell_vec)):
+            mass += float(comp.weight)
+    return mass
+
+
+class TestGroupRepresentative:
+    def test_atoms_equal_mod_z2_are_listed_once(self):
+        # (1/3, 0) and (2/3, 0) came out twice in floats, at y = 2.2e-16 and
+        # at y = 0.9999999999999998, so 40 atoms were listed for 38 points
+        half = F2.from_rational(Fraction(1, 2))
+        m = SymbolicMeasure.make(TORUS, 2, F2, [AtomGroup(
+            (as_vector(F2, [Fraction(1, 3), 0]),
+             as_vector(F2, [0, half + F2.sqrt_root(2) / 2])), "Z", zero_vector(F2, 2))])
+        comp = m.components[0]
+        pts, ws = FT.group_representative(comp, TORUS, 2)
+        assert len(pts) == 38
+        assert not any(M.is_identity(TORUS, vec_sub(p, q))
+                       for i, p in enumerate(pts) for q in pts[:i])
+        assert (pts, ws) == reference_group_atoms(comp, TORUS, 2)
+
+    @staticmethod
+    def _group(rng, field, space, ring, truncation):
+        """A seeded genuine atom group whose truncated list has at most 2,000
+        combinations."""
+        while True:
+            d = rng.choice([2, 3])
+            gens = tuple(gen.rand_vector(rng, field, d, irrational_p=0.4)
+                         for _ in range(rng.randint(1, 2)))
+            offset = gen.rand_vector(rng, field, d) if rng.random() < 0.5 \
+                else zero_vector(field, d)
+            m = SymbolicMeasure.make(space, d, field, [AtomGroup(gens, ring, offset)])
+            comps = [c for c in m.components if isinstance(c, AtomGroup)]
+            if comps and len(M.coefficient_pool(ring, truncation)) \
+                    ** len(comps[0].generators) <= 2000:
+                return comps[0]
+
+    def test_matches_the_reference_enumeration(self):
+        rng = random.Random(22)
+        for field, space, ring, truncation in product(
+                [QQ, F2, FieldSpec((2, 3))], [TORUS, EUCLID], ["Z", "Q"], [1, 2, 3]):
+            comp = self._group(rng, field, space, ring, truncation)
+            pts, ws = FT.group_representative(comp, space, truncation)
+            assert (pts, ws) == reference_group_atoms(comp, space, truncation)
+            reduced = {vec_mod1(p) for p in pts} if space == TORUS else set(pts)
+            assert len(reduced) == len(pts)
+            assert not any(M.is_identity(space, p) for p in pts)
+            assert sum(ws) == pytest.approx(float(comp.weight), rel=1e-12)
+
+
+class TestRepresentativeWallMass:
+    @staticmethod
+    def _on_wall_measure(rng, field, d, space, direction, ell):
+        """Atoms, a box and an atom group put on L^perp + ell on purpose,
+        next to random components."""
+        perp = direction.orthocomplement()
+
+        def wall_point():
+            p = ell
+            for b in perp.basis:
+                p = vec_add(p, vec_scale(gen.rand_scalar(rng, field), b))
+            return p
+
+        comps = [Atom(wall_point(), Fraction(rng.randint(1, 3)))]
+        k = Subspace.from_vectors(field, d, [
+            vec_scale(gen.rand_scalar(rng, field, nonzero=True), b)
+            for b in rng.sample(perp.basis, rng.randint(1, perp.dim))])
+        center = wall_point()
+        comps.append(BoxLebesgue(AffineCarrier.make(k, center), k.basis, center,
+                                 Fraction(rng.randint(1, 3))))
+        g = tuple(vec_scale(gen.rand_scalar(rng, field, nonzero=True), b)
+                  for b in rng.sample(perp.basis, 1))
+        comps.append(AtomGroup(g, rng.choice(["Z", "Q"]), wall_point()))
+        comps.append(gen.rand_box(rng, field, d))
+        comps.append(gen.rand_atom(rng, field, d))
+        return SymbolicMeasure.make(space, d, field, rng.sample(comps, rng.randint(1, 4)))
+
+    def test_matches_the_orthocomplement_rule(self):
+        rng = random.Random(2022)
+        cfg = EstimatorConfig(group_truncation=2)
+        charged = {Atom: 0, BoxLebesgue: 0, AtomGroup: 0}
+        for _ in range(120):
+            field = rng.choice([QQ, F2])
+            space, d = rng.choice([EUCLID, TORUS]), rng.choice([2, 3])
+            direction = gen.rand_subspace(rng, field, d, rng.randint(1, d - 1))
+            ell = None if rng.random() < 0.3 else vec_scale(
+                gen.rand_scalar(rng, field), direction.basis[0])
+            try:
+                m = self._on_wall_measure(rng, field, d, space, direction,
+                                          ell or zero_vector(field, d))
+            except ValidationError:
+                continue
+            if m.is_zero():
+                continue
+            mass = FT.representative_wall_mass(m, direction, ell, cfg)
+            assert mass == reference_representative_wall_mass(m, direction, ell, cfg)
+            for comp in m.components:
+                one = SymbolicMeasure.make(m.space, d, field, [comp])
+                if FT.representative_wall_mass(one, direction, ell, cfg) > 0:
+                    charged[type(comp)] += 1
+        assert min(charged.values()) >= 10, charged
+
+
 class TestRajchman:
     def test_full_box_decays(self):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [box(FULL)])
@@ -230,21 +370,21 @@ class TestRajchman:
 class TestCosetConstancy:
     def test_subspace_box(self):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [box(E1)])
-        assert FT.coset_constancy_check(m, tol=1e-9)
+        assert numeric.coset_constancy_check(m, tol=1e-9)
 
     def test_full_box_vacuous(self):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [box(FULL)])
-        assert FT.coset_constancy_check(m)
+        assert numeric.coset_constancy_check(m)
 
     def test_atom_rejected(self):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [atom([0, 0])])
         with pytest.raises(ValidationError):
-            FT.coset_constancy_check(m)
+            numeric.coset_constancy_check(m)
 
     def test_offset_box_rejected(self):
         m = SymbolicMeasure.make(EUCLID, 2, QQ, [box(E1, [0, Fraction(1, 2)])])
         with pytest.raises(ValidationError):
-            FT.coset_constancy_check(m)
+            numeric.coset_constancy_check(m)
 
 
 class TestPeriodized:
@@ -260,7 +400,7 @@ class TestPeriodized:
     def test_periodized_mass_between_integers(self):
         t = SymbolicMeasure.make(TORUS, 2, QQ, [atom([Fraction(1, 3), 0])])
         per = M.suspend(t)
-        v = FT.ft(per, [0.5, 0.5])
+        v = numeric.ft(per, [0.5, 0.5])
         assert abs(v) <= 1.0 + 1e-9
 
 

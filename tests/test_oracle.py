@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import numeric
 from dirspec import classify as C
 from dirspec import measure as M
 from dirspec import oracle as O
@@ -198,7 +199,7 @@ class TestGram:
         (ODO, "level:1,2")])
     def test_psd(self, model, obs):
         pts = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-        assert O.gram_min_eigenvalue(model, obs, pts) > -1e-9
+        assert numeric.gram_min_eigenvalue(model, obs, pts) > -1e-9
 
 
 class TestModelCodec:
