@@ -256,7 +256,7 @@ class ConciseSet:
                 spans[Subspace.from_vectors(
                     self.fieldspec, self.dim,
                     list(fam.subspace.basis) + [vec_sub(fam.offset, n)])] = None
-        lines: dict[tuple, FieldVector] = {}
+        lines: dict[FieldVector, None] = {}  # each line once, in first-seen order
         for group in self.group_families:
             for atom in _enumerate_group_atoms(group, bound):
                 for n in shifts:
@@ -264,9 +264,8 @@ class ConciseSet:
                     lead = next((x for x in shifted if not x.is_zero()), None)
                     if lead is not None:
                         inv = 1 / lead
-                        line = tuple(inv * x for x in shifted)
-                        lines.setdefault(tuple((x.nums, x.den) for x in line), line)
-        for line in lines.values():
+                        lines[tuple(inv * x for x in shifted)] = None
+        for line in lines:
             spans[Subspace(self.fieldspec, self.dim, (line,))] = None
         return _concise_hull(list(self.subspaces)
                              + [span.orthocomplement() for span in spans])

@@ -162,14 +162,6 @@ def module_lattice(field: FieldSpec, dim: int, generators, ring: str,
     raise ValidationError(f"unknown ring {ring!r}")
 
 
-def canonical_module(field: FieldSpec, dim: int, lattice: CosetLattice,
-                     ring: str) -> tuple[FieldVector, ...]:
-    """Canonical module basis, read off a ``module_lattice``: its RREF rows
-    for ring Q, its HNF rows (with Z^d on the torus) for ring Z."""
-    rows = lattice.q_basis if ring == "Q" else lattice.z_basis
-    return tuple(unflatten(field, dim, row) for row in rows)
-
-
 def coefficient_pool(ring: str, bound: int) -> list[Fraction]:
     """The ring's coefficients of norm at most ``bound``, sorted: the integers
     in [-bound, bound], or for ring Q every p/q with |p|, q <= bound."""
@@ -253,16 +245,14 @@ def _coset_atom(space: str, group: AtomGroup, sol) -> FieldVector | None:
     return None
 
 
-def module_member(field: FieldSpec, group: AtomGroup, v: FieldVector,
-                  space: str) -> bool:
+def module_member(group: AtomGroup, v: FieldVector, space: str) -> bool:
     """Is v in offset + module (+ Z^d on the torus)?  Exactly when the
     coset key of v - offset is zero."""
-    lattice = module_lattice(field, len(v), group.generators, group.ring, space)
+    lattice = module_lattice(v[0].field, len(v), group.generators, group.ring, space)
     return not any(lattice.key(flatten(vec_sub(v, group.offset))))
 
 
-def _box_key(space: str, field: FieldSpec, dim: int, sub: Subspace,
-             offset: FieldVector) -> tuple:
+def _box_key(space: str, sub: Subspace, offset: FieldVector) -> tuple:
     """Class key of the carrier sub + offset, offset perpendicular to sub: on
     R^d that offset, already canonical; on T^d its coset key modulo sub, as
     the Q-span of its basis times each field-basis element, plus Z^d."""
@@ -270,14 +260,14 @@ def _box_key(space: str, field: FieldSpec, dim: int, sub: Subspace,
         return ("box", sub, offset)
     lattice = sub.memo.get("box_lattice")
     if lattice is None:  # it depends only on sub: built once per carrier
-        n = field.dimension
+        field, n = sub.field, sub.field.dimension
         units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
         lattice = sub.memo["box_lattice"] = module_lattice(
-            field, dim, [vec_scale(u, b) for b in sub.basis for u in units], "Q", space)
+            field, sub.ambient, [vec_scale(u, b) for b in sub.basis for u in units], "Q", space)
     return ("box", sub, lattice.key(flatten(offset)))
 
 
-def class_key(space: str, field: FieldSpec, dim: int, comp: Component) -> tuple:
+def class_key(space: str, comp: Component) -> tuple:
     """Key of a canonical component's class: two components of a measure
     have the same class exactly when their keys are equal.  Atom: the point;
     box: see ``_box_key``; atom group: the ring, the canonical generators and
@@ -285,8 +275,9 @@ def class_key(space: str, field: FieldSpec, dim: int, comp: Component) -> tuple:
     if isinstance(comp, Atom):
         return ("atom", comp.point)
     if isinstance(comp, BoxLebesgue):
-        return _box_key(space, field, dim, comp.carrier.subspace, comp.carrier.offset)
-    lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
+        return _box_key(space, comp.carrier.subspace, comp.carrier.offset)
+    offset = comp.offset
+    lattice = module_lattice(offset[0].field, len(offset), comp.generators, comp.ring, space)
     return ("group", comp.ring, comp.generators, lattice.key(flatten(comp.offset)))
 
 
@@ -355,7 +346,7 @@ class SymbolicMeasure:
             return False
         if self.periodized != other.periodized:
             return False
-        mine, theirs = ({class_key(m.class_space, m.field, m.dim, c) for c in m.components}
+        mine, theirs = ({class_key(m.class_space, c) for c in m.components}
                         for m in (self, other))
         return mine == theirs
 
@@ -434,7 +425,7 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
             center = vec_mod1(center)
         offset = sub.project_perp(center)
         if space == TORUS:
-            offset = _reduce_box_offset(field, dim, sub, offset)
+            offset = _reduce_box_offset(sub, offset)
         return (BoxLebesgue(AffineCarrier(sub, offset), gens, center, _check_weight(comp.weight)),
                 ("box", sub, center, frozenset(Counter(gens).items())))
 
@@ -442,7 +433,9 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
         if any(len(g) != dim for g in comp.generators):
             raise DimensionMismatchError("atom group generator has wrong length")
         lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
-        gens = canonical_module(field, dim, lattice, comp.ring)
+        # the canonical module basis: RREF rows for ring Q, HNF rows for ring Z
+        gens = tuple(unflatten(field, dim, row) for row in
+                     (lattice.q_basis if comp.ring == "Q" else lattice.z_basis))
         offset = as_vector(field, comp.offset)
         if len(offset) != dim:
             raise DimensionMismatchError("atom group offset has wrong length")
@@ -479,15 +472,14 @@ def _perp_lattice_basis(sub: Subspace) -> list[FieldVector] | None:
     return sub.memo["perp_lattice"]
 
 
-def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
-                       offset: FieldVector) -> FieldVector:
+def _reduce_box_offset(sub: Subspace, offset: FieldVector) -> FieldVector:
     """Reduce a perp-reduced torus box offset modulo proj_perp(Z^d): to zero
     for a lattice shift of the subspace (a zero box key), into the
     fundamental domain when the projected lattice is rational (completely
     rational carrier), and not at all when it is dense.  ``class_key``
     compares carriers either way."""
-    if vec_is_zero(offset) or not any(_box_key(TORUS, field, dim, sub, offset)[2]):
-        return zero_vector(field, dim)
+    if vec_is_zero(offset) or not any(_box_key(TORUS, sub, offset)[2]):
+        return zero_vector(sub.field, sub.ambient)
     basis = _perp_lattice_basis(sub)
     if basis is None:
         return offset
@@ -496,7 +488,7 @@ def _reduce_box_offset(field: FieldSpec, dim: int, sub: Subspace,
     for c, b in zip(coords, basis):
         k = c.floor()
         if k:
-            offset = vec_sub(offset, vec_scale(field.from_rational(k), b))
+            offset = vec_sub(offset, vec_scale(sub.field.from_rational(k), b))
     return offset
 
 
@@ -597,7 +589,7 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
                                 [norm(c) for c in m.components] + [delta0],
                                 m.periodized)
     pool: list[Component] = list(base.components)
-    seen = {class_key(m.class_space, m.field, m.dim, c) for c in pool}
+    seen = {class_key(m.class_space, c) for c in pool}
     # delta_0 * b is b, so the unit point mass is no factor
     factors = [c for c in pool if not (isinstance(c, Atom) and vec_is_zero(c.point))]
     frontier = factors
@@ -610,7 +602,7 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
                 if keyed is None:
                     continue
                 c = norm(keyed[0])
-                key = class_key(m.class_space, m.field, m.dim, c)
+                key = class_key(m.class_space, c)
                 if key not in seen:
                     seen.add(key)
                     new.append(c)
@@ -689,7 +681,7 @@ def decompose(m: SymbolicMeasure) -> list[SymbolicMeasure]:
     buckets: list[dict[tuple, Component]] = [{} for _ in range(m.dim + 1)]
     for c in m.components:
         bucket = buckets[c.dim]
-        key = class_key(m.class_space, m.field, m.dim, c)
+        key = class_key(m.class_space, c)
         prev = bucket.get(key)
         bucket[key] = c if prev is None else replace(prev, weight=prev.weight + c.weight)
     return [SymbolicMeasure.make(m.space, m.dim, m.field, list(bucket.values()),
@@ -732,6 +724,6 @@ def has_atom_at(m: SymbolicMeasure, point) -> bool:
             return True
         # the identity is never an atom of an atom group
         if isinstance(c, AtomGroup) and not is_identity(space, p) \
-                and module_member(m.field, c, p, space):
+                and module_member(c, p, space):
             return True
     return False

@@ -257,33 +257,34 @@ def _rotation_harmonic(model: Rotation, observable: str) -> int:
         raise ValidationError(f"unknown observable {observable!r}") from exc
 
 
+def _id_integers(observable: str, heads: tuple[str, ...], low: int,
+                 high: int) -> tuple[str, list[int]]:
+    """The head and the integers of an observable id ``head:i,j,...``: a head
+    of ``heads`` and integers in [low, high], else a ValidationError."""
+    head, _, rest = observable.partition(":")
+    try:
+        ints = [int(s) for s in rest.split(",")] if head in heads else []
+    except ValueError:
+        ints = []  # as unknown as a foreign head
+    if not ints or any(i < low or i > high for i in ints):
+        raise ValidationError(f"unknown observable {observable!r}")
+    return head, ints
+
+
 def _product_subset(model: ProductType, observable: str) -> list[int]:
-    if not observable.startswith("factors:"):
-        raise ValidationError(f"unknown observable {observable!r}")
-    idxs = [int(s) - 1 for s in observable.split(":", 1)[1].split(",")]
-    if not idxs or any(i < 0 or i >= model.dim for i in idxs):
-        raise ValidationError(f"unknown observable {observable!r}")
-    return idxs
+    return [i - 1 for i in _id_integers(observable, ("factors",), 1, model.dim)[1]]
 
 
 def _bw_indices(model: BergelsonWard, observable: str) -> list[int]:
-    head, _, rest = observable.partition(":")
-    if head not in ("factor", "pair"):
+    head, ints = _id_integers(observable, ("factor", "pair"), 1, len(model.vectors))
+    if len(ints) != (1 if head == "factor" else 2):
         raise ValidationError(f"unknown observable {observable!r}")
-    idxs = [int(s) - 1 for s in rest.split(",")]
-    if any(i < 0 or i >= len(model.vectors) for i in idxs):
-        raise ValidationError(f"unknown observable {observable!r}")
-    if head == "factor" and len(idxs) != 1 or head == "pair" and len(idxs) != 2:
-        raise ValidationError(f"unknown observable {observable!r}")
-    return idxs
+    return [i - 1 for i in ints]
 
 
 def _odometer_levels(model: OdometerEigen, observable: str) -> tuple[int, ...]:
-    if not observable.startswith("level:"):
-        raise ValidationError(f"unknown observable {observable!r}")
-    levels = tuple(int(s) for s in observable.split(":", 1)[1].split(","))
-    if len(levels) != model.dim or any(j < 0 or j > model.level for j in levels) \
-            or not any(levels):
+    levels = tuple(_id_integers(observable, ("level",), 0, model.level)[1])
+    if len(levels) != model.dim or not any(levels):
         raise ValidationError(f"unknown observable {observable!r}")
     return levels
 

@@ -8,11 +8,13 @@ shared positive denominator, ``(nums, den)``, in lowest terms:
 ``gcd(den, *nums) == 1``, so zero is ``((0, ..., 0), 1)`` and equal elements
 have equal tuples.  The product of basis elements i and j is basis element
 ``i ^ j`` times the radicand of ``i & j`` (shared radicals square to their
-radicand); each field precomputes that table once, and every product, norm,
-sign test and dot product (``vec_dot``) runs on integers over it.  Plain Q
-(one coefficient) takes a short path through addition, multiplication and
-``vec_dot``.  Each roots tuple has one ``FieldSpec`` object, so scalars
-compare their fields by identity.
+radicand).  Each roots tuple has one ``FieldSpec`` object, so scalars
+compare their fields by identity, and that object holds the field's tables:
+the product table, over which every product, norm, sign test and dot product
+(``vec_dot``) runs on integers, and the float basis of the real embedding.
+Plain Q (one coefficient) takes a short path through addition,
+multiplication and ``vec_dot``.  An irrational element hashes its integers
+``(roots, nums, den)``; a rational one hashes like its ``Fraction``.
 
 The only predicates the rest of the toolkit needs are exact equality with
 zero and field arithmetic; no total ordering is exposed.  The one
@@ -28,7 +30,6 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .errors import FieldMismatchError, ValidationError, check_enumeration
@@ -50,16 +51,6 @@ def _is_square_free(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _product_table(roots: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """table[i][j] = (i ^ j, radicand of i & j): basis element i times basis
-    element j is that radicand times basis element i ^ j."""
-    dim = 1 << len(roots)
-    rad = [math.prod(m for bit, m in enumerate(roots) if s >> bit & 1)
-           for s in range(dim)]
-    return tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
-
-
 @dataclass(frozen=True, init=False)
 class FieldSpec:
     """The real field Q(sqrt(m) for m in roots); roots = () is plain Q.  One object per
@@ -67,8 +58,10 @@ class FieldSpec:
 
     roots: tuple[int, ...]
     dimension: int = dataclass_field(repr=False, compare=False)
-    # the basis product table of _product_table(roots), and (0,) * (dimension - 1)
+    # _table[i][j] = (i ^ j, radicand of i & j), the product of basis elements i
+    # and j; _floats[j] = float of basis element j; _tail = (0,) * (dimension - 1)
     _table: tuple = dataclass_field(repr=False, compare=False)
+    _floats: tuple = dataclass_field(repr=False, compare=False)
     _tail: tuple = dataclass_field(repr=False, compare=False)
     _interned = {}  # roots tuple -> its one FieldSpec; not a field (no annotation)
 
@@ -86,7 +79,11 @@ class FieldSpec:
         spec = cls._interned.get(roots)  # after the checks: (2.0,) == (2,) as a key
         if spec is None:
             spec, dim = super().__new__(cls), 1 << len(roots)
-            spec.__dict__.update(roots=roots, dimension=dim, _table=_product_table(roots),
+            chosen = [[m for bit, m in enumerate(roots) if s >> bit & 1] for s in range(dim)]
+            rad = [math.prod(ms) for ms in chosen]
+            table = tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
+            floats = tuple(math.prod(map(math.sqrt, ms), start=1.0) for ms in chosen)
+            spec.__dict__.update(roots=roots, dimension=dim, _table=table, _floats=floats,
                                  _tail=(0,) * (dim - 1))
             cls._interned[roots] = spec
         return spec
@@ -107,9 +104,6 @@ class FieldSpec:
             if self.basis_label(j) == label:
                 return j
         raise ValidationError(f"unknown basis label {label!r} for field {self.roots}")
-
-    def basis_floats(self) -> tuple[float, ...]:
-        return _basis_floats(self.roots)
 
     def zero(self) -> FieldScalar:
         return FieldScalar(self, (0,) + self._tail, 1)
@@ -141,19 +135,6 @@ class FieldSpec:
                                        for v in vals), den)
 
 
-@lru_cache(maxsize=None)
-def _basis_floats(roots: tuple[int, ...]) -> tuple[float, ...]:
-    dim = 1 << len(roots)
-    out = []
-    for j in range(dim):
-        v = 1.0
-        for i, m in enumerate(roots):
-            if j >> i & 1:
-                v *= math.sqrt(m)
-        out.append(v)
-    return tuple(out)
-
-
 def _mul_nums(a, b, table) -> list[int]:
     """Product of two integer coefficient vectors over a basis product table."""
     out = [0] * len(a)
@@ -166,21 +147,21 @@ def _mul_nums(a, b, table) -> list[int]:
     return out
 
 
-def _sign(nums, roots: tuple[int, ...]) -> int:
+def _sign(nums, roots: tuple[int, ...], table) -> int:
     """Exact sign (-1, 0, 1) of the real embedding of an integer coefficient
     vector.  With x = a + b*sqrt(m), m the last root and a, b in the subfield,
     sign(x) is the common sign of a and b, or sign(a) * sign(a^2 - m*b^2) when
-    they differ."""
+    they differ.  ``table`` is the product table of ``roots`` or of a larger
+    field: a subfield's basis is its leading rows and columns."""
     if not roots:
         return (nums[0] > 0) - (nums[0] < 0)
     half = len(nums) // 2
     a, b, sub = nums[:half], nums[half:], roots[:-1]
-    sa, sb = _sign(a, sub), _sign(b, sub)
+    sa, sb = _sign(a, sub, table), _sign(b, sub, table)
     if sa * sb >= 0:
         return sa or sb
-    table = _product_table(sub)
     return sa * _sign([p - roots[-1] * q for p, q in
-                       zip(_mul_nums(a, a, table), _mul_nums(b, b, table))], sub)
+                       zip(_mul_nums(a, a, table), _mul_nums(b, b, table))], sub, table)
 
 
 def _reduced(field: FieldSpec, nums, den: int) -> FieldScalar:
@@ -355,7 +336,7 @@ class FieldScalar:
         # rational elements equal their Fraction, so they must hash like it
         if self._hash is None:
             if not self.is_rational():
-                self._hash = hash((self.field.roots, self.coeffs))
+                self._hash = hash((self.field.roots, self.nums, self.den))
             elif self.den == 1:
                 self._hash = hash(self.nums[0])
             else:
@@ -365,7 +346,7 @@ class FieldScalar:
     # -- numeric embedding -----------------------------------------------------
 
     def __float__(self) -> float:
-        basis, den = self.field.basis_floats(), self.den
+        basis, den = self.field._floats, self.den
         return float(sum(n / den * b for n, b in zip(self.nums, basis)))
 
     def floor(self) -> int:
@@ -386,7 +367,8 @@ class FieldScalar:
         if t < 2:
             return n
         for _ in range(t - 1):
-            if _sign((nums[0] - (n + 1) * den,) + nums[1:], self.field.roots) < 0:
+            if _sign((nums[0] - (n + 1) * den,) + nums[1:], self.field.roots,
+                     self.field._table) < 0:
                 break
             n += 1
         return n
@@ -435,7 +417,7 @@ def vec_dot(u, v):
     integer lattice basis; with no FieldScalar the result is a Fraction."""
     field = u[0].field if type(u[0]) is FieldScalar else \
         v[0].field if type(v[0]) is FieldScalar else None
-    table = _product_table(()) if field is None else field._table
+    table = QQ._table if field is None else field._table
     plain = len(table) == 1
     acc, den = [0] * len(table), 1
     for a, b in zip(u, v, strict=True):

@@ -214,8 +214,7 @@ def test_criterion_8_decomposition():
             ok = ok and all(c.dim == e for c in p.components)
             for i, a in enumerate(p.components):
                 for b in p.components[i + 1:]:
-                    ok = ok and M.class_key(m.space, m.field, m.dim, a) \
-                        != M.class_key(m.space, m.field, m.dim, b)
+                    ok = ok and M.class_key(m.space, a) != M.class_key(m.space, b)
         resum = parts[0]
         for p in parts[1:]:
             resum = M.add(resum, p)

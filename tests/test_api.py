@@ -1,4 +1,17 @@
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
 import dirspec
+from dirspec import classify as C
+from dirspec import fourier as FT
+from dirspec import measure as M
+from dirspec import oracle as O
+from dirspec.errors import (DimensionMismatchError, DirspecError, FieldMismatchError,
+                            ValidationError)
+from dirspec.linalg import AffineCarrier, LatticeSubgroup, Subspace, as_vector, span_coordinates
+from dirspec.scalar import QQ, FieldSpec
 
 
 def test_public_names_are_pinned():
@@ -14,3 +27,92 @@ def test_public_names_are_pinned():
         "observable_measure", "observables", "oracle", "pushforward_quotient",
         "pushforward_subgroup", "rajchman_probe", "rationality", "realize", "saturate",
         "scalar", "suspend", "translate", "wall_test", "wiener_mass"]
+
+
+# ---------------------------------------------------------------------------
+# the library's validation branches, called in process
+# ---------------------------------------------------------------------------
+
+F2 = FieldSpec((2,))
+X = Subspace.from_vectors(QQ, 2, [[1, 0]])
+
+
+def _torus(field=QQ, dim=2, comps=None):
+    return M.SymbolicMeasure.make(M.TORUS, dim, field, comps or [
+        M.Atom(as_vector(field, [Fraction(1, 3)] + [0] * (dim - 1)))])
+
+
+def _euclid(periodized=False):
+    return M.SymbolicMeasure.make(M.EUCLID, 2, QQ, [M.Atom(as_vector(QQ, [1, 2]))],
+                                  periodized)
+
+
+def _box(sub):
+    return M.BoxLebesgue(AffineCarrier.make(sub), sub.basis)
+
+
+VALIDATION = {
+    "wall_test/direction-field": (
+        lambda: C.wall_test(_torus(), Subspace.from_vectors(F2, 2, [[1, 0]]), None),
+        ValidationError),
+    "wall_test/direction-ambient": (
+        lambda: C.wall_test(_torus(), Subspace.from_vectors(QQ, 3, [[1, 0, 0]]), None),
+        ValidationError),
+    "realize/mixed-ambients": (
+        lambda: C.realize([X, Subspace.from_vectors(QQ, 3, [[1, 0, 0]])]), ValidationError),
+    "ft_batch/point-dimension": (
+        lambda: FT.ft_batch(_torus(), np.zeros((4, 3))), ValidationError),
+    "wiener_mass/ell-off-direction": (
+        lambda: FT.wiener_mass(_torus(), X, [0, 1]), ValidationError),
+    "as_vector/scalar-field": (
+        lambda: as_vector(QQ, [F2.sqrt_root(2)]), FieldMismatchError),
+    "Subspace.leq/fields": (
+        lambda: Subspace.full(QQ, 2).leq(Subspace.full(F2, 2)), FieldMismatchError),
+    "LatticeSubgroup.from_generators/length": (
+        lambda: LatticeSubgroup.from_generators(2, [[1, 0, 0]]), DimensionMismatchError),
+    "convolve/dimensions": (
+        lambda: M.convolve(_torus(), _torus(dim=3)), DimensionMismatchError),
+    "convolve/fields": (
+        lambda: M.convolve(_torus(), _torus(F2)), FieldMismatchError),
+    "add/periodized-and-plain": (
+        lambda: M.add(_euclid(), _euclid(periodized=True)), ValidationError),
+    "pushforward_quotient/torus": (
+        lambda: M.pushforward_quotient(_torus()), ValidationError),
+    "suspend/euclidean": (lambda: M.suspend(_euclid()), ValidationError),
+    "pushforward_subgroup/trivial": (
+        lambda: M.pushforward_subgroup(_torus(), LatticeSubgroup.from_generators(2, [])),
+        ValidationError),
+    "pushforward_subgroup/ambient": (
+        lambda: M.pushforward_subgroup(
+            _torus(), LatticeSubgroup.from_generators(3, [[1, 0, 0]])),
+        DimensionMismatchError),
+    "make/box-subspace-field": (
+        lambda: _torus(comps=[_box(Subspace.from_vectors(F2, 2, [[1, 0]]))]),
+        FieldMismatchError),
+    "make/box-subspace-ambient": (
+        lambda: _torus(comps=[_box(Subspace.from_vectors(QQ, 3, [[1, 0, 0]]))]),
+        DimensionMismatchError),
+    "make/group-offset-length": (
+        lambda: _torus(comps=[M.AtomGroup((as_vector(QQ, [Fraction(1, 2), 0]),), "Z",
+                                          as_vector(QQ, [0, 0, 0]))]),
+        DimensionMismatchError),
+    "make/unknown-component": (lambda: _torus(comps=[object()]), ValidationError),
+    "correlation/point-dimension": (
+        lambda: O.correlation(O.ProductType((O.Bernoulli(), O.Bernoulli())), (0, 0, 0),
+                              "factors:1"),
+        ValidationError),
+    "sqrt_root/non-root": (lambda: F2.sqrt_root(3), ValidationError),
+    "from_coeffs/count": (lambda: F2.from_coeffs([1]), ValidationError),
+    "as_rational/irrational": (lambda: F2.sqrt_root(2).as_rational(), ValidationError),
+    "span_coordinates/dependent-basis": (
+        lambda: span_coordinates([as_vector(QQ, [1, 2])] * 2, [as_vector(QQ, [0, 1])]),
+        ValidationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION))
+def test_validation_branches_raise_their_documented_error(case):
+    call, error = VALIDATION[case]
+    with pytest.raises(DirspecError) as info:
+        call()
+    assert info.type is error, info.value

@@ -462,7 +462,7 @@ class TestGroupWallOracle:
                 diff_ok = C._on_affine_wall(m.class_space, sub, witness,
                                             zero_vector(field, 2))
                 assert diff_ok
-                assert M.module_member(field, comp, witness, TORUS)
+                assert M.module_member(comp, witness, TORUS)
             else:
                 tested_neg += 1
                 assert self._enumerate_hits(m, comp, sub) is None

@@ -652,11 +652,12 @@ class TestGoldenReports:
 
 
 class TestHashIndependence:
-    """Reports must not depend on how irrational scalars hash: under a
-    cheaper hash of (roots, nums, den) the goldens and a slice of both
-    ``Directions`` benchmark pools (fields Q(sqrt2) and Q(sqrt2, sqrt3)) give
-    the same bytes.  Rational scalars still hash like their Fraction, as
-    equality with it requires."""
+    """Reports must not depend on how irrational scalars hash: under a hash
+    of their Fraction coefficients in place of (roots, nums, den), the
+    goldens, Q(sqrt2) reports and a slice of both ``Directions`` benchmark
+    pools (fields Q(sqrt2) and Q(sqrt2, sqrt3)) give the same bytes.
+    Rational scalars hash like their Fraction under both, as equality with
+    it requires."""
 
     POOL_SLICE = {"classify-mix": 60, "torus-walls": 20}  # measures of each pool
 
@@ -665,14 +666,14 @@ class TestHashIndependence:
         from dirspec.scalar import FieldScalar
         exact = FieldScalar.__hash__
 
-        def cheap(self):
+        def fraction_tuple(self):
             if self.is_rational():
                 return exact(self)
-            return hash((self.field.roots, self.nums, self.den))
+            return hash((self.field.roots, self.coeffs))
 
         root2 = F2.sqrt_root(2)
         before = hash(root2)
-        monkeypatch.setattr(FieldScalar, "__hash__", cheap)
+        monkeypatch.setattr(FieldScalar, "__hash__", fraction_tuple)
         assert hash(root2) != before
         assert hash(F2.from_rational(Fraction(1, 3))) == hash(Fraction(1, 3))
 
@@ -701,6 +702,48 @@ class TestHashIndependence:
             assert main([a.format(fx=fixtures_dir) for a in argv]) == 0
             expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
             assert capsys.readouterr().out == expected, golden
+
+    def test_irrational_reports(self, fixtures_dir, tmp_path, monkeypatch, capsys):
+        # every golden fixture is over Q: this measure puts Q(sqrt2) scalars
+        # through the hashed paths (class keys, member lines, closure pools)
+        from dirspec.linalg import AffineCarrier, Subspace
+        from dirspec.oracle import decode_model, expected_measure
+        r2 = F2.sqrt_root(2)
+        model = fixtures_dir / "rotation_model.json"
+        group = expected_measure(decode_model(json.loads(model.read_text())))
+        line = Subspace.from_vectors(F2, 2, [[F2.one(), r2]])
+        m = SymbolicMeasure.make(M.TORUS, 2, F2, list(group.components) + [
+            M.Atom((F2.from_rational(Fraction(1, 2)), F2.zero())),
+            M.BoxLebesgue(AffineCarrier.make(line, [Fraction(1, 3), 0]), line.basis)])
+        assert {type(c) for c in m.components} == {M.Atom, M.AtomGroup, M.BoxLebesgue}
+        measure, directions = tmp_path / "measure.json", tmp_path / "directions.json"
+        measure.write_text(json.dumps(m.encode()))
+        # an atom group times a box has no finite carrier, so exp takes the
+        # points and the box apart (closures of 4 classes each)
+        parts = []
+        for dim in (0, 1):
+            parts.append(tmp_path / f"dim{dim}.json")
+            parts[-1].write_text(json.dumps(m.replace_components(
+                [c for c in m.components if c.dim == dim]).encode()))
+        directions.write_text(json.dumps({"dim": 2, "field_roots": [2], "directions": [
+            {"basis": [["1", {"sqrt2": "1"}]]}, {"basis": [[{"sqrt2": "1"}, "1"]]},
+            {"basis": [["1", "0"]]}]}))
+        argvs = [["classify", "--measure", str(measure), "--directions", str(directions)],
+                 ["directions", "--measure", str(measure), "--enumeration-bound", "2"],
+                 *([cmd, "--measure", str(measure)] for cmd in ("lint", "decompose")),
+                 *(["exp", "--measure", str(part)] for part in parts),
+                 ["oracle", "--model", str(model), "--bound", "3"]]
+
+        def reports():
+            out = []
+            for argv in argvs:
+                assert main(argv) == 0, argv
+                out.append(capsys.readouterr().out)
+            return out
+
+        exact = reports()
+        self._patch_hash(monkeypatch)
+        assert reports() == exact
 
 
 class TestRoundTrip:

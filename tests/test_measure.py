@@ -81,10 +81,10 @@ class TestCanonicalization:
                                      [box(sub, [Fraction(1, 3), Fraction(5, 7)])])
             carrier = m.components[0].carrier.subspace
             lattice = carrier.memo["box_lattice"]
-            key = M.class_key(TORUS, sub.field, 2, m.components[0])
+            key = M.class_key(TORUS, m.components[0])
             assert carrier.memo["box_lattice"] is lattice
             fresh = Subspace(carrier.field, 2, carrier.basis)
-            assert M._box_key(TORUS, sub.field, 2, fresh, m.components[0].carrier.offset) == key
+            assert M._box_key(TORUS, fresh, m.components[0].carrier.offset) == key
             assert fresh.memo["box_lattice"] == lattice
 
     def test_memo_is_not_part_of_the_measure(self):
@@ -131,8 +131,7 @@ class TestCanonicalization:
         # stored offsets; the class key reduces the offset in the flattened
         # coordinates, where the module is a lattice, and sees equal carriers
         assert m1.components[0].carrier != m2.components[0].carrier
-        assert M.class_key(TORUS, F2, 2, m1.components[0]) \
-            == M.class_key(TORUS, F2, 2, m2.components[0])
+        assert M.class_key(TORUS, m1.components[0]) == M.class_key(TORUS, m2.components[0])
         assert m1.same_class(m2)
         both = M.add(m1, m2)
         merged = M.decompose(both)[1]
@@ -155,7 +154,7 @@ class TestCanonicalization:
             raise AssertionError("class keys must not floor a FieldScalar")
 
         monkeypatch.setattr(FieldScalar, "floor", no_floor)
-        keys = [M.class_key(TORUS, F2, 2, b) for b in boxes]
+        keys = [M.class_key(TORUS, b) for b in boxes]
         # a lattice shift and a carrier vector keep the class; (1/2, 0) leaves it
         assert keys[0] == keys[1] == keys[2] != keys[3]
 
@@ -497,8 +496,7 @@ class TestDecompose:
                 # carriers distinct within a dimension bucket
                 for i, a in enumerate(p.components):
                     for b in p.components[i + 1:]:
-                        assert M.class_key(m.space, m.field, m.dim, a) \
-                            != M.class_key(m.space, m.field, m.dim, b)
+                        assert M.class_key(m.space, a) != M.class_key(m.space, b)
             resum = parts[0]
             for p in parts[1:]:
                 resum = M.add(resum, p)
@@ -838,7 +836,7 @@ class TestClassKeyDifferential:
                 comps.extend(c for c in (_canonical(space, dim, field, v) for v in
                                          _variants(rng, space, dim, field, base))
                              if c is not None)
-            keys = [M.class_key(space, field, dim, c) for c in comps]
+            keys = [M.class_key(space, c) for c in comps]
             for (a, ka), (b, kb) in itertools.combinations(zip(comps, keys), 2):
                 same = reference_class_equivalent(space, dim, field, a, b)
                 assert (ka == kb) == same, (a, b)
@@ -888,7 +886,7 @@ class TestClassKeyDifferential:
             if not isinstance(base, AtomGroup):
                 continue
             for v in _variants(rng, space, dim, field, base)[:4]:
-                got = M.module_member(field, base, v.offset, space)
+                got = M.module_member(base, v.offset, space)
                 assert got == reference_module_member(field, base, v.offset, space)
                 hits[got] += 1
         assert hits[True] > 20 and hits[False] > 20, hits

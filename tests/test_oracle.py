@@ -42,6 +42,20 @@ class TestCorrelation:
         with pytest.raises(ValidationError):
             O.correlation(PRODUCT, (0, 0), "nope")
 
+    MALFORMED = [(PRODUCT, "factors:"), (PRODUCT, "factors:x"), (PRODUCT, "factors:1,"),
+                 (PRODUCT, "factors"), (BW, "pair:1,"), (BW, "factor:"), (BW, "pair:1:2"),
+                 (BW, "factor:one"), (ODO, "level:a,1"), (ODO, "level:1,"), (ODO, "level:"),
+                 (ODO, "level")]
+
+    @pytest.mark.parametrize("model,observable", MALFORMED,
+                             ids=[f"{type(m).__name__}-{o}" for m, o in MALFORMED])
+    def test_malformed_observable_ids(self, model, observable):
+        # a bad integer in an id is an unknown observable, not a bare ValueError
+        with pytest.raises(ValidationError, match="unknown observable"):
+            O.correlation(model, (0, 0), observable)
+        with pytest.raises(ValidationError, match="unknown observable"):
+            O.observable_measure(model, observable)
+
 
 class TestExpectedMeasure:
     def test_product_carriers(self):
@@ -74,6 +88,23 @@ class TestExpectedMeasure:
         # 2^60 - 1 boxes: refused before the subsets are listed
         with pytest.raises(ClosureBoundError):
             O.expected_measure(O.ProductType((O.Bernoulli(),) * 60))
+
+    def test_rotation_product_group(self):
+        # a product of rotations alone: one ring-Z atom group on T^2 that
+        # carries every observable's atom
+        rotations = O.ProductType((O.Rotation1(F2.sqrt_root(2) - 1),
+                                   O.Rotation1(F2.from_rational(Fraction(1, 3)))))
+        em = O.expected_measure(rotations)
+        assert (em.space, em.dim, em.field) == (M.TORUS, 2, F2)
+        assert len(em.components) == 1
+        group = em.components[0]
+        assert isinstance(group, AtomGroup) and group.ring == "Z"
+        for obs in O.observables(rotations):
+            om = O.observable_measure(rotations, obs)
+            assert [type(c) for c in om.components] == [M.Atom]
+            assert M.has_atom_at(em, om.components[0].point), obs
+        rep = O.crosscheck(rotations, bound=4)
+        assert rep.passed and rep.max_error < 1e-12
 
     def test_mixed_product_unsupported(self):
         mixed = O.ProductType((O.Bernoulli(), O.Rotation1(F2.sqrt_root(2) - 1)))

@@ -45,6 +45,35 @@ class TestFieldSpec:
             FieldSpec((1,))
 
 
+class TestFloatBasis:
+    """The float basis that ``FieldSpec`` keeps equals, bit for bit, the
+    products 1.0 * sqrt(m_i) * ... taken in root order, as it was computed
+    before it moved onto the interned object."""
+
+    @staticmethod
+    def reference(roots):
+        out = []
+        for j in range(1 << len(roots)):
+            v = 1.0
+            for i, m in enumerate(roots):
+                if j >> i & 1:
+                    v *= math.sqrt(m)
+            out.append(v)
+        return out
+
+    def test_matches_the_sequential_products(self):
+        primes = (2, 3, 5, 7, 11, 13, 17)
+        cases = [primes[:k] for k in range(len(primes) + 1)] \
+            + [(3, 7, 10), (5, 6, 7, 11), (2, 15, 17, 19, 23)]
+        for roots in cases:
+            field = FieldSpec(roots)
+            assert [x.hex() for x in field._floats] == \
+                [x.hex() for x in self.reference(roots)], roots
+            assert float(field.one()) == 1.0
+            for m in roots:
+                assert float(field.sqrt_root(m)) == math.sqrt(m)
+
+
 class TestFieldSpecInterning:
     """One FieldSpec object per roots tuple, however it is built."""
 
@@ -290,7 +319,10 @@ class TestAgainstFractionReference:
         assert a.encode() == ref_encode(field, ca)
         assert decode_scalar(field, a.encode()) == a
         if any(ca[1:]):
-            assert hash(a) == hash((field.roots, tuple(ca)))
+            # an irrational element hashes its integers: numerators over the
+            # least common denominator
+            den = math.lcm(*(Fraction(c).denominator for c in ca))
+            assert hash(a) == hash((field.roots, tuple(int(c * den) for c in ca), den))
         else:
             assert hash(a) == hash(ca[0]) and a == ca[0]
 
