@@ -23,9 +23,9 @@ from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vect
                      flatten, mat_vec, unit_vector, vec_add, vec_dot, vec_is_zero,
                      vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
-                      SymbolicMeasure, atom_points, coefficient_pool,
-                      coefficient_pool_size, exp as measure_exp, group_atom_on_coset,
-                      group_element_from_coeffs, has_atom_at, is_identity, translate)
+                      SymbolicMeasure, atom_points, coefficient_pool_size,
+                      exp as measure_exp, group_atom_on_coset, has_atom_at, is_identity,
+                      translate, truncated_atoms)
 from .scalar import FieldSpec
 
 # the most (shifted family or group atom, shift) pairs ``enumerate_members`` may
@@ -229,12 +229,13 @@ class ConciseSet:
 
     def enumerate_members(self, bound: int = 3) -> tuple[Subspace, ...]:
         """Explicit members: the listed subspaces plus family members for
-        shift/coefficient norms up to ``bound`` (deduplicated, pruned).  Many
-        (atom, shift) pairs span the same subspace: each perp is built once.
-        The span of one vector has the vector scaled by the inverse of its
-        first nonzero entry as its canonical basis, so group-family lines are
-        deduplicated by that tuple before any ``Subspace`` is built.  The
-        (family or group atom, shift) pairs are counted first: past
+        shift/coefficient norms up to ``bound`` (deduplicated, pruned).  A
+        family is a carrier basis and its points, (K, [offset]) for a
+        parametric family and ((), its distinct truncated atoms) for a group;
+        its members are span(basis, point - n)^perp over the shifts n (n = 0
+        off the torus).  Each nonzero point - n is spanned once, by
+        ``Subspace.from_vectors``, and each distinct span complemented once.
+        The (family or group atom, shift) pairs are counted first: past
         ``MEMBER_BUDGET`` nothing is listed and ClosureBoundError is raised."""
         if bound < 0:
             raise ValidationError("the enumeration bound must be >= 0")
@@ -250,23 +251,14 @@ class ConciseSet:
             as_vector(self.fieldspec, n)
             for n in (product(range(-bound, bound + 1), repeat=self.dim) if torus
                       else [(0,) * self.dim])]
+        families = [(fam.subspace.basis, [fam.offset]) for fam in self.parametric_families]
+        families += [((), dict.fromkeys(atom for atom, _ in truncated_atoms(group, bound)))
+                     for group in self.group_families]
         spans: dict[Subspace, None] = {}
-        for fam in self.parametric_families:
-            for n in shifts:
-                spans[Subspace.from_vectors(
-                    self.fieldspec, self.dim,
-                    list(fam.subspace.basis) + [vec_sub(fam.offset, n)])] = None
-        lines: dict[FieldVector, None] = {}  # each line once, in first-seen order
-        for group in self.group_families:
-            for atom in _enumerate_group_atoms(group, bound):
-                for n in shifts:
-                    shifted = vec_sub(atom, n)
-                    lead = next((x for x in shifted if not x.is_zero()), None)
-                    if lead is not None:
-                        inv = 1 / lead
-                        lines[tuple(inv * x for x in shifted)] = None
-        for line in lines:
-            spans[Subspace(self.fieldspec, self.dim, (line,))] = None
+        for basis, points in families:
+            for v in dict.fromkeys(vec_sub(p, n) for p in points for n in shifts):
+                if not vec_is_zero(v):
+                    spans[Subspace.from_vectors(self.fieldspec, self.dim, [*basis, v])] = None
         return _concise_hull(list(self.subspaces)
                              + [span.orthocomplement() for span in spans])
 
@@ -278,12 +270,6 @@ class ConciseSet:
                                    for g in self.group_families],
                 "enumerated_members": [s.encode()
                                        for s in self.enumerate_members(bound)]}
-
-
-def _enumerate_group_atoms(group: AtomGroup, bound: int) -> list[FieldVector]:
-    pool = coefficient_pool(group.ring, bound)
-    return list(dict.fromkeys(group_element_from_coeffs(group, combo, True)
-                              for combo in product(pool, repeat=len(group.generators))))
 
 
 def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
@@ -327,7 +313,9 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
         elif m.class_space == TORUS:  # a torus atom's family is its own carrier
             parametric.append(comp.carrier)
         else:
-            explicit.append(comp.carrier.affine_hull_through_origin().orthocomplement())
+            explicit.append(Subspace.from_vectors(
+                m.field, m.dim, [*comp.carrier.subspace.basis, comp.carrier.offset]
+            ).orthocomplement())
     hull = _concise_hull(explicit)
     # drop families all of whose members are subordinate to an explicit member
     kept_param = tuple(fam for fam in parametric

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 
 from .classify import _on_affine_wall
 from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
                      check_enumeration)
 from .linalg import FieldVector, Subspace, as_vector, vec_is_zero, vec_mod1
-from .measure import (EUCLID, TORUS, AtomGroup, SymbolicMeasure, coefficient_pool,
-                      coefficient_pool_size, group_element_from_coeffs, is_identity)
+from .measure import (EUCLID, TORUS, AtomGroup, SymbolicMeasure, coefficient_pool_size,
+                      is_identity, truncated_atoms)
 
 DIRECTIONS_PER_RADIUS = 64  # sampled points per radius in ``rajchman_probe``
 
@@ -43,7 +43,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.samples < 1 or self.radius <= 0:
             raise ValidationError("need samples >= 1 and radius > 0")
-        for name in ("seed", "periodization_truncation", "group_truncation"):
+        for name in ("seed", "tolerance", "periodization_truncation", "group_truncation"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -75,8 +75,9 @@ def check_truncations(m: SymbolicMeasure, cfg: EstimatorConfig) -> None:
 
 def group_representative(comp: AtomGroup, space: str, truncation: int
                          ) -> tuple[tuple[FieldVector, ...], tuple[float, ...]]:
-    """Deterministic truncated atom list for an atom-group component: exact
-    atoms, reduced mod Z^d on the torus, each once, the identity left out.
+    """Deterministic truncated atom list for an atom-group component: the
+    exact atoms of ``measure.truncated_atoms``, reduced mod Z^d on the torus,
+    each once, the identity left out.
 
     Coefficients range over |c| <= truncation (ring Z) or p/q with
     |p|, q <= truncation (ring Q); weights decay geometrically in the size of
@@ -84,16 +85,12 @@ def group_representative(comp: AtomGroup, space: str, truncation: int
     """
     if truncation < 1:
         raise ValidationError("ft of an atom group needs a positive truncation count")
-    # p/q in lowest terms has the least size |p| + q - 1 of its representations
-    pool = [(c, abs(c.numerator) + c.denominator - 1)
-            for c in coefficient_pool(comp.ring, truncation)]
     atoms: dict[FieldVector, float] = {}
-    for combo in product(pool, repeat=len(comp.generators)):
-        atom = group_element_from_coeffs(comp, [c for c, _ in combo], True)
+    for atom, size in truncated_atoms(comp, truncation):
         if space == TORUS:
             atom = vec_mod1(atom)
         if not is_identity(space, atom):
-            atoms.setdefault(atom, 2.0 ** -sum(s for _, s in combo))
+            atoms.setdefault(atom, 2.0 ** -size)
     if not atoms:
         return (), ()
     scale = float(comp.weight) / sum(atoms.values())

@@ -361,12 +361,6 @@ class AffineCarrier:
     def is_linear(self) -> bool:
         return vec_is_zero(self.offset)
 
-    def affine_hull_through_origin(self) -> Subspace:
-        """span(K, offset): the smallest subspace containing the carrier."""
-        return Subspace.from_vectors(
-            self.subspace.field, self.subspace.ambient,
-            list(self.subspace.basis) + ([self.offset] if not self.is_linear() else []))
-
     def encode(self) -> dict:
         return {"subspace": self.subspace.encode(),
                 "offset": [x.encode() for x in self.offset]}

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError, check_enumeration)
@@ -184,6 +186,19 @@ def coefficient_pool_size(ring: str, bound: int, cap: int) -> int:
             for j in range(p, bound + 1, p):
                 phi[j] -= phi[j] // p
     return 4 * sum(phi[1:]) - 1 if bound else 0
+
+
+def truncated_atoms(group: AtomGroup, bound: int) -> Iterator[tuple[FieldVector, int]]:
+    """The one walk over a group's truncated atoms: (offset + sum_i c_i g_i,
+    sum_i (|p_i| + q_i - 1)) for each combination c = (p_i / q_i) of
+    ``coefficient_pool(group.ring, bound)`` in ``product`` order, repeated
+    atoms included.  p/q in lowest terms has the least size |p| + q - 1 of
+    its representations."""
+    pool = [(c, abs(c.numerator) + c.denominator - 1)
+            for c in coefficient_pool(group.ring, bound)]
+    for combo in product(pool, repeat=len(group.generators)):
+        yield (group_element_from_coeffs(group, [c for c, _ in combo], True),
+               sum(size for _, size in combo))
 
 
 def group_element_from_coeffs(group: AtomGroup, coeffs, with_offset: bool) -> FieldVector:

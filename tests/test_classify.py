@@ -17,7 +17,7 @@ from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, as_vector,
                             zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
-from dirspec.scalar import QQ, FieldSpec
+from dirspec.scalar import QQ, FieldScalar, FieldSpec
 
 F2 = FieldSpec((2,))
 F5 = FieldSpec((5,))
@@ -324,7 +324,8 @@ def pairwise_hull(members):
 
 def raw_members(cs, bound):
     """Every member of a concise set before deduplication: one perp per
-    listed subspace, (family, shift) and (group atom, shift)."""
+    listed subspace, (family, shift) and (group atom, shift), with the group
+    atoms written out as offset + sum c_i g_i over the coefficient pool."""
     members = list(cs.subspaces)
     shifts = list(product(range(-bound, bound + 1), repeat=cs.dim)) if cs.space == TORUS \
         else [(0,) * cs.dim]
@@ -335,7 +336,11 @@ def raw_members(cs, bound):
                 cs.fieldspec, cs.dim,
                 list(fam.subspace.basis) + [shifted]).orthocomplement())
     for fam in cs.group_families:
-        for a in C._enumerate_group_atoms(fam, bound):
+        for combo in product(M.coefficient_pool(fam.ring, bound),
+                             repeat=len(fam.generators)):
+            a = fam.offset
+            for c, g in zip(combo, fam.generators):
+                a = [x + y * c for x, y in zip(a, g)]
             for n in shifts:
                 shifted = vec_sub(a, as_vector(cs.fieldspec, n))
                 if all(x.is_zero() for x in shifted):
@@ -362,12 +367,42 @@ class TestConciseHull:
         rng.shuffle(members)
         assert C._concise_hull(members) == pairwise_hull(members)
 
-    @pytest.mark.parametrize("name", ["chair", "bw8"])
+    @pytest.mark.parametrize("name", ["chair", "bw8", "broken_symmetry", "lonely_atom",
+                                      "ergodic_not_wm"])
     def test_enumerated_members_match_reference(self, fixtures_dir, name):
         import json
         m = SymbolicMeasure.decode(json.loads((fixtures_dir / f"{name}.json").read_text()))
         for cs in (C.nonergodic_concise(m), C.nonwm_concise(m)):
             assert cs.enumerate_members(3) == pairwise_hull(raw_members(cs, 3))
+
+    def test_group_members_match_reference(self):
+        # a ring-Z Q(sqrt2) group in T^2, whose atoms recur up to lattice
+        # shifts, and a ring-Q group in R^2, both off the origin
+        r2 = F2.sqrt_root(2)
+        t2_z = SymbolicMeasure.make(TORUS, 2, F2, [AtomGroup(
+            (as_vector(F2, [Fraction(1, 2), r2 / 2]), as_vector(F2, [0, Fraction(1, 3)])),
+            "Z", as_vector(F2, [Fraction(1, 5), 0]))])
+        r2_q = SymbolicMeasure.make(EUCLID, 2, QQ, [AtomGroup(
+            (as_vector(QQ, [1, 2]),), "Q", as_vector(QQ, [Fraction(1, 2), 0]))])
+        for m, bound in ((t2_z, 1), (r2_q, 3)):
+            cs = C.nonergodic_concise(m)
+            assert cs.group_families
+            assert cs.enumerate_members(bound) == pairwise_hull(raw_members(cs, bound))
+
+    def test_members_invert_once_per_distinct_shifted_atom(self, fixtures_dir, monkeypatch):
+        # chair.json at bound 3: 15^2 atoms x 7^2 shifts = 11,025 (atom, shift)
+        # pairs; normalizing the line of every pair took 11,301 inversions
+        m = SymbolicMeasure.decode(json.loads((fixtures_dir / "chair.json").read_text()))
+        cs = C.nonergodic_concise(m)
+        calls = []
+        invert = FieldScalar.invert
+
+        def counted(x):
+            calls.append(x)
+            return invert(x)
+        monkeypatch.setattr(FieldScalar, "invert", counted)
+        cs.enumerate_members(3)
+        assert len(calls) < 11_025 // 2
 
 
 class TestMemberBudget:
@@ -398,7 +433,7 @@ class TestMemberBudget:
         def refuse(*args, **kwargs):
             raise AssertionError("listed before the budget check")
         monkeypatch.setattr(C, "product", refuse)
-        monkeypatch.setattr(C, "_enumerate_group_atoms", refuse)
+        monkeypatch.setattr(C, "truncated_atoms", refuse)
         with pytest.raises(ClosureBoundError):
             concise.enumerate_members(bound)
 

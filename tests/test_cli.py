@@ -564,7 +564,8 @@ class TestExitCodes:
         ("tolerance", []), ("tolerance", float("nan")), ("tolerance", {}),
         ("periodization_truncation", True), ("periodization_truncation", "8"),
         ("group_truncation", 1.5), ("group_truncation", None),
-        ("seed", -1), ("periodization_truncation", -1), ("group_truncation", -1),
+        ("seed", -1), ("tolerance", -1), ("periodization_truncation", -1),
+        ("group_truncation", -1),
     ])
     def test_config_values_are_typed(self, key, value, fixtures_dir, tmp_path,
                                      monkeypatch, capsys):
@@ -601,6 +602,16 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "ValidationError"
+
+    def test_negative_tolerance_is_2(self, fixtures_dir, capsys):
+        # fourier-check used to fail every wall check against it and exit 3
+        code = main(["fourier-check", "--measure", str(fixtures_dir / "product_bernoulli.json"),
+                     "--directions", str(fixtures_dir / "axes_and_diagonal.json"),
+                     "--tolerance", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "ValidationError" and "tolerance" in err["message"]
 
     def test_in_process_main(self, fixtures_dir, capsys):
         code = main(["lint", "--measure", str(fixtures_dir / "chair.json")])

@@ -382,6 +382,21 @@ class TestCanonicalForm:
         assert Subspace.from_vectors(QQ, 3, mixed or [[0, 0, 0]]) == \
             (base if mixed else Subspace.zero(QQ, 3))
 
+    def test_only_linalg_calls_the_constructor(self):
+        # a Subspace built elsewhere would hold a basis that linalg did not
+        # put in canonical form, and compare unequal to its own span
+        import ast
+        from pathlib import Path
+        direct = []
+        for path in sorted(Path(L.__file__).parent.glob("*.py")):
+            if path.name == "linalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and "Subspace" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    direct.append(f"{path.name}:{node.lineno}")
+        assert direct == []
+
 
 class TestAffineCarrier:
     def test_offset_reduced(self):
