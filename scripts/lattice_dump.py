@@ -15,10 +15,16 @@ is up to the caller).  It prints the number of distinct systems per workload,
 on how many of them the HNF solve and the SNF answer agree (both infeasible,
 or the same solution coset), and one sha256 over the systems and answers.
 The hash does not depend on how often or in which
-order a system is solved, so a change that solves fewer systems, or solves
-them in another order, prints the same line exactly when every answer is
-the same.  Integers are written with `hex()`: `str()` of an SNF entry can
+order a system is solved, so a change that solves each system fewer times,
+or in another order, prints the same line exactly when every answer is the
+same.  Integers are written with `hex()`: `str()` of an SNF entry can
 pass Python's 4,300-digit limit.
+
+A change that decides some case without a system (as full directions are
+decided by `is_identity`) drops that case's systems and so re-pins the hash.
+Check such a re-pin on the version before the change: make `run_pool` skip
+the cases it decides (for full directions, `if sub.is_full(): continue`) and
+run this script there; it must print the new line exactly.
 """
 import hashlib
 import pathlib

@@ -75,8 +75,12 @@ def _wall_lattice(sub_l: Subspace) -> CosetLattice:
 def _on_affine_wall(space: str, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
     """Is ``point`` on L^perp + ell, modulo Z^d when ``space`` is TORUS, i.e.
-    when the coset key of B_L (point - ell) in the ``_wall_lattice`` of L is zero?"""
+    when the coset key of B_L (point - ell) in the ``_wall_lattice`` of L is
+    zero?  For the full L the wall is ell + {0}, and point - ell must be the
+    identity: no lattice is built."""
     diff = vec_sub(point, ell)
+    if sub_l.is_full():
+        return is_identity(space, diff)
     rows = sub_l.basis
     if space == TORUS:
         return not any(_wall_lattice(sub_l).key(flatten(mat_vec(rows, diff))))
@@ -90,8 +94,12 @@ def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
     on the torus, the shifts B_L e_j.  The answer depends only on L and the
     key below, so it is kept in the subspace's memo: the central wall test of
     ``classify_direction`` and ``contains_direction`` on the nonergodic
-    concise set pose the same system.
+    concise set pose the same system.  For the full L and the identity ell
+    the wall holds only the identity, which no genuine atom is: None without
+    a system.
     """
+    if sub_l.is_full() and is_identity(space, ell):
+        return None
     key = (space, group.ring, group.generators, group.offset, ell)
     if key not in sub_l.memo:
         rows = sub_l.basis
@@ -318,8 +326,9 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
             ).orthocomplement())
     hull = _concise_hull(explicit)
     # drop families all of whose members are subordinate to an explicit member
+    hull_perps = [s.orthocomplement() for s in hull] if parametric else []
     kept_param = tuple(fam for fam in parametric
-                       if not any(s.orthocomplement().leq(fam.subspace) for s in hull))
+                       if not any(k.leq(fam.subspace) for k in hull_perps))
     return m.memo.setdefault("nonergodic_concise", ConciseSet(
         m.class_space, m.dim, m.field, hull, kept_param, tuple(groups)))
 

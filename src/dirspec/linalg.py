@@ -15,8 +15,10 @@ basis of ``Subspace.project_all`` and the torus box-offset reduction),
 ``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
 output, and every dot product is the fused ``scalar.vec_dot``.  The trivial
 cases eliminate nothing: the orthocomplement of the zero or the full space,
-``leq`` under the full space or itself, and ``meets_orthocomplement`` with a
-smaller other.  ``flatten``
+``leq`` under the full space or itself and, by dimension, against an other
+of no larger dimension (equal dimensions compare the canonical bases),
+``orthogonal_to`` when the dimensions add up past the ambient one, and
+``meets_orthocomplement`` with a smaller other.  ``flatten``
 is the one map from field vectors to rational coordinates over the field
 basis; the solver rows, the class keys and the torus wall keys all use it.
 
@@ -35,8 +37,9 @@ module membership and the torus box-offset lattice-shift test off it;
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
 stored in its ``memo`` dict: ``project_all`` the dual basis G^-1 B (G = B B^T
-for the basis B), so a projection is the dim coordinates x = G^-1 B v and
-one combination x B; ``classify`` the torus wall lattice of a direction and
+for the basis B) beside the pivot columns of B, so a projection is the dim
+coordinates x = G^-1 B v and one combination x B, which is x_i at the i-th
+pivot column; ``classify`` the torus wall lattice of a direction and
 its atom-group wall answers; ``measure`` the projected lattice that reduces
 torus box offsets on a carrier and the lattice of its torus class key.  The
 memo takes no part in equality, hashing, ``encode`` or ``repr``.
@@ -253,10 +256,13 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionMismatchError("subspaces in different ambient spaces")
 
+    def _pivot_columns(self) -> list[int]:
+        """The leading column of each row of the RREF basis."""
+        return [next(j for j, x in enumerate(row) if not x.is_zero()) for row in self.basis]
+
     def contains(self, v: FieldVector) -> bool:
         w = list(v)
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if not x.is_zero())
+        for p, row in zip(self._pivot_columns(), self.basis):
             if not w[p].is_zero():
                 f = w[p]
                 w = [x - f * y for x, y in zip(w, row)]
@@ -266,11 +272,16 @@ class Subspace:
         self._check_compatible(other)
         if self is other or other.is_full():
             return True
+        if self.dim >= other.dim:  # only equal canonical bases lie below
+            return self.basis == other.basis
         return all(other.contains(row) for row in self.basis)
 
     def orthogonal_to(self, other: "Subspace") -> bool:
-        """self <= other^perp, from dot products of the two bases."""
+        """self <= other^perp, from dot products of the two bases; never when
+        the two dimensions add up past the ambient one."""
         self._check_compatible(other)
+        if self.dim + other.dim > self.ambient:
+            return False
         return all(vec_dot(u, v).is_zero() for u in self.basis for v in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
@@ -286,10 +297,7 @@ class Subspace:
             return Subspace.full(self.field, self.ambient)
         if self.is_full():
             return Subspace.zero(self.field, self.ambient)
-        # the basis is already in RREF: its pivots are the leading entries
-        pivots = [next(j for j, x in enumerate(row) if not x.is_zero())
-                  for row in self.basis]
-        vecs = nullspace(self.basis, pivots, self.ambient,
+        vecs = nullspace(self.basis, self._pivot_columns(), self.ambient,
                          self.field.zero(), self.field.one())
         return Subspace.from_vectors(self.field, self.ambient, vecs)
 
@@ -311,16 +319,19 @@ class Subspace:
     def project_all(self, vectors) -> list[FieldVector]:
         """Orthogonal projections of several vectors: the identity on the full
         space, else x B for the coordinates x = (G^-1 B) v (see the module
-        docstring)."""
+        docstring).  Pivot column p_i of the RREF basis B is the unit vector
+        e_i, so x B reads x_i there."""
         if self.dim == 0:
             return [zero_vector(self.field, self.ambient) for _ in vectors]
         if self.is_full():
             return [tuple(v) for v in vectors]
         if "dual_basis" not in self.memo:
             units = Subspace.full(self.field, self.ambient).basis
-            self.memo["dual_basis"] = tuple(zip(*span_coordinates(self.basis, units)))
-        dual, columns = self.memo["dual_basis"], tuple(zip(*self.basis))
-        return [tuple(vec_dot(x, col) for col in columns)
+            self.memo["dual_basis"] = (tuple(zip(*span_coordinates(self.basis, units))),
+                                       tuple(self._pivot_columns()))
+        (dual, pivots), columns = self.memo["dual_basis"], tuple(zip(*self.basis))
+        return [tuple(x[pivots.index(j)] if j in pivots else vec_dot(x, col)
+                      for j, col in enumerate(columns))
                 for x in ([vec_dot(r, v) for r in dual] for v in vectors)]
 
     def project_perp(self, v: FieldVector) -> FieldVector:

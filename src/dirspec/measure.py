@@ -27,7 +27,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
                      UnsupportedConvolutionError, ValidationError, check_enumeration)
@@ -191,14 +190,20 @@ def coefficient_pool_size(ring: str, bound: int, cap: int) -> int:
 def truncated_atoms(group: AtomGroup, bound: int) -> Iterator[tuple[FieldVector, int]]:
     """The one walk over a group's truncated atoms: (offset + sum_i c_i g_i,
     sum_i (|p_i| + q_i - 1)) for each combination c = (p_i / q_i) of
-    ``coefficient_pool(group.ring, bound)`` in ``product`` order, repeated
-    atoms included.  p/q in lowest terms has the least size |p| + q - 1 of
-    its representations."""
+    ``coefficient_pool(group.ring, bound)`` in ``itertools.product`` order,
+    repeated atoms included.  p/q in lowest terms has the least size
+    |p| + q - 1 of its representations.  Each c g_i is formed once per pool
+    coefficient and each prefix sum over the first generators once, in that
+    order; the last generator's terms are added as the atoms are yielded."""
     pool = [(c, abs(c.numerator) + c.denominator - 1)
             for c in coefficient_pool(group.ring, bound)]
-    for combo in product(pool, repeat=len(group.generators)):
-        yield (group_element_from_coeffs(group, [c for c, _ in combo], True),
-               sum(size for _, size in combo))
+    terms = [[(vec_scale(c, g), size) for c, size in pool] for g in group.generators]
+    prefixes = [(group.offset, 0)]
+    for level in terms[:-1]:
+        prefixes = [(vec_add(p, t), ps + s) for p, ps in prefixes for t, s in level]
+    for p, ps in prefixes:
+        for t, s in terms[-1]:
+            yield vec_add(p, t), ps + s
 
 
 def group_element_from_coeffs(group: AtomGroup, coeffs, with_offset: bool) -> FieldVector:

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,13 +13,19 @@ from dirspec import classify as C
 from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, DimensionMismatchError,
                             InvalidDirectionSetError, NotReducedError, ValidationError)
-from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, as_vector,
-                            mat_vec, pose_lattice_coset, promote_subspace, rationality,
-                            solve_lattice_coset, vec_add, vec_dot, vec_scale, vec_sub,
-                            zero_vector)
+from dirspec.linalg import (AffineCarrier, CosetLattice, LatticeSubgroup, Subspace,
+                            as_vector, flatten, mat_vec, pose_lattice_coset,
+                            promote_subspace, rationality, solve_lattice_coset, vec_add,
+                            vec_dot, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldScalar, FieldSpec
+
+# perfbench/gen.py makes the benchmark pools; tests/gen.py holds the name gen
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_gen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+perfbench_gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_gen)
 
 F2 = FieldSpec((2,))
 F5 = FieldSpec((5,))
@@ -570,6 +578,90 @@ class TestAffineWallKey:
                 assert on_wall
         assert min(kinds.values()) > 5
         assert outcomes[True] > 30 and outcomes[False] > 30 and found_by_search > 30
+
+
+class TestFullDirection:
+    """On the full direction L = R^d the wall L^perp + ell is ell + {0}, mod
+    Z^d on the torus: ``_on_affine_wall`` reads ``is_identity`` and
+    ``_group_meets_wall`` answers an identity ell without a lattice system.
+    Both must agree with the systems they skip, and no operation of the
+    benchmark on a full direction may pose one."""
+
+    @staticmethod
+    def measures():
+        """Seeded slices of both benchmark pools, then random measures on
+        R^d and T^d over Q and Q(sqrt2), with atom groups."""
+        out = [SymbolicMeasure.decode(case["measure"])
+               for workload in ("classify-mix", "torus-walls")
+               for case in perfbench_gen.generate(workload, 0)[:40]]
+        rng = random.Random(71)
+        for field, space, d in product((QQ, F2), (EUCLID, TORUS), (1, 2, 3)):
+            out += [gen.rand_measure(rng, field, d, space, with_groups=True) for _ in range(3)]
+        return out
+
+    @staticmethod
+    def identities(rng, m):
+        """The zero vector, and on the torus an integral one too."""
+        out = [zero_vector(m.field, m.dim)]
+        if m.class_space == TORUS:
+            out.append(as_vector(m.field, [rng.randint(-3, 3) for _ in range(m.dim)]))
+        return out
+
+    def test_identity_target_holds_no_genuine_atom(self):
+        rng = random.Random(5)
+        groups = 0
+        for m in self.measures():
+            rows = Subspace.full(m.field, m.dim).basis
+            shifts = rows if m.class_space == TORUS else ()
+            for comp in m.components:
+                if isinstance(comp, AtomGroup):
+                    groups += 1
+                    for target in self.identities(rng, m):
+                        assert M.group_atom_on_coset(m.class_space, comp, rows, target,
+                                                     shifts) is None
+        assert groups > 30
+
+    def test_affine_wall_matches_the_lattice_key(self):
+        rng = random.Random(11)
+        outcomes = {True: 0, False: 0}
+        for m in self.measures():
+            space, full = m.class_space, Subspace.full(m.field, m.dim)
+            points = [c.carrier.offset for c in m.components if not isinstance(c, AtomGroup)]
+            for ell in [*self.identities(rng, m), gen.rand_vector(rng, m.field, m.dim)]:
+                for point in [*points, ell, gen.rand_vector(rng, m.field, m.dim),
+                              *(vec_add(ell, n) for n in self.identities(rng, m))]:
+                    diff = vec_sub(point, ell)
+                    if space == TORUS:
+                        key = C._wall_lattice(full).key(flatten(mat_vec(full.basis, diff)))
+                        expected = not any(key)
+                    else:
+                        expected = all(vec_dot(b, diff).is_zero() for b in full.basis)
+                    assert C._on_affine_wall(space, full, point, ell) == expected
+                    outcomes[expected] += 1
+        assert min(outcomes.values()) > 50
+
+    def test_full_direction_poses_no_lattice_system(self, monkeypatch):
+        measures = self.measures()
+        fresh = [SymbolicMeasure.decode(m.encode()) for m in measures]
+
+        def run(m):
+            full = Subspace.full(m.field, m.dim)
+            return (C.classify_direction(m, full).encode(),
+                    [f.encode() for f in C.directional_eigenvalues(m, full)],
+                    C.nonergodic_concise(m).contains_direction(full),
+                    C.nonwm_concise(m).contains_direction(full))
+
+        expected = [run(m) for m in measures]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full direction posed a lattice system")
+
+        monkeypatch.setattr(M, "pose_lattice_coset", refuse)
+        monkeypatch.setattr(CosetLattice, "make", staticmethod(refuse))
+        assert [run(m) for m in fresh] == expected
+        # a reduced class is ergodic along R^d; weak mixing still fails often
+        assert all(verdict["ergodic"] for verdict, *_ in expected)
+        assert sum(not verdict["weak_mixing"] for verdict, *_ in expected) > 10
 
 
 class TestSubordinationSoundness:

@@ -121,6 +121,14 @@ def reference_leq(a, b):
     return Subspace.from_vectors(a.field, a.ambient, list(a.basis) + list(b.basis)).dim == b.dim
 
 
+def reference_orthogonal_to(a, b):
+    """a <= b^perp: every product of a basis row of a with one of b is zero,
+    each dot product summed term by term."""
+    zero = a.field.zero()
+    return all(sum((x * y for x, y in zip(u, v)), zero).is_zero()
+               for u in a.basis for v in b.basis)
+
+
 def reference_meets_orthocomplement(sub_l, sub_k):
     """L cap K^perp != 0: the dot products of the bases have rank below dim L."""
     if sub_l.dim == 0:
@@ -130,9 +138,13 @@ def reference_meets_orthocomplement(sub_l, sub_k):
 
 
 class TestTrivialSubspaceCases:
-    """``orthocomplement``, ``leq`` and ``meets_orthocomplement`` decide the
-    zero and full subspaces, a subspace against itself and a smaller other
-    without elimination; they must agree with the elimination-only references."""
+    """``orthocomplement``, ``leq``, ``orthogonal_to`` and
+    ``meets_orthocomplement`` decide without elimination: the zero and full
+    subspaces, a subspace against itself, ``leq`` against an other of no
+    larger dimension (by the canonical bases), ``orthogonal_to`` when the two
+    dimensions add up past the ambient one, and ``meets_orthocomplement``
+    with a smaller other.  They must agree with the elimination-only and
+    dot-product references."""
 
     @staticmethod
     def subspaces(rng, field, d):
@@ -148,8 +160,10 @@ class TestTrivialSubspaceCases:
                 for a in subs:
                     perp = a.orthocomplement()
                     assert perp == reference_orthocomplement(a) and perp.dim == d - a.dim
-                    for b in subs + [a]:  # b is a: the same object
+                    twin = Subspace.from_vectors(field, d, a.basis)  # equal, not a
+                    for b in subs + [a, twin, perp]:  # b is a: the same object
                         assert a.leq(b) == reference_leq(a, b), (a, b)
+                        assert a.orthogonal_to(b) == reference_orthogonal_to(a, b), (a, b)
                         assert a.meets_orthocomplement(b) == \
                             reference_meets_orthocomplement(a, b), (a, b)
 
@@ -162,7 +176,10 @@ class TestTrivialSubspaceCases:
             one_plus = field.from_coeffs([1] * field.dimension)  # 1 + sqrt2 over F2
             line = Subspace.from_vectors(field, 3, [[1, one_plus, 0]])
             plane = Subspace.from_vectors(field, 3, [[1, 0, 0], [0, 1, 1]])
-            cases.append((Subspace.zero(field, 3), Subspace.full(field, 3), line, plane))
+            twin = Subspace.from_vectors(field, 3, line.basis)
+            other = Subspace.from_vectors(field, 3, [[0, 1, 0]])
+            cases.append((Subspace.zero(field, 3), Subspace.full(field, 3), line, plane,
+                          twin, other))
         calls = []
 
         def counting(real):
@@ -173,18 +190,27 @@ class TestTrivialSubspaceCases:
 
         monkeypatch.setattr(L, "rref_field", counting(L.rref_field))
         monkeypatch.setattr(Subspace, "contains", counting(Subspace.contains))
-        for zero, full, line, plane in cases:
+        monkeypatch.setattr(L, "vec_dot", counting(L.vec_dot))
+        for zero, full, line, plane, twin, other in cases:
             assert zero.orthocomplement() == full and full.orthocomplement() == zero
             assert line.leq(full) and plane.leq(full) and zero.leq(full) and full.leq(full)
             assert line.leq(line) and plane.leq(plane)
             assert plane.meets_orthocomplement(line) and full.meets_orthocomplement(plane)
             assert full.meets_orthocomplement(zero) and line.meets_orthocomplement(zero)
+            # leq by dimension: equal ones compare bases, a larger self is never below
+            assert line.leq(twin) and not line.leq(other) and not other.leq(line)
+            assert not plane.leq(line) and not full.leq(plane) and zero.leq(zero)
+            # orthogonal_to: the dimensions add up past 3
+            assert not plane.orthogonal_to(plane) and not full.orthogonal_to(line)
+            assert not plane.orthogonal_to(full)
         assert calls == []
-        # the cases that are not trivial still eliminate
-        _, full, line, plane = cases[0]
+        # the cases that are not trivial still eliminate or take dot products
+        _, full, line, plane, _, other = cases[0]
         assert line.orthocomplement().dim == 2 and line.leq(plane) is False
         assert not line.meets_orthocomplement(plane)
-        assert sorted(set(calls)) == ["contains", "rref_field"]
+        assert not line.orthogonal_to(plane) and other.orthogonal_to(Subspace.from_vectors(
+            QQ, 3, [[1, 0, 0]]))
+        assert sorted(set(calls)) == ["contains", "rref_field", "vec_dot"]
 
 
 def gram_projection(sub, v):
@@ -236,14 +262,33 @@ class TestProjection:
                 assert Subspace.zero(field, d).project_all(vs) == [zero_vector(field, d)] * 3
                 assert all(vec_is_zero(Subspace.full(field, d).project_perp(v)) for v in vs)
 
+    def test_pivots_that_are_not_leading(self):
+        # in these RREF bases the pivot columns are not 0..k-1, e.g. {0, 2} in
+        # R^4: project_all reads x_i at pivot p_i and the dot products elsewhere
+        rng = random.Random(61)
+        for field in (QQ, F2):
+            for pivots in ([0, 2], [1, 3], [0, 3], [1, 2], [2], [1, 2, 3], [0, 1, 3]):
+                rows = []
+                for p in pivots:
+                    rows.append([field.one() if j == p else
+                                 gen.rand_scalar(rng, field) if j > p and j not in pivots
+                                 else field.zero() for j in range(4)])
+                sub = Subspace.from_vectors(field, 4, rows)
+                assert [next(j for j, x in enumerate(r) if not x.is_zero())
+                        for r in sub.basis] == pivots
+                vs = [gen.rand_vector(rng, field, 4) for _ in range(4)]
+                assert sub.project_all(vs) == [gram_projection(sub, v) for v in vs]
+
     def test_dual_basis_is_kept_in_the_memo(self):
         sub = Subspace.from_vectors(F2, 3, [[1, F2.sqrt_root(2), 0]])
         v = as_vector(F2, [1, 2, 3])
         assert "dual_basis" not in sub.memo
         first = sub.project(v)
-        dual = sub.memo["dual_basis"]
+        entry = sub.memo["dual_basis"]
+        dual, pivots = entry
         assert len(dual) == sub.dim and all(len(r) == sub.ambient for r in dual)
-        assert sub.project(v) == first and sub.memo["dual_basis"] is dual
+        assert pivots == (0,)  # the pivot column of each basis row, beside the dual
+        assert sub.project(v) == first and sub.memo["dual_basis"] is entry
         # the dual rows r_i satisfy r_i . b_j = [i == j]
         assert [[vec_dot(r, b) for b in sub.basis] for r in dual] == [[1]]
         assert "dual_basis" not in Subspace.full(F2, 3).memo

@@ -32,7 +32,9 @@ def test_classify_fixtures_table():
 
 def test_lattice_dump_fingerprint():
     # ROADMAP item 1(b), the switch from SNF to an HNF witness solve, changes
-    # atom-group witnesses and re-pins this hash on purpose
+    # atom-group witnesses and re-pins this hash on purpose.  Full directions
+    # decide their walls without a system, so this is the hash that the
+    # previous script printed with full directions left out of its pools
     out = run_script("lattice_dump.py")
     assert out.splitlines()[-1] \
-        == "sha256 471ac9eae4233271db2c2bf06353725793f516db2586290295b36f2d1b5338d8"
+        == "sha256 7757077e80fe47cfab6848a25c997621ec8e569806c86fdce74df63fbb964d42"
