@@ -2,31 +2,35 @@
 
 Provides canonical-form subspaces of R^d over a FieldSpec (reduced row
 echelon bases, so structural equality is definitional equality), affine
-carriers, integer lattice subgroups in Hermite normal form and their
-saturations, rationality classification of directions, one exact solver for
-lattice cosets and canonical coset keys.
+carriers, integer lattice subgroups in Hermite normal form, one exact
+solver for lattice cosets, which also gives the saturations and the
+rationality classification of directions, and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), ``span_coordinates`` (one Gram system for many vectors: the dual
 basis of ``Subspace.project_all`` and the torus box-offset reduction),
-``meets_orthocomplement`` (a rank), ``saturate`` (one triangular solve),
-``rationality``, ``pose_lattice_coset`` (the rational unknowns) and
-``CosetLattice`` (the rational rows).  ``nullspace`` reads kernels off its
-output, and every dot product is the fused ``scalar.vec_dot``.  The trivial
-cases eliminate nothing: the orthocomplement of the zero or the full space,
-``leq`` under the full space or itself and, by dimension, against an other
-of no larger dimension (equal dimensions compare the canonical bases),
-``orthogonal_to`` when the dimensions add up past the ambient one, and
-``meets_orthocomplement`` with a smaller other.  ``flatten``
-is the one map from field vectors to rational coordinates over the field
-basis; the solver rows, the class keys and the torus wall keys all use it.
+``meets_orthocomplement`` (a rank), ``pose_lattice_coset`` (the rational
+unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
+kernels off its output, and every dot product is the fused
+``scalar.vec_dot``.  The trivial cases eliminate nothing: the orthocomplement
+of the zero or the full space, ``leq`` under the full space or itself and,
+by dimension, against an other of no larger dimension (equal dimensions
+compare the canonical bases), ``orthogonal_to`` when the dimensions add up
+past the ambient one, and ``meets_orthocomplement`` with a smaller other.
+``flatten`` is the one map from field vectors to rational coordinates over
+the field basis; the solver rows, the class keys and the torus wall keys all
+use it.
 
 ``pose_lattice_coset`` is the one lattice coset solver: is t in
-ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its one caller,
-``measure.group_atom_on_coset``, asks for a group atom on a wall or in a
+ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its callers:
+``measure.group_atom_on_coset`` asks for a group atom on a wall or in a
 subgroup image: a ``hermite_normal_form`` solve decides, and only a yes runs
 ``smith_normal_form`` (U·B, D and V, U never formed) to name the witness.
+``rationality`` reads L cap Z^d off the HNF solution lattice of the
+homogeneous system sum_j n_j c_j = 0, and ``saturate`` is that lattice for
+a subgroup's span.  The HNF callers are ``LatticeSubgroup.from_generators``,
+``CosetLattice.make`` and the solver.
 
 Yes/no questions read a ``CosetLattice`` key instead: it puts
 Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
@@ -578,25 +582,8 @@ class LatticeSubgroup:
 
 
 def saturate(h: LatticeSubgroup) -> LatticeSubgroup:
-    """span(H) cap Z^d.  Let B be H's HNF basis, of rank r, and T the HNF of
-    B's d columns (vectors in Z^r).  In the coordinates x -> (x.b_1, ...,
-    x.b_r) of span(H) the dual lattice H* is Z^r and the orthogonal
-    projection pi(Z^d) is the lattice of T's rows, since b_i . pi(z) = b_i . z;
-    T is r x r, upper triangular with positive diagonal.  span(H) cap Z^d is
-    the dual of pi(Z^d) inside span(H): x = y B is integral exactly when T y
-    is, so it is spanned by the rows of T^-T B."""
-    if h.is_trivial():
-        return h
-    t = hermite_normal_form(zip(*h.basis))
-    r = h.rank
-    rr, _ = rref_field([[Fraction(row[i]) for row in t] + [Fraction(x) for x in b]
-                        for i, b in enumerate(h.basis)], r)
-    return LatticeSubgroup.from_generators(h.ambient, [[int(x) for x in row[r:]] for row in rr])
-
-
-# ---------------------------------------------------------------------------
-# rationality classification
-# ---------------------------------------------------------------------------
+    """span(H) cap Z^d, the integer points of H's rational span."""
+    return h if h.is_trivial() else rationality(h.span()).lattice
 
 
 @dataclass(frozen=True)
@@ -608,42 +595,20 @@ class RationalityReport:
 
 
 def rationality(sub: Subspace) -> RationalityReport:
-    """Classify a direction by the dimension of its largest rational subspace.
+    """Classify a direction L by the rank of L cap Z^d.
 
-    Rational vectors v in L are parameterized by their pivot coordinates;
-    requiring every non-rational field component of v to vanish gives a
-    homogeneous rational system whose kernel spans the rational part.
+    An integer n is in L exactly when sum_j n_j c_j = 0 for the columns c_j
+    of the L^perp basis; that system's integer solution lattice is L cap Z^d,
+    and its span is the largest rational subspace of L.
     """
-    field = sub.field
-    d = sub.ambient
-    e = sub.dim
-    if e == 0:
-        return RationalityReport("completely_rational", 0, sub,
-                                 LatticeSubgroup(d, ()))
-    nbasis = field.dimension
-    flat = [flatten(b) for b in sub.basis]
-    rows = [[f[j * nbasis + beta] for f in flat]
-            for j in range(d) for beta in range(1, nbasis)]
-    rr, pivots = rref_field(rows)
-    kernel = nullspace(rr, pivots, e, Fraction(0), Fraction(1))
-    columns = tuple(zip(*sub.basis))  # the combinations sum_i x_i b_i
-    rational_part = Subspace.from_vectors(field, d, [mat_vec(columns, x) for x in kernel])
-    r = rational_part.dim
-    if r == e:
-        kind = "completely_rational"
-    elif r == 0:
-        kind = "irrational"
-    else:
-        kind = "intermediate"
-    # scale the rational basis to integers and saturate
-    int_gens = []
-    for row in rational_part.basis:
-        fracs = [x.as_rational() for x in row]
-        den = lcm(*[f.denominator for f in fracs]) if fracs else 1
-        int_gens.append([f.numerator * (den // f.denominator) for f in fracs])
-    lattice = saturate(LatticeSubgroup.from_generators(d, int_gens)) if int_gens \
-        else LatticeSubgroup(d, ())
-    return RationalityReport(kind, r, rational_part, lattice)
+    perp = sub.orthocomplement()
+    cols = [tuple(row[j] for row in perp.basis) for j in range(sub.ambient)]
+    solution = pose_lattice_coset("Z", (), cols, zero_vector(sub.field, perp.dim))(smith=False)
+    lattice = LatticeSubgroup.from_generators(sub.ambient, solution.shift_lattice)
+    r = lattice.rank
+    kind = ("completely_rational" if r == sub.dim else "irrational" if r == 0
+            else "intermediate")
+    return RationalityReport(kind, r, lattice.span(sub.field), lattice)
 
 
 # ---------------------------------------------------------------------------

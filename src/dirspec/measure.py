@@ -592,8 +592,10 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
     components, and the class of a*b depends only on the classes of a and b,
     so each round convolves the new members with the base components other
     than delta_0 only.
-    Raises ClosureBoundError past ``cap``.
+    Raises ClosureBoundError past ``cap``, and ValidationError for a cap < 0.
     """
+    if cap < 0:
+        raise ValidationError(f"the component cap must be >= 0, got {cap}")
     delta0 = Atom(zero_vector(m.field, m.dim))
 
     def norm(comp: Component) -> Component:

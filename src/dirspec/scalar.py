@@ -67,6 +67,9 @@ class FieldSpec:
 
     def __new__(cls, roots=()):
         roots = tuple(roots)
+        for m in roots:  # before sorting: "2" or None would not compare with 2
+            if type(m) is not int:
+                raise ValidationError(f"root {m!r} is not an integer")
         if list(roots) != sorted(set(roots)):
             raise ValidationError(f"roots must be sorted and distinct: {roots}")
         for m in roots:

@@ -101,6 +101,8 @@ VALIDATION = {
         lambda: O.correlation(O.ProductType((O.Bernoulli(), O.Bernoulli())), (0, 0, 0),
                               "factors:1"),
         ValidationError),
+    **{f"FieldSpec/root-{name}": (lambda root=root: FieldSpec((root,)), ValidationError)
+       for name, root in [("str", "2"), ("float", 2.5), ("none", None), ("list", [2])]},
     "sqrt_root/non-root": (lambda: F2.sqrt_root(3), ValidationError),
     "from_coeffs/count": (lambda: F2.from_coeffs([1]), ValidationError),
     "as_rational/irrational": (lambda: F2.sqrt_root(2).as_rational(), ValidationError),

@@ -640,6 +640,15 @@ class TestFullDirection:
                     outcomes[expected] += 1
         assert min(outcomes.values()) > 50
 
+    def test_wall_of_a_genuine_atom(self):
+        """On T^2 the group Z.(1/2, 0) charges the full direction's wall at
+        ell = (1/2, 0), its own atom, and not at (1/3, 0)."""
+        group = AtomGroup((as_vector(QQ, [Fraction(1, 2), 0]),), "Z", zero_vector(QQ, 2))
+        m = torus(group)
+        res = C.wall_test(m, FULL, [Fraction(1, 2), 0])
+        assert res.positive and res.witnesses[0].encode()["atom"] == ["1/2", "0"]
+        assert not C.wall_test(m, FULL, [Fraction(1, 3), 0]).positive
+
     def test_full_direction_poses_no_lattice_system(self, monkeypatch):
         measures = self.measures()
         fresh = [SymbolicMeasure.decode(m.encode()) for m in measures]

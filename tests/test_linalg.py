@@ -429,16 +429,19 @@ class TestCanonicalForm:
 
     def test_only_linalg_calls_the_constructor(self):
         # a Subspace built elsewhere would hold a basis that linalg did not
-        # put in canonical form, and compare unequal to its own span
+        # put in canonical form, and compare unequal to its own span; an
+        # elimination or normal form elsewhere would be a second lattice solver
         import ast
         from pathlib import Path
+        private = {"Subspace", "rref_field", "nullspace", "hermite_normal_form",
+                   "smith_normal_form"}
         direct = []
         for path in sorted(Path(L.__file__).parent.glob("*.py")):
             if path.name == "linalg.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and "Subspace" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                if isinstance(node, ast.Call) and private & {
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
                     direct.append(f"{path.name}:{node.lineno}")
         assert direct == []
 
@@ -606,6 +609,10 @@ class TestRationality:
                 assert rep.rational_rank == sub.dim
             for row in rep.lattice.basis:
                 assert sub.contains(as_vector(field, row))
+            # and L cap Z^d is all of it: no integer point of L is missing
+            for x in itertools.product(range(-2, 3), repeat=d):
+                if sub.contains(as_vector(field, x)):
+                    assert rep.lattice.contains(x)
 
 
 def integer_shift(a_matrix, c):

@@ -112,9 +112,9 @@ class TestFieldSpecInterning:
         assert FieldSpec._interned == before
 
     def test_a_non_integer_root_is_not_read_as_the_integer(self):
-        # (2.0,) equals (2,) as a dictionary key; it is refused as before
+        # (2.0,) equals (2,) as a dictionary key; it is refused by name
         before = dict(FieldSpec._interned)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="root 2.0 is not an integer"):
             FieldSpec((2.0,))
         assert FieldSpec._interned == before
 
