@@ -41,12 +41,14 @@ MEMBER_BUDGET = 200_000
 @dataclass(frozen=True)
 class WallWitness:
     component_index: int
-    wall: dict
+    component: Component
     eigenvalue: FieldVector | None = None
     atom: FieldVector | None = None   # a concrete atom on the wall, when atomic
 
     def encode(self) -> dict:
-        out = {"component": self.component_index, "wall": self.wall}
+        wall = self.component.encode()
+        wall.pop("weight", None)
+        out = {"component": self.component_index, "wall": wall}
         if self.eigenvalue is not None:
             out["eigenvalue"] = [x.encode() for x in self.eigenvalue]
         if self.atom is not None:
@@ -110,12 +112,6 @@ def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
     return sub_l.memo[key]
 
 
-def _wall_descriptor(comp: Component) -> dict:
-    doc = comp.encode()
-    doc.pop("weight", None)
-    return doc
-
-
 def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
     """Decide whether L^perp + ell (resp. its torus projection) is a wall.
     Only the eigenvalue carriers of L can charge it: ell is a directional
@@ -140,7 +136,7 @@ def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
             atom = point if isinstance(comp, Atom) else None
         else:
             continue
-        witnesses.append(WallWitness(i, _wall_descriptor(comp), ell_vec, atom))
+        witnesses.append(WallWitness(i, comp, ell_vec, atom))
     return WallTestResult(bool(witnesses), tuple(witnesses))
 
 
@@ -191,13 +187,12 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
             and not direction.meets_orthocomplement(comp.carrier.subspace)
         if carrier is None and decays:
             continue
-        wall = _wall_descriptor(comp)
         if carrier is not None:
             point, gens = carrier
             ell = direction.project(vec_add(point, gens[0]) if gens else point)
-            witnesses.append(("weak_mixing", WallWitness(i, wall, ell)))
+            witnesses.append(("weak_mixing", WallWitness(i, comp, ell)))
         if not decays:
-            witnesses.append(("strong_mixing", WallWitness(i, wall, None)))
+            witnesses.append(("strong_mixing", WallWitness(i, comp, None)))
             strong = False
     return DirectionVerdict(direction, not ergodic_result.positive, not carriers, strong,
                             tuple(witnesses))

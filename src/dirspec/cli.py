@@ -242,8 +242,6 @@ COMMANDS = {
 @cache  # one parser per process: in-process callers run main many times
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=True,
-                        help="emit a JSON report (default)")
     common.add_argument("--text", dest="json", action="store_false",
                         help="emit a plain-text report")
     common.add_argument("--output", help="write the report to a file")

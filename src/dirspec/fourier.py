@@ -173,6 +173,8 @@ class WienerEstimate:
 
 
 def _orthonormal_basis(direction: Subspace) -> np.ndarray:
+    if direction.dim < 1:
+        raise ValidationError("directions must have dimension >= 1")
     import numpy as np
     b = np.array([[float(x) for x in row] for row in direction.basis], dtype=float)
     q, _ = np.linalg.qr(b.T)

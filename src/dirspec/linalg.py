@@ -30,7 +30,9 @@ subgroup image: a ``hermite_normal_form`` solve decides, and only a yes runs
 ``rationality`` reads L cap Z^d off the HNF solution lattice of the
 homogeneous system sum_j n_j c_j = 0, and ``saturate`` is that lattice for
 a subgroup's span.  The HNF callers are ``LatticeSubgroup.from_generators``,
-``CosetLattice.make`` and the solver.
+``CosetLattice.make`` and the solver; ``hermite_normal_form`` is one
+extended-gcd sweep over the columns, each lower row folded into the pivot
+row by the unimodular 2x2 step of ``_xgcd``.
 
 Yes/no questions read a ``CosetLattice`` key instead: it puts
 Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
@@ -53,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
 from .scalar import QQ, FieldScalar, FieldSpec, promote_scalar, vec_dot
@@ -399,45 +401,35 @@ def promote_subspace(sub: Subspace, field: FieldSpec) -> Subspace:
 IntMatrix = list[list[int]]
 
 
-def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
-    """Row-style HNF of the Z-span of the given integer rows.
+def _xgcd(a: int, b: int) -> tuple[int, int, int, int]:
+    """For b != 0, the unimodular [[x, y], [-b/g, a/g]] taking (a, b) to
+    (g, 0), g = gcd(a, b): x is the inverse of a/g modulo |b/g|."""
+    g = gcd(a, b)
+    p, q = a // g, b // g
+    x = pow(p, -1, abs(q))
+    return x, (1 - p * x) // q, -q, p
 
-    Canonical: pivots positive, strictly increasing pivot columns, entries
-    above a pivot reduced into [0, pivot).  Zero rows are dropped.
-    """
-    mat = [list(map(int, r)) for r in rows if any(x != 0 for x in r)]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
+
+def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
+    """Row-style HNF of the Z-span of the given integer rows: one extended-gcd
+    sweep over the columns (Cohen 1993, Section 2.4).  Canonical: pivots
+    positive, strictly increasing pivot columns, entries above a pivot
+    reduced into [0, pivot).  Zero rows are dropped."""
+    mat = [list(map(int, row)) for row in rows]
     r = 0
-    for col in range(ncols):
-        while True:
-            live = [i for i in range(r, len(mat)) if mat[i][col] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(mat[i][col]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            if live == [r]:
-                break
-            done = True
-            for i in range(r + 1, len(mat)):
-                if mat[i][col] != 0:
-                    q = mat[i][col] // mat[r][col]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    if mat[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(mat) and mat[r][col] != 0:
+    for col in range(len(mat[0]) if mat else 0):
+        for i in range(r + 1, len(mat)):  # fold row i into the pivot row r
+            if mat[i][col]:
+                x, y, s, t = _xgcd(mat[r][col], mat[i][col])
+                mat[r], mat[i] = ([x * u + y * v for u, v in zip(mat[r], mat[i])],
+                                  [s * u + t * v for u, v in zip(mat[r], mat[i])])
+        if r < len(mat) and mat[r][col]:
             if mat[r][col] < 0:
-                mat[r] = [-a for a in mat[r]]
+                mat[r] = [-u for u in mat[r]]
             for i in range(r):
                 q = mat[i][col] // mat[r][col]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [u - q * v for u, v in zip(mat[i], mat[r])]
             r += 1
-            if r == len(mat):
-                break
     return tuple(tuple(row) for row in mat[:r])
 
 

@@ -431,16 +431,17 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
             raise FieldMismatchError("box subspace over a different field")
         if sub.ambient != dim:
             raise DimensionMismatchError("box subspace has wrong ambient dimension")
+        center = as_vector(field, comp.rep_center())
+        if len(center) != dim:
+            raise DimensionMismatchError("box center has wrong length")
         if sub.dim == 0:
             # a zero-dimensional box is a point mass
-            return _canonicalize_component(
-                space, dim, field, Atom(comp.rep_center(), comp.weight))
+            return _canonicalize_component(space, dim, field, Atom(center, comp.weight))
         gens = tuple(as_vector(field, g) for g in comp.generators) \
             or sub.basis
         span = Subspace.from_vectors(field, dim, gens)
         if span != sub:
             raise ValidationError("box generators must span exactly the carrier subspace")
-        center = as_vector(field, comp.rep_center())
         if space == TORUS:
             center = vec_mod1(center)
         offset = sub.project_perp(center)

@@ -64,6 +64,10 @@ VALIDATION = {
         lambda: FT.ft_batch(_torus(), np.zeros((4, 3))), ValidationError),
     "wiener_mass/ell-off-direction": (
         lambda: FT.wiener_mass(_torus(), X, [0, 1]), ValidationError),
+    "wiener_mass/zero-direction": (
+        lambda: FT.wiener_mass(_torus(), Subspace.zero(QQ, 2), None), ValidationError),
+    "rajchman_probe/zero-direction": (
+        lambda: FT.rajchman_probe(_torus(), Subspace.zero(QQ, 2), [1.0]), ValidationError),
     "as_vector/scalar-field": (
         lambda: as_vector(QQ, [F2.sqrt_root(2)]), FieldMismatchError),
     "Subspace.leq/fields": (
@@ -95,6 +99,14 @@ VALIDATION = {
     "make/group-offset-length": (
         lambda: _torus(comps=[M.AtomGroup((as_vector(QQ, [Fraction(1, 2), 0]),), "Z",
                                           as_vector(QQ, [0, 0, 0]))]),
+        DimensionMismatchError),
+    "make/box-center-short": (
+        lambda: _torus(comps=[M.BoxLebesgue(AffineCarrier.make(X), X.basis,
+                                            as_vector(QQ, [Fraction(1, 3)]))]),
+        DimensionMismatchError),
+    "make/box-center-long": (
+        lambda: M.SymbolicMeasure.make(M.EUCLID, 2, QQ, [M.BoxLebesgue(
+            AffineCarrier.make(X), X.basis, as_vector(QQ, [Fraction(1, 3), 0, 1]))]),
         DimensionMismatchError),
     "make/unknown-component": (lambda: _torus(comps=[object()]), ValidationError),
     "correlation/point-dimension": (

@@ -260,12 +260,19 @@ class TestExitCodes:
          "ValidationError"),
         ({"space": "euclidean", "dim": 1, "periodized": 0, "components": []},
          "ValidationError"),
+        # a box centre of the wrong length used to end in zip()'s own message
+        ({"space": "torus", "dim": 2, "components": [
+            {"kind": "box", "basis": [["1", "0"]], "center": ["1/3"]}]},
+         "DimensionMismatchError"),
+        ({"space": "euclidean", "dim": 2, "components": [
+            {"kind": "box", "basis": [["1", "0"]], "center": ["1/3", "0", "1"]}]},
+         "DimensionMismatchError"),
     ], ids=["zero-denominator", "components-string", "component-number", "dim-zero",
             "weight-zero-denominator", "group-generator-too-long",
             "group-generator-too-short", "boolean-scalar", "labelled-boolean",
             "labelled-float", "dim-fraction", "dim-infinite", "dim-boolean",
             "weight-infinite", "weight-boolean", "weight-float", "periodized-string",
-            "periodized-number"])
+            "periodized-number", "box-center-short", "box-center-long"])
     def test_malformed_measure_is_2(self, doc, kind, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -428,6 +435,17 @@ class TestExitCodes:
         assert ("finite" if "nan" in argv or "inf" in argv
                 else "cap must be >= 0, got -1" if "--closure-cap" in argv
                 else "bound >= 0") in err["message"]
+
+    def test_zero_dimensional_direction_is_2(self, fixtures_dir, tmp_path, capsys):
+        # used to exit 2 with numpy's "Array must be at least two-dimensional"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"dim": 2, "field_roots": [],
+                                    "directions": [{"basis": []}]}))
+        assert main(["fourier-check", "--measure", str(fixtures_dir / "product_bernoulli.json"),
+                     "--directions", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "ValidationError",
+                       "message": "directions must have dimension >= 1"}
 
     def test_fourier_check_refuses_periodized_before_sampling(self, fixtures_dir, tmp_path,
                                                               capsys, monkeypatch):

@@ -504,6 +504,51 @@ class TestSmithNormalForm:
         assert _det(u) in (1, -1) and _det(v) in (1, -1)
 
 
+def reference_hermite_normal_form(rows):
+    """The differential reference for ``linalg.hermite_normal_form``: Euclid
+    by repeated division, each round pivoting on the entry of least absolute
+    value in the column."""
+    mat = [list(map(int, r)) for r in rows if any(x != 0 for x in r)]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    r = 0
+    for col in range(ncols):
+        while True:
+            live = [i for i in range(r, len(mat)) if mat[i][col] != 0]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(mat[i][col]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            if live == [r]:
+                break
+            done = True
+            for i in range(r + 1, len(mat)):
+                if mat[i][col] != 0:
+                    q = mat[i][col] // mat[r][col]
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                    if mat[i][col] != 0:
+                        done = False
+            if done:
+                break
+        if r < len(mat) and mat[r][col] != 0:
+            if mat[r][col] < 0:
+                mat[r] = [-a for a in mat[r]]
+            for i in range(r):
+                q = mat[i][col] // mat[r][col]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+            r += 1
+            if r == len(mat):
+                break
+    return tuple(tuple(row) for row in mat[:r])
+
+
+def _random_int_matrix(rng, m, n, bits, density=0.7):
+    return [[rng.randint(-2 ** bits, 2 ** bits) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
 class TestHermiteCanonicality:
     def test_invariant_under_row_operations(self):
         from dirspec.linalg import hermite_normal_form
@@ -526,6 +571,33 @@ class TestHermiteCanonicality:
                 else:
                     work[i] = [-a for a in work[i]]
             assert hermite_normal_form(work) == base
+
+    def test_matches_the_reference(self):
+        from dirspec.linalg import hermite_normal_form
+        rng = random.Random(53)
+        cases = [[], [[]], [[0]], [[-7]], [[0, 0], [0, 0]], [[0, 3], [0, -5], [0, 0]],
+                 [[4, -6], [-6, 9]]]  # empty, 1x1, zero and rank-deficient inputs
+        for _ in range(400):
+            m, n = rng.randint(1, 7), rng.randint(1, 6)
+            rows = _random_int_matrix(rng, m, n, rng.choice([2, 5, 40]),
+                                      rng.choice([0.3, 0.7, 1.0]))
+            if m > 1 and rng.random() < 0.3:  # a dependent row
+                q = rng.randint(-3, 3)
+                rows.append([a + q * b for a, b in zip(rows[0], rows[-1])])
+            if rng.random() < 0.2:  # a zero column
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+            cases.append(rows)
+        for _ in range(100):
+            # the [A^T | I] rows that ``pose_lattice_coset`` asks to reduce
+            mm, b = rng.randint(0, 4), rng.randint(1, 5)
+            a_rows = _random_int_matrix(rng, mm, b, 6)
+            cases.append([[r[j] for r in a_rows] + [int(i == j) for i in range(b)]
+                          for j in range(b)])
+        cases.append(_random_int_matrix(rng, 5, 8, 2000, 1.0))
+        for rows in cases:
+            assert hermite_normal_form(rows) == reference_hermite_normal_form(rows), rows
 
 
 class TestLattices:
