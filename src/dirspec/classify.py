@@ -9,7 +9,8 @@ directional eigenvalues along L, so weak mixing is read off the directional
 eigenvalues (``_eigenvalue_carriers``), the one place that decides them.
 Where the classes live mod Z^d (``class_space`` TORUS: torus measures and
 periodized classes) walls are tested against all lattice shifts via exact
-integer feasibility, and the concise sets are torus sets.
+integer feasibility, and the concise sets are torus sets.  ``_check_direction``
+checks every direction and eigenvalue candidate against the measure's space.
 """
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import (DimensionMismatchError, InvalidDirectionSetError, NotReducedError,
-                     ValidationError, bounded_power, check_enumeration)
+from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError,
+                     bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
                      flatten, mat_vec, unit_vector, vec_add, vec_dot, vec_is_zero,
-                     vec_sub, zero_vector)
+                     vec_neg, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, coefficient_pool_size,
                       exp as measure_exp, group_atom_on_coset, has_atom_at, is_identity,
@@ -112,18 +113,25 @@ def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
     return sub_l.memo[key]
 
 
+def _check_direction(field: FieldSpec, dim: int, direction: Subspace,
+                     ell=None) -> FieldVector:
+    """Check that L is a subspace of the measure's space R^d over ``field``,
+    and return the eigenvalue candidate ell: zero for None, else of length d in L."""
+    if direction.field != field or direction.ambient != dim:
+        raise ValidationError("direction incompatible with the measure")
+    if ell is None:
+        return zero_vector(field, dim)
+    ell_vec = as_vector(field, ell, dim, "the eigenvalue candidate")
+    if not direction.contains(ell_vec):
+        raise ValidationError("the eigenvalue candidate must lie in the direction")
+    return ell_vec
+
+
 def wall_test(m: SymbolicMeasure, direction: Subspace, ell) -> WallTestResult:
     """Decide whether L^perp + ell (resp. its torus projection) is a wall.
     Only the eigenvalue carriers of L can charge it: ell is a directional
     eigenvalue exactly when it is."""
-    if direction.field != m.field or direction.ambient != m.dim:
-        raise ValidationError("direction incompatible with the measure")
-    ell_vec = as_vector(m.field, ell) if ell is not None \
-        else zero_vector(m.field, m.dim)
-    if len(ell_vec) != m.dim:
-        raise DimensionMismatchError("the eigenvalue candidate has wrong length")
-    if not direction.contains(ell_vec):
-        raise ValidationError("the eigenvalue candidate must lie in the direction")
+    ell_vec = _check_direction(m.field, m.dim, direction, ell)
     space = m.class_space
     witnesses = []
     for i, point, gens in _eigenvalue_carriers(m, direction):
@@ -215,18 +223,17 @@ class ConciseSet:
 
     def contains_direction(self, direction: Subspace) -> bool:
         """Subordination: is L contained in some member of the set?"""
+        zero = _check_direction(self.fieldspec, self.dim, direction)
         for s in self.subspaces:
             if direction.leq(s):
                 return True
         for fam in self.parametric_families:
             if not fam.subspace.orthogonal_to(direction):
                 continue
-            if _on_affine_wall(self.space, direction, fam.offset,
-                               zero_vector(self.fieldspec, self.dim)):
+            if _on_affine_wall(self.space, direction, fam.offset, zero):
                 return True
         for group in self.group_families:
-            if _group_meets_wall(self.space, group, direction,
-                                 zero_vector(self.fieldspec, self.dim)):
+            if _group_meets_wall(self.space, group, direction, zero):
                 return True
         return False
 
@@ -391,6 +398,7 @@ def _eigenvalue_carriers(m: SymbolicMeasure, direction: Subspace
 def directional_eigenvalues(m: SymbolicMeasure,
                             direction: Subspace) -> tuple[EigenvalueFamily, ...]:
     """All directional eigenvalue families for L: one per eigenvalue carrier."""
+    _check_direction(m.field, m.dim, direction)
     lattice_images: tuple[FieldVector, ...] = ()
     if m.class_space == TORUS:
         images = direction.project_all([unit_vector(m.field, m.dim, j)
@@ -505,7 +513,7 @@ def admissibility_lint(m: SymbolicMeasure) -> list[LintWarning]:
     closure_ok = True
     if atoms:
         candidates = [vec_add(a, b) for a in atoms for b in atoms]
-        candidates += [vec_sub(zero_vector(m.field, m.dim), a) for a in atoms]
+        candidates += [vec_neg(a) for a in atoms]
         for point in candidates:
             if not is_identity(m.class_space, point) and not has_atom_at(m, point):
                 closure_ok = False

@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
-from .classify import _on_affine_wall
+from .classify import _check_direction, _on_affine_wall
 from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
                      check_enumeration)
-from .linalg import FieldVector, Subspace, as_vector, vec_is_zero, vec_mod1
+from .linalg import FieldVector, Subspace, vec_is_zero, vec_mod1
 from .measure import (EUCLID, TORUS, AtomGroup, SymbolicMeasure, coefficient_pool_size,
                       is_identity, truncated_atoms)
 
@@ -274,15 +274,13 @@ def wiener_mass(m: SymbolicMeasure, direction: Subspace, ell,
     The spread is the standard deviation across 8 consecutive sub-batches.
     """
     import numpy as np
-    ell_vec = as_vector(m.field, ell) if ell is not None else None
-    if ell_vec is not None and not direction.contains(ell_vec):
-        raise ValidationError("the eigenvalue candidate must lie in the direction")
+    ell_vec = _check_direction(m.field, m.dim, direction, ell)
     check_truncations(m, cfg)
     onb = _orthonormal_basis(direction)
     coords = _ball_points(direction.dim, cfg.radius, cfg.samples, cfg.seed)
     t = coords @ onb
     vals = ft_batch(m, t, cfg)
-    if ell_vec is not None and not vec_is_zero(ell_vec):
+    if not vec_is_zero(ell_vec):
         vals = vals * np.exp(2j * np.pi * (t @ _floats(ell_vec)))
     batches = np.array_split(vals, 8)
     means = [float(np.mean(b.real)) for b in batches if len(b)]
@@ -298,8 +296,7 @@ def representative_wall_mass(m: SymbolicMeasure, direction: Subspace, ell,
     check_truncations(m, cfg)  # an oversized truncation is refused first (exit 4)
     if m.periodized:
         raise ValidationError("representative masses are defined for plain measures")
-    ell_vec = as_vector(m.field, ell) if ell is not None \
-        else tuple(m.field.zero() for _ in range(m.dim))
+    ell_vec = _check_direction(m.field, m.dim, direction, ell)
     mass = 0.0
     for comp in m.components:
         if isinstance(comp, AtomGroup):

@@ -20,7 +20,7 @@ compare the canonical bases), ``orthogonal_to`` when the dimensions add up
 past the ambient one, and ``meets_orthocomplement`` with a smaller other.
 ``flatten`` is the one map from field vectors to rational coordinates over
 the field basis; the solver rows, the class keys and the torus wall keys all
-use it.
+use it.  ``as_vector`` is the one length check of an input vector.
 
 ``pose_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its callers:
@@ -68,14 +68,16 @@ FieldVector = tuple[FieldScalar, ...]
 
 
 def zero_vector(field: FieldSpec, dim: int) -> FieldVector:
-    return tuple(field.zero() for _ in range(dim))
+    return (field.zero(),) * dim  # scalars are immutable: one zero serves every entry
 
 
 def unit_vector(field: FieldSpec, dim: int, index: int) -> FieldVector:
     return tuple(field.one() if j == index else field.zero() for j in range(dim))
 
 
-def as_vector(field: FieldSpec, entries) -> FieldVector:
+def as_vector(field: FieldSpec, entries, dim: int | None = None,
+              what: str = "vector") -> FieldVector:
+    """The entries as a vector over ``field``, of length ``dim`` unless None."""
     out = []
     for e in entries:
         if isinstance(e, FieldScalar):
@@ -84,6 +86,8 @@ def as_vector(field: FieldSpec, entries) -> FieldVector:
             out.append(e)
         else:
             out.append(field.from_rational(Fraction(e)))
+    if dim is not None and len(out) != dim:
+        raise DimensionMismatchError(f"{what} has wrong length")
     return tuple(out)
 
 
@@ -226,13 +230,8 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient: int, vectors) -> "Subspace":
-        rows = []
-        for v in vectors:
-            vv = as_vector(field, v)
-            if len(vv) != ambient:
-                raise DimensionMismatchError("basis vector has wrong length")
-            rows.append(list(vv))
-        rr, pivots = rref_field(rows)
+        rr, pivots = rref_field([list(as_vector(field, v, ambient, "basis vector"))
+                                 for v in vectors])
         return Subspace(field, ambient, tuple(tuple(r) for r in rr[:len(pivots)]))
 
     @staticmethod
@@ -267,6 +266,8 @@ class Subspace:
         return [next(j for j, x in enumerate(row) if not x.is_zero()) for row in self.basis]
 
     def contains(self, v: FieldVector) -> bool:
+        if len(v) != self.ambient:
+            raise DimensionMismatchError("vector has wrong length")
         w = list(v)
         for p, row in zip(self._pivot_columns(), self.basis):
             if not w[p].is_zero():
@@ -362,13 +363,8 @@ class AffineCarrier:
 
     @staticmethod
     def make(subspace: Subspace, offset=None) -> "AffineCarrier":
-        if offset is None:
-            off = zero_vector(subspace.field, subspace.ambient)
-        else:
-            off = as_vector(subspace.field, offset)
-            if len(off) != subspace.ambient:
-                raise DimensionMismatchError("offset has wrong length")
-            off = subspace.project_perp(off)
+        off = zero_vector(subspace.field, subspace.ambient) if offset is None else \
+            subspace.project_perp(as_vector(subspace.field, offset, subspace.ambient, "offset"))
         return AffineCarrier(subspace, off)
 
     @property

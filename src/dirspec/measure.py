@@ -153,7 +153,7 @@ def module_lattice(field: FieldSpec, dim: int, generators, ring: str,
                    space: str) -> CosetLattice:
     """The ring-span of the generators plus Z^d on the torus (atom sets mod 1
     are unchanged), in coordinates flattened over the field basis."""
-    gens = [flatten(as_vector(field, g)) for g in generators]
+    gens = [flatten(as_vector(field, g, dim, "atom group generator")) for g in generators]
     units = [flatten(unit_vector(field, dim, j)) for j in range(dim)] \
         if space == TORUS else []
     if ring == "Q":
@@ -418,9 +418,7 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
     """Canonical form of a component (None for the zero measure) and the key
     ``make`` merges it by: its ``class_key``; a box's subspace, centre, generators."""
     if isinstance(comp, Atom):
-        point = as_vector(field, comp.point)
-        if len(point) != dim:
-            raise DimensionMismatchError("atom point has wrong length")
+        point = as_vector(field, comp.point, dim, "atom point")
         if space == TORUS:
             point = vec_mod1(point)
         return Atom(point, _check_weight(comp.weight)), ("atom", point)
@@ -431,9 +429,7 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
             raise FieldMismatchError("box subspace over a different field")
         if sub.ambient != dim:
             raise DimensionMismatchError("box subspace has wrong ambient dimension")
-        center = as_vector(field, comp.rep_center())
-        if len(center) != dim:
-            raise DimensionMismatchError("box center has wrong length")
+        center = as_vector(field, comp.rep_center(), dim, "box center")
         if sub.dim == 0:
             # a zero-dimensional box is a point mass
             return _canonicalize_component(space, dim, field, Atom(center, comp.weight))
@@ -451,15 +447,11 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
                 ("box", sub, center, frozenset(Counter(gens).items())))
 
     if isinstance(comp, AtomGroup):
-        if any(len(g) != dim for g in comp.generators):
-            raise DimensionMismatchError("atom group generator has wrong length")
         lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
         # the canonical module basis: RREF rows for ring Q, HNF rows for ring Z
         gens = tuple(unflatten(field, dim, row) for row in
                      (lattice.q_basis if comp.ring == "Q" else lattice.z_basis))
-        offset = as_vector(field, comp.offset)
-        if len(offset) != dim:
-            raise DimensionMismatchError("atom group offset has wrong length")
+        offset = as_vector(field, comp.offset, dim, "atom group offset")
         offset_key = lattice.key(flatten(offset))
         if not any(offset_key):
             offset = zero_vector(field, dim)
@@ -551,7 +543,7 @@ def add(m1: SymbolicMeasure, m2: SymbolicMeasure) -> SymbolicMeasure:
 
 def translate(m: SymbolicMeasure, v) -> SymbolicMeasure:
     """m convolved with the unit point mass at v."""
-    shift = Atom(as_vector(m.field, v))
+    shift = Atom(as_vector(m.field, v, m.dim, "translation"))
     return m.replace_components([_convolve_pair(shift, c) for c in m.components])
 
 
@@ -739,7 +731,7 @@ def has_atom_at(m: SymbolicMeasure, point) -> bool:
     compared in ``m.class_space``: mod Z^d on the torus and for periodized
     classes, whose atom points are stored reduced."""
     space = m.class_space
-    p = as_vector(m.field, point)
+    p = as_vector(m.field, point, m.dim, "point")
     if space == TORUS:
         p = vec_mod1(p)
     for c in m.components:

@@ -218,8 +218,14 @@ def _phase(theta: float) -> complex:
 
 
 def correlation(model: ActionModel, n, observable: str) -> complex:
-    """(U^n f, f) for the documented observable f."""
-    n = tuple(int(x) for x in n)
+    """(U^n f, f) for the documented observable f, n in Z^d."""
+    entries = tuple(n)
+    try:
+        n = tuple(int(x) for x in entries)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"lattice point entries must be integers: {exc}") from exc
+    if n != entries or any(isinstance(x, bool) for x in entries):
+        raise ValidationError(f"lattice point entries must be integers, got {list(entries)}")
     if len(n) != model.dim:
         raise ValidationError("lattice point has wrong dimension")
     if isinstance(model, Rotation):

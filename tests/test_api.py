@@ -51,6 +51,10 @@ def _box(sub):
     return M.BoxLebesgue(AffineCarrier.make(sub), sub.basis)
 
 
+_GROUP = M.AtomGroup((as_vector(QQ, [Fraction(1, 2), 0]),), "Z", as_vector(QQ, [0, 0]))
+_PRODUCT = O.ProductType((O.Bernoulli(), O.Bernoulli()))
+
+
 VALIDATION = {
     "wall_test/direction-field": (
         lambda: C.wall_test(_torus(), Subspace.from_vectors(F2, 2, [[1, 0]]), None),
@@ -109,10 +113,49 @@ VALIDATION = {
             AffineCarrier.make(X), X.basis, as_vector(QQ, [Fraction(1, 3), 0, 1]))]),
         DimensionMismatchError),
     "make/unknown-component": (lambda: _torus(comps=[object()]), ValidationError),
-    "correlation/point-dimension": (
-        lambda: O.correlation(O.ProductType((O.Bernoulli(), O.Bernoulli())), (0, 0, 0),
-                              "factors:1"),
+    "correlation/half": (lambda: O.correlation(_PRODUCT, (1.5, 0), "factors:1"),
+                         ValidationError),
+    "correlation/string": (lambda: O.correlation(_PRODUCT, ("2", 0), "factors:1"),
+                           ValidationError),
+    "correlation/boolean": (lambda: O.correlation(_PRODUCT, (True, 0), "factors:1"),
+                            ValidationError),
+    "Subspace.contains/short": (lambda: X.contains(as_vector(QQ, [1])), DimensionMismatchError),
+    "Subspace.contains/long": (
+        lambda: X.contains(as_vector(QQ, [1, 0, 1])), DimensionMismatchError),
+    "translate/short": (lambda: M.translate(_torus(), [1]), DimensionMismatchError),
+    "translate/long": (lambda: M.translate(_torus(), [1, 0, 0]), DimensionMismatchError),
+    "has_atom_at/atoms": (lambda: M.has_atom_at(_torus(), [1]), DimensionMismatchError),
+    "has_atom_at/group": (
+        lambda: M.has_atom_at(_torus(comps=[_GROUP]), [Fraction(1, 2)]),
+        DimensionMismatchError),
+    "directional_eigenvalues/direction-ambient": (
+        lambda: C.directional_eigenvalues(_torus(), Subspace.from_vectors(QQ, 3, [[1, 0, 0]])),
         ValidationError),
+    "directional_eigenvalues/direction-field": (
+        lambda: C.directional_eigenvalues(_torus(), Subspace.from_vectors(F2, 2, [[1, 0]])),
+        ValidationError),
+    # a full box on T^2 charges no wall: its non-ergodic concise set is empty
+    "contains_direction/empty-set-ambient": (
+        lambda: C.nonergodic_concise(_torus(comps=[_box(Subspace.full(QQ, 2))]))
+        .contains_direction(Subspace.from_vectors(QQ, 3, [[1, 0, 0]])),
+        ValidationError),
+    "contains_direction/empty-set-field": (
+        lambda: C.nonergodic_concise(_torus(comps=[_box(Subspace.full(QQ, 2))]))
+        .contains_direction(Subspace.from_vectors(F2, 2, [[1, 0]])),
+        ValidationError),
+    "wiener_mass/ell-short": (lambda: FT.wiener_mass(_torus(), X, [1]), DimensionMismatchError),
+    "wiener_mass/ell-long": (
+        lambda: FT.wiener_mass(_torus(), X, [1, 0, 0]), DimensionMismatchError),
+    "representative_wall_mass/ell-short": (
+        lambda: FT.representative_wall_mass(_torus(), X, [1]), DimensionMismatchError),
+    "representative_wall_mass/ell-off-direction": (
+        lambda: FT.representative_wall_mass(_torus(), X, [0, 1]), ValidationError),
+    "representative_wall_mass/direction-ambient": (
+        lambda: FT.representative_wall_mass(
+            _torus(), Subspace.from_vectors(QQ, 3, [[1, 0, 0]]), None),
+        ValidationError),
+    "correlation/point-dimension": (
+        lambda: O.correlation(_PRODUCT, (0, 0, 0), "factors:1"), ValidationError),
     **{f"FieldSpec/root-{name}": (lambda root=root: FieldSpec((root,)), ValidationError)
        for name, root in [("str", "2"), ("float", 2.5), ("none", None), ("list", [2])]},
     "sqrt_root/non-root": (lambda: F2.sqrt_root(3), ValidationError),

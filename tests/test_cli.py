@@ -447,6 +447,17 @@ class TestExitCodes:
         assert err == {"kind": "ValidationError",
                        "message": "directions must have dimension >= 1"}
 
+    def test_direction_from_another_space_is_2(self, fixtures_dir, tmp_path, capsys):
+        # used to exit 2 with "zip() argument 2 is shorter than argument 1"
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"dim": 3, "field_roots": [],
+                                    "directions": [{"basis": [[1, 0, 0]]}]}))
+        assert main(["fourier-check", "--measure", str(fixtures_dir / "chair.json"),
+                     "--group-truncation", "2", "--directions", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"kind": "ValidationError",
+                       "message": "direction incompatible with the measure"}
+
     def test_fourier_check_refuses_periodized_before_sampling(self, fixtures_dir, tmp_path,
                                                               capsys, monkeypatch):
         # representative masses are defined for plain measures only: the

@@ -123,23 +123,17 @@ def test_subgroup_images(monkeypatch):
     assert {a for _, a in seen} == {True, False}
 
 
-# all of classify-mix and torus-walls up to case 31, which holds a system
-# whose SNF transform reaches 126,000 bits: its canonical lattice alone takes
-# about 8 s (the rest of both pools about 2.5 s)
-POOL_SLICE = {"classify-mix": 300, "torus-walls": 31}
-
-
-@pytest.mark.parametrize("workload", sorted(POOL_SLICE))
+@pytest.mark.parametrize("workload", ["classify-mix", "torus-walls"])
 def test_pool_systems(monkeypatch, workload):
     """Every system posed by one benchmark operation per (measure,
-    direction) pair of a fixed slice of the pool."""
+    direction) pair of the whole pool."""
     seen: list = []
 
     def checked(space, group, rows, target, shifts):
         return check(monkeypatch, space, group, rows, target, shifts, seen)
 
     monkeypatch.setattr(C, "group_atom_on_coset", checked)
-    for case in perfbench_gen.generate(workload, 0)[:POOL_SLICE[workload]]:
+    for case in perfbench_gen.generate(workload, 0):
         m = SymbolicMeasure.decode(case["measure"])
         doc = case["directions"]
         field = FieldSpec(tuple(doc["field_roots"]))

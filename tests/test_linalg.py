@@ -445,6 +445,24 @@ class TestCanonicalForm:
                     direct.append(f"{path.name}:{node.lineno}")
         assert direct == []
 
+    def test_only_linalg_checks_vector_lengths(self):
+        # ``as_vector`` is the one length check of an input vector: a
+        # hand-written copy elsewhere would be free to drift from it
+        import ast
+        from pathlib import Path
+        copies = []
+        for path in sorted(Path(L.__file__).parent.glob("*.py")):
+            if path.name == "linalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call) \
+                        and getattr(exc.func, "id", None) == "DimensionMismatchError" \
+                        and any(ast.unparse(arg).rstrip("'\"").endswith("has wrong length")
+                                for arg in exc.args):
+                    copies.append(f"{path.name}:{node.lineno}")
+        assert copies == []
+
 
 class TestAffineCarrier:
     def test_offset_reduced(self):
