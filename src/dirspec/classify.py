@@ -24,10 +24,10 @@ from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vect
                      flatten, mat_vec, unit_vector, vec_add, vec_dot, vec_is_zero,
                      vec_neg, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
-                      SymbolicMeasure, atom_points, coefficient_pool_size,
-                      exp as measure_exp, group_atom_on_coset, has_atom_at, is_identity,
-                      translate, truncated_atoms)
-from .scalar import FieldSpec
+                      SymbolicMeasure, atom_points, exp as measure_exp,
+                      group_atom_on_coset, has_atom_at, is_identity, translate,
+                      truncated_atom_count, truncated_atoms)
+from .scalar import FieldSpec, _decode_int
 
 # the most (shifted family or group atom, shift) pairs ``enumerate_members`` may
 # list; chair.json at --enumeration-bound 5 lists 39^2 x 11^2 = 184,041
@@ -247,13 +247,12 @@ class ConciseSet:
         ``Subspace.from_vectors``, and each distinct span complemented once.
         The (family or group atom, shift) pairs are counted first: past
         ``MEMBER_BUDGET`` nothing is listed and ClosureBoundError is raised."""
+        bound = _decode_int(bound, "the enumeration bound")
         if bound < 0:
             raise ValidationError("the enumeration bound must be >= 0")
         torus = self.space == TORUS
         to_shift = len(self.parametric_families) + sum(
-            bounded_power(coefficient_pool_size(group.ring, bound, MEMBER_BUDGET),
-                          len(group.generators), MEMBER_BUDGET)
-            for group in self.group_families)
+            truncated_atom_count(group, bound, MEMBER_BUDGET) for group in self.group_families)
         n_shifts = bounded_power(2 * bound + 1, self.dim, MEMBER_BUDGET) if torus else 1
         check_enumeration(to_shift * n_shifts, "the member enumeration "
                           "((families + group atoms) x shifts)", MEMBER_BUDGET)

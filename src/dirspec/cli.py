@@ -64,24 +64,14 @@ def _load_directions(doc, field: FieldSpec = QQ, dim: int = 0) -> list[Subspace]
 
 def _base_config(args) -> EstimatorConfig:
     """The defaults, overridden by the keys of the ``DIRSPEC_CONFIG`` file,
-    overridden by the flags: one value per ``EstimatorConfig`` field."""
+    overridden by the flags; ``EstimatorConfig`` checks the values."""
     path = os.environ.get(CONFIG_ENV)
     doc = _load_json(path) if path else {}
     if not isinstance(doc, dict):
         raise ValidationError(f"{CONFIG_ENV} must name a JSON object")
-    values = {}
-    for f in fields(EstimatorConfig):
-        value = getattr(args, f.name)
-        if value is None and f.name not in doc:
-            continue
-        value = doc[f.name] if value is None else value
-        what = f"estimator setting {f.name}"
-        if type(f.default) is int:
-            values[f.name] = _decode_int(value, what)
-        elif type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            values[f.name] = float(value)  # not a boolean, an infinity or NaN
-        else:
-            raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    names = [f.name for f in fields(EstimatorConfig)]
+    values = {name: doc[name] for name in names if name in doc}
+    values.update((name, v) for name in names if (v := getattr(args, name)) is not None)
     return EstimatorConfig(**values)
 
 

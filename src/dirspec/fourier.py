@@ -9,12 +9,13 @@ estimates and asks the exact layer every yes/no question: atom groups are
 listed in the field, and wall masses use ``classify._on_affine_wall``.  numpy
 is imported only inside the functions that compute floats, so importing this
 module (and with it the exact commands) loads only the standard library.  The
-Sobol points are drawn here with numpy alone (``_sobol``).
+Sobol points are drawn here with numpy alone (``_sobol``).  ``EstimatorConfig``
+reads each setting, and ``rajchman_probe`` each radius, by a ``scalar`` rule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
 
@@ -22,8 +23,9 @@ from .classify import _check_direction, _on_affine_wall
 from .errors import (ENUMERATION_BUDGET, ClosureBoundError, ValidationError, bounded_power,
                      check_enumeration)
 from .linalg import FieldVector, Subspace, vec_is_zero, vec_mod1
-from .measure import (EUCLID, TORUS, AtomGroup, SymbolicMeasure, coefficient_pool_size,
-                      is_identity, truncated_atoms)
+from .measure import (EUCLID, TORUS, AtomGroup, SymbolicMeasure, is_identity,
+                      truncated_atom_count, truncated_atoms)
+from .scalar import _decode_float, _decode_int
 
 DIRECTIONS_PER_RADIUS = 64  # sampled points per radius in ``rajchman_probe``
 
@@ -41,11 +43,14 @@ class EstimatorConfig:
     group_truncation: int = 0  # 0: reject atom groups in ft
 
     def __post_init__(self):
-        if self.samples < 1 or self.radius <= 0:
-            raise ValidationError("need samples >= 1 and radius > 0")
-        for name in ("seed", "tolerance", "periodization_truncation", "group_truncation"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for f in fields(self):  # read by its default's type; samples, radius > 0
+            what = f"estimator setting {f.name}"
+            decode = _decode_int if type(f.default) is int else _decode_float
+            value = decode(getattr(self, f.name), what)
+            object.__setattr__(self, f.name, value)
+            positive = f.name in ("samples", "radius")
+            if value < 0 or positive and not value:
+                raise ValidationError(f"{what} must be {'> 0' if positive else '>= 0'}, got {value}")
 
     def encode(self) -> dict:
         return asdict(self)
@@ -65,9 +70,8 @@ def check_truncations(m: SymbolicMeasure, cfg: EstimatorConfig) -> None:
     if periodized.  Callers: ``ft_batch``, ``wiener_mass``, ``representative_wall_mass``."""
     for comp in m.components:
         if isinstance(comp, AtomGroup):
-            pool = coefficient_pool_size(comp.ring, cfg.group_truncation, ENUMERATION_BUDGET)
-            check_enumeration(bounded_power(pool, len(comp.generators)),
-                              "the truncated atom list of an atom group")
+            count = truncated_atom_count(comp, cfg.group_truncation, ENUMERATION_BUDGET)
+            check_enumeration(count, "the truncated atom list of an atom group")
     if m.periodized:
         check_enumeration(bounded_power(2 * cfg.periodization_truncation + 1, m.dim),
                           "the periodization lattice")
@@ -330,8 +334,7 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> DecayProfile:
     """sup |ft| over sampled points of norm r in L, for each radius r."""
     import numpy as np
-    if not all(math.isfinite(r) for r in radii):
-        raise ValidationError(f"decay radii must be finite, got {list(radii)}")
+    radii = [_decode_float(r, "a decay radius") for r in radii]
     onb = _orthonormal_basis(direction)
     raw = 2.0 * _sobol(direction.dim, cfg.seed, 0, DIRECTIONS_PER_RADIUS) - 1.0
     norms = np.linalg.norm(raw, axis=1)
@@ -343,4 +346,4 @@ def rajchman_probe(m: SymbolicMeasure, direction: Subspace, radii,
     env = list(sups)
     for i in range(len(env) - 2, -1, -1):
         env[i] = max(env[i], env[i + 1])
-    return DecayProfile(tuple(float(r) for r in radii), tuple(sups), tuple(env))
+    return DecayProfile(tuple(radii), tuple(sups), tuple(env))

@@ -20,7 +20,8 @@ compare the canonical bases), ``orthogonal_to`` when the dimensions add up
 past the ambient one, and ``meets_orthocomplement`` with a smaller other.
 ``flatten`` is the one map from field vectors to rational coordinates over
 the field basis; the solver rows, the class keys and the torus wall keys all
-use it.  ``as_vector`` is the one length check of an input vector.
+use it.  ``as_vector`` is the one length check of an input vector, and
+``_int_vector`` of an integer one, read by ``scalar._decode_int``.
 
 ``pose_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its callers:
@@ -58,7 +59,7 @@ from functools import cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
-from .scalar import QQ, FieldScalar, FieldSpec, promote_scalar, vec_dot
+from .scalar import QQ, FieldScalar, FieldSpec, _decode_int, promote_scalar, vec_dot
 
 FieldVector = tuple[FieldScalar, ...]
 
@@ -89,6 +90,17 @@ def as_vector(field: FieldSpec, entries, dim: int | None = None,
     if dim is not None and len(out) != dim:
         raise DimensionMismatchError(f"{what} has wrong length")
     return tuple(out)
+
+
+def _int_vector(entries, dim: int | None, what: str) -> tuple[int, ...]:
+    """The entries as integers (``scalar._decode_int``), ``dim`` of them unless None."""
+    try:
+        out = tuple(_decode_int(x, f"{what} entry") for x in entries)
+    except TypeError as exc:  # not a list
+        raise ValidationError(f"{what} must be a list of integers, got {entries!r}") from exc
+    if dim is not None and len(out) != dim:
+        raise DimensionMismatchError(f"{what} has wrong length")
+    return out
 
 
 def vec_add(u: FieldVector, v: FieldVector) -> FieldVector:
@@ -537,18 +549,8 @@ class LatticeSubgroup:
 
     @staticmethod
     def from_generators(ambient: int, generators) -> "LatticeSubgroup":
-        try:
-            rows = [list(g) for g in generators]
-            gens = [[int(x) for x in g] for g in rows]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"generator entries must be integers: {exc}") from exc
-        # int() would truncate 0.5 or 1.9 and read true as 1
-        if gens != rows or any(isinstance(x, bool) for g in rows for x in g):
-            raise ValidationError(f"generator entries must be integers, got {rows}")
-        for g in gens:
-            if len(g) != ambient:
-                raise DimensionMismatchError("generator has wrong length")
-        return LatticeSubgroup(ambient, hermite_normal_form(gens))
+        return LatticeSubgroup(ambient, hermite_normal_form(
+            [_int_vector(g, ambient, "generator") for g in generators]))
 
     @property
     def rank(self) -> int:
@@ -560,7 +562,8 @@ class LatticeSubgroup:
     def contains(self, vector) -> bool:
         """The HNF basis is the z-part of its own ``CosetLattice``: the
         vector is in H exactly when its key is zero."""
-        return not any(CosetLattice((), (), self.basis).key(map(int, vector)))
+        return not any(CosetLattice((), (), self.basis).key(
+            _int_vector(vector, self.ambient, "vector")))
 
     def span(self, field: FieldSpec = QQ) -> Subspace:
         return Subspace.from_vectors(field, self.ambient, self.basis)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchError,
-                     UnsupportedConvolutionError, ValidationError, check_enumeration)
+                     UnsupportedConvolutionError, ValidationError, bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
                      pose_lattice_coset, promote_subspace, promote_vector,
@@ -204,6 +204,12 @@ def truncated_atoms(group: AtomGroup, bound: int) -> Iterator[tuple[FieldVector,
     for p, ps in prefixes:
         for t, s in terms[-1]:
             yield vec_add(p, t), ps + s
+
+
+def truncated_atom_count(group: AtomGroup, bound: int, cap: int) -> int:
+    """How many atoms ``truncated_atoms(group, bound)`` yields, or cap + 1 if more."""
+    return bounded_power(coefficient_pool_size(group.ring, bound, cap),
+                         len(group.generators), cap)
 
 
 def group_element_from_coeffs(group: AtomGroup, coeffs, with_offset: bool) -> FieldVector:
@@ -587,6 +593,7 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
     than delta_0 only.
     Raises ClosureBoundError past ``cap``, and ValidationError for a cap < 0.
     """
+    cap = _decode_int(cap, "the component cap")
     if cap < 0:
         raise ValidationError(f"the component cap must be >= 0, got {cap}")
     delta0 = Atom(zero_vector(m.field, m.dim))

@@ -14,22 +14,22 @@ they carry atoms at the eigenvalues themselves.
 
 The models, their correlations and exact measures use only the standard
 library; numpy is imported only inside ``crosscheck``, the one function that
-computes float arrays.
+computes float arrays.  Integers (model fields, lattice points, the bound)
+and the tolerance are read by ``scalar._decode_int`` and ``_decode_float``.
 """
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .errors import (ENUMERATION_BUDGET, UnsupportedConvolutionError, ValidationError,
                      bounded_power, check_enumeration)
-from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector,
+from .linalg import (AffineCarrier, FieldVector, Subspace, _int_vector, as_vector,
                      unit_vector, vec_mod1, vec_scale, zero_vector)
 from .measure import (TORUS, Atom, AtomGroup, BoxLebesgue, SymbolicMeasure)
-from .scalar import FieldScalar, FieldSpec, QQ, _decode_int, decode_scalar
+from .scalar import FieldScalar, FieldSpec, QQ, _decode_float, _decode_int, decode_scalar
 
 # ---------------------------------------------------------------------------
 # model types
@@ -110,11 +110,10 @@ class BergelsonWard:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len({len(v) for v in self.vectors}) != 1 or not self.vectors[0]:
-            raise ValidationError("frequency vectors must be nonempty and of one length")
-        for v in self.vectors:
-            if all(x == 0 for x in v):
-                raise ValidationError("frequency vectors must be nonzero")
+        vectors = tuple(_int_vector(v, None, "a frequency vector") for v in self.vectors)
+        object.__setattr__(self, "vectors", vectors)
+        if len({len(v) for v in vectors}) != 1 or not all(any(v) for v in vectors):
+            raise ValidationError("frequency vectors must be nonzero and of one length")
         for a, b in combinations(self.vectors, 2):
             # pairwise non-parallel: all 2x2 minors of the pair vanish iff parallel
             if all(a[i] * b[j] - a[j] * b[i] == 0
@@ -143,6 +142,8 @@ class OdometerEigen:
     dim_ambient: int
 
     def __post_init__(self):
+        for name, what in (("q", "q"), ("level", "level"), ("dim_ambient", "dim")):
+            object.__setattr__(self, name, _decode_int(getattr(self, name), what))
         if self.q < 2 or self.level < 0 or self.dim_ambient < 1:
             raise ValidationError("an odometer needs q >= 2, level >= 0 and dim >= 1")
 
@@ -180,10 +181,9 @@ def decode_model(doc: dict) -> ActionModel:
                 raise ValidationError(f"unknown base model {f['kind']!r}")
         return ProductType(tuple(factors))
     if kind == "bergelson_ward":
-        return BergelsonWard(tuple(tuple(_decode_int(x, "a vector entry") for x in v)
-                                   for v in doc["vectors"]))
+        return BergelsonWard(doc["vectors"])
     if kind == "odometer":
-        return OdometerEigen(*(_decode_int(doc[key], key) for key in ("q", "level", "dim")))
+        return OdometerEigen(doc["q"], doc["level"], doc["dim"])
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -219,13 +219,7 @@ def _phase(theta: float) -> complex:
 
 def correlation(model: ActionModel, n, observable: str) -> complex:
     """(U^n f, f) for the documented observable f, n in Z^d."""
-    entries = tuple(n)
-    try:
-        n = tuple(int(x) for x in entries)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"lattice point entries must be integers: {exc}") from exc
-    if n != entries or any(isinstance(x, bool) for x in entries):
-        raise ValidationError(f"lattice point entries must be integers, got {list(entries)}")
+    n = _int_vector(n, None, "a lattice point")
     if len(n) != model.dim:
         raise ValidationError("lattice point has wrong dimension")
     if isinstance(model, Rotation):
@@ -408,8 +402,10 @@ class CrosscheckReport:
 def crosscheck(model: ActionModel, bound: int = 10,
                tol: float = 1e-12) -> CrosscheckReport:
     """Assert ft(observable measure, n) == correlation(n) on |n|_inf <= bound."""
-    if bound < 0 or not math.isfinite(tol):
-        raise ValidationError(f"the crosscheck needs a bound >= 0 and a finite tolerance, "
+    bound = _decode_int(bound, "the crosscheck bound")
+    tol = _decode_float(tol, "the crosscheck tolerance")
+    if bound < 0 or tol < 0:
+        raise ValidationError(f"the crosscheck needs a bound >= 0 and a tolerance >= 0, "
                               f"got {bound} and {tol}")
     d = model.dim
     check_enumeration(_observable_count(model) * bounded_power(2 * bound + 1, d),

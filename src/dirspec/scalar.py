@@ -31,6 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from numbers import Real
 
 from .errors import FieldMismatchError, ValidationError, check_enumeration
 
@@ -486,13 +487,23 @@ def _decode_fraction(value) -> Fraction:
 
 
 def _decode_int(value, what: str) -> int:
-    """An integer field of a document: an int or an integral float, not a
-    boolean, a non-integral or a non-finite number."""
+    """The one integer rule: a finite real number, not a boolean, equal to its int()."""
     if type(value) is int:
         return value
-    if type(value) is float and value.is_integer():
+    if isinstance(value, Real) and not isinstance(value, bool) and abs(value) < math.inf \
+            and int(value) == value:  # an integral float or Fraction, a numpy integer
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _decode_float(value, what: str) -> float:
+    """The one finite-number rule: a real number, not a boolean, in the float range."""
+    try:  # math.isfinite overflows on an int or a Fraction past the float range
+        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def decode_scalar(field: FieldSpec, value) -> FieldScalar:

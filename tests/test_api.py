@@ -53,6 +53,8 @@ def _box(sub):
 
 _GROUP = M.AtomGroup((as_vector(QQ, [Fraction(1, 2), 0]),), "Z", as_vector(QQ, [0, 0]))
 _PRODUCT = O.ProductType((O.Bernoulli(), O.Bernoulli()))
+_ROTATION = O.Rotation(as_vector(QQ, [Fraction(1, 3)]))
+_EVEN = LatticeSubgroup.from_generators(2, [[2, 0]])
 
 
 VALIDATION = {
@@ -164,6 +166,31 @@ VALIDATION = {
     "span_coordinates/dependent-basis": (
         lambda: span_coordinates([as_vector(QQ, [1, 2])] * 2, [as_vector(QQ, [0, 1])]),
         ValidationError),
+    # integers and finite numbers: ``scalar._decode_int`` and ``_decode_float``
+    "LatticeSubgroup.contains/half": (lambda: _EVEN.contains([0.5, 0]), ValidationError),
+    "LatticeSubgroup.contains/short": (lambda: _EVEN.contains([1]), DimensionMismatchError),
+    "LatticeSubgroup.contains/long": (
+        lambda: _EVEN.contains([2, 0, 7]), DimensionMismatchError),
+    "LatticeSubgroup.contains/boolean": (
+        lambda: _EVEN.contains([True, 0]), ValidationError),
+    "LatticeSubgroup.from_generators/not-a-list": (
+        lambda: LatticeSubgroup.from_generators(2, [5]), ValidationError),
+    "BergelsonWard/boolean": (lambda: O.BergelsonWard(((True, 0), (0, 1))), ValidationError),
+    "BergelsonWard/half": (lambda: O.BergelsonWard(((1.5, 0), (0, 1))), ValidationError),
+    "OdometerEigen/boolean": (lambda: O.OdometerEigen(3, True, 1), ValidationError),
+    "OdometerEigen/half": (lambda: O.OdometerEigen(2.5, 1, 1), ValidationError),
+    "crosscheck/bound-half": (lambda: O.crosscheck(_ROTATION, 1.5), ValidationError),
+    "crosscheck/bound-boolean": (lambda: O.crosscheck(_ROTATION, True), ValidationError),
+    "crosscheck/tolerance-negative": (
+        lambda: O.crosscheck(_ROTATION, 1, -1.0), ValidationError),
+    "enumerate_members/bound-half": (
+        lambda: C.nonergodic_concise(_torus()).enumerate_members(1.5), ValidationError),
+    "EstimatorConfig/samples-half": (lambda: FT.EstimatorConfig(samples=1.5), ValidationError),
+    "EstimatorConfig/radius-infinite": (
+        lambda: FT.EstimatorConfig(radius=float("inf")), ValidationError),
+    "EstimatorConfig/group-truncation-half": (
+        lambda: FT.EstimatorConfig(group_truncation=1.5), ValidationError),
+    "exp/cap-half": (lambda: M.exp(_torus(), cap=2.5), ValidationError),
 }
 
 

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -16,16 +17,23 @@ from dirspec.errors import (ClosureBoundError, DimensionMismatchError,
 from dirspec.linalg import (AffineCarrier, CosetLattice, LatticeSubgroup, Subspace,
                             as_vector, flatten, mat_vec, pose_lattice_coset,
                             promote_subspace, rationality, solve_lattice_coset, vec_add,
-                            vec_dot, vec_scale, vec_sub, zero_vector)
+                            vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
-from dirspec.scalar import QQ, FieldScalar, FieldSpec
+from dirspec.scalar import QQ, FieldScalar, FieldSpec, decode_scalar
 
 # perfbench/gen.py makes the benchmark pools; tests/gen.py holds the name gen
 _spec = importlib.util.spec_from_file_location(
     "perfbench_gen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
 perfbench_gen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perfbench_gen)
+
+
+@cache
+def pool(workload: str) -> list[dict]:
+    """A benchmark pool at seed 0, generated once: tests only read it."""
+    return perfbench_gen.generate(workload, 0)
+
 
 F2 = FieldSpec((2,))
 F5 = FieldSpec((5,))
@@ -593,7 +601,7 @@ class TestFullDirection:
         R^d and T^d over Q and Q(sqrt2), with atom groups."""
         out = [SymbolicMeasure.decode(case["measure"])
                for workload in ("classify-mix", "torus-walls")
-               for case in perfbench_gen.generate(workload, 0)[:40]]
+               for case in pool(workload)[:40]]
         rng = random.Random(71)
         for field, space, d in product((QQ, F2), (EUCLID, TORUS), (1, 2, 3)):
             out += [gen.rand_measure(rng, field, d, space, with_groups=True) for _ in range(3)]
@@ -882,6 +890,104 @@ class TestCompletelyRationalConsistency:
         line = Subspace.from_vectors(F2, 2, [[1, F2.sqrt_root(2)]])
         m2 = M.promote_field(m, F2)
         assert restriction_consistent(m2, line) is None
+
+
+def _unimodular(rng: random.Random, d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """A seeded A in GL_d(Z) and A^{-T}: a signed permutation times three
+    elementary steps row_i += c row_j (c = +-1), the inverse built alongside."""
+    perm, signs = rng.sample(range(d), d), [rng.choice((-1, 1)) for _ in range(d)]
+    a = [[signs[i] * (j == perm[i]) for j in range(d)] for i in range(d)]
+    inv = [[signs[j] * (i == perm[j]) for j in range(d)] for i in range(d)]
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]  # A <- E A, E = 1 + c e_i e_j^T
+        for row in inv:  # A^-1 <- A^-1 E^-1: column j -= c column i
+            row[j] -= c * row[i]
+    return a, [list(col) for col in zip(*inv)]
+
+
+def _map_measure(m: SymbolicMeasure, b) -> SymbolicMeasure:
+    """The push-forward of a torus class by x -> B x for B in GL_d(Z): B Z^d
+    = Z^d, so B acts on T^d, and every point, generator, carrier and centre
+    is mapped by B."""
+    def v(x):
+        return mat_vec(b, x)
+
+    comps = []
+    for c in m.components:
+        if isinstance(c, Atom):
+            comps.append(Atom(v(c.point), c.weight))
+        elif isinstance(c, BoxLebesgue):
+            sub = Subspace.from_vectors(m.field, m.dim, [v(g) for g in c.carrier.subspace.basis])
+            comps.append(BoxLebesgue(AffineCarrier.make(sub, v(c.carrier.offset)),
+                                     tuple(v(g) for g in c.generators),
+                                     c.center and v(c.center), c.weight))
+        else:
+            comps.append(AtomGroup(tuple(v(g) for g in c.generators), c.ring, v(c.offset),
+                                   c.weight))
+    return SymbolicMeasure.make(TORUS, m.dim, m.field, comps)
+
+
+class TestUnimodularInvariance:
+    """The verdicts are GL_d(Z)-equivariant.  For A in GL_d(Z) let B = A^{-T},
+    also integral, so x -> B x is an automorphism of T^d; it maps the class
+    sigma to B sigma and the action along L to the action along A L.
+
+    The walls move with it: x is in L^perp + ell iff x.v = ell.v for all v in
+    L, and (B x).(A v) = x^T B^T A v = x.v, so B (L^perp + ell) = {y : y.w =
+    (B ell).w for w in A L} = (A L)^perp + B ell = (A L)^perp + P_{AL}(B ell),
+    the projection onto A L dropping a part in (A L)^perp.  With B Z^d = Z^d
+    the same holds mod Z^d, so sigma charges L^perp + ell iff B sigma charges
+    (A L)^perp + P_{AL}(B ell): ergodicity, weak mixing and the concise-set
+    memberships are unchanged.  For strong mixing, a box on K decays along L
+    iff L cap K^perp = 0, and (B K)^perp = A K^perp, since (B k).(A u) = k.u;
+    so A L cap (B K)^perp = A (L cap K^perp), zero exactly when L cap K^perp
+    is.  A L has the rational rank of L, so completely rational, intermediate
+    and irrational directions are all covered.  The full direction R^d is
+    mapped to itself, but its walls {ell} move: the wall tests at each
+    carrier's projected point ell check those non-central walls too."""
+
+    def test_torus_pools(self, monkeypatch):
+        # the HNF solve decides every group wall; the SNF solve behind it only
+        # names the witness atom, and on the mapped systems it can take
+        # minutes (a coordinate permutation of a T^4 group wall took > 20 s)
+        def hnf_only(*args):
+            solve = pose_lattice_coset(*args)
+            return solve and (lambda smith: solve(smith=False))
+
+        monkeypatch.setattr(M, "pose_lattice_coset", hnf_only)
+        rng = random.Random(29)
+        pairs = walls = 0
+        for workload in ("classify-mix", "torus-walls"):
+            for case in pool(workload):
+                if case["measure"]["space"] != TORUS:
+                    continue
+                m = SymbolicMeasure.decode(case["measure"])
+                a, b = _unimodular(rng, m.dim)
+                mapped = _map_measure(m, b)
+                ne, nw = C.nonergodic_concise(m), C.nonwm_concise(m)
+                mapped_ne, mapped_nw = C.nonergodic_concise(mapped), C.nonwm_concise(mapped)
+                for d in case["directions"]["directions"]:
+                    sub = Subspace.from_vectors(m.field, m.dim, [
+                        [decode_scalar(m.field, x) for x in row] for row in d["basis"]])
+                    image = Subspace.from_vectors(m.field, m.dim,
+                                                  [mat_vec(a, v) for v in sub.basis])
+                    verdict, mapped_verdict = (C.classify_direction(m, sub),
+                                               C.classify_direction(mapped, image))
+                    assert [verdict.ergodic, verdict.weak_mixing, verdict.strong_mixing,
+                            ne.contains_direction(sub), nw.contains_direction(sub)] == [
+                        mapped_verdict.ergodic, mapped_verdict.weak_mixing,
+                        mapped_verdict.strong_mixing, mapped_ne.contains_direction(image),
+                        mapped_nw.contains_direction(image)]
+                    pairs += 1
+                    for prop, w in verdict.witnesses:
+                        if prop == "weak_mixing" and not vec_is_zero(w.eigenvalue):
+                            ell = image.project(mat_vec(b, w.eigenvalue))
+                            assert C.wall_test(m, sub, w.eigenvalue).positive \
+                                == C.wall_test(mapped, image, ell).positive
+                            walls += 1
+        assert pairs > 500 and walls > 300
 
 
 class TestSuspensionConsistency:

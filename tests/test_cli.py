@@ -415,18 +415,20 @@ class TestExitCodes:
         ["oracle", "--model", "{fx}/rotation_model.json", "--crosscheck-tolerance", "nan"],
         ["oracle", "--model", "{fx}/rotation_model.json", "--crosscheck-tolerance", "inf"],
         ["oracle", "--model", "{fx}/rotation_model.json", "--bound", "-1"],
+        ["oracle", "--model", "{fx}/rotation_model.json", "--crosscheck-tolerance", "-1"],
         ["fourier-check", "--measure", "{fx}/product_bernoulli.json",
          "--directions", "{fx}/axes_and_diagonal.json", "--radii", "10", "nan"],
         ["fourier-check", "--measure", "{fx}/product_bernoulli.json",
          "--directions", "{fx}/axes_and_diagonal.json", "--radii", "inf"],
         ["exp", "--measure", "{fx}/product_bernoulli.json", "--closure-cap", "-1"],
         ["realize", "--directions", "{fx}/axes_and_diagonal.json", "--closure-cap", "-1"],
-    ], ids=["tolerance-nan", "tolerance-inf", "bound-negative", "radius-nan", "radius-inf",
-            "exp-cap-negative", "realize-cap-negative"])
+    ], ids=["tolerance-nan", "tolerance-inf", "bound-negative", "tolerance-negative",
+            "radius-nan", "radius-inf", "exp-cap-negative", "realize-cap-negative"])
     def test_non_finite_or_negative_command_flag_is_2(self, argv, fixtures_dir, capsys):
         # each used to exit 0 or 3 with NaN in the report ("passed": true for
-        # a NaN tolerance), to blame the evaluation points for a bound of -1,
-        # or to exit 4 as if a closure had outgrown a cap of -1
+        # a NaN tolerance, every grid point a failure for a tolerance of -1),
+        # to blame the evaluation points for a bound of -1, or to exit 4 as if
+        # a closure had outgrown a cap of -1
         assert main([a.format(fx=fixtures_dir) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -435,6 +437,7 @@ class TestExitCodes:
         assert ("finite" if "nan" in argv or "inf" in argv
                 else "cap must be >= 0, got -1" if "--closure-cap" in argv
                 else "bound >= 0") in err["message"]
+        assert "tolerance" in err["message"] or "--crosscheck-tolerance" not in argv
 
     def test_zero_dimensional_direction_is_2(self, fixtures_dir, tmp_path, capsys):
         # used to exit 2 with numpy's "Array must be at least two-dimensional"

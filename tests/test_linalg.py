@@ -463,6 +463,26 @@ class TestCanonicalForm:
                     copies.append(f"{path.name}:{node.lineno}")
         assert copies == []
 
+    def test_only_scalar_checks_integers_and_finite_numbers(self):
+        # ``scalar._decode_int`` and ``_decode_float`` are the one integer and
+        # the one finite-number rule: no other module tests finiteness or
+        # words its own refusal of a non-integer or a non-finite number
+        import ast
+        from pathlib import Path
+        copies = []
+        for path in sorted(Path(L.__file__).parent.glob("*.py")):
+            if path.name == "scalar.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if name in ("isfinite", "float_info") or isinstance(exc, ast.Call) \
+                        and getattr(exc.func, "id", None) == "ValidationError" \
+                        and any(words in ast.unparse(arg) for arg in exc.args
+                                for words in ("must be an integer", "must be a finite number")):
+                    copies.append(f"{path.name}:{node.lineno}")
+        assert copies == []
+
 
 class TestAffineCarrier:
     def test_offset_reduced(self):
