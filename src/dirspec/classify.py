@@ -8,8 +8,8 @@ A component charges an affine wall perpendicular to L exactly when it carries
 directional eigenvalues along L, so weak mixing is read off the directional
 eigenvalues (``_eigenvalue_carriers``), the one place that decides them.
 Where the classes live mod Z^d (``class_space`` TORUS: torus measures and
-periodized classes) walls are tested against all lattice shifts via exact
-integer feasibility, and the concise sets are torus sets.  ``_check_direction``
+periodized classes) walls meet all lattice shifts (``Subspace.wall_key``, or a
+group's coset system), and the concise sets are torus sets.  ``_check_direction``
 checks every direction and eigenvalue candidate against the measure's space.
 """
 from __future__ import annotations
@@ -20,9 +20,9 @@ from itertools import product
 
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError,
                      bounded_power, check_enumeration)
-from .linalg import (AffineCarrier, CosetLattice, FieldVector, Subspace, as_vector,
-                     flatten, mat_vec, unit_vector, vec_add, vec_dot, vec_is_zero,
-                     vec_neg, vec_sub, zero_vector)
+from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector, mat_vec,
+                     unit_vector, vec_add, vec_dot, vec_is_zero, vec_neg, vec_sub,
+                     zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, exp as measure_exp,
                       group_atom_on_coset, has_atom_at, is_identity, translate,
@@ -63,31 +63,17 @@ class WallTestResult:
     witnesses: tuple[WallWitness, ...]
 
 
-def _wall_lattice(sub_l: Subspace) -> CosetLattice:
-    """Z.span{B_L e_j}: the lattice shifts seen through direction L.  It
-    depends only on L, so it is built once per direction and kept in the
-    subspace's memo."""
-    lattice = sub_l.memo.get("wall_lattice")
-    if lattice is None:
-        rows = sub_l.basis
-        lattice = sub_l.memo["wall_lattice"] = CosetLattice.make(
-            [], [flatten(tuple(b[j] for b in rows)) for j in range(sub_l.ambient)])
-    return lattice
-
-
 def _on_affine_wall(space: str, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
-    """Is ``point`` on L^perp + ell, modulo Z^d when ``space`` is TORUS, i.e.
-    when the coset key of B_L (point - ell) in the ``_wall_lattice`` of L is
-    zero?  For the full L the wall is ell + {0}, and point - ell must be the
-    identity: no lattice is built."""
+    """Is ``point`` on L^perp + ell, modulo Z^d when ``space`` is TORUS (a zero
+    ``wall_key`` of point - ell)?  For the full L the wall is ell + {0}, and
+    point - ell must be the identity: no lattice is built."""
     diff = vec_sub(point, ell)
     if sub_l.is_full():
         return is_identity(space, diff)
-    rows = sub_l.basis
     if space == TORUS:
-        return not any(_wall_lattice(sub_l).key(flatten(mat_vec(rows, diff))))
-    return all(vec_dot(b, diff).is_zero() for b in rows)
+        return not any(sub_l.wall_key(diff))
+    return all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
 
 
 def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,

@@ -38,17 +38,18 @@ row by the unimodular 2x2 step of ``_xgcd``.
 Yes/no questions read a ``CosetLattice`` key instead: it puts
 Q.span + Z.span in Q^n in a canonical echelon form, and v is in the module
 exactly when its key is zero (``LatticeSubgroup.contains`` too: an HNF
-basis is its own key lattice).  ``measure`` reads module bases, class keys,
-module membership and the torus box-offset lattice-shift test off it;
-``classify._on_affine_wall`` decides atom and box torus walls with it.
+basis is its own key lattice).  ``measure`` reads module bases, group class
+keys and module membership off it.  ``Subspace.wall_key`` is the one torus
+wall lattice Z.span{B e_j}: ``classify._on_affine_wall`` decides atom and
+box torus walls by it, ``measure._box_key`` torus box classes.
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
 stored in its ``memo`` dict: ``project_all`` the dual basis G^-1 B (G = B B^T
 for the basis B) beside the pivot columns of B, so a projection is the dim
 coordinates x = G^-1 B v and one combination x B, which is x_i at the i-th
-pivot column; ``classify`` the torus wall lattice of a direction and
-its atom-group wall answers; ``measure`` the projected lattice that reduces
-torus box offsets on a carrier and the lattice of its torus class key.  The
+pivot column; ``wall_key`` the wall lattice; ``classify`` a direction's
+atom-group wall answers; ``measure`` the projected lattice that reduces
+torus box offsets on a carrier and the carrier's orthocomplement.  The
 memo takes no part in equality, hashing, ``encode`` or ``repr``.
 """
 from __future__ import annotations
@@ -355,6 +356,16 @@ class Subspace:
 
     def project_perp(self, v: FieldVector) -> FieldVector:
         return vec_sub(v, self.project(v))
+
+    def wall_key(self, v: FieldVector) -> tuple[Fraction, ...]:
+        """The coset key of B v modulo the wall lattice Z.span{B e_j}, for
+        the basis B: zero exactly when v lies on self^perp + Z^d, since B
+        kills exactly self^perp.  The lattice is built once per subspace."""
+        lattice = self.memo.get("wall_lattice")
+        if lattice is None:
+            lattice = self.memo["wall_lattice"] = CosetLattice.make(
+                [], [flatten(column) for column in zip(*self.basis)])
+        return lattice.key(flatten(mat_vec(self.basis, v)))
 
     def encode(self) -> dict:
         return {"basis": [[x.encode() for x in row] for row in self.basis]}

@@ -280,24 +280,23 @@ def module_member(group: AtomGroup, v: FieldVector, space: str) -> bool:
 
 def _box_key(space: str, sub: Subspace, offset: FieldVector) -> tuple:
     """Class key of the carrier sub + offset, offset perpendicular to sub: on
-    R^d that offset, already canonical; on T^d its coset key modulo sub, as
-    the Q-span of its basis times each field-basis element, plus Z^d."""
+    R^d that offset, already canonical; on T^d the ``wall_key`` of the offset
+    on sub^perp, zero exactly when the offset lies on sub + Z^d.  sub^perp is
+    kept in the carrier's memo."""
     if space == EUCLID:
         return ("box", sub, offset)
-    lattice = sub.memo.get("box_lattice")
-    if lattice is None:  # it depends only on sub: built once per carrier
-        field, n = sub.field, sub.field.dimension
-        units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
-        lattice = sub.memo["box_lattice"] = module_lattice(
-            field, sub.ambient, [vec_scale(u, b) for b in sub.basis for u in units], "Q", space)
-    return ("box", sub, lattice.key(flatten(offset)))
+    perp = sub.memo.get("perp")
+    if perp is None:
+        perp = sub.memo["perp"] = sub.orthocomplement()
+    return ("box", sub, perp.wall_key(offset))
 
 
 def class_key(space: str, comp: Component) -> tuple:
     """Key of a canonical component's class: two components of a measure
     have the same class exactly when their keys are equal.  Atom: the point;
-    box: see ``_box_key``; atom group: the ring, the canonical generators and
-    the coset key of the offset modulo the module (+ Z^d on the torus)."""
+    box: ``_box_key`` (a ``wall_key`` on T^d); atom group: the ring, the
+    canonical generators and the coset key of the offset modulo the module
+    (+ Z^d on the torus)."""
     if isinstance(comp, Atom):
         return ("atom", comp.point)
     if isinstance(comp, BoxLebesgue):

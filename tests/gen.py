@@ -1,14 +1,29 @@
 """Seeded random generators shared by the property-test suites."""
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
+from functools import cache
 
 from dirspec.linalg import AffineCarrier, Subspace, zero_vector
 from dirspec.measure import Atom, AtomGroup, BoxLebesgue, SymbolicMeasure
 from dirspec.scalar import FieldScalar, FieldSpec, QQ
 
 FIELDS = [QQ, FieldSpec((2,)), FieldSpec((2, 3)), FieldSpec((5,))]
+
+
+@cache
+def benchmark_pool(workload: str) -> list[dict]:
+    """A benchmark pool of ``perfbench/gen.py`` at seed 0, generated once:
+    tests only read it.  That module is loaded by path, as this one holds
+    the name gen."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(workload, 0)
 
 
 def rand_fraction(rng: random.Random, max_num: int = 5, max_den: int = 4,

@@ -1,10 +1,7 @@
-import importlib.util
 import json
 import math
-import pathlib
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import product
 
 import pytest
@@ -15,25 +12,12 @@ from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, DimensionMismatchError,
                             InvalidDirectionSetError, NotReducedError, ValidationError)
 from dirspec.linalg import (AffineCarrier, CosetLattice, LatticeSubgroup, Subspace,
-                            as_vector, flatten, mat_vec, pose_lattice_coset,
+                            as_vector, mat_vec, pose_lattice_coset,
                             promote_subspace, rationality, solve_lattice_coset, vec_add,
                             vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldScalar, FieldSpec, decode_scalar
-
-# perfbench/gen.py makes the benchmark pools; tests/gen.py holds the name gen
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_gen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-perfbench_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perfbench_gen)
-
-
-@cache
-def pool(workload: str) -> list[dict]:
-    """A benchmark pool at seed 0, generated once: tests only read it."""
-    return perfbench_gen.generate(workload, 0)
-
 
 F2 = FieldSpec((2,))
 F5 = FieldSpec((5,))
@@ -123,7 +107,10 @@ class TestDirectionMemo:
             fresh = Subspace(sub.field, sub.ambient, sub.basis)
             for key, answer in sub.memo.items():
                 if key == "wall_lattice":
-                    assert answer == C._wall_lattice(fresh)
+                    for v in (as_vector(field, [Fraction(1, 3), Fraction(5, 7)]),
+                              *sub.basis):
+                        assert fresh.wall_key(v) == sub.wall_key(v)
+                    assert fresh.memo["wall_lattice"] == answer
                     continue
                 if key == "dual_basis":
                     duals_seen += 1
@@ -601,7 +588,7 @@ class TestFullDirection:
         R^d and T^d over Q and Q(sqrt2), with atom groups."""
         out = [SymbolicMeasure.decode(case["measure"])
                for workload in ("classify-mix", "torus-walls")
-               for case in pool(workload)[:40]]
+               for case in gen.benchmark_pool(workload)[:40]]
         rng = random.Random(71)
         for field, space, d in product((QQ, F2), (EUCLID, TORUS), (1, 2, 3)):
             out += [gen.rand_measure(rng, field, d, space, with_groups=True) for _ in range(3)]
@@ -640,8 +627,7 @@ class TestFullDirection:
                               *(vec_add(ell, n) for n in self.identities(rng, m))]:
                     diff = vec_sub(point, ell)
                     if space == TORUS:
-                        key = C._wall_lattice(full).key(flatten(mat_vec(full.basis, diff)))
-                        expected = not any(key)
+                        expected = not any(full.wall_key(diff))
                     else:
                         expected = all(vec_dot(b, diff).is_zero() for b in full.basis)
                     assert C._on_affine_wall(space, full, point, ell) == expected
@@ -891,6 +877,21 @@ class TestCompletelyRationalConsistency:
         m2 = M.promote_field(m, F2)
         assert restriction_consistent(m2, line) is None
 
+    def test_benchmark_pools(self):
+        # every torus measure x direction of both benchmark pools: the
+        # restriction route never disagrees, and most directions admit it
+        counts = {True: 0, False: 0, None: 0}
+        for workload in ("classify-mix", "torus-walls"):
+            for case in gen.benchmark_pool(workload):
+                if case["measure"]["space"] != TORUS:
+                    continue
+                m = SymbolicMeasure.decode(case["measure"])
+                for d in case["directions"]["directions"]:
+                    sub = Subspace.from_vectors(m.field, m.dim, [
+                        [decode_scalar(m.field, x) for x in row] for row in d["basis"]])
+                    counts[restriction_consistent(m, sub)] += 1
+        assert counts[False] == 0 and counts[True] >= 400, counts
+
 
 def _unimodular(rng: random.Random, d: int) -> tuple[list[list[int]], list[list[int]]]:
     """A seeded A in GL_d(Z) and A^{-T}: a signed permutation times three
@@ -960,7 +961,7 @@ class TestUnimodularInvariance:
         rng = random.Random(29)
         pairs = walls = 0
         for workload in ("classify-mix", "torus-walls"):
-            for case in pool(workload):
+            for case in gen.benchmark_pool(workload):
                 if case["measure"]["space"] != TORUS:
                     continue
                 m = SymbolicMeasure.decode(case["measure"])

@@ -6,8 +6,6 @@ Smith normal form solve only to name the witness the report prints.  Both
 must describe one solution coset, so they agree on feasibility and on
 whether the coset holds a genuine atom.
 """
-import importlib.util
-import pathlib
 import random
 from fractions import Fraction
 
@@ -20,13 +18,7 @@ from dirspec.linalg import (CosetLattice, Subspace, mat_vec, pose_lattice_coset,
                             solve_lattice_coset, unit_vector)
 from dirspec.measure import EUCLID, TORUS, AtomGroup, SymbolicMeasure
 from dirspec.scalar import QQ, FieldSpec, decode_scalar
-from gen import rand_fraction, rand_vector
-
-# perfbench/gen.py makes the benchmark pools; tests/gen.py holds the name gen
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_gen", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
-perfbench_gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perfbench_gen)
+from gen import benchmark_pool, rand_fraction, rand_vector
 
 F2 = FieldSpec((2,))
 GROUP_ATOM_ON_COSET = M.group_atom_on_coset
@@ -133,7 +125,7 @@ def test_pool_systems(monkeypatch, workload):
         return check(monkeypatch, space, group, rows, target, shifts, seen)
 
     monkeypatch.setattr(C, "group_atom_on_coset", checked)
-    for case in perfbench_gen.generate(workload, 0):
+    for case in benchmark_pool(workload):
         m = SymbolicMeasure.decode(case["measure"])
         doc = case["directions"]
         field = FieldSpec(tuple(doc["field_roots"]))

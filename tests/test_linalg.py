@@ -445,6 +445,23 @@ class TestCanonicalForm:
                     direct.append(f"{path.name}:{node.lineno}")
         assert direct == []
 
+    def test_one_torus_wall_lattice(self):
+        # ``Subspace.wall_key`` is the one torus wall lattice: classify reads
+        # it without coset lattices of its own, and only linalg and measure
+        # (module lattices, the projected lattice of a carrier) make one
+        import ast
+        from pathlib import Path
+        makers, classify_names = [], set()
+        for path in sorted(Path(L.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "make" \
+                        and getattr(node.func.value, "id", None) == "CosetLattice":
+                    makers.append(path.name)
+                if path.name == "classify.py" and isinstance(node, ast.ImportFrom):
+                    classify_names |= {a.name for a in node.names}
+        assert set(makers) == {"linalg.py", "measure.py"}
+        assert not classify_names & {"CosetLattice", "flatten"}
+
     def test_only_linalg_checks_vector_lengths(self):
         # ``as_vector`` is the one length check of an input vector: a
         # hand-written copy elsewhere would be free to drift from it

@@ -11,7 +11,7 @@ from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, UnsupportedConvolutionError,
                             ValidationError)
 from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, as_vector,
-                            mat_vec, solve_lattice_coset, unit_vector, vec_add,
+                            flatten, mat_vec, solve_lattice_coset, unit_vector, vec_add,
                             vec_is_zero, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
@@ -72,20 +72,23 @@ class TestCanonicalization:
             assert (sub.memo["perp_lattice"] is None) == (sub.field != QQ)
 
     def test_box_key_lattice_kept_in_carrier_memo(self):
-        # the torus class key of a box reads a lattice that depends only on
-        # its carrier: built once, kept in the carrier's memo, and equal to
-        # the one a new subspace object builds
+        # the torus class key of a box reads the wall lattice of the carrier's
+        # orthocomplement, which depends only on the carrier: built once, the
+        # orthocomplement kept in the carrier's memo, and equal to the one a
+        # new subspace object builds
         for sub in (Subspace.from_vectors(QQ, 2, [[1, 2]]),
                     Subspace.from_vectors(F2, 2, [[1, F2.sqrt_root(2)]])):
             m = SymbolicMeasure.make(TORUS, 2, sub.field,
                                      [box(sub, [Fraction(1, 3), Fraction(5, 7)])])
             carrier = m.components[0].carrier.subspace
-            lattice = carrier.memo["box_lattice"]
+            perp = carrier.memo["perp"]
+            lattice = perp.memo["wall_lattice"]
             key = M.class_key(TORUS, m.components[0])
-            assert carrier.memo["box_lattice"] is lattice
+            assert carrier.memo["perp"] is perp and perp.memo["wall_lattice"] is lattice
+            assert perp == carrier.orthocomplement()
             fresh = Subspace(carrier.field, 2, carrier.basis)
             assert M._box_key(TORUS, fresh, m.components[0].carrier.offset) == key
-            assert fresh.memo["box_lattice"] == lattice
+            assert fresh.memo["perp"].memo["wall_lattice"] == lattice
 
     def test_memo_is_not_part_of_the_measure(self):
         rng = random.Random(61)
@@ -128,8 +131,8 @@ class TestCanonicalization:
                                   [M.BoxLebesgue(AffineCarrier.make(slant, off2),
                                                  slant.basis)])
         # the projected lattice is dense, so no fundamental domain reduces the
-        # stored offsets; the class key reduces the offset in the flattened
-        # coordinates, where the module is a lattice, and sees equal carriers
+        # stored offsets; the class key reads the wall key of the carrier's
+        # orthocomplement, where the shifts form a lattice, and sees equal carriers
         assert m1.components[0].carrier != m2.components[0].carrier
         assert M.class_key(TORUS, m1.components[0]) == M.class_key(TORUS, m2.components[0])
         assert m1.same_class(m2)
@@ -587,6 +590,17 @@ def reference_lattice_shift(sub, v):
                                mat_vec(rows, v)) is not None
 
 
+def reference_box_key(sub, offset):
+    """The torus box class key as it was before it read the wall key of the
+    carrier's orthocomplement: the coset key of the offset modulo the Q-span
+    of the carrier's basis times each field-basis element, plus Z^d."""
+    field, n = sub.field, sub.field.dimension
+    units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
+    lattice = M.module_lattice(field, sub.ambient,
+                               [vec_scale(u, b) for b in sub.basis for u in units], "Q", TORUS)
+    return lattice.key(flatten(offset))
+
+
 def reference_class_equivalent(space, dim, field, a, b):
     if type(a) is not type(b):
         return False
@@ -846,6 +860,27 @@ class TestClassKeyDifferential:
                         and ka[:-1] == kb[:-1]:
                     counts["hard"] += 1
         assert counts[True] > 40 and counts[False] > 40 and counts["hard"] > 10, counts
+
+    def test_box_key_matches_the_carrier_module_key(self):
+        # two offsets on one torus carrier K get equal box keys exactly when
+        # their old keys, modulo K's Q-module plus Z^d, are equal; half of
+        # the pairs are shifted by P_{K^perp}(n), which keeps the class
+        rng = random.Random(31)
+        counts = Counter()
+        for _ in range(240):
+            field, dim = rng.choice(gen.FIELDS), rng.randint(2, 4)
+            sub = gen.rand_subspace(rng, field, dim, target_dim=rng.randint(1, dim - 1))
+            perp = sub.orthocomplement()
+            offsets = [sub.project_perp(gen.rand_vector(rng, field, dim)) for _ in range(3)]
+            offsets.append(vec_add(offsets[0], perp.project(_int_shift(rng, field, dim))))
+            offsets.append(vec_add(offsets[1], perp.project(_int_shift(rng, field, dim))))
+            old = [reference_box_key(sub, o) for o in offsets]
+            new = [M._box_key(TORUS, sub, o) for o in offsets]
+            for i, j in ((0, 3), (1, 4), (0, 1), (2, 3), (3, 4)):
+                same = old[i] == old[j]
+                assert (new[i] == new[j]) == same, (sub, offsets[i], offsets[j])
+                counts[same] += 1
+        assert counts[True] > 400 and counts[False] > 400, counts
 
     def test_canonical_offsets_match_pairwise_rule(self):
         # canonicalization zeroes a group offset exactly when it lies in the
