@@ -21,8 +21,7 @@ from itertools import product
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError,
                      bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector, mat_vec,
-                     unit_vector, vec_add, vec_dot, vec_is_zero, vec_neg, vec_sub,
-                     zero_vector)
+                     vec_add, vec_dot, vec_is_zero, vec_neg, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, exp as measure_exp,
                       group_atom_on_coset, has_atom_at, is_identity, translate,
@@ -173,22 +172,22 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
     ergodic_result = wall_test(m, direction, None)
     witnesses: list[tuple[str, WallWitness]] = [("ergodic", w)
                                                 for w in ergodic_result.witnesses]
-    carriers = {i: (point, gens) for i, point, gens in _eigenvalue_carriers(m, direction)}
+    families = {f.component_index: f for f in directional_eigenvalues(m, direction)}
     strong = True
     for i, comp in enumerate(m.components):
-        carrier = carriers.get(i)
+        family = families.get(i)
         decays = isinstance(comp, BoxLebesgue) \
             and not direction.meets_orthocomplement(comp.carrier.subspace)
-        if carrier is None and decays:
+        if family is None and decays:
             continue
-        if carrier is not None:
-            point, gens = carrier
-            ell = direction.project(vec_add(point, gens[0]) if gens else point)
+        if family is not None:  # P_L is linear: P_L(point + g_0) = base + P_L g_0
+            gens = family.group_generators
+            ell = vec_add(family.base, gens[0]) if gens else family.base
             witnesses.append(("weak_mixing", WallWitness(i, comp, ell)))
         if not decays:
             witnesses.append(("strong_mixing", WallWitness(i, comp, None)))
             strong = False
-    return DirectionVerdict(direction, not ergodic_result.positive, not carriers, strong,
+    return DirectionVerdict(direction, not ergodic_result.positive, not families, strong,
                             tuple(witnesses))
 
 
@@ -382,17 +381,18 @@ def _eigenvalue_carriers(m: SymbolicMeasure, direction: Subspace
 
 def directional_eigenvalues(m: SymbolicMeasure,
                             direction: Subspace) -> tuple[EigenvalueFamily, ...]:
-    """All directional eigenvalue families for L: one per eigenvalue carrier."""
+    """All directional eigenvalue families for L, one per eigenvalue carrier:
+    kept in the measure's memo under L, the verdict reads its witnesses off them."""
     _check_direction(m.field, m.dim, direction)
-    lattice_images: tuple[FieldVector, ...] = ()
-    if m.class_space == TORUS:
-        images = direction.project_all([unit_vector(m.field, m.dim, j)
-                                        for j in range(m.dim)])
-        lattice_images = tuple(img for img in images if not vec_is_zero(img))
-    return tuple(EigenvalueFamily(i, direction.project(point), lattice_images,
-                                  tuple(direction.project(g) for g in gens),
-                                  m.components[i].ring if gens else None)
-                 for i, point, gens in _eigenvalue_carriers(m, direction))
+    key = ("eigenvalues", direction)
+    if key not in m.memo:
+        lattice_images = () if m.class_space != TORUS else tuple(
+            img for img in direction.projector_columns() if not vec_is_zero(img))
+        m.memo[key] = tuple(EigenvalueFamily(i, direction.project(point), lattice_images,
+                                             tuple(direction.project(g) for g in gens),
+                                             m.components[i].ring if gens else None)
+                            for i, point, gens in _eigenvalue_carriers(m, direction))
+    return m.memo[key]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ rationality classification of directions, and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
-bases), ``span_coordinates`` (one Gram system for many vectors: the dual
-basis of ``Subspace.project_all`` and the torus box-offset reduction),
+bases), the ``Subspace`` dual basis (one system [G | B]), ``span_coordinates``
+(a Gram system for many vectors: the torus box-offset reduction),
 ``meets_orthocomplement`` (a rank), ``pose_lattice_coset`` (the rational
 unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
 kernels off its output, and every dot product is the fused
@@ -44,13 +44,13 @@ wall lattice Z.span{B e_j}: ``classify._on_affine_wall`` decides atom and
 box torus walls by it, ``measure._box_key`` torus box classes.
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
-stored in its ``memo`` dict: ``project_all`` the dual basis G^-1 B (G = B B^T
-for the basis B) beside the pivot columns of B, so a projection is the dim
-coordinates x = G^-1 B v and one combination x B, which is x_i at the i-th
-pivot column; ``wall_key`` the wall lattice; ``classify`` a direction's
-atom-group wall answers; ``measure`` the projected lattice that reduces
-torus box offsets on a carrier and the carrier's orthocomplement.  The
-memo takes no part in equality, hashing, ``encode`` or ``repr``.
+stored in its ``memo`` dict: the dual basis G^-1 B (G = B B^T, B the basis)
+and B's pivot columns, so a projection is x = G^-1 B v and x B, which is x_i
+at the i-th pivot column (``projector_columns`` reads x for e_j as column j
+of G^-1 B); ``orthocomplement`` its result; ``wall_key`` the wall lattice;
+``classify`` a direction's atom-group wall answers; ``measure`` the lattice
+that reduces torus box offsets on a carrier.  The memo takes no part in
+equality, hashing, ``encode`` or ``repr``.
 """
 from __future__ import annotations
 
@@ -313,13 +313,14 @@ class Subspace:
                                      list(self.basis) + list(other.basis))
 
     def orthocomplement(self) -> "Subspace":
-        if self.is_zero():
-            return Subspace.full(self.field, self.ambient)
-        if self.is_full():
-            return Subspace.zero(self.field, self.ambient)
-        vecs = nullspace(self.basis, self._pivot_columns(), self.ambient,
-                         self.field.zero(), self.field.one())
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        """self^perp, built once per subspace and kept in the memo."""
+        if "perp" not in self.memo:
+            self.memo["perp"] = Subspace.full(self.field, self.ambient) if self.is_zero() \
+                else Subspace.zero(self.field, self.ambient) if self.is_full() \
+                else Subspace.from_vectors(self.field, self.ambient, nullspace(
+                    self.basis, self._pivot_columns(), self.ambient,
+                    self.field.zero(), self.field.one()))
+        return self.memo["perp"]
 
     def meets_orthocomplement(self, other: "Subspace") -> bool:
         """self cap other^perp != 0: the matrix of dot products of the two
@@ -339,20 +340,36 @@ class Subspace:
     def project_all(self, vectors) -> list[FieldVector]:
         """Orthogonal projections of several vectors: the identity on the full
         space, else x B for the coordinates x = (G^-1 B) v (see the module
-        docstring).  Pivot column p_i of the RREF basis B is the unit vector
-        e_i, so x B reads x_i there."""
+        docstring)."""
         if self.dim == 0:
             return [zero_vector(self.field, self.ambient) for _ in vectors]
         if self.is_full():
             return [tuple(v) for v in vectors]
+        return self._combine([vec_dot(r, v) for r in self._dual_basis()[0]] for v in vectors)
+
+    def projector_columns(self) -> list[FieldVector]:
+        """P e_1, ..., P e_d for the projection P: the coordinates of P e_j are
+        column j of the dual basis, so no vector is dotted with its rows."""
+        if self.dim == 0 or self.is_full():
+            return self.project_all(Subspace.full(self.field, self.ambient).basis)
+        return self._combine(zip(*self._dual_basis()[0]))
+
+    def _dual_basis(self) -> tuple[tuple[FieldVector, ...], tuple[int, ...]]:
+        """(G^-1 B, the pivot columns of B), memoized: one elimination of the
+        rows [G_i | b_i], since B e_j is column j of B."""
         if "dual_basis" not in self.memo:
-            units = Subspace.full(self.field, self.ambient).basis
-            self.memo["dual_basis"] = (tuple(zip(*span_coordinates(self.basis, units))),
+            rr, _ = rref_field([[vec_dot(bi, bj) for bj in self.basis] + list(bi)
+                                for bi in self.basis], self.dim)
+            self.memo["dual_basis"] = (tuple(tuple(row[self.dim:]) for row in rr),
                                        tuple(self._pivot_columns()))
-        (dual, pivots), columns = self.memo["dual_basis"], tuple(zip(*self.basis))
+        return self.memo["dual_basis"]
+
+    def _combine(self, coordinates) -> list[FieldVector]:
+        """x B for each x: pivot column p_i of the RREF basis B is the unit
+        vector e_i, so x B reads x_i there and dots x with the other columns."""
+        pivots, columns = self._dual_basis()[1], tuple(zip(*self.basis))
         return [tuple(x[pivots.index(j)] if j in pivots else vec_dot(x, col)
-                      for j, col in enumerate(columns))
-                for x in ([vec_dot(r, v) for r in dual] for v in vectors)]
+                      for j, col in enumerate(columns)) for x in coordinates]
 
     def project_perp(self, v: FieldVector) -> FieldVector:
         return vec_sub(v, self.project(v))

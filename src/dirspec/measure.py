@@ -281,14 +281,10 @@ def module_member(group: AtomGroup, v: FieldVector, space: str) -> bool:
 def _box_key(space: str, sub: Subspace, offset: FieldVector) -> tuple:
     """Class key of the carrier sub + offset, offset perpendicular to sub: on
     R^d that offset, already canonical; on T^d the ``wall_key`` of the offset
-    on sub^perp, zero exactly when the offset lies on sub + Z^d.  sub^perp is
-    kept in the carrier's memo."""
+    on sub^perp, zero exactly when the offset lies on sub + Z^d."""
     if space == EUCLID:
         return ("box", sub, offset)
-    perp = sub.memo.get("perp")
-    if perp is None:
-        perp = sub.memo["perp"] = sub.orthocomplement()
-    return ("box", sub, perp.wall_key(offset))
+    return ("box", sub, sub.orthocomplement().wall_key(offset))
 
 
 def class_key(space: str, comp: Component) -> tuple:
@@ -318,7 +314,7 @@ class SymbolicMeasure:
     field: FieldSpec
     components: tuple[Component, ...]
     periodized: bool = False
-    # values computed from the measure alone (its concise sets); not part of the value
+    # its concise sets and each direction's eigenvalue families; not part of the value
     memo: dict = dataclass_field(default_factory=dict, init=False, compare=False,
                                  hash=False, repr=False)
 
@@ -479,13 +475,12 @@ def _perp_lattice_basis(sub: Subspace) -> list[FieldVector] | None:
     that lattice is not rational (dense).  It depends only on ``sub``, so it
     is built once per subspace and kept in the subspace's memo."""
     if "perp_lattice" not in sub.memo:
-        field, dim = sub.field, sub.ambient
-        units = [unit_vector(field, dim, j) for j in range(dim)]
-        proj = [vec_sub(e, p) for e, p in zip(units, sub.project_all(units))]
+        units = Subspace.full(sub.field, sub.ambient).basis
+        proj = [vec_sub(e, p) for e, p in zip(units, sub.projector_columns())]
         basis = None
         if all(all(x.is_rational() for x in p) for p in proj):
             hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
-            basis = [as_vector(field, row) for row in hnf]
+            basis = [as_vector(sub.field, row) for row in hnf]
         sub.memo["perp_lattice"] = basis
     return sub.memo["perp_lattice"]
 
@@ -589,12 +584,13 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
     point mass added.  The closure is the set of finite sums of base
     components, and the class of a*b depends only on the classes of a and b,
     so each round convolves the new members with the base components other
-    than delta_0 only.
-    Raises ClosureBoundError past ``cap``, and ValidationError for a cap < 0.
+    than delta_0 only.  Raises ClosureBoundError past ``cap`` (mid-round
+    after the first), and ValidationError for a cap < 0.
     """
     cap = _decode_int(cap, "the component cap")
     if cap < 0:
         raise ValidationError(f"the component cap must be >= 0, got {cap}")
+    over_cap = f"convolution closure exceeded the component cap {cap}"
     delta0 = Atom(zero_vector(m.field, m.dim))
 
     def norm(comp: Component) -> Component:
@@ -627,9 +623,11 @@ def exp(m: SymbolicMeasure, cap: int = 4096) -> SymbolicMeasure:
                 if key not in seen:
                     seen.add(key)
                     new.append(c)
+                    # round 1 (all factor pairs) runs whole: unsupported pairs raise first
+                    if len(pool) + len(new) > cap and frontier is not factors:
+                        raise ClosureBoundError(over_cap)
         if len(pool) + len(new) > cap:
-            raise ClosureBoundError(
-                f"convolution closure exceeded the component cap {cap}")
+            raise ClosureBoundError(over_cap)
         pool.extend(new)
         frontier = new
     return SymbolicMeasure.make(m.space, m.dim, m.field, pool, m.periodized)

@@ -7,11 +7,24 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from dirspec.linalg import AffineCarrier, Subspace, zero_vector
+from dirspec.linalg import AffineCarrier, Subspace, rref_field, zero_vector
 from dirspec.measure import Atom, AtomGroup, BoxLebesgue, SymbolicMeasure
 from dirspec.scalar import FieldScalar, FieldSpec, QQ
 
 FIELDS = [QQ, FieldSpec((2,)), FieldSpec((2, 3)), FieldSpec((5,))]
+
+
+def gram_projection(sub, v):
+    """P v = B^T G^-1 B v (G = B B^T), by one elimination of [G | B v]: the
+    orthogonal projection written out from its definition."""
+    basis = [list(b) for b in sub.basis]
+    dot = lambda a, b: sum((x * y for x, y in zip(a, b)), sub.field.zero())  # noqa: E731
+    rr, pivots = rref_field([[dot(bi, bj) for bj in basis] + [dot(bi, v)] for bi in basis],
+                            len(basis))
+    assert len(pivots) == len(basis)
+    coords = [row[-1] for row in rr]
+    return tuple(sum((c * b[j] for c, b in zip(coords, basis)), sub.field.zero())
+                 for j in range(sub.ambient))
 
 
 @cache

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -147,6 +148,58 @@ class TestDirectionMemo:
                 assert concise(fresh) == first
             assert set(m.memo) == {"nonergodic_concise", "nonwm_concise"}
         assert kept > 10
+
+    def test_eigenvalue_families_are_kept_on_the_measure(self):
+        """``directional_eigenvalues`` keeps its families in the measure's
+        memo under L, and ``classify_direction`` reads its weak-mixing
+        witnesses off them: both encodings must not depend on the call order
+        or on the memo, and each witness is P_L(point + g_0)."""
+        rng = random.Random(47)
+        seen = Counter()
+        for _ in range(80):
+            field = rng.choice([QQ, F2])
+            space = rng.choice([TORUS, EUCLID])
+            d = rng.randint(2, 3)
+            m = gen.rand_measure(rng, field, d, space, with_groups=True)
+            if m.has_delta_zero():
+                continue
+            doc = json.dumps(m.encode())
+
+            def encodings(m, sub, verdict_first):
+                steps = [lambda: C.classify_direction(m, sub).encode(),
+                         lambda: [f.encode() for f in C.directional_eigenvalues(m, sub)]]
+                out = [step() for step in (steps if verdict_first else steps[::-1])]
+                return out if verdict_first else out[::-1]
+
+            # two directions share the measure's memo; each is checked against
+            # a fresh decode with a fresh direction, in both call orders
+            subs = [gen.rand_subspace(rng, field, d) for _ in range(2)]
+            for k, sub in enumerate(subs):
+                want = encodings(SymbolicMeasure.decode(json.loads(doc)),
+                                 Subspace(sub.field, sub.ambient, sub.basis), k == 1)
+                assert encodings(m, sub, k == 0) == want == encodings(m, sub, k == 1)
+                assert C.directional_eigenvalues(m, sub) is m.memo[("eigenvalues", sub)]
+            sub = subs[0]
+            for prop, w in C.classify_direction(m, sub).witnesses:
+                if prop != "weak_mixing":
+                    continue
+                comp = m.components[w.component_index]
+                group = isinstance(comp, AtomGroup)
+                point = comp.offset if group else comp.carrier.offset
+                if group:
+                    point = vec_add(point, comp.generators[0])
+                assert w.eigenvalue == gen.gram_projection(sub, point)
+                seen[(space, group)] += 1
+            # a memo filled for the reduced class must not answer for an
+            # unreduced one: the delta_0 check runs before the memo is read
+            with_zero = SymbolicMeasure(m.space, m.dim, m.field,
+                                        m.components + (Atom(zero_vector(field, d)),),
+                                        m.periodized)
+            with_zero.memo.update(m.memo)
+            with pytest.raises(NotReducedError):
+                C.classify_direction(with_zero, sub)
+        assert min(seen[(space, group)] for space in (TORUS, EUCLID)
+                   for group in (True, False)) > 3, seen
 
     def test_concise_memo_keeps_the_delta_zero_check(self):
         m = torus(atom([Fraction(1, 3), 0]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gen
+from gen import gram_projection
 from dirspec import linalg as L
 from dirspec.errors import DimensionMismatchError, ValidationError
 from dirspec.linalg import (AffineCarrier, CosetLattice, CosetSolution, LatticeSubgroup,
@@ -213,19 +214,6 @@ class TestTrivialSubspaceCases:
         assert sorted(set(calls)) == ["contains", "rref_field", "vec_dot"]
 
 
-def gram_projection(sub, v):
-    """P v = B^T G^-1 B v (G = B B^T), by one elimination of [G | B v]: the
-    orthogonal projection written out from its definition."""
-    basis = [list(b) for b in sub.basis]
-    dot = lambda a, b: sum((x * y for x, y in zip(a, b)), sub.field.zero())  # noqa: E731
-    rr, pivots = rref_field([[dot(bi, bj) for bj in basis] + [dot(bi, v)] for bi in basis],
-                            len(basis))
-    assert len(pivots) == len(basis)
-    coords = [row[-1] for row in rr]
-    return tuple(sum((c * b[j] for c, b in zip(coords, basis)), sub.field.zero())
-                 for j in range(sub.ambient))
-
-
 class TestProjection:
     """Projections read the memoized dual basis; they must equal the Gram
     formula, land in L with the remainder perpendicular to L, and be the
@@ -293,6 +281,28 @@ class TestProjection:
         assert [[vec_dot(r, b) for b in sub.basis] for r in dual] == [[1]]
         assert "dual_basis" not in Subspace.full(F2, 3).memo
 
+    def test_dual_basis_and_projector_columns_match_the_gram_system(self):
+        # the dual basis is one elimination of the rows [G_i | b_i]: it must
+        # equal the Gram system solved against every unit vector (the build it
+        # replaced), and the projector columns read off it must be P e_j
+        rng = random.Random(67)
+        proper = 0
+        for field in gen.FIELDS:
+            for d in range(1, 6):
+                units = [unit_vector(field, d, j) for j in range(d)]
+                subs = [gen.rand_subspace(rng, field, d) for _ in range(4)]
+                for sub in subs + [Subspace.zero(field, d), Subspace.full(field, d)]:
+                    columns = sub.projector_columns()
+                    assert columns == [gram_projection(sub, e) for e in units]
+                    assert columns == sub.project_all(units)
+                    if 0 < sub.dim < d:
+                        proper += 1
+                        old = tuple(zip(*L.span_coordinates(sub.basis, units)))
+                        assert sub.memo["dual_basis"][0] == old
+                assert Subspace.full(field, d).projector_columns() == units
+                assert Subspace.zero(field, d).projector_columns() == [zero_vector(field, d)] * d
+        assert proper > 40
+
 
 int_entry = st.integers(min_value=-6, max_value=6)
 
@@ -311,6 +321,17 @@ class TestSubspaceMemo:
             assert (hash(sub), sub.encode(), repr(sub)) == before
             assert fresh.memo == {} and "memo" not in repr(sub)
             assert {sub: 1}[fresh] == 1
+
+    def test_orthocomplement_is_kept_in_the_memo(self):
+        rng = random.Random(71)
+        for field in gen.FIELDS:
+            for d in range(1, 5):
+                for sub in (gen.rand_subspace(rng, field, d), Subspace.zero(field, d),
+                            Subspace.full(field, d)):
+                    perp = sub.orthocomplement()
+                    assert sub.orthocomplement() is perp and sub.memo["perp"] is perp
+                    assert Subspace(sub.field, d, sub.basis).orthocomplement() == perp
+                    assert perp.dim == d - sub.dim and perp.orthogonal_to(sub)
 
 
 def _textbook_rref(rows, ncols=None):
@@ -499,6 +520,29 @@ class TestCanonicalForm:
                                 for words in ("must be an integer", "must be a finite number")):
                     copies.append(f"{path.name}:{node.lineno}")
         assert copies == []
+
+
+    def test_unit_vectors_are_projected_by_the_projector_columns(self):
+        # ``Subspace.projector_columns`` reads P e_1..P e_d off the dual basis:
+        # no module passes unit vectors to ``project_all``, directly or
+        # through a name bound to them, which would dot each with the dual rows
+        import ast
+        from pathlib import Path
+        calls = []
+        for path in sorted(Path(L.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+                units = {t.id for n in ast.walk(scope) if isinstance(n, ast.Assign)
+                         and "unit_vector" in ast.unparse(n.value)
+                         for t in n.targets if isinstance(t, ast.Name)}
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call) \
+                            and getattr(node.func, "attr", None) == "project_all" \
+                            and any("unit_vector" in ast.unparse(arg)
+                                    or {getattr(n, "id", None) for n in ast.walk(arg)} & units
+                                    for arg in node.args):
+                        calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
 
 class TestAffineCarrier:

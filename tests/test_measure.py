@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import gen
+from dirspec import classify as C
 from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, UnsupportedConvolutionError,
                             ValidationError)
@@ -85,10 +86,13 @@ class TestCanonicalization:
             lattice = perp.memo["wall_lattice"]
             key = M.class_key(TORUS, m.components[0])
             assert carrier.memo["perp"] is perp and perp.memo["wall_lattice"] is lattice
-            assert perp == carrier.orthocomplement()
+            assert carrier.orthocomplement() is perp
             fresh = Subspace(carrier.field, 2, carrier.basis)
             assert M._box_key(TORUS, fresh, m.components[0].carrier.offset) == key
-            assert fresh.memo["perp"].memo["wall_lattice"] == lattice
+            assert fresh.memo["perp"] == perp and fresh.memo["perp"].memo["wall_lattice"] == lattice
+            # the concise sets reuse the orthocomplement that decoding built
+            assert C.nonwm_concise(m).subspaces == (perp,)
+            assert C.nonwm_concise(m).subspaces[0] is perp
 
     def test_memo_is_not_part_of_the_measure(self):
         rng = random.Random(61)
@@ -270,6 +274,41 @@ class TestExp:
         m = torus(atom([Fraction(1, 97), 0]))
         with pytest.raises(ClosureBoundError):
             M.exp(m, cap=16)
+
+    def test_cap_is_checked_inside_a_round(self, monkeypatch):
+        """Past the first round the cap is checked at each new member: on
+        the 12 seeded hyperplanes in R^6 (a 1,586-carrier closure) ``realize``
+        with cap 1000 stops within 4,500 convolutions, where a check after
+        each whole round ran 9,516.  A closure that fits its cap exactly is
+        the closure the default cap gives."""
+        def hyperplanes(d, count):
+            rng, out = random.Random(1), []
+            while len(out) < count:
+                normal = [rng.randint(-4, 4) for _ in range(d)]
+                if any(normal):
+                    h = Subspace.from_vectors(QQ, d, [normal]).orthocomplement()
+                    if h not in out:
+                        out.append(h)
+            return out
+
+        small = hyperplanes(5, 6)
+        report = C.realize(small)
+        size = len(report.measure.components) + 1  # delta_0 is in the closure
+        assert len(report.carrier_closure) == 57
+        assert C.realize(small, cap=size).encode() == report.encode()
+        with pytest.raises(ClosureBoundError):
+            C.realize(small, cap=size - 1)
+        # round 1 runs whole: a group * box pair in it wins over any cap
+        group = AtomGroup((as_vector(QQ, [Fraction(1, 5), 0]),), "Z", zero_vector(QQ, 2))
+        with pytest.raises(UnsupportedConvolutionError):
+            M.exp(torus(atom([Fraction(1, 3), 0]), atom([0, Fraction(1, 7)]), group, box(E1)),
+                  cap=0)
+        calls = []
+        convolve = M._convolve_pair
+        monkeypatch.setattr(M, "_convolve_pair", lambda a, b: calls.append(1) or convolve(a, b))
+        with pytest.raises(ClosureBoundError, match="component cap 1000"):
+            C.realize(hyperplanes(6, 12), cap=1000)
+        assert len(calls) <= 4500
 
     def test_fixpoint_property(self):
         rng = random.Random(31)
