@@ -66,20 +66,23 @@ def _on_affine_wall(space: str, sub_l: Subspace, point: FieldVector,
                     ell: FieldVector) -> bool:
     """Is ``point`` on L^perp + ell, modulo Z^d when ``space`` is TORUS (a zero
     ``wall_key`` of point - ell)?  For the full L the wall is ell + {0}, and
-    point - ell must be the identity: no lattice is built."""
-    diff = vec_sub(point, ell)
-    if sub_l.is_full():
-        return is_identity(space, diff)
-    if space == TORUS:
-        return not any(sub_l.wall_key(diff))
-    return all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
+    point - ell must be the identity: no lattice is built.  Kept in the subspace's
+    memo: the central wall test and NE subordination ask the same walls."""
+    key = (space, point, ell)
+    if key not in sub_l.memo:
+        diff = vec_sub(point, ell)
+        sub_l.memo[key] = is_identity(space, diff) if sub_l.is_full() \
+            else not any(sub_l.wall_key(diff)) if space == TORUS \
+            else all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
+    return sub_l.memo[key]
 
 
 def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
                       ell: FieldVector) -> FieldVector | None:
     """A genuine atom of the group on L^perp + ell (mod Z^d on the torus), or
     None: ``group_atom_on_coset`` with the rows B_L, the target B_L ell and,
-    on the torus, the shifts B_L e_j.  The answer depends only on L and the
+    on the torus, the shifts B_L e_j, which a canonical torus group of ring Z
+    holds in its module (``shifts_in_module``).  The answer depends only on L and the
     key below, so it is kept in the subspace's memo: the central wall test of
     ``classify_direction`` and ``contains_direction`` on the nonergodic
     concise set pose the same system.  For the full L and the identity ell
@@ -93,8 +96,8 @@ def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
         rows = sub_l.basis
         shifts = [tuple(b[j] for b in rows) for j in range(sub_l.ambient)] \
             if space == TORUS else ()
-        sub_l.memo[key] = group_atom_on_coset(space, group, rows, mat_vec(rows, ell),
-                                              shifts)
+        sub_l.memo[key] = group_atom_on_coset(space, group, rows, mat_vec(rows, ell), shifts,
+                                              space == TORUS and group.ring == "Z")
     return sub_l.memo[key]
 
 
@@ -287,7 +290,9 @@ def _concise_hull(members: list[Subspace]) -> tuple[Subspace, ...]:
 
 def canonical_order(subspaces) -> tuple[Subspace, ...]:
     """Subspaces in the canonical report order: by dimension, then encoding."""
-    return tuple(sorted(subspaces, key=lambda s: (s.dim, str(s.encode()))))
+    subspaces = tuple(subspaces)  # one or none: no encoding to sort by
+    return subspaces if len(subspaces) < 2 else tuple(
+        sorted(subspaces, key=lambda s: (s.dim, str(s.encode()))))
 
 
 def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
@@ -382,17 +387,19 @@ def _eigenvalue_carriers(m: SymbolicMeasure, direction: Subspace
 def directional_eigenvalues(m: SymbolicMeasure,
                             direction: Subspace) -> tuple[EigenvalueFamily, ...]:
     """All directional eigenvalue families for L, one per eigenvalue carrier:
-    kept in the measure's memo under L, the verdict reads its witnesses off them."""
+    kept with L in the measure's one memo slot (another L replaces them), so the
+    verdict reads its witnesses off them and a next call for L reads them back."""
     _check_direction(m.field, m.dim, direction)
-    key = ("eigenvalues", direction)
-    if key not in m.memo:
+    slot = m.memo.get("eigenvalues")
+    if slot is None or slot[0] != direction:
         lattice_images = () if m.class_space != TORUS else tuple(
             img for img in direction.projector_columns() if not vec_is_zero(img))
-        m.memo[key] = tuple(EigenvalueFamily(i, direction.project(point), lattice_images,
-                                             tuple(direction.project(g) for g in gens),
-                                             m.components[i].ring if gens else None)
-                            for i, point, gens in _eigenvalue_carriers(m, direction))
-    return m.memo[key]
+        slot = m.memo["eigenvalues"] = (direction, tuple(
+            EigenvalueFamily(i, direction.project(point), lattice_images,
+                             tuple(direction.project(g) for g in gens),
+                             m.components[i].ring if gens else None)
+            for i, point, gens in _eigenvalue_carriers(m, direction)))
+    return slot[1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ use it.  ``as_vector`` is the one length check of an input vector, and
 ``pose_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its callers:
 ``measure.group_atom_on_coset`` asks for a group atom on a wall or in a
-subgroup image: a ``hermite_normal_form`` solve decides, and only a yes runs
-``smith_normal_form`` (U·B, D and V, U never formed) to name the witness.
+subgroup image: a ``hermite_normal_form`` solve decides (a canonical torus
+group of ring Z on the coefficient unknowns alone: its module holds the
+shifts), and only a yes runs ``smith_normal_form`` (U·B, D and V, U never
+formed) on the full system to name the witness.
 ``rationality`` reads L cap Z^d off the HNF solution lattice of the
 homogeneous system sum_j n_j c_j = 0, and ``saturate`` is that lattice for
 a subgroup's span.  The HNF callers are ``LatticeSubgroup.from_generators``,
@@ -48,7 +50,7 @@ stored in its ``memo`` dict: the dual basis G^-1 B (G = B B^T, B the basis)
 and B's pivot columns, so a projection is x = G^-1 B v and x B, which is x_i
 at the i-th pivot column (``projector_columns`` reads x for e_j as column j
 of G^-1 B); ``orthocomplement`` its result; ``wall_key`` the wall lattice;
-``classify`` a direction's atom-group wall answers; ``measure`` the lattice
+``classify`` a direction's wall answers, each asked once; ``measure`` the lattice
 that reduces torus box offsets on a carrier.  The memo takes no part in
 equality, hashing, ``encode`` or ``repr``.
 """
@@ -662,8 +664,10 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     is feasible, minus its I-part is a particular solution, and its rows with
     a zero A-part are a kernel lattice basis.  ``smith`` uses Smith normal
     form instead, whose particular solution names the printed witnesses;
-    with no residual integral equation it returns the HNF family itself.
-    Each answer is computed once."""
+    with no residual integral equation it returns the HNF family itself.  Each
+    answer is computed once.  ``shifts=False`` drops the shift unknowns n from
+    the HNF, [A_c^T | I]: n = 0 in its family, for callers whose coefficients
+    reach every shift."""
     k, p = len(us), len(ls)
     a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
     b = k + p - a                # the integral unknowns
@@ -690,7 +694,7 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
         return tuple(c)
 
     @cache
-    def solve(smith: bool) -> CosetSolution | None:
+    def solve(smith: bool, shifts: bool) -> CosetSolution | None:
         if smith:
             uw, dmat, v = smith_normal_form(int_rows, [[x] for x in int_rhs])
             w = [row[0] for row in uw]
@@ -702,20 +706,22 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
             lattice = [tuple(v[i][j] for i in range(b)) for j in range(b)
                        if j >= mm or dmat[j][j] == 0]
         else:  # with no integral equation, HNF = I: every integral unknown is free
-            hnf = hermite_normal_form([[r[j] for r in int_rows] + [int(i == j) for i in range(b)]
-                                       for j in range(b)])
-            w = CosetLattice((), (), hnf).key(int_rhs + [0] * b)
+            kept = b if shifts else k - a  # the coefficient unknowns come first
+            hnf = hermite_normal_form([[r[j] for r in int_rows] + [int(i == j) for i in range(kept)]
+                                       for j in range(kept)])
+            w = CosetLattice((), (), hnf).key(int_rhs + [0] * kept)
             if any(w[:mm]):
                 return None
-            n0 = tuple(-x for x in w[mm:])
-            lattice = [row[mm:] for row in hnf if not any(row[:mm])]
+            pad = (0,) * (b - kept)
+            n0 = tuple(-x for x in w[mm:]) + pad
+            lattice = [row[mm:] + pad for row in hnf if not any(row[:mm])]
         split = k - a  # for ring Z the coefficients c are the first k integral unknowns
         return CosetSolution(
             back_substitute(n0, False) + n0[:split], n0[split:],
             tuple(back_substitute(lam, True) + lam[:split] for lam in lattice),
             tuple(lam[split:] for lam in lattice),
             tuple(tuple(x) for x in nullspace(aug, pivots, a, Fraction(0), Fraction(1))))
-    return lambda smith: solve(smith and mm > 0)
+    return lambda smith, shifts=True: solve(smith and mm > 0, shifts or smith)
 
 
 def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:

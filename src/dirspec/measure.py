@@ -226,19 +226,26 @@ def is_identity(space: str, v: FieldVector) -> bool:
 
 
 def group_atom_on_coset(space: str, group: AtomGroup, rows, target: FieldVector,
-                        shifts) -> FieldVector | None:
+                        shifts, shifts_in_module: bool = False) -> FieldVector | None:
     """A genuine atom a of the group (not ``is_identity(space, a)``) with
     rows·a in target + Z.span(shifts), or None: what wall tests and subgroup
     images ask, posed as one coset system (u_i = rows g_i, l_j = -s_j,
     t = target - rows offset).  Its HNF solution decides (no basis of the
     solution coset changes whether it holds a genuine atom); only a yes runs
-    SNF, whose solution names the witness."""
+    SNF, whose solution names the witness.
+
+    ``shifts_in_module``: the group is a torus group of ring Z with Z^d in its
+    module (every canonical one: ``module_lattice`` adds e_j) and the shifts are
+    rows·e_j, so the HNF decision drops the shift unknowns.  If a in G has rows·a
+    = target + rows·n, then a - n is in G, on the wall with n = 0 and the same
+    atom mod Z^d; and for ring Z ``_coset_atom`` finds a genuine atom in a family
+    whenever its coset (particular atom + Z-span of its lattice) holds one."""
     solve = pose_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators],
                                [vec_neg(s) for s in shifts],
                                vec_sub(target, mat_vec(rows, group.offset)))
     if solve is None:
         return None
-    family = solve(smith=False)
+    family = solve(smith=False, shifts=not shifts_in_module)
     atom = _coset_atom(space, group, family)
     if atom is None or solve(smith=True) is family:  # no integral equation, no SNF
         return atom

@@ -91,7 +91,7 @@ class TestDirectionMemo:
 
     def test_memo_answers_match_a_fresh_subspace(self):
         rng = random.Random(41)
-        groups_seen = duals_seen = 0
+        groups_seen = duals_seen = affine_seen = 0
         for _ in range(40):
             field = rng.choice([QQ, F2])
             space = rng.choice([TORUS, EUCLID])
@@ -118,6 +118,11 @@ class TestDirectionMemo:
                     fresh.project_all([])  # builds the fresh subspace's entry
                     assert answer == fresh.memo["dual_basis"]
                     continue
+                if len(key) == 3:
+                    space, point, ell = key
+                    affine_seen += 1
+                    assert C._on_affine_wall(space, fresh, point, ell) == answer
+                    continue
                 space, ring, gens, offset, ell = key
                 groups_seen += 1
                 assert C._group_meets_wall(space, AtomGroup(gens, ring, offset),
@@ -126,7 +131,7 @@ class TestDirectionMemo:
             assert C.classify_direction(m, fresh).encode() == verdict.encode()
             assert C.nonergodic_concise(m).contains_direction(
                 Subspace(sub.field, sub.ambient, sub.basis)) == in_ne
-        assert groups_seen > 10 and duals_seen > 10
+        assert groups_seen > 10 and duals_seen > 10 and affine_seen > 10
 
     def test_concise_sets_are_kept_on_the_measure(self):
         rng = random.Random(43)
@@ -178,7 +183,19 @@ class TestDirectionMemo:
                 want = encodings(SymbolicMeasure.decode(json.loads(doc)),
                                  Subspace(sub.field, sub.ambient, sub.basis), k == 1)
                 assert encodings(m, sub, k == 0) == want == encodings(m, sub, k == 1)
-                assert C.directional_eigenvalues(m, sub) is m.memo[("eigenvalues", sub)]
+                assert m.memo["eigenvalues"][0] == sub
+                assert C.directional_eigenvalues(m, sub) is m.memo["eigenvalues"][1]
+            # the measure keeps one slot: another direction replaces it, and
+            # the first direction asked again gets equal families, recomputed
+            first = C.directional_eigenvalues(m, subs[0])
+            kept = len(m.memo)
+            other = C.directional_eigenvalues(m, subs[1])
+            assert m.memo["eigenvalues"] == (subs[1], other) and len(m.memo) == kept
+            assert C.directional_eigenvalues(m, subs[0]) == first
+            assert m.memo["eigenvalues"][0] == subs[0] and len(m.memo) == kept
+            if first and subs[0] != subs[1]:
+                assert m.memo["eigenvalues"][1] is not first
+                seen["replaced"] += 1
             sub = subs[0]
             for prop, w in C.classify_direction(m, sub).witnesses:
                 if prop != "weak_mixing":
@@ -200,6 +217,7 @@ class TestDirectionMemo:
                 C.classify_direction(with_zero, sub)
         assert min(seen[(space, group)] for space in (TORUS, EUCLID)
                    for group in (True, False)) > 3, seen
+        assert seen["replaced"] > 10, seen
 
     def test_concise_memo_keeps_the_delta_zero_check(self):
         m = torus(atom([Fraction(1, 3), 0]))
@@ -248,6 +266,37 @@ class TestDirectionMemo:
             C.classify_direction(m, sub)
             C.nonergodic_concise(m).contains_direction(sub)
             assert len(calls) == 2
+
+    def test_each_affine_wall_is_decided_once(self, monkeypatch):
+        # the central wall test and subordination to the nonergodic concise
+        # set ask the same torus walls of atoms and affine boxes: the second
+        # reads the direction's memo, so ``wall_key`` runs once per
+        # (direction, point - ell)
+        rng = random.Random(53)
+        counts = Counter()
+        original = Subspace.wall_key
+
+        def counting(self, v):
+            counts[v] += 1
+            return original(self, v)
+
+        monkeypatch.setattr(Subspace, "wall_key", counting)
+        keyed = 0
+        for _ in range(60):
+            field = rng.choice([QQ, F2])
+            d = rng.randint(2, 3)
+            m = gen.rand_measure(rng, field, d, TORUS, with_groups=rng.random() < 0.3)
+            if m.has_delta_zero():
+                continue
+            ne = C.nonergodic_concise(m)
+            sub = rng.choice([gen.rand_subspace, gen.rand_rational_subspace])(
+                rng, field, d, rng.randint(1, d - 1))
+            counts.clear()
+            C.classify_direction(m, sub)
+            ne.contains_direction(sub)
+            assert max(counts.values(), default=0) <= 1, counts
+            keyed += sum(counts.values())
+        assert keyed > 20
 
 
 class TestClassifyDirection:
@@ -1008,7 +1057,7 @@ class TestUnimodularInvariance:
         # minutes (a coordinate permutation of a T^4 group wall took > 20 s)
         def hnf_only(*args):
             solve = pose_lattice_coset(*args)
-            return solve and (lambda smith: solve(smith=False))
+            return solve and (lambda smith, shifts=True: solve(smith=False, shifts=shifts))
 
         monkeypatch.setattr(M, "pose_lattice_coset", hnf_only)
         rng = random.Random(29)

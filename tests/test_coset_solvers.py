@@ -15,10 +15,11 @@ from dirspec import classify as C
 from dirspec import linalg as L
 from dirspec import measure as M
 from dirspec.linalg import (CosetLattice, Subspace, mat_vec, pose_lattice_coset,
-                            solve_lattice_coset, unit_vector)
+                            solve_lattice_coset, unit_vector, vec_is_zero, zero_vector)
 from dirspec.measure import EUCLID, TORUS, AtomGroup, SymbolicMeasure
 from dirspec.scalar import QQ, FieldSpec, decode_scalar
-from gen import benchmark_pool, rand_fraction, rand_vector
+from gen import (benchmark_pool, rand_fraction, rand_rational_subspace, rand_subspace,
+                 rand_vector)
 
 F2 = FieldSpec((2,))
 GROUP_ATOM_ON_COSET = M.group_atom_on_coset
@@ -34,10 +35,13 @@ def coset_key(sol):
     return module, module.key(sol.coeffs + sol.shift)
 
 
-def check(monkeypatch, space, group, rows, target, shifts, seen: list):
+def check(monkeypatch, space, group, rows, target, shifts, seen: list,
+          shifts_in_module=False):
     """``group_atom_on_coset`` once, with the system it poses solved both
     ways: feasible together, one coset, one genuine-atom decision, and the
-    witness the SNF solution names.  Appends (feasible, has atom) to seen."""
+    witness the SNF solution names.  With ``shifts_in_module`` the HNF solve
+    without the shift unknowns makes the same decision.  Appends (feasible,
+    has atom) to seen."""
     posed = []
 
     def recording(*args):
@@ -45,7 +49,7 @@ def check(monkeypatch, space, group, rows, target, shifts, seen: list):
         return pose_lattice_coset(*args)
 
     monkeypatch.setattr(M, "pose_lattice_coset", recording)
-    witness = GROUP_ATOM_ON_COSET(space, group, rows, target, shifts)
+    witness = GROUP_ATOM_ON_COSET(space, group, rows, target, shifts, shifts_in_module)
     monkeypatch.setattr(M, "pose_lattice_coset", pose_lattice_coset)
     (args,) = posed
     solve = pose_lattice_coset(*args)
@@ -56,6 +60,11 @@ def check(monkeypatch, space, group, rows, target, shifts, seen: list):
         assert coset_key(hnf) == coset_key(snf)
     assert witness == M._coset_atom(space, group, snf)
     assert (M._coset_atom(space, group, hnf) is None) == (witness is None)
+    if shifts_in_module and solve:
+        reduced = solve(smith=False, shifts=False)
+        assert reduced is None or not any(reduced.shift) \
+            and not any(map(any, reduced.shift_lattice))
+        assert (M._coset_atom(space, group, reduced) is None) == (witness is None)
     seen.append((hnf is not None, witness is not None))
     return witness
 
@@ -121,8 +130,8 @@ def test_pool_systems(monkeypatch, workload):
     direction) pair of the whole pool."""
     seen: list = []
 
-    def checked(space, group, rows, target, shifts):
-        return check(monkeypatch, space, group, rows, target, shifts, seen)
+    def checked(space, group, rows, target, shifts, shifts_in_module):
+        return check(monkeypatch, space, group, rows, target, shifts, seen, shifts_in_module)
 
     monkeypatch.setattr(C, "group_atom_on_coset", checked)
     for case in benchmark_pool(workload):
@@ -137,6 +146,48 @@ def test_pool_systems(monkeypatch, workload):
             C.nonergodic_concise(m).contains_direction(sub)
             C.nonwm_concise(m).contains_direction(sub)
     assert len(seen) >= 50 and any(a for _, a in seen)
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["QQ", "Q(sqrt2)"])
+def test_canonical_torus_groups_decide_without_shifts(monkeypatch, field):
+    """A canonical torus group of ring Z holds Z^d in its module, so
+    ``_group_meets_wall`` lets its HNF decision drop the shift unknowns: the
+    reduced and the full decision agree on a genuine atom, and the witness is
+    the one the full SNF solution names.  Walls through a group atom, moved
+    by an integer vector half the time, make many systems feasible."""
+    rng = random.Random(f"canonical:{field.roots}")
+    seen: list = []
+
+    def checked(space, group, rows, target, shifts, shifts_in_module):
+        assert shifts_in_module
+        return check(monkeypatch, space, group, rows, target, shifts, seen, shifts_in_module)
+
+    monkeypatch.setattr(C, "group_atom_on_coset", checked)
+    kinds = set()
+    while len(seen) < 120:
+        d = rng.randint(2, 4)
+        gens = [rand_vector(rng, field, d, irrational_p=0.2)
+                for _ in range(rng.randint(1, 2 if d < 4 else 1))]
+        offset = rand_vector(rng, field, d, irrational_p=0.2) if rng.random() < 0.5 \
+            else tuple(field.zero() for _ in range(d))
+        m = SymbolicMeasure.make(TORUS, d, field, [AtomGroup(tuple(gens), "Z", offset)])
+        if not m.components or not isinstance(m.components[0], AtomGroup):
+            continue
+        group = m.components[0]
+        full = rng.random() < 0.25
+        sub = Subspace.full(field, d) if full else rng.choice(
+            [rand_subspace, rand_rational_subspace])(rng, field, d, rng.randint(1, d - 1))
+        point = M.group_element_from_coeffs(
+            group, [field.from_rational(Fraction(rng.randint(-2, 2))) for _ in group.generators],
+            True)
+        if rng.random() < 0.5:
+            point = tuple(x + rng.randint(-2, 2) for x in point)
+        ell = sub.project(point) if rng.random() < 0.7 else zero_vector(field, d)
+        kinds.add((full, vec_is_zero(ell), vec_is_zero(group.offset)))
+        C._group_meets_wall(TORUS, group, Subspace(field, d, sub.basis), ell)
+    assert {f for f, _ in seen} == {True, False}
+    assert {a for _, a in seen} == {True, False}
+    assert len(kinds) == 8
 
 
 def test_system_without_integral_equation_is_solved_once(monkeypatch):

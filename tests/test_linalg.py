@@ -544,6 +544,24 @@ class TestCanonicalForm:
                         calls.append(f"{path.name}:{node.lineno}")
         assert calls == []
 
+    def test_wall_answers_go_through_the_direction_memo(self):
+        # every torus wall answer in classify is kept in the direction's memo:
+        # ``wall_key`` is read only by ``_on_affine_wall`` and
+        # ``group_atom_on_coset`` called only by ``_group_meets_wall``
+        import ast
+        from pathlib import Path
+        callers = {"wall_key": set(), "group_atom_on_coset": set()}
+        tree = ast.parse((Path(L.__file__).parent / "classify.py").read_text())
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.FunctionDef):
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                        if name in callers:
+                            callers[name].add(scope.name)
+        assert callers == {"wall_key": {"_on_affine_wall"},
+                           "group_atom_on_coset": {"_group_meets_wall"}}
+
 
 class TestAffineCarrier:
     def test_offset_reduced(self):
