@@ -197,6 +197,7 @@ _JOE_KUO = [tuple(map(int, entry.split())) for entry in """
 211 1 3 5 13 23 1 55; 213 1 3 7 3 13 59 17""".split(";")]
 SOBOL_DIMS = len(_JOE_KUO) + 1
 SOBOL_BITS = 30  # the sequence has 2**30 points, each a multiple of 2**-30
+SAMPLE_BUDGET = 1 << 22  # coordinates in a first ``_ball_points`` chunk: 8x the default at e = 32
 
 
 def _sobol(d: int, seed: int, start: int, n: int) -> np.ndarray:
@@ -252,7 +253,8 @@ def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
     that lie in its inscribed ball.  The prefix is drawn in chunks (max(8,
     4 samples) points, then 8 samples at a time) until enough fall inside.  A
     draw whose expected length, samples over the ball's share
-    pi^(e/2) / (Gamma(e/2 + 1) 2^e) of the cube, passes the sequence is
+    pi^(e/2) / (Gamma(e/2 + 1) 2^e) of the cube, passes the sequence, or
+    whose first chunk has more than ``SAMPLE_BUDGET`` coordinates, is
     refused before any point is drawn."""
     import numpy as np
     log2_need = math.log2(samples) + e + (math.lgamma(e / 2 + 1) - e / 2 * math.log(math.pi)) \
@@ -261,7 +263,11 @@ def _ball_points(e: int, radius: float, samples: int, seed: int) -> np.ndarray:
         raise ClosureBoundError(f"{samples} points in a {e}-dimensional ball need about "
                                 f"2**{log2_need:.1f} Sobol points; the sequence has "
                                 f"2**{SOBOL_BITS} points")
-    chunks = _sobol_chunks(e, seed, 0, chain([max(8, 4 * samples)], repeat(8 * samples)))
+    first = max(8, 4 * samples)
+    if first <= 1 << SOBOL_BITS:  # past the sequence, ``_sobol_chunks`` refuses first
+        check_enumeration(first * e, f"a first chunk of {first} Sobol points in {e} "
+                          "dimensions", SAMPLE_BUDGET)
+    chunks = _sobol_chunks(e, seed, 0, chain([first], repeat(8 * samples)))
     inside = np.empty((0, e))
     while inside.shape[0] < samples:
         cube = (2.0 * next(chunks) - 1.0) * radius

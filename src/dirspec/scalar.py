@@ -10,11 +10,13 @@ have equal tuples.  The product of basis elements i and j is basis element
 ``i ^ j`` times the radicand of ``i & j`` (shared radicals square to their
 radicand).  Each roots tuple has one ``FieldSpec`` object, so scalars
 compare their fields by identity, and that object holds the field's tables:
-the product table, over which every product, norm, sign test and dot product
-(``vec_dot``) runs on integers, and the float basis of the real embedding.
-Plain Q (one coefficient) takes a short path through addition,
-multiplication and ``vec_dot``.  An irrational element hashes its integers
-``(roots, nums, den)``; a rational one hashes like its ``Fraction``.
+the product table, the float basis of the real embedding and the product
+kernel compiled from the table, one straight-line function of the integer
+numerators through which every product, norm, sign test and dot product
+(``vec_dot``) runs.  ``vec_dot`` skips its zero terms and sums the others over
+the one lcm of their denominators.  Plain Q (one coefficient) takes a short
+path through addition and multiplication.  An irrational element hashes its
+integers ``(roots, nums, den)``; a rational one hashes like its ``Fraction``.
 
 The only predicates the rest of the toolkit needs are exact equality with
 zero and field arithmetic; no total ordering is exposed.  The one
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
 from fractions import Fraction
@@ -52,6 +55,22 @@ def _is_square_free(m: int) -> bool:
     return True
 
 
+def _product_kernel(table):
+    """The product of two numerator vectors over ``table`` as one straight-line
+    function: coefficient k is the sum of f * a_i * b_j over i ^ j == k.  It is
+    built as ``dataclasses`` builds ``__init__``, and its source holds only the
+    indices and radicands of the table, integers of checked roots."""
+    sums = [[] for _ in table]
+    for i, row in enumerate(table):
+        for j, (k, f) in enumerate(row):
+            sums[k].append(f"a{i} * b{j}" if f == 1 else f"{f:d} * a{i} * b{j}")
+    names = "".join(f"a{i}, " for i in range(len(table)))
+    namespace = {}
+    exec(f"def product(a, b):\n    {names}= a\n    {names.replace('a', 'b')}= b\n"
+         f"    return ({''.join(' + '.join(terms) + ', ' for terms in sums)})\n", namespace)
+    return namespace["product"]
+
+
 @dataclass(frozen=True, init=False)
 class FieldSpec:
     """The real field Q(sqrt(m) for m in roots); roots = () is plain Q.  One object per
@@ -60,10 +79,13 @@ class FieldSpec:
     roots: tuple[int, ...]
     dimension: int = dataclass_field(repr=False, compare=False)
     # _table[i][j] = (i ^ j, radicand of i & j), the product of basis elements i
-    # and j; _floats[j] = float of basis element j; _tail = (0,) * (dimension - 1)
+    # and j; _floats[j] = float of basis element j; _tail = (0,) * (dimension - 1);
+    # _mul = _product_kernel(_table); _sub = the field of roots[:-1] (None for Q)
     _table: tuple = dataclass_field(repr=False, compare=False)
     _floats: tuple = dataclass_field(repr=False, compare=False)
     _tail: tuple = dataclass_field(repr=False, compare=False)
+    _mul: Callable = dataclass_field(repr=False, compare=False)
+    _sub: FieldSpec | None = dataclass_field(repr=False, compare=False)
     _interned = {}  # roots tuple -> its one FieldSpec; not a field (no annotation)
 
     def __new__(cls, roots=()):
@@ -83,12 +105,14 @@ class FieldSpec:
         spec = cls._interned.get(roots)  # after the checks: (2.0,) == (2,) as a key
         if spec is None:
             spec, dim = super().__new__(cls), 1 << len(roots)
+            check_enumeration(dim * dim, f"the product table of field {roots}")
             chosen = [[m for bit, m in enumerate(roots) if s >> bit & 1] for s in range(dim)]
             rad = [math.prod(ms) for ms in chosen]
             table = tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
             floats = tuple(math.prod(map(math.sqrt, ms), start=1.0) for ms in chosen)
             spec.__dict__.update(roots=roots, dimension=dim, _table=table, _floats=floats,
-                                 _tail=(0,) * (dim - 1))
+                                 _tail=(0,) * (dim - 1), _mul=_product_kernel(table),
+                                 _sub=FieldSpec(roots[:-1]) if roots else None)
             cls._interned[roots] = spec
         return spec
 
@@ -139,33 +163,21 @@ class FieldSpec:
                                        for v in vals), den)
 
 
-def _mul_nums(a, b, table) -> list[int]:
-    """Product of two integer coefficient vectors over a basis product table."""
-    out = [0] * len(a)
-    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
-    for x, row in zip(a, table):
-        if x:
-            for j, y in nonzero_b:
-                k, f = row[j]
-                out[k] += x * y * f
-    return out
-
-
-def _sign(nums, roots: tuple[int, ...], table) -> int:
+def _sign(nums, field: FieldSpec) -> int:
     """Exact sign (-1, 0, 1) of the real embedding of an integer coefficient
-    vector.  With x = a + b*sqrt(m), m the last root and a, b in the subfield,
-    sign(x) is the common sign of a and b, or sign(a) * sign(a^2 - m*b^2) when
-    they differ.  ``table`` is the product table of ``roots`` or of a larger
-    field: a subfield's basis is its leading rows and columns."""
-    if not roots:
+    vector of ``field``.  With x = a + b*sqrt(m), m the last root and a, b in
+    the subfield ``field._sub``, sign(x) is the common sign of a and b, or
+    sign(a) * sign(a^2 - m*b^2) when they differ."""
+    sub = field._sub
+    if sub is None:
         return (nums[0] > 0) - (nums[0] < 0)
     half = len(nums) // 2
-    a, b, sub = nums[:half], nums[half:], roots[:-1]
-    sa, sb = _sign(a, sub, table), _sign(b, sub, table)
+    a, b = nums[:half], nums[half:]
+    sa, sb = _sign(a, sub), _sign(b, sub)
     if sa * sb >= 0:
         return sa or sb
-    return sa * _sign([p - roots[-1] * q for p, q in
-                       zip(_mul_nums(a, a, table), _mul_nums(b, b, table))], sub, table)
+    m = field.roots[-1]
+    return sa * _sign([p - m * q for p, q in zip(sub._mul(a, a), sub._mul(b, b))], sub)
 
 
 def _reduced(field: FieldSpec, nums, den: int) -> FieldScalar:
@@ -283,7 +295,7 @@ class FieldScalar:
             n = a[0] * b[0]
             g = gcd(n, den)
             return FieldScalar(self.field, (n // g,), den // g)
-        return _reduced(self.field, _mul_nums(a, b, self.field._table), den)
+        return _reduced(self.field, self.field._mul(a, b), den)
 
     __rmul__ = __mul__
 
@@ -304,15 +316,12 @@ class FieldScalar:
             if n < 0:
                 n, den = -n, -den
             return FieldScalar(field, (den,) + field._tail, n)
-        table = field._table
-        others = None
+        mul, others = field._mul, None
         for s in range(1, field.dimension):
             conj = [-c if (i & s).bit_count() & 1 else c for i, c in enumerate(nums)]
-            others = conj if others is None else _mul_nums(others, conj, table)
-        # coefficient 0 of nums * others: only i ^ j == 0, i.e. j == i, reaches it
-        norm = sum(x * y * row[i][1] for i, (x, y, row)
-                   in enumerate(zip(nums, others, table)))
-        return _reduced(field, [den * c for c in others], norm)
+            others = conj if others is None else mul(others, conj)
+        # the norm nums * others is rational: its coefficient 0
+        return _reduced(field, [den * c for c in others], mul(nums, others)[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -371,8 +380,7 @@ class FieldScalar:
         if t < 2:
             return n
         for _ in range(t - 1):
-            if _sign((nums[0] - (n + 1) * den,) + nums[1:], self.field.roots,
-                     self.field._table) < 0:
+            if _sign((nums[0] - (n + 1) * den,) + nums[1:], self.field) < 0:
                 break
             n += 1
         return n
@@ -414,32 +422,33 @@ def _nums_den(x, field: FieldSpec | None) -> tuple[tuple[int, ...], int]:
 
 
 def vec_dot(u, v):
-    """sum_i u_i * v_i, fused: the integer products of the nonzero terms
-    accumulate over one running denominator and the sum is reduced once.
-    Entries are FieldScalars of the field of the first entries (else
-    FieldMismatchError), or ints and Fractions on either side, such as an
-    integer lattice basis; with no FieldScalar the result is a Fraction."""
+    """sum_i u_i * v_i, fused: the terms with a zero factor are skipped, one
+    nonzero term is its product, and several are summed over the lcm of their
+    denominators and reduced once.  Entries are FieldScalars of the field of
+    the first entries (else FieldMismatchError), or ints and Fractions on
+    either side, such as an integer lattice basis; with no FieldScalar the
+    result is a Fraction."""
     field = u[0].field if type(u[0]) is FieldScalar else \
         v[0].field if type(v[0]) is FieldScalar else None
-    table = QQ._table if field is None else field._table
-    plain = len(table) == 1
-    acc, den = [0] * len(table), 1
+    spec = QQ if field is None else field
+    mul, zero = spec._mul, (0,) + spec._tail
+    terms, dens = [], []
     for a, b in zip(u, v, strict=True):
         an, ad = (a.nums, a.den) if type(a) is FieldScalar and a.field is field \
             else _nums_den(a, field)
         bn, bd = (b.nums, b.den) if type(b) is FieldScalar and b.field is field \
             else _nums_den(b, field)
-        if plain:  # one integer numerator, no product list
-            if an[0] and bn[0]:
-                td = ad * bd
-                g = gcd(den, td)
-                acc[0], den = acc[0] * (td // g) + an[0] * bn[0] * (den // g), den // g * td
-        elif any(an) and any(bn):
-            # acc / den + term / td over lcm(den, td) = scale * td
-            td = ad * bd
-            g = gcd(den, td)
-            scale, den = den // g, den // g * td
-            acc = [c * (td // g) + t * scale for c, t in zip(acc, _mul_nums(an, bn, table))]
+        if an != zero and bn != zero:
+            terms.append(mul(an, bn))
+            dens.append(ad * bd)
+    if len(terms) > 1:
+        den = math.lcm(*dens)
+        acc = list(map(sum, zip(*(t if d == den else [c * (den // d) for c in t]
+                                  for t, d in zip(terms, dens)))))
+    elif terms:
+        acc, den = terms[0], dens[0]
+    else:
+        acc, den = zero, 1
     return Fraction(acc[0], den) if field is None else _reduced(field, acc, den)
 
 

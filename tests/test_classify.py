@@ -995,6 +995,34 @@ class TestCompletelyRationalConsistency:
         assert counts[False] == 0 and counts[True] >= 400, counts
 
 
+class TestWeakMixingRoute:
+    def test_benchmark_pools(self):
+        # for a weak mixing action, ergodicity and weak mixing coincide along
+        # every direction L.  On the atom-free measures of both pools that
+        # lint clean they coincide along every pool direction, and along each
+        # line of a carrier's orthocomplement, where the carrier gives an
+        # eigenvalue; the lint looks only at the whole orthocomplement
+        seen = Counter()
+        for workload in ("classify-mix", "torus-walls"):
+            for case in gen.benchmark_pool(workload):
+                m = SymbolicMeasure.decode(case["measure"])
+                if not all(isinstance(c, BoxLebesgue) for c in m.components) \
+                        or C.admissibility_lint(m):
+                    continue
+                lines = [Subspace.from_vectors(m.field, m.dim, [b]) for c in m.components
+                         for b in c.carrier.subspace.orthocomplement().basis]
+                pool = [Subspace.from_vectors(m.field, m.dim, [
+                    [decode_scalar(m.field, x) for x in row] for row in d["basis"]])
+                    for d in case["directions"]["directions"]]
+                for kind, directions in (("pool", pool), ("perp line", lines)):
+                    for direction in directions:
+                        verdict = C.classify_direction(m, direction)
+                        assert verdict.ergodic == verdict.weak_mixing, (case, direction)
+                        seen[kind, verdict.ergodic] += 1
+        assert sum(n for (kind, _), n in seen.items() if kind == "pool") >= 80, seen
+        assert seen["perp line", False] >= 40, seen
+
+
 def _unimodular(rng: random.Random, d: int) -> tuple[list[list[int]], list[list[int]]]:
     """A seeded A in GL_d(Z) and A^{-T}: a signed permutation times three
     elementary steps row_i += c row_j (c = +-1), the inverse built alongside."""

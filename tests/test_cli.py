@@ -392,6 +392,21 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err)["error"]
             assert err["kind"] == "ClosureBoundError" and message in err["message"]
 
+    def test_sample_budget_is_4_before_drawing(self, fixtures_dir, capsys, monkeypatch):
+        # 2**20 + 1 samples on a line: a first chunk of 2**22 + 4 points,
+        # past ``SAMPLE_BUDGET``, refused before any point is drawn
+        import dirspec.fourier as FT
+
+        def no_draw(*args):
+            raise AssertionError("no Sobol point may be drawn")
+
+        monkeypatch.setattr(FT, "_sobol_chunks", no_draw)
+        assert main(["fourier-check", "--measure", str(fixtures_dir / "product_bernoulli.json"),
+                     "--directions", str(fixtures_dir / "axes_and_diagonal.json"),
+                     "--samples", str(2 ** 20 + 1)]) == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "ClosureBoundError" and "enumeration budget" in err["message"]
+
     def test_high_dimensional_ball_is_4_before_drawing(self, tmp_path, capsys, monkeypatch):
         # 4096 points in the 20-ball need about 2**37 Sobol points: refused before
         # any point is drawn, where the report used to hold a NaN estimate

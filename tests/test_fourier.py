@@ -481,6 +481,22 @@ class TestBallPoints:
         with pytest.raises(AssertionError):
             FT._ball_points(15, 200.0, 4096, 20221112)
 
+    @pytest.mark.parametrize("e", [1, 3, 8])
+    def test_first_chunk_past_the_budget_is_refused_before_drawing(self, monkeypatch, e):
+        # the first chunk has max(8, 4 samples) points of e coordinates: the
+        # first sample count over ``SAMPLE_BUDGET`` is refused, the one below
+        # it reaches the draw (here a stub that refuses to draw)
+        def no_draw(*args):
+            raise AssertionError("no Sobol point may be drawn")
+
+        monkeypatch.setattr(FT, "_sobol_chunks", no_draw)
+        refused = FT.SAMPLE_BUDGET // (4 * e) + 1
+        assert 4 * 4096 * 32 * 8 <= FT.SAMPLE_BUDGET  # 8x what the default draws at e = 32
+        with pytest.raises(ClosureBoundError, match="enumeration budget of 4194304"):
+            FT._ball_points(e, 200.0, refused, 20221112)
+        with pytest.raises(AssertionError):
+            FT._ball_points(e, 200.0, refused - 1, 20221112)
+
 
 class TestLazyScipy:
     def test_import_leaves_scipy_unloaded(self):

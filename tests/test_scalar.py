@@ -14,10 +14,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dirspec.errors import FieldMismatchError, ValidationError
+import gen
+from dirspec import scalar as S
+from dirspec.errors import ClosureBoundError, FieldMismatchError, ValidationError
 from dirspec.measure import SymbolicMeasure
 from dirspec.oracle import decode_model
-from dirspec.scalar import QQ, FieldSpec, decode_scalar, promote_scalar, vec_dot
+from dirspec.scalar import QQ, FieldScalar, FieldSpec, decode_scalar, promote_scalar, vec_dot
 
 F2 = FieldSpec((2,))
 F23 = FieldSpec((2, 3))
@@ -109,6 +111,16 @@ class TestFieldSpecInterning:
         before = dict(FieldSpec._interned)
         with pytest.raises(ValidationError):
             FieldSpec(roots)
+        assert FieldSpec._interned == before
+
+    def test_a_product_table_past_the_budget_is_refused(self):
+        # nine roots make a 512 x 512 table and a kernel of as many terms:
+        # refused before the table, the kernel or a subfield is built
+        before = dict(FieldSpec._interned)
+        start = time.perf_counter()
+        with pytest.raises(ClosureBoundError, match="product table"):
+            FieldSpec((2, 3, 5, 7, 11, 13, 17, 19, 23))
+        assert time.perf_counter() - start < 1.0
         assert FieldSpec._interned == before
 
     def test_a_non_integer_root_is_not_read_as_the_integer(self):
@@ -236,6 +248,91 @@ def ref_mul(a, b, roots):
                     c *= m
             out[i ^ j] += c
     return out
+
+
+def reference_table(roots):
+    """The basis product rule, built apart from ``FieldSpec``: basis i times
+    basis j is basis i ^ j times the product of the roots i and j share."""
+    dim = 1 << len(roots)
+    return tuple(tuple((i ^ j, math.prod(m for bit, m in enumerate(roots) if (i & j) >> bit & 1))
+                       for j in range(dim)) for i in range(dim))
+
+
+def reference_mul_nums(a, b, table) -> list[int]:
+    """The differential reference for the compiled product kernel: the loop
+    over the product table that multiplied before it."""
+    out = [0] * len(a)
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    for x, row in zip(a, table):
+        if x:
+            for j, y in nonzero_b:
+                k, f = row[j]
+                out[k] += x * y * f
+    return out
+
+
+def rand_nums(rng, dim):
+    """A numerator vector: all zero, one unit, or entries that are zero, small
+    or 200 bits long."""
+    kind = rng.random()
+    if kind < 0.1:
+        return (0,) * dim
+    if kind < 0.2:
+        return tuple(int(j == rng.randrange(dim)) for j in range(dim))
+    return tuple(rng.choice([0, rng.randint(-9, 9), rng.randint(-2 ** 200, 2 ** 200)])
+                 for _ in range(dim))
+
+
+class TestProductKernel:
+    """Every product runs the kernel compiled from the field's table; it must
+    equal the table loop over the basis product rule."""
+
+    @pytest.mark.parametrize("field", gen.FIELDS + [F235, FieldSpec((3, 7, 10))],
+                             ids=lambda f: str(f.roots))
+    def test_matches_the_table_loop(self, field):
+        rng = random.Random(71)
+        table = reference_table(field.roots)
+        for _ in range(300):
+            a, b = rand_nums(rng, field.dimension), rand_nums(rng, field.dimension)
+            assert field._mul(a, b) == tuple(reference_mul_nums(a, b, table)), (a, b)
+            assert field._mul(a, a) == tuple(reference_mul_nums(a, a, table))
+
+    @pytest.mark.parametrize("field", [F2, F23, F235], ids=lambda f: str(f.roots))
+    def test_half_length_operands_of_the_sign_test(self, field):
+        # ``_sign`` squares the two halves of a vector in the interned field of
+        # the roots but the last, down to Q
+        rng = random.Random(73)
+        spec = field
+        while spec._sub is not None:
+            sub = spec._sub
+            assert sub is FieldSpec(spec.roots[:-1])
+            table = reference_table(sub.roots)
+            for _ in range(200):
+                nums = rand_nums(rng, spec.dimension)
+                for half in (nums[:sub.dimension], nums[sub.dimension:]):
+                    assert sub._mul(half, half) == tuple(reference_mul_nums(half, half, table))
+            spec = sub
+        assert spec is QQ
+
+    def test_only_the_kernel_builder_reads_the_table(self):
+        # the compiled kernel is the one product path: in scalar.py only
+        # ``__new__`` (which builds the table), ``_product_kernel`` (which
+        # compiles it) and ``basis_radicand`` (the radicand of a square) touch
+        # a product table, and no other module reads one
+        import ast
+        touching = set()
+        for path in sorted(pathlib.Path(S.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if getattr(node, "attr", None) == "_table" or (
+                            path.name == "scalar.py" and getattr(node, "id", None) == "table"):
+                        touching.add(f"{path.name}:{func.name}")
+            assert "_mul_nums" not in {getattr(n, "name", None) for n in ast.walk(tree)}
+        assert touching == {"scalar.py:__new__", "scalar.py:_product_kernel",
+                            "scalar.py:basis_radicand"}
 
 
 def ref_encode(field, coeffs):
@@ -385,6 +482,13 @@ class TestFusedDot:
             vec_dot([F2.one(), F2.one()], [F2.one(), F23.one()])
         with pytest.raises(FieldMismatchError):
             vec_dot([QQ.one()], [F2.one()])
+        # a term skipped for its zero factor still checks its other factor
+        for u, v in [([F2.zero(), F2.one()], [F23.one(), F2.one()]),
+                     ([F2.one(), F2.zero()], [F2.one(), F23.sqrt_root(3)]),
+                     ([F2.one(), 0], [F2.one(), QQ.one()])]:
+            for args in ((u, v), (v, u)):
+                with pytest.raises(FieldMismatchError):
+                    vec_dot(*args)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -393,6 +497,59 @@ class TestFusedDot:
             vec_dot([1, Fraction(1, 2)], [QQ.one(), QQ.one(), QQ.one()])
         with pytest.raises(ValueError):
             vec_dot([F2.one()], [F2.one(), 1])
+        # zero entries on both sides, or past the nonzero terms, are counted too
+        for u, v in [([F2.zero()], [F2.zero(), F2.zero()]), ([0, 0], [0]),
+                     ([F23.one(), F23.zero()], [F23.one(), F23.zero(), F23.zero()])]:
+            for args in ((u, v), (v, u)):
+                with pytest.raises(ValueError):
+                    vec_dot(*args)
+
+    @staticmethod
+    def coeff_dot(u, v, roots):
+        """sum_i u_i * v_i over Fraction coefficient vectors, by the basis rule."""
+        dim = 1 << len(roots)
+        coeffs = lambda x: x.coeffs if isinstance(x, FieldScalar) \
+            else (Fraction(x),) + (Fraction(0),) * (dim - 1)  # noqa: E731
+        total = [Fraction(0)] * dim
+        for a, b in zip(u, v):
+            total = [t + p for t, p in zip(total, ref_mul(coeffs(a), coeffs(b), roots))]
+        return tuple(total)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.roots))
+    def test_edge_cases_match_the_fraction_sum(self, field):
+        r = field.sqrt_root(field.roots[-1]) if field.roots else field.from_rational(7)
+        q = field.from_rational
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = {
+            "all zero": ([field.zero()] * 3, [field.zero()] * 3),
+            "zero side": ([field.zero()] * 3, [r, q(2), field.one()]),
+            "no nonzero term": ([field.zero(), r, field.zero()], [r, field.zero(), q(5)]),
+            "one nonzero term": ([field.zero(), r * half, field.zero()], [r, q(2), r]),
+            "one term in lowest terms": ([q(half), field.zero()], [q(Fraction(4, 3)), r]),
+            "equal denominators": ([q(half), q(third)], [r * third, q(half)]),
+            "coprime denominators": ([q(half), q(third)], [q(1), r * Fraction(1, 5)]),
+            "cancelling": ([q(half), q(third)], [r, r * Fraction(-3, 2)]),
+            "int and Fraction entries": ([1, half, 0, -3], [r, r * third, q(7), q(third)]),
+            "Fraction first": ([half, 2], [r * third, q(Fraction(5, 2))]),
+        }
+        for name, (u, v) in cases.items():
+            for a, b in ((u, v), (v, u)):
+                got = vec_dot(a, b)
+                assert got.field is field, name
+                assert got.coeffs == self.coeff_dot(a, b, field.roots), name
+                assert_canonical(got)
+        zero = vec_dot(*cases["all zero"])
+        assert (zero.nums, zero.den) == ((0,) * field.dimension, 1)
+
+    def test_plain_rational_edge_cases_give_fractions(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for u, v in [([0, 0], [half, 1]), ([half, 0], [4, 9]), ([half, third], [third, half]),
+                     ([half, third], [1, Fraction(1, 5)]), ([1, half, 0], [third, 3, 5]),
+                     ([3], [Fraction(-2, 3)])]:
+            for a, b in ((u, v), (v, u)):
+                got = vec_dot(a, b)
+                assert type(got) is Fraction
+                assert (got,) == self.coeff_dot(a, b, ())
 
     # the plain-Q branch keeps one integer numerator; the reference is the
     # Fraction sum of the entries' values
