@@ -316,10 +316,10 @@ def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
                 m.field, m.dim, [*comp.carrier.subspace.basis, comp.carrier.offset]
             ).orthocomplement())
     hull = _concise_hull(explicit)
-    # drop families all of whose members are subordinate to an explicit member
-    hull_perps = [s.orthocomplement() for s in hull] if parametric else []
+    # drop a family on carrier K when all its members are subordinate to an
+    # explicit member s: s^perp <= K, tested as K^perp <= s on K's kept perp
     kept_param = tuple(fam for fam in parametric
-                       if not any(k.leq(fam.subspace) for k in hull_perps))
+                       if not any(fam.subspace.orthocomplement().leq(s) for s in hull))
     return m.memo.setdefault("nonergodic_concise", ConciseSet(
         m.class_space, m.dim, m.field, hull, kept_param, tuple(groups)))
 

@@ -8,8 +8,7 @@ rationality classification of directions, and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
-bases), the ``Subspace`` dual basis (one system [G | B]), ``span_coordinates``
-(a Gram system for many vectors: the torus box-offset reduction),
+bases), the ``Subspace`` dual basis (one system [G | B]),
 ``meets_orthocomplement`` (a rank), ``pose_lattice_coset`` (the rational
 unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
 kernels off its output, and every dot product is the fused
@@ -43,16 +42,19 @@ exactly when its key is zero (``LatticeSubgroup.contains`` too: an HNF
 basis is its own key lattice).  ``measure`` reads module bases, group class
 keys and module membership off it.  ``Subspace.wall_key`` is the one torus
 wall lattice Z.span{B e_j}: ``classify._on_affine_wall`` decides atom and
-box torus walls by it, ``measure._box_key`` torus box classes.
+box torus walls by it, ``measure._box_key`` torus box classes.  The other
+half of a torus carrier K + offset is ``Subspace.torus_offset``: it reduces
+the offset modulo the projected lattice P_{K^perp}(Z^d), into the
+fundamental domain of its HNF basis when that lattice is rational.
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
 stored in its ``memo`` dict: the dual basis G^-1 B (G = B B^T, B the basis)
 and B's pivot columns, so a projection is x = G^-1 B v and x B, which is x_i
 at the i-th pivot column (``projector_columns`` reads x for e_j as column j
 of G^-1 B); ``orthocomplement`` its result; ``wall_key`` the wall lattice;
-``classify`` a direction's wall answers, each asked once; ``measure`` the lattice
-that reduces torus box offsets on a carrier.  The memo takes no part in
-equality, hashing, ``encode`` or ``repr``.
+``torus_offset`` the HNF basis of the projected lattice (``perp_lattice``);
+``classify`` a direction's wall answers, each asked once.  The memo takes no
+part in equality, hashing, ``encode`` or ``repr``.
 """
 from __future__ import annotations
 
@@ -209,20 +211,6 @@ def nullspace(rr: list[list], pivots: list[int], ncols: int, zero, one) -> list[
             v[p] = -rr[i][f]
         basis.append(v)
     return basis
-
-
-def span_coordinates(basis, vectors) -> list[list[FieldScalar]]:
-    """For each v in ``vectors``, the coefficients x of the orthogonal
-    projection of v onto span(basis), sum_i x_i basis[i].  One elimination of
-    the Gram system [G | B v_1 ... B v_m] serves every right-hand side (basis
-    must be independent)."""
-    n = len(basis)
-    gram = [[vec_dot(bi, bj) for bj in basis] + [vec_dot(bi, v) for v in vectors]
-            for bi in basis]
-    rr, pivots = rref_field(gram, n)
-    if len(pivots) < n:
-        raise ValidationError("singular system")
-    return [[row[n + k] for row in rr] for k in range(len(vectors))]
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +373,36 @@ class Subspace:
             lattice = self.memo["wall_lattice"] = CosetLattice.make(
                 [], [flatten(column) for column in zip(*self.basis)])
         return lattice.key(flatten(mat_vec(self.basis, v)))
+
+    def torus_offset(self, offset: FieldVector) -> FieldVector:
+        """The offset of the torus carrier self + offset (offset in self^perp)
+        modulo the projected lattice P_perp(Z^d): zero on a lattice shift of
+        self (a zero ``wall_key`` of self^perp), kept when that lattice is
+        dense, else reduced into the fundamental domain of its HNF basis."""
+        if vec_is_zero(offset) or not any(self.orthocomplement().wall_key(offset)):
+            return zero_vector(self.field, self.ambient)
+        if "perp_lattice" not in self.memo:  # (row, pivot column) pairs, or None
+            units = Subspace.full(self.field, self.ambient).basis
+            proj = [vec_sub(e, p) for e, p in zip(units, self.projector_columns())]
+            basis = None
+            if all(x.is_rational() for p in proj for x in p):
+                hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
+                basis = [(as_vector(self.field, row), next(j for j, x in enumerate(row) if x))
+                         for row in hnf]
+            self.memo["perp_lattice"] = basis
+        basis = self.memo["perp_lattice"]
+        if basis is None:
+            return offset
+        # coordinates over the HNF rows, which span self^perp: row i is zero left
+        # of its pivot, so they are read by forward substitution, then floored
+        coords = []
+        for row, p in basis:
+            c = sum((x * earlier[p] for x, (earlier, _) in zip(coords, basis)), self.field.zero())
+            coords.append((offset[p] - c) / row[p])
+        for x, (row, _) in zip(coords, basis):
+            if k := x.floor():
+                offset = vec_sub(offset, vec_scale(self.field.from_rational(k), row))
+        return offset
 
     def encode(self) -> dict:
         return {"basis": [[x.encode() for x in row] for row in self.basis]}

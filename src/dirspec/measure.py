@@ -33,8 +33,8 @@ from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchErr
 from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
                      pose_lattice_coset, promote_subspace, promote_vector,
-                     span_coordinates, unflatten, unit_vector, vec_add, vec_is_zero,
-                     vec_mod1, vec_neg, vec_scale, vec_sub, zero_vector)
+                     unflatten, unit_vector, vec_add, vec_is_zero, vec_mod1,
+                     vec_neg, vec_scale, vec_sub, zero_vector)
 from .scalar import (FieldSpec, _decode_fraction, _decode_int, _fraction_text,
                      decode_scalar)
 
@@ -297,9 +297,9 @@ def _box_key(space: str, sub: Subspace, offset: FieldVector) -> tuple:
 def class_key(space: str, comp: Component) -> tuple:
     """Key of a canonical component's class: two components of a measure
     have the same class exactly when their keys are equal.  Atom: the point;
-    box: ``_box_key`` (a ``wall_key`` on T^d); atom group: the ring, the
-    canonical generators and the coset key of the offset modulo the module
-    (+ Z^d on the torus)."""
+    box: ``_box_key`` (a ``wall_key`` on T^d, zero exactly when the carrier's
+    ``torus_offset`` is); atom group: the ring, the canonical generators and
+    the coset key of the offset modulo the module (+ Z^d on the torus)."""
     if isinstance(comp, Atom):
         return ("atom", comp.point)
     if isinstance(comp, BoxLebesgue):
@@ -424,7 +424,8 @@ class SymbolicMeasure:
 def _canonicalize_component(space: str, dim: int, field: FieldSpec,
                             comp: Component) -> tuple[Component, tuple] | None:
     """Canonical form of a component (None for the zero measure) and the key
-    ``make`` merges it by: its ``class_key``; a box's subspace, centre, generators."""
+    ``make`` merges it by: its ``class_key``; a box's subspace, centre, generators.
+    A torus box keeps its carrier's ``Subspace.torus_offset`` of the offset."""
     if isinstance(comp, Atom):
         point = as_vector(field, comp.point, dim, "atom point")
         if space == TORUS:
@@ -450,7 +451,7 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
             center = vec_mod1(center)
         offset = sub.project_perp(center)
         if space == TORUS:
-            offset = _reduce_box_offset(sub, offset)
+            offset = sub.torus_offset(offset)
         return (BoxLebesgue(AffineCarrier(sub, offset), gens, center, _check_weight(comp.weight)),
                 ("box", sub, center, frozenset(Counter(gens).items())))
 
@@ -475,41 +476,6 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
                 ("group", comp.ring, gens, offset_key))
 
     raise ValidationError(f"unknown component {comp!r}")
-
-
-def _perp_lattice_basis(sub: Subspace) -> list[FieldVector] | None:
-    """The HNF basis of proj_perp(Z^d) for the carrier ``sub``, or None when
-    that lattice is not rational (dense).  It depends only on ``sub``, so it
-    is built once per subspace and kept in the subspace's memo."""
-    if "perp_lattice" not in sub.memo:
-        units = Subspace.full(sub.field, sub.ambient).basis
-        proj = [vec_sub(e, p) for e, p in zip(units, sub.projector_columns())]
-        basis = None
-        if all(all(x.is_rational() for x in p) for p in proj):
-            hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
-            basis = [as_vector(sub.field, row) for row in hnf]
-        sub.memo["perp_lattice"] = basis
-    return sub.memo["perp_lattice"]
-
-
-def _reduce_box_offset(sub: Subspace, offset: FieldVector) -> FieldVector:
-    """Reduce a perp-reduced torus box offset modulo proj_perp(Z^d): to zero
-    for a lattice shift of the subspace (a zero box key), into the
-    fundamental domain when the projected lattice is rational (completely
-    rational carrier), and not at all when it is dense.  ``class_key``
-    compares carriers either way."""
-    if vec_is_zero(offset) or not any(_box_key(TORUS, sub, offset)[2]):
-        return zero_vector(sub.field, sub.ambient)
-    basis = _perp_lattice_basis(sub)
-    if basis is None:
-        return offset
-    # coordinates of the offset over the projected-lattice basis, floor-reduced
-    coords = span_coordinates(basis, [offset])[0]
-    for c, b in zip(coords, basis):
-        k = c.floor()
-        if k:
-            offset = vec_sub(offset, vec_scale(sub.field.from_rational(k), b))
-    return offset
 
 
 def decode_component(field: FieldSpec, dim: int, doc: dict) -> Component:

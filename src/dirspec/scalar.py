@@ -93,6 +93,9 @@ class FieldSpec:
         for m in roots:  # before sorting: "2" or None would not compare with 2
             if type(m) is not int:
                 raise ValidationError(f"root {m!r} is not an integer")
+        spec = cls._interned.get(roots)  # after the integer check: (2.0,) == (2,) as a key
+        if spec is not None:
+            return spec
         if list(roots) != sorted(set(roots)):
             raise ValidationError(f"roots must be sorted and distinct: {roots}")
         for m in roots:
@@ -102,18 +105,16 @@ class FieldSpec:
             for b in roots[i + 1:]:
                 if math.gcd(a, b) != 1:
                     raise ValidationError(f"roots {a}, {b} are not coprime")
-        spec = cls._interned.get(roots)  # after the checks: (2.0,) == (2,) as a key
-        if spec is None:
-            spec, dim = super().__new__(cls), 1 << len(roots)
-            check_enumeration(dim * dim, f"the product table of field {roots}")
-            chosen = [[m for bit, m in enumerate(roots) if s >> bit & 1] for s in range(dim)]
-            rad = [math.prod(ms) for ms in chosen]
-            table = tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
-            floats = tuple(math.prod(map(math.sqrt, ms), start=1.0) for ms in chosen)
-            spec.__dict__.update(roots=roots, dimension=dim, _table=table, _floats=floats,
-                                 _tail=(0,) * (dim - 1), _mul=_product_kernel(table),
-                                 _sub=FieldSpec(roots[:-1]) if roots else None)
-            cls._interned[roots] = spec
+        spec, dim = super().__new__(cls), 1 << len(roots)
+        check_enumeration(dim * dim, f"the product table of field {roots}")
+        chosen = [[m for bit, m in enumerate(roots) if s >> bit & 1] for s in range(dim)]
+        rad = [math.prod(ms) for ms in chosen]
+        table = tuple(tuple((i ^ j, rad[i & j]) for j in range(dim)) for i in range(dim))
+        floats = tuple(math.prod(map(math.sqrt, ms), start=1.0) for ms in chosen)
+        spec.__dict__.update(roots=roots, dimension=dim, _table=table, _floats=floats,
+                             _tail=(0,) * (dim - 1), _mul=_product_kernel(table),
+                             _sub=FieldSpec(roots[:-1]) if roots else None)
+        cls._interned[roots] = spec
         return spec
 
     def __reduce__(self):  # copy, deepcopy and pickle build through __new__

@@ -14,16 +14,25 @@ from dirspec.scalar import FieldScalar, FieldSpec, QQ
 FIELDS = [QQ, FieldSpec((2,)), FieldSpec((2, 3)), FieldSpec((5,))]
 
 
+def gram_coordinates(basis, vectors):
+    """For each v in ``vectors``, the coefficients x of the orthogonal
+    projection of v onto span(basis), sum_i x_i basis[i]: one elimination of
+    the Gram system [G | B v_1 ... B v_m] (G = B B^T, basis independent)."""
+    if not basis:
+        return [[] for _ in vectors]
+    n, zero = len(basis), basis[0][0].field.zero()
+    dot = lambda a, b: sum((x * y for x, y in zip(a, b)), zero)  # noqa: E731
+    rr, pivots = rref_field([[dot(bi, bj) for bj in basis] + [dot(bi, v) for v in vectors]
+                             for bi in basis], n)
+    assert len(pivots) == n
+    return [[row[n + k] for row in rr] for k in range(len(vectors))]
+
+
 def gram_projection(sub, v):
-    """P v = B^T G^-1 B v (G = B B^T), by one elimination of [G | B v]: the
-    orthogonal projection written out from its definition."""
-    basis = [list(b) for b in sub.basis]
-    dot = lambda a, b: sum((x * y for x, y in zip(a, b)), sub.field.zero())  # noqa: E731
-    rr, pivots = rref_field([[dot(bi, bj) for bj in basis] + [dot(bi, v)] for bi in basis],
-                            len(basis))
-    assert len(pivots) == len(basis)
-    coords = [row[-1] for row in rr]
-    return tuple(sum((c * b[j] for c, b in zip(coords, basis)), sub.field.zero())
+    """P v = B^T G^-1 B v, from the Gram coordinates of v: the orthogonal
+    projection written out from its definition."""
+    coords = gram_coordinates(sub.basis, [v])[0]
+    return tuple(sum((c * b[j] for c, b in zip(coords, sub.basis)), sub.field.zero())
                  for j in range(sub.ambient))
 
 

@@ -10,7 +10,7 @@ from dirspec import measure as M
 from dirspec import oracle as O
 from dirspec.errors import (DimensionMismatchError, DirspecError, FieldMismatchError,
                             ValidationError)
-from dirspec.linalg import AffineCarrier, LatticeSubgroup, Subspace, as_vector, span_coordinates
+from dirspec.linalg import AffineCarrier, LatticeSubgroup, Subspace, as_vector
 from dirspec.scalar import QQ, FieldSpec
 
 
@@ -163,9 +163,6 @@ VALIDATION = {
     "sqrt_root/non-root": (lambda: F2.sqrt_root(3), ValidationError),
     "from_coeffs/count": (lambda: F2.from_coeffs([1]), ValidationError),
     "as_rational/irrational": (lambda: F2.sqrt_root(2).as_rational(), ValidationError),
-    "span_coordinates/dependent-basis": (
-        lambda: span_coordinates([as_vector(QQ, [1, 2])] * 2, [as_vector(QQ, [0, 1])]),
-        ValidationError),
     # integers and finite numbers: ``scalar._decode_int`` and ``_decode_float``
     "LatticeSubgroup.contains/half": (lambda: _EVEN.contains([0.5, 0]), ValidationError),
     "LatticeSubgroup.contains/short": (lambda: _EVEN.contains([1]), DimensionMismatchError),

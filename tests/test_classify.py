@@ -412,6 +412,28 @@ class TestConciseSets:
         # the pruned member is still subordinate
         assert ne.contains_direction(Subspace.from_vectors(QQ, 3, [[0, 0, 1]]))
 
+    def test_family_pruning_reads_each_carriers_own_perp(self):
+        # a parametric family on carrier K is dropped when K^perp <= s for a
+        # hull member s; the test it replaced complemented every hull member,
+        # s^perp <= K, the same predicate.  Over the torus classes of both
+        # benchmark pools the kept families must be the old test's
+        seen = Counter()
+        for workload in ("classify-mix", "torus-walls"):
+            for case in gen.benchmark_pool(workload):
+                m = SymbolicMeasure.decode(case["measure"])
+                if m.class_space != TORUS or m.has_delta_zero():
+                    continue
+                ne = C.nonergodic_concise(m)
+                parametric = [c.carrier for c in m.components
+                              if not isinstance(c, AtomGroup) and not c.carrier.is_linear()]
+                hull_perps = [s.orthocomplement() for s in ne.subspaces]
+                old = tuple(fam for fam in parametric
+                            if not any(k.leq(fam.subspace) for k in hull_perps))
+                assert ne.parametric_families == old
+                seen["kept"] += len(old)
+                seen["dropped"] += len(parametric) - len(old)
+        assert seen["kept"] > 150 and seen["dropped"] >= 5, seen
+
 
 def pairwise_hull(members):
     """Reference: the pairwise definition of the concise hull."""

@@ -297,7 +297,7 @@ class TestProjection:
                     assert columns == sub.project_all(units)
                     if 0 < sub.dim < d:
                         proper += 1
-                        old = tuple(zip(*L.span_coordinates(sub.basis, units)))
+                        old = tuple(zip(*gen.gram_coordinates(sub.basis, units)))
                         assert sub.memo["dual_basis"][0] == old
                 assert Subspace.full(field, d).projector_columns() == units
                 assert Subspace.zero(field, d).projector_columns() == [zero_vector(field, d)] * d
@@ -467,21 +467,36 @@ class TestCanonicalForm:
         assert direct == []
 
     def test_one_torus_wall_lattice(self):
-        # ``Subspace.wall_key`` is the one torus wall lattice: classify reads
-        # it without coset lattices of its own, and only linalg and measure
-        # (module lattices, the projected lattice of a carrier) make one
+        # ``Subspace.wall_key`` is the one torus wall lattice and
+        # ``Subspace.torus_offset`` the one projected lattice of a carrier:
+        # classify reads them without coset lattices of its own, measure
+        # makes one only for atom-group modules (``module_lattice``), and no
+        # module but linalg reads or writes a subspace's memo entries
         import ast
         from pathlib import Path
-        makers, classify_names = [], set()
+        makers, classify_names, memo_subscripts = [], set(), []
+
+        def is_make(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "make" \
+                and getattr(node.func.value, "id", None) == "CosetLattice"
         for path in sorted(Path(L.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "make" \
-                        and getattr(node.func.value, "id", None) == "CosetLattice":
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if is_make(node):
                     makers.append(path.name)
                 if path.name == "classify.py" and isinstance(node, ast.ImportFrom):
                     classify_names |= {a.name for a in node.names}
+                if path.name == "measure.py" and isinstance(node, ast.Subscript) \
+                        and getattr(node.value, "attr", None) == "memo":
+                    memo_subscripts.append(node.lineno)
+            if path.name == "measure.py":
+                in_module_lattice = [node for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                                     and fn.name == "module_lattice"
+                                     for node in ast.walk(fn) if is_make(node)]
+                assert makers.count("measure.py") == len(in_module_lattice) > 0
         assert set(makers) == {"linalg.py", "measure.py"}
         assert not classify_names & {"CosetLattice", "flatten"}
+        assert memo_subscripts == []
 
     def test_only_linalg_checks_vector_lengths(self):
         # ``as_vector`` is the one length check of an input vector: a

@@ -11,9 +11,9 @@ from dirspec import classify as C
 from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, UnsupportedConvolutionError,
                             ValidationError)
-from dirspec.linalg import (AffineCarrier, LatticeSubgroup, Subspace, as_vector,
-                            flatten, mat_vec, solve_lattice_coset, unit_vector, vec_add,
-                            vec_is_zero, vec_scale, vec_sub, zero_vector)
+from dirspec.linalg import (AffineCarrier, CosetLattice, LatticeSubgroup, Subspace,
+                            as_vector, flatten, mat_vec, solve_lattice_coset, unit_vector,
+                            vec_add, vec_is_zero, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldScalar, FieldSpec
@@ -640,6 +640,28 @@ def reference_box_key(sub, offset):
     return lattice.key(flatten(offset))
 
 
+def reference_reduce_box_offset(sub, offset):
+    """The torus box offset reduction as it was before ``Subspace.torus_offset``:
+    zero on a lattice shift of the carrier, the offset itself when the
+    projected lattice P_perp(Z^d) is dense, else the offset's coordinates over
+    that lattice's HNF basis, solved from the Gram system, each floored and
+    subtracted."""
+    field, dim = sub.field, sub.ambient
+    if vec_is_zero(offset) or not any(reference_box_key(sub, offset)):
+        return zero_vector(field, dim)
+    units = [unit_vector(field, dim, j) for j in range(dim)]
+    proj = [vec_sub(e, gen.gram_projection(sub, e)) for e in units]
+    if not all(x.is_rational() for p in proj for x in p):
+        return offset
+    basis = [as_vector(field, row) for row in
+             CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis]
+    for c, b in zip(gen.gram_coordinates(basis, [offset])[0], basis):
+        k = c.floor()
+        if k:
+            offset = vec_sub(offset, vec_scale(field.from_rational(k), b))
+    return offset
+
+
 def reference_class_equivalent(space, dim, field, a, b):
     if type(a) is not type(b):
         return False
@@ -920,6 +942,40 @@ class TestClassKeyDifferential:
                 assert (new[i] == new[j]) == same, (sub, offsets[i], offsets[j])
                 counts[same] += 1
         assert counts[True] > 400 and counts[False] > 400, counts
+
+    def test_torus_offset_matches_the_gram_reduction(self):
+        # ``Subspace.torus_offset`` reads the offset's coordinates over the HNF
+        # rows by forward substitution and floors them once all are read; the
+        # reduction it replaced solved the Gram system.  The coordinates are
+        # unique, so the two must agree on rational and dense carriers, on
+        # zero offsets, and on offsets shifted by P_{K^perp}(n), which keep
+        # their fundamental-domain representative on a rational carrier
+        rng = random.Random(37)
+        counts = Counter()
+        for _ in range(60):
+            field, dim = rng.choice(gen.FIELDS), rng.randint(2, 4)
+            k = rng.randint(1, dim - 1)
+            sub = gen.rand_rational_subspace(rng, field, dim, k) if rng.random() < 0.5 \
+                else gen.rand_subspace(rng, field, dim, target_dim=k, irrational_p=0.6)
+            perp = sub.orthocomplement()
+            rational = all(x.is_rational() for j in range(dim)
+                           for x in perp.project(unit_vector(field, dim, j)))
+            offsets = [zero_vector(field, dim), perp.project(_int_shift(rng, field, dim))]
+            for _ in range(2):
+                o = sub.project_perp(gen.rand_vector(rng, field, dim, irrational_p=0.2))
+                offsets += [o, vec_add(o, perp.project(_int_shift(rng, field, dim)))]
+            got = [sub.torus_offset(o) for o in offsets]
+            assert got == [reference_reduce_box_offset(sub, o) for o in offsets], sub
+            assert vec_is_zero(got[0]) and vec_is_zero(got[1])
+            if rational:
+                assert got[2] == got[3] and got[4] == got[5]
+            for o, g in zip(offsets[2:], got[2:]):
+                counts["zero" if vec_is_zero(g) else "kept" if g == o
+                       else "reduced" if rational else "dense-moved"] += 1
+            counts["rational" if rational else "dense"] += 1
+        assert counts["dense-moved"] == 0, counts
+        assert counts["reduced"] > 60 and counts["kept"] > 40 and counts["zero"] > 5, counts
+        assert counts["rational"] > 20 and counts["dense"] > 10, counts
 
     def test_canonical_offsets_match_pairwise_rule(self):
         # canonicalization zeroes a group offset exactly when it lies in the

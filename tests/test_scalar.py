@@ -113,6 +113,31 @@ class TestFieldSpecInterning:
             FieldSpec(roots)
         assert FieldSpec._interned == before
 
+    def test_an_interned_field_is_returned_before_its_roots_are_checked(self, monkeypatch):
+        # only checked roots are interned, so a repeated call returns the
+        # field without the trial division of its roots (about 28 ms for this
+        # root) or the coprimality checks
+        field = FieldSpec((9999999967,))
+
+        def refuse(m):
+            raise AssertionError(f"root {m} checked again")
+        monkeypatch.setattr(S, "_is_square_free", refuse)
+        assert FieldSpec((9999999967,)) is field
+        assert FieldSpec([2, 3]) is F23 and FieldSpec((2, 3, 5)) is F235
+
+    @pytest.mark.parametrize("roots", [
+        (3, 2), (5, 2, 3), (2, 2), (3, 3), (4,), (2, 12), (6, 10), (2, 3, 6),
+        (2.0,), (2, 3.0), (True,), (2, "3"), (2, None)])
+    def test_bad_roots_raise_beside_interned_fields(self, roots):
+        # unsorted, repeated, non-square-free, non-coprime and non-integer
+        # roots are refused although fields on their (equal-hashing) roots
+        # are interned: the lookup follows the integer check
+        assert FieldSpec((2,)) is F2 and FieldSpec((2, 3)) is F23 and FieldSpec((3,))
+        before = dict(FieldSpec._interned)
+        with pytest.raises(ValidationError):
+            FieldSpec(roots)
+        assert FieldSpec._interned == before
+
     def test_a_product_table_past_the_budget_is_refused(self):
         # nine roots make a 512 x 512 table and a kernel of as many terms:
         # refused before the table, the kernel or a subfield is built
