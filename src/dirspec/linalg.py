@@ -12,15 +12,17 @@ bases), the ``Subspace`` dual basis (one system [G | B]),
 ``meets_orthocomplement`` (a rank), ``pose_lattice_coset`` (the rational
 unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
 kernels off its output, and every dot product is the fused
-``scalar.vec_dot``.  The trivial cases eliminate nothing: the orthocomplement
-of the zero or the full space, ``leq`` under the full space or itself and,
-by dimension, against an other of no larger dimension (equal dimensions
-compare the canonical bases), ``orthogonal_to`` when the dimensions add up
-past the ambient one, and ``meets_orthocomplement`` with a smaller other.
-``flatten`` is the one map from field vectors to rational coordinates over
-the field basis; the solver rows, the class keys and the torus wall keys all
-use it.  ``as_vector`` is the one length check of an input vector, and
-``_int_vector`` of an integer one, read by ``scalar._decode_int``.
+``scalar.vec_dot``.  Trivial cases eliminate nothing: zero and full spaces,
+and the answers of ``leq``, ``orthogonal_to`` and ``meets_orthocomplement``
+that the dimensions fix.  ``as_vector`` is the one length check of an input
+vector, and ``_int_vector`` of an integer one, read by ``scalar._decode_int``.
+
+``flatten`` is the one map from field vectors to coordinates over the field
+basis: integer numerators over one denominator, read off the scalars, which
+the solver rows, class keys and wall keys are built from; ``unflatten`` is
+its inverse.  A ``Fraction`` is built only where a division needs one: the two
+``rref_field`` runs above, the back substitution and kernel of rational
+unknowns, and a q-part's reduction.
 
 ``pose_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its callers:
@@ -64,7 +66,7 @@ from functools import cache
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
-from .scalar import QQ, FieldScalar, FieldSpec, _decode_int, promote_scalar, vec_dot
+from .scalar import QQ, FieldScalar, FieldSpec, _decode_int, _reduced, promote_scalar, vec_dot
 
 FieldVector = tuple[FieldScalar, ...]
 
@@ -137,20 +139,28 @@ def vec_mod1(u: FieldVector) -> FieldVector:
     return tuple(a.frac() for a in u)
 
 
-def flatten(v: FieldVector) -> list[Fraction]:
-    """The rational coordinates of v over the field basis: coordinate j,
-    basis element beta at index j * field.dimension + beta."""
-    out: list[Fraction] = []
-    for x in v:
-        den = x.den
-        out.extend(map(Fraction, x.nums) if den == 1
-                   else (Fraction(n, den) for n in x.nums))
-    return out
+def flatten(v: FieldVector) -> tuple[list[int], int]:
+    """v over the field basis (coordinate j, basis element beta at index
+    j * field.dimension + beta): integer numerators over the entries' lcm."""
+    den = lcm(*(x.den for x in v))
+    return [n * (den // x.den) for x in v for n in x.nums], den
 
 
-def unflatten(field: FieldSpec, dim: int, flat) -> FieldVector:
+def unflatten(field: FieldSpec, dim: int, nums, den: int = 1) -> FieldVector:
+    """The field vector whose flattened coordinates are nums / den."""
     n = field.dimension
-    return tuple(field.from_coeffs(flat[j * n:(j + 1) * n]) for j in range(dim))
+    return tuple(_reduced(field, nums[j * n:(j + 1) * n], den) for j in range(dim))
+
+
+def _pivot_columns(rows) -> tuple[int, ...]:
+    """The column of each echelon row's first nonzero entry."""
+    return tuple(row.index(next(filter(None, row))) for row in rows)
+
+
+def _integral(fractions) -> tuple[list[int], int]:
+    """Fractions as integer numerators over the lcm of their denominators."""
+    den = lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (den // f.denominator) for f in fractions], den
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +374,7 @@ class Subspace:
     def project_perp(self, v: FieldVector) -> FieldVector:
         return vec_sub(v, self.project(v))
 
-    def wall_key(self, v: FieldVector) -> tuple[Fraction, ...]:
+    def wall_key(self, v: FieldVector) -> tuple[int, ...]:
         """The coset key of B v modulo the wall lattice Z.span{B e_j}, for
         the basis B: zero exactly when v lies on self^perp + Z^d, since B
         kills exactly self^perp.  The lattice is built once per subspace."""
@@ -372,7 +382,7 @@ class Subspace:
         if lattice is None:
             lattice = self.memo["wall_lattice"] = CosetLattice.make(
                 [], [flatten(column) for column in zip(*self.basis)])
-        return lattice.key(flatten(mat_vec(self.basis, v)))
+        return lattice.key(*flatten(mat_vec(self.basis, v)))
 
     def torus_offset(self, offset: FieldVector) -> FieldVector:
         """The offset of the torus carrier self + offset (offset in self^perp)
@@ -385,10 +395,10 @@ class Subspace:
             units = Subspace.full(self.field, self.ambient).basis
             proj = [vec_sub(e, p) for e, p in zip(units, self.projector_columns())]
             basis = None
-            if all(x.is_rational() for p in proj for x in p):
-                hnf = CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis
-                basis = [(as_vector(self.field, row), next(j for j, x in enumerate(row) if x))
-                         for row in hnf]
+            if all(x.is_rational() for p in proj for x in p):  # pivots at basis element 1
+                lattice, n = CosetLattice.make([], [flatten(p) for p in proj]), self.field.dimension
+                basis = [(row, p // n) for row, p in
+                         zip(lattice.vectors(self.field, self.ambient, False), lattice.z_pivots)]
             self.memo["perp_lattice"] = basis
         basis = self.memo["perp_lattice"]
         if basis is None:
@@ -608,9 +618,8 @@ class LatticeSubgroup:
         return self.rank == 0
 
     def contains(self, vector) -> bool:
-        """The HNF basis is the z-part of its own ``CosetLattice``: the
-        vector is in H exactly when its key is zero."""
-        return not any(CosetLattice((), (), self.basis).key(
+        """In H exactly when its key modulo the HNF basis, as a z-part, is zero."""
+        return not any(CosetLattice((), (), self.basis, 1, _pivot_columns(self.basis)).key(
             _int_vector(vector, self.ambient, "vector")))
 
     def span(self, field: FieldSpec = QQ) -> Subspace:
@@ -673,43 +682,44 @@ class CosetSolution:
 def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     """Is t in  ring.span{u_1..u_k} + Z.span{l_1..l_p}  (ring "Z" or "Q")?
 
-    Each coordinate of the ``flatten``ed field vectors is one rational
-    equation; ring Q makes the c rational unknowns, ring Z integral like n.
-    ``rref_field`` eliminates the rational unknowns once: None if that shows
-    t is not in the set, else ``solve(smith)``, the solution family or None.
-    It solves the residual A n = r by the row HNF of [A^T | I] (Cohen 1993,
-    section 2.4): (r, 0) reduced by it has a zero A-part exactly when A n = r
-    is feasible, minus its I-part is a particular solution, and its rows with
-    a zero A-part are a kernel lattice basis.  ``smith`` uses Smith normal
-    form instead, whose particular solution names the printed witnesses;
-    with no residual integral equation it returns the HNF family itself.  Each
-    answer is computed once.  ``shifts=False`` drops the shift unknowns n from
-    the HNF, [A_c^T | I]: n = 0 in its family, for callers whose coefficients
-    reach every shift."""
+    Each coordinate over the field basis is one equation; ring Q makes the c
+    rational unknowns, eliminated once by ``rref_field`` over the coefficients
+    (None if that shows t is not in the set), ring Z integral like n.
+    ``solve(smith)`` is the solution family or None.  It solves the integer
+    rows A n = r (ring Z: N // gcd(D, *N) for N ``flatten``ed over one D) by
+    the row HNF of [A^T | I] (Cohen 1993, section 2.4): (r, 0) reduced by it
+    has a zero A-part exactly when A n = r is feasible, minus its I-part is a
+    particular solution, and its rows with a zero A-part are a kernel basis.
+    ``smith`` uses Smith normal form instead, whose particular solution names
+    the printed witnesses; with no residual integral equation it returns the
+    HNF family.  Each answer is computed once.  ``shifts=False`` drops the
+    shift unknowns n from the HNF, [A_c^T | I]: n = 0 in its family, for
+    callers whose coefficients reach every shift."""
     k, p = len(us), len(ls)
     a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
     b = k + p - a                # the integral unknowns
-    cols = [flatten(col) for col in (*us, *ls)]
-    rhs = flatten(t)
-    aug, pivots = rref_field([[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))], a)
-    # the residual integral system: rows without a rational pivot, scaled to Z
-    int_rows, int_rhs = [], []
-    for row in aug[len(pivots):]:
-        if not any(row[a:a + b]):
-            if row[a + b]:
-                return None
-            continue
-        den = lcm(*[f.denominator for f in row[a:]])
-        int_rows.append([f.numerator * (den // f.denominator) for f in row[a:a + b]])
-        int_rhs.append(row[a + b].numerator * (den // row[a + b].denominator))
-    mm = len(int_rows)
+    columns = (*us, *ls, t)
+    if a:  # the rational elimination, on the scalars' coefficients; residual rows to integers
+        aug, pivots = rref_field([list(row) for row in zip(*(
+            [c for x in v for c in x.coeffs] for v in columns))], a)
+        rows = [_integral(row[a:])[0] for row in aug[len(pivots):] if any(row[a:])]
+        zero, one = Fraction(0), Fraction(1)  # the field of the rational unknowns
 
-    def back_substitute(nvec, hom: bool) -> tuple[Fraction, ...]:
-        c = [Fraction(0)] * a
-        for i, piv in enumerate(pivots):
-            val = Fraction(0) if hom else aug[i][a + b]
-            c[piv] = val - sum(aug[i][a + j] * nvec[j] for j in range(b))
-        return tuple(c)
+        def back_substitute(nvec, hom: bool) -> tuple[Fraction, ...]:
+            c = [zero] * a
+            for row, piv in zip(aug, pivots):
+                c[piv] = (zero if hom else row[-1]) - sum(row[a + j] * nvec[j] for j in range(b))
+            return tuple(c)
+    else:  # integer rows N over the lcm D of every denominator, each N // gcd(D, *N)
+        flat = [flatten(v) for v in columns]
+        den = lcm(*(d for _, d in flat))
+        rows = [[x // g for x in row] if (g := gcd(den, *row)) > 1 else row
+                for row in zip(*([x * (den // d) for x in nums] for nums, d in flat)) if any(row)]
+    eqs = [row for row in rows if any(row[:b])]  # the residual integral system
+    if len(eqs) < len(rows):  # rows are nonzero, so a row left out reads 0 = r != 0
+        return None
+    int_rows, int_rhs, mm = [r[:b] for r in eqs], [r[b] for r in eqs], len(eqs)
+    kernel = tuple(map(tuple, nullspace(aug, pivots, a, zero, one))) if a else ()  # feasible only
 
     @cache
     def solve(smith: bool, shifts: bool) -> CosetSolution | None:
@@ -727,7 +737,7 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
             kept = b if shifts else k - a  # the coefficient unknowns come first
             hnf = hermite_normal_form([[r[j] for r in int_rows] + [int(i == j) for i in range(kept)]
                                        for j in range(kept)])
-            w = CosetLattice((), (), hnf).key(int_rhs + [0] * kept)
+            w = CosetLattice((), (), hnf, 1, _pivot_columns(hnf)).key(int_rhs + [0] * kept)[:-1]
             if any(w[:mm]):
                 return None
             pad = (0,) * (b - kept)
@@ -735,10 +745,9 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
             lattice = [row[mm:] + pad for row in hnf if not any(row[:mm])]
         split = k - a  # for ring Z the coefficients c are the first k integral unknowns
         return CosetSolution(
-            back_substitute(n0, False) + n0[:split], n0[split:],
-            tuple(back_substitute(lam, True) + lam[:split] for lam in lattice),
-            tuple(lam[split:] for lam in lattice),
-            tuple(tuple(x) for x in nullspace(aug, pivots, a, Fraction(0), Fraction(1))))
+            (back_substitute(n0, False) if a else ()) + n0[:split], n0[split:],
+            tuple((back_substitute(lam, True) if a else ()) + lam[:split] for lam in lattice),
+            tuple(lam[split:] for lam in lattice), kernel)
     return lambda smith, shifts=True: solve(smith and mm > 0, shifts or smith)
 
 
@@ -755,41 +764,54 @@ def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | No
 
 @dataclass(frozen=True)
 class CosetLattice:
-    """The module  Q.span(q_rows) + Z.span(z_rows)  of Q^n in echelon form:
-    ``q_basis`` is the RREF of the q-rows, ``z_basis`` the HNF (scaled by the
-    common denominator and back) of the z-rows reduced by ``q_basis``.  A
-    finitely generated Z-module of Q^n has bounded denominators, so it is a
-    lattice and this basis is canonical (Cohen 1993, A Course in
-    Computational Algebraic Number Theory, section 2.4)."""
+    """The module  Q.span(q_rows) + Z.span(z_rows)  of Q^n in echelon form,
+    rows as ``flatten`` gives them: ``q_basis`` is the RREF of the q-rows over
+    Fractions, ``z_basis`` the HNF of the z-rows reduced by it, integer rows
+    over one ``z_den`` in lowest terms, pivot columns ``z_pivots``.  A finitely
+    generated Z-module of Q^n has bounded denominators, so it is a lattice
+    and this basis is canonical (Cohen 1993, section 2.4)."""
 
     q_basis: tuple[tuple[Fraction, ...], ...]
     q_pivots: tuple[int, ...]
-    z_basis: tuple[tuple[Fraction, ...], ...]
+    z_basis: tuple[tuple[int, ...], ...]
+    z_den: int
+    z_pivots: tuple[int, ...]
 
     @staticmethod
     def make(q_rows, z_rows) -> "CosetLattice":
-        rr, pivots = rref_field([[Fraction(x) for x in r] for r in q_rows])
-        rational = CosetLattice(tuple(tuple(r) for r in rr[:len(pivots)]),
-                                tuple(pivots), ())
-        reduced = [rational.key(r) for r in z_rows]
-        den = lcm(*[f.denominator for row in reduced for f in row] or [1])
-        hnf = hermite_normal_form([[f.numerator * (den // f.denominator) for f in row]
-                                   for row in reduced])
-        return CosetLattice(rational.q_basis, rational.q_pivots,
-                            tuple(tuple(Fraction(x, den) for x in row) for row in hnf))
+        rr, pivots = rref_field([[Fraction(x, den) for x in nums] for nums, den in q_rows])
+        rational = CosetLattice(tuple(tuple(r) for r in rr[:len(pivots)]), tuple(pivots), (), 1, ())
+        z_rows = [rational._reduce_rational(*r) for r in z_rows] if pivots else list(z_rows)
+        den = lcm(*(d for _, d in z_rows))
+        hnf = hermite_normal_form([[x * (den // d) for x in nums] for nums, d in z_rows])
+        if (g := gcd(den, *(x for row in hnf for x in row))) > 1:  # lowest terms: canonical
+            hnf, den = tuple(tuple(x // g for x in row) for row in hnf), den // g
+        return CosetLattice(rational.q_basis, rational.q_pivots, hnf, den, _pivot_columns(hnf))
 
-    def key(self, v) -> tuple[Fraction, ...]:
-        """The canonical representative of v modulo the module (zero exactly
-        when v is in it): zero in the q-pivot columns, in [0, h) in the
-        column of each HNF pivot h.  Only rationals are floored."""
-        w = list(v)
+    def vectors(self, field: FieldSpec, dim: int, rational: bool) -> list[FieldVector]:
+        """The RREF q-rows (``rational``) or the HNF z-rows as field vectors."""
+        return [unflatten(field, dim, *(_integral(r) if rational else (r, self.z_den)))
+                for r in (self.q_basis if rational else self.z_basis)]
+
+    def _reduce_rational(self, nums, den: int) -> tuple[list[int], int]:
+        """nums / den reduced by the RREF q-rows over Fractions, back to integers."""
+        w = [Fraction(x, den) for x in nums]
         for row, p in zip(self.q_basis, self.q_pivots):
-            f = w[p]
-            if f:
+            if f := w[p]:
                 w = [x - f * y for x, y in zip(w, row)]
-        for row in self.z_basis:
-            p = next(j for j, x in enumerate(row) if x)
-            k = w[p] // row[p]
-            if k:
-                w = [x - k * y for x, y in zip(w, row)]
-        return tuple(w)
+        return _integral(w)
+
+    def key(self, nums, den: int = 1) -> tuple[int, ...]:
+        """The canonical representative of v = nums / den modulo the module, zero in
+        the q-pivot columns and in [0, h) at each HNF pivot h: its numerators in
+        lowest terms, then their denominator; all zero exactly when v is in it."""
+        if self.q_basis:
+            nums, den = self._reduce_rational(nums, den)
+        common = lcm(den, self.z_den)
+        nums = [x * (common // den) for x in nums]
+        s, den = common // self.z_den, common  # a z-row over common is s times its row
+        for row, p in zip(self.z_basis, self.z_pivots):
+            if q := nums[p] // (s * row[p]) * s:
+                nums = [x - q * y for x, y in zip(nums, row)]
+        g = gcd(den, *nums)
+        return (*(x // g for x in nums), den // g if any(nums) else 0)

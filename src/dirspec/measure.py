@@ -32,9 +32,8 @@ from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchErr
                      UnsupportedConvolutionError, ValidationError, bounded_power, check_enumeration)
 from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
-                     pose_lattice_coset, promote_subspace, promote_vector,
-                     unflatten, unit_vector, vec_add, vec_is_zero, vec_mod1,
-                     vec_neg, vec_scale, vec_sub, zero_vector)
+                     pose_lattice_coset, promote_subspace, promote_vector, unit_vector,
+                     vec_add, vec_is_zero, vec_mod1, vec_neg, vec_scale, vec_sub, zero_vector)
 from .scalar import (FieldSpec, _decode_fraction, _decode_int, _fraction_text,
                      decode_scalar)
 
@@ -78,7 +77,7 @@ class Atom:
     def encode(self) -> dict:
         return {"kind": "atom",
                 "point": [x.encode() for x in self.point],
-                "weight": _fraction_text(self.weight)}
+                "weight": _fraction_text(*self.weight.as_integer_ratio())}
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class BoxLebesgue:
         d = {"kind": "box",
              "basis": [[x.encode() for x in row] for row in self.carrier.subspace.basis],
              "offset": [x.encode() for x in self.carrier.offset],
-             "weight": _fraction_text(self.weight)}
+             "weight": _fraction_text(*self.weight.as_integer_ratio())}
         if self.generators != self.carrier.subspace.basis:
             d["generators"] = [[x.encode() for x in g] for g in self.generators]
         if self.center is not None and self.center != self.carrier.offset:
@@ -131,7 +130,7 @@ class AtomGroup:
         d = {"kind": "atom_group",
              "generators": [[x.encode() for x in g] for g in self.generators],
              "ring": self.ring,
-             "weight": _fraction_text(self.weight)}
+             "weight": _fraction_text(*self.weight.as_integer_ratio())}
         if not vec_is_zero(self.offset):
             d["offset"] = [x.encode() for x in self.offset]
         return d
@@ -282,7 +281,7 @@ def module_member(group: AtomGroup, v: FieldVector, space: str) -> bool:
     """Is v in offset + module (+ Z^d on the torus)?  Exactly when the
     coset key of v - offset is zero."""
     lattice = module_lattice(v[0].field, len(v), group.generators, group.ring, space)
-    return not any(lattice.key(flatten(vec_sub(v, group.offset))))
+    return not any(lattice.key(*flatten(vec_sub(v, group.offset))))
 
 
 def _box_key(space: str, sub: Subspace, offset: FieldVector) -> tuple:
@@ -306,7 +305,7 @@ def class_key(space: str, comp: Component) -> tuple:
         return _box_key(space, comp.carrier.subspace, comp.carrier.offset)
     offset = comp.offset
     lattice = module_lattice(offset[0].field, len(offset), comp.generators, comp.ring, space)
-    return ("group", comp.ring, comp.generators, lattice.key(flatten(comp.offset)))
+    return ("group", comp.ring, comp.generators, lattice.key(*flatten(comp.offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +457,9 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
     if isinstance(comp, AtomGroup):
         lattice = module_lattice(field, dim, comp.generators, comp.ring, space)
         # the canonical module basis: RREF rows for ring Q, HNF rows for ring Z
-        gens = tuple(unflatten(field, dim, row) for row in
-                     (lattice.q_basis if comp.ring == "Q" else lattice.z_basis))
+        gens = tuple(lattice.vectors(field, dim, comp.ring == "Q"))
         offset = as_vector(field, comp.offset, dim, "atom group offset")
-        offset_key = lattice.key(flatten(offset))
+        offset_key = lattice.key(*flatten(offset))
         if not any(offset_key):
             offset = zero_vector(field, dim)
         elif space == TORUS:

@@ -215,8 +215,8 @@ class FieldScalar:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients over the basis."""
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.nums)
+        nums, den = self.nums, self.den  # Fraction(n) skips the gcd of Fraction(n, 1)
+        return tuple(map(Fraction, nums) if den == 1 else (Fraction(n, den) for n in nums))
 
     # -- construction helpers ------------------------------------------------
 
@@ -397,8 +397,8 @@ class FieldScalar:
         label->fraction object with zero entries omitted."""
         nums, den = self.nums, self.den
         if self.is_rational():
-            return _fraction_text(Fraction(nums[0], den))
-        return {self.field.basis_label(j): _fraction_text(Fraction(n, den))
+            return _fraction_text(nums[0], den)
+        return {self.field.basis_label(j): _fraction_text(n, den)
                 for j, n in enumerate(nums) if n}
 
     def __repr__(self) -> str:
@@ -467,13 +467,13 @@ def promote_scalar(s: FieldScalar, field: FieldSpec) -> FieldScalar:
 _RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def _fraction_text(q: Fraction) -> str:
-    """str(q), also past sys.int_max_str_digits (3.11+): decimal writes long numbers."""
+def _fraction_text(n: int, den: int = 1) -> str:
+    """str(Fraction(n, den)), den > 0, by one gcd; decimal writes long numbers."""
+    g = gcd(n, den)
     try:
-        return str(q)
+        return str(n // g) if den == g else f"{n // g}/{den // g}"
     except ValueError:
-        num = str(Decimal(q.numerator))
-        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+        return str(Decimal(n // g)) if den == g else f"{Decimal(n // g)}/{Decimal(den // g)}"
 
 
 def _parse_fraction(text) -> Fraction:

@@ -6,6 +6,7 @@ import pathlib
 import random
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from dirspec.linalg import AffineCarrier, Subspace, rref_field, zero_vector
 from dirspec.measure import Atom, AtomGroup, BoxLebesgue, SymbolicMeasure
@@ -34,6 +35,21 @@ def gram_projection(sub, v):
     coords = gram_coordinates(sub.basis, [v])[0]
     return tuple(sum((c * b[j] for c, b in zip(coords, sub.basis)), sub.field.zero())
                  for j in range(sub.ambient))
+
+
+def ratio_row(entries) -> tuple[list[int], int]:
+    """Rationals as ``CosetLattice`` takes a row: integer numerators over the
+    lcm of their denominators."""
+    fracs = [Fraction(x) for x in entries]
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def key_value(key) -> tuple[Fraction, ...]:
+    """A ``CosetLattice`` key, numerators then their denominator (0 for the
+    zero key), read back as the rational vector it stands for."""
+    *nums, den = key
+    return tuple(Fraction(n, den or 1) for n in nums)
 
 
 @cache

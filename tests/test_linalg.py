@@ -315,7 +315,7 @@ class TestSubspaceMemo:
             sub = gen.rand_subspace(rng, field, 3)
             fresh = Subspace(sub.field, sub.ambient, sub.basis)
             before = (hash(sub), sub.encode(), repr(sub))
-            sub.memo["wall_lattice"] = CosetLattice.make([[1]], [])
+            sub.memo["wall_lattice"] = CosetLattice.make([([1], 1)], [])
             sub.memo[("key", sub.basis)] = None
             assert sub == fresh and hash(sub) == hash(fresh)
             assert (hash(sub), sub.encode(), repr(sub)) == before
@@ -497,6 +497,28 @@ class TestCanonicalForm:
         assert set(makers) == {"linalg.py", "measure.py"}
         assert not classify_names & {"CosetLattice", "flatten"}
         assert memo_subscripts == []
+
+    def test_lattice_layer_builds_no_fractions(self):
+        # the lattice layer works on the scalars' integer numerators:
+        # ``flatten``, ``CosetLattice.key`` and ``Subspace.wall_key`` name no
+        # Fraction, and ``pose_lattice_coset`` names it only in its rational
+        # elimination, the branch ``if a:`` taken when ring Q has unknowns
+        import ast
+        from pathlib import Path
+        tree = ast.parse(Path(L.__file__).read_text())
+        scopes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            scopes |= {f"{cls.name}.{fn.name}": fn for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef)}
+
+        def fractions(node):
+            return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "Fraction"]
+        for name in ("flatten", "CosetLattice.key", "Subspace.wall_key"):
+            assert fractions(scopes[name]) == [], name
+        pose = scopes["pose_lattice_coset"]
+        (rational,) = [node for node in ast.walk(pose) if isinstance(node, ast.If)
+                       and isinstance(node.test, ast.Name) and node.test.id == "a"]
+        assert fractions(pose) == fractions(rational) != []
 
     def test_only_linalg_checks_vector_lengths(self):
         # ``as_vector`` is the one length check of an input vector: a
@@ -961,45 +983,57 @@ class TestLatticeCoset:
 
 
 class TestCosetLattice:
-    """Worked coset keys: canonical representatives modulo Q.span + Z.span."""
+    """Worked coset keys: canonical representatives modulo Q.span + Z.span,
+    as integer numerators over their denominator (``gen.key_value`` reads
+    them back as rationals)."""
+
+    @staticmethod
+    def make(q_rows, z_rows):
+        return CosetLattice.make([gen.ratio_row(r) for r in q_rows],
+                                 [gen.ratio_row(r) for r in z_rows])
+
+    @staticmethod
+    def key(lat, v):
+        return gen.key_value(lat.key(*gen.ratio_row(v)))
 
     def test_rational_rows(self):
         # modulo Q(1, 1): the representative vanishes in the pivot column
-        lat = CosetLattice.make([[1, 1]], [])
+        lat = self.make([[1, 1]], [])
         assert lat.q_basis == ((1, 1),) and lat.z_basis == ()
-        assert lat.key([2, 3]) == (0, 1)
-        assert lat.key([Fraction(-1, 2), Fraction(-1, 2)]) == (0, 0)
+        assert lat.key([2, 3]) == (0, 1, 1)
+        assert lat.key([-1, -1], 2) == (0, 0, 0)
 
     def test_integer_rows(self):
         # modulo 2Z x 3Z: each coordinate lands in [0, pivot)
-        lat = CosetLattice.make([], [[2, 0], [0, 3]])
-        assert lat.key([5, -1]) == (1, 2)
-        assert lat.key([4, 3]) == (0, 0)
-        # rational rows are scaled to integers and back: a canonical basis
-        lat = CosetLattice.make([], [[Fraction(1, 2), 0], [0, Fraction(1, 3)],
-                                     [Fraction(1, 2), Fraction(1, 3)]])
-        assert lat.z_basis == ((Fraction(1, 2), 0), (0, Fraction(1, 3)))
-        lat = CosetLattice.make([], [[Fraction(2, 3), Fraction(1, 3)]])
-        assert lat.key([1, Fraction(1, 2)]) == (Fraction(1, 3), Fraction(1, 6))
+        lat = self.make([], [[2, 0], [0, 3]])
+        assert lat.key([5, -1]) == (1, 2, 1)
+        assert lat.key([4, 3]) == (0, 0, 0)
+        # rational rows are scaled to integers over one denominator, in
+        # lowest terms: a canonical basis, with its pivot columns
+        lat = self.make([], [[Fraction(1, 2), 0], [0, Fraction(1, 3)],
+                             [Fraction(1, 2), Fraction(1, 3)]])
+        assert (lat.z_basis, lat.z_den, lat.z_pivots) == (((3, 0), (0, 2)), 6, (0, 1))
+        lat = self.make([], [[Fraction(2, 3), Fraction(1, 3)]])
+        assert lat.key([2, 1], 2) == (2, 1, 6)
+        assert self.key(lat, [1, Fraction(1, 2)]) == (Fraction(1, 3), Fraction(1, 6))
 
     def test_mixed_rows(self):
         # a ring-Q group Q(1, 2) on T^2: Z^2 reduced by (1, 2) leaves Z(0, 1)
-        lat = CosetLattice.make([[1, 2]], [[1, 0], [0, 1]])
-        assert lat.z_basis == ((0, 1),)
-        assert lat.key([Fraction(1, 3), Fraction(5, 3)]) == (0, 0)
-        assert lat.key([Fraction(1, 3), Fraction(1, 2)]) == (0, Fraction(5, 6))
+        lat = self.make([[1, 2]], [[1, 0], [0, 1]])
+        assert (lat.z_basis, lat.z_den) == (((0, 1),), 1)
+        assert self.key(lat, [Fraction(1, 3), Fraction(5, 3)]) == (0, 0)
+        assert self.key(lat, [Fraction(1, 3), Fraction(1, 2)]) == (0, Fraction(5, 6))
 
     def test_dense_projection(self):
         # K = span{(1, sqrt2)} in T^2 over Q(sqrt2), flattened to (a0, b0, a1, b1)
         # for x_j = a_j + b_j sqrt2: the Q-basis (1, sqrt2), (sqrt2, 2) of K plus
         # Z^2.  Z^2 projects densely onto K^perp, yet modulo the Q-part it is
         # the lattice Z^2 in the last two columns.
-        lat = CosetLattice.make([[1, 0, 0, 1], [0, 1, 2, 0]],
-                                [[1, 0, 0, 0], [0, 0, 1, 0]])
-        assert lat.z_basis == ((0, 0, 1, 0), (0, 0, 0, 1))
-        assert lat.key([Fraction(1, 5), 0, 0, 0]) == (0, 0, 0, Fraction(4, 5))
+        lat = self.make([[1, 0, 0, 1], [0, 1, 2, 0]], [[1, 0, 0, 0], [0, 0, 1, 0]])
+        assert (lat.z_basis, lat.z_den) == (((0, 0, 1, 0), (0, 0, 0, 1)), 1)
+        assert lat.key([1, 0, 0, 0], 5) == (0, 0, 0, 4, 5)
         # (1/5, 0) + (2, -1): a lattice shift of the same carrier
-        assert lat.key([Fraction(11, 5), 0, -1, 0]) == (0, 0, 0, Fraction(4, 5))
+        assert self.key(lat, [Fraction(11, 5), 0, -1, 0]) == (0, 0, 0, Fraction(4, 5))
 
     def test_membership_matches_coset_solve(self):
         rng = random.Random(47)
@@ -1010,7 +1044,7 @@ class TestCosetLattice:
                       for _ in range(rng.randint(0, 2))]
             z_rows = [[gen.rand_fraction(rng) for _ in range(n)]
                       for _ in range(rng.randint(0, 3))]
-            lat = CosetLattice.make(q_rows, z_rows)
+            lat = self.make(q_rows, z_rows)
             v = [gen.rand_fraction(rng) for _ in range(n)]
             if rng.random() < 0.5:  # a module element
                 coeffs = [gen.rand_fraction(rng) for _ in q_rows] \
@@ -1019,12 +1053,13 @@ class TestCosetLattice:
                      for j in range(n)]
             member = solve_lattice_coset("Q", [q(*r) for r in q_rows],
                                          [q(*r) for r in z_rows], q(*v)) is not None
-            assert (not any(lat.key(v))) == member
+            key = lat.key(*gen.ratio_row(v))
+            assert (not any(key)) == member
             members += member
             # the key is a representative of v's class, and a fixed point
             assert solve_lattice_coset("Q", [q(*r) for r in q_rows], [q(*r) for r in z_rows],
-                                       vec_sub(q(*v), q(*lat.key(v)))) is not None
-            assert lat.key(lat.key(v)) == lat.key(v)
+                                       vec_sub(q(*v), q(*gen.key_value(key)))) is not None
+            assert lat.key(*gen.ratio_row(gen.key_value(key))) == key
         assert 20 < members < 70
 
 

@@ -637,7 +637,7 @@ def reference_box_key(sub, offset):
     units = [field.from_coeffs([int(i == beta) for i in range(n)]) for beta in range(n)]
     lattice = M.module_lattice(field, sub.ambient,
                                [vec_scale(u, b) for b in sub.basis for u in units], "Q", TORUS)
-    return lattice.key(flatten(offset))
+    return lattice.key(*flatten(offset))
 
 
 def reference_reduce_box_offset(sub, offset):
@@ -653,8 +653,9 @@ def reference_reduce_box_offset(sub, offset):
     proj = [vec_sub(e, gen.gram_projection(sub, e)) for e in units]
     if not all(x.is_rational() for p in proj for x in p):
         return offset
-    basis = [as_vector(field, row) for row in
-             CosetLattice.make([], [[x.as_rational() for x in p] for p in proj]).z_basis]
+    lattice = CosetLattice.make([], [gen.ratio_row(x.as_rational() for x in p) for p in proj])
+    basis = [as_vector(field, [Fraction(x, lattice.z_den) for x in row])
+             for row in lattice.z_basis]
     for c, b in zip(gen.gram_coordinates(basis, [offset])[0], basis):
         k = c.floor()
         if k:

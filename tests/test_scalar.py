@@ -765,3 +765,45 @@ class TestEncoding:
         assert y.field == F23
         assert float(y) == pytest.approx(float(x), abs=1e-15)
         assert promote_scalar(QQ.from_rational(5), F2) == 5
+
+    def test_coefficients_print_as_their_fraction(self):
+        # ``encode`` prints each coefficient from its integers, one gcd and two
+        # str calls: it must print what the Fraction text did, also on
+        # numerators sharing factors with den, zero, negatives, big
+        # denominators and past sys.int_max_str_digits (the decimal fallback)
+        rng = random.Random(59)
+        checked = 0
+        for field in gen.FIELDS:
+            for _ in range(150):
+                x = S._reduced(field, [rng.choice([0, 1, -1]) * rng.randint(0, 10 ** rng.randint(0, 30))
+                                       for _ in range(field.dimension)],
+                               rng.choice([1, 2, 6, 12, 360, 3 ** 40 * 2 ** 7]))
+                for n in x.nums:
+                    assert S._fraction_text(n, x.den) == reference_fraction_text(Fraction(n, x.den))
+                    checked += 1
+                expect = reference_fraction_text(x.as_rational()) if x.is_rational() else {
+                    field.basis_label(j): reference_fraction_text(c)
+                    for j, c in enumerate(x.coeffs) if c}
+                assert x.encode() == expect
+        assert checked > 1000 and S._fraction_text(0, 7) == "0" \
+            and S._fraction_text(-6, 4) == "-3/2" and S._fraction_text(5) == "5"
+        big, den = -(7 ** 6000) * 3, 3 * 10 ** 4400 + 3
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expect, tiny = str(Fraction(big, den)), f"1/{den}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expect) > 2 * 4300
+        assert S._fraction_text(big, den) == expect == reference_fraction_text(Fraction(big, den))
+        assert S._reduced(F2, (big, 1), den).encode() == {"1": expect, "sqrt2": tiny}
+
+
+def reference_fraction_text(q: Fraction) -> str:
+    """The coefficient text as ``FieldScalar.encode`` printed it through a
+    Fraction: str(q), past sys.int_max_str_digits decimal's."""
+    try:
+        return str(q)
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"

@@ -38,3 +38,38 @@ def test_lattice_dump_fingerprint():
     out = run_script("lattice_dump.py")
     assert out.splitlines()[-1] \
         == "sha256 7757077e80fe47cfab6848a25c997621ec8e569806c86fdce74df63fbb964d42"
+
+
+def test_bench_pairs_table_and_summary():
+    # the pair runner's table and BENCH summary from canned run results, with
+    # no subprocess: quartiles per side, wins by each metric's direction
+    # (ties count for neither side), and metrics a run lacks left out
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    end_to_end = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+                  {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+                  {"name": "latency_tail_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+
+    def result(ops, rss, correct=True):
+        return {"correct": correct, "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                                                "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    parent = [(1000, 30.0), (1100, 31.0), (1200, 30.0), (1300, 29.0)]
+    change = [(1100, 31.0), (1100, 30.0), (1320, 30.0), (1500, 30.0)]
+    runs = [{"parent": result(*p), "change": result(*c)} for p, c in zip(parent, change)]
+    summary = bench.summarize(runs, end_to_end)
+    assert summary["pairs"] == 4 and summary["correct"]
+    assert set(summary["metrics"]) == {"ops_per_s", "peak_rss_mb"}
+    ops, rss = summary["metrics"]["ops_per_s"], summary["metrics"]["peak_rss_mb"]
+    assert ops["parent"] == {"median": 1150, "q1": 1075, "q3": 1225}
+    assert ops["change"]["median"] == 1210 and ops["change_wins"] == 3 and ops["pairs"] == 4
+    assert rss["parent"]["median"] == 30.0 and rss["change_wins"] == 1
+    assert bench.table({"torus-walls": summary}).splitlines() == [
+        "| workload | metric | parent median (IQR) | change median (change) "
+        "| pairs the change wins |",
+        "|---|---|---|---|---|",
+        "| torus-walls | `ops_per_s` | 1,150.000 (150.000) | 1,210.000 (+5.2%) | 3/4 |",
+        "| torus-walls | `peak_rss_mb` | 30.000 (0.500) | 30.000 (+0.0%) | 1/4 |"]
+    runs[2]["change"]["correct"] = False
+    assert not bench.summarize(runs, end_to_end)["correct"]
