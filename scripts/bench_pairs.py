@@ -21,11 +21,13 @@ change is better (ties count for neither side).  Quartiles are those of
 numbers, every run's metrics and whether every run printed `correct: true`
 to `BENCH_<tag>.json` at the root of the repository holding this script,
 whose revisions it measures (the tag defaults to the change's abbreviated
-hash).
+hash), with the machine: platform, Python and the installed numpy and scipy
+(`importlib.metadata`; null when one is missing).
 """
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import platform
@@ -61,6 +63,17 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     if not lines:
         return {"correct": False, "metrics": {}, "error": proc.stderr[-2000:]}
     return json.loads(lines[-1])
+
+
+def machine() -> dict:
+    """The platform, the interpreter and the installed numpy and scipy."""
+    def version(package: str) -> str | None:
+        try:
+            return importlib.metadata.version(package)
+        except importlib.metadata.PackageNotFoundError:
+            return None
+    return {"platform": platform.platform(), "python": platform.python_version(),
+            "processor": platform.machine(), "numpy": version("numpy"), "scipy": version("scipy")}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -139,8 +152,7 @@ def main() -> int:
             summaries[workload] = summarize(runs, bench["end_to_end"])
     print(table(summaries))
     doc = {"tag": tag, "revisions": revs, "pairs": args.pairs, "seconds": SECONDS,
-           "machine": {"platform": platform.platform(), "python": platform.python_version(),
-                       "processor": platform.machine()},
+           "machine": machine(),
            "bytecode": "compiled with compileall in each export before the first run",
            "workloads": summaries, "runs": all_runs}
     (ROOT / f"BENCH_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")

@@ -69,12 +69,13 @@ def _on_affine_wall(space: str, sub_l: Subspace, point: FieldVector,
     point - ell must be the identity: no lattice is built.  Kept in the subspace's
     memo: the central wall test and NE subordination ask the same walls."""
     key = (space, point, ell)
-    if key not in sub_l.memo:
+    answer = sub_l.memo.get(key)  # one lookup: a tuple key hashes every scalar again
+    if answer is None:
         diff = vec_sub(point, ell)
-        sub_l.memo[key] = is_identity(space, diff) if sub_l.is_full() \
+        answer = sub_l.memo[key] = is_identity(space, diff) if sub_l.is_full() \
             else not any(sub_l.wall_key(diff)) if space == TORUS \
             else all(vec_dot(b, diff).is_zero() for b in sub_l.basis)
-    return sub_l.memo[key]
+    return answer
 
 
 def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
@@ -92,13 +93,14 @@ def _group_meets_wall(space: str, group: AtomGroup, sub_l: Subspace,
     if sub_l.is_full() and is_identity(space, ell):
         return None
     key = (space, group.ring, group.generators, group.offset, ell)
-    if key not in sub_l.memo:
+    answer = sub_l.memo.get(key, ...)  # one lookup; None is a kept answer
+    if answer is ...:
         rows = sub_l.basis
         shifts = [tuple(b[j] for b in rows) for j in range(sub_l.ambient)] \
             if space == TORUS else ()
-        sub_l.memo[key] = group_atom_on_coset(space, group, rows, mat_vec(rows, ell), shifts,
-                                              space == TORUS and group.ring == "Z")
-    return sub_l.memo[key]
+        answer = sub_l.memo[key] = group_atom_on_coset(
+            space, group, rows, mat_vec(rows, ell), shifts, space == TORUS and group.ring == "Z")
+    return answer
 
 
 def _check_direction(field: FieldSpec, dim: int, direction: Subspace,
@@ -392,13 +394,17 @@ def directional_eigenvalues(m: SymbolicMeasure,
     _check_direction(m.field, m.dim, direction)
     slot = m.memo.get("eigenvalues")
     if slot is None or slot[0] != direction:
-        lattice_images = () if m.class_space != TORUS else tuple(
-            img for img in direction.projector_columns() if not vec_is_zero(img))
+        columns = direction.projector_columns() if m.class_space == TORUS else []
+        lattice_images = tuple(img for img in columns if not vec_is_zero(img))
+        carriers = _eigenvalue_carriers(m, direction)
+        units = dict(zip(Subspace.full(m.field, m.dim).basis, columns)) \
+            if columns and any(gens for _, _, gens in carriers) else {}  # P_L e_j = column j
         slot = m.memo["eigenvalues"] = (direction, tuple(
-            EigenvalueFamily(i, direction.project(point), lattice_images,
-                             tuple(direction.project(g) for g in gens),
+            EigenvalueFamily(i, units and units.get(point) or direction.project(point),
+                             lattice_images,
+                             tuple(units and units.get(g) or direction.project(g) for g in gens),
                              m.components[i].ring if gens else None)
-            for i, point, gens in _eigenvalue_carriers(m, direction)))
+            for i, point, gens in carriers))
     return slot[1]
 
 

@@ -8,14 +8,15 @@ rationality classification of directions, and canonical coset keys.
 
 ``rref_field`` is the one Gauss-Jordan elimination over a field (entries
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
-bases), the ``Subspace`` dual basis (one system [G | B]),
-``meets_orthocomplement`` (a rank), ``pose_lattice_coset`` (the rational
-unknowns) and ``CosetLattice`` (the rational rows).  ``nullspace`` reads
-kernels off its output, and every dot product is the fused
-``scalar.vec_dot``.  Trivial cases eliminate nothing: zero and full spaces,
-and the answers of ``leq``, ``orthogonal_to`` and ``meets_orthocomplement``
-that the dimensions fix.  ``as_vector`` is the one length check of an input
-vector, and ``_int_vector`` of an integer one, read by ``scalar._decode_int``.
+bases), the ``Subspace`` dual basis (one system: [G | B], or [H | F^T] over
+[F | I] when L^perp is the smaller side), ``meets_orthocomplement`` (a
+rank), ``pose_lattice_coset`` (the rational unknowns) and ``CosetLattice``
+(the rational rows).  ``nullspace`` reads kernels off its output, and every
+dot product is the one-pass ``scalar.vec_dot``.  Trivial cases eliminate
+nothing: zero and full spaces, and the answers of ``leq``, ``orthogonal_to``
+and ``meets_orthocomplement`` that the dimensions fix.  ``as_vector`` is the
+one length check of an input vector, and ``_int_vector`` of an integer one,
+read by ``scalar._decode_int``.
 
 ``flatten`` is the one map from field vectors to coordinates over the field
 basis: integer numerators over one denominator, read off the scalars, which
@@ -50,19 +51,22 @@ the offset modulo the projected lattice P_{K^perp}(Z^d), into the
 fundamental domain of its HNF basis when that lattice is rational.
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
-stored in its ``memo`` dict: the dual basis G^-1 B (G = B B^T, B the basis)
-and B's pivot columns, so a projection is x = G^-1 B v and x B, which is x_i
-at the i-th pivot column (``projector_columns`` reads x for e_j as column j
-of G^-1 B); ``orthocomplement`` its result; ``wall_key`` the wall lattice;
-``torus_offset`` the HNF basis of the projected lattice (``perp_lattice``);
-``classify`` a direction's wall answers, each asked once.  The memo takes no
-part in equality, hashing, ``encode`` or ``repr``.
+stored in its ``memo`` dict: the dual basis G^-1 B (G = B B^T, B the basis,
+eliminated on the smaller of L and L^perp) and B's pivot columns, so a
+projection is x = G^-1 B v and x B, which is x_i at the i-th pivot column
+(``projector_columns`` reads the symmetric P off G^-1 B and dots only the
+upper triangle of its free x free block); ``orthocomplement`` its result;
+``wall_key`` the wall lattice; ``torus_offset`` the HNF basis of the
+projected lattice (``perp_lattice``); ``classify`` a direction's wall
+answers, each asked once.  The memo takes no part in equality, hashing,
+``encode`` or ``repr``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, ValidationError
@@ -161,6 +165,16 @@ def _integral(fractions) -> tuple[list[int], int]:
     """Fractions as integer numerators over the lcm of their denominators."""
     den = lcm(*(f.denominator for f in fractions))
     return [f.numerator * (den // f.denominator) for f in fractions], den
+
+
+def _symmetric(us, vs, one=None) -> list[list]:
+    """The symmetric matrix (u_i . v_j), plus ``one`` on the diagonal unless
+    None, from the dot products of its upper triangle."""
+    out = [[None] * len(us) for _ in us]
+    for i, j in combinations_with_replacement(range(len(us)), 2):
+        x = vec_dot(us[i], vs[j])
+        out[i][j] = out[j][i] = x + one if i == j and one is not None else x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +347,7 @@ class Subspace:
 
     def project(self, v: FieldVector) -> FieldVector:
         """Orthogonal projection of v onto this subspace (exact)."""
-        if vec_is_zero(v):
+        if len(v) == self.ambient and vec_is_zero(v):  # project_all checks the length
             return zero_vector(self.field, self.ambient)
         return self.project_all([v])[0]
 
@@ -341,6 +355,9 @@ class Subspace:
         """Orthogonal projections of several vectors: the identity on the full
         space, else x B for the coordinates x = (G^-1 B) v (see the module
         docstring)."""
+        vectors = list(vectors)
+        if any(len(v) != self.ambient for v in vectors):
+            raise DimensionMismatchError("vector has wrong length")
         if self.dim == 0:
             return [zero_vector(self.field, self.ambient) for _ in vectors]
         if self.is_full():
@@ -348,20 +365,45 @@ class Subspace:
         return self._combine([vec_dot(r, v) for r in self._dual_basis()[0]] for v in vectors)
 
     def projector_columns(self) -> list[FieldVector]:
-        """P e_1, ..., P e_d for the projection P: the coordinates of P e_j are
-        column j of the dual basis, so no vector is dotted with its rows."""
+        """P e_1, ..., P e_d for the symmetric projection P = B^T G^-1 B: P e_{p_i}
+        is row i of G^-1 B, and a free column reads (P e_j)_l = (P e_l)_j off the
+        columns built, so only the free x free block's upper triangle is dotted."""
         if self.dim == 0 or self.is_full():
             return self.project_all(Subspace.full(self.field, self.ambient).basis)
-        return self._combine(zip(*self._dual_basis()[0]))
+        dual, pivots = self._dual_basis()
+        columns, basis_columns = dict(zip(pivots, dual)), tuple(zip(*self.basis))
+        for j in range(self.ambient):
+            if j not in columns:
+                x = [r[j] for r in dual]
+                columns[j] = tuple(columns[i][j] if i in columns else vec_dot(x, basis_columns[i])
+                                   for i in range(self.ambient))
+        return [columns[j] for j in range(self.ambient)]
 
     def _dual_basis(self) -> tuple[tuple[FieldVector, ...], tuple[int, ...]]:
-        """(G^-1 B, the pivot columns of B), memoized: one elimination of the
-        rows [G_i | b_i], since B e_j is column j of B."""
+        """(G^-1 B, the pivot columns of B), memoized; G = B B^T = I + F F^T for
+        B = [I | F] up to column order.  For k = dim <= d - k, one elimination of
+        the rows [G_i | b_i]; else, by G^-1 F = F H^-1 and G^-1 = I - F H^-1 F^T
+        for H = I + F^T F, the rows [H | F^T] over [F | I], reduced on the
+        m = d - k columns of H, end as [I | H^-1 F^T] over [0 | G^-1].  Only the
+        upper triangles of the symmetric G and H are dotted."""
         if "dual_basis" not in self.memo:
-            rr, _ = rref_field([[vec_dot(bi, bj) for bj in self.basis] + list(bi)
-                                for bi in self.basis], self.dim)
-            self.memo["dual_basis"] = (tuple(tuple(row[self.dim:]) for row in rr),
-                                       tuple(self._pivot_columns()))
+            k, pivots = self.dim, tuple(self._pivot_columns())
+            if 2 * k <= self.ambient:
+                rr, _ = rref_field([g + list(b) for g, b in
+                                    zip(_symmetric(self.basis, self.basis), self.basis)], k)
+                dual = [tuple(row[k:]) for row in rr]
+            else:
+                free = [j for j in range(self.ambient) if j not in pivots]
+                m, zero, one = len(free), self.field.zero(), self.field.one()
+                cols = [[b[j] for b in self.basis] for j in free]  # the columns of F
+                rr, _ = rref_field([h + c for h, c in zip(_symmetric(cols, cols, one), cols)]
+                                   + [[*f, *(one if i == j else zero for j in range(k))]
+                                      for i, f in enumerate(zip(*cols))], m)
+                # row i: G^-1 at the pivot columns, (F H^-1)_i at the free ones
+                place = sorted(range(self.ambient), key=[*pivots, *free].__getitem__)
+                dual = [tuple(map([*g[m:], *(r[m + i] for r in rr[:m])].__getitem__, place))
+                        for i, g in enumerate(rr[m:])]
+            self.memo["dual_basis"] = (tuple(dual), pivots)
         return self.memo["dual_basis"]
 
     def _combine(self, coordinates) -> list[FieldVector]:

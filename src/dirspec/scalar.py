@@ -13,9 +13,9 @@ compare their fields by identity, and that object holds the field's tables:
 the product table, the float basis of the real embedding and the product
 kernel compiled from the table, one straight-line function of the integer
 numerators through which every product, norm, sign test and dot product
-(``vec_dot``) runs.  ``vec_dot`` skips its zero terms and sums the others over
-the one lcm of their denominators.  Plain Q (one coefficient) takes a short
-path through addition and multiplication.  An irrational element hashes its
+(``vec_dot``) runs.  ``vec_dot`` sums its nonzero terms in one pass over a
+running common denominator.  Plain Q (one coefficient) takes a short path
+through addition and multiplication.  An irrational element hashes its
 integers ``(roots, nums, den)``; a rational one hashes like its ``Fraction``.
 
 The only predicates the rest of the toolkit needs are exact equality with
@@ -423,33 +423,34 @@ def _nums_den(x, field: FieldSpec | None) -> tuple[tuple[int, ...], int]:
 
 
 def vec_dot(u, v):
-    """sum_i u_i * v_i, fused: the terms with a zero factor are skipped, one
-    nonzero term is its product, and several are summed over the lcm of their
-    denominators and reduced once.  Entries are FieldScalars of the field of
-    the first entries (else FieldMismatchError), or ints and Fractions on
-    either side, such as an integer lattice basis; with no FieldScalar the
-    result is a Fraction."""
+    """sum_i u_i * v_i in one pass: each term checks both factors' fields, is
+    skipped for a zero factor, or else is added over the running lcm of the
+    denominators; the sum is reduced once, and no such term gives a zero.
+    Entries are FieldScalars of the field of the first entries (else
+    FieldMismatchError), or ints and Fractions on either side, such as an
+    integer lattice basis; with no FieldScalar the result is a Fraction."""
     field = u[0].field if type(u[0]) is FieldScalar else \
         v[0].field if type(v[0]) is FieldScalar else None
     spec = QQ if field is None else field
     mul, zero = spec._mul, (0,) + spec._tail
-    terms, dens = [], []
+    acc, den = None, 1
     for a, b in zip(u, v, strict=True):
         an, ad = (a.nums, a.den) if type(a) is FieldScalar and a.field is field \
             else _nums_den(a, field)
         bn, bd = (b.nums, b.den) if type(b) is FieldScalar and b.field is field \
             else _nums_den(b, field)
         if an != zero and bn != zero:
-            terms.append(mul(an, bn))
-            dens.append(ad * bd)
-    if len(terms) > 1:
-        den = math.lcm(*dens)
-        acc = list(map(sum, zip(*(t if d == den else [c * (den // d) for c in t]
-                                  for t, d in zip(terms, dens)))))
-    elif terms:
-        acc, den = terms[0], dens[0]
-    else:
-        acc, den = zero, 1
+            term, d = mul(an, bn), ad * bd
+            if acc is None:
+                acc, den = term, d
+            elif d == den:
+                acc = [x + y for x, y in zip(acc, term)]
+            else:
+                common = math.lcm(den, d)
+                sa, sb = common // den, common // d
+                acc, den = [x * sa + y * sb for x, y in zip(acc, term)], common
+    if acc is None:
+        return Fraction(0) if field is None else FieldScalar(field, zero, 1)
     return Fraction(acc[0], den) if field is None else _reduced(field, acc, den)
 
 

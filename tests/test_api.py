@@ -124,6 +124,13 @@ VALIDATION = {
     "Subspace.contains/short": (lambda: X.contains(as_vector(QQ, [1])), DimensionMismatchError),
     "Subspace.contains/long": (
         lambda: X.contains(as_vector(QQ, [1, 0, 1])), DimensionMismatchError),
+    # projections check the length as ``contains`` does, on every kind of subspace
+    **{f"Subspace.project/{length}-{name}": (
+        lambda sub=sub, v=v: sub.project(as_vector(QQ, v)), DimensionMismatchError)
+       for name, sub in [("zero", Subspace.zero(QQ, 3)),
+                         ("line", Subspace.from_vectors(QQ, 3, [[1, 2, 0]])),
+                         ("full", Subspace.full(QQ, 3))]
+       for length, v in [("short", [1, 2]), ("long", [1, 2, 3, 4])]},
     "translate/short": (lambda: M.translate(_torus(), [1]), DimensionMismatchError),
     "translate/long": (lambda: M.translate(_torus(), [1, 0, 0]), DimensionMismatchError),
     "has_atom_at/atoms": (lambda: M.has_atom_at(_torus(), [1]), DimensionMismatchError),

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import gen
+from gen import gram_projection
 from dirspec import classify as C
 from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, DimensionMismatchError,
@@ -132,6 +133,20 @@ class TestDirectionMemo:
             assert C.nonergodic_concise(m).contains_direction(
                 Subspace(sub.field, sub.ambient, sub.basis)) == in_ne
         assert groups_seen > 10 and duals_seen > 10 and affine_seen > 10
+
+    def test_a_none_group_answer_is_asked_once(self, monkeypatch):
+        # None is a kept answer (no atom of the group on the wall): the second
+        # call reads it from the memo and poses no system
+        m = torus(AtomGroup((as_vector(QQ, [Fraction(1, 3), 0]),), "Z", zero_vector(QQ, 2)))
+        group, calls, original = m.components[0], [], C.group_atom_on_coset
+        monkeypatch.setattr(C, "group_atom_on_coset",
+                            lambda *args: calls.append(args) or original(*args))
+        sub, third = Subspace(E1.field, E1.ambient, E1.basis), as_vector(QQ, [Fraction(1, 3), 0])
+        for ell, answer in [(as_vector(QQ, [Fraction(1, 2), 0]), None), (third, third)]:
+            calls.clear()
+            assert C._group_meets_wall(TORUS, group, sub, ell) == answer
+            assert C._group_meets_wall(TORUS, group, sub, ell) == answer
+            assert len(calls) == 1
 
     def test_concise_sets_are_kept_on_the_measure(self):
         rng = random.Random(43)
@@ -839,6 +854,37 @@ class TestDirectionalEigenvalues:
             for ell in ells:
                 assert C.wall_test(m, sub, list(ell)).positive
 
+    def test_unit_vectors_read_the_projector_columns(self, monkeypatch):
+        # on the torus the projector columns are built once per direction, for
+        # the lattice images; a point or generator that is a unit vector e_j
+        # (a canonical ring-Z group holds some) is column j, never passed to
+        # ``Subspace.project``, and the direction's memo keeps only its dual basis
+        r2 = F2.sqrt_root(2)
+        m = SymbolicMeasure.make(TORUS, 3, F2, [
+            AtomGroup((as_vector(F2, [Fraction(1, 3), r2, 0]),), "Z", zero_vector(F2, 3)),
+            atom([Fraction(1, 5), 0, Fraction(1, 7)], field=F2),
+            atom([0, Fraction(1, 2), 0], field=F2)])
+        units = {tuple(F2.one() if i == j else F2.zero() for i in range(3)) for j in range(3)}
+        assert any(units & set(c.generators) for c in m.components if isinstance(c, AtomGroup))
+        calls, projected = Counter(), []
+        columns, project = Subspace.projector_columns, Subspace.project
+        monkeypatch.setattr(Subspace, "projector_columns",
+                            lambda self: calls.update([self.basis]) or columns(self))
+        monkeypatch.setattr(Subspace, "project",
+                            lambda self, v: projected.append(v) or project(self, v))
+        for rows in ([[1, 2, 0]], [[1, 0, r2]], [[1, 0, 1], [0, 1, r2]], [[1, r2, 3], [0, 0, 1]]):
+            sub = Subspace.from_vectors(F2, 3, rows)
+            calls.clear()
+            projected.clear()
+            families = C.directional_eigenvalues(m, sub)
+            assert calls == Counter([sub.basis]) and projected
+            assert not units & set(map(tuple, projected))
+            assert set(sub.memo) == {"dual_basis"}
+            carriers = C._eigenvalue_carriers(m, sub)
+            assert [f.component_index for f in families] == [i for i, _, _ in carriers]
+            for f, (_, point, gens) in zip(families, carriers):
+                assert f.base == gram_projection(sub, point)
+                assert f.group_generators == tuple(gram_projection(sub, g) for g in gens)
 
     def test_weak_mixing_is_read_off_the_families(self):
         rng = random.Random(19)

@@ -282,9 +282,9 @@ class TestProjection:
         assert "dual_basis" not in Subspace.full(F2, 3).memo
 
     def test_dual_basis_and_projector_columns_match_the_gram_system(self):
-        # the dual basis is one elimination of the rows [G_i | b_i]: it must
-        # equal the Gram system solved against every unit vector (the build it
-        # replaced), and the projector columns read off it must be P e_j
+        # the dual basis must equal the Gram system solved against every unit
+        # vector (the build it replaced), and the projector columns read off
+        # it must be P e_j
         rng = random.Random(67)
         proper = 0
         for field in gen.FIELDS:
@@ -302,6 +302,46 @@ class TestProjection:
                 assert Subspace.full(field, d).projector_columns() == units
                 assert Subspace.zero(field, d).projector_columns() == [zero_vector(field, d)] * d
         assert proper > 40
+
+    @pytest.mark.parametrize("field", gen.FIELDS, ids=lambda f: str(f.roots))
+    def test_dual_basis_from_the_smaller_side(self, field, monkeypatch):
+        # for k = dim L <= d - k the dual basis eliminates the k x k Gram
+        # system, for k > d - k the rows [H | F^T] over [F | I] of the
+        # push-through identity on the d - k columns of H; both must give
+        # G^-1 B, and the projector columns read off it must be P e_j, a
+        # symmetric matrix.  Every 1 <= k < d <= 6, with leading, trailing
+        # and scattered pivot columns
+        rng = random.Random(79 + field.dimension)
+        widths, rref = [], L.rref_field
+        monkeypatch.setattr(L, "rref_field", lambda rows, ncols=None: (
+            widths.append(ncols), rref(rows, ncols))[1])
+        for d in range(2, 7):
+            units = [unit_vector(field, d, j) for j in range(d)]
+            for k in range(1, d):
+                for pivots in (list(range(k)), list(range(d - k, d)),
+                               sorted(rng.sample(range(d), k)), sorted(rng.sample(range(d), k))):
+                    rows = [[field.one() if j == p else gen.rand_scalar(rng, field, 0.5)
+                             if j > p and j not in pivots else field.zero() for j in range(d)]
+                            for p in pivots]
+                    sub = Subspace.from_vectors(field, d, rows)
+                    widths.clear()
+                    dual, pivot_columns = sub._dual_basis()
+                    assert widths == [min(k, d - k)] and pivot_columns == tuple(pivots)
+                    assert dual == tuple(zip(*gen.gram_coordinates(sub.basis, units)))
+                    columns = sub.projector_columns()
+                    assert columns == [gram_projection(sub, e) for e in units]
+                    assert all(columns[i][j] == columns[j][i] for i in range(d) for j in range(i))
+
+    def test_projections_check_the_vector_length(self):
+        # the zero, a proper and the full subspace each refuse a short and a
+        # long vector, as ``contains`` does, before any trivial case answers
+        for sub in (Subspace.zero(QQ, 3), Subspace.from_vectors(QQ, 3, [[1, 2, 0]]),
+                    Subspace.full(QQ, 3)):
+            for v in (as_vector(QQ, [1, 2]), as_vector(QQ, [1, 2, 3, 4]), as_vector(QQ, [0, 0])):
+                for call in (sub.project, sub.project_perp, lambda v: sub.project_all([v]),
+                             lambda v: sub.project_all([as_vector(QQ, [1, 0, 0]), v])):
+                    with pytest.raises(DimensionMismatchError, match="has wrong length"):
+                        call(v)
 
 
 int_entry = st.integers(min_value=-6, max_value=6)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -460,6 +461,34 @@ def dot_cases(draw):
             [field.from_coeffs(c) for c in draw(vec)])
 
 
+def reference_vec_dot(u, v):
+    """The differential reference for the one-pass ``vec_dot``: the loop it
+    replaced, which collected the nonzero terms, then summed them over the
+    lcm of all their denominators and reduced the sum."""
+    field = u[0].field if type(u[0]) is FieldScalar else \
+        v[0].field if type(v[0]) is FieldScalar else None
+    spec = QQ if field is None else field
+    mul, zero = spec._mul, (0,) + spec._tail
+    terms, dens = [], []
+    for a, b in zip(u, v, strict=True):
+        an, ad = (a.nums, a.den) if type(a) is FieldScalar and a.field is field \
+            else S._nums_den(a, field)
+        bn, bd = (b.nums, b.den) if type(b) is FieldScalar and b.field is field \
+            else S._nums_den(b, field)
+        if an != zero and bn != zero:
+            terms.append(mul(an, bn))
+            dens.append(ad * bd)
+    if len(terms) > 1:
+        den = math.lcm(*dens)
+        acc = list(map(sum, zip(*(t if d == den else [c * (den // d) for c in t]
+                                  for t, d in zip(terms, dens)))))
+    elif terms:
+        acc, den = terms[0], dens[0]
+    else:
+        acc, den = zero, 1
+    return Fraction(acc[0], den) if field is None else S._reduced(field, acc, den)
+
+
 class TestFusedDot:
     """``vec_dot`` accumulates over one denominator and reduces once; it must
     equal the sum of the products taken one by one with ``*`` and ``+``."""
@@ -501,6 +530,49 @@ class TestFusedDot:
         # terms over different denominators cancel to lowest terms
         got = vec_dot([half, F2.from_rational(Fraction(1, 3))], [F2.one(), F2.from_rational(3)])
         assert (got.nums, got.den) == ((3, 0), 2)
+
+    @pytest.mark.parametrize("field", FIELDS + [FieldSpec((5,))], ids=lambda f: str(f.roots))
+    def test_one_pass_matches_the_two_pass_reference(self, field):
+        # zero entries of every kind, ints and Fractions on either side, vectors
+        # with no FieldScalar at all, and denominators that make the running
+        # lcm grow, shrink back and cancel: same value, same type, same field
+        rng = random.Random(field.dimension * 97 + sum(field.roots))
+
+        def fraction():
+            return Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4, 6, 9, 10, 35]))
+
+        def scalar():
+            return field.from_coeffs([fraction() if rng.random() < 0.6 else 0
+                                      for _ in range(field.dimension)])
+
+        def entry(rationals_only):
+            kind = rng.choice(["zero", "int", "fraction"] + (
+                [] if rationals_only else ["scalar", "scalar", "zero scalar"]))
+            return {"zero": lambda: rng.choice([0, Fraction(0)]),
+                    "int": lambda: rng.randint(-5, 5),
+                    "fraction": fraction,
+                    "scalar": scalar,
+                    "zero scalar": field.zero}[kind]()
+
+        kinds = Counter()
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            rationals_only = rng.random() < 0.25
+            u, v = ([entry(rationals_only) for _ in range(n)] for _ in range(2))
+            if rng.random() < 0.1:  # one side all zero
+                u = [rng.choice([0, Fraction(0)] + [field.zero()] * (not rationals_only))
+                     for _ in range(n)]
+            if not rationals_only:  # the first entries name the field
+                rng.choice([u, v])[0] = rng.choice([field.zero(), field.one(), scalar()])
+            got, want = vec_dot(u, v), reference_vec_dot(u, v)
+            assert type(got) is type(want) and got == want
+            if type(want) is FieldScalar:
+                assert got.field is want.field and (got.nums, got.den) == (want.nums, want.den)
+                kinds["zero scalar" if want.is_zero() else "scalar"] += 1
+            else:
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                kinds["zero Fraction" if want == 0 else "Fraction"] += 1
+        assert min(kinds.values()) >= 20 and len(kinds) == 4
 
     def test_mixed_fields_raise(self):
         with pytest.raises(FieldMismatchError):

@@ -73,3 +73,10 @@ def test_bench_pairs_table_and_summary():
         "| torus-walls | `peak_rss_mb` | 30.000 (0.500) | 30.000 (+0.0%) | 1/4 |"]
     runs[2]["change"]["correct"] = False
     assert not bench.summarize(runs, end_to_end)["correct"]
+    # the machine block names the installed numpy and scipy next to Python
+    import importlib.metadata
+    import platform
+    assert bench.machine() == {
+        "platform": platform.platform(), "python": platform.python_version(),
+        "processor": platform.machine(), "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy")}
