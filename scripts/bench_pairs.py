@@ -4,13 +4,14 @@
     python3 scripts/bench_pairs.py --parent REV --change REV --pairs 10 \\
         [--workload W ...] [--tag TAG]
 
-Both revisions are exported with `git archive` into one temporary directory,
-and their `src/`, `perfbench/` and `scripts/` are compiled to bytecode there:
-an interpreter run with PYTHONDONTWRITEBYTECODE=1 (the benchmark's CLI
-children inherit it) would otherwise compile every module in every process.
-Pair i runs `perfbench/run.py --workload W --seed i --seconds 12` once on
-each side, the parent first in odd pairs and the change first in even ones.
-An uncommitted change can be measured as `--change $(git stash create)`
+Both revisions are exported with `git archive` into one temporary directory
+and run uncompiled: every run sets PYTHONDONTWRITEBYTECODE=1, which the
+benchmark's children inherit, so each benchmark process compiles every
+module it imports, as a checkout that writes no bytecode does, and set-up
+and CLI times include that compilation.  Pair i runs
+`perfbench/run.py --workload W --seed i --seconds 12` once on each side,
+the parent first in odd pairs and the change first in even ones.  An
+uncommitted change can be measured as `--change $(git stash create)`
 once its new files are staged.
 
 It prints one Markdown row per workload and end-to-end metric of
@@ -30,6 +31,7 @@ import argparse
 import importlib.metadata
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -44,21 +46,19 @@ SECONDS = 12  # the run length of the ROADMAP's pair protocol
 
 
 def export(rev: str, dest: Path) -> None:
-    """The tree of ``rev`` at ``dest``, compiled to bytecode."""
+    """The tree of ``rev`` at ``dest``, as committed."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True,
                          check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-    subprocess.run([sys.executable, "-m", "compileall", "-q",
-                    *(str(dest / d) for d in ("src", "perfbench", "scripts") if (dest / d).exists())],
-                   check=True)
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
     """One benchmark run: the JSON of its last line of output."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS)],
-                          cwd=root, capture_output=True, text=True)
+                          cwd=root, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if not lines:
         return {"correct": False, "metrics": {}, "error": proc.stderr[-2000:]}
@@ -153,7 +153,7 @@ def main() -> int:
     print(table(summaries))
     doc = {"tag": tag, "revisions": revs, "pairs": args.pairs, "seconds": SECONDS,
            "machine": machine(),
-           "bytecode": "compiled with compileall in each export before the first run",
+           "bytecode": "none: uncompiled sources, every run with PYTHONDONTWRITEBYTECODE=1",
            "workloads": summaries, "runs": all_runs}
     (ROOT / f"BENCH_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(s["correct"] for s in summaries.values()) else 1

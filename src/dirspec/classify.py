@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError,
                      bounded_power, check_enumeration)
-from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector, mat_vec,
+from .linalg import (AffineCarrier, FieldVector, Subspace, as_vector, mat_vec, unit_basis,
                      vec_add, vec_dot, vec_is_zero, vec_neg, vec_sub, zero_vector)
 from .measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue, Component,
                       SymbolicMeasure, atom_points, exp as measure_exp,
@@ -397,7 +397,7 @@ def directional_eigenvalues(m: SymbolicMeasure,
         columns = direction.projector_columns() if m.class_space == TORUS else []
         lattice_images = tuple(img for img in columns if not vec_is_zero(img))
         carriers = _eigenvalue_carriers(m, direction)
-        units = dict(zip(Subspace.full(m.field, m.dim).basis, columns)) \
+        units = dict(zip(unit_basis(m.field, m.dim), columns)) \
             if columns and any(gens for _, _, gens in carriers) else {}  # P_L e_j = column j
         slot = m.memo["eigenvalues"] = (direction, tuple(
             EigenvalueFamily(i, units and units.get(point) or direction.project(point),

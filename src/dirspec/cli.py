@@ -28,7 +28,6 @@ from .fourier import (EstimatorConfig, rajchman_probe, representative_wall_mass,
 from .linalg import LatticeSubgroup, Subspace
 from .measure import (SymbolicMeasure, convolve, decompose, exp,
                       pushforward_quotient, pushforward_subgroup, suspend)
-from .oracle import crosscheck, decode_model, expected_measure
 from .scalar import QQ, FieldSpec, _decode_int, decode_scalar
 
 EXIT_OK = 0
@@ -176,6 +175,8 @@ def _cmd_fourier_check(args, cfg, m):
 
 
 def _cmd_oracle(args, cfg, m):
+    from .oracle import crosscheck, decode_model, expected_measure  # loaded for oracle only
+
     model = decode_model(_load_json(args.model))
     result = {"model": model.encode()}
     # the expected measure first: its budget check is cheaper than a crosscheck

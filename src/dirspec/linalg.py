@@ -52,8 +52,8 @@ fundamental domain of its HNF basis when that lattice is rational.
 
 A ``Subspace`` is frozen and canonical, so values that depend only on it are
 stored in its ``memo`` dict: the dual basis G^-1 B (G = B B^T, B the basis,
-eliminated on the smaller of L and L^perp) and B's pivot columns, so a
-projection is x = G^-1 B v and x B, which is x_i at the i-th pivot column
+eliminated on the smaller of L and L^perp), B's pivot and free columns, so
+a projection is x = G^-1 B v and x B, which is x_i at the i-th pivot column
 (``projector_columns`` reads the symmetric P off G^-1 B and dots only the
 upper triangle of its free x free block); ``orthocomplement`` its result;
 ``wall_key`` the wall lattice; ``torus_offset`` the HNF basis of the
@@ -84,7 +84,13 @@ def zero_vector(field: FieldSpec, dim: int) -> FieldVector:
 
 
 def unit_vector(field: FieldSpec, dim: int, index: int) -> FieldVector:
-    return tuple(field.one() if j == index else field.zero() for j in range(dim))
+    return unit_basis(field, dim)[index]
+
+
+@cache  # e_1, ..., e_dim once per (field, dim): immutable, unlike a Subspace's memo
+def unit_basis(field: FieldSpec, dim: int) -> tuple[FieldVector, ...]:
+    zero, one = field.zero(), field.one()  # shared by every row
+    return tuple(tuple(one if i == j else zero for i in range(dim)) for j in range(dim))
 
 
 def as_vector(field: FieldSpec, entries, dim: int | None = None,
@@ -267,10 +273,7 @@ class Subspace:
 
     @staticmethod
     def full(field: FieldSpec, ambient: int) -> "Subspace":
-        # the identity basis is its own RREF; its rows share one zero and one one
-        zero, one = field.zero(), field.one()
-        return Subspace(field, ambient, tuple(tuple(one if i == j else zero for i in range(ambient))
-                                              for j in range(ambient)))
+        return Subspace(field, ambient, unit_basis(field, ambient))  # its own RREF
 
     @property
     def dim(self) -> int:
@@ -369,23 +372,23 @@ class Subspace:
         is row i of G^-1 B, and a free column reads (P e_j)_l = (P e_l)_j off the
         columns built, so only the free x free block's upper triangle is dotted."""
         if self.dim == 0 or self.is_full():
-            return self.project_all(Subspace.full(self.field, self.ambient).basis)
-        dual, pivots = self._dual_basis()
-        columns, basis_columns = dict(zip(pivots, dual)), tuple(zip(*self.basis))
+            return self.project_all(unit_basis(self.field, self.ambient))
+        dual, pivots, plan = self._dual_basis()
+        columns = dict(zip(pivots, dual))
         for j in range(self.ambient):
             if j not in columns:
                 x = [r[j] for r in dual]
-                columns[j] = tuple(columns[i][j] if i in columns else vec_dot(x, basis_columns[i])
+                columns[j] = tuple(columns[i][j] if i in columns else vec_dot(x, plan[i])
                                    for i in range(self.ambient))
         return [columns[j] for j in range(self.ambient)]
 
-    def _dual_basis(self) -> tuple[tuple[FieldVector, ...], tuple[int, ...]]:
-        """(G^-1 B, the pivot columns of B), memoized; G = B B^T = I + F F^T for
-        B = [I | F] up to column order.  For k = dim <= d - k, one elimination of
-        the rows [G_i | b_i]; else, by G^-1 F = F H^-1 and G^-1 = I - F H^-1 F^T
-        for H = I + F^T F, the rows [H | F^T] over [F | I], reduced on the
-        m = d - k columns of H, end as [I | H^-1 F^T] over [0 | G^-1].  Only the
-        upper triangles of the symmetric G and H are dotted."""
+    def _dual_basis(self) -> tuple[tuple[FieldVector, ...], tuple[int, ...], tuple]:
+        """(G^-1 B, B's pivot columns, per column of B its place among the pivots or
+        itself), memoized; G = B B^T = I + F F^T for B = [I | F] up to column order.
+        For k = dim <= d - k, one elimination of the rows [G_i | b_i]; else, by G^-1 F =
+        F H^-1 and G^-1 = I - F H^-1 F^T for H = I + F^T F, the rows [H | F^T] over
+        [F | I], reduced on the m = d - k columns of H, end as [I | H^-1 F^T] over
+        [0 | G^-1].  Only the upper triangles of the symmetric G and H are dotted."""
         if "dual_basis" not in self.memo:
             k, pivots = self.dim, tuple(self._pivot_columns())
             if 2 * k <= self.ambient:
@@ -403,15 +406,17 @@ class Subspace:
                 place = sorted(range(self.ambient), key=[*pivots, *free].__getitem__)
                 dual = [tuple(map([*g[m:], *(r[m + i] for r in rr[:m])].__getitem__, place))
                         for i, g in enumerate(rr[m:])]
-            self.memo["dual_basis"] = (tuple(dual), pivots)
+            plan = tuple(pivots.index(j) if j in pivots else column
+                         for j, column in enumerate(zip(*self.basis)))
+            self.memo["dual_basis"] = (tuple(dual), pivots, plan)
         return self.memo["dual_basis"]
 
     def _combine(self, coordinates) -> list[FieldVector]:
         """x B for each x: pivot column p_i of the RREF basis B is the unit
         vector e_i, so x B reads x_i there and dots x with the other columns."""
-        pivots, columns = self._dual_basis()[1], tuple(zip(*self.basis))
-        return [tuple(x[pivots.index(j)] if j in pivots else vec_dot(x, col)
-                      for j, col in enumerate(columns)) for x in coordinates]
+        plan = self._dual_basis()[2]
+        return [tuple(x[c] if type(c) is int else vec_dot(x, c) for c in plan)
+                for x in coordinates]
 
     def project_perp(self, v: FieldVector) -> FieldVector:
         return vec_sub(v, self.project(v))
@@ -434,8 +439,8 @@ class Subspace:
         if vec_is_zero(offset) or not any(self.orthocomplement().wall_key(offset)):
             return zero_vector(self.field, self.ambient)
         if "perp_lattice" not in self.memo:  # (row, pivot column) pairs, or None
-            units = Subspace.full(self.field, self.ambient).basis
-            proj = [vec_sub(e, p) for e, p in zip(units, self.projector_columns())]
+            proj = [vec_sub(e, p) for e, p in
+                    zip(unit_basis(self.field, self.ambient), self.projector_columns())]
             basis = None
             if all(x.is_rational() for p in proj for x in p):  # pivots at basis element 1
                 lattice, n = CosetLattice.make([], [flatten(p) for p in proj]), self.field.dimension

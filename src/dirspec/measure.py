@@ -342,7 +342,9 @@ class SymbolicMeasure:
             c, key = keyed
             prev = canon.get(key)
             canon[key] = c if prev is None else replace(prev, weight=prev.weight + c.weight)
-        return replace(shell, components=tuple(sorted(canon.values(), key=_encode_sort_key)))
+        comps = tuple(canon.values())  # one or none: no encoding to sort by
+        return replace(shell, components=comps if len(comps) < 2 else
+                       tuple(sorted(comps, key=_encode_sort_key)))
 
     @property
     def class_space(self) -> str:
@@ -424,7 +426,9 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
                             comp: Component) -> tuple[Component, tuple] | None:
     """Canonical form of a component (None for the zero measure) and the key
     ``make`` merges it by: its ``class_key``; a box's subspace, centre, generators.
-    A torus box keeps its carrier's ``Subspace.torus_offset`` of the offset."""
+    A box eliminates generators other than its carrier's RREF basis and
+    projects a centre other than the carrier's offset (``AffineCarrier.make``
+    projected that).  A torus box keeps its carrier's ``Subspace.torus_offset``."""
     if isinstance(comp, Atom):
         point = as_vector(field, comp.point, dim, "atom point")
         if space == TORUS:
@@ -443,12 +447,11 @@ def _canonicalize_component(space: str, dim: int, field: FieldSpec,
             return _canonicalize_component(space, dim, field, Atom(center, comp.weight))
         gens = tuple(as_vector(field, g) for g in comp.generators) \
             or sub.basis
-        span = Subspace.from_vectors(field, dim, gens)
-        if span != sub:
+        if gens != sub.basis and Subspace.from_vectors(field, dim, gens) != sub:
             raise ValidationError("box generators must span exactly the carrier subspace")
         if space == TORUS:
             center = vec_mod1(center)
-        offset = sub.project_perp(center)
+        offset = center if center == comp.carrier.offset else sub.project_perp(center)
         if space == TORUS:
             offset = sub.torus_offset(offset)
         return (BoxLebesgue(AffineCarrier(sub, offset), gens, center, _check_weight(comp.weight)),

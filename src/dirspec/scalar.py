@@ -86,6 +86,7 @@ class FieldSpec:
     _tail: tuple = dataclass_field(repr=False, compare=False)
     _mul: Callable = dataclass_field(repr=False, compare=False)
     _sub: FieldSpec | None = dataclass_field(repr=False, compare=False)
+    _labels: dict = dataclass_field(repr=False, compare=False)  # basis_label(j) -> j
     _interned = {}  # roots tuple -> its one FieldSpec; not a field (no annotation)
 
     def __new__(cls, roots=()):
@@ -113,7 +114,8 @@ class FieldSpec:
         floats = tuple(math.prod(map(math.sqrt, ms), start=1.0) for ms in chosen)
         spec.__dict__.update(roots=roots, dimension=dim, _table=table, _floats=floats,
                              _tail=(0,) * (dim - 1), _mul=_product_kernel(table),
-                             _sub=FieldSpec(roots[:-1]) if roots else None)
+                             _sub=FieldSpec(roots[:-1]) if roots else None,
+                             _labels={"1" if r == 1 else f"sqrt{r}": j for j, r in enumerate(rad)})
         cls._interned[roots] = spec
         return spec
 
@@ -129,10 +131,11 @@ class FieldSpec:
         return "1" if rad == 1 else f"sqrt{rad}"
 
     def label_index(self, label: str) -> int:
-        for j in range(self.dimension):
-            if self.basis_label(j) == label:
-                return j
-        raise ValidationError(f"unknown basis label {label!r} for field {self.roots}")
+        """The basis index of ``label``, looked up in the table the field keeps."""
+        j = self._labels.get(label)
+        if j is None:
+            raise ValidationError(f"unknown basis label {label!r} for field {self.roots}")
+        return j
 
     def zero(self) -> FieldScalar:
         return FieldScalar(self, (0,) + self._tail, 1)
@@ -466,6 +469,7 @@ def promote_scalar(s: FieldScalar, field: FieldSpec) -> FieldScalar:
 
 
 _RATIO = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # ASCII digits only
 
 
 def _fraction_text(n: int, den: int = 1) -> str:
@@ -517,15 +521,33 @@ def _decode_float(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(n, d), d > 0, of the rational n / d of a document: an int or a ``-?[0-9]+(/[0-9]+)?``
+    string by ``int``, else (or past sys.int_max_str_digits) by ``_decode_fraction``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and (match := _CANONICAL.fullmatch(value)):
+        try:
+            if d := int(match[2] or 1):
+                return int(match[1]), d
+        except ValueError:
+            pass
+    q = _decode_fraction(value)
+    return q.numerator, q.denominator
+
+
 def decode_scalar(field: FieldSpec, value) -> FieldScalar:
-    """Parse the canonical encoding (fraction string or label->fraction map)."""
+    """Parse the canonical encoding (fraction string or label->fraction map) into
+    numerators over the lcm of the denominators, reduced once.  Each rational is
+    read by ``_ratio``, so ``+3`` or ``1.5`` reads as ``Fraction`` reads it."""
     try:
         if isinstance(value, dict):
-            coeffs = [Fraction(0)] * field.dimension
-            for label, frac in value.items():
-                coeffs[field.label_index(label)] = _decode_fraction(frac)
-            return field.from_coeffs(coeffs)
-        return field.from_rational(_decode_fraction(value))
+            ratios = {field.label_index(label): _ratio(text) for label, text in value.items()}
+            den = math.lcm(*(d for _, d in ratios.values()))
+            return _reduced(field, [n * (den // d) for n, d in
+                                    (ratios.get(j, (0, 1)) for j in range(field.dimension))], den)
+        n, d = _ratio(value)
+        return _reduced(field, (n,) + field._tail, d)
     except ZeroDivisionError as exc:
         raise ValidationError(f"zero denominator in scalar {value!r}") from exc
 

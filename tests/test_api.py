@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +31,48 @@ def test_public_names_are_pinned():
         "observable_measure", "observables", "oracle", "pushforward_quotient",
         "pushforward_subgroup", "rajchman_probe", "rationality", "realize", "saturate",
         "scalar", "suspend", "translate", "wall_test", "wiener_mass"]
+
+
+class TestLazyImport:
+    """``import dirspec`` loads no submodule, and the CLI loads the oracle only
+    for its command; each check runs in a fresh interpreter."""
+
+    @staticmethod
+    def run(*lines):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_no_submodule_and_star_binds_every_name(self):
+        self.run(
+            "import sys, dirspec",
+            "assert not [m for m in sys.modules if m.startswith('dirspec.')], sorted(sys.modules)",
+            "assert len(dirspec.__all__) == 51",
+            "names = {}",
+            "exec('from dirspec import *', names)",
+            "assert sorted(n for n in names if n != '__builtins__') == sorted(dirspec.__all__)",
+            "import dirspec.linalg, dirspec.oracle",
+            "assert names['Subspace'] is dirspec.linalg.Subspace is vars(dirspec)['Subspace']",
+            "assert names['crosscheck'] is dirspec.oracle.crosscheck",
+            "assert names['errors'] is sys.modules['dirspec.errors']",
+            "try:",
+            "    dirspec.no_such_name",
+            "except AttributeError as exc:",
+            "    assert 'no_such_name' in str(exc)",
+            "else:",
+            "    raise AssertionError('no AttributeError')")
+
+    def test_only_the_oracle_command_loads_the_oracle(self, fixtures_dir):
+        measure, model = (str(fixtures_dir / f) for f in ("bw8.json", "rotation_model.json"))
+        self.run(
+            "import contextlib, io, sys, dirspec.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert dirspec.cli.main(['decompose', '--measure', {measure!r}]) == 0",
+            "assert 'dirspec.oracle' not in sys.modules",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert dirspec.cli.main(['oracle', '--model', {model!r}, '--bound', '3']) == 0",
+            "assert 'dirspec.oracle' in sys.modules")
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,11 @@ class TestProjection:
         assert "dual_basis" not in sub.memo
         first = sub.project(v)
         entry = sub.memo["dual_basis"]
-        dual, pivots = entry
+        dual, pivots, plan = entry
         assert len(dual) == sub.dim and all(len(r) == sub.ambient for r in dual)
         assert pivots == (0,)  # the pivot column of each basis row, beside the dual
+        # per column of the basis: its place among the pivots, or the column itself
+        assert plan == (0, (F2.sqrt_root(2),), (F2.zero(),))
         assert sub.project(v) == first and sub.memo["dual_basis"] is entry
         # the dual rows r_i satisfy r_i . b_j = [i == j]
         assert [[vec_dot(r, b) for b in sub.basis] for r in dual] == [[1]]
@@ -325,7 +327,7 @@ class TestProjection:
                             for p in pivots]
                     sub = Subspace.from_vectors(field, d, rows)
                     widths.clear()
-                    dual, pivot_columns = sub._dual_basis()
+                    dual, pivot_columns, _ = sub._dual_basis()
                     assert widths == [min(k, d - k)] and pivot_columns == tuple(pivots)
                     assert dual == tuple(zip(*gen.gram_coordinates(sub.basis, units)))
                     columns = sub.projector_columns()

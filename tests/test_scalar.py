@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gen
+from dirspec import measure as M
 from dirspec import scalar as S
 from dirspec.errors import ClosureBoundError, FieldMismatchError, ValidationError
+from dirspec.linalg import AffineCarrier, Subspace, as_vector, vec_mod1
 from dirspec.measure import SymbolicMeasure
 from dirspec.oracle import decode_model
 from dirspec.scalar import QQ, FieldScalar, FieldSpec, decode_scalar, promote_scalar, vec_dot
@@ -879,3 +881,206 @@ def reference_fraction_text(q: Fraction) -> str:
     except ValueError:
         num = str(Decimal(q.numerator))
         return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+def reference_decode_scalar(field, value):
+    """``decode_scalar`` as it read a document through Fractions: each label by a
+    scan of the basis labels, each coefficient by ``_decode_fraction``, the
+    scalar by ``from_coeffs`` or ``from_rational``."""
+    try:
+        if isinstance(value, dict):
+            coeffs = [Fraction(0)] * field.dimension
+            for label, frac in value.items():
+                index = next((j for j in range(field.dimension)
+                              if field.basis_label(j) == label), None)
+                if index is None:
+                    raise ValidationError(f"unknown basis label {label!r} for field {field.roots}")
+                coeffs[index] = S._decode_fraction(frac)
+            return field.from_coeffs(coeffs)
+        return field.from_rational(S._decode_fraction(value))
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"zero denominator in scalar {value!r}") from exc
+
+
+def decode_outcome(decode, field, value):
+    """(field, nums, den) of the decoded scalar, or the exception's type and text."""
+    try:
+        x = decode(field, value)
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+    assert type(x) is FieldScalar and type(x.nums) is tuple and type(x.den) is int
+    return x.field, x.nums, x.den
+
+
+LONG = "7" * 4999 + "2"  # 5,000 digits, past the default sys.int_max_str_digits
+CANONICAL = ["0", "-0", "0/7", "4/6", "-4/6", "12", "-12/8", "007", "3/1", "00/5",
+             LONG, "-" + LONG, "1/" + LONG, LONG + "/6", 0, -5, 10 ** 80]
+NON_CANONICAL = ["+3", " 1/3 ", "1.5", "1e3", "-1.25e-2", "٣", "1_000",
+                 "+" + LONG, " " + LONG]
+REJECTED = [True, False, 1.5, None, "1/0", "-3/00", "abc", "3/+4", "", "1/", "/2", "1//2", "- 1",
+            [1], LONG + "/0", {"1": "1/0"}, {"1": None}, {"1": 1.5}, {"1": True},
+            {"sqrt7": "1"}, {1: "1"}, {None: "2"}, {"1": "1", "sqrt7": "abc"}]
+
+
+def reference_canonicalize(canonicalize):
+    """``measure._canonicalize_component`` as it canonicalized a box of positive
+    dimension: its generators eliminated and its centre projected every time."""
+    def reference(space, dim, field, comp):
+        sub = comp.carrier.subspace if isinstance(comp, M.BoxLebesgue) else None
+        if sub is None or sub.dim == 0 or sub.field != field or sub.ambient != dim:
+            return canonicalize(space, dim, field, comp)
+        center = as_vector(field, comp.rep_center(), dim, "box center")
+        gens = tuple(as_vector(field, g) for g in comp.generators) or sub.basis
+        if Subspace.from_vectors(field, dim, gens) != sub:
+            raise ValidationError("box generators must span exactly the carrier subspace")
+        if space == M.TORUS:
+            center = vec_mod1(center)
+        offset = sub.project_perp(center)
+        if space == M.TORUS:
+            offset = sub.torus_offset(offset)
+        return (M.BoxLebesgue(AffineCarrier(sub, offset), gens, center,
+                              M._check_weight(comp.weight)),
+                ("box", sub, center, frozenset(Counter(gens).items())))
+    return reference
+
+
+def box_documents(rng):
+    """Measure documents of one to three boxes over every field, on R^d and
+    T^d: basis rows in RREF or mixed; generators absent, the RREF basis, another
+    spanning set or a set of another span; offset and centre absent or drawn."""
+    def enc(v):
+        return [x.encode() for x in v]
+
+    docs = []
+    for field in gen.FIELDS:
+        for space in (M.EUCLID, M.TORUS):
+            for _ in range(15):
+                dim, comps = rng.randint(2, 3), []
+                for _ in range(rng.randint(1, 3)):
+                    basis = gen.rand_subspace(rng, field, dim).basis
+                    mixed = [tuple(x + 2 * y for x, y in zip(row, basis[(i + 1) % len(basis)]))
+                             if len(basis) > 1 else tuple(-3 * x for x in row)
+                             for i, row in enumerate(basis)]
+                    doc = {"kind": "box", "basis": [enc(r) for r in rng.choice([basis, mixed])],
+                           "weight": rng.choice(["1", "2/3", 3])}
+                    gens = rng.choice([None, basis, mixed, mixed[:1] + [gen.rand_vector(
+                        rng, field, dim)]])
+                    if gens is not None:
+                        doc["generators"] = [enc(g) for g in gens]
+                    for key in ("offset", "center"):
+                        if rng.random() < 0.5:
+                            doc[key] = enc(gen.rand_vector(rng, field, dim, 0.3))
+                    comps.append(doc)
+                docs.append({"space": space, "dim": dim, "field_roots": list(field.roots),
+                             "components": comps})
+    return docs
+
+
+def label_maps(field, rng):
+    """Label maps over ``field``: empty, zero and unreduced entries, big entries
+    and every label once."""
+    labels = [field.basis_label(j) for j in range(field.dimension)]
+    maps = [{}, {"1": "0"}, {"1": "2/4"}, {labels[-1]: "-10/15", "1": "4/6"},
+            {label: f"{6 * (j + 1)}/{4 * (j + 2)}" for j, label in enumerate(labels)},
+            {labels[-1]: LONG + "/12", "1": 3}, {labels[-1]: "+1/2"}]
+    for _ in range(40):
+        chosen = rng.sample(labels, rng.randint(1, len(labels)))
+        maps.append({label: rng.choice([
+            str(rng.randint(-50, 50)), f"{rng.randint(-50, 50)}/{rng.randint(1, 24)}",
+            rng.randint(-9, 9), f"{rng.randint(-9, 9) * 6}/{rng.choice([2, 3, 6, 12])}"])
+            for label in chosen})
+    return maps
+
+
+class TestDecode:
+    """``decode_scalar`` reads canonical documents with ints alone and must
+    decode, or reject, every value as the Fraction path did."""
+
+    @pytest.mark.parametrize("lifted", [False, True], ids=["default-limit", "lifted-limit"])
+    @pytest.mark.parametrize("field", gen.FIELDS, ids=lambda f: str(f.roots))
+    def test_matches_the_fraction_reference(self, field, lifted):
+        rng = random.Random(89 + field.dimension)
+        labels = [field.basis_label(j) for j in range(field.dimension)]
+        values = CANONICAL + NON_CANONICAL + REJECTED + label_maps(field, rng) + [
+            {labels[-1]: v} for v in CANONICAL + NON_CANONICAL + REJECTED[:15]]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0 if lifted else 4300)
+        try:
+            for value in values:
+                assert decode_outcome(decode_scalar, field, value) == \
+                    decode_outcome(reference_decode_scalar, field, value), value
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_canonical_values_build_no_fraction(self, monkeypatch):
+        # the Fraction path is left to the values that need it
+        calls = []
+        decode_fraction = S._decode_fraction
+        monkeypatch.setattr(S, "_decode_fraction",
+                            lambda value: calls.append(value) or decode_fraction(value))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for value in CANONICAL:
+                decode_scalar(F23, value)
+                decode_scalar(F23, {"sqrt6": value, "1": "-4/6"})
+            assert calls == []
+            for value in NON_CANONICAL:
+                decode_scalar(F23, value)
+            assert calls == NON_CANONICAL
+        finally:
+            sys.set_int_max_str_digits(limit)
+        calls.clear()
+        decode_scalar(QQ, LONG)  # past the default limit: decimal reads it
+        assert calls == [LONG]
+
+    def test_labels_are_kept_on_the_field(self):
+        for field in gen.FIELDS + [F235]:
+            assert field._labels == {field.basis_label(j): j for j in range(field.dimension)}
+            assert [field.label_index(field.basis_label(j))
+                    for j in range(field.dimension)] == list(range(field.dimension))
+            assert FieldSpec(field.roots)._labels is field._labels
+        with pytest.raises(ValidationError,
+                           match=r"unknown basis label 'sqrt5' for field \(2, 3\)"):
+            F23.label_index("sqrt5")
+
+    def test_box_documents_decode_as_before(self, monkeypatch):
+        # seeded documents decode to the encodings (or errors) of the Fraction
+        # decoder and the box canonicalization that eliminated and projected twice
+        docs = box_documents(random.Random(97))
+
+        def outcomes():
+            out = []
+            for doc in docs:
+                try:
+                    out.append(SymbolicMeasure.decode(doc).encode())
+                except ValidationError as exc:
+                    out.append(str(exc))
+            return out
+
+        new = outcomes()
+        monkeypatch.setattr(M, "decode_scalar", reference_decode_scalar)
+        monkeypatch.setattr(M, "_canonicalize_component",
+                            reference_canonicalize(M._canonicalize_component))
+        assert outcomes() == new
+        decoded = [o for o in new if isinstance(o, dict)]
+        assert len(decoded) > 40 and len(new) - len(decoded) > 10
+        assert {o["space"] for o in decoded} == {M.EUCLID, M.TORUS}
+        assert any("generators" in c for o in decoded for c in o["components"])
+        assert any("center" in c for o in decoded for c in o["components"])
+
+    def test_a_box_is_eliminated_and_projected_once(self, monkeypatch):
+        # a box without generators or centre: its basis is eliminated and its
+        # offset projected by the decoder alone
+        calls = Counter()
+        from_vectors, project_perp = Subspace.from_vectors, Subspace.project_perp
+        monkeypatch.setattr(Subspace, "from_vectors", staticmethod(
+            lambda *args: calls.update(["from_vectors"]) or from_vectors(*args)))
+        monkeypatch.setattr(Subspace, "project_perp",
+                            lambda sub, v: calls.update(["project_perp"]) or project_perp(sub, v))
+        doc = {"space": M.EUCLID, "dim": 3, "components": [
+            {"kind": "box", "basis": [["1", "1", "0"], ["0", "1", "2"]],
+             "offset": ["1/2", "0", "3"]}]}
+        m = SymbolicMeasure.decode(doc)
+        assert calls == {"from_vectors": 1, "project_perp": 1}
+        assert m.components[0].center == m.components[0].carrier.offset
