@@ -14,6 +14,13 @@ the parent first in odd pairs and the change first in even ones.  An
 uncommitted change can be measured as `--change $(git stash create)`
 once its new files are staged.
 
+Peak RSS grows with the passes a run makes, and a faster side makes more
+of them in 12 s.  So each pair of `classify-mix` and `torus-walls` also
+runs `perfbench/worker.py --seconds 0 --min-passes 10` once on each side,
+in the same order, on the benchmark's pool and pinned digests: peak RSS at
+exactly 10 passes, reported in rows labelled `(10 passes)` and under
+`fixed_passes` in the BENCH file.
+
 It prints one Markdown row per workload and end-to-end metric of
 `BENCHMARK.json`: the parent's median with its interquartile range, the
 change's median with its relative difference, and the pairs in which the
@@ -43,6 +50,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 SECONDS = 12  # the run length of the ROADMAP's pair protocol
+FIXED_PASSES = 10
+FIXED_WORKLOADS = ("classify-mix", "torus-walls")  # cli-cold: the largest CLI process
+# the benchmark's environment: no bytecode written, one str hash seed
+ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0"}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -57,12 +68,35 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     """One benchmark run: the JSON of its last line of output."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS)],
-                          cwd=root, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+                          cwd=root, capture_output=True, text=True, env=ENV)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         return {"correct": False, "metrics": {}, "error": proc.stderr[-2000:]}
     return json.loads(lines[-1])
+
+
+def write_pool(root: Path, workload: str) -> str:
+    """The benchmark's pool of ``workload``, written by its own `run.write_pool`."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, 'perfbench'); import run; "
+         "print(run.write_pool(sys.argv[1]))", workload],
+        cwd=root, capture_output=True, text=True, env=ENV, check=True).stdout.strip()
+
+
+def fixed_pass_run(root: Path, workload: str, pool: str, seed: int) -> dict:
+    """One worker making exactly FIXED_PASSES passes, as a run result: its
+    peak RSS, correct when every operation passed its checks and digest."""
+    proc = subprocess.run([sys.executable, "perfbench/worker.py", "--workload", workload,
+                           "--pool", pool, "--seed", str(seed), "--seconds", "0",
+                           "--min-passes", str(FIXED_PASSES),
+                           "--digests", "perfbench/digests.json"],
+                          cwd=root, capture_output=True, text=True, env=ENV)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        return {"correct": False, "metrics": {}, "error": proc.stderr[-2000:]}
+    out = json.loads(lines[-1])
+    return {"correct": out["failed"] == 0 and out["passes"] == FIXED_PASSES,
+            "metrics": {"peak_rss_mb": {"value": out["peak_rss_mb"], "unit": "MB"}}}
 
 
 def machine() -> dict:
@@ -137,26 +171,36 @@ def main() -> int:
         for side in SIDES:
             export(revs[side], roots[side])
         bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+        rss = [spec for spec in bench["end_to_end"] if spec["name"] == "peak_rss_mb"]
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
-        summaries, all_runs = {}, {}
+        summaries, all_runs, fixed, fixed_runs = {}, {}, {}, {}
         for workload in workloads:
-            runs = []
+            runs, rss_runs = [], []
+            pools = {side: write_pool(roots[side], workload) for side in SIDES} \
+                if workload in FIXED_WORKLOADS else None
             for i in range(1, args.pairs + 1):
                 order = SIDES if i % 2 else SIDES[::-1]
                 runs.append({side: run_once(roots[side], workload, i)
                              for side in order})
+                if pools:
+                    rss_runs.append({side: fixed_pass_run(roots[side], workload, pools[side], i)
+                                     for side in order})
                 print(f"{workload} pair {i}: " + ", ".join(
                     f"{side} {runs[-1][side].get('metrics', {}).get('ops_per_s', {}).get('value')}"
                     for side in SIDES), file=sys.stderr, flush=True)
             all_runs[workload] = runs
             summaries[workload] = summarize(runs, bench["end_to_end"])
-    print(table(summaries))
+            if pools:
+                fixed_runs[workload] = rss_runs
+                fixed[workload] = summarize(rss_runs, rss)
+    print(table({**summaries, **{f"{w} ({FIXED_PASSES} passes)": s for w, s in fixed.items()}}))
     doc = {"tag": tag, "revisions": revs, "pairs": args.pairs, "seconds": SECONDS,
            "machine": machine(),
            "bytecode": "none: uncompiled sources, every run with PYTHONDONTWRITEBYTECODE=1",
-           "workloads": summaries, "runs": all_runs}
+           "workloads": summaries, "runs": all_runs,
+           "fixed_passes": {"passes": FIXED_PASSES, "workloads": fixed, "runs": fixed_runs}}
     (ROOT / f"BENCH_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if all(s["correct"] for s in summaries.values()) else 1
+    return 0 if all(s["correct"] for s in (*summaries.values(), *fixed.values())) else 1
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ rationality classification of directions, and canonical coset keys.
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), the ``Subspace`` dual basis (one system: [G | B], or [H | F^T] over
 [F | I] when L^perp is the smaller side), ``meets_orthocomplement`` (a
-rank), ``pose_lattice_coset`` (the rational unknowns) and ``CosetLattice``
-(the rational rows).  ``nullspace`` reads kernels off its output, and every
-dot product is the one-pass ``scalar.vec_dot``.  Trivial cases eliminate
+rank) and ``CosetLattice`` (the rational rows); ``pose_lattice_coset`` runs
+its pivot rule on integers.  ``nullspace`` reads kernels off its output, and
+every dot product is the one-pass ``scalar.vec_dot``.  Trivial cases eliminate
 nothing: zero and full spaces, and the answers of ``leq``, ``orthogonal_to``
 and ``meets_orthocomplement`` that the dimensions fix.  ``as_vector`` is the
 one length check of an input vector, and ``_int_vector`` of an integer one,
@@ -21,17 +21,17 @@ read by ``scalar._decode_int``.
 ``flatten`` is the one map from field vectors to coordinates over the field
 basis: integer numerators over one denominator, read off the scalars, which
 the solver rows, class keys and wall keys are built from; ``unflatten`` is
-its inverse.  A ``Fraction`` is built only where a division needs one: the two
-``rref_field`` runs above, the back substitution and kernel of rational
-unknowns, and a q-part's reduction.
+its inverse.  A ``Fraction`` is built only where a division needs one: the
+``rref_field`` run of ``CosetLattice``, the back substitution and kernel of
+rational unknowns, and a q-part's reduction.
 
 ``pose_lattice_coset`` is the one lattice coset solver: is t in
 ring.span{u_i} + Z.span{l_j}, and with which coefficients?  Its callers:
 ``measure.group_atom_on_coset`` asks for a group atom on a wall or in a
 subgroup image: a ``hermite_normal_form`` solve decides (a canonical torus
-group of ring Z on the coefficient unknowns alone: its module holds the
-shifts), and only a yes runs ``smith_normal_form`` (U·B, D and V, U never
-formed) on the full system to name the witness.
+group of ring Z on the coefficient and target columns alone: its module
+holds the shifts), and only a yes runs ``smith_normal_form`` (U·B, D and V,
+U never formed) on the full system to name the witness.
 ``rationality`` reads L cap Z^d off the HNF solution lattice of the
 homogeneous system sum_j n_j c_j = 0, and ``saturate`` is that lattice for
 a subgroup's span.  The HNF callers are ``LatticeSubgroup.from_generators``,
@@ -171,6 +171,12 @@ def _integral(fractions) -> tuple[list[int], int]:
     """Fractions as integer numerators over the lcm of their denominators."""
     den = lcm(*(f.denominator for f in fractions))
     return [f.numerator * (den // f.denominator) for f in fractions], den
+
+
+def _lowest(nums, den: int) -> list[int]:
+    """nums / den as coprime integers, ``_integral`` of its Fractions."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return [x // g for x in nums] if g != 1 else nums
 
 
 def _symmetric(us, vs, one=None) -> list[list]:
@@ -729,47 +735,70 @@ class CosetSolution:
 def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     """Is t in  ring.span{u_1..u_k} + Z.span{l_1..l_p}  (ring "Z" or "Q")?
 
-    Each coordinate over the field basis is one equation; ring Q makes the c
-    rational unknowns, eliminated once by ``rref_field`` over the coefficients
-    (None if that shows t is not in the set), ring Z integral like n.
-    ``solve(smith)`` is the solution family or None.  It solves the integer
-    rows A n = r (ring Z: N // gcd(D, *N) for N ``flatten``ed over one D) by
-    the row HNF of [A^T | I] (Cohen 1993, section 2.4): (r, 0) reduced by it
-    has a zero A-part exactly when A n = r is feasible, minus its I-part is a
-    particular solution, and its rows with a zero A-part are a kernel basis.
-    ``smith`` uses Smith normal form instead, whose particular solution names
-    the printed witnesses; with no residual integral equation it returns the
-    HNF family.  Each answer is computed once.  ``shifts=False`` drops the
-    shift unknowns n from the HNF, [A_c^T | I]: n = 0 in its family, for
-    callers whose coefficients reach every shift."""
+    Each coordinate over the field basis is one equation, its columns
+    ``flatten``ed over one lcm.  Ring Q makes the c rational unknowns,
+    eliminated by ``rref_field``'s pivot rule on integers, each row N over its
+    own D (None if that shows t is not in the set); ring Z integral like n.
+    ``solve(smith)`` is the solution family or None.  It solves the residual
+    rows A n = r, each N // gcd(D, *N) signed as D, by the row HNF of [A^T | I]
+    (Cohen 1993, section 2.4): (r, 0) reduced by it has a zero A-part exactly
+    when A n = r is feasible, minus its I-part is a particular solution, and
+    its rows with a zero A-part are a kernel basis.  ``smith`` uses Smith
+    normal form instead, whose particular solution names the printed
+    witnesses; with no residual integral equation it returns the HNF family.
+    Each answer is computed once.  ``shifts=False`` drops the shift unknowns
+    n from the HNF, [A_c^T | I]: n = 0 in its canonical family, for callers
+    whose coefficients reach every shift; for ring Z it flattens no shift
+    column unless a row without coefficients reads 0 = r, r nonzero."""
     k, p = len(us), len(ls)
     a = k if ring == "Q" else 0  # the rational unknowns: the first a columns
     b = k + p - a                # the integral unknowns
-    columns = (*us, *ls, t)
-    if a:  # the rational elimination, on the scalars' coefficients; residual rows to integers
-        aug, pivots = rref_field([list(row) for row in zip(*(
-            [c for x in v for c in x.coeffs] for v in columns))], a)
-        rows = [_integral(row[a:])[0] for row in aug[len(pivots):] if any(row[a:])]
-        zero, one = Fraction(0), Fraction(1)  # the field of the rational unknowns
+    heads = [flatten(v) for v in (*us, t)]
 
-        def back_substitute(nvec, hom: bool) -> tuple[Fraction, ...]:
-            c = [zero] * a
-            for row, piv in zip(aug, pivots):
-                c[piv] = (zero if hom else row[-1]) - sum(row[a + j] * nvec[j] for j in range(b))
-            return tuple(c)
-    else:  # integer rows N over the lcm D of every denominator, each N // gcd(D, *N)
-        flat = [flatten(v) for v in columns]
+    @cache
+    def system(shifts: bool) -> tuple[list[int], list[list], list[list[int]]]:
+        """(pivots, pivot rows [N, D], nonzero residual rows [A | r]) of the rows
+        over the lcm D, A over the shift columns too with ``shifts``."""
+        flat = [*heads[:-1], *map(flatten, ls), heads[-1]] if shifts else heads
         den = lcm(*(d for _, d in flat))
-        rows = [[x // g for x in row] if (g := gcd(den, *row)) > 1 else row
-                for row in zip(*([x * (den // d) for x in nums] for nums, d in flat)) if any(row)]
-    eqs = [row for row in rows if any(row[:b])]  # the residual integral system
-    if len(eqs) < len(rows):  # rows are nonzero, so a row left out reads 0 = r != 0
+        rows = [[list(r), den]
+                for r in zip(*([x * (den // d) for x in nums] for nums, d in flat))]
+        pivots = []  # zero rows too: they take part in the swaps
+        for col in range(a):
+            r = len(pivots)
+            if (piv := next((i for i in range(r, len(rows)) if rows[i][0][col]), None)) is None:
+                continue
+            rows[r], rows[piv] = rows[piv], rows[r]
+            row = rows[r][0]
+            rows[r][1] = q = row[col]  # row / q has a leading 1
+            for i, (n, d) in enumerate(rows):
+                if i != r and (f := n[col]):  # n / d - (f / d) (row / q)
+                    rows[i] = [[x * q - f * y for x, y in zip(n, row)], d * q]
+            pivots.append(col)
+        m = len(pivots)
+        return pivots, rows[:m], [_lowest(n[a:], d) for n, d in rows[m:] if any(n[a:])]
+
+    def residual(shifts: bool) -> list[list[int]]:  # ring Q: every column, eliminated once
+        return system(shifts or a > 0 or not ls)[2]
+
+    if any(not any(row[:-1]) for row in residual(False)) \
+            and any(not any(row[:-1]) for row in residual(True)):  # a row 0 = r != 0
         return None
-    int_rows, int_rhs, mm = [r[:b] for r in eqs], [r[b] for r in eqs], len(eqs)
-    kernel = tuple(map(tuple, nullspace(aug, pivots, a, zero, one))) if a else ()  # feasible only
+    pivots, pivot_rows, _ = system(True) if a else ((), (), ())
+    kernel = () if len(pivots) == a else tuple(map(tuple, nullspace(  # the rational kernel
+        [[Fraction(x, d) for x in n[:a]] for n, d in pivot_rows], pivots, a,
+        Fraction(0), Fraction(1))))
+
+    def back_substitute(nvec) -> tuple[Fraction, ...]:  # c at n = nvec; a trailing -1: t too
+        c = [Fraction(0)] * a
+        for (n, d), piv in zip(pivot_rows, pivots):
+            c[piv] = Fraction(-sum(x * y for x, y in zip(n[a:], nvec)), d)
+        return tuple(c)
 
     @cache
     def solve(smith: bool, shifts: bool) -> CosetSolution | None:
+        eqs = residual(shifts)
+        int_rows, int_rhs, mm = [r[:-1] for r in eqs], [r[-1] for r in eqs], len(eqs)
         if smith:
             uw, dmat, v = smith_normal_form(int_rows, [[x] for x in int_rhs])
             w = [row[0] for row in uw]
@@ -792,10 +821,10 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
             lattice = [row[mm:] + pad for row in hnf if not any(row[:mm])]
         split = k - a  # for ring Z the coefficients c are the first k integral unknowns
         return CosetSolution(
-            (back_substitute(n0, False) if a else ()) + n0[:split], n0[split:],
-            tuple((back_substitute(lam, True) if a else ()) + lam[:split] for lam in lattice),
+            back_substitute(n0 + (-1,)) + n0[:split], n0[split:],
+            tuple(back_substitute(lam) + lam[:split] for lam in lattice),
             tuple(lam[split:] for lam in lattice), kernel)
-    return lambda smith, shifts=True: solve(smith and mm > 0, shifts or smith)
+    return lambda smith, shifts=True: solve(smith and bool(residual(True)), shifts or smith)
 
 
 def solve_lattice_coset(ring: str, us, ls, t: FieldVector) -> CosetSolution | None:

@@ -42,7 +42,7 @@ TORUS = "torus"
 
 
 def _check_weight(w) -> Fraction:
-    w = Fraction(w)
+    w = w if type(w) is Fraction else Fraction(w)  # a decoded weight is one already
     if w <= 0:
         raise ValidationError("component weight must be positive")
     return w

@@ -20,9 +20,11 @@ and the tolerance are read by ``scalar._decode_int`` and ``_decode_float``.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from math import prod
 
 from .errors import (ENUMERATION_BUDGET, UnsupportedConvolutionError, ValidationError,
                      bounded_power, check_enumeration)
@@ -222,30 +224,27 @@ def correlation(model: ActionModel, n, observable: str) -> complex:
     n = _int_vector(n, None, "a lattice point")
     if len(n) != model.dim:
         raise ValidationError("lattice point has wrong dimension")
+    return _correlator(model, observable)(n)
+
+
+def _correlator(model: ActionModel, observable: str) -> Callable[[tuple[int, ...]], complex]:
+    """``correlation`` at a checked lattice point n, the observable id parsed once."""
     if isinstance(model, Rotation):
         k = _rotation_harmonic(model, observable)
-        theta = sum(float(a) * ni for a, ni in zip(model.alphas, n))
-        return _phase(k * theta)
+        alphas = [float(a) for a in model.alphas]
+        return lambda n: _phase(k * sum(a * ni for a, ni in zip(alphas, n)))
     if isinstance(model, ProductType):
         subset = _product_subset(model, observable)
-        out = complex(1.0)
-        for i in subset:
-            f = model.factors[i]
-            if isinstance(f, Bernoulli):
-                if n[i] != 0:
-                    return complex(0.0)
-            else:
-                out *= _phase(float(f.alpha) * n[i])
-        return out
+        zeros = [i for i in subset if isinstance(model.factors[i], Bernoulli)]
+        alphas = [(i, float(model.factors[i].alpha)) for i in subset if i not in zeros]
+        return lambda n: complex(0.0) if any(n[i] for i in zeros) else \
+            prod((_phase(a * n[i]) for i, a in alphas), start=complex(1.0))
     if isinstance(model, BergelsonWard):
-        idxs = _bw_indices(model, observable)
-        for i in idxs:
-            if sum(m * ni for m, ni in zip(model.vectors[i], n)) != 0:
-                return complex(0.0)
-        return complex(1.0)
-    levels = _odometer_levels(model, observable)
-    theta = sum(Fraction(ni, model.q ** j) for ni, j in zip(n, levels) if j)
-    return _phase(float(theta % 1))
+        vectors = [model.vectors[i] for i in _bw_indices(model, observable)]
+        return lambda n: complex(0.0) if any(sum(m * ni for m, ni in zip(v, n))
+                                             for v in vectors) else complex(1.0)
+    powers = [(i, model.q ** j) for i, j in enumerate(_odometer_levels(model, observable)) if j]
+    return lambda n: _phase(float(sum(Fraction(n[i], qj) for i, qj in powers) % 1))
 
 
 def _rotation_harmonic(model: Rotation, observable: str) -> int:
@@ -414,22 +413,21 @@ def crosscheck(model: ActionModel, bound: int = 10,
 
     from .fourier import ft_batch
 
-    grid = np.array(list(iproduct(range(-bound, bound + 1), repeat=d)), dtype=float)
+    points = list(iproduct(range(-bound, bound + 1), repeat=d))
+    grid = np.array(points, dtype=float)
     max_err = 0.0
     failures = []
     failed = 0
     for obs in observables(model):
-        sigma = observable_measure(model, obs)
-        vals = ft_batch(sigma, grid)
-        for row, v in zip(grid, vals):
-            c = correlation(model, tuple(int(x) for x in row), obs)
-            err = abs(v - c)
+        correlate = _correlator(model, obs)
+        for n, v in zip(points, ft_batch(observable_measure(model, obs), grid).tolist()):
+            err = abs(v - correlate(n))
             if err > max_err:
                 max_err = err
             if err >= tol:
                 failed += 1
                 if len(failures) < 32:  # the report lists the first 32
-                    failures.append((obs, tuple(int(x) for x in row), float(err)))
+                    failures.append((obs, n, float(err)))
     return CrosscheckReport(not failed, bound, tol, float(max_err), tuple(failures))
 
 

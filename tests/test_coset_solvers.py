@@ -25,7 +25,7 @@ import pytest
 from dirspec import classify as C
 from dirspec import linalg as L
 from dirspec import measure as M
-from dirspec.linalg import (CosetLattice, CosetSolution, Subspace, hermite_normal_form,
+from dirspec.linalg import (CosetLattice, CosetSolution, Subspace, flatten, hermite_normal_form,
                             mat_vec, nullspace, pose_lattice_coset, rref_field,
                             smith_normal_form, solve_lattice_coset, unit_vector, vec_is_zero,
                             zero_vector)
@@ -383,24 +383,45 @@ def rand_coset_system(rng: random.Random, field, ring: str, with_shifts: bool):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"Q{list(f.roots)}")
 def test_integer_rows_match_the_fraction_build(monkeypatch, field):
     """The integer rows and rhs that reach SNF and the answers of every
-    ``solve(smith, shifts)`` equal the Fraction build's, types included."""
+    ``solve(smith, shifts)`` equal the Fraction build's, types included.
+    Ring Z flattens the shift columns only for a solve that reads them: the
+    shift-free decision comes first and flattens the coefficient and target
+    columns alone, unless a row without coefficients has a nonzero target,
+    which the pose reads with the shifts (a zero row then makes it None)."""
     rng = random.Random(f"integer rows:{field.roots}")
-    recorded = []
+    recorded, flattened = [], []
 
     def recording(matrix, rhs):
         recorded.append(([list(row) for row in matrix], rhs))
         return smith_normal_form(matrix, rhs)
+
+    def counting(v):
+        flattened.append(v)
+        return flatten(v)
     monkeypatch.setattr(L, "smith_normal_form", recording)
-    seen = set()
+    monkeypatch.setattr(L, "flatten", counting)
+    seen, lonely_seen = set(), set()
     for _ in range(150):
         ring, with_shifts = rng.choice("ZQ"), rng.random() < 0.7
         us, ls, t = rand_coset_system(rng, field, ring, with_shifts)
         posed = reference_pose_rows(ring, us, ls, t)
+        flattened.clear()
         solve = pose_lattice_coset(ring, us, ls, t)
         assert (solve is None) == (posed is None)
+        # a coordinate that no coefficient column reaches and the target does
+        ucols = [[c for x in u for c in x.coeffs] for u in us]
+        lonely = any(x and not any(u[i] for u in ucols)
+                     for i, x in enumerate(c for x in t for c in x.coeffs))
+        rational = ring == "Q" and bool(us)  # eliminated with every column
         if posed is None:
+            assert lonely or rational
             seen.add("zero row")
             continue
+        reduced = solve(smith=False, shifts=False)
+        assert typed(reduced) == typed(reference_solve(ring, us, ls, t, False, False))
+        assert len(flattened) == len(us) + 1 + (len(ls) if rational or lonely else 0)
+        if ring == "Z" and ls:
+            lonely_seen.add(lonely)
         rows, rhs = posed[2:]
         recorded.clear()
         got = solve(smith=True)
@@ -414,6 +435,7 @@ def test_integer_rows_match_the_fraction_build(monkeypatch, field):
     # row with a nonzero rhs: with no equation every system is feasible, and
     # ring Q without shifts has no integral unknown, so no equation
     assert "zero row" in seen and len(seen) == 11, seen
+    assert lonely_seen == {True, False}
 
 
 def test_integer_keys_match_the_fraction_keys():

@@ -543,8 +543,10 @@ class TestCanonicalForm:
     def test_lattice_layer_builds_no_fractions(self):
         # the lattice layer works on the scalars' integer numerators:
         # ``flatten``, ``CosetLattice.key`` and ``Subspace.wall_key`` name no
-        # Fraction, and ``pose_lattice_coset`` names it only in its rational
-        # elimination, the branch ``if a:`` taken when ring Q has unknowns
+        # Fraction, and ``pose_lattice_coset`` eliminates its rational unknowns
+        # on integers too: it names Fraction only in the back substitution and
+        # the kernel of those unknowns, and calls no ``rref_field``,
+        # ``_integral`` or ``FieldScalar.coeffs``
         import ast
         from pathlib import Path
         tree = ast.parse(Path(L.__file__).read_text())
@@ -558,9 +560,16 @@ class TestCanonicalForm:
         for name in ("flatten", "CosetLattice.key", "Subspace.wall_key"):
             assert fractions(scopes[name]) == [], name
         pose = scopes["pose_lattice_coset"]
-        (rational,) = [node for node in ast.walk(pose) if isinstance(node, ast.If)
-                       and isinstance(node.test, ast.Name) and node.test.id == "a"]
-        assert fractions(pose) == fractions(rational) != []
+        (back,) = [node for node in ast.walk(pose)
+                   if isinstance(node, ast.FunctionDef) and node.name == "back_substitute"]
+        kernels = [node for node in ast.walk(pose) if isinstance(node, ast.Assign)
+                   and [ast.unparse(x) for x in node.targets] == ["kernel"]]
+        allowed = sorted(line for node in [back, *kernels] for line in fractions(node))
+        assert fractions(back) and any(map(fractions, kernels))
+        assert sorted(fractions(pose)) == allowed
+        names = {n.id for n in ast.walk(pose) if isinstance(n, ast.Name)}
+        attributes = {n.attr for n in ast.walk(pose) if isinstance(n, ast.Attribute)}
+        assert not names & {"rref_field", "_integral"} and "coeffs" not in attributes
 
     def test_only_linalg_checks_vector_lengths(self):
         # ``as_vector`` is the one length check of an input vector: a

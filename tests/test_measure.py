@@ -579,6 +579,26 @@ class TestEncoding:
             with pytest.raises(ValidationError):
                 SymbolicMeasure.decode(doc)
 
+    def test_a_decoded_weight_is_read_once(self, monkeypatch):
+        # the component keeps the Fraction its weight was decoded to; a weight
+        # given as another number is still read by Fraction and checked
+        decoded, decode = [], M._decode_fraction
+
+        def recording(value):
+            decoded.append(decode(value))
+            return decoded[-1]
+        doc = {"space": "torus", "dim": 1, "components": [
+            {"kind": "atom", "point": ["1/3"], "weight": "2/7"},
+            {"kind": "atom_group", "ring": "Z", "generators": [["1/5"]], "weight": 3}]}
+        monkeypatch.setattr(M, "_decode_fraction", recording)
+        m = SymbolicMeasure.decode(doc)
+        assert [c.weight for c in m.components] == decoded == [Fraction(2, 7), 3]
+        assert all(c.weight is w for c, w in zip(m.components, decoded))
+        assert M._check_weight(2) == 2 and M._check_weight("1/2") == Fraction(1, 2)
+        for weight in (Fraction(0), Fraction(-1, 3), 0, "-1/2"):
+            with pytest.raises(ValidationError, match="component weight must be positive"):
+                M._check_weight(weight)
+
     def test_zero_flagged(self):
         m = SymbolicMeasure.make(TORUS, 2, QQ, [])
         assert m.encode()["zero"] is True

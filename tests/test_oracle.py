@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
@@ -41,6 +42,34 @@ class TestCorrelation:
     def test_unknown_observable(self):
         with pytest.raises(ValidationError):
             O.correlation(PRODUCT, (0, 0), "nope")
+
+    def test_crosscheck_parses_each_observable_once(self, monkeypatch):
+        # crosscheck reads its grid through one correlator per observable:
+        # its values are correlation's, to the bit, ``correlation`` itself is
+        # not called, and each id is parsed twice (its measure, its correlator)
+        # however large the grid
+        mixed = O.ProductType((O.Rotation1(F2.sqrt_root(2) - 1), O.Bernoulli()))
+        parsed = []
+
+        def counted(name):
+            original = getattr(O, name)
+
+            def wrapper(*args):
+                parsed.append(name)
+                return original(*args)
+            return wrapper
+        for model in (PRODUCT, mixed, BW, ROT, ODO):
+            for obs in O.observables(model):
+                correlate = O._correlator(model, obs)
+                for n in itertools.product(range(-3, 4), repeat=model.dim):
+                    assert correlate(n) == O.correlation(model, n, obs)
+        monkeypatch.setattr(O, "correlation", None)
+        for name in ("_rotation_harmonic", "_id_integers"):
+            monkeypatch.setattr(O, name, counted(name))
+        for model in (PRODUCT, mixed, BW, ROT, ODO):
+            parsed.clear()
+            assert O.crosscheck(model, bound=3).passed
+            assert len(parsed) == 2 * len(O.observables(model))
 
     MALFORMED = [(PRODUCT, "factors:"), (PRODUCT, "factors:x"), (PRODUCT, "factors:1,"),
                  (PRODUCT, "factors"), (BW, "pair:1,"), (BW, "factor:"), (BW, "pair:1:2"),

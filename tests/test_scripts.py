@@ -5,6 +5,7 @@ Each script runs in a fresh interpreter: ``lattice_dump.py`` wraps functions
 of ``linalg`` while it records, which must not leak into other tests.
 """
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -40,7 +41,7 @@ def test_lattice_dump_fingerprint():
         == "sha256 7757077e80fe47cfab6848a25c997621ec8e569806c86fdce74df63fbb964d42"
 
 
-def test_bench_pairs_table_and_summary():
+def test_bench_pairs_table_and_summary(monkeypatch):
     # the pair runner's table and BENCH summary from canned run results, with
     # no subprocess: quartiles per side, wins by each metric's direction
     # (ties count for neither side), and metrics a run lacks left out
@@ -73,6 +74,30 @@ def test_bench_pairs_table_and_summary():
         "| torus-walls | `peak_rss_mb` | 30.000 (0.500) | 30.000 (+0.0%) | 1/4 |"]
     runs[2]["change"]["correct"] = False
     assert not bench.summarize(runs, end_to_end)["correct"]
+    # peak RSS at a fixed pass count: the worker runs exactly 10 passes over
+    # the pool with the pinned digests, and its result reads like a run's
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        out = {"passes": 10, "peak_rss_mb": 27.5, "failed": len(calls) - 1}
+        return subprocess.CompletedProcess(cmd, 0, f"ready\n{json.dumps(out)}\n", "")
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    tree = pathlib.Path("/tree")
+    good, failed = (bench.fixed_pass_run(tree, "torus-walls", "/pool.json", 3) for _ in range(2))
+    monkeypatch.undo()
+    cmd, kwargs = calls[0]
+    assert cmd[1:] == ["perfbench/worker.py", "--workload", "torus-walls", "--pool", "/pool.json",
+                       "--seed", "3", "--seconds", "0", "--min-passes", "10",
+                       "--digests", "perfbench/digests.json"]
+    assert kwargs["cwd"] == tree and kwargs["env"]["PYTHONHASHSEED"] == "0" \
+        and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert good == {"correct": True, "metrics": {"peak_rss_mb": {"value": 27.5, "unit": "MB"}}}
+    assert not failed["correct"]
+    fixed = [{"parent": good, "change": good}] * 2
+    assert bench.table({"torus-walls (10 passes)": bench.summarize(fixed, end_to_end[1:2])}) \
+        .splitlines()[2] == "| torus-walls (10 passes) | `peak_rss_mb` | 27.500 (0.000) " \
+        "| 27.500 (+0.0%) | 0/2 |"
     # the machine block names the installed numpy and scipy next to Python
     import importlib.metadata
     import platform
