@@ -92,7 +92,9 @@ class Recorder:
             return out
 
         def pose_lattice_coset(ring, us, ls, t):
-            question = ser((ring, us, ls, t))
+            # the system t = sum c_i u_i + sum n_j l'_j with l'_j = -l_j, the
+            # columns its rows hold, whatever sign the shift argument takes
+            question = ser((ring, us, [linalg.vec_neg(v) for v in ls], t))
             self.record("coset", question, ser(linalg.solve_lattice_coset(ring, us, ls, t)))
             return pose(ring, us, ls, t)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .errors import (InvalidDirectionSetError, NotReducedError, ValidationError,
@@ -201,31 +202,57 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConciseSet:
+    """Directions by subordination: L is in the set when L lies in a member.
+    An explicit member is kept as what it is the orthocomplement of, a pair
+    in ``carriers``: (K, None) for K^perp (the full space for K = 0) or
+    (K, c) for span(K, c)^perp, c a Euclidean carrier offset.  A carrier in
+    ``families`` names the torus family {span(K, offset - n)^perp : n in Z^d}.
+    The listed form, built on first access, kept and compared by equality:
+    ``subspaces``, the maximal nonzero explicit members in canonical order,
+    and ``parametric_families``, the families not subordinate to them."""
     space: str
     dim: int
     fieldspec: FieldSpec
-    subspaces: tuple[Subspace, ...]
-    # each carrier K + offset names the torus family {span(K, offset - n)^perp : n in Z^d}
-    parametric_families: tuple[AffineCarrier, ...] = ()
+    carriers: tuple[tuple[Subspace, FieldVector | None], ...] = ()
+    families: tuple[AffineCarrier, ...] = ()
     group_families: tuple[AtomGroup, ...] = ()
 
+    @cached_property
+    def subspaces(self) -> tuple[Subspace, ...]:
+        return _concise_hull([k.orthocomplement() if c is None else Subspace.from_vectors(
+            self.fieldspec, self.dim, [*k.basis, c]).orthocomplement() for k, c in self.carriers])
+
+    @cached_property
+    def parametric_families(self) -> tuple[AffineCarrier, ...]:
+        # a family on carrier K is subordinate to an explicit member s when
+        # s^perp <= K, tested as K^perp <= s on K's kept perp
+        return tuple(fam for fam in self.families
+                     if not any(fam.subspace.orthocomplement().leq(s) for s in self.subspaces))
+
+    def _listed(self) -> tuple:
+        return (self.space, self.dim, self.fieldspec, self.subspaces,
+                self.parametric_families, self.group_families)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConciseSet) and self._listed() == other._listed()
+
+    def __hash__(self) -> int:
+        return hash(self._listed())
+
     def contains_direction(self, direction: Subspace) -> bool:
-        """Subordination: is L contained in some member of the set?"""
+        """Subordination: is L contained in some member of the set?  L lies in
+        K^perp exactly when it is orthogonal to K, and in span(K, c)^perp (or a
+        family's member) when c is also on the wall L^perp: no member is built.
+        {0} lies in every member, but only nonzero explicit ones are listed."""
         zero = _check_direction(self.fieldspec, self.dim, direction)
-        for s in self.subspaces:
-            if direction.leq(s):
-                return True
-        for fam in self.parametric_families:
-            if not fam.subspace.orthogonal_to(direction):
-                continue
-            if _on_affine_wall(self.space, direction, fam.offset, zero):
-                return True
-        for group in self.group_families:
-            if _group_meets_wall(self.space, group, direction, zero):
-                return True
-        return False
+        carriers = self.carriers if direction.dim or self.subspaces else ()
+        return any(k.orthogonal_to(direction)
+                   and (c is None or _on_affine_wall(self.space, direction, c, zero))
+                   for k, c in (*carriers, *((f.subspace, f.offset) for f in self.families))) \
+            or any(_group_meets_wall(self.space, group, direction, zero)
+                   for group in self.group_families)
 
     def enumerate_members(self, bound: int = 3) -> tuple[Subspace, ...]:
         """Explicit members: the listed subspaces plus family members for
@@ -298,46 +325,39 @@ def canonical_order(subspaces) -> tuple[Subspace, ...]:
 
 
 def nonergodic_concise(m: SymbolicMeasure) -> ConciseSet:
-    """The concise set generating all non-ergodic directions by subordination."""
+    """The concise set generating all non-ergodic directions by subordination:
+    the carrier of each box and atom (a family on the torus when affine) and
+    each atom group, kept on the measure.  No member is built here."""
     if m.has_delta_zero():
         raise NotReducedError("measure contains delta_0")
     if "nonergodic_concise" in m.memo:
         return m.memo["nonergodic_concise"]
-    explicit: list[Subspace] = []
+    carriers: list[tuple[Subspace, FieldVector | None]] = []
     parametric: list[AffineCarrier] = []
     groups: list[AtomGroup] = []
     for comp in m.components:
         if isinstance(comp, AtomGroup):
             groups.append(comp)
-        elif comp.carrier.is_linear():
-            explicit.append(comp.carrier.subspace.orthocomplement())
-        elif m.class_space == TORUS:  # a torus atom's family is its own carrier
+        elif comp.carrier.is_linear() or m.class_space == EUCLID:
+            carriers.append((comp.carrier.subspace,
+                             None if comp.carrier.is_linear() else comp.carrier.offset))
+        else:  # a torus atom's family is its own carrier
             parametric.append(comp.carrier)
-        else:
-            explicit.append(Subspace.from_vectors(
-                m.field, m.dim, [*comp.carrier.subspace.basis, comp.carrier.offset]
-            ).orthocomplement())
-    hull = _concise_hull(explicit)
-    # drop a family on carrier K when all its members are subordinate to an
-    # explicit member s: s^perp <= K, tested as K^perp <= s on K's kept perp
-    kept_param = tuple(fam for fam in parametric
-                       if not any(fam.subspace.orthocomplement().leq(s) for s in hull))
     return m.memo.setdefault("nonergodic_concise", ConciseSet(
-        m.class_space, m.dim, m.field, hull, kept_param, tuple(groups)))
+        m.class_space, m.dim, m.field, tuple(carriers), tuple(parametric), tuple(groups)))
 
 
 def nonwm_concise(m: SymbolicMeasure) -> ConciseSet:
-    """Concise set for non-weak-mixing directions: perps of the carrier
-    subspace parts; any atomic component contributes the full space."""
+    """Concise set for non-weak-mixing directions: the perps of the carrier
+    subspaces, kept as those subspaces; an atom's zero carrier, like an atom
+    group's, has the full space as its perp."""
     if m.has_delta_zero():
         raise NotReducedError("measure contains delta_0")
     if "nonwm_concise" in m.memo:
         return m.memo["nonwm_concise"]
-    # an atom's zero carrier has the full space as its perp
-    explicit = [Subspace.full(m.field, m.dim) if isinstance(comp, AtomGroup)
-                else comp.carrier.subspace.orthocomplement() for comp in m.components]
-    return m.memo.setdefault("nonwm_concise", ConciseSet(m.class_space, m.dim, m.field,
-                                                          _concise_hull(explicit)))
+    carriers = tuple((Subspace.zero(m.field, m.dim) if isinstance(comp, AtomGroup)
+                      else comp.carrier.subspace, None) for comp in m.components)
+    return m.memo.setdefault("nonwm_concise", ConciseSet(m.class_space, m.dim, m.field, carriers))
 
 
 # ---------------------------------------------------------------------------

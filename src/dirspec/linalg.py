@@ -719,7 +719,7 @@ def rationality(sub: Subspace) -> RationalityReport:
 
 @dataclass(frozen=True)
 class CosetSolution:
-    """Solutions of  t = sum_i c_i u_i + sum_j n_j l_j  in generator
+    """Solutions of  sum_i c_i u_i = t + sum_j n_j l_j  in generator
     coordinates, c in the ring and n integral:
         c = coeffs + sum_a z_a * coeff_lattice[a] + (rational combos of coeff_kernel)
         n = shift  + sum_a z_a * shift_lattice[a],        z_a in Z.
@@ -735,10 +735,11 @@ class CosetSolution:
 def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     """Is t in  ring.span{u_1..u_k} + Z.span{l_1..l_p}  (ring "Z" or "Q")?
 
-    Each coordinate over the field basis is one equation, its columns
-    ``flatten``ed over one lcm.  Ring Q makes the c rational unknowns,
-    eliminated by ``rref_field``'s pivot rule on integers, each row N over its
-    own D (None if that shows t is not in the set); ring Z integral like n.
+    Each coordinate over the field basis is one equation of sum c_i u_i =
+    t + sum n_j l_j, its columns ``flatten``ed over one lcm (a shift column's
+    numerators negated).  Ring Q makes the c rational unknowns, eliminated
+    by ``rref_field``'s pivot rule on integers, each row N over its own D
+    (None if that shows t is not in the set); ring Z integral like n.
     ``solve(smith)`` is the solution family or None.  It solves the residual
     rows A n = r, each N // gcd(D, *N) signed as D, by the row HNF of [A^T | I]
     (Cohen 1993, section 2.4): (r, 0) reduced by it has a zero A-part exactly
@@ -759,7 +760,8 @@ def pose_lattice_coset(ring: str, us, ls, t: FieldVector):
     def system(shifts: bool) -> tuple[list[int], list[list], list[list[int]]]:
         """(pivots, pivot rows [N, D], nonzero residual rows [A | r]) of the rows
         over the lcm D, A over the shift columns too with ``shifts``."""
-        flat = [*heads[:-1], *map(flatten, ls), heads[-1]] if shifts else heads
+        flat = [*heads[:-1], *(([-x for x in nums], d) for nums, d in map(flatten, ls)),
+                heads[-1]] if shifts else heads
         den = lcm(*(d for _, d in flat))
         rows = [[list(r), den]
                 for r in zip(*([x * (den // d) for x in nums] for nums, d in flat))]

@@ -33,7 +33,7 @@ from .errors import (ClosureBoundError, DimensionMismatchError, FieldMismatchErr
 from .linalg import (AffineCarrier, CosetLattice, FieldVector,
                      LatticeSubgroup, Subspace, as_vector, flatten, mat_vec,
                      pose_lattice_coset, promote_subspace, promote_vector, unit_vector,
-                     vec_add, vec_is_zero, vec_mod1, vec_neg, vec_scale, vec_sub, zero_vector)
+                     vec_add, vec_is_zero, vec_mod1, vec_scale, vec_sub, zero_vector)
 from .scalar import (FieldSpec, _decode_fraction, _decode_int, _fraction_text,
                      decode_scalar)
 
@@ -228,7 +228,7 @@ def group_atom_on_coset(space: str, group: AtomGroup, rows, target: FieldVector,
                         shifts, shifts_in_module: bool = False) -> FieldVector | None:
     """A genuine atom a of the group (not ``is_identity(space, a)``) with
     rows·a in target + Z.span(shifts), or None: what wall tests and subgroup
-    images ask, posed as one coset system (u_i = rows g_i, l_j = -s_j,
+    images ask, posed as one coset system (u_i = rows g_i, l_j = s_j,
     t = target - rows offset).  Its HNF solution decides (no basis of the
     solution coset changes whether it holds a genuine atom); only a yes runs
     SNF, whose solution names the witness.
@@ -239,8 +239,7 @@ def group_atom_on_coset(space: str, group: AtomGroup, rows, target: FieldVector,
     = target + rows·n, then a - n is in G, on the wall with n = 0 and the same
     atom mod Z^d; and for ring Z ``_coset_atom`` finds a genuine atom in a family
     whenever its coset (particular atom + Z-span of its lattice) holds one."""
-    solve = pose_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators],
-                               [vec_neg(s) for s in shifts],
+    solve = pose_lattice_coset(group.ring, [mat_vec(rows, g) for g in group.generators], shifts,
                                vec_sub(target, mat_vec(rows, group.offset)))
     if solve is None:
         return None

@@ -243,8 +243,11 @@ def _correlator(model: ActionModel, observable: str) -> Callable[[tuple[int, ...
         vectors = [model.vectors[i] for i in _bw_indices(model, observable)]
         return lambda n: complex(0.0) if any(sum(m * ni for m, ni in zip(v, n))
                                              for v in vectors) else complex(1.0)
-    powers = [(i, model.q ** j) for i, j in enumerate(_odometer_levels(model, observable)) if j]
-    return lambda n: _phase(float(sum(Fraction(n[i], qj) for i, qj in powers) % 1))
+    # sum n_i / q^j_i = N / q^top: N mod q^top over q^top rounds once, as a Fraction
+    levels = _odometer_levels(model, observable)
+    top = max(levels)
+    den, weights = model.q ** top, [(i, model.q ** (top - j)) for i, j in enumerate(levels) if j]
+    return lambda n: _phase(sum(n[i] * w for i, w in weights) % den / den)
 
 
 def _rotation_harmonic(model: Rotation, observable: str) -> int:

@@ -10,13 +10,14 @@ import pytest
 import gen
 from gen import gram_projection
 from dirspec import classify as C
+from dirspec import linalg as L
 from dirspec import measure as M
 from dirspec.errors import (ClosureBoundError, DimensionMismatchError,
                             InvalidDirectionSetError, NotReducedError, ValidationError)
 from dirspec.linalg import (AffineCarrier, CosetLattice, LatticeSubgroup, Subspace,
                             as_vector, mat_vec, pose_lattice_coset,
                             promote_subspace, rationality, solve_lattice_coset, vec_add,
-                            vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vector)
+                            vec_dot, vec_is_zero, vec_neg, vec_scale, vec_sub, zero_vector)
 from dirspec.measure import (EUCLID, TORUS, Atom, AtomGroup, BoxLebesgue,
                              SymbolicMeasure)
 from dirspec.scalar import QQ, FieldScalar, FieldSpec, decode_scalar
@@ -698,7 +699,7 @@ class TestAffineWallKey:
             on_wall = C._on_affine_wall(TORUS, sub, vec_add(ell, diff), ell)
             rows = sub.basis
             sol = solve_lattice_coset("Z", (), [tuple(b[j] for b in rows) for j in range(d)],
-                                      mat_vec(rows, diff))
+                                      mat_vec(rows, vec_neg(diff)))
             assert on_wall == (sol is not None)
             outcomes[on_wall] += 1
             if on_wall:  # the solver's shift puts diff on L^perp exactly
@@ -820,6 +821,146 @@ class TestSubordinationSoundness:
             nw = C.nonwm_concise(m)
             assert v.ergodic == (not ne.contains_direction(sub))
             assert v.weak_mixing == (not nw.contains_direction(sub))
+
+
+def listed_concise(m: SymbolicMeasure):
+    """Both concise sets of m listed by elimination, from the components
+    alone: (subspaces, parametric families, group families) for the
+    nonergodic set and for the nonwm set.  Each member is built by
+    ``Subspace.from_vectors`` and ``orthocomplement``: K^perp for a linear
+    carrier K, span(K, c)^perp for a Euclidean affine carrier K + c, the full
+    space for an atom group in the nonwm set; ``pairwise_hull`` lists them."""
+    explicit, parametric, groups = [], [], []
+    for comp in m.components:
+        if isinstance(comp, AtomGroup):
+            groups.append(comp)
+        elif comp.carrier.is_linear():
+            explicit.append(comp.carrier.subspace.orthocomplement())
+        elif m.class_space == TORUS:
+            parametric.append(comp.carrier)
+        else:
+            explicit.append(Subspace.from_vectors(
+                m.field, m.dim, [*comp.carrier.subspace.basis, comp.carrier.offset]
+            ).orthocomplement())
+    hull = pairwise_hull(explicit)
+    kept = tuple(fam for fam in parametric
+                 if not any(fam.subspace.orthocomplement().leq(s) for s in hull))
+    nonwm = pairwise_hull([Subspace.full(m.field, m.dim) if isinstance(comp, AtomGroup)
+                           else comp.carrier.subspace.orthocomplement()
+                           for comp in m.components])
+    return (hull, kept, tuple(groups)), (nonwm, (), ())
+
+
+def listed_contains(space: str, listed, sub: Subspace) -> bool:
+    """Subordination read off a listed concise set: L <= a listed member
+    (``leq``, by elimination), or L on a wall of a family or group member."""
+    subspaces, families, groups = listed
+    zero = zero_vector(sub.field, sub.ambient)
+    return (any(sub.leq(s) for s in subspaces)
+            or any(fam.subspace.orthogonal_to(sub)
+                   and C._on_affine_wall(space, sub, fam.offset, zero) for fam in families)
+            or any(C._group_meets_wall(space, group, sub, zero) is not None
+                   for group in groups))
+
+
+def probe_directions(rng: random.Random, m: SymbolicMeasure, listed, given=()):
+    """Directions to ask a concise set: the given ones, {0}, R^d, each listed
+    member, a line in it, the member span(K, offset)^perp of each family and
+    two random subspaces."""
+    field, d = m.field, m.dim
+    subs = [*given, Subspace.zero(field, d), Subspace.full(field, d)]
+    for s in listed[0][0] + listed[1][0]:
+        subs += [s, Subspace.from_vectors(field, d, s.basis[:1])]
+    for fam in listed[0][1]:
+        subs.append(Subspace.from_vectors(field, d, [*fam.subspace.basis, fam.offset])
+                    .orthocomplement())
+    return subs + [gen.rand_subspace(rng, field, d) for _ in range(2)]
+
+
+class TestSubordinationByOrthogonality:
+    """``contains_direction`` answers explicit members from their carriers'
+    bases; the listed form, built by elimination, is its reference."""
+
+    def check(self, m: SymbolicMeasure, subs, seen: Counter) -> None:
+        listed = listed_concise(m)
+        for concise, reference in zip((C.nonergodic_concise, C.nonwm_concise), listed):
+            cs = concise(m)
+            for sub in subs:
+                answer = cs.contains_direction(sub)
+                assert answer == listed_contains(m.class_space, reference, sub), (m, sub)
+                seen[(concise.__name__, sub.dim == 0, answer)] += 1
+            assert (cs.subspaces, cs.parametric_families, cs.group_families) == reference
+
+    def test_benchmark_pools(self):
+        seen = Counter()
+        for workload in ("classify-mix", "torus-walls"):
+            rng = random.Random(workload)
+            for case in gen.benchmark_pool(workload):
+                m = SymbolicMeasure.decode(case["measure"])
+                doc = case["directions"]
+                given = [Subspace.from_vectors(m.field, doc["dim"], [
+                    [decode_scalar(m.field, x) for x in row] for row in direction["basis"]])
+                    for direction in doc["directions"]]
+                if m.has_delta_zero():
+                    continue
+                self.check(m, probe_directions(rng, m, listed_concise(m), given), seen)
+        assert len(seen) == 7 and min(seen.values()) > 10, seen
+
+    def test_fixtures(self, fixtures_dir):
+        rng = random.Random(3)
+        seen = Counter()
+        for path in sorted(fixtures_dir.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "components" not in doc:
+                continue
+            m = SymbolicMeasure.decode(doc)
+            if not m.has_delta_zero():
+                self.check(m, probe_directions(rng, m, listed_concise(m)), seen)
+        assert seen[("nonergodic_concise", False, True)] > 5, seen
+
+    @pytest.mark.parametrize("space", [TORUS, EUCLID])
+    @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "Q(sqrt2)"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_measures(self, space, field, d):
+        rng = random.Random(f"subordination:{space}:{field.roots}:{d}")
+        seen = Counter()
+        for _ in range(25):
+            m = gen.rand_measure(rng, field, d, space, with_groups=rng.random() < 0.3)
+            self.check(m, probe_directions(rng, m, listed_concise(m)), seen)
+        assert seen[("nonergodic_concise", False, True)] > 5, seen
+        assert seen[("nonwm_concise", False, False)] > 5, seen
+
+    def test_euclidean_boxes_build_no_member_until_listed(self, monkeypatch):
+        """NE and NW of Euclidean atom and box measures answer
+        ``contains_direction`` with no elimination and no orthocomplement;
+        listing them afterwards gives the elimination-built tuples."""
+        rng = random.Random(59)
+        cases = []
+        for _ in range(40):
+            field, d = rng.choice([QQ, F2]), rng.randint(2, 3)
+            m = gen.rand_measure(rng, field, d, EUCLID)
+            fresh = SymbolicMeasure.decode(json.loads(json.dumps(m.encode())))
+            listed = listed_concise(fresh)
+            cases.append((fresh, listed, probe_directions(rng, fresh, listed)))
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+        for owner, name in ((L, "rref_field"), (L, "nullspace"), (Subspace, "orthocomplement")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        answers = Counter()
+        for m, _, subs in cases:
+            for cs in (C.nonergodic_concise(m), C.nonwm_concise(m)):
+                answers.update(cs.contains_direction(sub) for sub in subs if sub.dim)
+        assert not calls, calls
+        assert answers[True] > 20 and answers[False] > 20, answers
+        monkeypatch.undo()
+        for m, (ne, nw), _ in cases:
+            assert C.nonergodic_concise(m).subspaces == ne[0]
+            assert C.nonwm_concise(m).subspaces == nw[0]
 
 
 class TestDirectionalEigenvalues:

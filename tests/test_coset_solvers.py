@@ -15,6 +15,7 @@ scaled by any other positive integer decides every system alike but changes
 the SNF witnesses.
 """
 import random
+from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
 from functools import cache
@@ -30,7 +31,7 @@ from dirspec.linalg import (CosetLattice, CosetSolution, Subspace, flatten, herm
                             smith_normal_form, solve_lattice_coset, unit_vector, vec_is_zero,
                             zero_vector)
 from dirspec.measure import EUCLID, TORUS, AtomGroup, SymbolicMeasure
-from dirspec.scalar import QQ, FieldSpec, _reduced, decode_scalar
+from dirspec.scalar import QQ, FieldScalar, FieldSpec, _reduced, decode_scalar
 from gen import (FIELDS, benchmark_pool, key_value, rand_fraction, rand_rational_subspace,
                  rand_subspace, rand_vector, ratio_row)
 
@@ -162,6 +163,39 @@ def test_pool_systems(monkeypatch, workload):
     assert len(seen) >= 50 and any(a for _, a in seen)
 
 
+def test_shift_free_decisions_negate_no_scalar(monkeypatch):
+    """The shift columns enter the rows negated as integer numerators, when
+    a solve reads them: a canonical torus group's wall decision in the
+    ``torus-walls`` pool negates no scalar, whether or not it finds an atom."""
+    negated, seen = [], Counter()
+    negate = FieldScalar.__neg__
+
+    def counting(x):
+        negated.append(x)
+        return negate(x)
+
+    def counted(space, group, rows, target, shifts, shifts_in_module):
+        negated.clear()
+        atom = GROUP_ATOM_ON_COSET(space, group, rows, target, shifts, shifts_in_module)
+        if shifts_in_module:
+            assert not negated
+            seen[atom is not None] += 1
+        return atom
+
+    monkeypatch.setattr(FieldScalar, "__neg__", counting)
+    monkeypatch.setattr(C, "group_atom_on_coset", counted)
+    for case in benchmark_pool("torus-walls"):
+        m = SymbolicMeasure.decode(case["measure"])
+        doc = case["directions"]
+        for d in doc["directions"]:
+            sub = Subspace.from_vectors(m.field, doc["dim"], [
+                [decode_scalar(m.field, x) for x in row] for row in d["basis"]])
+            for prop, witness in C.classify_direction(m, sub).witnesses:
+                if prop == "weak_mixing":  # the wall through the witness eigenvalue
+                    C.wall_test(m, sub, witness.eigenvalue)
+    assert seen[True] > 10 and seen[False] > 10, seen
+
+
 @pytest.mark.parametrize("field", [QQ, F2], ids=["QQ", "Q(sqrt2)"])
 def test_canonical_torus_groups_decide_without_shifts(monkeypatch, field):
     """A canonical torus group of ring Z holds Z^d in its module, so
@@ -264,13 +298,14 @@ def reference_coset_lattice(q_rows, z_rows):
 
 def reference_pose_rows(ring, us, ls, t):
     """``pose_lattice_coset``'s row build as it was: each coordinate of the
-    vectors, flattened to Fractions, is one equation; ``rref_field``
-    eliminates the rational unknowns, and each residual row is scaled to Z by
-    the lcm of its reduced denominators.  (aug, pivots, rows, rhs), or None
-    when a row reads 0 = r with r nonzero."""
+    vectors, flattened to Fractions, is one equation of sum c_i u_i - sum
+    n_j l_j = t; ``rref_field`` eliminates the rational unknowns, and each
+    residual row is scaled to Z by the lcm of its reduced denominators.
+    (aug, pivots, rows, rhs), or None when a row reads 0 = r with r nonzero."""
     a = len(us) if ring == "Q" else 0
     b = len(us) + len(ls) - a
-    cols = [[c for x in v for c in x.coeffs] for v in (*us, *ls)]
+    cols = [[c for x in v for c in x.coeffs] for v in us]
+    cols += [[-c for x in v for c in x.coeffs] for v in ls]
     rhs = [c for x in t for c in x.coeffs]
     aug, pivots = rref_field([[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))], a)
     int_rows, int_rhs = [], []

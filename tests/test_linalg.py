@@ -894,9 +894,9 @@ class TestRationality:
 
 def integer_shift(a_matrix, c):
     """The n in Z^d with A (c - n) = 0: the coset primitive with no u,
-    l_j = A e_j and t = A c."""
+    l_j = A e_j and t = -A c."""
     return solve_lattice_coset("Z", (), [tuple(row[j] for row in a_matrix)
-                                         for j in range(len(c))], mat_vec(a_matrix, c))
+                                         for j in range(len(c))], mat_vec(a_matrix, vec_neg(c)))
 
 
 class TestSolveIntegerAffine:
@@ -927,12 +927,13 @@ def _combination(field, e, coeffs, us, shift, ls):
 
 
 def _assert_family(field, ring, us, ls, t, sol):
-    """Every member of the returned family solves the coset system exactly."""
+    """Every member of the returned family solves the coset system
+    sum c_i u_i = t + sum n_j l_j exactly."""
     e = len(t)
-    assert _combination(field, e, sol.coeffs, us, sol.shift, ls) == tuple(t)
+    assert _combination(field, e, sol.coeffs, us, [-n for n in sol.shift], ls) == tuple(t)
     assert len(sol.coeff_lattice) == len(sol.shift_lattice)
     for cl, nl in zip(sol.coeff_lattice, sol.shift_lattice):
-        assert vec_is_zero(_combination(field, e, cl, us, nl, ls))
+        assert vec_is_zero(_combination(field, e, cl, us, [-n for n in nl], ls))
         assert all(isinstance(x, int) for x in nl)
     for ker in sol.coeff_kernel:
         assert vec_is_zero(_combination(field, e, ker, us, (), ls))
@@ -951,9 +952,9 @@ class TestLatticeCoset:
 
     def test_group_wall_shape(self):
         # L = span{(1,1)}, wall L^perp + (1/4,1/4) + Z^2, group Z(1/2, 0):
-        # u = B_L g, l_j = -B_L e_j, t = B_L ell;  c/2 - n1 - n2 = 1/2
+        # u = B_L g, l_j = B_L e_j, t = B_L ell;  c/2 - n1 - n2 = 1/2
         rows = Subspace.from_vectors(QQ, 2, [[1, 1]]).basis
-        ls = [tuple(-b[j] for b in rows) for j in range(2)]
+        ls = [tuple(b[j] for b in rows) for j in range(2)]
         t = mat_vec(rows, q(Fraction(1, 4), Fraction(1, 4)))
         us = [mat_vec(rows, q(Fraction(1, 2), 0))]
         sol = solve_lattice_coset("Z", us, ls, t)
@@ -968,9 +969,9 @@ class TestLatticeCoset:
         _assert_family(QQ, "Q", us, ls, t, sol)
 
     def test_subgroup_image_shape(self):
-        # M = [[2, 0]] (not saturated): u = M g, l_1 = -e_1 in Z^1, t = -M offset
+        # M = [[2, 0]] (not saturated): u = M g, l_1 = e_1 in Z^1, t = -M offset
         rows = ((2, 0),)
-        ls = [vec_neg(unit_vector(QQ, 1, 0))]
+        ls = [unit_vector(QQ, 1, 0)]
         us = [mat_vec(rows, q(Fraction(1, 2), 0))]
         t = vec_neg(mat_vec(rows, q(0, 0)))
         sol = solve_lattice_coset("Z", us, ls, t)
@@ -983,8 +984,8 @@ class TestLatticeCoset:
             "Z", us, ls, vec_neg(mat_vec(rows, q(Fraction(1, 4), 0)))) is None
 
     def test_module_member_shape(self):
-        # torus: u = g, l_j = e_j, t = v - offset
-        ls = [unit_vector(QQ, 2, j) for j in range(2)]
+        # torus: u = g, l_j = -e_j, t = v - offset;  c g + n = t
+        ls = [vec_neg(unit_vector(QQ, 2, j)) for j in range(2)]
         us = [q(1, 2)]
         t = q(Fraction(1, 3), Fraction(5, 3))
         sol = solve_lattice_coset("Q", us, ls, t)
@@ -1002,9 +1003,9 @@ class TestLatticeCoset:
             is None
 
     def test_integer_affine_shape(self):
-        # no u, l_j = A e_j, t = A c with A = [[1, 0]]:  n1 = 3, n2 free
+        # no u, l_j = A e_j, t = -A c with A = [[1, 0]]:  n1 = 3, n2 free
         ls = [q(1), q(0)]
-        sol = solve_lattice_coset("Z", (), ls, q(3))
+        sol = solve_lattice_coset("Z", (), ls, q(-3))
         assert sol == CosetSolution((), (3, 0), ((),), ((0, 1),), ())
         assert solve_lattice_coset("Z", (), ls, q(Fraction(1, 2))) is None
 
@@ -1129,13 +1130,13 @@ class TestMixedSolver:
         assert solve_lattice_coset("Z", (), [q(2)], q(1)) is None
 
     def test_mixed(self):
-        # c + n = 1/2 with c rational, n integer: c = 1/2 - n
+        # c = 1/2 + n with c rational, n integer
         sol = solve_lattice_coset("Q", [q(1)], [q(1)], q(Fraction(1, 2)))
         assert sol is not None
-        assert sol.coeffs[0] + sol.shift[0] == Fraction(1, 2)
+        assert sol.coeffs[0] - sol.shift[0] == Fraction(1, 2)
         assert len(sol.shift_lattice) == 1
         lam, shift = sol.shift_lattice[0], sol.coeff_lattice[0]
-        assert shift[0] + lam[0] == 0
+        assert shift[0] - lam[0] == 0
 
     def test_solution_family_random(self):
         # every member of the returned family solves the system exactly
@@ -1158,7 +1159,7 @@ class TestMixedSolver:
 
             def residual(c, n):
                 return [sum(rat[i][p] * c[p] for p in range(a))
-                        + sum(intc[i][j] * n[j] for j in range(b)) - rhs[i]
+                        - sum(intc[i][j] * n[j] for j in range(b)) - rhs[i]
                         for i in range(m)]
 
             assert all(x == 0 for x in residual(sol.coeffs, sol.shift))

@@ -71,6 +71,22 @@ class TestCorrelation:
             assert O.crosscheck(model, bound=3).passed
             assert len(parsed) == 2 * len(O.observables(model))
 
+    def test_odometer_correlations_match_the_fraction_sum(self, monkeypatch):
+        # the phase angle (sum_i n_i / q^j_i) mod 1, read through an identity
+        # _phase, is the float of the Fraction sum to the bit
+        monkeypatch.setattr(O, "_phase", lambda theta: theta)
+        rng = random.Random(29)
+        for q, level, dim in [(2, 3, 1), (2, 2, 2), (3, 2, 3), (5, 3, 2), (10, 4, 2), (7, 1, 3)]:
+            model = O.OdometerEigen(q, level, dim)
+            for obs in O.observables(model):
+                levels = O._odometer_levels(model, obs)
+                correlate = O._correlator(model, obs)
+                for _ in range(25):
+                    n = tuple(rng.randint(-bound, bound) for bound in
+                              rng.choices([5, q ** level + 1, 10 ** 6, 2 ** 70], k=dim))
+                    want = float(sum(Fraction(ni, q ** j) for ni, j in zip(n, levels)) % 1)
+                    assert correlate(n).hex() == want.hex(), (model, obs, n)
+
     MALFORMED = [(PRODUCT, "factors:"), (PRODUCT, "factors:x"), (PRODUCT, "factors:1,"),
                  (PRODUCT, "factors"), (BW, "pair:1,"), (BW, "factor:"), (BW, "pair:1:2"),
                  (BW, "factor:one"), (ODO, "level:a,1"), (ODO, "level:1,"), (ODO, "level:"),
