@@ -21,6 +21,12 @@ in the same order, on the benchmark's pool and pinned digests: peak RSS at
 exactly 10 passes, reported in rows labelled `(10 passes)` and under
 `fixed_passes` in the BENCH file.
 
+After the pairs, Tier-1 (ROADMAP's command, `python -m pytest -q
+--continue-on-collection-errors` with `src` first on PYTHONPATH) runs once
+in each exported tree, parent first.  Each side's wall time, exit code and
+the counts of pytest's summary line are printed under the table and kept
+under `tier1` in the BENCH file.
+
 It prints one Markdown row per workload and end-to-end metric of
 `BENCHMARK.json`: the parent's median with its interquartile range, the
 change's median with its relative difference, and the pairs in which the
@@ -40,11 +46,13 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +105,28 @@ def fixed_pass_run(root: Path, workload: str, pool: str, seed: int) -> dict:
     out = json.loads(lines[-1])
     return {"correct": out["failed"] == 0 and out["passes"] == FIXED_PASSES,
             "metrics": {"peak_rss_mb": {"value": out["peak_rss_mb"], "unit": "MB"}}}
+
+
+def tier1(root: Path) -> dict:
+    """One Tier-1 run in ``root``: its wall time, exit code, the summary line
+    pytest prints last and that line's counts ({"passed": 774, ...})."""
+    path = os.pathsep.join(filter(None, ["src", ENV.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=root, capture_output=True, text=True,
+                          env={**ENV, "PYTHONPATH": path})
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1].strip("= ")
+    return {"wall_s": wall, "returncode": proc.returncode, "summary": summary,
+            "counts": {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)}}
+
+
+def tier1_lines(results: dict[str, dict]) -> str:
+    """One line per side of ``{side: tier1(...)}`` for under the table."""
+    return "\n".join(
+        f"Tier-1 {side}: " + (", ".join(f"{n} {word}" for word, n in r["counts"].items())
+                              or f"exit code {r['returncode']}") + f" in {r['wall_s']:.1f} s"
+        for side, r in results.items())
 
 
 def machine() -> dict:
@@ -193,14 +223,18 @@ def main() -> int:
             if pools:
                 fixed_runs[workload] = rss_runs
                 fixed[workload] = summarize(rss_runs, rss)
+        tests = {side: tier1(roots[side]) for side in SIDES}
     print(table({**summaries, **{f"{w} ({FIXED_PASSES} passes)": s for w, s in fixed.items()}}))
+    print("\n" + tier1_lines(tests))
     doc = {"tag": tag, "revisions": revs, "pairs": args.pairs, "seconds": SECONDS,
            "machine": machine(),
            "bytecode": "none: uncompiled sources, every run with PYTHONDONTWRITEBYTECODE=1",
            "workloads": summaries, "runs": all_runs,
-           "fixed_passes": {"passes": FIXED_PASSES, "workloads": fixed, "runs": fixed_runs}}
+           "fixed_passes": {"passes": FIXED_PASSES, "workloads": fixed, "runs": fixed_runs},
+           "tier1": tests}
     (ROOT / f"BENCH_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
-    return 0 if all(s["correct"] for s in (*summaries.values(), *fixed.values())) else 1
+    return 0 if all(s["correct"] for s in (*summaries.values(), *fixed.values())) \
+        and tests["change"]["returncode"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ origin, fails weak mixing iff it charges some perpendicular affine wall, and
 fails strong mixing iff some component's transform does not decay along L.
 A component charges an affine wall perpendicular to L exactly when it carries
 directional eigenvalues along L, so weak mixing is read off the directional
-eigenvalues (``_eigenvalue_carriers``), the one place that decides them.
+eigenvalues (``_eigenvalue_carriers``), the one place that decides them,
+once per (measure, direction): the wall test, the eigenvalue families and the
+verdict read one list, and each carrier's ``Subspace.orthogonal_to`` answer
+is kept in the direction's memo, where both concise sets read it again.
 Where the classes live mod Z^d (``class_space`` TORUS: torus measures and
 periodized classes) walls meet all lattice shifts (``Subspace.wall_key``, or a
 group's coset system), and the concise sets are torus sets.  ``_check_direction``
@@ -182,9 +185,10 @@ def classify_direction(m: SymbolicMeasure, direction: Subspace) -> DirectionVerd
     strong = True
     for i, comp in enumerate(m.components):
         family = families.get(i)
-        decays = isinstance(comp, BoxLebesgue) \
+        # a box with eigenvalues has L <= K^perp, so L cap K^perp = L: no decay
+        decays = family is None and isinstance(comp, BoxLebesgue) \
             and not direction.meets_orthocomplement(comp.carrier.subspace)
-        if family is None and decays:
+        if decays:
             continue
         if family is not None:  # P_L is linear: P_L(point + g_0) = base + P_L g_0
             gens = family.group_generators
@@ -390,20 +394,24 @@ class EigenvalueFamily:
 
 
 def _eigenvalue_carriers(m: SymbolicMeasure, direction: Subspace
-                         ) -> list[tuple[int, FieldVector, tuple[FieldVector, ...]]]:
+                         ) -> tuple[tuple[int, FieldVector, tuple[FieldVector, ...]], ...]:
     """The components that carry directional eigenvalues along L, as
     (index, point, generators): each atom at its point, each atom group at
     its offset with its generators, and each box whose carrier subspace lies
     in L^perp at its carrier offset.  The eigenvalues of a carrier are the
     projections onto L of point + (module of the generators) (+ Z^d on the
-    torus).  This is the one place that decides which components carry them."""
-    out = []
-    for i, comp in enumerate(m.components):
-        if isinstance(comp, AtomGroup):
-            out.append((i, comp.offset, comp.generators))
-        elif comp.carrier.subspace.orthogonal_to(direction):  # always for an atom
-            out.append((i, comp.carrier.offset, ()))
-    return out
+    torus).  This is the one place that decides which components carry them;
+    the list is kept with L in the measure's one slot, which another L replaces."""
+    slot = m.memo.get("eigenvalue_carriers")
+    if slot is None or slot[0] != direction:
+        out = []
+        for i, comp in enumerate(m.components):
+            if isinstance(comp, AtomGroup):
+                out.append((i, comp.offset, comp.generators))
+            elif comp.carrier.subspace.orthogonal_to(direction):  # always for an atom
+                out.append((i, comp.carrier.offset, ()))
+        slot = m.memo["eigenvalue_carriers"] = (direction, tuple(out))
+    return slot[1]
 
 
 def directional_eigenvalues(m: SymbolicMeasure,

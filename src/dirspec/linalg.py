@@ -10,13 +10,15 @@ rationality classification of directions, and canonical coset keys.
 FieldScalar or Fraction).  Its callers: ``Subspace.from_vectors`` (canonical
 bases), the ``Subspace`` dual basis (one system: [G | B], or [H | F^T] over
 [F | I] when L^perp is the smaller side), ``meets_orthocomplement`` (a
-rank) and ``CosetLattice`` (the rational rows); ``pose_lattice_coset`` runs
-its pivot rule on integers.  ``nullspace`` reads kernels off its output, and
-every dot product is the one-pass ``scalar.vec_dot``.  Trivial cases eliminate
-nothing: zero and full spaces, and the answers of ``leq``, ``orthogonal_to``
-and ``meets_orthocomplement`` that the dimensions fix.  ``as_vector`` is the
-one length check of an input vector, and ``_int_vector`` of an integer one,
-read by ``scalar._decode_int``.
+rank; a line meets K^perp exactly when it lies in it, ``orthogonal_to``) and
+``CosetLattice`` (the rational rows); ``pose_lattice_coset`` runs its pivot
+rule on integers.  ``nullspace`` reads kernels off its output, and every dot
+product is the one-pass ``scalar.vec_dot``.  Trivial cases eliminate nothing:
+zero and full spaces, and the answers of ``leq``, ``orthogonal_to`` and
+``meets_orthocomplement`` that the dimensions fix; ``orthogonal_to`` keeps
+its other answers in the memo.  ``as_vector`` is the one length check of an
+input vector, and ``_int_vector`` of an integer one, read by
+``scalar._decode_int``.
 
 ``flatten`` is the one map from field vectors to coordinates over the field
 basis: integer numerators over one denominator, read off the scalars, which
@@ -57,9 +59,10 @@ a projection is x = G^-1 B v and x B, which is x_i at the i-th pivot column
 (``projector_columns`` reads the symmetric P off G^-1 B and dots only the
 upper triangle of its free x free block); ``orthocomplement`` its result;
 ``wall_key`` the wall lattice; ``torus_offset`` the HNF basis of the
-projected lattice (``perp_lattice``); ``classify`` a direction's wall
-answers, each asked once.  The memo takes no part in equality, hashing,
-``encode`` or ``repr``.
+projected lattice (``perp_lattice``); ``("orthogonal", K)`` whether K lies
+in its orthocomplement; ``classify`` a direction's wall answers, each asked
+once.  The memo takes no part in equality, hashing, ``encode`` or ``repr``;
+the hash is computed once per object and kept outside it.
 """
 from __future__ import annotations
 
@@ -79,6 +82,7 @@ FieldVector = tuple[FieldScalar, ...]
 # ---------------------------------------------------------------------------
 
 
+@cache  # once per (field, dim), as unit_basis: its one zero keeps its hash
 def zero_vector(field: FieldSpec, dim: int) -> FieldVector:
     return (field.zero(),) * dim  # scalars are immutable: one zero serves every entry
 
@@ -259,13 +263,21 @@ class Subspace:
     """Linear subspace of R^d with a canonical RREF basis over the field.
 
     ``memo`` holds values computed from the subspace alone, filled by their
-    callers; it is not part of the value."""
+    callers; it is not part of the value.  Neither is ``_hash``, the value's
+    hash, computed once per object."""
 
     field: FieldSpec
     ambient: int
     basis: tuple[FieldVector, ...]
     memo: dict = dataclass_field(default_factory=dict, init=False, compare=False,
                                  hash=False, repr=False)
+    _hash: int | None = dataclass_field(default=None, init=False, compare=False,
+                                        hash=False, repr=False)
+
+    def __hash__(self) -> int:  # memo and class keys hash every basis scalar only once
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.field, self.ambient, self.basis)))
+        return self._hash
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient: int, vectors) -> "Subspace":
@@ -321,11 +333,21 @@ class Subspace:
 
     def orthogonal_to(self, other: "Subspace") -> bool:
         """self <= other^perp, from dot products of the two bases; never when
-        the two dimensions add up past the ambient one."""
+        the two dimensions add up past the ambient one, always when either is
+        zero.  Other answers are kept in other's memo under ("orthogonal", self):
+        a carrier K is asked about a direction L by the wall test, the
+        eigenvalue families and both concise sets."""
         self._check_compatible(other)
         if self.dim + other.dim > self.ambient:
             return False
-        return all(vec_dot(u, v).is_zero() for u in self.basis for v in other.basis)
+        if not self.basis or not other.basis:
+            return True
+        key = ("orthogonal", self)
+        answer = other.memo.get(key)
+        if answer is None:
+            answer = other.memo[key] = all(vec_dot(u, v).is_zero()
+                                           for u in self.basis for v in other.basis)
+        return answer
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.is_zero():  # keeps other's object and its memo
@@ -347,10 +369,14 @@ class Subspace:
 
     def meets_orthocomplement(self, other: "Subspace") -> bool:
         """self cap other^perp != 0: the matrix of dot products of the two
-        bases has rank below dim self.  Its rank is at most dim other."""
+        bases has rank below dim self.  Its rank is at most dim other.  A line
+        meets other^perp exactly when it lies in it: ``other.orthogonal_to``,
+        with no elimination."""
         self._check_compatible(other)
         if other.dim < self.dim:
             return True
+        if self.dim == 1:
+            return other.orthogonal_to(self)
         _, pivots = rref_field([[vec_dot(u, v) for v in other.basis] for u in self.basis])
         return len(pivots) < self.dim
 

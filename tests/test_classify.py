@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -86,14 +87,14 @@ class TestWallTest:
 
 
 class TestDirectionMemo:
-    """The wall lattice, the dual basis and the atom-group wall answers are
-    kept in the direction's memo: the memo must give the answers a fresh
-    subspace gives, and one classification plus subordination must solve
-    each group once."""
+    """The wall lattice, the dual basis, the carriers' orthogonality and the
+    atom-group wall answers are kept in the direction's memo: the memo must
+    give the answers a fresh subspace gives, and one classification plus
+    subordination must solve each group once."""
 
     def test_memo_answers_match_a_fresh_subspace(self):
         rng = random.Random(41)
-        groups_seen = duals_seen = affine_seen = 0
+        groups_seen = duals_seen = affine_seen = orthogonal_seen = 0
         for _ in range(40):
             field = rng.choice([QQ, F2])
             space = rng.choice([TORUS, EUCLID])
@@ -120,6 +121,12 @@ class TestDirectionMemo:
                     fresh.project_all([])  # builds the fresh subspace's entry
                     assert answer == fresh.memo["dual_basis"]
                     continue
+                if len(key) == 2:
+                    tag, carrier = key
+                    assert tag == "orthogonal" and not carrier.is_zero()
+                    orthogonal_seen += 1
+                    assert carrier.orthogonal_to(fresh) == answer
+                    continue
                 if len(key) == 3:
                     space, point, ell = key
                     affine_seen += 1
@@ -133,7 +140,8 @@ class TestDirectionMemo:
             assert C.classify_direction(m, fresh).encode() == verdict.encode()
             assert C.nonergodic_concise(m).contains_direction(
                 Subspace(sub.field, sub.ambient, sub.basis)) == in_ne
-        assert groups_seen > 10 and duals_seen > 10 and affine_seen > 10
+        assert groups_seen > 10 and duals_seen > 10 and affine_seen > 10 \
+            and orthogonal_seen > 10
 
     def test_a_none_group_answer_is_asked_once(self, monkeypatch):
         # None is a kept answer (no atom of the group on the wall): the second
@@ -313,6 +321,93 @@ class TestDirectionMemo:
             assert max(counts.values(), default=0) <= 1, counts
             keyed += sum(counts.values())
         assert keyed > 20
+
+    def test_one_operation_decides_each_pair_once(self, monkeypatch, fixtures_dir):
+        """One benchmark operation (both concise sets, the verdict, the
+        eigenvalue families and both subordination asks) dots each (carrier,
+        direction) pair once, scans the components for eigenvalue carriers
+        once, and decides a line's decay without elimination; fresh objects
+        asked in the reverse order encode the same bytes."""
+        rng = random.Random(67)
+        cases = []  # (measure document, direction bases)
+        for path in sorted(fixtures_dir.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "components" in doc and not SymbolicMeasure.decode(doc).has_delta_zero():
+                m = SymbolicMeasure.decode(doc)
+                cases.append((doc, [s.basis for s in probe_directions(rng, m, listed_concise(m))
+                                    if s.dim]))
+        for workload, size in (("classify-mix", 40), ("torus-walls", 12)):
+            for case in rng.sample(gen.benchmark_pool(workload), size):
+                field = FieldSpec(tuple(case["directions"]["field_roots"]))
+                cases.append((case["measure"], [
+                    [[decode_scalar(field, x) for x in row] for row in d["basis"]]
+                    for d in case["directions"]["directions"]]))
+
+        def operation(m, sub, reverse=False):
+            ne, nw = C.nonergodic_concise(m), C.nonwm_concise(m)
+            steps = [lambda: C.classify_direction(m, sub).encode(),
+                     lambda: [f.encode() for f in C.directional_eigenvalues(m, sub)],
+                     lambda: ne.contains_direction(sub), lambda: nw.contains_direction(sub)]
+            out = [step() for step in (steps[::-1] if reverse else steps)]
+            return json.dumps(out[::-1] if reverse else out, sort_keys=True)
+
+        class Components(tuple):
+            """A measure's components that count the functions iterating them."""
+            def __iter__(self):
+                scans[sys._getframe(1).f_code.co_name] += 1
+                return super().__iter__()
+
+        dots, scans, line_rrefs, inside = Counter(), Counter(), [], {"dots": 0, "line": False}
+        vec_dot, rref_field = L.vec_dot, L.rref_field
+        orthogonal_to, meets = Subspace.orthogonal_to, Subspace.meets_orthocomplement
+
+        def counted_dot(*args):
+            inside["dots"] += 1
+            return vec_dot(*args)
+
+        def counted_orthogonal_to(k, sub):
+            before = inside["dots"]
+            answer = orthogonal_to(k, sub)
+            dots[(k, sub)] += inside["dots"] > before  # keyed by value: equal carriers share
+            return answer
+
+        def counted_meets(sub, k):
+            inside["line"] = sub.dim == 1
+            try:
+                return meets(sub, k)
+            finally:
+                inside["line"] = False
+
+        def counted_rref(*args):
+            if inside["line"]:
+                line_rrefs.append(args)
+            return rref_field(*args)
+
+        monkeypatch.setattr(L, "vec_dot", counted_dot)
+        monkeypatch.setattr(L, "rref_field", counted_rref)
+        monkeypatch.setattr(Subspace, "orthogonal_to", counted_orthogonal_to)
+        monkeypatch.setattr(Subspace, "meets_orthocomplement", counted_meets)
+        seen = Counter()
+        for doc, bases in cases:
+            m = SymbolicMeasure.decode(doc)
+            object.__setattr__(m, "components", Components(m.components))
+            previous = None
+            for basis in bases:
+                sub = Subspace.from_vectors(m.field, m.dim, basis)
+                dots.clear()
+                scans.clear()
+                got = operation(m, sub)
+                assert max(dots.values(), default=0) <= 1, dots
+                # the measure keeps the carriers of the direction asked last
+                assert scans["_eigenvalue_carriers"] == (sub != previous), scans
+                previous = sub
+                seen["dotted"] += sum(dots.values())
+                seen["lines"] += sub.dim == 1
+                fresh = SymbolicMeasure.decode(doc)
+                assert operation(fresh, Subspace(sub.field, sub.ambient, sub.basis),
+                                 reverse=True) == got
+        assert not line_rrefs
+        assert seen["dotted"] > 100 and seen["lines"] > 50, seen
 
 
 class TestClassifyDirection:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -212,6 +214,64 @@ class TestTrivialSubspaceCases:
         assert not line.orthogonal_to(plane) and other.orthogonal_to(Subspace.from_vectors(
             QQ, 3, [[1, 0, 0]]))
         assert sorted(set(calls)) == ["contains", "rref_field", "vec_dot"]
+
+
+class TestOrthogonalityMemo:
+    """``orthogonal_to`` keeps each answer past the trivial cases in the
+    second subspace's memo under ("orthogonal", K), a value key, and
+    ``meets_orthocomplement`` reads a line's answer off it.  Both must agree
+    with the dot-product and rank references, asked again (from the memo)
+    and with equal but distinct objects; the hash kept on each object must
+    be the value's, through copies too."""
+
+    def test_against_references(self, monkeypatch):
+        rng = random.Random(4099)
+        dots = []
+        vec_dot = L.vec_dot
+        monkeypatch.setattr(L, "vec_dot", lambda *args: dots.append(args) or vec_dot(*args))
+        seen = {True: 0, False: 0}
+        for field in gen.FIELDS:
+            for d in range(1, 5):
+                subs = TestTrivialSubspaceCases.subspaces(rng, field, d)
+                # lines in each orthocomplement: pairs that are orthogonal
+                subs += [Subspace.from_vectors(field, d, s.orthocomplement().basis[:1])
+                         for s in subs if 0 < s.dim < d]
+                for k in subs:
+                    for sub in subs:
+                        want = (reference_orthogonal_to(k, sub),
+                                reference_meets_orthocomplement(sub, k))
+                        trivial = not k.dim or not sub.dim or k.dim + sub.dim > d
+                        assert (k.orthogonal_to(sub), sub.meets_orthocomplement(k)) == want
+                        assert (("orthogonal", k) in sub.memo) == (not trivial)
+                        dots.clear()  # asked again: a trivial case or the memo answers
+                        assert k.orthogonal_to(sub) == want[0] and not dots
+                        assert sub.meets_orthocomplement(k) == want[1]
+                        assert not dots or sub.dim > 1
+                        twin_k, twin_sub = (Subspace(field, d, s.basis) for s in (k, sub))
+                        assert (twin_k.orthogonal_to(sub), sub.meets_orthocomplement(twin_k),
+                                k.orthogonal_to(twin_sub), twin_sub.meets_orthocomplement(k)) \
+                            == want * 2
+                        if not trivial:
+                            seen[want[0]] += 1
+                    # a zero carrier is answered without the memo
+                    assert ("orthogonal", Subspace.zero(field, d)) not in k.memo
+        assert min(seen.values()) > 50, seen
+
+    def test_hash_is_the_value_hash(self):
+        rng = random.Random(4111)
+        for field in gen.FIELDS:
+            for d in range(1, 5):
+                for sub in TestTrivialSubspaceCases.subspaces(rng, field, d):
+                    line = gen.rand_subspace(rng, field, d, target_dim=1)
+                    line.orthogonal_to(sub)  # a memo entry keyed by the line
+                    value = hash(sub)
+                    assert value == hash(Subspace(field, d, sub.basis)) == hash(sub)
+                    assert value == hash(Subspace.from_vectors(field, d, sub.basis))
+                    for copied in (copy.copy(sub), copy.deepcopy(sub),
+                                   pickle.loads(pickle.dumps(sub))):
+                        assert copied == sub and hash(copied) == value
+                        assert hash(Subspace(field, d, copied.basis)) == value
+                        assert copied.orthogonal_to(line) == sub.orthogonal_to(line)
 
 
 class TestProjection:

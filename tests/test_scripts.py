@@ -98,6 +98,32 @@ def test_bench_pairs_table_and_summary(monkeypatch):
     assert bench.table({"torus-walls (10 passes)": bench.summarize(fixed, end_to_end[1:2])}) \
         .splitlines()[2] == "| torus-walls (10 passes) | `peak_rss_mb` | 27.500 (0.000) " \
         "| 27.500 (+0.0%) | 0/2 |"
+    # Tier-1 once per exported tree: the ROADMAP command with src first on the
+    # path, its wall time, exit code and the counts of pytest's summary line
+    outputs = iter(["....\n774 passed, 2 warnings in 51.04s\n",
+                    "..F.\n1 failed, 773 passed in 50.80s\n"])
+
+    def fake_pytest(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        out = next(outputs)
+        return subprocess.CompletedProcess(cmd, int("failed" in out), out, "")
+    calls.clear()
+    monkeypatch.setattr(bench.subprocess, "run", fake_pytest)
+    tests = {side: bench.tier1(tree) for side in ("parent", "change")}
+    monkeypatch.undo()
+    cmd, kwargs = calls[0]
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert kwargs["cwd"] == tree and kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == "src" \
+        and kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert [(r["returncode"], r["summary"], r["counts"]) for r in tests.values()] == [
+        (0, "774 passed, 2 warnings in 51.04s", {"passed": 774, "warnings": 2}),
+        (1, "1 failed, 773 passed in 50.80s", {"failed": 1, "passed": 773})]
+    assert all(r["wall_s"] >= 0 for r in tests.values())
+    for r, wall in zip(tests.values(), (61.23, 60.0)):
+        r["wall_s"] = wall
+    assert bench.tier1_lines(tests).splitlines() == [
+        "Tier-1 parent: 774 passed, 2 warnings in 61.2 s",
+        "Tier-1 change: 1 failed, 773 passed in 60.0 s"]
     # the machine block names the installed numpy and scipy next to Python
     import importlib.metadata
     import platform
